@@ -246,6 +246,31 @@ impl StreamAnalyzer {
         }
     }
 
+    /// Whether [`Self::fold`] reads `ev` at all: one arm per `fold` arm,
+    /// testing the same spec lists. Canonical-ties mode asks before
+    /// buffering, so a spec naming 2 channels out of thousands does not
+    /// copy and sort every record of the run. Dropping unread records
+    /// cannot reorder the kept ones: [`canonical_trace_cmp`] is a total
+    /// order, so a subset sorts into the same relative order.
+    fn wants(&self, ev: &TraceEvent) -> bool {
+        match *ev {
+            TraceEvent::Enqueue { ch, .. } => self.queues.iter().any(|(c, _)| *c == ch),
+            TraceEvent::TxEnd { ch, .. } => {
+                self.queues.iter().any(|(c, _)| *c == ch)
+                    || self.utils.iter().any(|u| u.ch == ch)
+                    || self.departures.iter().any(|(c, _)| *c == ch)
+            }
+            TraceEvent::TxStart { ch, .. } => self.utils.iter().any(|u| u.ch == ch),
+            TraceEvent::Proto {
+                conn,
+                ev: ProtoEvent::Cwnd { .. },
+                ..
+            } => self.cwnds.iter().any(|(c, _)| *c == conn),
+            TraceEvent::Drop { .. } => self.drops.is_some(),
+            _ => false,
+        }
+    }
+
     /// Sort and fold the buffered same-instant group (canonical-ties
     /// mode).
     fn flush_pending(&mut self) {
@@ -375,6 +400,9 @@ impl StreamAnalyzer {
 impl TraceObserver for StreamAnalyzer {
     fn on_record(&mut self, t: SimTime, ev: &TraceEvent) {
         if self.canonical_ties {
+            if !self.wants(ev) {
+                return;
+            }
             if self.pending.first().is_some_and(|r| r.t != t) {
                 self.flush_pending();
             }

@@ -404,7 +404,14 @@ pub fn decode_checked_line(line: &str) -> Result<Vec<u8>, LineDamage> {
 /// FNV-1a over a byte string: the per-line checksum of the journal and
 /// the trailer checksum of the serve store's cell files.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: the hash streams, so
+/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ‖ b)`. The serve store uses
+/// this to get a cell file's whole-file fingerprint out of the pass that
+/// checks its trailer.
+pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -4,16 +4,20 @@
 //! # Request lifecycle
 //!
 //! ```text
+//! blocking accept ──▶ one thread per connection, one line per request
+//!  (a self-connect wakes it into the drain: after a flushed
+//!   `shutdown` reply, or from the signal watcher)
+//!
 //! client line ──parse──▶ admission ──▶ store lookup ──hit──▶ respond ok
-//!                           │               │miss/quarantined
-//!                           │               ▼
+//!                           │          (one FNV-1a   │miss/quarantined
+//!                           │           pass)        ▼
 //!                           │        bounded priority queue ──▶ worker
 //!                           │                                    │
 //!                      overloaded /                     catch_unwind(run)
 //!                      queue_full / shed               ╱        │        ╲
-//!                                                 ok: store   deadline   panic:
-//!                                                 + respond   exceeded   retry→backoff
-//!                                                                        →failed→breaker
+//!                                             ok: encode once,  deadline   panic:
+//!                                             store, respond    exceeded   retry→backoff
+//!                                                                          →failed→breaker
 //! ```
 //!
 //! All robustness decisions are deterministic: the backoff jitter is
@@ -28,12 +32,12 @@ use crate::store::{CellData, CellKey, Lookup, Store};
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use td_engine::{SimRng, SnapReader, SnapWriter};
-use td_experiments::journal::{decode_checked_line, encode_checked_line, fnv1a};
+use td_experiments::journal::{decode_checked_line, encode_checked_line};
 use td_experiments::registry::{config_hash, find, Profile};
 use td_experiments::sweep::budget;
 
@@ -150,6 +154,9 @@ struct Shared {
     queue: Mutex<QueueState>,
     cond: Condvar,
     draining: AtomicBool,
+    /// Request lines read whose reply is not yet on its socket. The
+    /// drain waits for zero before the process may exit.
+    replies_owed: AtomicU64,
     /// Consecutive final failures per config hash.
     breaker: Mutex<HashMap<u64, u32>>,
 }
@@ -162,7 +169,6 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
     let store = Store::open(&cfg.store_dir)?;
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket)?;
-    listener.set_nonblocking(true)?;
     budget().configure(cfg.jobs);
 
     let shared = Arc::new(Shared {
@@ -171,6 +177,7 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
         queue: Mutex::new(QueueState::default()),
         cond: Condvar::new(),
         draining: AtomicBool::new(false),
+        replies_owed: AtomicU64::new(0),
         breaker: Mutex::new(HashMap::new()),
         cfg,
     });
@@ -191,28 +198,41 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
         shared.cfg.queue_cap,
     );
 
-    let mut signalled = false;
+    // A signal never surfaces from the blocking accept (glibc's `signal`
+    // sets SA_RESTART, std retries EINTR): a watcher turns the handler's
+    // flag into wake-ups, until the accept loop drops `watch_stop`.
+    let (watch_stop, watch_rx) = mpsc::channel::<()>();
+    let watcher = interrupt.map(|flag| {
+        let s = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            let tick = Duration::from_millis(20);
+            while let Err(mpsc::RecvTimeoutError::Timeout) = watch_rx.recv_timeout(tick) {
+                if flag.load(Ordering::SeqCst) {
+                    wake_accept(&s.cfg.socket);
+                }
+            }
+        })
+    });
+
+    let interrupted = || interrupt.is_some_and(|f| f.load(Ordering::SeqCst));
     loop {
-        if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
-            signalled = true;
-            break;
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            break; // in-band shutdown request
-        }
         match listener.accept() {
+            // Usually the wake-up; whichever connection it is, drop it.
+            Ok(_) if interrupted() || shared.draining.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 let s = Arc::clone(&shared);
                 std::thread::spawn(move || handle_conn(&s, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(e) => {
                 eprintln!("td-serve: accept error: {e}");
                 std::thread::sleep(Duration::from_millis(25));
             }
         }
+    }
+    let signalled = interrupted();
+    drop(watch_stop);
+    if let Some(w) = watcher {
+        let _ = w.join();
     }
 
     shared.draining.store(true, Ordering::SeqCst);
@@ -223,8 +243,21 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
     for w in workers {
         let _ = w.join();
     }
+    // Connection threads are detached and process exit would cut their
+    // last replies off: wait until every request line read has been
+    // answered (bounded, for a client that stopped reading).
+    let patience = Instant::now() + Duration::from_secs(1);
+    while shared.replies_owed.load(Ordering::SeqCst) > 0 && Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     eprintln!("td-serve: drain complete");
     Ok(if signalled { 130 } else { 0 })
+}
+
+/// End the blocking `accept` (no `poll` without `unsafe`): connect to our
+/// own socket, once the flag the accept loop checks is up.
+fn wake_accept(socket: &Path) {
+    let _ = UnixStream::connect(socket);
 }
 
 /// Stop the workers, persist unstarted jobs, answer their clients.
@@ -369,17 +402,27 @@ fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let resp = handle_line(shared, &line);
-        if writeln!(writer, "{resp}").is_err() {
+        shared.replies_owed.fetch_add(1, Ordering::SeqCst);
+        let (mut resp, shutdown) = handle_line(shared, &line);
+        resp.push('\n');
+        // One write, and the socket has no buffer to flush.
+        let wrote = writer.write_all(resp.as_bytes());
+        if shutdown {
+            // After the reply, so the client reads it before EOF; a
+            // client that hung up still gets its drain.
+            wake_accept(&shared.cfg.socket);
+        }
+        shared.replies_owed.fetch_sub(1, Ordering::SeqCst);
+        if wrote.is_err() {
             return;
         }
-        let _ = writer.flush();
     }
 }
 
-fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
+/// Answer one line; `true` asks for a drain once the reply is written.
+fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
     shared.counters.requests.fetch_add(1, Ordering::SeqCst);
-    match proto::parse_request(line) {
+    let resp = match proto::parse_request(line) {
         Err(why) => {
             shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
             format!(
@@ -391,10 +434,11 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
         Ok(Request::Stats) => render_stats(shared),
         Ok(Request::Shutdown) => {
             shared.draining.store(true, Ordering::SeqCst);
-            "{\"status\":\"ok\",\"draining\":true}".to_owned()
+            return ("{\"status\":\"ok\",\"draining\":true}".to_owned(), true);
         }
         Ok(Request::Simulate(req)) => handle_simulate(shared, req),
-    }
+    };
+    (resp, false)
 }
 
 fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
@@ -425,10 +469,10 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
     // Store lookup; a quarantined cell falls through to recompute.
     let mut recompute = false;
     match shared.store.load(key) {
-        Ok(Lookup::Hit(data)) => {
+        Ok(Lookup::Hit(data, file_fnv)) => {
             shared.counters.hits.fetch_add(1, Ordering::SeqCst);
             shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-            return render_ok(key, &data);
+            return render_ok(key, &data, file_fnv);
         }
         Ok(Lookup::Miss) => {
             shared.counters.misses.fetch_add(1, Ordering::SeqCst);
@@ -603,23 +647,26 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
                     profile: req.profile,
                     report: *report,
                 };
-                if let Err(e) = shared.store.save(job.key, &data) {
-                    shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-                    break render_failed(
-                        req,
-                        job.key,
-                        attempt,
-                        false,
-                        &format!("store write failed: {e}"),
-                    );
-                }
+                let file_fnv = match shared.store.save(job.key, &data) {
+                    Ok(fnv) => fnv,
+                    Err(e) => {
+                        shared.counters.failed.fetch_add(1, Ordering::SeqCst);
+                        break render_failed(
+                            req,
+                            job.key,
+                            attempt,
+                            false,
+                            &format!("store write failed: {e}"),
+                        );
+                    }
+                };
                 shared.counters.computed.fetch_add(1, Ordering::SeqCst);
                 if job.recompute {
                     shared.counters.recomputed.fetch_add(1, Ordering::SeqCst);
                 }
                 breaker_reset(shared, job.key.config_hash);
                 shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-                break render_ok(job.key, &data);
+                break render_ok(job.key, &data, file_fnv);
             }
             CellOutcome::Deadline(why) => {
                 shared
@@ -693,11 +740,12 @@ fn quoted(s: &str) -> String {
 }
 
 /// The `ok` response. Deliberately free of cache/wall-clock fields so a
-/// cache hit and a recompute of the same cell are byte-identical; the
-/// `payload_fnv` fingerprints the full stored cell encoding, which is
-/// what the byte-identity tests compare.
-fn render_ok(key: CellKey, data: &CellData) -> String {
-    let payload = crate::store::encode_cell_file(key, data);
+/// cache hit and a recompute of the same cell are byte-identical.
+/// `payload_fnv` is the FNV-1a of the stored file's bytes (payload and
+/// trailer), as [`Store::load`] or [`Store::save`] reported it; the
+/// encoding is deterministic and only canonical files decode, so hit,
+/// miss and recompute agree — which the byte-identity tests pin.
+fn render_ok(key: CellKey, data: &CellData, payload_fnv: u64) -> String {
     format!(
         "{{\"status\":\"ok\",\"experiment\":\"{}\",\"seed\":{},\"profile\":\"{}\",\
          \"config_hash\":\"{:016x}\",\"all_ok\":{},\"rows\":{},\"failures\":{},\
@@ -710,7 +758,7 @@ fn render_ok(key: CellKey, data: &CellData) -> String {
         data.report.rows.len(),
         data.report.failures().len(),
         data.report.metrics.len(),
-        fnv1a(&payload),
+        payload_fnv,
     )
 }
 
@@ -784,6 +832,7 @@ fn render_stats(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_experiments::journal::fnv1a;
 
     #[test]
     fn backoff_is_deterministic_and_monotone_in_attempt() {
@@ -807,6 +856,70 @@ mod tests {
             seed: 7,
         };
         assert_ne!(backoff(50, key, 1), backoff(50, other, 1));
+    }
+
+    fn shared_on(tag: &str) -> Arc<Shared> {
+        let dir = std::env::temp_dir().join(format!("td-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(Shared {
+            store: Store::open(&dir).unwrap(),
+            counters: Counters::default(),
+            queue: Mutex::new(QueueState::default()),
+            cond: Condvar::new(),
+            draining: AtomicBool::new(false),
+            replies_owed: AtomicU64::new(0),
+            breaker: Mutex::new(HashMap::new()),
+            cfg: ServeConfig {
+                store_dir: dir,
+                ..ServeConfig::default()
+            },
+        })
+    }
+
+    /// A miss encodes its cell once (for the write), a hit not at all,
+    /// and both put the FNV-1a of the stored file on the wire.
+    #[test]
+    fn miss_encodes_once_hit_never_and_both_fingerprint_the_file() {
+        use crate::store::ENCODES;
+        let shared = shared_on("encodes");
+        let req = SimulateReq {
+            experiment: "fig2".into(),
+            seed: 3,
+            profile: Profile::Quick,
+            deadline_ms: None,
+            priority: 0,
+            overrides: vec![("sim_secs".into(), 1)],
+        };
+        let key = CellKey {
+            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
+            seed: req.seed,
+        };
+        let job = Job {
+            seq: 0,
+            req: req.clone(),
+            key,
+            deadline: None,
+            reply: None,
+            recompute: false,
+        };
+
+        let before = ENCODES.get();
+        let miss = process_job(&shared, &job);
+        assert_eq!(
+            ENCODES.get() - before,
+            1,
+            "a miss encodes for the write only"
+        );
+        let file = std::fs::read(shared.store.cell_path(key)).unwrap();
+        let fingerprint = format!("\"payload_fnv\":\"{:016x}\"}}", fnv1a(&file));
+        assert!(miss.ends_with(&fingerprint), "{miss} vs {fingerprint}");
+
+        let before = ENCODES.get();
+        let hit = handle_simulate(&shared, req);
+        assert_eq!(ENCODES.get(), before, "a hit re-encodes nothing");
+        assert_eq!(hit, miss, "hit and miss replies are the same bytes");
+        assert_eq!(shared.counters.hits.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
     #[test]

@@ -15,17 +15,22 @@
 //!   directory (never deleted: it is evidence) and the caller
 //!   recomputes the cell.
 //! * **Every write is atomic and durable**: temp file in the store
-//!   directory, `sync_all`, rename over the final name, best-effort
-//!   directory fsync. A crash can leave a stale `.tmp`, never a torn
-//!   cell.
+//!   directory (named uniquely per write), `sync_all`, rename over the
+//!   final name, best-effort directory fsync. A crash can leave a stale
+//!   `.tmp`, never a torn cell.
+//! * **Each stored byte is hashed once.** FNV-1a streams, so the trailer
+//!   check continued over the 8 trailer bytes is the FNV-1a of the whole
+//!   file: [`Store::load`] and [`Store::save`] return that fingerprint,
+//!   which the daemon sends as `payload_fnv` without re-encoding.
 //! * [`Store::verify`] scans every cell offline and reports (optionally
 //!   quarantines) damage; [`Store::compact`] clears `.tmp` leftovers
 //!   and the quarantine sidecar, reporting bytes reclaimed.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use td_engine::{SnapReader, SnapWriter};
-use td_experiments::journal::{fnv1a, read_report, write_report};
+use td_experiments::journal::{fnv1a, fnv1a_continue, read_report, write_report};
 use td_experiments::registry::Profile;
 use td_experiments::report::Report;
 
@@ -33,6 +38,14 @@ use td_experiments::report::Report;
 const MAGIC: &[u8; 4] = b"TDCE";
 /// Cell-file format version.
 const VERSION: u32 = 1;
+/// Distinguishes the temp files of one process's concurrent writes.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// Cell encodings on this thread, for the server's hit-path test.
+    pub(crate) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Identity of one cell: the canonical config hash plus the seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -59,8 +72,9 @@ pub struct CellData {
 pub enum Lookup {
     /// No cell on disk.
     Miss,
-    /// Intact cell, checksum verified.
-    Hit(Box<CellData>),
+    /// Intact cell, checksum verified, and the FNV-1a of the file's
+    /// bytes (payload and trailer) from that same pass.
+    Hit(Box<CellData>, u64),
     /// The cell was on disk but damaged; it has been moved to the
     /// quarantine sidecar and the caller should recompute. The string
     /// says what was wrong.
@@ -136,7 +150,7 @@ impl Store {
             Err(e) => return Err(e),
         };
         match decode_cell_file(&bytes, Some(key)) {
-            Ok(data) => Ok(Lookup::Hit(Box::new(data))),
+            Ok((data, file_fnv)) => Ok(Lookup::Hit(Box::new(data), file_fnv)),
             Err(why) => {
                 self.quarantine(&path)?;
                 Ok(Lookup::Quarantined(why))
@@ -157,13 +171,18 @@ impl Store {
     }
 
     /// Write a cell atomically and durably: temp + fsync + rename.
-    pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<()> {
-        let bytes = encode_cell_file(key, data);
+    /// Returns the FNV-1a of the bytes written — what a later
+    /// [`Store::load`] of the same file reports.
+    pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<u64> {
+        let (bytes, file_fnv) = encode_with_fnv(key, data);
         let final_path = self.cell_path(key);
+        // Pid against other processes, counter against this one's other
+        // workers saving the same key: a shared temp file gets torn.
         let tmp = self.dir.join(format!(
-            "{}.{}.tmp",
+            "{}.{}.{}.tmp",
             Self::cell_name(key),
-            std::process::id()
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         {
             let mut f = std::fs::File::create(&tmp)?;
@@ -177,7 +196,7 @@ impl Store {
         if let Ok(d) = std::fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        Ok(())
+        Ok(file_fnv)
     }
 
     /// Scan every cell file; with `fix`, move damaged ones to
@@ -251,6 +270,13 @@ fn key_from_name(name: &str) -> Option<CellKey> {
 
 /// Serialize a cell: `TDCE` payload + 8-byte LE FNV-1a trailer.
 pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
+    encode_with_fnv(key, data).0
+}
+
+/// [`encode_cell_file`] plus the FNV-1a of everything it returns.
+fn encode_with_fnv(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
+    #[cfg(test)]
+    ENCODES.with(|n| n.set(n.get() + 1));
     let mut w = SnapWriter::with_header(MAGIC, VERSION);
     w.write_u64(key.config_hash);
     w.write_u64(key.seed);
@@ -262,14 +288,17 @@ pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
     write_report(&mut w, &data.report);
     let mut bytes = w.into_bytes();
     let check = fnv1a(&bytes);
-    bytes.extend_from_slice(&check.to_le_bytes());
-    bytes
+    let trailer = check.to_le_bytes();
+    bytes.extend_from_slice(&trailer);
+    (bytes, fnv1a_continue(check, &trailer))
 }
 
 /// Decode and verify a cell file. `expect` (when known) must match the
 /// embedded key — a renamed or cross-copied cell is corruption too.
-/// Structured errors, never panics.
-pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellData, String> {
+/// Structured errors, never panics. With the cell comes the FNV-1a of
+/// all of `bytes` (the trailer check continued over the trailer); only
+/// canonical files decode, so re-encoding the cell hashes the same.
+pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
     if bytes.len() < 8 {
         return Err(format!(
             "file is {} byte(s), too short for a trailer",
@@ -288,7 +317,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellDat
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<CellData, td_engine::SnapError> {
         let version = r.expect_header(MAGIC)?;
-        if version > VERSION {
+        if version != VERSION {
             return Err(td_engine::SnapError::UnsupportedVersion(version));
         }
         let config_hash = r.read_u64()?;
@@ -320,7 +349,8 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellDat
             report,
         })
     };
-    decode().map_err(|e| e.to_string())
+    let data = decode().map_err(|e| e.to_string())?;
+    Ok((data, fnv1a_continue(computed, trailer)))
 }
 
 #[cfg(test)]
@@ -361,7 +391,7 @@ mod tests {
         assert!(matches!(store.load(key).unwrap(), Lookup::Miss));
         store.save(key, &data).unwrap();
         let got = match store.load(key).unwrap() {
-            Lookup::Hit(d) => d,
+            Lookup::Hit(d, _) => d,
             other => panic!("{other:?}"),
         };
         assert_eq!(got.experiment, data.experiment);
@@ -450,8 +480,157 @@ mod tests {
         assert_eq!(rep.tmp_removed, 1);
         assert_eq!(rep.quarantine_removed, 1);
         assert!(rep.bytes_reclaimed > 0);
-        assert!(matches!(store.load(key).unwrap(), Lookup::Hit(_)));
+        assert!(matches!(store.load(key).unwrap(), Lookup::Hit(..)));
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Two workers of one daemon computing the same missing cell used to
+    /// share one temp path: one truncated the other's half-written file,
+    /// and the loser's rename failed or published a torn cell.
+    #[test]
+    fn concurrent_saves_of_one_key_never_tear() {
+        let store = tmp_store("concurrent");
+        let (key, mut data) = sample();
+        // Big enough that a write is not one instant.
+        data.report
+            .blobs
+            .push(("pad.bin".into(), vec![0xa5; 256 << 10]));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..50 {
+                        store
+                            .save(key, &data)
+                            .unwrap_or_else(|e| panic!("save {i}: {e}"));
+                        match store.load(key).unwrap() {
+                            Lookup::Hit(..) | Lookup::Miss => {}
+                            Lookup::Quarantined(why) => panic!("torn cell after save {i}: {why}"),
+                        }
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p != &store.cell_path(key))
+            .collect();
+        assert!(leftovers.is_empty(), "left behind: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A random string: empty, short, or multi-KiB, ASCII or not.
+    fn gen_str(rng: &mut td_engine::SimRng) -> String {
+        const ALPHABET: [&str; 8] = ["a", "Z", " ", "\n", "\"", "é", "→", "𝛼"];
+        let len = match rng.next_below(4) {
+            0 => 0,
+            1 => rng.next_below(12),
+            2 => rng.next_below(200),
+            _ => 3000 + rng.next_below(3000),
+        };
+        (0..len)
+            .map(|_| ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    fn gen_cell(rng: &mut td_engine::SimRng) -> (CellKey, CellData) {
+        const METRICS: [f64; 8] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -1e300,
+        ];
+        let mut report = Report::new(&gen_str(rng), &gen_str(rng), &gen_str(rng));
+        for _ in 0..rng.next_below(4) {
+            report.rows.push(td_experiments::report::Row {
+                metric: gen_str(rng),
+                paper: gen_str(rng),
+                measured: gen_str(rng),
+                ok: [None, Some(false), Some(true)][rng.next_below(3) as usize],
+            });
+        }
+        for _ in 0..rng.next_below(3) {
+            report.plots.push(gen_str(rng));
+            report.csvs.push((gen_str(rng), gen_str(rng)));
+            report.diagnostics.push(gen_str(rng));
+        }
+        for _ in 0..rng.next_below(3) {
+            let len = [0, 7, 100_000][rng.next_below(3) as usize];
+            let blob = (0..len).map(|_| rng.next_u64() as u8).collect();
+            report.blobs.push((gen_str(rng), blob));
+        }
+        for _ in 0..rng.next_below(6) {
+            let m = METRICS[rng.next_below(METRICS.len() as u64) as usize];
+            report.metrics.push((gen_str(rng), m));
+        }
+        (
+            CellKey {
+                config_hash: rng.next_u64(),
+                seed: rng.next_u64(),
+            },
+            CellData {
+                experiment: gen_str(rng),
+                profile: [Profile::Quick, Profile::Full][rng.next_below(2) as usize],
+                report,
+            },
+        )
+    }
+
+    /// What the daemon's `payload_fnv` rests on: the one verifying pass
+    /// yields the FNV-1a of the file, a decoded cell re-encodes to the
+    /// same bytes, and `save` reports the fingerprint of what it wrote —
+    /// so a hit, a miss and a recompute put the same number on the wire.
+    #[test]
+    fn fingerprint_is_the_file_fnv_and_survives_a_codec_round_trip() {
+        let store = tmp_store("fingerprint");
+        let mut rng = td_engine::SimRng::new(0x7d5e_12f0);
+        for case in 0..60 {
+            let (key, data) = gen_cell(&mut rng);
+            let file = encode_cell_file(key, &data);
+            let (decoded, file_fnv) = decode_cell_file(&file, Some(key)).unwrap();
+            assert_eq!(file_fnv, fnv1a(&file), "case {case}: decode's fingerprint");
+            // Same bytes, hence the same FNV-1a: what `render_ok` used
+            // to compute per reply.
+            let again = encode_cell_file(key, &decoded);
+            assert!(again == file, "case {case}: re-encoding differs");
+            assert_eq!(
+                store.save(key, &data).unwrap(),
+                file_fnv,
+                "case {case}: save"
+            );
+            assert!(std::fs::read(store.cell_path(key)).unwrap() == file);
+            match store.load(key).unwrap() {
+                Lookup::Hit(_, fnv) => assert_eq!(fnv, file_fnv, "case {case}: load"),
+                other => panic!("case {case}: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Only version 1 has ever been written. A hand-made version-0 file
+    /// would decode yet re-encode as version 1, and the fingerprint of
+    /// the file would no longer be the fingerprint of the cell.
+    #[test]
+    fn other_versions_are_refused() {
+        let (key, data) = sample();
+        let file = encode_cell_file(key, &data);
+        for version in [0u32, 2] {
+            let mut payload = file[..file.len() - 8].to_vec();
+            payload[4..8].copy_from_slice(&version.to_le_bytes());
+            let check = fnv1a(&payload);
+            payload.extend_from_slice(&check.to_le_bytes());
+            let why = decode_cell_file(&payload, Some(key)).unwrap_err();
+            assert!(
+                why.contains(&format!("unsupported snapshot version {version}")),
+                "{why}"
+            );
+        }
     }
 
     #[test]

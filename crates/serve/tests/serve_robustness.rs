@@ -16,7 +16,10 @@
 //!   (exit 0) persisting the queue;
 //! * SIGTERM drain (exit 130) persisting the unstarted queue to
 //!   `pending.tdq`, and a restarted daemon replaying it and serving
-//!   the same request as a cache hit.
+//!   the same request as a cache hit;
+//! * the blocking accept and its wake-ups: a `shutdown` acknowledged
+//!   before EOF in every one of 30 daemon lifetimes, fresh connections
+//!   answered without an accept poll, SIGTERM noticed by an idle daemon.
 #![cfg(unix)]
 
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -24,6 +27,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+use td_experiments::journal::fnv1a;
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
 
@@ -125,6 +129,14 @@ impl PendingReply {
     }
 }
 
+fn send_sigterm(child: &Child) {
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(kill.success());
+}
+
 fn stats(socket: &Path) -> String {
     request(socket, "{\"op\":\"stats\"}")
 }
@@ -188,7 +200,7 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
     assert_eq!(field(&s, "computed"), 1, "stats: {s}");
     assert_eq!(field(&s, "quarantined"), 0, "stats: {s}");
 
-    // Corrupt the stored cell: flip one byte mid-file.
+    // The reply's fingerprint is the FNV-1a of the file on disk.
     let cell = std::fs::read_dir(&d.store)
         .unwrap()
         .filter_map(Result::ok)
@@ -196,6 +208,10 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
         .find(|p| p.extension().is_some_and(|e| e == "tdc"))
         .expect("a .tdc cell in the store");
     let mut bytes = std::fs::read(&cell).unwrap();
+    let fingerprint = |file: &[u8]| format!("\"payload_fnv\":\"{:016x}\"", fnv1a(file));
+    assert!(first.contains(&fingerprint(&bytes)), "reply: {first}");
+
+    // Corrupt the stored cell: flip one byte mid-file.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&cell, &bytes).unwrap();
@@ -213,9 +229,15 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
         .unwrap_or(0);
     assert_eq!(held, 1, "corrupt cell should sit in quarantine/");
 
-    // And the store is intact again: the recomputed cell verifies.
+    // And the store is intact again: the recomputed cell verifies, and
+    // the hit on it reports that file's fingerprint too.
     let fourth = request(&d.socket, req);
     assert_eq!(first, fourth);
+    let recomputed = std::fs::read(&cell).unwrap();
+    assert!(
+        fourth.contains(&fingerprint(&recomputed)),
+        "reply: {fourth}"
+    );
     let s = stats(&d.socket);
     assert_eq!(field(&s, "hits"), 2, "stats: {s}");
 
@@ -412,12 +434,7 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
     wait_stats(&d.socket, "two queued jobs", |s| field(s, "queued") == 2);
 
     // SIGTERM: graceful drain, exit 130.
-    let pid = d.child.id();
-    let kill = Command::new("kill")
-        .args(["-TERM", &pid.to_string()])
-        .status()
-        .expect("send SIGTERM");
-    assert!(kill.success());
+    send_sigterm(&d.child);
     for pending in [q1, q2] {
         let reply = pending.recv();
         assert!(
@@ -457,4 +474,63 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
         field(&s, "hits") + 1,
         "restored job should make the request a cache hit: {s2}"
     );
+}
+
+/// Wait for the daemon to exit, failing if it takes longer than `limit`.
+fn exit_code_within(child: &mut Child, limit: Duration) -> Option<i32> {
+    let start = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("poll daemon") {
+            break status.code();
+        }
+        assert!(start.elapsed() < limit, "daemon still up after {limit:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn shutdown_reply_always_precedes_exit() {
+    // The drain starts the moment the accept loop is woken, and ends in
+    // process exit: the acknowledgement must be on the wire first, every
+    // time, and the exit code must say "in-band".
+    let store = tmp_dir("lifetimes");
+    for life in 0..30 {
+        let socket = store.join(format!("s{life}.sock"));
+        let mut d = spawn_daemon_at(&store, &socket, &["--jobs", "1"], &[]);
+        // `request` fails on EOF before a reply line.
+        let ack = request(&d.socket, "{\"op\":\"shutdown\"}");
+        assert_eq!(ack, "{\"status\":\"ok\",\"draining\":true}", "life {life}");
+        let code = exit_code_within(&mut d.child, Duration::from_secs(5));
+        assert_eq!(code, Some(0), "life {life}");
+        assert!(!socket.exists(), "life {life}: socket file removed");
+    }
+}
+
+#[test]
+fn fresh_connections_do_not_wait_for_an_accept_poll() {
+    // What `td-serve req` does per request. The 25 ms accept poll this
+    // replaces pinned the median at >= 25 ms; a blocking accept answers
+    // in well under a millisecond, and 5 ms leaves room for a busy box.
+    let d = spawn_daemon("fresh", &["--jobs", "1"], &[]);
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let pong = request(&d.socket, "{\"op\":\"ping\"}");
+            assert!(pong.contains("\"pong\":true"), "pong: {pong}");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(median < 5.0, "median fresh-connection ping {median:.2} ms");
+}
+
+#[test]
+fn sigterm_wakes_an_idle_daemon() {
+    // Nothing connects, so nothing but the signal watcher's self-connect
+    // can get the daemon out of its blocking accept.
+    let mut d = spawn_daemon("idle-term", &["--jobs", "1"], &[]);
+    send_sigterm(&d.child);
+    let code = exit_code_within(&mut d.child, Duration::from_secs(1));
+    assert_eq!(code, Some(130), "signal drain exits 130");
 }
