@@ -1,75 +1,38 @@
 //! Trace → measurement extraction.
 //!
-//! These functions linearly scan a [`Trace`] and produce the raw materials
-//! every paper analysis is built from: queue-length series, cwnd series,
-//! drop events, bottleneck departures, deliveries, and windowed
-//! utilization.
+//! The raw materials every paper analysis is built from, taken from a
+//! stored [`Trace`]. Queue-length series, cwnd series, drop events,
+//! bottleneck departures and windowed utilization are one-measurement
+//! [`StreamSpec`]s replayed through [`StreamAnalyzer::replay`] — the
+//! fold in [`crate::stream`] is their only implementation, and the
+//! literal-value tests below are its value tests. Deliveries and goodput
+//! have no online counterpart and scan the trace here.
 
 use crate::epochs::DropEvent;
 use crate::series::TimeSeries;
+use crate::stream::{StreamAnalyzer, StreamSpec};
 use td_engine::{SimDuration, SimTime};
-use td_net::{ChannelId, ConnId, NodeId, Packet, ProtoEvent, Trace, TraceEvent};
+use td_net::{ChannelId, ConnId, NodeId, Packet, Trace, TraceEvent};
 
 /// Buffer-occupancy time series of one channel (waiting + in-service
 /// packets, exactly the "packet queue at the switch" the paper plots).
 pub fn queue_series(trace: &Trace, ch: ChannelId) -> TimeSeries {
-    let mut ts = TimeSeries::new();
-    for r in trace.records() {
-        match r.ev {
-            TraceEvent::Enqueue {
-                ch: c, qlen_after, ..
-            } if c == ch => {
-                ts.push(r.t, qlen_after as f64);
-            }
-            TraceEvent::TxEnd {
-                ch: c, qlen_after, ..
-            } if c == ch => {
-                ts.push(r.t, qlen_after as f64);
-            }
-            _ => {}
-        }
-    }
-    ts
+    let mut m = StreamAnalyzer::replay(&StreamSpec::new().queue(ch), trace);
+    m.queues.pop().expect("one queue in the spec").1
 }
 
 /// Congestion-window time series of one connection, from the sender's
 /// `Cwnd` annotations.
 pub fn cwnd_series(trace: &Trace, conn: ConnId) -> TimeSeries {
-    let mut ts = TimeSeries::new();
-    for r in trace.records() {
-        if let TraceEvent::Proto {
-            conn: c,
-            ev: ProtoEvent::Cwnd { cwnd, .. },
-            ..
-        } = r.ev
-        {
-            if c == conn {
-                ts.push(r.t, cwnd);
-            }
-        }
-    }
-    ts
+    let mut m = StreamAnalyzer::replay(&StreamSpec::new().cwnd(conn), trace);
+    m.cwnds.pop().expect("one cwnd in the spec").1
 }
 
 /// All buffer-overflow and fault drops, in time order.
 pub fn drop_events(trace: &Trace) -> Vec<DropEvent> {
-    trace
-        .records()
-        .iter()
-        .filter_map(|r| match r.ev {
-            TraceEvent::Drop {
-                ch, pkt, reason, ..
-            } => Some(DropEvent {
-                t: r.t,
-                ch,
-                conn: pkt.conn,
-                seq: pkt.seq,
-                is_data: pkt.is_data(),
-                reason,
-            }),
-            _ => None,
-        })
-        .collect()
+    StreamAnalyzer::replay(&StreamSpec::new().drops(), trace)
+        .drops
+        .expect("drops in the spec")
 }
 
 /// Fraction of dropped packets that were data packets (the paper's §3.2
@@ -95,14 +58,8 @@ pub struct Departure {
 /// Departures (TxEnd) of a channel, in time order — the sequence whose
 /// adjacency structure defines packet clustering.
 pub fn departures(trace: &Trace, ch: ChannelId) -> Vec<Departure> {
-    trace
-        .records()
-        .iter()
-        .filter_map(|r| match r.ev {
-            TraceEvent::TxEnd { ch: c, pkt, .. } if c == ch => Some(Departure { t: r.t, pkt }),
-            _ => None,
-        })
-        .collect()
+    let mut m = StreamAnalyzer::replay(&StreamSpec::new().departures(ch), trace);
+    m.departures.pop().expect("one channel in the spec").1
 }
 
 /// Deliveries of packets to an endpoint on `node`, filtered to one
@@ -126,35 +83,7 @@ pub fn deliveries(trace: &Trace, node: NodeId, conn: ConnId, acks_only: bool) ->
 /// Fraction of `[t0, t1]` a channel's transmitter was serializing,
 /// computed from `TxStart`/`TxEnd` pairs clipped to the window.
 pub fn utilization_in(trace: &Trace, ch: ChannelId, t0: SimTime, t1: SimTime) -> f64 {
-    assert!(t1 > t0, "empty utilization window");
-    let mut busy = SimDuration::ZERO;
-    let mut started: Option<SimTime> = None;
-    for r in trace.records() {
-        match r.ev {
-            TraceEvent::TxStart { ch: c, .. } if c == ch => {
-                started = Some(r.t);
-            }
-            TraceEvent::TxEnd { ch: c, .. } if c == ch => {
-                // A TxEnd without a seen TxStart means the transmission
-                // began before the trace (clipped at t0 below via max).
-                let s = started.take().unwrap_or(SimTime::ZERO);
-                let lo = s.max(t0);
-                let hi = r.t.min(t1);
-                if hi > lo {
-                    busy += hi.since(lo);
-                }
-            }
-            _ => {}
-        }
-    }
-    // A transmission still in progress at t1.
-    if let Some(s) = started {
-        let lo = s.max(t0);
-        if t1 > lo {
-            busy += t1.since(lo);
-        }
-    }
-    busy.as_secs_f64() / t1.since(t0).as_secs_f64()
+    StreamAnalyzer::replay(&StreamSpec::new().utilization(ch, t0, t1), trace).utilization(ch)
 }
 
 /// Count of data packets delivered to `node` for `conn` in `[t0, t1]` —
@@ -214,7 +143,7 @@ pub fn goodput_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_net::{DropReason, PacketId, PacketKind};
+    use td_net::{DropReason, PacketId, PacketKind, ProtoEvent};
 
     fn pkt(conn: u32, seq: u64, kind: PacketKind) -> Packet {
         Packet {

@@ -1,13 +1,18 @@
 //! # td-analysis — dynamics analysis for the SIGCOMM '91 reproduction
 //!
-//! Everything the paper measures, computed offline from a `td-net`
+//! Everything the paper measures, computed from the `td-net` event
+//! record stream — online while a world runs, or offline from a stored
 //! [`td_net::Trace`]:
 //!
 //! * [`series::TimeSeries`] — step-function time series with windowed
 //!   time-weighted statistics (queue lengths, cwnd).
-//! * [`extract`] — pull per-channel queue-length series, per-connection
-//!   cwnd series, drop events, departures, deliveries, and windowed
-//!   utilization out of a trace.
+//! * [`stream`] — the one fold that turns records into per-channel
+//!   queue-length series, per-connection cwnd series, drop events,
+//!   departures and windowed utilization; fed live as a
+//!   [`td_net::TraceObserver`] or by replaying a trace.
+//! * [`extract`] — the same five measurements asked of a stored trace one
+//!   at a time (thin drivers over [`stream`]), plus deliveries and
+//!   goodput.
 //! * [`epochs`] — congestion-epoch detection and per-connection loss
 //!   attribution (the paper's acceleration analysis, §2.1/§3.1/§4.1).
 //! * [`sync`] — in-phase / out-of-phase synchronization classification for
@@ -20,9 +25,9 @@
 //!   traces with drop marks).
 //! * [`csv`] — plain CSV export for external plotting.
 //!
-//! The analyses are pure functions of the trace: running them never
-//! perturbs a simulation, and any single run can answer every question the
-//! paper asks of it.
+//! The analyses are pure functions of the record stream: running them
+//! never perturbs a simulation, and any single run can answer every
+//! question the paper asks of it.
 
 //! ## Example
 //!

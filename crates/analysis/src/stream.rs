@@ -1,26 +1,28 @@
-//! Streaming (trace-free) analysis: the [`extract`](crate::extract)
-//! measurements computed *online during the run*, as a fold over trace
-//! emissions, instead of offline from a stored [`td_net::Trace`].
+//! The one implementation of the paper's five measurements — bottleneck
+//! queue length, cwnd, drops, departures (clustering) and windowed
+//! utilization — as a fold over the event record stream.
 //!
-//! A [`StreamSpec`] names the measurements an experiment needs — queue
-//! series per channel, cwnd series per connection, windowed utilization,
-//! drops, departures — and [`StreamAnalyzer`] folds them incrementally as
-//! a [`td_net::TraceObserver`] registered on a [`td_net::World`] (or one
-//! per shard of a [`td_net::ShardedWorld`]). The world feeds observers at
-//! every emission site **whether or not trace recording is enabled**, so
-//! an experiment that registers an analyzer and disables its trace runs
-//! in O(live state) memory instead of O(events): the trace becomes an
-//! opt-in debugging artifact rather than the substrate of analysis.
+//! A [`StreamSpec`] names the measurements wanted and
+//! [`StreamAnalyzer::fold`] is the only code that reads a
+//! [`TraceEvent`] for them. The fold has two feeds:
 //!
-//! ## Parity contract
+//! * **Observer feed.** The analyzer is a [`td_net::TraceObserver`]
+//!   registered on a [`td_net::World`] (or one per shard of a
+//!   [`td_net::ShardedWorld`]). The world feeds observers at every
+//!   emission site **whether or not trace recording is enabled**, so a
+//!   run that registers an analyzer and disables its trace uses O(live
+//!   state) memory instead of O(events).
+//! * **Replay feed.** [`StreamAnalyzer::replay`] folds the records of a
+//!   stored [`Trace`] in record order. The [`extract`](crate::extract)
+//!   functions are one-measurement specs replayed this way.
 //!
-//! Every fold replicates its batch extractor *exactly* — same arithmetic
-//! on the same values in the same order — so a converted experiment's
-//! metrics are byte-identical whichever path computes them. Two ordering
-//! regimes exist:
+//! Same records in the same order give the same bits, whichever feed
+//! delivered them.
+//!
+//! ## Record order
 //!
 //! * A plain serial [`td_net::World`] stores records in emission order,
-//!   and the analyzer folds in that same order: parity is trivial.
+//!   and its observer folds in that same order.
 //! * A [`td_net::ShardedWorld`] re-sorts the merged trace into canonical
 //!   `(time, causal rank, content)` order, while each shard's analyzer
 //!   sees only its own emissions in dispatch order. Building the analyzer
@@ -29,10 +31,10 @@
 //!   Because every channel, connection, and endpoint lives wholly on one
 //!   shard, sorting a *shard's* same-instant group by the global
 //!   comparator puts each key's records in exactly the relative order
-//!   they occupy in the merged trace — so per-key folds match the batch
-//!   scan bit for bit at any shard count. Only drops aggregate across
-//!   keys; they are kept as raw records and canonically re-sorted in
-//!   [`StreamAnalyzer::merge`].
+//!   they occupy in the merged trace — so the merged per-shard folds
+//!   equal a replay of the merged trace bit for bit at any shard count.
+//!   Only drops aggregate across keys; they are kept as raw records and
+//!   canonically re-sorted in [`StreamAnalyzer::merge`].
 //!
 //! ## Shard merge
 //!
@@ -51,7 +53,8 @@ use crate::series::TimeSeries;
 use std::any::Any;
 use td_engine::{SimDuration, SimTime};
 use td_net::{
-    canonical_trace_cmp, ChannelId, ConnId, ProtoEvent, TraceEvent, TraceObserver, TraceRecord,
+    canonical_trace_cmp, ChannelId, ConnId, ProtoEvent, Trace, TraceEvent, TraceObserver,
+    TraceRecord,
 };
 
 /// What a [`StreamAnalyzer`] should compute. Build one per experiment,
@@ -72,24 +75,25 @@ impl StreamSpec {
         Self::default()
     }
 
-    /// Add a buffer-occupancy series for `ch`
-    /// (streaming [`crate::extract::queue_series`]).
+    /// Add a buffer-occupancy series for `ch`: waiting + in-service
+    /// packets after every enqueue and every finished transmission.
     #[must_use]
     pub fn queue(mut self, ch: ChannelId) -> Self {
         self.queues.push(ch);
         self
     }
 
-    /// Add a cwnd series for `conn`
-    /// (streaming [`crate::extract::cwnd_series`]).
+    /// Add a cwnd series for `conn`, from the sender's `Cwnd`
+    /// annotations.
     #[must_use]
     pub fn cwnd(mut self, conn: ConnId) -> Self {
         self.cwnds.push(conn);
         self
     }
 
-    /// Add windowed utilization of `ch` over `[t0, t1]`
-    /// (streaming [`crate::extract::utilization_in`]).
+    /// Add windowed utilization of `ch`: the fraction of `[t0, t1]` its
+    /// transmitter was serializing, from `TxStart`/`TxEnd` pairs clipped
+    /// to the window.
     #[must_use]
     pub fn utilization(mut self, ch: ChannelId, t0: SimTime, t1: SimTime) -> Self {
         assert!(t1 > t0, "empty utilization window");
@@ -97,15 +101,14 @@ impl StreamSpec {
         self
     }
 
-    /// Collect all drop events (streaming [`crate::extract::drop_events`]).
+    /// Collect all buffer-overflow and fault drops, in record order.
     #[must_use]
     pub fn drops(mut self) -> Self {
         self.drops = true;
         self
     }
 
-    /// Collect departures (TxEnd) of `ch`
-    /// (streaming [`crate::extract::departures`]).
+    /// Collect departures (TxEnd) of `ch`, in record order.
     #[must_use]
     pub fn departures(mut self, ch: ChannelId) -> Self {
         self.departures.push(ch);
@@ -123,8 +126,7 @@ impl StreamSpec {
     }
 }
 
-/// Streaming utilization state, mirroring the local variables of
-/// [`crate::extract::utilization_in`]'s scan loop.
+/// Running state of one windowed-utilization measurement.
 #[derive(Clone, Debug)]
 struct UtilState {
     ch: ChannelId,
@@ -134,9 +136,10 @@ struct UtilState {
     started: Option<SimTime>,
 }
 
-/// An incremental fold of the [`extract`](crate::extract) measurements,
-/// fed record-by-record through [`td_net::TraceObserver`]. See the
-/// [module docs](self) for the parity and shard-merge contracts.
+/// An incremental fold of the measurements a [`StreamSpec`] lists, fed
+/// record-by-record through [`td_net::TraceObserver`] or all at once by
+/// [`StreamAnalyzer::replay`]. See the [module docs](self) for record
+/// order and the shard-merge contract.
 #[derive(Debug)]
 pub struct StreamAnalyzer {
     canonical_ties: bool,
@@ -178,8 +181,20 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Fold one record. The match arms are line-for-line transcriptions
-    /// of the corresponding batch extractors.
+    /// Fold the records of a stored trace, in record order, and finish.
+    /// Record order is right for any trace: a serial world's is emission
+    /// order, a sharded world's merged trace is already canonically
+    /// sorted — so [`StreamSpec::canonical_ties`] is not consulted.
+    pub fn replay(spec: &StreamSpec, trace: &Trace) -> StreamMetrics {
+        let mut an = StreamAnalyzer::new(spec);
+        for r in trace.records() {
+            an.fold(r.t, &r.ev);
+        }
+        an.finish()
+    }
+
+    /// Fold one record: the only place a [`TraceEvent`] is read for the
+    /// five measurements.
     fn fold(&mut self, t: SimTime, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Enqueue { ch, qlen_after, .. } => {
@@ -203,8 +218,7 @@ impl StreamAnalyzer {
                     if u.ch == ch {
                         // A TxEnd without a seen TxStart means the
                         // transmission began before observation (clipped
-                        // at t0 below via max) — same convention as
-                        // `utilization_in`.
+                        // at t0 below via max).
                         let s = u.started.take().unwrap_or(SimTime::ZERO);
                         let lo = s.max(u.t0);
                         let hi = t.min(u.t1);
@@ -358,8 +372,7 @@ impl StreamAnalyzer {
             .into_iter()
             .map(|u| {
                 let mut busy = u.busy;
-                // A transmission still in progress at t1 — the trailing
-                // clause of `utilization_in`.
+                // A transmission still in progress at t1.
                 if let Some(s) = u.started {
                     let lo = s.max(u.t0);
                     if u.t1 > lo {
@@ -431,15 +444,15 @@ fn merge_disjoint_series(a: TimeSeries, b: TimeSeries, what: &str) -> TimeSeries
 }
 
 /// The finished measurements of a [`StreamAnalyzer`]. Accessors panic on
-/// keys the [`StreamSpec`] did not list — a converted experiment asking
-/// for a measurement it forgot to register is a bug, not an empty result.
+/// keys the [`StreamSpec`] did not list — an experiment asking for a
+/// measurement it forgot to register is a bug, not an empty result.
 #[derive(Debug)]
 pub struct StreamMetrics {
-    queues: Vec<(ChannelId, TimeSeries)>,
-    cwnds: Vec<(ConnId, TimeSeries)>,
+    pub(crate) queues: Vec<(ChannelId, TimeSeries)>,
+    pub(crate) cwnds: Vec<(ConnId, TimeSeries)>,
     utils: Vec<(ChannelId, f64)>,
-    drops: Option<Vec<DropEvent>>,
-    departures: Vec<(ChannelId, Vec<Departure>)>,
+    pub(crate) drops: Option<Vec<DropEvent>>,
+    pub(crate) departures: Vec<(ChannelId, Vec<Departure>)>,
 }
 
 impl StreamMetrics {
@@ -585,49 +598,37 @@ mod tests {
             .departures(ChannelId(0))
     }
 
-    fn assert_matches_batch(m: &StreamMetrics, tr: &Trace, t0: SimTime, t1: SimTime) {
+    /// `m` equals a replay of `tr` (through the `extract` drivers), field
+    /// for field and bit for bit.
+    fn assert_matches_replay(m: &StreamMetrics, tr: &Trace, t0: SimTime, t1: SimTime) {
         for ch in [ChannelId(0), ChannelId(1)] {
             assert_eq!(*m.queue(ch), queue_series(tr, ch), "queue {ch:?}");
-            let batch = utilization_in(tr, ch, t0, t1);
+            let replayed = utilization_in(tr, ch, t0, t1);
             assert_eq!(
                 m.utilization(ch).to_bits(),
-                batch.to_bits(),
+                replayed.to_bits(),
                 "utilization {ch:?}"
             );
         }
         for conn in [ConnId(0), ConnId(1)] {
             assert_eq!(*m.cwnd(conn), cwnd_series(tr, conn), "cwnd {conn:?}");
         }
-        let batch_drops = drop_events(tr);
-        assert_eq!(m.drops().len(), batch_drops.len());
-        for (a, b) in m.drops().iter().zip(&batch_drops) {
+        let replayed_drops = drop_events(tr);
+        assert_eq!(m.drops().len(), replayed_drops.len());
+        for (a, b) in m.drops().iter().zip(&replayed_drops) {
             assert_eq!((a.t, a.ch, a.conn, a.seq), (b.t, b.ch, b.conn, b.seq));
             assert_eq!(a.is_data, b.is_data);
         }
-        let batch_deps = departures(tr, ChannelId(0));
-        assert_eq!(m.departures(ChannelId(0)).len(), batch_deps.len());
-        for (a, b) in m.departures(ChannelId(0)).iter().zip(&batch_deps) {
+        let replayed_deps = departures(tr, ChannelId(0));
+        assert_eq!(m.departures(ChannelId(0)).len(), replayed_deps.len());
+        for (a, b) in m.departures(ChannelId(0)).iter().zip(&replayed_deps) {
             assert_eq!((a.t, a.pkt.id, a.pkt.seq), (b.t, b.pkt.id, b.pkt.seq));
         }
     }
 
-    /// Emission-order folding matches batch extraction over the same
-    /// trace, field for field and bit for bit.
-    #[test]
-    fn serial_fold_matches_batch_extractors() {
-        let tr = synthetic_trace(42, 4000);
-        let (t0, t1) = (SimTime::from_millis(50), SimTime::from_millis(900));
-        let mut an = StreamAnalyzer::new(&spec(t0, t1));
-        for r in tr.records() {
-            an.on_record(r.t, &r.ev);
-        }
-        let m = an.finish();
-        assert_matches_batch(&m, &tr, t0, t1);
-    }
-
     /// Splitting a canonically-sorted trace across "shards" by channel
     /// (per-key disjointness) and merging the per-shard analyzers
-    /// reproduces the whole-trace batch results — including same-instant
+    /// reproduces a replay of the whole trace — including same-instant
     /// groups folded through `canonical_ties`.
     #[test]
     fn sharded_fold_with_canonical_ties_matches_batch() {
@@ -678,11 +679,10 @@ mod tests {
             })
             .collect();
         let m = StreamAnalyzer::merge(parts).finish();
-        assert_matches_batch(&m, &sorted, t0, t1);
+        assert_matches_replay(&m, &sorted, t0, t1);
     }
 
-    /// The trailing in-flight transmission is clipped to t1, exactly as
-    /// `utilization_in` does.
+    /// The trailing in-flight transmission is clipped to t1.
     #[test]
     fn utilization_counts_inflight_transmission() {
         let ch = ChannelId(0);

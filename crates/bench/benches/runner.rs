@@ -1,28 +1,20 @@
-//! Runner/sweep benchmarks: what the two-level job budget and batched
-//! trace analysis buy inside a single experiment.
+//! Runner/sweep benchmarks: what the two-level job budget buys inside a
+//! single experiment.
 //!
-//! Two kinds of pairs:
-//!
-//! * `…/seq` vs `…/jobsN` — the identical workload with the budget pinned
-//!   to zero borrowable slots and then with `N` available. Outputs are
-//!   asserted equal, so the delta is pure wall clock. The win scales with
-//!   available cores (on a single-core host the pair measures the
-//!   fan-out's overhead instead — it should be near parity).
-//! * `…/old_rescan` vs `…/batched` — the pre-batching analysis pattern
-//!   (each report question re-scanning the trace: the old fig67 path
-//!   extracted each queue series twice and each cwnd once, 6 scans) vs
-//!   one batched extraction feeding every question (4 scans, possibly
-//!   parallel). This is an algorithmic win, measurable on any host.
+//! `…/seq` vs `…/jobsN` — the identical workload with the budget pinned
+//! to zero borrowable slots and then with `N` available. Outputs are
+//! asserted equal, so the delta is pure wall clock. The win scales with
+//! available cores (on a single-core host the pair measures the
+//! fan-out's overhead instead — it should be near parity).
 //!
 //! Results land in `BENCH_runner.json` (override with `TD_BENCH_JSON`).
 
 use std::hint::black_box;
-use td_analysis::{compression, RunningStats, TimeSeries};
+use td_analysis::RunningStats;
 use td_bench::Harness;
 use td_engine::SimDuration;
-use td_experiments::scenario::Run;
 use td_experiments::sweep::{budget, ReplicateSweep};
-use td_experiments::{fig45, ConnSpec, Scenario, DATA_SERVICE};
+use td_experiments::{ConnSpec, Scenario};
 
 /// Borrowable helper slots for the parallel variants (beyond the calling
 /// thread itself).
@@ -76,120 +68,9 @@ fn replicate_sweep(c: &mut Harness) {
     );
 }
 
-/// The questions the two-way figure reports ask of their series: the
-/// simultaneous-idle fraction, the square-wave fluctuation, and a
-/// plot-sized footprint of all four series.
-fn questions(
-    q1: &TimeSeries,
-    q2: &TimeSeries,
-    cw1: &TimeSeries,
-    cw2: &TimeSeries,
-    run: &Run,
-) -> (f64, usize) {
-    let n = 4000;
-    let a = q1.resample(run.t0, run.t1, n);
-    let b = q2.resample(run.t0, run.t1, n);
-    let idle = a
-        .iter()
-        .zip(&b)
-        .filter(|&(&x, &y)| x == 0.0 && y == 0.0)
-        .count();
-    let fl = compression::queue_fluctuation(q1, run.t0, run.t1, DATA_SERVICE);
-    (
-        fl + idle as f64,
-        q1.len() + q2.len() + cw1.len() + cw2.len(),
-    )
-}
-
-fn replicate_analysis(c: &mut Harness) {
-    // Three pre-built replicate runs; trace extraction is the measured
-    // part, construction is not.
-    let runs: Vec<Run> = (1..=3u64)
-        .map(|seed| fig45::scenario(seed, 300, 20).run())
-        .collect();
-    println!(
-        "replicate trace records: {:?}",
-        runs.iter()
-            .map(|r| r.world.trace().len())
-            .collect::<Vec<_>>()
-    );
-    budget().configure(0);
-    let expect: Vec<(f64, usize)> = runs
-        .iter()
-        .map(|run| {
-            let (q1, q2, cw1, cw2) = run.queues_and_cwnds(run.fwd[0], run.rev[0]);
-            questions(&q1, &q2, &cw1, &cw2, run)
-        })
-        .collect();
-
-    c.bench_function("runner/replicate_analysis/3x300s/old_rescan", |b| {
-        // The pre-batching fig67 shape: the idle question extracted both
-        // queues itself, the fluctuation question re-extracted queue 1,
-        // the plots re-extracted queue 2 — six scans per replicate.
-        b.iter(|| {
-            let got: Vec<(f64, usize)> = runs
-                .iter()
-                .map(|run| {
-                    let (qa, qb) = (run.queue1(), run.queue2());
-                    black_box(qa.len() + qb.len());
-                    let (q1, q2) = (run.queue1(), run.queue2());
-                    let (cw1, cw2) = (run.cwnd(run.fwd[0]), run.cwnd(run.rev[0]));
-                    questions(&q1, &q2, &cw1, &cw2, run)
-                })
-                .collect();
-            assert_eq!(got, expect);
-            black_box(got)
-        });
-    });
-    c.bench_function("runner/replicate_analysis/3x300s/batched", |b| {
-        budget().configure(HELPERS);
-        b.iter(|| {
-            let got: Vec<(f64, usize)> = runs
-                .iter()
-                .map(|run| {
-                    let (q1, q2, cw1, cw2) = run.queues_and_cwnds(run.fwd[0], run.rev[0]);
-                    questions(&q1, &q2, &cw1, &cw2, run)
-                })
-                .collect();
-            assert_eq!(got, expect);
-            black_box(got)
-        });
-    });
-}
-
-fn batched_analysis(c: &mut Harness) {
-    // One shared paper-scale run; a single four-series extraction.
-    let run = fig45::scenario(1, 300, 20).run();
-    let (a, b2) = (run.fwd[0], run.rev[0]);
-    budget().configure(0);
-    let expect = run.queues_and_cwnds(a, b2);
-
-    c.bench_function("runner/batched_analysis/4series/seq", |b| {
-        budget().configure(0);
-        b.iter(|| {
-            let got = run.queues_and_cwnds(a, b2);
-            assert!(got == expect, "batched analysis output changed");
-            black_box(got.0.len())
-        });
-    });
-    c.bench_function(
-        &format!("runner/batched_analysis/4series/jobs{HELPERS}"),
-        |b| {
-            budget().configure(HELPERS);
-            b.iter(|| {
-                let got = run.queues_and_cwnds(a, b2);
-                assert!(got == expect, "batched analysis output changed");
-                black_box(got.0.len())
-            });
-        },
-    );
-}
-
 fn main() {
     let mut c = Harness::new();
     replicate_sweep(&mut c);
-    replicate_analysis(&mut c);
-    batched_analysis(&mut c);
     let json_path = std::env::var("TD_BENCH_JSON").unwrap_or_else(|_| "BENCH_runner.json".into());
     if let Err(e) = c.write_json(std::path::Path::new(&json_path)) {
         eprintln!("could not write {json_path}: {e}");

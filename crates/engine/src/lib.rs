@@ -58,5 +58,5 @@ mod time;
 pub use queue::{EventId, EventQueue};
 pub use rate::Rate;
 pub use rng::SimRng;
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{fnv1a, fnv1a_continue, write_atomic, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -26,6 +26,7 @@
 //! [`SnapError`] instead of silently corrupted state.
 
 use crate::{SimDuration, SimRng, SimTime};
+use std::path::Path;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,10 +61,46 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a 64-bit offset basis (hashing sink).
+/// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime (hashing sink).
+/// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte string — the workspace's one byte-wise stable
+/// hash: the [`SnapWriter::hashing`] sink, journal line checksums, serve
+/// store trailers, seed derivation tags and golden output hashes.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: the hash streams, so
+/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ‖ b)`.
+pub fn fnv1a_continue(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Write `bytes` to `path` atomically against a crash of this process: a
+/// sibling temp file is written in full, then renamed over the target,
+/// so any instant leaves either the old file or the new one — never a
+/// torn hybrid. The temp name is the *full* file name plus `.tmp`, so
+/// `x.tdsnap` and `x.tdmc` written into one directory do not share a
+/// staging file. Not fsync'd: this is for regenerable outputs (reports,
+/// post-mortems); the serve store has its own durable writer.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("no file name in {path:?}"),
+        )
+    })?;
+    let mut tmp_name = name.to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
 
 /// Where a [`SnapWriter`]'s bytes go: an in-memory buffer (the normal
 /// snapshot path) or a streaming FNV-1a fold that never materializes them
@@ -130,9 +167,7 @@ impl SnapWriter {
         match &mut self.sink {
             Sink::Buf(buf) => buf.extend_from_slice(bytes),
             Sink::Hash { h, len } => {
-                for &b in bytes {
-                    *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-                }
+                *h = fnv1a_continue(*h, bytes);
                 *len += bytes.len() as u64;
             }
         }
@@ -485,11 +520,13 @@ mod tests {
         assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
     }
 
-    /// Reference FNV-1a fold, independent of the writer's internal one.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(FNV_OFFSET, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-        })
+    /// The published FNV-1a 64-bit test vectors, and the streaming law.
+    #[test]
+    fn fnv1a_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     /// Drive the same mixed write sequence through either sink.

@@ -14,8 +14,8 @@
 //! (`--jobs N`, default = available cores): workers claim a slot each
 //! while executing experiments, and idle slots — fewer experiments than
 //! jobs, or workers that ran out of work — are borrowed by
-//! *in-experiment* replicate sweeps and batched trace analysis, so one
-//! big experiment still fills the machine. Seeds are a pure function of
+//! *in-experiment* replicate sweeps, so one big experiment still fills
+//! the machine. Seeds are a pure function of
 //! `(--seed, experiment id, replicate)` — never of scheduling — so
 //! reports are byte-identical whatever the budget. The canonical
 //! replicate runs with `--seed` verbatim; extra `--seeds` replicates get
@@ -51,6 +51,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Mutex;
+use td_engine::write_atomic;
 use td_experiments::journal::{Journal, JournalHeader};
 use td_experiments::registry::{find, hidden, registry, Entry, Profile};
 use td_experiments::runner::{default_jobs, run_batch_resumable, BatchResult, RunnerConfig};
@@ -673,23 +674,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Write `contents` to `path` atomically: a sibling temp file is written
-/// in full, then renamed over the target, so a crash at any instant
-/// leaves either the old file or the new one — never a torn hybrid.
-fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("no file name in {path:?}"),
-        )
-    })?;
-    let mut tmp_name = name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
 }
 
 fn write_timings(args: &Args, out: &Option<PathBuf>, batch: &BatchResult) -> std::io::Result<()> {

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use td_analysis::plot::Plot;
 use td_analysis::sync::classify_sync;
 use td_analysis::{ack_spacing, compression, csv, deliveries, SvgPlot};
-use td_engine::SimDuration;
+use td_engine::{write_atomic, SimDuration};
 use td_experiments::simcli::{parse, usage, SimArgs};
 use td_experiments::DATA_SERVICE;
 
@@ -119,13 +119,7 @@ fn main() -> ExitCode {
             eprintln!("error creating {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
-        // Atomic: temp file + rename, so a crash never leaves a torn file.
-        let write = |name: &str, data: &[u8]| -> std::io::Result<()> {
-            let path = dir.join(name);
-            let tmp = dir.join(format!("{name}.tmp"));
-            std::fs::write(&tmp, data)?;
-            std::fs::rename(&tmp, path)
-        };
+        let write = |name: &str, data: &[u8]| write_atomic(&dir.join(name), data);
         let mut io = Ok(());
         io = io.and(write("queue1.csv", csv::series_csv("qlen", &q1).as_bytes()));
         io = io.and(write("queue2.csv", csv::series_csv("qlen", &q2).as_bytes()));

@@ -51,8 +51,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
         ),
     );
     let (c1, c2) = (run.fwd[0], run.rev[0]);
-    // One batched (parallel) trace scan feeds every series question below.
-    let (q1, q2, cw1, cw2) = run.queues_and_cwnds(c1, c2);
+    let (q1, q2, cw1, cw2) = (run.queue1(), run.queue2(), run.cwnd(c1), run.cwnd(c2));
 
     // Utilization ~70 %.
     let (u12, u21) = (run.util12(), run.util21());

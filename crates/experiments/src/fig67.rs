@@ -34,9 +34,7 @@ pub fn scenario(seed: u64, duration_s: u64) -> Scenario {
 }
 
 /// Fraction of the window during which *both* queues are empty and both
-/// lines idle (paper: nonzero for the large-pipe case). Takes the
-/// already-extracted queue series so the (batched) trace scan happens
-/// once per report, not once per question.
+/// lines idle (paper: nonzero for the large-pipe case).
 fn both_idle_fraction(
     q1: &td_analysis::TimeSeries,
     q2: &td_analysis::TimeSeries,
@@ -70,8 +68,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
         ),
     );
     let (c1, c2) = (run.fwd[0], run.rev[0]);
-    // One batched (parallel) trace scan feeds every series question below.
-    let (q1, q2, cw1, cw2) = run.queues_and_cwnds(c1, c2);
+    let (q1, q2, cw1, cw2) = (run.queue1(), run.queue2(), run.cwnd(c1), run.cwnd(c2));
 
     let (u12, u21) = (run.util12(), run.util21());
     rep.check(

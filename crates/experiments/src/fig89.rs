@@ -33,21 +33,12 @@ pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, w1: u64, w2: u64) 
     sc
 }
 
-/// Run and evaluate the Figure 8 reproduction (small pipe).
+/// Run and evaluate the Figure 8 reproduction (small pipe). The metrics
+/// are computed online with the trace disabled.
 pub fn report_fig8(seed: u64, duration_s: u64) -> Report {
-    report_fig8_mode(seed, duration_s, true)
-}
-
-/// Figure 8 with an explicit analysis path: `stream = true` computes the
-/// metrics online with the trace disabled (the registry default);
-/// `stream = false` is the legacy batch-from-trace path. Byte-identical
-/// either way (pinned by the `stream_parity` suite and the golden output
-/// hash, which covers this report).
-#[doc(hidden)]
-pub fn report_fig8_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
     let mut sc = scenario(seed, duration_s, SimDuration::from_millis(10), 30, 25);
-    sc.stream = stream;
-    sc.record_trace = !stream;
+    sc.stream = true;
+    sc.record_trace = false;
     let run = sc.run();
     let mut rep = Report::new(
         "fig8",
@@ -57,9 +48,7 @@ pub fn report_fig8_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
             run.t0
         ),
     );
-    // Batched extraction: pure scans, byte-identical to sequential — safe
-    // under the golden output hash that pins this report.
-    let (q1, q2) = run.queues();
+    let (q1, q2) = (run.queue1(), run.queue2());
 
     let q1max = q1.max_in(run.t0, run.t1).unwrap_or(0.0);
     let q2max = q2.max_in(run.t0, run.t1).unwrap_or(0.0);
@@ -157,17 +146,12 @@ pub fn report_fig8_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
     rep
 }
 
-/// Run and evaluate the Figure 9 reproduction (large pipe).
+/// Run and evaluate the Figure 9 reproduction (large pipe); trace-free
+/// like [`report_fig8`].
 pub fn report_fig9(seed: u64, duration_s: u64) -> Report {
-    report_fig9_mode(seed, duration_s, true)
-}
-
-/// Figure 9 with an explicit analysis path; see [`report_fig8_mode`].
-#[doc(hidden)]
-pub fn report_fig9_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
     let mut sc = scenario(seed, duration_s, SimDuration::from_secs(1), 30, 25);
-    sc.stream = stream;
-    sc.record_trace = !stream;
+    sc.stream = true;
+    sc.record_trace = false;
     let run = sc.run();
     let mut rep = Report::new(
         "fig9",
@@ -177,7 +161,7 @@ pub fn report_fig9_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
             run.t0
         ),
     );
-    let (q1, q2) = run.queues();
+    let (q1, q2) = (run.queue1(), run.queue2());
 
     let q1max = q1.max_in(run.t0, run.t1).unwrap_or(0.0);
     let q2max = q2.max_in(run.t0, run.t1).unwrap_or(0.0);

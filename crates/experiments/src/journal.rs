@@ -401,23 +401,10 @@ pub fn decode_checked_line(line: &str) -> Result<Vec<u8>, LineDamage> {
     Ok(payload)
 }
 
-/// FNV-1a over a byte string: the per-line checksum of the journal and
-/// the trailer checksum of the serve store's cell files.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continue an FNV-1a hash over more bytes: the hash streams, so
-/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ‖ b)`. The serve store uses
-/// this to get a cell file's whole-file fingerprint out of the pass that
-/// checks its trailer.
-pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The per-line checksum of the journal and the trailer checksum of the
+/// serve store's cell files (which continues it over the trailer to get
+/// a whole-file fingerprint out of the pass that checks it).
+pub use td_engine::{fnv1a, fnv1a_continue};
 
 fn encode_header(h: &JournalHeader) -> Vec<u8> {
     let mut w = SnapWriter::with_header(MAGIC, VERSION);

@@ -15,7 +15,7 @@ use crate::report::Report;
 use crate::scenario::DATA_SERVICE;
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
-use td_analysis::{compression, data_drop_fraction, queue_series, utilization_in};
+use td_analysis::{compression, data_drop_fraction, StreamAnalyzer, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{SimDuration, SimRng, SimTime};
 use td_net::{chain, Chain, ConnId, LinkSpec};
@@ -63,11 +63,19 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
         &format!("seed {seed}, {duration_s} s simulated, measured after {t0}"),
     );
 
+    // The trunk queues and utilizations, asked of the trace in one pass.
+    let mut spec = StreamSpec::new()
+        .queue(c.trunk_right[1])
+        .queue(c.trunk_left[1]);
+    for &ch in &c.trunk_right {
+        spec = spec.utilization(ch, t0, t1);
+    }
+    let m = StreamAnalyzer::replay(&spec, c.world.trace());
+
     // ACK-compression on the middle trunk (most crossing traffic).
-    let qr = queue_series(c.world.trace(), c.trunk_right[1]);
-    let ql = queue_series(c.world.trace(), c.trunk_left[1]);
-    let flr = compression::queue_fluctuation(&qr, t0, t1, DATA_SERVICE);
-    let fll = compression::queue_fluctuation(&ql, t0, t1, DATA_SERVICE);
+    let (qr, ql) = (m.queue(c.trunk_right[1]), m.queue(c.trunk_left[1]));
+    let flr = compression::queue_fluctuation(qr, t0, t1, DATA_SERVICE);
+    let fll = compression::queue_fluctuation(ql, t0, t1, DATA_SERVICE);
     rep.check(
         "rapid queue fluctuations on middle trunk",
         "ACK-compression present in the complex topology",
@@ -76,7 +84,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Out-of-phase tendency between the two directions of the middle hop.
-    let (mode, r) = classify_sync(&qr, &ql, t0, t1, 800, 10, 0.10);
+    let (mode, r) = classify_sync(qr, ql, t0, t1, 800, 10, 0.10);
     rep.check(
         "middle-trunk queue synchronization",
         "out-of-phase phenomena present",
@@ -99,7 +107,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
 
     // All trunks carry substantial load.
     for (i, &ch) in c.trunk_right.iter().enumerate() {
-        let u = utilization_in(c.world.trace(), ch, t0, t1);
+        let u = m.utilization(ch);
         rep.info(
             &format!("trunk {} -> {} utilization", i + 1, i + 2),
             "-",
@@ -111,13 +119,13 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     rep.plots.push(
         Plot::new("Middle trunk queue, switch 2 -> 3", t0, w1, 100, 10)
             .y_max(32.0)
-            .series(&qr, '#')
+            .series(qr, '#')
             .render(),
     );
     rep.plots.push(
         Plot::new("Middle trunk queue, switch 3 -> 2", t0, w1, 100, 10)
             .y_max(32.0)
-            .series(&ql, '#')
+            .series(ql, '#')
             .render(),
     );
     rep

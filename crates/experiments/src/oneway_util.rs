@@ -23,20 +23,12 @@ pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, buffer: u32) -> Sc
     sc
 }
 
-/// Run and evaluate the one-way utilization table.
+/// Run and evaluate the one-way utilization table. The metrics are
+/// computed online with the trace disabled.
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    report_mode(seed, duration_s, true)
-}
-
-/// The report with an explicit analysis path: `stream = true` computes
-/// the metrics online with the trace disabled (the registry default);
-/// `stream = false` is the legacy batch-from-trace path. Both render
-/// byte-identically (pinned by the `stream_parity` suite).
-#[doc(hidden)]
-pub fn report_mode(seed: u64, duration_s: u64, stream: bool) -> Report {
     let run_sc = |mut sc: Scenario| {
-        sc.stream = stream;
-        sc.record_trace = !stream;
+        sc.stream = true;
+        sc.record_trace = false;
         sc.run()
     };
     let mut rep = Report::new(

@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use td_analysis::RunningStats;
+use td_engine::{fnv1a, fnv1a_continue};
 use td_net::snapcount::{self, SnapCounters};
 
 /// Derive the seed for one `(experiment, replicate)` cell from the run's
@@ -68,11 +69,7 @@ use td_net::snapcount::{self, SnapCounters};
 /// stream. In-experiment sweeps reuse the same discipline via
 /// [`crate::sweep::ReplicateSweep::derived`].
 pub fn derive_seed(master_seed: u64, experiment_id: &str, replicate: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in experiment_id.bytes().chain(replicate.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a_continue(fnv1a(experiment_id.as_bytes()), &replicate.to_le_bytes());
     // SplitMix64 finalizer over the combined words.
     let mut z = master_seed
         .rotate_left(32)
@@ -417,8 +414,9 @@ fn json_string_array(items: &[String]) -> String {
     format!("[{body}]")
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal (`timings.json`
+/// here, response lines in `td-serve`).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -24,11 +24,9 @@ use std::cell::RefCell;
 use crate::registry::Profile;
 use crate::report::Report;
 use crate::scenario::DATA_SERVICE;
-use td_analysis::{
-    compression, queue_series, utilization_in, StreamAnalyzer, StreamMetrics, StreamSpec,
-};
+use td_analysis::{compression, StreamAnalyzer, StreamMetrics, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use td_engine::{Rate, SimDuration, SimRng, SimTime};
+use td_engine::{fnv1a, fnv1a_continue, Rate, SimDuration, SimRng, SimTime};
 use td_net::{
     ChannelId, ConnId, DisciplineKind, FaultModel, LinkSpec, NodeId, ShardedWorld, World,
 };
@@ -226,41 +224,27 @@ fn hosts_head(hosts: &[[NodeId; 4]], next: usize, p: &ScaleParams) -> NodeId {
     hosts[next][0]
 }
 
-/// FNV-1a over a byte stream — the workspace's stable golden-hash
-/// function.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The measurements the report reads: the probe trunk's queue series and
+/// the first long-haul trunk's utilization. Canonical ties, so per-shard
+/// observers fold same-instant records in merged-trace order.
+fn chain_spec(map: &ScaleMap, t0: SimTime, t1: SimTime) -> StreamSpec {
+    let spec = StreamSpec::new().queue(map.probe_trunk).canonical_ties();
+    match map.long_haul {
+        Some(lh) => spec.utilization(lh, t0, t1),
+        None => spec,
     }
-    h
 }
 
-/// Build and run the chain at the process-wide shard count, returning
-/// the finished sharded world and the probe channel map.
-pub fn run_chain(seed: u64, p: &ScaleParams) -> (ShardedWorld, ScaleMap, SimTime, SimTime) {
-    let (sw, map, t0, t1, _) = run_chain_mode(seed, p, false);
-    (sw, map, t0, t1)
-}
-
-/// [`run_chain`] with optional streaming metrics: when `stream` is set,
-/// one [`StreamAnalyzer`] rides each shard (canonical-ties mode, so its
-/// folds see same-instant records in merged-trace order) and the merged
-/// metrics come back alongside the world. This is what lets the trace-off
-/// profiles measure the probe-trunk fluctuation and long-haul utilization
-/// without storing a single trace record.
-pub fn run_chain_mode(
+/// Build and run the chain at the process-wide shard count with one
+/// [`StreamAnalyzer`] riding each shard, returning the finished sharded
+/// world, the probe channel map, the measurement window and the merged
+/// metrics. This is what lets the trace-off profiles measure the
+/// probe-trunk fluctuation and long-haul utilization without storing a
+/// single trace record.
+pub fn run_chain(
     seed: u64,
     p: &ScaleParams,
-    stream: bool,
-) -> (
-    ShardedWorld,
-    ScaleMap,
-    SimTime,
-    SimTime,
-    Option<StreamMetrics>,
-) {
+) -> (ShardedWorld, ScaleMap, SimTime, SimTime, StreamMetrics) {
     let map_cell: RefCell<Option<ScaleMap>> = RefCell::new(None);
     let mut sw = ShardedWorld::build(seed, crate::shards(), |w| {
         let m = build_chain(w, seed, p);
@@ -270,45 +254,28 @@ pub fn run_chain_mode(
     let map = map_cell.into_inner().expect("builder ran at least once");
     let t1 = SimTime::from_secs(p.duration_s);
     let t0 = SimTime::from_secs(p.duration_s / 5);
-    if stream {
-        let mut spec = StreamSpec::new().queue(map.probe_trunk).canonical_ties();
-        if let Some(lh) = map.long_haul {
-            spec = spec.utilization(lh, t0, t1);
-        }
-        sw.add_observers(|_| Box::new(StreamAnalyzer::new(&spec)));
-    }
+    let spec = chain_spec(&map, t0, t1);
+    sw.add_observers(|_| Box::new(StreamAnalyzer::new(&spec)));
     sw.run_until(t1);
-    let metrics = if stream {
-        let parts = sw
-            .take_observers()
-            .into_iter()
-            .map(|o| {
-                *o.into_any()
-                    .downcast::<StreamAnalyzer>()
-                    .expect("scale observers are StreamAnalyzers")
-            })
-            .collect();
-        Some(StreamAnalyzer::merge(parts).finish())
-    } else {
-        None
-    };
+    let parts = sw
+        .take_observers()
+        .into_iter()
+        .map(|o| {
+            *o.into_any()
+                .downcast::<StreamAnalyzer>()
+                .expect("scale observers are StreamAnalyzers")
+        })
+        .collect();
+    let metrics = StreamAnalyzer::merge(parts).finish();
     (sw, map, t0, t1, metrics)
 }
 
 /// Run and evaluate the scale experiment.
 pub fn report(seed: u64, profile: Profile) -> Report {
-    report_mode(seed, profile, true)
-}
-
-/// The scale report with an explicit analysis path; `stream = false` is
-/// the legacy batch-from-trace path (kept alive by the parity suite).
-#[doc(hidden)]
-pub fn report_mode(seed: u64, profile: Profile, stream: bool) -> Report {
     let p = ScaleParams::for_profile(profile);
     report_params(
         seed,
         &p,
-        stream,
         "tbl-scale",
         "Cluster chain of §5 four-switch units (sharded executor)",
     )
@@ -322,7 +289,6 @@ pub fn report_100k(seed: u64, profile: Profile) -> Report {
     report_params(
         seed,
         &p,
-        true,
         "scale100k",
         "100k-connection rung: 640-cluster chain, trace off, streaming metrics",
     )
@@ -337,14 +303,13 @@ pub fn report_1m(seed: u64, profile: Profile) -> Report {
     report_params(
         seed,
         &p,
-        true,
         "scale1m",
         "1M-connection rung: 6400-cluster chain, trace off, streaming metrics",
     )
 }
 
-fn report_params(seed: u64, p: &ScaleParams, stream: bool, id: &str, title: &str) -> Report {
-    let (sw, map, t0, t1, metrics) = run_chain_mode(seed, p, stream);
+fn report_params(seed: u64, p: &ScaleParams, id: &str, title: &str) -> Report {
+    let (sw, map, t0, t1, metrics) = run_chain(seed, p);
     let mut rep = Report::new(
         id,
         title,
@@ -400,58 +365,40 @@ fn report_params(seed: u64, p: &ScaleParams, stream: bool, id: &str, title: &str
     }
 
     // §5's signature phenomenon survives inside a cluster — measured
-    // online when streaming, from the stored trace otherwise. The two
-    // paths are byte-identical (pinned by the parity suite), so with
-    // streaming on the check now also runs on trace-off profiles.
-    let qs = match &metrics {
-        Some(m) => Some(m.queue(map.probe_trunk).clone()),
-        None if p.trace => Some(queue_series(sw.trace(), map.probe_trunk)),
-        None => None,
-    };
-    if let Some(qs) = &qs {
-        let fl = compression::queue_fluctuation(qs, t0, t1, DATA_SERVICE);
-        // Connections start with up to 1 s of jitter, so sub-5 s smoke
-        // runs (the 100k CI rung) haven't reached steady-state dynamics
-        // yet: report the number without passing judgement on it.
-        if p.duration_s >= 5 {
-            rep.check(
-                "cluster-0 middle-trunk queue fluctuation",
-                "rapid fluctuations (ACK compression, §5)",
-                format!("{fl:.0} packets per service time"),
-                fl >= 3.0,
-            );
-        } else {
-            rep.info(
-                "cluster-0 middle-trunk queue fluctuation",
-                "-",
-                format!("{fl:.0} packets per service time (window too short to judge)"),
-            );
-        }
+    // online, so the check runs on trace-off profiles too.
+    let fl = compression::queue_fluctuation(metrics.queue(map.probe_trunk), t0, t1, DATA_SERVICE);
+    // Connections start with up to 1 s of jitter, so sub-5 s smoke runs
+    // (the 100k CI rung) haven't reached steady-state dynamics yet:
+    // report the number without passing judgement on it.
+    if p.duration_s >= 5 {
+        rep.check(
+            "cluster-0 middle-trunk queue fluctuation",
+            "rapid fluctuations (ACK compression, §5)",
+            format!("{fl:.0} packets per service time"),
+            fl >= 3.0,
+        );
+    } else {
+        rep.info(
+            "cluster-0 middle-trunk queue fluctuation",
+            "-",
+            format!("{fl:.0} packets per service time (window too short to judge)"),
+        );
     }
     if let Some(lh) = map.long_haul {
-        let u = match &metrics {
-            Some(m) => Some(m.utilization(lh)),
-            None if p.trace => Some(utilization_in(sw.trace(), lh, t0, t1)),
-            None => None,
-        };
-        if let Some(u) = u {
-            rep.check(
-                "first long-haul trunk utilization",
-                "cut carries real traffic",
-                format!("{u:.3}"),
-                u > 0.05,
-            );
-        }
+        let u = metrics.utilization(lh);
+        rep.check(
+            "first long-haul trunk utilization",
+            "cut carries real traffic",
+            format!("{u:.3}"),
+            u > 0.05,
+        );
     }
     if p.trace {
         // Golden hash over the canonical trace encoding: equal for every
         // shard count, pinned by the shard-determinism CI job.
-        let h = fnv1a(
-            sw.trace()
-                .records()
-                .iter()
-                .flat_map(|r| r.t.as_nanos().to_le_bytes()),
-        );
+        let h = sw.trace().records().iter().fold(fnv1a(&[]), |h, r| {
+            fnv1a_continue(h, &r.t.as_nanos().to_le_bytes())
+        });
         rep.info("merged trace FNV-1a (times)", "-", format!("{h:#018x}"));
     } else {
         rep.diagnostic(format!(
@@ -481,23 +428,29 @@ mod tests {
         assert!(serial.all_ok(), "scale quick checks failed: {serial}");
     }
 
-    /// Streaming folds must reproduce the batch-from-trace rows byte for
-    /// byte on the sharded chain (trace on, both paths live), at more
-    /// than one shard count — this is where canonical-ties buffering
-    /// earns its keep.
+    /// Merged per-shard observers must equal a replay of the merged
+    /// trace (trace on, both feeds live), at more than one shard count —
+    /// this is where canonical-ties buffering earns its keep.
     #[test]
-    fn quick_report_stream_matches_batch() {
+    fn merged_shard_observers_match_replay_of_merged_trace() {
+        let p = ScaleParams::for_profile(Profile::Quick);
+        assert!(p.trace, "quick profile records the trace");
         for shards in [1, 2] {
             crate::set_shards(shards);
-            let batch = report_mode(7, Profile::Quick, false);
-            let stream = report_mode(7, Profile::Quick, true);
+            let (sw, map, t0, t1, observed) = run_chain(7, &p);
             crate::set_shards(1);
+            let replayed = StreamAnalyzer::replay(&chain_spec(&map, t0, t1), sw.trace());
             assert_eq!(
-                batch.to_string(),
-                stream.to_string(),
-                "scale stream/batch divergence at {shards} shard(s)"
+                observed.queue(map.probe_trunk),
+                replayed.queue(map.probe_trunk),
+                "probe-trunk queue series diverged at {shards} shard(s)"
             );
-            assert_eq!(batch.metrics, stream.metrics);
+            let lh = map.long_haul.expect("two clusters have a long haul");
+            assert_eq!(
+                observed.utilization(lh).to_bits(),
+                replayed.utilization(lh).to_bits(),
+                "long-haul utilization diverged at {shards} shard(s)"
+            );
         }
     }
 }

@@ -7,11 +7,9 @@
 //! returns a [`Run`] that bundles the finished [`World`] with the ids
 //! needed to ask analysis questions about it.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use td_analysis::{
-    clustering_coefficient, cwnd_series, departures, drop_events, queue_series, utilization_in,
-    StreamAnalyzer, StreamMetrics, StreamSpec, TimeSeries,
-};
+use td_analysis::{clustering_coefficient, StreamAnalyzer, StreamMetrics, StreamSpec, TimeSeries};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{Rate, SimDuration, SimRng, SimTime};
 use td_net::{
@@ -76,7 +74,8 @@ pub struct Scenario {
     /// (`None` = no marking, the paper's setting).
     pub mark_threshold: Option<u32>,
     /// Record the event trace (default). Disable for throughput
-    /// benchmarking; analysis methods on [`Run`] then see an empty trace.
+    /// benchmarking; analysis methods on [`Run`] then need
+    /// [`Scenario::stream`], and panic without it.
     pub record_trace: bool,
     /// Fault plan installed on the Switch-1 → Switch-2 bottleneck channel
     /// ([`FaultPlan::NONE`] = fault-free, the paper's setting).
@@ -88,12 +87,12 @@ pub struct Scenario {
     /// when `None` the run uses the plain time-bounded loop.
     pub watchdog: Option<WatchdogConfig>,
     /// Compute the standard measurements online via a
-    /// [`StreamAnalyzer`] observer instead of (or in addition to) the
-    /// trace: [`Run`]'s analysis methods then read the streamed values.
-    /// Combined with `record_trace = false` this is the trace-free hot
-    /// path — run memory stays O(live state + computed series) instead
-    /// of O(events). The streamed values are byte-identical to the
-    /// trace-backed ones (pinned by the `stream_parity` suite).
+    /// [`StreamAnalyzer`] observer: [`Run::metrics`] is then the
+    /// observer's result instead of a replay of the trace. Combined with
+    /// `record_trace = false` this is the trace-free hot path — run
+    /// memory stays O(live state + computed series) instead of
+    /// O(events). Same fold, same records, same order: the values are
+    /// the ones a replay of the recorded trace gives.
     pub stream: bool,
 }
 
@@ -239,30 +238,23 @@ impl Scenario {
             rev_conns.push(c);
             conns.push(c);
         }
+        // The superset every `Run` analysis method may ask for: both
+        // bottleneck queue series and utilizations, every connection's
+        // cwnd, all drops, and the 1→2 departures that clustering reads.
+        // Emission order *is* trace order on a plain serial world, so no
+        // canonical-ties buffering.
+        let (t0, t1) = (SimTime::ZERO + self.warmup, SimTime::ZERO + self.duration);
+        let mut spec = StreamSpec::new()
+            .queue(d.bottleneck_12)
+            .queue(d.bottleneck_21)
+            .utilization(d.bottleneck_12, t0, t1)
+            .utilization(d.bottleneck_21, t0, t1)
+            .drops()
+            .departures(d.bottleneck_12);
+        for &c in &conns {
+            spec = spec.cwnd(c);
+        }
         if self.stream {
-            // The superset every `Run` analysis method may ask for: both
-            // bottleneck queue series and utilizations, every
-            // connection's cwnd, all drops, and the 1→2 departures that
-            // clustering reads. Emission order *is* trace order on a
-            // plain serial world, so no canonical-ties buffering.
-            let mut spec = StreamSpec::new()
-                .queue(d.bottleneck_12)
-                .queue(d.bottleneck_21)
-                .utilization(
-                    d.bottleneck_12,
-                    SimTime::ZERO + self.warmup,
-                    SimTime::ZERO + self.duration,
-                )
-                .utilization(
-                    d.bottleneck_21,
-                    SimTime::ZERO + self.warmup,
-                    SimTime::ZERO + self.duration,
-                )
-                .drops()
-                .departures(d.bottleneck_12);
-            for &c in &conns {
-                spec = spec.cwnd(c);
-            }
             d.world.add_observer(Box::new(StreamAnalyzer::new(&spec)));
         }
         Run {
@@ -273,12 +265,13 @@ impl Scenario {
             bottleneck_21: d.bottleneck_21,
             fwd: fwd_conns,
             rev: rev_conns,
-            t0: SimTime::ZERO + self.warmup,
-            t1: SimTime::ZERO + self.duration,
+            t0,
+            t1,
             senders,
             receivers,
             outcome: None,
-            stream: None,
+            spec,
+            metrics: OnceCell::new(),
         }
     }
 
@@ -303,7 +296,7 @@ impl Scenario {
                 .into_any()
                 .downcast::<StreamAnalyzer>()
                 .expect("observer is a StreamAnalyzer");
-            run.stream = Some(an.finish());
+            run.metrics = OnceCell::from(an.finish());
         }
     }
 }
@@ -335,9 +328,12 @@ pub struct Run {
     /// Watchdog verdict when the scenario ran under one (`None` when
     /// [`Scenario::watchdog`] was unset).
     pub outcome: Option<RunOutcome>,
-    /// Streamed measurements, when [`Scenario::stream`] was set. The
-    /// analysis methods below read these in preference to the trace.
-    pub stream: Option<StreamMetrics>,
+    /// What [`Run::metrics`] measures, as written down by
+    /// [`Scenario::build`].
+    spec: StreamSpec,
+    /// The observer's result once [`Scenario::finish`] collected it,
+    /// otherwise filled by the first [`Run::metrics`] call.
+    metrics: OnceCell<StreamMetrics>,
 }
 
 impl Run {
@@ -346,119 +342,61 @@ impl Run {
         self.fwd.iter().chain(&self.rev).copied().collect()
     }
 
+    /// The standard measurements of this run, which every analysis
+    /// method below reads: the [`Scenario::stream`] observer's result
+    /// when one ran, otherwise one replay of the recorded trace through
+    /// the same fold, done on first use and kept — so ask only once the
+    /// run has reached `t1`.
+    ///
+    /// # Panics
+    /// Panics if the run recorded nothing — neither
+    /// [`Scenario::record_trace`] nor [`Scenario::stream`] was set — since
+    /// every measurement of it would be a silent zero.
+    pub fn metrics(&self) -> &StreamMetrics {
+        self.metrics.get_or_init(|| {
+            assert!(
+                self.world.trace().is_enabled(),
+                "this Run recorded nothing to measure: set Scenario::record_trace \
+                 (replay the trace) or Scenario::stream (observe online)"
+            );
+            StreamAnalyzer::replay(&self.spec, self.world.trace())
+        })
+    }
+
     /// Queue-length series at switch 1's bottleneck buffer.
     pub fn queue1(&self) -> TimeSeries {
-        match &self.stream {
-            Some(m) => m.queue(self.bottleneck_12).clone(),
-            None => queue_series(self.world.trace(), self.bottleneck_12),
-        }
+        self.metrics().queue(self.bottleneck_12).clone()
     }
 
     /// Queue-length series at switch 2's bottleneck buffer.
     pub fn queue2(&self) -> TimeSeries {
-        match &self.stream {
-            Some(m) => m.queue(self.bottleneck_21).clone(),
-            None => queue_series(self.world.trace(), self.bottleneck_21),
-        }
+        self.metrics().queue(self.bottleneck_21).clone()
     }
 
     /// cwnd series of one connection.
     pub fn cwnd(&self, conn: ConnId) -> TimeSeries {
-        match &self.stream {
-            Some(m) => m.cwnd(conn).clone(),
-            None => cwnd_series(self.world.trace(), conn),
-        }
-    }
-
-    /// Batched trace analysis: both bottleneck queue series as
-    /// `(queue1, queue2)`, extracted by one [`crate::sweep::parallel_map`]
-    /// scan pair. Pure functions of the trace collected in fixed order —
-    /// byte-identical to two sequential calls (which is why the
-    /// golden-hash-pinned fixed-window figures may use it).
-    pub fn queues(&self) -> (TimeSeries, TimeSeries) {
-        if self.stream.is_some() {
-            return (self.queue1(), self.queue2());
-        }
-        let trace = self.world.trace();
-        let chans = [self.bottleneck_12, self.bottleneck_21];
-        let mut out =
-            crate::sweep::parallel_map(&chans, |_, &ch| queue_series(trace, ch)).into_iter();
-        (out.next().expect("queue1"), out.next().expect("queue2"))
-    }
-
-    /// Batched trace analysis: both bottleneck queue series plus the cwnd
-    /// series of connections `a` and `b`, as `(queue1, queue2, cwnd_a,
-    /// cwnd_b)`.
-    ///
-    /// The four extractions are independent scans over the same immutable
-    /// trace, so they run through [`crate::sweep::parallel_map`] on
-    /// whatever job slots are idle — the dominant post-simulation cost of
-    /// the two-way figure experiments drops to one scan's wall clock. The
-    /// scans are pure functions of the trace collected in a fixed order,
-    /// so the result is byte-identical to four sequential calls.
-    pub fn queues_and_cwnds(
-        &self,
-        a: ConnId,
-        b: ConnId,
-    ) -> (TimeSeries, TimeSeries, TimeSeries, TimeSeries) {
-        if self.stream.is_some() {
-            return (self.queue1(), self.queue2(), self.cwnd(a), self.cwnd(b));
-        }
-        enum Job {
-            Queue(ChannelId),
-            Cwnd(ConnId),
-        }
-        let trace = self.world.trace();
-        let jobs = [
-            Job::Queue(self.bottleneck_12),
-            Job::Queue(self.bottleneck_21),
-            Job::Cwnd(a),
-            Job::Cwnd(b),
-        ];
-        let mut out = crate::sweep::parallel_map(&jobs, |_, job| match *job {
-            Job::Queue(ch) => queue_series(trace, ch),
-            Job::Cwnd(conn) => cwnd_series(trace, conn),
-        })
-        .into_iter();
-        (
-            out.next().expect("queue1"),
-            out.next().expect("queue2"),
-            out.next().expect("cwnd a"),
-            out.next().expect("cwnd b"),
-        )
+        self.metrics().cwnd(conn).clone()
     }
 
     /// Windowed utilization of the 1→2 bottleneck line.
     pub fn util12(&self) -> f64 {
-        match &self.stream {
-            Some(m) => m.utilization(self.bottleneck_12),
-            None => utilization_in(self.world.trace(), self.bottleneck_12, self.t0, self.t1),
-        }
+        self.metrics().utilization(self.bottleneck_12)
     }
 
     /// Windowed utilization of the 2→1 bottleneck line.
     pub fn util21(&self) -> f64 {
-        match &self.stream {
-            Some(m) => m.utilization(self.bottleneck_21),
-            None => utilization_in(self.world.trace(), self.bottleneck_21, self.t0, self.t1),
-        }
+        self.metrics().utilization(self.bottleneck_21)
     }
 
     /// All drops (both bottleneck directions) within the measurement
     /// window.
     pub fn drops(&self) -> Vec<td_analysis::DropEvent> {
-        match &self.stream {
-            Some(m) => m
-                .drops()
-                .iter()
-                .filter(|d| d.t >= self.t0 && d.t <= self.t1)
-                .copied()
-                .collect(),
-            None => drop_events(self.world.trace())
-                .into_iter()
-                .filter(|d| d.t >= self.t0 && d.t <= self.t1)
-                .collect(),
-        }
+        self.metrics()
+            .drops()
+            .iter()
+            .filter(|d| d.t >= self.t0 && d.t <= self.t1)
+            .copied()
+            .collect()
     }
 
     /// Clustering coefficient of data-packet departures on the 1→2
@@ -479,27 +417,18 @@ impl Run {
         self.clustering_at(self.bottleneck_12, false)
     }
 
-    /// Clustering coefficient at any channel, optionally data-only.
-    /// (Streaming runs register departures for the 1→2 bottleneck only —
-    /// the channel the paper's clustering claims are about.)
+    /// Clustering coefficient at `ch`, optionally data-only. Departures
+    /// are collected for the 1→2 bottleneck only — the channel the
+    /// paper's clustering claims are about — and asking for another
+    /// channel panics.
     pub fn clustering_at(&self, ch: ChannelId, data_only: bool) -> Option<f64> {
-        let deps: Vec<_> = match &self.stream {
-            Some(m) => {
-                assert_eq!(
-                    ch, self.bottleneck_12,
-                    "streaming runs collect departures for the 1→2 bottleneck only"
-                );
-                m.departures(ch)
-                    .iter()
-                    .filter(|d| d.t >= self.t0 && d.t <= self.t1 && (!data_only || d.pkt.is_data()))
-                    .copied()
-                    .collect()
-            }
-            None => departures(self.world.trace(), ch)
-                .into_iter()
-                .filter(|d| d.t >= self.t0 && d.t <= self.t1 && (!data_only || d.pkt.is_data()))
-                .collect(),
-        };
+        let deps: Vec<_> = self
+            .metrics()
+            .departures(ch)
+            .iter()
+            .filter(|d| d.t >= self.t0 && d.t <= self.t1 && (!data_only || d.pkt.is_data()))
+            .copied()
+            .collect();
         clustering_coefficient(&deps)
     }
 
@@ -621,23 +550,19 @@ mod tests {
         assert!(run.world.trace().capacity() >= estimate);
     }
 
+    /// A run with neither a trace nor an observer has nothing to
+    /// measure; answering `0.0` / an empty series would be a lie.
     #[test]
-    fn batched_extraction_matches_sequential() {
+    #[should_panic(expected = "recorded nothing")]
+    fn metrics_of_a_run_that_recorded_nothing_panic() {
         let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
             .with_fwd(1, ConnSpec::paper())
             .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(30);
-        sc.warmup = SimDuration::from_secs(5);
+        sc.duration = SimDuration::from_secs(20);
+        sc.warmup = SimDuration::from_secs(2);
+        sc.record_trace = false;
         let run = sc.run();
-        let (a, b) = (run.fwd[0], run.rev[0]);
-        let (q1, q2, cw1, cw2) = run.queues_and_cwnds(a, b);
-        assert_eq!(q1, run.queue1());
-        assert_eq!(q2, run.queue2());
-        assert_eq!(cw1, run.cwnd(a));
-        assert_eq!(cw2, run.cwnd(b));
-        let (p1, p2) = run.queues();
-        assert_eq!(p1, q1);
-        assert_eq!(p2, q2);
+        let _ = run.util12();
     }
 
     #[test]

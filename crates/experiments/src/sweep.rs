@@ -1,5 +1,5 @@
-//! Intra-experiment parallelism: replicate sweeps and batched trace
-//! analysis on the runner's shared job budget.
+//! Intra-experiment parallelism: replicate sweeps on the runner's shared
+//! job budget.
 //!
 //! PR 1 parallelized *across* experiments; a single sweep-style experiment
 //! (a mode census over ten start phases, the fig45 buffer sweep, the

@@ -1,19 +1,8 @@
 //! The parallel harness must not be able to change results: for the same
 //! master seed, `--jobs N` output is byte-identical to `--jobs 1`.
 
-use td_experiments::registry::find;
+use td_experiments::registry::{find, registry};
 use td_experiments::runner::{run_batch, RunnerConfig};
-
-/// FNV-1a over a byte stream — the same stable hash everywhere in the
-/// workspace, so a golden value pins output bytes, not formatting luck.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Full observable surface of a report: rendered text, markdown, CSV and
 /// blob bytes.
@@ -36,6 +25,17 @@ fn rendered(batch: &td_experiments::runner::BatchResult) -> Vec<(String, Vec<u8>
             (format!("{}#{}", r.id, r.replicate), bytes)
         })
         .collect()
+}
+
+/// FNV-1a over `id ‖ bytes` of every rendered result, in batch order —
+/// the workspace's stable hash, so a golden value pins output bytes, not
+/// formatting luck.
+fn batch_digest(batch: &td_experiments::runner::BatchResult) -> u64 {
+    rendered(batch)
+        .iter()
+        .fold(td_engine::fnv1a(&[]), |h, (id, bytes)| {
+            td_engine::fnv1a_continue(td_engine::fnv1a_continue(h, id.as_bytes()), bytes)
+        })
 }
 
 #[test]
@@ -115,10 +115,7 @@ fn experiment_output_bytes_match_golden_hash() {
             ..RunnerConfig::new()
         },
     );
-    let stream = rendered(&batch)
-        .into_iter()
-        .flat_map(|(id, bytes)| id.into_bytes().into_iter().chain(bytes));
-    let h = fnv1a(stream);
+    let h = batch_digest(&batch);
     assert_eq!(
         h, GOLDEN_OUTPUT_HASH,
         "experiment output bytes diverged from the pre-change engine \
@@ -129,6 +126,35 @@ fn experiment_output_bytes_match_golden_hash() {
 /// FNV-1a of the rendered fig8 + short-flows batch (seed 7, quick profile),
 /// recorded against the pre-slab binary-heap event queue.
 const GOLDEN_OUTPUT_HASH: u64 = 0xb4f1_f25c_be23_ce63;
+
+/// Registry-wide pin: the golden hash above covers two entries; this one
+/// covers every visible entry, so a change to the analysis path of any
+/// figure (queue / cwnd / drops / clustering / utilization) shows up as a
+/// flipped digest instead of a silently different table.
+#[test]
+fn whole_registry_output_bytes_match_digest() {
+    let entries = registry();
+    assert_eq!(entries.len(), 23, "visible registry size changed");
+    let batch = run_batch(
+        &entries,
+        &RunnerConfig {
+            jobs: 1,
+            master_seed: 7,
+            replicates: 1,
+            ..RunnerConfig::new()
+        },
+    );
+    let h = batch_digest(&batch);
+    assert_eq!(
+        h, REGISTRY_OUTPUT_DIGEST,
+        "quick-profile registry output diverged (got {h:#018x})"
+    );
+}
+
+/// FNV-1a of all 23 visible registry entries rendered at seed 7, quick
+/// profile, `jobs = 1`; recorded before the batch extractors became
+/// drivers over the stream fold.
+const REGISTRY_OUTPUT_DIGEST: u64 = 0x7290_fa66_1d77_2326;
 
 /// The robustness instrumentation must observe, never perturb: the same
 /// scenario run with and without the watchdog (which threads every event

@@ -255,9 +255,7 @@ impl McSchedule {
 
     /// Write atomically (temp file + rename), like snapshot files.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)
+        td_engine::write_atomic(path, &self.to_bytes())
     }
 
     /// Read and decode a schedule file.
@@ -783,6 +781,7 @@ mod tests {
     #[test]
     fn seeded_violation_yields_replayable_counterexample() {
         let dir = std::env::temp_dir().join("td-mc-cex-test");
+        let _ = std::fs::remove_dir_all(&dir);
         let (mut w, c_ab, c_ba) = build_world();
         let mut cfg = small_cfg(c_ab, c_ba);
         cfg.artifact_dir = Some(dir.clone());
@@ -803,6 +802,19 @@ mod tests {
         assert!(!cex.violations.is_empty());
         assert!(cex.schedule_path.as_ref().is_some_and(|p| p.exists()));
         assert!(cex.snapshot_path.as_ref().is_some_and(|p| p.exists()));
+        // `cex-<i>.tdmc` and `cex-<i>.tdsnap` share a stem and a directory
+        // and are written back to back: both must decode, and neither
+        // write may leave its staging file behind.
+        for cex in &stats.counterexamples {
+            McSchedule::read_from_file(cex.schedule_path.as_ref().unwrap()).unwrap();
+            Snapshot::read_from_file(cex.snapshot_path.as_ref().unwrap()).unwrap();
+        }
+        let litter: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(litter.is_empty(), "staging files left behind: {litter:?}");
         // Replay the schedule on a twin with the same prelude: identical
         // violation record.
         let sched = McSchedule::read_from_file(cex.schedule_path.as_ref().unwrap()).unwrap();

@@ -186,17 +186,7 @@ pub fn write_pcap(trace: &Trace, point: CapturePoint, path: &Path) -> io::Result
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let name = path.file_name().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("no file name in {path:?}"),
-        )
-    })?;
-    let mut tmp_name = name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, to_pcap_bytes(trace, point))?;
-    std::fs::rename(&tmp, path)
+    td_engine::write_atomic(path, &to_pcap_bytes(trace, point))
 }
 
 /// A `tcpdump`-style one-line-per-packet text rendering.

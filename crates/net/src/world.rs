@@ -559,9 +559,7 @@ impl Snapshot {
     /// directory, then rename), so a crash mid-write never leaves a
     /// truncated snapshot under the final name.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &self.bytes)?;
-        std::fs::rename(&tmp, path)
+        td_engine::write_atomic(path, &self.bytes)
     }
 
     /// Read and header-validate a snapshot file.

@@ -23,6 +23,9 @@
 
 use td_experiments::registry::{validate_override, Profile};
 
+/// Escape a string for inclusion in a JSON response line.
+pub use td_experiments::runner::json_escape;
+
 /// Priority ceiling (inclusive). `0` is first to shed, `9` last.
 pub const MAX_PRIORITY: u64 = 9;
 
@@ -312,23 +315,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         other => Err(format!("unknown op {other:?}")),
     }
-}
-
-/// Escape a string for inclusion in a JSON response line.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The wire name of a profile.
