@@ -8,7 +8,7 @@
 //! the shards have real cores to land on, so the JSON is meaningless
 //! without them. On a single-core host the sharded variants measure pure
 //! protocol overhead (thread handoff, horizon publishing, merged
-//! telemetry), not speedup; that is still worth pinning, because the
+//! meters), not speedup; that is still worth pinning, because the
 //! overhead must stay bounded for the multi-core win to exist. The CI
 //! `bench-world` job regenerates this file on a multi-core runner and
 //! gates on the shards=4 line beating serial by ≥1.5× when ≥4 cores are

@@ -1,7 +1,7 @@
 //! # td-engine — deterministic discrete-event simulation engine
 //!
 //! This crate is the substrate under every simulation in the
-//! `tahoe-dynamics` workspace. It provides exactly four things:
+//! `tahoe-dynamics` workspace. It provides four simulation primitives:
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time as integer nanoseconds.
 //!   All quantities in the reproduced paper (80 ms data-packet service time,
@@ -20,6 +20,17 @@
 //! * [`SimRng`] — a small, seedable, deterministic random-number generator
 //!   (an `xoshiro256**` implemented locally) so experiments are reproducible
 //!   from a single `u64` seed and independent of external crate versioning.
+//!
+//! and two pieces of plumbing every layer above shares:
+//!
+//! * [`meter`] — the per-thread counter spine: events scheduled and
+//!   dispatched, snapshots, auditor violations, model-check coverage. Code
+//!   ticks `meter::add` / `peak` / `note`; a harness brackets work with
+//!   `meter::scoped` and folds what other threads metered back in with
+//!   `meter::absorb`. One `Counter` or `Gauge` variant per number, so a new
+//!   count is a new variant, not a new thread-local module.
+//! * [`snap`] — the little-endian framed codec ([`SnapWriter`] /
+//!   [`SnapReader`], FNV-1a, [`write_atomic`]) under every on-disk format.
 //!
 //! The engine deliberately has **no** notion of network, packet, or host —
 //! those live in `td-net`. It also deliberately avoids an async runtime:
@@ -48,11 +59,11 @@
 #![forbid(unsafe_code)]
 
 pub mod legacy;
+pub mod meter;
 mod queue;
 mod rate;
 mod rng;
 pub mod snap;
-pub mod telemetry;
 mod time;
 
 pub use queue::{EventId, EventQueue};

@@ -111,7 +111,7 @@ pub struct EventQueue<E> {
     popped: u64,
     /// Largest live length ever observed (post-schedule).
     peak_len: usize,
-    /// Schedules not yet folded into the thread telemetry counters;
+    /// Schedules not yet folded into the thread's [`crate::meter`];
     /// flushed once per pop (and on drop) instead of per call.
     unflushed_sched: u64,
 }
@@ -125,8 +125,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> Drop for EventQueue<E> {
     fn drop(&mut self) {
         // Flush schedules that never saw a pop (drained-by-drop queues,
-        // runs truncated by a time bound) so thread telemetry stays exact.
-        crate::telemetry::flush(self.unflushed_sched, 0, self.peak_len);
+        // runs truncated by a time bound) so the thread's meter stays exact.
+        crate::meter::flush(self.unflushed_sched, 0, self.peak_len);
     }
 }
 
@@ -147,7 +147,7 @@ impl<E> EventQueue<E> {
 
     /// An empty queue with slab and heap capacity for `n` concurrently
     /// pending events (e.g. a peak depth observed by
-    /// [`crate::telemetry`] on a previous comparable run).
+    /// [`crate::meter`] on a previous comparable run).
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(n),
@@ -384,7 +384,7 @@ impl<E> EventQueue<E> {
         let event = self.retire(root);
         self.now = at;
         self.popped += 1;
-        crate::telemetry::flush(self.unflushed_sched, 1, self.peak_len);
+        crate::meter::flush(self.unflushed_sched, 1, self.peak_len);
         self.unflushed_sched = 0;
         Some((at, event))
     }
@@ -529,7 +529,7 @@ impl<E> EventQueue<E> {
     /// each pending event with `dec`. Slab/heap cross-links are verified,
     /// so a corrupt snapshot fails here instead of panicking mid-run.
     ///
-    /// The rebuilt queue starts with a zero telemetry debt
+    /// The rebuilt queue starts with a zero meter debt
     /// (`unflushed_sched`): its events were already counted by the queue
     /// that originally scheduled them.
     pub fn load_state(
@@ -540,12 +540,7 @@ impl<E> EventQueue<E> {
         let now = r.read_time()?;
         let popped = r.read_u64()?;
         let peak_len = r.read_u64()? as usize;
-        let n_slots = r.read_u64()? as usize;
-        if n_slots > r.remaining() {
-            // Each slot costs well over one byte; cheap sanity bound that
-            // stops a corrupt length from attempting a huge allocation.
-            return Err(SnapError::Truncated);
-        }
+        let n_slots = r.read_len()?;
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             let gen = r.read_u64()?;

@@ -360,13 +360,23 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Read a length-prefixed byte string (borrowed from the input).
-    pub fn read_bytes(&mut self) -> Result<&'a [u8], SnapError> {
+    /// Read a `u64` element count (or byte length) that the rest of the
+    /// input must be able to hold: every encoded element costs at least
+    /// one byte, so a count beyond [`SnapReader::remaining`] is
+    /// [`SnapError::Truncated`] here — before anything is allocated for
+    /// it — rather than wherever the element loop would run dry.
+    pub fn read_len(&mut self) -> Result<usize, SnapError> {
         let len = self.read_u64()?;
         if len > self.remaining() as u64 {
             return Err(SnapError::Truncated);
         }
-        self.take(len as usize)
+        Ok(len as usize)
+    }
+
+    /// Read a length-prefixed byte string (borrowed from the input).
+    pub fn read_bytes(&mut self) -> Result<&'a [u8], SnapError> {
+        let len = self.read_len()?;
+        self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -489,6 +499,23 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.read_bytes().unwrap_err(), SnapError::Truncated);
+    }
+
+    #[test]
+    fn read_len_bounds_a_count_by_the_bytes_left() {
+        // Eight bytes follow the count: room for 8 one-byte elements, not
+        // 9, and never for a count no allocation could satisfy.
+        for (count, want) in [
+            (0, Ok(0)),
+            (8, Ok(8)),
+            (9, Err(SnapError::Truncated)),
+            (u64::MAX, Err(SnapError::Truncated)),
+        ] {
+            let mut w = SnapWriter::new();
+            w.write_u64(count);
+            w.write_u64(0);
+            assert_eq!(SnapReader::new(&w.into_bytes()).read_len(), want);
+        }
     }
 
     #[test]

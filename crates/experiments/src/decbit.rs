@@ -20,7 +20,7 @@
 
 use crate::report::Report;
 use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
-use td_analysis::{ack_spacing, compression, deliveries};
+use td_analysis::compression;
 use td_core::{CcKind, ReceiverConfig, SenderConfig};
 use td_engine::SimDuration;
 
@@ -83,11 +83,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
 
     // Two-way: the paper's phenomena strike a different algorithm.
     let two = scenario(seed, duration_s, 1, 1).run();
-    let acks: Vec<_> = deliveries(two.world.trace(), two.host1, two.fwd[0], true)
-        .into_iter()
-        .filter(|d| d.t >= two.t0 && d.t <= two.t1)
-        .collect();
-    let sp = ack_spacing(&acks, DATA_SERVICE).expect("acks flowed");
+    let sp = two.ack_spacing(two.fwd[0]).expect("acks flowed");
     rep.check(
         "two-way: ACK-compression",
         "present for any nonpaced window algorithm (conjecture)",

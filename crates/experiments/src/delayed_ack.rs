@@ -14,7 +14,7 @@
 
 use crate::report::Report;
 use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
-use td_analysis::{ack_spacing, compression, deliveries};
+use td_analysis::compression;
 use td_core::{DelayedAck, ReceiverConfig, SenderConfig};
 use td_engine::SimDuration;
 
@@ -50,11 +50,7 @@ struct Measured {
 
 fn measure(run: &crate::scenario::Run) -> Measured {
     let c1 = run.fwd[0];
-    let acks: Vec<_> = deliveries(run.world.trace(), run.host1, c1, true)
-        .into_iter()
-        .filter(|d| d.t >= run.t0 && d.t <= run.t1)
-        .collect();
-    let sp = ack_spacing(&acks, DATA_SERVICE);
+    let sp = run.ack_spacing(c1);
     let q1 = run.queue1();
     let rx = run.receiver(c1).stats();
     Measured {

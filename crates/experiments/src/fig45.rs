@@ -23,7 +23,7 @@ use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
 use td_analysis::epochs::{alternating_single_loser, detect_epochs, mean_drops_per_epoch};
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
-use td_analysis::{ack_spacing, compression, csv, deliveries, goodput_series};
+use td_analysis::{compression, csv, goodput_series};
 use td_analysis::{mean_ack_sojourn, power_law_exponent};
 use td_engine::{SimDuration, SimTime};
 
@@ -103,12 +103,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // ACK-compression: spacing of ACK arrivals at each source.
-    let acks1 = deliveries(run.world.trace(), run.host1, c1, true);
-    let in_window: Vec<_> = acks1
-        .into_iter()
-        .filter(|d| d.t >= run.t0 && d.t <= run.t1)
-        .collect();
-    let sp = ack_spacing(&in_window, DATA_SERVICE).expect("plenty of ACKs");
+    let sp = run.ack_spacing(c1).expect("plenty of ACKs");
     rep.check(
         "ACK gaps compressed below the data service time",
         "substantial fraction (ACKs stop being a reliable clock)",

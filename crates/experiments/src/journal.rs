@@ -432,11 +432,8 @@ fn decode_header(bytes: &[u8]) -> Result<JournalHeader, SnapError> {
         other => return Err(SnapError::Corrupt(format!("unknown profile tag {other}"))),
     };
     let replicates = r.read_u64()?;
-    let n = r.read_u64()?;
-    // Clamp the pre-allocation to what the remaining bytes could
-    // possibly encode: a damaged count must fail with `Truncated`, not
-    // abort the process with a capacity overflow.
-    let mut ids = Vec::with_capacity((n as usize).min(r.remaining()));
+    let n = r.read_len()?;
+    let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         ids.push(r.read_str()?);
     }
@@ -498,10 +495,8 @@ pub fn decode_cell(bytes: &[u8]) -> Result<JournalCell, SnapError> {
         peak_rss_is_process_max: if version >= 3 { r.read_bool()? } else { true },
     };
     let total = r.read_u64()?;
-    let n_reports = r.read_u64()?;
-    // Clamped for the same reason as the header ids: a flipped count
-    // must not become a capacity-overflow abort.
-    let mut reports = Vec::with_capacity((n_reports as usize).min(r.remaining()));
+    let n_reports = r.read_len()?;
+    let mut reports = Vec::with_capacity(n_reports);
     for _ in 0..n_reports {
         reports.push(r.read_str()?);
     }
@@ -671,8 +666,7 @@ mod tests {
                 total: 1,
                 reports: vec!["violation".into()],
             },
-            snap: Default::default(),
-            mc: Default::default(),
+            meter: Default::default(),
             replayed: false,
         }
     }

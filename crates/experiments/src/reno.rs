@@ -15,8 +15,7 @@
 //!   a congestion epoch recovers quickly and the bottleneck idles less.
 
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
-use td_analysis::{ack_spacing, deliveries};
+use crate::scenario::{ConnSpec, Scenario};
 use td_core::{CcKind, ReceiverConfig, SenderConfig};
 use td_engine::SimDuration;
 
@@ -49,11 +48,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     let reno = scenario_with(seed, duration_s, CcKind::Reno).run();
 
     let measure = |run: &crate::scenario::Run| {
-        let acks: Vec<_> = deliveries(run.world.trace(), run.host1, run.fwd[0], true)
-            .into_iter()
-            .filter(|d| d.t >= run.t0 && d.t <= run.t1)
-            .collect();
-        let sp = ack_spacing(&acks, DATA_SERVICE);
+        let sp = run.ack_spacing(run.fwd[0]);
         (
             (run.util12() + run.util21()) / 2.0,
             sp.map(|s| s.compressed_fraction).unwrap_or(0.0),

@@ -33,10 +33,11 @@
 //! `timings.json`) instead of a poisoned batch.
 //!
 //! Finally, the pool is the observability hook: each task is metered with
-//! wall-clock time and the engine's per-thread [`td_engine::telemetry`]
-//! counters (events scheduled/dispatched, peak pending-event depth), and
-//! the whole run can be serialized as a `timings.json` report — the
-//! trajectory file the benchmarking roadmap hangs off.
+//! wall-clock time and one [`td_engine::meter`] scope (events scheduled /
+//! dispatched, peak pending-event depth, auditor violations, snapshot and
+//! model-check counters), and the whole run can be serialized as a
+//! `timings.json` report — the trajectory file the benchmarking roadmap
+//! hangs off.
 
 use crate::journal::{Journal, JournalCell};
 use crate::registry::{Entry, Profile};
@@ -47,8 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use td_analysis::RunningStats;
+use td_engine::meter::{self, Counter, Gauge, Meter};
 use td_engine::{fnv1a, fnv1a_continue};
-use td_net::snapcount::{self, SnapCounters};
+use td_net::audit::Tally;
 
 /// Derive the seed for one `(experiment, replicate)` cell from the run's
 /// master seed.
@@ -195,19 +197,18 @@ pub struct ExperimentResult {
     /// The panic message, if the experiment panicked instead of
     /// completing (also serialized into `timings.json`).
     pub panic: Option<String>,
-    /// Observability counters.
+    /// Wall clock, peak RSS and the meter's event counters.
     pub timing: Timing,
     /// Invariant-auditor tally for this task: every violation any world
-    /// recorded while the task ran (helper-thread deltas merged in by the
-    /// sweeps), surfaced through `timings.json`.
-    pub audit: td_net::audit::Tally,
-    /// Snapshot/restore activity while the task ran (watchdog
-    /// post-mortems included), surfaced through `timings.json`.
-    pub snap: SnapCounters,
-    /// Model-checking exploration counters for this task (states
-    /// visited/deduped/pruned, max depth, counterexamples), surfaced
-    /// through `timings.json`'s per-row and batch-level `mc` blocks.
-    pub mc: td_net::mc::tally::McTally,
+    /// recorded while the task ran, read from [`ExperimentResult::meter`]
+    /// and surfaced through `timings.json`.
+    pub audit: Tally,
+    /// Everything the task metered, sweep helpers and shard workers
+    /// included. `timings.json` reads the snapshot counters (watchdog
+    /// post-mortems included) and the per-row and batch-level `mc` blocks
+    /// from here; zero for a replayed cell, whose journal line carries
+    /// only `timing` and `audit`.
+    pub meter: Meter,
     /// True if this cell was replayed from a results journal instead of
     /// executed (`--resume`).
     pub replayed: bool,
@@ -313,28 +314,21 @@ impl BatchResult {
             "  \"journal_replayed\": {},\n",
             self.journal_replayed
         ));
-        let snap_taken: u64 = self.results.iter().map(|r| r.snap.taken).sum();
-        let snap_restored: u64 = self.results.iter().map(|r| r.snap.restored).sum();
+        let sum = |c: Counter| -> u64 { self.results.iter().map(|r| r.meter.count(c)).sum() };
+        let snap_taken = sum(Counter::SnapshotsTaken);
+        let snap_restored = sum(Counter::SnapshotsRestored);
         out.push_str(&format!("  \"snapshots_taken\": {snap_taken},\n"));
         out.push_str(&format!("  \"snapshots_restored\": {snap_restored},\n"));
         // Batch-level model-checking block: exploration counters summed
         // across every cell (depth as the maximum), so CI can pin the
         // whole batch's coverage with one lookup.
-        let mc_visited: u64 = self.results.iter().map(|r| r.mc.states_visited).sum();
-        let mc_deduped: u64 = self.results.iter().map(|r| r.mc.states_deduped).sum();
-        let mc_pruned: u64 = self.results.iter().map(|r| r.mc.states_pruned).sum();
-        let mc_depth: u64 = self
+        let mc_depth = self
             .results
             .iter()
-            .map(|r| r.mc.max_depth)
+            .map(|r| r.meter.gauge(Gauge::McMaxDepth))
             .max()
             .unwrap_or(0);
-        let mc_cex: u64 = self.results.iter().map(|r| r.mc.counterexamples).sum();
-        out.push_str(&format!(
-            "  \"mc\": {{\"states_visited\": {mc_visited}, \"states_deduped\": {mc_deduped}, \
-             \"states_pruned\": {mc_pruned}, \"max_depth\": {mc_depth}, \
-             \"counterexamples\": {mc_cex}}},\n"
-        ));
+        out.push_str(&format!("  \"mc\": {},\n", mc_block(sum, mc_depth)));
         out.push_str("  \"experiments\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let t = &r.timing;
@@ -359,8 +353,7 @@ impl BatchResult {
                  \"peak_rss_is_process_max\": {}, \
                  \"audit_violations\": {}, \"audit\": {audit}, \
                  \"snapshots_taken\": {}, \"snapshots_restored\": {}, \
-                 \"mc\": {{\"states_visited\": {}, \"states_deduped\": {}, \
-                 \"states_pruned\": {}, \"max_depth\": {}, \"counterexamples\": {}}}, \
+                 \"mc\": {}, \
                  \"replayed\": {}, \
                  \"metrics\": {{{metrics}}}, \"diagnostics\": {diagnostics}}}{}\n",
                 r.id,
@@ -374,13 +367,9 @@ impl BatchResult {
                 t.peak_rss_kib,
                 t.peak_rss_is_process_max,
                 r.audit.total,
-                r.snap.taken,
-                r.snap.restored,
-                r.mc.states_visited,
-                r.mc.states_deduped,
-                r.mc.states_pruned,
-                r.mc.max_depth,
-                r.mc.counterexamples,
+                r.meter.count(Counter::SnapshotsTaken),
+                r.meter.count(Counter::SnapshotsRestored),
+                mc_block(|c| r.meter.count(c), r.meter.gauge(Gauge::McMaxDepth)),
                 r.replayed,
                 if i + 1 == self.results.len() { "" } else { "," }
             ));
@@ -402,6 +391,18 @@ impl BatchResult {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The `mc` object of a `timings.json` row or batch.
+fn mc_block(count: impl Fn(Counter) -> u64, max_depth: u64) -> String {
+    format!(
+        "{{\"states_visited\": {}, \"states_deduped\": {}, \"states_pruned\": {}, \
+         \"max_depth\": {max_depth}, \"counterexamples\": {}}}",
+        count(Counter::McVisited),
+        count(Counter::McDeduped),
+        count(Counter::McPruned),
+        count(Counter::McCounterexamples)
+    )
 }
 
 /// Render a slice of strings as a JSON array literal.
@@ -469,8 +470,8 @@ fn panic_report(entry: &Entry, seed: u64, msg: &str) -> Report {
 /// scheduling. Worker threads run experiments to completion — an
 /// experiment is never split across threads (its replicate sweeps may
 /// *borrow* idle job slots, but each sweep item is metered and merged
-/// back deterministically), which is what lets the engine's thread-local
-/// telemetry meter it.
+/// back deterministically), which is what lets the thread-local
+/// [`td_engine::meter`] meter it.
 ///
 /// Fault isolation: each task runs under `catch_unwind`. A panicking
 /// experiment yields a failed [`ExperimentResult`] (message in
@@ -547,8 +548,7 @@ pub fn run_batch_resumable(
             panic: cell.panic,
             timing: cell.timing,
             audit: cell.audit,
-            snap: SnapCounters::default(),
-            mc: td_net::mc::tally::McTally::default(),
+            meter: Meter::default(),
             replayed: true,
         };
         if slots[task].set(result).is_ok() {
@@ -591,19 +591,12 @@ pub fn run_batch_resumable(
                         derive_seed(cfg.master_seed, entry.id, replicate)
                     };
 
-                    td_engine::telemetry::reset();
-                    td_net::audit::reset_thread();
-                    snapcount::reset_thread();
-                    td_net::mc::tally::reset_thread();
                     let rss_reset = reset_peak_rss();
                     let t0 = Instant::now();
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| entry.run(seed, cfg.profile)));
+                    let (outcome, metered) = meter::scoped(|| {
+                        catch_unwind(AssertUnwindSafe(|| entry.run(seed, cfg.profile)))
+                    });
                     let wall_s = t0.elapsed().as_secs_f64();
-                    let telem = td_engine::telemetry::snapshot();
-                    let audit = td_net::audit::take_thread();
-                    let snap = snapcount::take_thread();
-                    let mc = td_net::mc::tally::take_thread();
                     let (report, panic) = match outcome {
                         Ok(report) => (report, None),
                         Err(payload) => {
@@ -620,15 +613,14 @@ pub fn run_batch_resumable(
                         panic,
                         timing: Timing {
                             wall_s,
-                            events_scheduled: telem.events_scheduled,
-                            events_dispatched: telem.events_dispatched,
-                            peak_queue_depth: telem.peak_queue_depth,
+                            events_scheduled: metered.count(Counter::EventsScheduled),
+                            events_dispatched: metered.count(Counter::EventsDispatched),
+                            peak_queue_depth: metered.gauge(Gauge::PeakQueueDepth) as usize,
                             peak_rss_kib: peak_rss_kib(),
                             peak_rss_is_process_max: !rss_reset,
                         },
-                        audit,
-                        snap,
-                        mc,
+                        audit: Tally::of(&metered),
+                        meter: metered,
                         replayed: false,
                     };
                     // Journal before publishing the slot: after `append`
@@ -655,7 +647,10 @@ pub fn run_batch_resumable(
                         };
                         eprintln!(
                             "[{finished}/{n_tasks}] {} (seed {seed}): {status} in {:.1}s, {} events, peak queue {}",
-                            entry.id, wall_s, telem.events_dispatched, telem.peak_queue_depth
+                            entry.id,
+                            wall_s,
+                            result.timing.events_dispatched,
+                            result.timing.peak_queue_depth
                         );
                     }
                     let stored = slots[task].set(result).is_ok();

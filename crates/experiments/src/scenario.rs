@@ -9,7 +9,10 @@
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use td_analysis::{clustering_coefficient, StreamAnalyzer, StreamMetrics, StreamSpec, TimeSeries};
+use td_analysis::{
+    ack_spacing, clustering_coefficient, deliveries, AckSpacing, StreamAnalyzer, StreamMetrics,
+    StreamSpec, TimeSeries,
+};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{Rate, SimDuration, SimRng, SimTime};
 use td_net::{
@@ -415,6 +418,22 @@ impl Run {
     /// precondition for ACK-compression) or interleaved.
     pub fn clustering12_all(&self) -> Option<f64> {
         self.clustering_at(self.bottleneck_12, false)
+    }
+
+    /// ACK-compression (§4.2): spacing of the ACKs arriving at `conn`'s
+    /// sending host within `[t0, t1]`, against the data service time.
+    /// Needs the recorded trace; `None` with fewer than two ACKs.
+    pub fn ack_spacing(&self, conn: ConnId) -> Option<AckSpacing> {
+        let source = if self.fwd.contains(&conn) {
+            self.host1
+        } else {
+            self.host2
+        };
+        let acks: Vec<_> = deliveries(self.world.trace(), source, conn, true)
+            .into_iter()
+            .filter(|d| d.t >= self.t0 && d.t <= self.t1)
+            .collect();
+        ack_spacing(&acks, DATA_SERVICE)
     }
 
     /// Clustering coefficient at `ch`, optionally data-only. Departures

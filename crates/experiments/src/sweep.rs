@@ -29,16 +29,17 @@
 //! stats, dropping multi-MB `Trace`s before they cross threads) and merged
 //! with a deterministic fold in replicate order by the caller.
 //!
-//! Engine telemetry stays exact: each helper-run item is metered with a
-//! thread-local reset/snapshot pair and the delta is folded back into the
-//! calling thread's counters ([`td_engine::telemetry::merge`]), so an
-//! experiment's `timings.json` row reports the same event totals whether
-//! its sweeps ran on one thread or eight.
+//! The thread's [`td_engine::meter`] stays exact: each item runs under a
+//! meter scope of its own, on whichever thread, and what it metered is
+//! absorbed into the calling thread's meter in item order after the
+//! join, so an experiment's `timings.json` row reports the same counters
+//! (and the same auditor notes, in the same order) whether its sweeps ran
+//! on one thread or eight.
 
 use crate::runner::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use td_engine::telemetry;
+use td_engine::meter::{self, Meter};
 
 /// Sentinel for a [`JobBudget`] that was never configured (library/test
 /// use outside `run_batch`): sweeps then self-limit to a small default
@@ -174,12 +175,11 @@ impl Drop for BudgetLease {
 /// is identical for any number of granted helpers — the helpers are pure
 /// wall-clock.
 ///
-/// Each helper-run item is telemetry-metered in isolation and the deltas
-/// are folded back into the caller's thread-local counters, so callers
-/// (e.g. the experiment runner) see the same engine totals as a
-/// sequential run. Worker closures should return reduced, `Send` stats —
-/// not whole `World`s — so multi-MB traces die on the thread that made
-/// them.
+/// Each item is metered in isolation and absorbed into the caller's
+/// thread-local meter in item order, so callers (e.g. the experiment
+/// runner) see the same totals as a sequential run. Worker closures
+/// should return reduced, `Send` stats — not whole `World`s — so
+/// multi-MB traces die on the thread that made them.
 ///
 /// A panic in `f` propagates to the caller (after all threads join and
 /// the budget lease is returned), where the runner's per-task
@@ -209,64 +209,36 @@ where
     // `deadline::expired()`, not on the payload alone.
     let deadline = td_net::deadline::get();
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
-    // Telemetry and audit-tally deltas of helper-run items, merged into
-    // the caller after the join so totals match a sequential run exactly.
-    let telem: Vec<OnceLock<telemetry::Telemetry>> = (0..n).map(|_| OnceLock::new()).collect();
-    let audits: Vec<OnceLock<td_net::audit::Tally>> = (0..n).map(|_| OnceLock::new()).collect();
-    let snaps: Vec<OnceLock<td_net::snapcount::SnapCounters>> =
-        (0..n).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<(R, Meter)>> = (0..n).map(|_| OnceLock::new()).collect();
+    // Caller and helpers drain one queue, each item under a meter of its
+    // own — the caller's items too, so what is absorbed below is in item
+    // order no matter which thread ran what.
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        let _ = slots[i].set(meter::scoped(|| f(i, &items[i])));
+    };
 
     std::thread::scope(|scope| {
         for _ in 0..lease.slots {
             scope.spawn(|| {
                 let _deadline_guard = deadline.map(td_net::deadline::arm_until);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    telemetry::reset();
-                    td_net::audit::reset_thread();
-                    td_net::snapcount::reset_thread();
-                    let r = f(i, &items[i]);
-                    let _ = telem[i].set(telemetry::snapshot());
-                    let _ = audits[i].set(td_net::audit::take_thread());
-                    let _ = snaps[i].set(td_net::snapcount::take_thread());
-                    let _ = slots[i].set(r);
-                }
+                drain();
             });
         }
-        // The caller drains the same queue; its items accumulate into its
-        // own thread-local telemetry directly, as they would sequentially.
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let _ = slots[i].set(f(i, &items[i]));
-        }
+        drain();
     });
     drop(lease);
 
-    for t in &telem {
-        if let Some(&delta) = t.get() {
-            telemetry::merge(delta);
-        }
-    }
-    for a in audits {
-        if let Some(delta) = a.into_inner() {
-            td_net::audit::absorb(delta);
-        }
-    }
-    for s in &snaps {
-        if let Some(&delta) = s.get() {
-            td_net::snapcount::absorb(delta);
-        }
-    }
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("every item ran"))
+        .map(|s| {
+            let (r, metered) = s.into_inner().expect("every item ran");
+            meter::absorb(metered);
+            r
+        })
         .collect()
 }
 
@@ -367,8 +339,13 @@ mod tests {
         assert_eq!(b.available(), 0);
     }
 
+    /// Every counter, every gauge and the notes survive the join: item
+    /// `k` ticks each of them by an amount only it uses, and the 39 items
+    /// together overflow the note cap, so a delta lost, doubled, or
+    /// absorbed out of item order changes the merged meter.
     #[test]
     fn telemetry_totals_match_sequential() {
+        use td_engine::meter::{Counter, Gauge};
         use td_engine::{EventQueue, SimTime};
         let work = |k: u64| {
             let mut q = EventQueue::new();
@@ -379,22 +356,28 @@ mod tests {
             while let Some((_, e)) = q.pop() {
                 sum += e;
             }
+            meter::add(Counter::SnapshotsTaken, k);
+            meter::add(Counter::SnapshotsRestored, k * k);
+            meter::add(Counter::McVisited, k + 1);
+            meter::add(Counter::McDeduped, k + 2);
+            meter::add(Counter::McPruned, k + 3);
+            meter::add(Counter::McCounterexamples, k + 4);
+            meter::peak(Gauge::McMaxDepth, k % 7);
+            td_net::audit::inject_violation_for_test(&format!("item {k}"));
             sum
         };
         let items: Vec<u64> = (1..40).collect();
 
-        telemetry::reset();
-        let seq: Vec<u64> = items.iter().map(|&k| work(k)).collect();
-        let t_seq = telemetry::snapshot();
-
-        telemetry::reset();
-        let par = parallel_map(&items, |_, &k| work(k));
-        let t_par = telemetry::snapshot();
+        let (seq, m_seq) = meter::scoped(|| items.iter().map(|&k| work(k)).collect::<Vec<u64>>());
+        let (par, m_par) = meter::scoped(|| parallel_map(&items, |_, &k| work(k)));
 
         assert_eq!(seq, par);
-        assert_eq!(t_seq.events_scheduled, t_par.events_scheduled);
-        assert_eq!(t_seq.events_dispatched, t_par.events_dispatched);
-        assert_eq!(t_seq.peak_queue_depth, t_par.peak_queue_depth);
+        assert_eq!(m_seq, m_par);
+        assert_eq!(m_seq.count(Counter::AuditViolations), 39);
+        assert_eq!(m_seq.notes().len(), meter::MAX_NOTES);
+        assert!(m_seq.notes()[0].ends_with("item 1"));
+        assert_eq!(m_seq.gauge(Gauge::PeakQueueDepth), 40);
+        assert_eq!(m_seq.gauge(Gauge::McMaxDepth), 6);
     }
 
     #[test]

@@ -158,8 +158,11 @@ fn forced_stall_surfaces_in_timings_json() {
         .collect();
     assert!(!dumps.is_empty(), "no .tdsnap post-mortem file written");
     assert!(
-        batch.results[0].snap.taken >= 1,
-        "post-mortem snapshot not counted in snap telemetry"
+        batch.results[0]
+            .meter
+            .count(td_engine::meter::Counter::SnapshotsTaken)
+            >= 1,
+        "post-mortem snapshot not counted in the cell's meter"
     );
     assert!(json.contains("\"snapshots_taken\""));
     // The dump is a loadable snapshot, not just bytes on disk.

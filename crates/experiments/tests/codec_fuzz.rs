@@ -54,8 +54,7 @@ fn sample_cell_bytes() -> Vec<u8> {
             peak_rss_is_process_max: false,
         },
         audit: Default::default(),
-        snap: Default::default(),
-        mc: Default::default(),
+        meter: Default::default(),
         replayed: false,
     })
 }

@@ -156,6 +156,66 @@ fn whole_registry_output_bytes_match_digest() {
 /// drivers over the stream fold.
 const REGISTRY_OUTPUT_DIGEST: u64 = 0x7290_fa66_1d77_2326;
 
+/// The `experiments[*]` rows of `timings.json` with the wall-clock and RSS
+/// keys cut out: what is left — event, audit, snapshot and model-check
+/// counters, report metrics, diagnostics — is a pure function of the seed.
+fn masked_timing_rows(batch: &td_experiments::runner::BatchResult) -> String {
+    let json = batch.timings_json();
+    let rows = json
+        .split_once("\"experiments\": [\n")
+        .and_then(|(_, rest)| rest.split_once("  ],\n"))
+        .expect("timings.json has an experiments array")
+        .0;
+    let mut out = String::new();
+    for row in rows.lines() {
+        let mut row = row.to_owned();
+        for key in ["wall_s", "peak_rss_kib", "peak_rss_is_process_max"] {
+            let needle = format!("\"{key}\": ");
+            let start = row.find(&needle).expect("masked key present");
+            let len = row[start..].find(", ").expect("a key follows") + 2;
+            row.replace_range(start..start + len, "");
+        }
+        out.push_str(&row);
+        out.push('\n');
+    }
+    out
+}
+
+/// Counter pin: every number a cell's meters put into `timings.json` —
+/// events scheduled / dispatched, peak queue depth, audit violations,
+/// snapshots taken / restored, the `mc` block — must not depend on which
+/// thread ran which sweep item. `jobs = 8` leaves surplus slots, so
+/// `parallel_map` helpers really run and their deltas really merge;
+/// `modes` fans out replicates, `chaos` snapshots post-mortems, hidden
+/// `mc_fig45` explores with snapshot / restore.
+#[test]
+fn timings_counters_match_digest_at_any_job_count() {
+    let entries = || -> Vec<_> {
+        ["fig45", "modes", "chaos", "mc_fig45"]
+            .iter()
+            .map(|id| find(id).unwrap())
+            .collect()
+    };
+    let base = RunnerConfig {
+        master_seed: 1,
+        replicates: 1,
+        ..RunnerConfig::new()
+    };
+    let seq = masked_timing_rows(&run_batch(&entries(), &RunnerConfig { jobs: 1, ..base }));
+    let par = masked_timing_rows(&run_batch(&entries(), &RunnerConfig { jobs: 8, ..base }));
+    assert_eq!(seq, par, "timings.json counters depend on the job budget");
+    let h = td_engine::fnv1a(seq.as_bytes());
+    assert_eq!(
+        h, TIMINGS_COUNTERS_DIGEST,
+        "timings.json counters diverged (got {h:#018x}):\n{seq}"
+    );
+}
+
+/// FNV-1a of the masked `timings.json` rows of fig45 + modes + chaos +
+/// mc_fig45 (seed 1, quick profile), recorded while the counters still
+/// travelled through four separate thread-local tallies.
+const TIMINGS_COUNTERS_DIGEST: u64 = 0xc49b_30d3_0f97_96e8;
+
 /// The robustness instrumentation must observe, never perturb: the same
 /// scenario run with and without the watchdog (which threads every event
 /// through stall accounting and the auditor's delivery counter) produces

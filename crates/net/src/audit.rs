@@ -18,19 +18,18 @@
 //! no events, no randomness, no trace records — so an audited run is
 //! byte-identical to an unaudited one.
 //!
-//! A thread-local tally mirrors each world's violations so the experiment
-//! harness can meter tasks the same way it meters
-//! [`td_engine::telemetry`]: reset before a task, take after, merge
-//! helper-thread deltas.
+//! Every violation is also ticked into the thread's [`td_engine::meter`]
+//! (`Counter::AuditViolations` plus the rendered report as a note), which
+//! is how the experiment harness sees violations of worlds it never holds.
 
 use crate::packet::{ConnId, NodeId};
 use crate::world::ChannelId;
-use std::cell::RefCell;
 use std::collections::HashMap;
+use td_engine::meter::{self, Counter, Meter};
 use td_engine::SimTime;
 
 /// Keep the first this-many violation records (the count keeps rising).
-pub const MAX_RECORDED: usize = 32;
+pub const MAX_RECORDED: usize = meter::MAX_NOTES;
 
 /// Which invariant a violation broke.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,14 +105,14 @@ pub struct Audit {
 
 impl Audit {
     /// Record a violation (first [`MAX_RECORDED`] kept; count unbounded),
-    /// mirrored into the thread-local tally for the harness.
+    /// mirrored into the thread's meter for the harness.
     fn record(&mut self, t: SimTime, invariant: Invariant, detail: String) {
         let v = AuditViolation {
             t,
             invariant,
             detail,
         };
-        record_thread(&v);
+        meter_violation(&v);
         self.total += 1;
         if self.violations.len() < MAX_RECORDED {
             self.violations.push(v);
@@ -265,7 +264,7 @@ impl Audit {
     /// violations concatenate (canonicalized by
     /// [`Audit::finalize_merge`]). Direct field arithmetic, never
     /// [`Audit::record`]: the shard already mirrored its violations into
-    /// the thread tally when they happened.
+    /// its thread's meter when they happened.
     pub(crate) fn merge_from(&mut self, other: &Audit) {
         self.injected += other.injected;
         self.delivered += other.delivered;
@@ -413,7 +412,7 @@ impl Audit {
     ///
     /// Fields are assigned directly, never through [`Audit::record`]:
     /// replaying captured violations must not re-mirror them into the
-    /// thread-local tally the experiment harness meters.
+    /// thread's meter.
     pub(crate) fn load_state(
         &mut self,
         r: &mut td_engine::SnapReader<'_>,
@@ -421,19 +420,16 @@ impl Audit {
         self.injected = r.read_u64()?;
         self.delivered = r.read_u64()?;
         self.dropped = r.read_u64()?;
-        let n_acks = r.read_u64()?;
-        // Capacity bounded by the bytes that could actually encode the
-        // entries (each costs ≥ 16 bytes), so a corrupt count fails on
-        // a read instead of attempting a huge allocation.
-        self.last_ack = HashMap::with_capacity((n_acks as usize).min(r.remaining()));
+        let n_acks = r.read_len()?;
+        self.last_ack = HashMap::with_capacity(n_acks);
         for _ in 0..n_acks {
             let c = ConnId(r.read_u32()?);
             let n = NodeId(r.read_u32()?);
             let seq = r.read_u64()?;
             self.last_ack.insert((c, n), seq);
         }
-        let n_bounds = r.read_u64()?;
-        self.window_bounds = HashMap::with_capacity((n_bounds as usize).min(r.remaining()));
+        let n_bounds = r.read_len()?;
+        self.window_bounds = HashMap::with_capacity(n_bounds);
         for _ in 0..n_bounds {
             let c = ConnId(r.read_u32()?);
             let b = r.read_f64()?;
@@ -467,70 +463,36 @@ impl Audit {
     }
 }
 
-/// Per-thread violation tally for the experiment harness: worlds mirror
-/// every violation here, the runner brackets each task with
-/// [`reset_thread`] / [`take_thread`], and `parallel_map`-style helpers
-/// merge their deltas back with [`absorb`] — the exact discipline
-/// `td_engine::telemetry` uses for event counters.
+/// The auditor's verdict on one harness task, as `timings.json` and the
+/// journal's cell codec carry it: the task's [`Meter`] read back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Tally {
-    /// Total violations on this thread since the last reset.
+    /// Total violations while the task ran.
     pub total: u64,
-    /// Rendered violations (first [`MAX_RECORDED`] per tally).
+    /// Rendered violations (first [`MAX_RECORDED`]).
     pub reports: Vec<String>,
 }
 
 impl Tally {
-    /// True if no violations were tallied.
-    pub fn is_clean(&self) -> bool {
-        self.total == 0
+    /// The auditor's share of what `m` metered.
+    pub fn of(m: &Meter) -> Tally {
+        Tally {
+            total: m.count(Counter::AuditViolations),
+            reports: m.notes().to_vec(),
+        }
     }
 }
 
-thread_local! {
-    static TALLY: RefCell<Tally> = RefCell::new(Tally::default());
+fn meter_violation(v: &AuditViolation) {
+    meter::add(Counter::AuditViolations, 1);
+    meter::note(v.render());
 }
 
-fn record_thread(v: &AuditViolation) {
-    TALLY.with(|t| {
-        let mut t = t.borrow_mut();
-        t.total += 1;
-        if t.reports.len() < MAX_RECORDED {
-            t.reports.push(v.render());
-        }
-    });
-}
-
-/// Clear this thread's tally (harness: before running a task).
-pub fn reset_thread() {
-    TALLY.with(|t| *t.borrow_mut() = Tally::default());
-}
-
-/// Take this thread's tally, leaving it empty (harness: after a task).
-pub fn take_thread() -> Tally {
-    TALLY.with(|t| std::mem::take(&mut *t.borrow_mut()))
-}
-
-/// Fold a helper thread's tally into this thread's (harness:
-/// `parallel_map` merging metered deltas back into the caller).
-pub fn absorb(delta: Tally) {
-    TALLY.with(|t| {
-        let mut t = t.borrow_mut();
-        t.total += delta.total;
-        for r in delta.reports {
-            if t.reports.len() >= MAX_RECORDED {
-                break;
-            }
-            t.reports.push(r);
-        }
-    });
-}
-
-/// Test-only hook: inject a synthetic violation into this thread's tally,
+/// Test-only hook: inject a synthetic violation into this thread's meter,
 /// so harness plumbing (timings.json surfacing) can be exercised without
 /// corrupting a real simulation.
 pub fn inject_violation_for_test(detail: &str) {
-    record_thread(&AuditViolation {
+    meter_violation(&AuditViolation {
         t: SimTime::ZERO,
         invariant: Invariant::PacketConservation,
         detail: detail.to_owned(),
@@ -543,34 +505,37 @@ mod tests {
 
     #[test]
     fn clean_audit_reports_nothing() {
-        reset_thread();
-        let mut a = Audit::default();
-        a.on_inject();
-        a.on_deliver(SimTime::from_secs(1));
-        a.on_inject();
-        a.on_drop();
-        a.on_quiescent(SimTime::from_secs(2), 0);
+        let (a, m) = meter::scoped(|| {
+            let mut a = Audit::default();
+            a.on_inject();
+            a.on_deliver(SimTime::from_secs(1));
+            a.on_inject();
+            a.on_drop();
+            a.on_quiescent(SimTime::from_secs(2), 0);
+            a
+        });
         assert_eq!(a.total_violations(), 0);
         assert!(a.violations().is_empty());
-        assert!(take_thread().is_clean());
+        assert_eq!(Tally::of(&m), Tally::default());
     }
 
     #[test]
     fn conservation_violation_is_flagged_once() {
-        reset_thread();
-        let mut a = Audit::default();
-        a.on_deliver(SimTime::from_secs(1)); // delivered with nothing injected
-        a.on_deliver(SimTime::from_secs(2));
+        let (a, m) = meter::scoped(|| {
+            let mut a = Audit::default();
+            a.on_deliver(SimTime::from_secs(1)); // delivered with nothing injected
+            a.on_deliver(SimTime::from_secs(2));
+            a
+        });
         assert_eq!(a.total_violations(), 1, "flood-guarded to one record");
         assert_eq!(a.violations()[0].invariant, Invariant::PacketConservation);
-        let tally = take_thread();
+        let tally = Tally::of(&m);
         assert_eq!(tally.total, 1);
         assert!(tally.reports[0].contains("packet-conservation"));
     }
 
     #[test]
     fn quiescence_accounts_in_network_packets() {
-        reset_thread();
         let mut a = Audit::default();
         for _ in 0..5 {
             a.on_inject();
@@ -583,12 +548,10 @@ mod tests {
         // 0 in network but 3 unaccounted: violation.
         a.on_quiescent(SimTime::from_secs(10), 0);
         assert_eq!(a.total_violations(), 1);
-        let _ = take_thread();
     }
 
     #[test]
     fn ack_regression_detected_per_conn_and_host() {
-        reset_thread();
         let mut a = Audit::default();
         let (c, h) = (ConnId(1), NodeId(2));
         a.on_ack_send(SimTime::from_secs(1), c, h, 5);
@@ -600,12 +563,10 @@ mod tests {
         a.on_ack_send(SimTime::from_secs(5), c, h, 3);
         assert_eq!(a.total_violations(), 1);
         assert_eq!(a.violations()[0].invariant, Invariant::MonotoneAck);
-        let _ = take_thread();
     }
 
     #[test]
     fn window_bounds_checked_when_registered() {
-        reset_thread();
         let mut a = Audit::default();
         let c = ConnId(0);
         a.set_window_bound(c, 8.0);
@@ -623,12 +584,10 @@ mod tests {
             .violations()
             .iter()
             .all(|v| v.invariant == Invariant::WindowBound));
-        let _ = take_thread();
     }
 
     #[test]
     fn occupancy_over_capacity_detected() {
-        reset_thread();
         let mut a = Audit::default();
         a.on_enqueue(SimTime::from_secs(1), ChannelId(0), 20, Some(20));
         a.on_enqueue(SimTime::from_secs(1), ChannelId(0), 7, None);
@@ -636,35 +595,21 @@ mod tests {
         a.on_enqueue(SimTime::from_secs(2), ChannelId(0), 21, Some(20));
         assert_eq!(a.total_violations(), 1);
         assert_eq!(a.violations()[0].invariant, Invariant::QueueOccupancy);
-        let _ = take_thread();
     }
 
     #[test]
     fn recording_caps_but_count_does_not() {
-        reset_thread();
-        let mut a = Audit::default();
-        for i in 0..(MAX_RECORDED as u32 + 10) {
-            a.on_enqueue(SimTime::from_secs(1), ChannelId(0), 100 + i, Some(1));
-        }
+        let (a, m) = meter::scoped(|| {
+            let mut a = Audit::default();
+            for i in 0..(MAX_RECORDED as u32 + 10) {
+                a.on_enqueue(SimTime::from_secs(1), ChannelId(0), 100 + i, Some(1));
+            }
+            a
+        });
         assert_eq!(a.violations().len(), MAX_RECORDED);
         assert_eq!(a.total_violations(), MAX_RECORDED as u64 + 10);
-        let tally = take_thread();
+        let tally = Tally::of(&m);
         assert_eq!(tally.total, MAX_RECORDED as u64 + 10);
         assert_eq!(tally.reports.len(), MAX_RECORDED);
-    }
-
-    #[test]
-    fn tally_reset_take_absorb_roundtrip() {
-        reset_thread();
-        inject_violation_for_test("synthetic A");
-        let a = take_thread();
-        assert_eq!(a.total, 1);
-        assert!(a.reports[0].contains("synthetic A"));
-        assert!(take_thread().is_clean(), "take leaves the tally empty");
-        inject_violation_for_test("local");
-        absorb(a);
-        let merged = take_thread();
-        assert_eq!(merged.total, 2);
-        assert_eq!(merged.reports.len(), 2);
     }
 }

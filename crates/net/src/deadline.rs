@@ -23,8 +23,8 @@
 //! in time — the poll reads a monotonic clock and either returns or
 //! unwinds; it never touches RNG streams, event ordering, or any
 //! simulator state. Unarmed threads pay one thread-local load and
-//! branch per event (the same order of cost as the engine's telemetry
-//! counters).
+//! branch per event (the same order of cost as the engine's meter
+//! flush).
 //!
 //! Worker pools that fan replicates out to helper threads should
 //! propagate the deadline with [`get`] + [`arm_until`] so helpers abort

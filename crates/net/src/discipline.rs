@@ -24,8 +24,8 @@ fn save_packets(q: &VecDeque<Packet>, w: &mut SnapWriter) {
 }
 
 fn load_packets(r: &mut SnapReader<'_>) -> Result<VecDeque<Packet>, SnapError> {
-    let n = r.read_u64()?;
-    let mut q = VecDeque::with_capacity((n as usize).min(r.remaining()));
+    let n = r.read_len()?;
+    let mut q = VecDeque::with_capacity(n);
     for _ in 0..n {
         q.push_back(Packet::load_state(r)?);
     }
@@ -359,13 +359,13 @@ impl Discipline for FairQueueing {
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.virtual_time = r.read_u64()?;
-        let n_flows = r.read_u64()?;
-        self.flows = Vec::with_capacity((n_flows as usize).min(r.remaining()));
+        let n_flows = r.read_len()?;
+        self.flows = Vec::with_capacity(n_flows);
         self.waiting = 0;
         for _ in 0..n_flows {
             let conn = ConnId(r.read_u32()?);
-            let n = r.read_u64()?;
-            let mut q = VecDeque::with_capacity((n as usize).min(r.remaining()));
+            let n = r.read_len()?;
+            let mut q = VecDeque::with_capacity(n);
             for _ in 0..n {
                 let pkt = Packet::load_state(r)?;
                 let finish = r.read_u64()?;

@@ -104,7 +104,6 @@ mod partition;
 pub mod pcap;
 mod route;
 pub mod shard;
-pub mod snapcount;
 mod topology;
 mod trace;
 mod watchdog;

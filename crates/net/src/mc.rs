@@ -36,9 +36,9 @@
 
 use crate::watchdog::{RunOutcome, WatchdogConfig};
 use crate::world::{ChannelId, Snapshot, World};
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use td_engine::meter::{self, Counter, Gauge};
 use td_engine::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 
 /// One branch choice at a grid point.
@@ -218,15 +218,15 @@ impl McSchedule {
             return Err(SnapError::UnsupportedVersion(version));
         }
         let seed = r.read_u64()?;
-        let n_grid = r.read_u64()?;
-        let mut grid = Vec::with_capacity((n_grid as usize).min(r.remaining()));
+        let n_grid = r.read_len()?;
+        let mut grid = Vec::with_capacity(n_grid);
         for _ in 0..n_grid {
             grid.push(r.read_time()?);
         }
         let horizon = r.read_time()?;
         let seeded_violation = r.read_bool()?;
-        let n_dec = r.read_u64()?;
-        let mut decisions = Vec::with_capacity((n_dec as usize).min(r.remaining()));
+        let n_dec = r.read_len()?;
+        let mut decisions = Vec::with_capacity(n_dec);
         for _ in 0..n_dec {
             let gi = r.read_u32()?;
             let d = match r.read_u8()? {
@@ -429,7 +429,14 @@ pub fn explore_with_prelude(
             });
         }
     }
-    tally::record(&stats);
+    meter::add(Counter::McVisited, stats.states_visited);
+    meter::add(Counter::McDeduped, stats.states_deduped);
+    meter::add(Counter::McPruned, stats.states_pruned);
+    meter::add(
+        Counter::McCounterexamples,
+        stats.counterexamples.len() as u64,
+    );
+    meter::peak(Gauge::McMaxDepth, stats.max_depth);
     stats
 }
 
@@ -533,73 +540,6 @@ pub fn replay(
         .map(|v| v.render())
         .collect();
     ReplayOutcome { violations, stall }
-}
-
-/// Per-thread exploration tally for the experiment harness, mirroring the
-/// discipline of [`crate::audit`]'s tally: the runner brackets each task
-/// with [`tally::reset_thread`] / [`tally::take_thread`] and merges
-/// helper-thread deltas with [`tally::absorb`].
-pub mod tally {
-    use super::{McStats, RefCell};
-
-    /// Exploration counters accumulated on one thread.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct McTally {
-        /// Segments executed.
-        pub states_visited: u64,
-        /// Dedup hits.
-        pub states_deduped: u64,
-        /// Budget-pruned children.
-        pub states_pruned: u64,
-        /// Deepest decision count reached.
-        pub max_depth: u64,
-        /// Counterexamples found.
-        pub counterexamples: u64,
-    }
-
-    impl McTally {
-        /// True if no exploration ran on this thread since the last reset.
-        pub fn is_empty(&self) -> bool {
-            *self == McTally::default()
-        }
-    }
-
-    thread_local! {
-        static TALLY: RefCell<McTally> = RefCell::new(McTally::default());
-    }
-
-    pub(super) fn record(stats: &McStats) {
-        TALLY.with(|t| {
-            let mut t = t.borrow_mut();
-            t.states_visited += stats.states_visited;
-            t.states_deduped += stats.states_deduped;
-            t.states_pruned += stats.states_pruned;
-            t.max_depth = t.max_depth.max(stats.max_depth);
-            t.counterexamples += stats.counterexamples.len() as u64;
-        });
-    }
-
-    /// Clear this thread's tally (harness: before running a task).
-    pub fn reset_thread() {
-        TALLY.with(|t| *t.borrow_mut() = McTally::default());
-    }
-
-    /// Take this thread's tally, leaving it empty (harness: after a task).
-    pub fn take_thread() -> McTally {
-        TALLY.with(|t| std::mem::take(&mut *t.borrow_mut()))
-    }
-
-    /// Fold a helper thread's tally into this thread's.
-    pub fn absorb(delta: McTally) {
-        TALLY.with(|t| {
-            let mut t = t.borrow_mut();
-            t.states_visited += delta.states_visited;
-            t.states_deduped += delta.states_deduped;
-            t.states_pruned += delta.states_pruned;
-            t.max_depth = t.max_depth.max(delta.max_depth);
-            t.counterexamples += delta.counterexamples;
-        });
-    }
 }
 
 #[cfg(test)]
@@ -838,16 +778,15 @@ mod tests {
     }
 
     #[test]
-    fn tally_mirrors_exploration() {
-        tally::reset_thread();
-        let (mut w, c_ab, c_ba) = build_world();
-        let stats = explore(&mut w, &small_cfg(c_ab, c_ba));
-        let t = tally::take_thread();
-        assert_eq!(t.states_visited, stats.states_visited);
-        assert_eq!(t.states_deduped, stats.states_deduped);
-        assert_eq!(t.states_pruned, stats.states_pruned);
-        assert_eq!(t.max_depth, stats.max_depth);
-        assert_eq!(t.counterexamples, 0);
-        assert!(tally::take_thread().is_empty());
+    fn meter_mirrors_exploration() {
+        let (stats, m) = meter::scoped(|| {
+            let (mut w, c_ab, c_ba) = build_world();
+            explore(&mut w, &small_cfg(c_ab, c_ba))
+        });
+        assert_eq!(m.count(Counter::McVisited), stats.states_visited);
+        assert_eq!(m.count(Counter::McDeduped), stats.states_deduped);
+        assert_eq!(m.count(Counter::McPruned), stats.states_pruned);
+        assert_eq!(m.gauge(Gauge::McMaxDepth), stats.max_depth);
+        assert_eq!(m.count(Counter::McCounterexamples), 0);
     }
 }

@@ -58,12 +58,12 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::SeqCst};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use td_engine::{telemetry, SimTime, SnapError, SnapReader, SnapWriter};
+use td_engine::meter::{self, Meter};
+use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
 
-use crate::audit::{self, Audit};
+use crate::audit::Audit;
 use crate::packet::{NodeId, Packet};
 use crate::partition::partition;
-use crate::snapcount;
 use crate::trace::{canonical_trace_cmp, Trace, TraceObserver, TraceRecord};
 use crate::world::{
     load_event, load_trace_record, save_trace_record, set_timer_load_xlat, set_timer_save_xlat,
@@ -388,31 +388,19 @@ impl ShardedWorld {
         let ch_dst_shard = &self.ch_dst_shard;
 
         let worlds = std::mem::take(&mut self.worlds);
-        let results: Vec<(
-            World,
-            telemetry::Telemetry,
-            audit::Tally,
-            snapcount::SnapCounters,
-        )> = std::thread::scope(|scope| {
+        let results: Vec<(World, Meter)> = std::thread::scope(|scope| {
             let shared = &shared;
             let handles: Vec<_> = worlds
                 .into_iter()
                 .enumerate()
                 .map(|(i, mut w)| {
                     scope.spawn(move || {
-                        // Side-channel meters are thread-local: zero
-                        // them here, ship the deltas back to the
-                        // orchestrating thread afterwards.
-                        telemetry::reset();
-                        audit::reset_thread();
-                        snapcount::reset_thread();
-                        run_shard(i, &mut w, shared, &d_in_cols[i], ch_dst_shard, t_end_n);
-                        (
-                            w,
-                            telemetry::snapshot(),
-                            audit::take_thread(),
-                            snapcount::take_thread(),
-                        )
+                        // The meter is thread-local: ship what this
+                        // shard accumulated back to the orchestrator.
+                        meter::scoped(|| {
+                            run_shard(i, &mut w, shared, &d_in_cols[i], ch_dst_shard, t_end_n);
+                            w
+                        })
                     })
                 })
                 .collect();
@@ -422,10 +410,8 @@ impl ShardedWorld {
                 .collect()
         });
 
-        for (w, tel, tally, snaps) in results {
-            telemetry::merge(tel);
-            audit::absorb(tally);
-            snapcount::absorb(snaps);
+        for (w, metered) in results {
+            meter::absorb(metered);
             self.worlds.push(w);
         }
     }
@@ -622,9 +608,11 @@ impl ShardSnapshot {
         Ok(ShardSnapshot { bytes })
     }
 
-    /// Write the snapshot to `path`.
+    /// Write the snapshot to `path` atomically (temp file in the same
+    /// directory, then rename), so a crash mid-write never leaves a torn
+    /// snapshot under the final name.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, &self.bytes)
+        td_engine::write_atomic(path, &self.bytes)
     }
 
     /// Read and validate a snapshot from `path`.
@@ -750,12 +738,7 @@ impl ShardedWorld {
         for w in &mut self.worlds {
             w.clear_pending();
         }
-        let n_pend = r.read_u64()? as usize;
-        if n_pend > r.remaining() {
-            return Err(SnapError::Corrupt(
-                "pending event count exceeds the bytes that could encode it".into(),
-            ));
-        }
+        let n_pend = r.read_len()?;
         let mut load_xlats: Vec<HashMap<u64, (u32, u64)>> = vec![HashMap::new(); self.worlds.len()];
         for gi in 0..n_pend {
             let at = r.read_time()?;
@@ -772,12 +755,7 @@ impl ShardedWorld {
         }
 
         let trace_enabled = r.read_bool()?;
-        let n_recs = r.read_u64()? as usize;
-        if n_recs > r.remaining() {
-            return Err(SnapError::Corrupt(
-                "trace record count exceeds the bytes that could encode it".into(),
-            ));
-        }
+        let n_recs = r.read_len()?;
         let mut records = Vec::with_capacity(n_recs);
         for _ in 0..n_recs {
             records.push(load_trace_record(&mut r)?);
@@ -1235,7 +1213,21 @@ mod tests {
         let t2 = SimTime::from_millis(300);
         let mut origin = ShardedWorld::build(0xC0FFEE, 2, two_clusters(true));
         origin.run_until(t1);
-        let mid = origin.snapshot();
+        // Through a file, as a checkpointing caller would: the write is
+        // tmp + rename, so nothing but the snapshot is left in the
+        // directory.
+        let dir = std::env::temp_dir().join(format!("td-shard-snap-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mid.tdsw");
+        origin.snapshot().write_to_file(&path).unwrap();
+        let mid = ShardSnapshot::read_from_file(&path).unwrap();
+        assert_eq!(mid.as_bytes(), origin.snapshot().as_bytes());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["mid.tdsw"], "staging file left beside the snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
         origin.run_until(t2);
         let straight = origin.snapshot();
         for n in [1, 2, 4] {

@@ -368,7 +368,7 @@ impl Trace {
     /// An enabled trace with room for `records` records before the first
     /// reallocation. Long paper-scale runs append millions of records;
     /// pre-sizing from a calibrated estimate (or a previous run's
-    /// [`Trace::len`] / engine telemetry) removes the doubling-and-copy
+    /// [`Trace::len`] / event count) removes the doubling-and-copy
     /// spikes from the hot loop.
     pub fn with_capacity(records: usize) -> Self {
         Trace {

@@ -48,7 +48,6 @@ use crate::discipline::{Discipline, Victim};
 use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
 use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind};
 use crate::route::RouteTable;
-use crate::snapcount;
 use crate::trace::{
     DropReason, LossKind, ProtoEvent, Trace, TraceEvent, TraceObserver, TraceRecord,
 };
@@ -59,6 +58,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
+use td_engine::meter::{self, Counter};
 use td_engine::{
     EventId, EventQueue, Rate, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
 };
@@ -1181,16 +1181,6 @@ impl World {
         self.queue.dispatched()
     }
 
-    /// Total events ever scheduled.
-    pub fn events_scheduled(&self) -> u64 {
-        self.queue.scheduled()
-    }
-
-    /// Largest pending-event set held at any point of the run.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.queue.peak_len()
-    }
-
     // -- inspection ---------------------------------------------------------
 
     /// The run's invariant auditor (counters and recorded violations).
@@ -1221,7 +1211,7 @@ impl World {
 
     /// Pre-allocate trace storage for `records` further records, so a long
     /// run appends without reallocation. Scenario builders size this from
-    /// engine telemetry calibrations (see `td-experiments`); callers with
+    /// event-count calibrations (see `td-experiments`); callers with
     /// a measured run can pass a prior run's `trace().len()` directly.
     pub fn reserve_trace(&mut self, records: usize) {
         self.trace.reserve(records);
@@ -1230,11 +1220,6 @@ impl World {
     /// Online counters for a channel.
     pub fn channel_stats(&self, ch: ChannelId) -> ChannelStats {
         self.channels.stats(ch.0 as usize)
-    }
-
-    /// Current buffer occupancy of a channel (waiting + in service).
-    pub fn channel_occupancy(&self, ch: ChannelId) -> u32 {
-        self.channels.occupancy(ch.0 as usize)
     }
 
     /// Fraction of `[SimTime::ZERO, now]` the channel's transmitter was
@@ -1268,7 +1253,7 @@ impl World {
     pub fn snapshot(&self) -> Snapshot {
         let mut w = SnapWriter::with_header(Snapshot::MAGIC, Snapshot::VERSION);
         self.write_state(&mut w);
-        snapcount::on_snapshot();
+        meter::add(Counter::SnapshotsTaken, 1);
         Snapshot {
             bytes: w.into_bytes(),
         }
@@ -1475,8 +1460,8 @@ impl World {
             *ctr = r.read_u64()?;
         }
         let enabled = r.read_bool()?;
-        let n_rec = r.read_u64()?;
-        let mut records = Vec::with_capacity((n_rec as usize).min(r.remaining()));
+        let n_rec = r.read_len()?;
+        let mut records = Vec::with_capacity(n_rec);
         for _ in 0..n_rec {
             records.push(load_trace_record(&mut r)?);
         }
@@ -1495,7 +1480,7 @@ impl World {
             self.load_endpoint_row(i, &mut r)?;
         }
         r.finish()?;
-        snapcount::on_restore();
+        meter::add(Counter::SnapshotsRestored, 1);
         Ok(())
     }
 
@@ -1599,8 +1584,8 @@ impl World {
         stats.drops = r.read_u64()?;
         stats.enqueued = r.read_u64()?;
         r.read_section(|r| self.channels.discipline_mut(ci).load_state(r))?;
-        let n_inj = r.read_u64()?;
-        let mut inj = Vec::with_capacity((n_inj as usize).min(r.remaining()));
+        let n_inj = r.read_len()?;
+        let mut inj = Vec::with_capacity(n_inj);
         for _ in 0..n_inj {
             let down = r.read_time()?;
             let up = r.read_time()?;

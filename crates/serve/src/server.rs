@@ -27,7 +27,7 @@
 //! cell are byte-identical, which the integration tests and the CI
 //! `serve` job pin.
 
-use crate::proto::{self, Request, SimulateReq};
+use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
 use crate::store::{CellData, CellKey, Lookup, Store};
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
@@ -36,9 +36,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_engine::{SimRng, SnapReader, SnapWriter};
+use td_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 use td_experiments::journal::{decode_checked_line, encode_checked_line};
-use td_experiments::registry::{config_hash, find, Profile};
+use td_experiments::registry::{config_hash, find, validate_override, Profile};
 use td_experiments::sweep::budget;
 
 /// Magic of a persisted pending-queue record.
@@ -314,8 +314,11 @@ fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
     std::fs::rename(&tmp, &path)
 }
 
-/// Replay `pending.tdq` (salvage-tolerant: a damaged line drops the
-/// rest) into the queue as orphan jobs, then delete the file.
+/// Replay `pending.tdq` into the queue as orphan jobs, then delete the
+/// file. Salvage-tolerant: a line whose checksum fails drops the rest
+/// (the write was torn from there on); a line that checks out but that a
+/// live client could not have sent — see [`decode_pending`] — is skipped
+/// on its own.
 fn restore_pending(shared: &Shared) {
     let path = shared.store.pending_path();
     let text = match std::fs::read_to_string(&path) {
@@ -327,8 +330,12 @@ fn restore_pending(shared: &Shared) {
         let Ok(bytes) = decode_checked_line(line) else {
             break;
         };
-        let Some(req) = decode_pending(&bytes) else {
-            break;
+        let req = match decode_pending(&bytes) {
+            Ok(req) => req,
+            Err(why) => {
+                eprintln!("td-serve: skipping a pending job from the last drain: {why}");
+                continue;
+            }
         };
         let key = CellKey {
             config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
@@ -358,29 +365,47 @@ fn restore_pending(shared: &Shared) {
     }
 }
 
-fn decode_pending(bytes: &[u8]) -> Option<SimulateReq> {
-    let mut r = SnapReader::new(bytes);
-    let version = r.expect_header(PENDING_MAGIC).ok()?;
-    if version > PENDING_VERSION {
-        return None;
+/// Decode one `pending.tdq` payload and hold it to what `parse_request`
+/// and `handle_simulate` demand of a request off the socket: the file
+/// outlives the binary that wrote it, so it is outside input too.
+fn decode_pending(bytes: &[u8]) -> Result<SimulateReq, String> {
+    let req = read_pending(bytes).map_err(|e| e.to_string())?;
+    if u64::from(req.priority) > MAX_PRIORITY {
+        return Err(format!("priority {} above {MAX_PRIORITY}", req.priority));
     }
-    let experiment = r.read_str().ok()?;
-    let seed = r.read_u64().ok()?;
-    let profile = match r.read_u8().ok()? {
+    for (key, value) in &req.overrides {
+        validate_override(key, *value)?;
+    }
+    if find(&req.experiment).is_none() {
+        return Err(format!("unknown experiment {:?}", req.experiment));
+    }
+    Ok(req)
+}
+
+/// The TDQP v1 codec, the inverse of `persist_pending`'s writer.
+fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
+    let mut r = SnapReader::new(bytes);
+    let version = r.expect_header(PENDING_MAGIC)?;
+    if version != PENDING_VERSION {
+        return Err(SnapError::UnsupportedVersion(version));
+    }
+    let experiment = r.read_str()?;
+    let seed = r.read_u64()?;
+    let profile = match r.read_u8()? {
         0 => Profile::Quick,
         1 => Profile::Full,
-        _ => return None,
+        tag => return Err(SnapError::Corrupt(format!("unknown profile tag {tag}"))),
     };
-    let priority = r.read_u8().ok()?;
-    let n = r.read_u64().ok()?;
+    let priority = r.read_u8()?;
+    let n = r.read_u64()?;
     let mut overrides = Vec::new();
     for _ in 0..n {
-        let k = r.read_str().ok()?;
-        let v = r.read_u64().ok()?;
+        let k = r.read_str()?;
+        let v = r.read_u64()?;
         overrides.push((k, v));
     }
-    r.finish().ok()?;
-    Some(SimulateReq {
+    r.finish()?;
+    Ok(SimulateReq {
         experiment,
         seed,
         profile,
@@ -922,6 +947,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
+    /// One `pending.tdq` payload, field by field.
+    fn pending_payload(
+        version: u32,
+        experiment: &str,
+        priority: u8,
+        overrides: &[(&str, u64)],
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::with_header(PENDING_MAGIC, version);
+        w.write_str(experiment);
+        w.write_u64(9);
+        w.write_u8(1);
+        w.write_u8(priority);
+        w.write_u64(overrides.len() as u64);
+        for (k, v) in overrides {
+            w.write_str(k);
+            w.write_u64(*v);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn pending_queue_roundtrips_and_salvages() {
         let req = SimulateReq {
@@ -932,15 +977,7 @@ mod tests {
             priority: 7,
             overrides: vec![("sim_secs".into(), 30)],
         };
-        let mut w = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
-        w.write_str(&req.experiment);
-        w.write_u64(req.seed);
-        w.write_u8(1);
-        w.write_u8(req.priority);
-        w.write_u64(1);
-        w.write_str("sim_secs");
-        w.write_u64(30);
-        let bytes = w.into_bytes();
+        let bytes = pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 30)]);
         let got = decode_pending(&bytes).unwrap();
         assert_eq!(got.experiment, req.experiment);
         assert_eq!(got.seed, req.seed);
@@ -948,9 +985,46 @@ mod tests {
         assert_eq!(got.priority, req.priority);
         assert_eq!(got.overrides, req.overrides);
         assert_eq!(got.deadline_ms, None, "deadlines don't survive a restart");
-        // Truncations decode to None, never panic.
+        // Truncations are refused, never a panic.
         for cut in 0..bytes.len() {
-            assert!(decode_pending(&bytes[..cut]).is_none(), "cut {cut}");
+            assert!(decode_pending(&bytes[..cut]).is_err(), "cut {cut}");
         }
+
+        // A line can carry a good checksum and still be something no live
+        // client could have queued. Each such line is skipped on its own;
+        // the good lines around it restore; a checksum failure still
+        // drops everything after it.
+        let invalid = [
+            pending_payload(0, "fig8", 7, &[]),
+            pending_payload(PENDING_VERSION + 1, "fig8", 7, &[]),
+            pending_payload(PENDING_VERSION, "fig8", 255, &[]),
+            pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 0)]),
+            pending_payload(PENDING_VERSION, "fig8", 7, &[("shards", 2)]),
+            pending_payload(PENDING_VERSION, "no-such-entry", 7, &[]),
+        ];
+        let mut lines = vec![encode_checked_line(&bytes)];
+        for payload in &invalid {
+            assert!(decode_pending(payload).is_err());
+            lines.push(encode_checked_line(payload));
+        }
+        let fig2 = pending_payload(PENDING_VERSION, "fig2", 0, &[]);
+        lines.push(encode_checked_line(&fig2));
+        lines.push("not a checked line".to_owned());
+        lines.push(encode_checked_line(&bytes));
+
+        let shared = shared_on("pending");
+        std::fs::write(shared.store.pending_path(), lines.join("\n")).unwrap();
+        restore_pending(&shared);
+        let queued: Vec<_> = {
+            let q = shared.queue.lock().unwrap();
+            q.items
+                .iter()
+                .map(|j| (j.req.experiment.clone(), j.req.priority))
+                .collect()
+        };
+        assert_eq!(queued, [("fig8".to_owned(), 7), ("fig2".to_owned(), 0)]);
+        assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 2);
+        assert!(!shared.store.pending_path().exists());
+        let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 }
