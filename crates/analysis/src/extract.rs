@@ -1,18 +1,17 @@
 //! Trace → measurement extraction.
 //!
 //! The raw materials every paper analysis is built from, taken from a
-//! stored [`Trace`]. Queue-length series, cwnd series, drop events,
-//! bottleneck departures and windowed utilization are one-measurement
-//! [`StreamSpec`]s replayed through [`StreamAnalyzer::replay`] — the
-//! fold in [`crate::stream`] is their only implementation, and the
-//! literal-value tests below are its value tests. Deliveries and goodput
-//! have no online counterpart and scan the trace here.
+//! stored [`Trace`]. Each function is a one-measurement [`StreamSpec`]
+//! replayed through [`StreamAnalyzer::replay`] — the fold in
+//! [`crate::stream`] is their only implementation, and the literal-value
+//! tests below are its value tests. All of them panic on a trace that is
+//! disabled and empty (see [`StreamAnalyzer::replay`]).
 
 use crate::epochs::DropEvent;
 use crate::series::TimeSeries;
 use crate::stream::{StreamAnalyzer, StreamSpec};
 use td_engine::{SimDuration, SimTime};
-use td_net::{ChannelId, ConnId, NodeId, Packet, Trace, TraceEvent};
+use td_net::{ChannelId, ConnId, NodeId, Packet, Trace};
 
 /// Buffer-occupancy time series of one channel (waiting + in-service
 /// packets, exactly the "packet queue at the switch" the paper plots).
@@ -38,18 +37,14 @@ pub fn drop_events(trace: &Trace) -> Vec<DropEvent> {
 /// Fraction of dropped packets that were data packets (the paper's §3.2
 /// claim: 99.8 % in the ten-connection run). `None` if nothing dropped.
 pub fn data_drop_fraction(trace: &Trace) -> Option<f64> {
-    let drops = drop_events(trace);
-    if drops.is_empty() {
-        return None;
-    }
-    let data = drops.iter().filter(|d| d.is_data).count();
-    Some(data as f64 / drops.len() as f64)
+    StreamAnalyzer::replay(&StreamSpec::new().drops(), trace).data_drop_fraction()
 }
 
-/// One packet leaving a channel (finishing serialization).
-#[derive(Clone, Copy, Debug)]
+/// One packet leaving a channel (finishing serialization) or reaching an
+/// endpoint.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Departure {
-    /// When its last bit left.
+    /// When its last bit left (or when it was delivered).
     pub t: SimTime,
     /// The packet.
     pub pkt: Packet,
@@ -66,18 +61,9 @@ pub fn departures(trace: &Trace, ch: ChannelId) -> Vec<Departure> {
 /// connection and (optionally) to ACKs only. Used for ACK-spacing
 /// analysis at a data source.
 pub fn deliveries(trace: &Trace, node: NodeId, conn: ConnId, acks_only: bool) -> Vec<Departure> {
-    trace
-        .records()
-        .iter()
-        .filter_map(|r| match r.ev {
-            TraceEvent::Deliver { node: n, pkt }
-                if n == node && pkt.conn == conn && (!acks_only || pkt.is_ack()) =>
-            {
-                Some(Departure { t: r.t, pkt })
-            }
-            _ => None,
-        })
-        .collect()
+    let spec = StreamSpec::new().deliveries(node, conn, acks_only);
+    let mut m = StreamAnalyzer::replay(&spec, trace);
+    m.deliveries.pop().expect("one endpoint in the spec").1
 }
 
 /// Fraction of `[t0, t1]` a channel's transmitter was serializing,
@@ -89,19 +75,8 @@ pub fn utilization_in(trace: &Trace, ch: ChannelId, t0: SimTime, t1: SimTime) ->
 /// Count of data packets delivered to `node` for `conn` in `[t0, t1]` —
 /// per-connection goodput measurement.
 pub fn delivered_in(trace: &Trace, node: NodeId, conn: ConnId, t0: SimTime, t1: SimTime) -> u64 {
-    trace
-        .records()
-        .iter()
-        .filter(|r| {
-            r.t >= t0
-                && r.t <= t1
-                && matches!(
-                    r.ev,
-                    TraceEvent::Deliver { node: n, pkt }
-                        if n == node && pkt.conn == conn && pkt.is_data()
-                )
-        })
-        .count() as u64
+    StreamAnalyzer::replay(&StreamSpec::new().delivered(node, conn, t0, t1), trace)
+        .delivered(node, conn)
 }
 
 /// Per-connection goodput as a step series: data packets delivered to
@@ -117,35 +92,17 @@ pub fn goodput_series(
     t1: SimTime,
     bin: SimDuration,
 ) -> TimeSeries {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    assert!(t1 > t0, "empty goodput window");
-    let nbins = (t1.since(t0).as_nanos()).div_ceil(bin.as_nanos()) as usize;
-    let mut counts = vec![0u64; nbins];
-    for r in trace.records() {
-        if r.t < t0 || r.t >= t1 {
-            continue;
-        }
-        if let TraceEvent::Deliver { node: n, pkt } = r.ev {
-            if n == node && pkt.conn == conn && pkt.is_data() {
-                let idx = (r.t.since(t0).as_nanos() / bin.as_nanos()) as usize;
-                counts[idx.min(nbins - 1)] += 1;
-            }
-        }
-    }
-    let mut ts = TimeSeries::new();
-    let bin_s = bin.as_secs_f64();
-    for (i, &c) in counts.iter().enumerate() {
-        ts.push(t0 + bin * i as u64, c as f64 / bin_s);
-    }
-    ts
+    let spec = StreamSpec::new().goodput(node, conn, t0, t1, bin);
+    let mut m = StreamAnalyzer::replay(&spec, trace);
+    m.goodputs.pop().expect("one goodput in the spec").1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_net::{DropReason, PacketId, PacketKind, ProtoEvent};
+    use td_net::{DropReason, PacketId, PacketKind, ProtoEvent, TraceEvent};
 
-    fn pkt(conn: u32, seq: u64, kind: PacketKind) -> Packet {
+    pub(super) fn pkt(conn: u32, seq: u64, kind: PacketKind) -> Packet {
         Packet {
             id: PacketId(seq),
             conn: ConnId(conn),
@@ -394,10 +351,63 @@ mod tests {
     }
 }
 
+/// A trace that is off and empty holds no data; every extractor must
+/// say so instead of measuring zero.
+#[cfg(test)]
+mod recorded_nothing_tests {
+    use super::*;
+
+    fn off() -> Trace {
+        let mut tr = Trace::new();
+        tr.set_enabled(false);
+        tr
+    }
+
+    const CH: ChannelId = ChannelId(0);
+    const NODE: NodeId = NodeId(0);
+    const CONN: ConnId = ConnId(0);
+    const T0: SimTime = SimTime::ZERO;
+    const T1: SimTime = SimTime::from_secs(1);
+
+    macro_rules! panics_on_an_off_and_empty_trace {
+        ($($name:ident: $call:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "recorded nothing")]
+            fn $name() {
+                let _ = $call(&off());
+            }
+        )*};
+    }
+
+    panics_on_an_off_and_empty_trace! {
+        queue_series_panics: |tr| queue_series(tr, CH);
+        cwnd_series_panics: |tr| cwnd_series(tr, CONN);
+        drop_events_panics: drop_events;
+        data_drop_fraction_panics: data_drop_fraction;
+        departures_panics: |tr| departures(tr, CH);
+        deliveries_panics: |tr| deliveries(tr, NODE, CONN, true);
+        utilization_in_panics: |tr| utilization_in(tr, CH, T0, T1);
+        delivered_in_panics: |tr| delivered_in(tr, NODE, CONN, T0, T1);
+        goodput_series_panics: |tr| goodput_series(tr, NODE, CONN, T0, T1, SimDuration::from_secs(1));
+        sojourns_panics: |tr| crate::sojourn::sojourns(tr, CH, T0, T1);
+        mean_ack_sojourn_panics: |tr| crate::sojourn::mean_ack_sojourn(tr, CH, T0, T1);
+    }
+
+    /// Off but not empty (recorded, then switched off) is still data.
+    #[test]
+    fn a_disabled_trace_with_records_replays() {
+        let mut tr = Trace::new();
+        let pkt = super::tests::pkt(0, 0, td_net::PacketKind::Data);
+        tr.push(T0, td_net::TraceEvent::TxStart { ch: CH, pkt });
+        tr.set_enabled(false);
+        assert_eq!(utilization_in(&tr, CH, T0, T1), 1.0);
+    }
+}
+
 #[cfg(test)]
 mod goodput_tests {
     use super::*;
-    use td_net::{PacketId, PacketKind};
+    use td_net::{PacketId, PacketKind, TraceEvent};
 
     fn deliver(tr: &mut Trace, ms: u64, conn: u32) {
         tr.push(

@@ -8,11 +8,12 @@
 //! the ACK sojourn growing with the other connection's window (and hence
 //! with the buffer), which is why bigger buffers never help.
 
+use crate::stream::{StreamAnalyzer, StreamSpec};
 use td_engine::{SimDuration, SimTime};
-use td_net::{ChannelId, Packet, Trace, TraceEvent};
+use td_net::{ChannelId, Packet, Trace};
 
 /// One packet's passage through a channel buffer.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Sojourn {
     /// The packet.
     pub pkt: Packet,
@@ -22,57 +23,24 @@ pub struct Sojourn {
     pub delay: SimDuration,
 }
 
-/// All completed sojourns at `ch` whose *departure* falls in `[t0, t1]`.
+/// All completed sojourns at `ch` whose *departure* falls in `[t0, t1]`:
+/// a one-measurement [`StreamSpec`] replayed over the stored trace, like
+/// the [`extract`](crate::extract) functions.
 pub fn sojourns(trace: &Trace, ch: ChannelId, t0: SimTime, t1: SimTime) -> Vec<Sojourn> {
-    // Enqueue→TxEnd pairing via a FIFO-per-channel assumption does not
-    // hold for Fair Queueing, so match on packet identity.
-    let mut pending: std::collections::HashMap<td_net::PacketId, SimTime> =
-        std::collections::HashMap::new();
-    let mut out = Vec::new();
-    for r in trace.records() {
-        match r.ev {
-            TraceEvent::Enqueue { ch: c, pkt, .. } if c == ch => {
-                pending.insert(pkt.id, r.t);
-            }
-            TraceEvent::TxEnd { ch: c, pkt, .. } if c == ch => {
-                if let Some(enq) = pending.remove(&pkt.id) {
-                    if r.t >= t0 && r.t <= t1 {
-                        out.push(Sojourn {
-                            pkt,
-                            enqueued: enq,
-                            delay: r.t.since(enq),
-                        });
-                    }
-                }
-            }
-            TraceEvent::Drop { pkt, .. } => {
-                pending.remove(&pkt.id);
-            }
-            _ => {}
-        }
-    }
-    out
+    let mut m = StreamAnalyzer::replay(&StreamSpec::new().sojourns(ch, t0, t1), trace);
+    m.sojourns.pop().expect("one channel in the spec").1
 }
 
 /// Mean sojourn of ACK packets at a channel over the window, in seconds
 /// (`None` if no ACK completed). The §4.3.1 "effective pipe" contribution.
 pub fn mean_ack_sojourn(trace: &Trace, ch: ChannelId, t0: SimTime, t1: SimTime) -> Option<f64> {
-    let s: Vec<f64> = sojourns(trace, ch, t0, t1)
-        .into_iter()
-        .filter(|s| s.pkt.is_ack())
-        .map(|s| s.delay.as_secs_f64())
-        .collect();
-    if s.is_empty() {
-        None
-    } else {
-        Some(crate::stats::mean(&s))
-    }
+    StreamAnalyzer::replay(&StreamSpec::new().sojourns(ch, t0, t1), trace).mean_ack_sojourn(ch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_net::{ConnId, NodeId, PacketId, PacketKind};
+    use td_net::{ConnId, NodeId, PacketId, PacketKind, TraceEvent};
 
     fn pkt(id: u64, kind: PacketKind) -> Packet {
         Packet {

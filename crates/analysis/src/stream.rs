@@ -1,9 +1,10 @@
-//! The one implementation of the paper's five measurements — bottleneck
-//! queue length, cwnd, drops, departures (clustering) and windowed
-//! utilization — as a fold over the event record stream.
+//! The one implementation of the paper's measurements — bottleneck queue
+//! length, cwnd, drops, departures (clustering), windowed utilization,
+//! endpoint deliveries (ACK spacing, goodput) and per-packet queueing
+//! delay — as a fold over the event record stream.
 //!
 //! A [`StreamSpec`] names the measurements wanted and
-//! [`StreamAnalyzer::fold`] is the only code that reads a
+//! `StreamAnalyzer::fold` is the only code that reads a
 //! [`TraceEvent`] for them. The fold has two feeds:
 //!
 //! * **Observer feed.** The analyzer is a [`td_net::TraceObserver`]
@@ -14,7 +15,8 @@
 //!   state) memory instead of O(events).
 //! * **Replay feed.** [`StreamAnalyzer::replay`] folds the records of a
 //!   stored [`Trace`] in record order. The [`extract`](crate::extract)
-//!   functions are one-measurement specs replayed this way.
+//!   and [`sojourn`](crate::sojourn) functions are one-measurement specs
+//!   replayed this way.
 //!
 //! Same records in the same order give the same bits, whichever feed
 //! delivered them.
@@ -28,8 +30,8 @@
 //!   sees only its own emissions in dispatch order. Building the analyzer
 //!   with [`StreamSpec::canonical_ties`] makes it buffer same-instant
 //!   records and fold them in [`td_net::canonical_trace_cmp`] order.
-//!   Because every channel, connection, and endpoint lives wholly on one
-//!   shard, sorting a *shard's* same-instant group by the global
+//!   Because every channel, connection endpoint, and host lives wholly
+//!   on one shard, sorting a *shard's* same-instant group by the global
 //!   comparator puts each key's records in exactly the relative order
 //!   they occupy in the merged trace — so the merged per-shard folds
 //!   equal a replay of the merged trace bit for bit at any shard count.
@@ -50,11 +52,13 @@
 use crate::epochs::DropEvent;
 use crate::extract::Departure;
 use crate::series::TimeSeries;
+use crate::sojourn::Sojourn;
 use std::any::Any;
+use std::collections::HashMap;
 use td_engine::{SimDuration, SimTime};
 use td_net::{
-    canonical_trace_cmp, ChannelId, ConnId, ProtoEvent, Trace, TraceEvent, TraceObserver,
-    TraceRecord,
+    canonical_trace_cmp, ChannelId, ConnId, NodeId, PacketId, ProtoEvent, Trace, TraceEvent,
+    TraceObserver, TraceRecord,
 };
 
 /// What a [`StreamAnalyzer`] should compute. Build one per experiment,
@@ -66,6 +70,12 @@ pub struct StreamSpec {
     utils: Vec<(ChannelId, SimTime, SimTime)>,
     drops: bool,
     departures: Vec<ChannelId>,
+    // The endpoint and sojourn items are kept as the (empty) state the
+    // analyzer starts them from.
+    deliveries: Vec<DeliveryState>,
+    delivered: Vec<DeliveredState>,
+    goodputs: Vec<GoodputState>,
+    sojourns: Vec<SojournState>,
     canonical_ties: bool,
 }
 
@@ -115,6 +125,73 @@ impl StreamSpec {
         self
     }
 
+    /// Collect deliveries to the endpoint of `conn` on `node`, in record
+    /// order, optionally ACKs only — the arrivals whose spacing is the
+    /// ACK clock at a data source.
+    #[must_use]
+    pub fn deliveries(mut self, node: NodeId, conn: ConnId, acks_only: bool) -> Self {
+        self.deliveries.push(DeliveryState {
+            node,
+            conn,
+            acks_only,
+            out: Vec::new(),
+        });
+        self
+    }
+
+    /// Count the data packets delivered to `node` for `conn` in
+    /// `[t0, t1]` — per-connection goodput.
+    #[must_use]
+    pub fn delivered(mut self, node: NodeId, conn: ConnId, t0: SimTime, t1: SimTime) -> Self {
+        self.delivered.push(DeliveredState {
+            node,
+            conn,
+            t0,
+            t1,
+            count: 0,
+        });
+        self
+    }
+
+    /// Add a goodput step series: data packets delivered to `node` for
+    /// `conn`, counted in consecutive bins of width `bin` over
+    /// `[t0, t1)`, in packets/second.
+    #[must_use]
+    pub fn goodput(
+        mut self,
+        node: NodeId,
+        conn: ConnId,
+        t0: SimTime,
+        t1: SimTime,
+        bin: SimDuration,
+    ) -> Self {
+        assert!(!bin.is_zero(), "bin width must be positive");
+        assert!(t1 > t0, "empty goodput window");
+        self.goodputs.push(GoodputState {
+            node,
+            conn,
+            t0,
+            t1,
+            bin,
+            counts: vec![0; t1.since(t0).as_nanos().div_ceil(bin.as_nanos()) as usize],
+        });
+        self
+    }
+
+    /// Collect the completed sojourns (enqueue → end of serialization)
+    /// at `ch` whose departure falls in `[t0, t1]`.
+    #[must_use]
+    pub fn sojourns(mut self, ch: ChannelId, t0: SimTime, t1: SimTime) -> Self {
+        self.sojourns.push(SojournState {
+            ch,
+            t0,
+            t1,
+            pending: HashMap::new(),
+            out: Vec::new(),
+        });
+        self
+    }
+
     /// Fold same-instant records in canonical merged-trace order instead
     /// of emission order. Required on sharded worlds (any shard count —
     /// the merged trace is canonically sorted even at `--shards 1`);
@@ -136,6 +213,49 @@ struct UtilState {
     started: Option<SimTime>,
 }
 
+/// Collected deliveries to one endpoint.
+#[derive(Clone, Debug)]
+struct DeliveryState {
+    node: NodeId,
+    conn: ConnId,
+    acks_only: bool,
+    out: Vec<Departure>,
+}
+
+/// Running count of one windowed data-delivery measurement.
+#[derive(Clone, Debug)]
+struct DeliveredState {
+    node: NodeId,
+    conn: ConnId,
+    t0: SimTime,
+    t1: SimTime,
+    count: u64,
+}
+
+/// Per-bin delivery counts of one goodput series.
+#[derive(Clone, Debug)]
+struct GoodputState {
+    node: NodeId,
+    conn: ConnId,
+    t0: SimTime,
+    t1: SimTime,
+    bin: SimDuration,
+    counts: Vec<u64>,
+}
+
+/// Running state of one channel's sojourn measurement.
+#[derive(Clone, Debug)]
+struct SojournState {
+    ch: ChannelId,
+    t0: SimTime,
+    t1: SimTime,
+    /// Accepted packets not yet departed or dropped. Enqueue→TxEnd
+    /// pairing via a FIFO-per-channel assumption does not hold for Fair
+    /// Queueing, so match on packet identity.
+    pending: HashMap<PacketId, SimTime>,
+    out: Vec<Sojourn>,
+}
+
 /// An incremental fold of the measurements a [`StreamSpec`] lists, fed
 /// record-by-record through [`td_net::TraceObserver`] or all at once by
 /// [`StreamAnalyzer::replay`]. See the [module docs](self) for record
@@ -151,6 +271,10 @@ pub struct StreamAnalyzer {
     utils: Vec<UtilState>,
     drops: Option<Vec<TraceRecord>>,
     departures: Vec<(ChannelId, Vec<Departure>)>,
+    deliveries: Vec<DeliveryState>,
+    delivered: Vec<DeliveredState>,
+    goodputs: Vec<GoodputState>,
+    sojourns: Vec<SojournState>,
 }
 
 impl StreamAnalyzer {
@@ -178,6 +302,10 @@ impl StreamAnalyzer {
                 .collect(),
             drops: spec.drops.then(Vec::new),
             departures: spec.departures.iter().map(|&ch| (ch, Vec::new())).collect(),
+            deliveries: spec.deliveries.clone(),
+            delivered: spec.delivered.clone(),
+            goodputs: spec.goodputs.clone(),
+            sojourns: spec.sojourns.clone(),
         }
     }
 
@@ -185,7 +313,17 @@ impl StreamAnalyzer {
     /// Record order is right for any trace: a serial world's is emission
     /// order, a sharded world's merged trace is already canonically
     /// sorted — so [`StreamSpec::canonical_ties`] is not consulted.
+    ///
+    /// # Panics
+    /// Panics on a trace that is disabled *and* empty: the run recorded
+    /// nothing, so every measurement of it would be a silent zero.
     pub fn replay(spec: &StreamSpec, trace: &Trace) -> StreamMetrics {
+        assert!(
+            trace.is_enabled() || !trace.is_empty(),
+            "this run recorded nothing to measure: keep the trace on \
+             (Scenario::record_trace) and replay it, or attach a StreamAnalyzer \
+             observer (Scenario::stream) and read its result"
+        );
         let mut an = StreamAnalyzer::new(spec);
         for r in trace.records() {
             an.fold(r.t, &r.ev);
@@ -193,14 +331,23 @@ impl StreamAnalyzer {
         an.finish()
     }
 
-    /// Fold one record: the only place a [`TraceEvent`] is read for the
-    /// five measurements.
+    /// Fold one record: the only place a [`TraceEvent`] is read for a
+    /// measurement.
     fn fold(&mut self, t: SimTime, ev: &TraceEvent) {
         match *ev {
-            TraceEvent::Enqueue { ch, qlen_after, .. } => {
+            TraceEvent::Enqueue {
+                ch,
+                pkt,
+                qlen_after,
+            } => {
                 for (c, ts) in &mut self.queues {
                     if *c == ch {
                         ts.push(t, qlen_after as f64);
+                    }
+                }
+                for s in &mut self.sojourns {
+                    if s.ch == ch {
+                        s.pending.insert(pkt.id, t);
                     }
                 }
             }
@@ -232,6 +379,19 @@ impl StreamAnalyzer {
                         deps.push(Departure { t, pkt });
                     }
                 }
+                for s in &mut self.sojourns {
+                    if s.ch == ch {
+                        if let Some(enq) = s.pending.remove(&pkt.id) {
+                            if t >= s.t0 && t <= s.t1 {
+                                s.out.push(Sojourn {
+                                    pkt,
+                                    enqueued: enq,
+                                    delay: t.since(enq),
+                                });
+                            }
+                        }
+                    }
+                }
             }
             TraceEvent::TxStart { ch, .. } => {
                 for u in &mut self.utils {
@@ -251,9 +411,36 @@ impl StreamAnalyzer {
                     }
                 }
             }
-            TraceEvent::Drop { .. } => {
+            TraceEvent::Drop { pkt, .. } => {
                 if let Some(drops) = &mut self.drops {
                     drops.push(TraceRecord { t, ev: *ev });
+                }
+                // A packet is pending at the one channel holding it, so
+                // a drop anywhere else removes nothing.
+                for s in &mut self.sojourns {
+                    s.pending.remove(&pkt.id);
+                }
+            }
+            TraceEvent::Deliver { node, pkt } => {
+                for d in &mut self.deliveries {
+                    if d.node == node && d.conn == pkt.conn && (!d.acks_only || pkt.is_ack()) {
+                        d.out.push(Departure { t, pkt });
+                    }
+                }
+                if !pkt.is_data() {
+                    return;
+                }
+                for d in &mut self.delivered {
+                    if d.node == node && d.conn == pkt.conn && t >= d.t0 && t <= d.t1 {
+                        d.count += 1;
+                    }
+                }
+                for g in &mut self.goodputs {
+                    if g.node == node && g.conn == pkt.conn && t >= g.t0 && t < g.t1 {
+                        let idx = (t.since(g.t0).as_nanos() / g.bin.as_nanos()) as usize;
+                        let last = g.counts.len() - 1;
+                        g.counts[idx.min(last)] += 1;
+                    }
                 }
             }
             _ => {}
@@ -268,11 +455,15 @@ impl StreamAnalyzer {
     /// order, so a subset sorts into the same relative order.
     fn wants(&self, ev: &TraceEvent) -> bool {
         match *ev {
-            TraceEvent::Enqueue { ch, .. } => self.queues.iter().any(|(c, _)| *c == ch),
+            TraceEvent::Enqueue { ch, .. } => {
+                self.queues.iter().any(|(c, _)| *c == ch)
+                    || self.sojourns.iter().any(|s| s.ch == ch)
+            }
             TraceEvent::TxEnd { ch, .. } => {
                 self.queues.iter().any(|(c, _)| *c == ch)
                     || self.utils.iter().any(|u| u.ch == ch)
                     || self.departures.iter().any(|(c, _)| *c == ch)
+                    || self.sojourns.iter().any(|s| s.ch == ch)
             }
             TraceEvent::TxStart { ch, .. } => self.utils.iter().any(|u| u.ch == ch),
             TraceEvent::Proto {
@@ -280,7 +471,13 @@ impl StreamAnalyzer {
                 ev: ProtoEvent::Cwnd { .. },
                 ..
             } => self.cwnds.iter().any(|(c, _)| *c == conn),
-            TraceEvent::Drop { .. } => self.drops.is_some(),
+            TraceEvent::Drop { .. } => self.drops.is_some() || !self.sojourns.is_empty(),
+            TraceEvent::Deliver { node, pkt } => {
+                let hit = |n: NodeId, c: ConnId| n == node && c == pkt.conn;
+                self.deliveries.iter().any(|d| hit(d.node, d.conn))
+                    || self.delivered.iter().any(|d| hit(d.node, d.conn))
+                    || self.goodputs.iter().any(|g| hit(g.node, g.conn))
+            }
             _ => false,
         }
     }
@@ -301,10 +498,11 @@ impl StreamAnalyzer {
     }
 
     /// Combine per-shard analyzers into one. Per-key state (queues,
-    /// cwnds, utilization, departures) is disjoint across shards — every
-    /// channel and connection lives wholly on one shard — so combining
-    /// is a union; drops aggregate across shards and are canonically
-    /// re-sorted into merged-trace order.
+    /// cwnds, utilization, departures, deliveries, sojourns) is disjoint
+    /// across shards — every channel, connection endpoint and host lives
+    /// wholly on one shard — so combining is a union; drops aggregate
+    /// across shards and are canonically re-sorted into merged-trace
+    /// order.
     ///
     /// # Panics
     /// Panics on an empty input, on parts built from different specs, or
@@ -350,6 +548,53 @@ impl StreamAnalyzer {
                     "channel {c_b:?} has departures on two shards"
                 );
                 if a.is_empty() {
+                    *a = b;
+                }
+            }
+            assert_eq!(acc.deliveries.len(), part.deliveries.len(), "spec mismatch");
+            for (a, b) in acc.deliveries.iter_mut().zip(part.deliveries) {
+                assert_eq!((a.node, a.conn), (b.node, b.conn), "spec mismatch");
+                assert!(
+                    a.out.is_empty() || b.out.is_empty(),
+                    "host {:?} has deliveries on two shards",
+                    a.node
+                );
+                if a.out.is_empty() {
+                    a.out = b.out;
+                }
+            }
+            assert_eq!(acc.delivered.len(), part.delivered.len(), "spec mismatch");
+            for (a, b) in acc.delivered.iter_mut().zip(part.delivered) {
+                assert_eq!((a.node, a.conn), (b.node, b.conn), "spec mismatch");
+                assert!(
+                    a.count == 0 || b.count == 0,
+                    "host {:?} has deliveries on two shards",
+                    a.node
+                );
+                a.count += b.count;
+            }
+            assert_eq!(acc.goodputs.len(), part.goodputs.len(), "spec mismatch");
+            for (a, b) in acc.goodputs.iter_mut().zip(part.goodputs) {
+                assert_eq!((a.node, a.conn), (b.node, b.conn), "spec mismatch");
+                assert!(
+                    a.counts.iter().all(|&c| c == 0) || b.counts.iter().all(|&c| c == 0),
+                    "host {:?} has deliveries on two shards",
+                    a.node
+                );
+                for (x, y) in a.counts.iter_mut().zip(b.counts) {
+                    *x += y;
+                }
+            }
+            assert_eq!(acc.sojourns.len(), part.sojourns.len(), "spec mismatch");
+            for (a, b) in acc.sojourns.iter_mut().zip(part.sojourns) {
+                assert_eq!(a.ch, b.ch, "spec mismatch");
+                assert!(
+                    (a.out.is_empty() && a.pending.is_empty())
+                        || (b.out.is_empty() && b.pending.is_empty()),
+                    "channel {:?} has sojourns on two shards",
+                    a.ch
+                );
+                if a.out.is_empty() && a.pending.is_empty() {
                     *a = b;
                 }
             }
@@ -400,12 +645,36 @@ impl StreamAnalyzer {
                 })
                 .collect()
         });
+        let goodputs = self
+            .goodputs
+            .into_iter()
+            .map(|g| {
+                let mut ts = TimeSeries::new();
+                let bin_s = g.bin.as_secs_f64();
+                for (i, &c) in g.counts.iter().enumerate() {
+                    ts.push(g.t0 + g.bin * i as u64, c as f64 / bin_s);
+                }
+                ((g.node, g.conn), ts)
+            })
+            .collect();
         StreamMetrics {
             queues: self.queues,
             cwnds: self.cwnds,
             utils,
             drops,
             departures: self.departures,
+            deliveries: self
+                .deliveries
+                .into_iter()
+                .map(|d| ((d.node, d.conn, d.acks_only), d.out))
+                .collect(),
+            delivered: self
+                .delivered
+                .into_iter()
+                .map(|d| ((d.node, d.conn), d.count))
+                .collect(),
+            goodputs,
+            sojourns: self.sojourns.into_iter().map(|s| (s.ch, s.out)).collect(),
         }
     }
 }
@@ -453,6 +722,10 @@ pub struct StreamMetrics {
     utils: Vec<(ChannelId, f64)>,
     pub(crate) drops: Option<Vec<DropEvent>>,
     pub(crate) departures: Vec<(ChannelId, Vec<Departure>)>,
+    pub(crate) deliveries: Vec<((NodeId, ConnId, bool), Vec<Departure>)>,
+    delivered: Vec<((NodeId, ConnId), u64)>,
+    pub(crate) goodputs: Vec<((NodeId, ConnId), TimeSeries)>,
+    pub(crate) sojourns: Vec<(ChannelId, Vec<Sojourn>)>,
 }
 
 impl StreamMetrics {
@@ -500,12 +773,93 @@ impl StreamMetrics {
             .unwrap_or_else(|| panic!("channel {ch:?} not in the StreamSpec departures"))
             .1
     }
+
+    /// Fraction of dropped packets that were data packets (the paper's
+    /// §3.2 claim: 99.8 % in the ten-connection run); `None` if nothing
+    /// dropped. The spec must have enabled [`StreamSpec::drops`].
+    pub fn data_drop_fraction(&self) -> Option<f64> {
+        let drops = self.drops();
+        if drops.is_empty() {
+            return None;
+        }
+        let data = drops.iter().filter(|d| d.is_data).count();
+        Some(data as f64 / drops.len() as f64)
+    }
+
+    /// The deliveries to `conn`'s endpoint on `node`, in trace order
+    /// (this `(node, conn, acks_only)` must be in the spec).
+    pub fn deliveries(&self, node: NodeId, conn: ConnId, acks_only: bool) -> &[Departure] {
+        &self
+            .deliveries
+            .iter()
+            .find(|(k, _)| *k == (node, conn, acks_only))
+            .unwrap_or_else(|| {
+                panic!("deliveries of {conn:?} at {node:?} not in the StreamSpec deliveries")
+            })
+            .1
+    }
+
+    /// Data packets delivered to `node` for `conn` within the spec's
+    /// window (must be in the spec).
+    pub fn delivered(&self, node: NodeId, conn: ConnId) -> u64 {
+        self.delivered
+            .iter()
+            .find(|(k, _)| *k == (node, conn))
+            .unwrap_or_else(|| {
+                panic!("delivery count of {conn:?} at {node:?} not in the StreamSpec delivered")
+            })
+            .1
+    }
+
+    /// The goodput step series of `conn` at `node` (must be in the spec).
+    pub fn goodput(&self, node: NodeId, conn: ConnId) -> &TimeSeries {
+        &self
+            .goodputs
+            .iter()
+            .find(|(k, _)| *k == (node, conn))
+            .unwrap_or_else(|| {
+                panic!("goodput of {conn:?} at {node:?} not in the StreamSpec goodputs")
+            })
+            .1
+    }
+
+    /// The completed sojourns at `ch` within the spec's window, in
+    /// departure order (must be in the spec).
+    pub fn sojourns(&self, ch: ChannelId) -> &[Sojourn] {
+        &self
+            .sojourns
+            .iter()
+            .find(|(c, _)| *c == ch)
+            .unwrap_or_else(|| panic!("channel {ch:?} not in the StreamSpec sojourns"))
+            .1
+    }
+
+    /// Mean sojourn of ACK packets at `ch` over the spec's window, in
+    /// seconds (`None` if no ACK completed) — the §4.3.1 "effective
+    /// pipe" contribution.
+    pub fn mean_ack_sojourn(&self, ch: ChannelId) -> Option<f64> {
+        let s: Vec<f64> = self
+            .sojourns(ch)
+            .iter()
+            .filter(|s| s.pkt.is_ack())
+            .map(|s| s.delay.as_secs_f64())
+            .collect();
+        if s.is_empty() {
+            None
+        } else {
+            Some(crate::stats::mean(&s))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::{cwnd_series, departures, drop_events, queue_series, utilization_in};
+    use crate::extract::{
+        cwnd_series, data_drop_fraction, delivered_in, deliveries, departures, drop_events,
+        goodput_series, queue_series, utilization_in,
+    };
+    use crate::sojourn::{mean_ack_sojourn, sojourns};
     use td_engine::SimRng;
     use td_net::{DropReason, NodeId, Packet, PacketId, PacketKind, Trace};
 
@@ -527,11 +881,15 @@ mod tests {
 
     /// A deterministic synthetic trace exercising every fold: two
     /// channels' queue/tx activity, two connections' cwnd updates, drops
-    /// of several reasons, interleaved and with same-instant bursts.
+    /// of several reasons, deliveries to two hosts, interleaved and with
+    /// same-instant bursts. Packet ids are per channel (a packet waits in
+    /// one buffer at a time), and departures and drops mostly name a
+    /// packet that buffer accepted earlier, so sojourns pair up.
     fn synthetic_trace(seed: u64, n: usize) -> Trace {
         let mut rng = SimRng::new(seed);
         let mut tr = Trace::new();
         let mut t = SimTime::ZERO;
+        let mut accepted: [Vec<PacketId>; 2] = [Vec::new(), Vec::new()];
         for i in 0..n {
             // Bursts: ~1/3 of records share their predecessor's instant.
             if !rng.chance(0.34) {
@@ -544,9 +902,19 @@ mod tests {
             } else {
                 PacketKind::Ack
             };
-            let p = pkt(conn, i as u64, kind);
+            let mut p = pkt(conn, i as u64, kind);
+            p.id = PacketId(2 * i as u64 + ch.0 as u64);
             let qlen = rng.next_below(20) as u32;
-            let ev = match rng.next_below(6) {
+            let variant = rng.next_below(6);
+            let earlier = &mut accepted[ch.0 as usize];
+            match variant {
+                0 => earlier.push(p.id),
+                2 | 3 if !earlier.is_empty() && rng.chance(0.8) => {
+                    p.id = earlier[rng.next_below(earlier.len() as u64) as usize];
+                }
+                _ => {}
+            }
+            let ev = match variant {
                 0 => TraceEvent::Enqueue {
                     ch,
                     pkt: p,
@@ -596,6 +964,12 @@ mod tests {
             .utilization(ChannelId(1), t0, t1)
             .drops()
             .departures(ChannelId(0))
+            .deliveries(NodeId(0), ConnId(0), false)
+            .deliveries(NodeId(1), ConnId(1), true)
+            .delivered(NodeId(0), ConnId(0), t0, t1)
+            .goodput(NodeId(1), ConnId(1), t0, t1, SimDuration::from_millis(100))
+            .sojourns(ChannelId(0), t0, t1)
+            .sojourns(ChannelId(1), t0, t1)
     }
 
     /// `m` equals a replay of `tr` (through the `extract` drivers), field
@@ -624,6 +998,23 @@ mod tests {
         for (a, b) in m.departures(ChannelId(0)).iter().zip(&replayed_deps) {
             assert_eq!((a.t, a.pkt.id, a.pkt.seq), (b.t, b.pkt.id, b.pkt.seq));
         }
+        let (n0, n1, c0, c1) = (NodeId(0), NodeId(1), ConnId(0), ConnId(1));
+        assert_eq!(m.deliveries(n0, c0, false), deliveries(tr, n0, c0, false));
+        assert_eq!(m.deliveries(n1, c1, true), deliveries(tr, n1, c1, true));
+        assert!(!m.deliveries(n1, c1, true).is_empty());
+        assert_eq!(m.delivered(n0, c0), delivered_in(tr, n0, c0, t0, t1));
+        assert!(m.delivered(n0, c0) > 0);
+        let bin = SimDuration::from_millis(100);
+        assert_eq!(*m.goodput(n1, c1), goodput_series(tr, n1, c1, t0, t1, bin));
+        for ch in [ChannelId(0), ChannelId(1)] {
+            assert_eq!(m.sojourns(ch), sojourns(tr, ch, t0, t1), "sojourns {ch:?}");
+            assert!(!m.sojourns(ch).is_empty(), "no sojourn paired at {ch:?}");
+            assert_eq!(
+                m.mean_ack_sojourn(ch).map(f64::to_bits),
+                mean_ack_sojourn(tr, ch, t0, t1).map(f64::to_bits)
+            );
+        }
+        assert_eq!(m.data_drop_fraction(), data_drop_fraction(tr));
     }
 
     /// Splitting a canonically-sorted trace across "shards" by channel

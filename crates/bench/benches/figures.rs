@@ -75,7 +75,7 @@ fn figures(c: &mut Harness) {
             .events_dispatched()
     });
     bench_one(c, "multihop", || {
-        let (chain, _, _) = multihop::run_chain(1, 30);
+        let (chain, ..) = multihop::run_chain(1, 30);
         chain.world.events_dispatched()
     });
     bench_one(c, "decbit", || {

@@ -58,7 +58,7 @@ pub fn report_pacing(seed: u64, duration_s: u64) -> Report {
         "Pacing ablation: the nonpaced conjecture's counterfactual (paper §1/§6)",
         &format!("seed {seed}, {duration_s} s per cell, 1+1 two-way, tau = 0.01 s, B = 20"),
     );
-    let nonpaced = measure(&base_scenario(seed, duration_s).run());
+    let nonpaced = measure(&base_scenario(seed, duration_s).trace_free().run());
 
     let mut paced_sc = base_scenario(seed, duration_s);
     let paced_spec = ConnSpec {
@@ -70,7 +70,7 @@ pub fn report_pacing(seed: u64, duration_s: u64) -> Report {
     };
     paced_sc.fwd = vec![paced_spec];
     paced_sc.rev = vec![paced_spec];
-    let paced = measure(&paced_sc.run());
+    let paced = measure(&paced_sc.trace_free().run());
 
     // Note the metric choice: a queue measured in *packets* falls fast
     // whenever adjacent ACKs drain (8 ms each), paced or not, so raw
@@ -116,7 +116,7 @@ pub fn report_increment(seed: u64, duration_s: u64) -> Report {
         "Avoidance-increment ablation: 1/floor(cwnd) vs 1/cwnd (paper §2.1)",
         &format!("seed {seed}, {duration_s} s per cell, 1+1 two-way, tau = 0.01 s, B = 20"),
     );
-    let modified = measure(&base_scenario(seed, duration_s).run());
+    let modified = measure(&base_scenario(seed, duration_s).trace_free().run());
 
     let mut orig_sc = base_scenario(seed, duration_s);
     let orig_spec = ConnSpec {
@@ -130,7 +130,7 @@ pub fn report_increment(seed: u64, duration_s: u64) -> Report {
     };
     orig_sc.fwd = vec![orig_spec];
     orig_sc.rev = vec![orig_spec];
-    let original = measure(&orig_sc.run());
+    let original = measure(&orig_sc.trace_free().run());
 
     rep.check(
         "mean utilization (modified vs original)",
@@ -175,7 +175,7 @@ pub fn report_discipline(seed: u64, duration_s: u64) -> Report {
     ] {
         let mut sc = base_scenario(seed, duration_s);
         sc.discipline = disc;
-        let m = measure(&sc.run());
+        let m = measure(&sc.trace_free().run());
         rep.info(
             &format!("{disc:?}: util / compressed / fluctuation"),
             "-",
@@ -249,8 +249,8 @@ pub fn report_red(seed: u64, duration_s: u64) -> Report {
         sc
     };
 
-    let dt = build(DisciplineKind::DropTail).run();
-    let red = build(DisciplineKind::Red).run();
+    let dt = build(DisciplineKind::DropTail).trace_free().run();
+    let red = build(DisciplineKind::Red).trace_free().run();
 
     let gap = td_engine::SimDuration::from_secs(10);
     let sync_dt = loss_synchronization(&detect_epochs(&dt.drops(), gap), &dt.fwd);

@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 use td_analysis::plot::Plot;
 use td_analysis::sync::classify_sync;
-use td_analysis::{ack_spacing, compression, csv, deliveries, SvgPlot};
+use td_analysis::{compression, csv, SvgPlot};
 use td_engine::{write_atomic, SimDuration};
 use td_experiments::simcli::{parse, usage, SimArgs};
 use td_experiments::DATA_SERVICE;
@@ -81,11 +81,7 @@ fn main() -> ExitCode {
     if let (Some(&c1), Some(&c2)) = (run.fwd.first(), run.rev.first()) {
         let (mode, r) = classify_sync(&run.cwnd(c1), &run.cwnd(c2), run.t0, run.t1, 800, 5, 0.15);
         println!("synchronization mode: {mode:?} (r = {r:.2})");
-        let acks: Vec<_> = deliveries(run.world.trace(), run.host1, c1, true)
-            .into_iter()
-            .filter(|d| d.t >= run.t0)
-            .collect();
-        if let Some(sp) = ack_spacing(&acks, DATA_SERVICE) {
+        if let Some(sp) = run.ack_spacing(c1) {
             println!(
                 "ACK-compression: {:.0} % of gaps below the data service time (p10 {:.1} ms)",
                 sp.compressed_fraction * 100.0,

@@ -19,7 +19,7 @@ use crate::report::Report;
 use crate::scenario::{ConnSpec, Scenario};
 use crate::sweep::ReplicateSweep;
 use td_engine::{SimDuration, SimTime};
-use td_net::{FaultPlan, GilbertElliott, Outage, TraceEvent, WatchdogConfig};
+use td_net::{FaultPlan, GilbertElliott, Outage, WatchdogConfig};
 
 /// One fault configuration under test.
 #[derive(Clone, Copy, Debug)]
@@ -96,21 +96,12 @@ fn run_cell(seed: u64, cell: Cell, duration_s: u64) -> CellResult {
             None
         }
     };
-    let run = sc.run();
+    let run = sc.trace_free().run();
     let recovery_s = up.and_then(|up| {
-        run.world
-            .trace()
-            .records()
+        run.deliveries(run.fwd[0])
             .iter()
-            .find(|r| {
-                r.t >= up
-                    && matches!(
-                        r.ev,
-                        TraceEvent::Deliver { node, pkt }
-                            if node == run.host2 && pkt.conn == run.fwd[0] && pkt.is_data()
-                    )
-            })
-            .map(|r| r.t.since(up).as_secs_f64())
+            .find(|d| d.t >= up && d.pkt.is_data())
+            .map(|d| d.t.since(up).as_secs_f64())
     });
     let stats = run.sender(run.fwd[0]).stats();
     CellResult {

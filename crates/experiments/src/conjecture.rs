@@ -103,7 +103,9 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     ];
 
     for c in &cells {
-        let run = scenario(seed, duration_s, c.tau, c.w1, c.w2).run();
+        let run = scenario(seed, duration_s, c.tau, c.w1, c.w2)
+            .trace_free()
+            .run();
         let (u12, u21) = (run.util12(), run.util21());
         let hi = u12.max(u21);
         let lo = u12.min(u21);

@@ -14,8 +14,8 @@
 //! realistic traffic mixtures.
 
 use crate::report::Report;
-use crate::scenario::DATA_SERVICE;
-use td_analysis::{ack_spacing, clustering_coefficient, deliveries, departures};
+use crate::scenario::{run_observed, DATA_SERVICE};
+use td_analysis::{ack_spacing, clustering_coefficient, StreamSpec};
 use td_core::{Blackhole, PoissonSource, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{SimDuration, SimTime};
 use td_net::{dumbbell, ConnId, LinkSpec, World};
@@ -84,22 +84,23 @@ fn run_cell(seed: u64, duration_s: u64, bg_pps: f64) -> Cell {
         w.start_at(b2, SimTime::from_millis(1571));
     }
     let t1 = SimTime::from_secs(duration_s);
-    w.run_until(t1);
     let t0 = SimTime::from_secs(duration_s / 5);
+    let spec = StreamSpec::new()
+        .departures(d.bottleneck_12)
+        .deliveries(d.host1, ConnId(0), true)
+        .delivered(d.host2, ConnId(0), t0, t1);
+    let m = run_observed(w, &spec, t1);
 
-    let deps: Vec<_> = departures(w.trace(), d.bottleneck_12)
-        .into_iter()
-        .filter(|x| x.t >= t0)
-        .collect();
+    let after_warmup = |xs: &[td_analysis::Departure]| -> Vec<_> {
+        xs.iter().filter(|x| x.t >= t0).copied().collect()
+    };
+    let deps = after_warmup(m.departures(d.bottleneck_12));
     let clustering = clustering_coefficient(&deps).unwrap_or(0.0);
-    let acks: Vec<_> = deliveries(w.trace(), d.host1, ConnId(0), true)
-        .into_iter()
-        .filter(|x| x.t >= t0)
-        .collect();
+    let acks = after_warmup(m.deliveries(d.host1, ConnId(0), true));
     let compressed = ack_spacing(&acks, DATA_SERVICE)
         .map(|s| s.compressed_fraction)
         .unwrap_or(0.0);
-    let delivered = td_analysis::extract::delivered_in(w.trace(), d.host2, ConnId(0), t0, t1);
+    let delivered = m.delivered(d.host2, ConnId(0));
     Cell {
         clustering,
         compressed,

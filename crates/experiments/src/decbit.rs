@@ -58,7 +58,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // One-way sanity: the algorithm does what it was designed to do.
-    let one = scenario(seed, duration_s, 1, 0).run();
+    let one = scenario(seed, duration_s, 1, 0).trace_free().run();
     let u_one = one.util12();
     let drops_one = one.drops().len();
     rep.check(
@@ -82,7 +82,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Two-way: the paper's phenomena strike a different algorithm.
-    let two = scenario(seed, duration_s, 1, 1).run();
+    let two = scenario(seed, duration_s, 1, 1).trace_free().run();
     let sp = two.ack_spacing(two.fwd[0]).expect("acks flowed");
     rep.check(
         "two-way: ACK-compression",
@@ -120,20 +120,8 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
     // Fairness over the measurement window (Wilder et al. saw *extreme*
     // unfairness on the testbed; we report the index).
-    let d1 = td_analysis::extract::delivered_in(
-        two.world.trace(),
-        two.host2,
-        two.fwd[0],
-        two.t0,
-        two.t1,
-    ) as f64;
-    let d2 = td_analysis::extract::delivered_in(
-        two.world.trace(),
-        two.host1,
-        two.rev[0],
-        two.t0,
-        two.t1,
-    ) as f64;
+    let d1 = two.delivered(two.fwd[0]) as f64;
+    let d2 = two.delivered(two.rev[0]) as f64;
     let jain = (d1 + d2) * (d1 + d2) / (2.0 * (d1 * d1 + d2 * d2));
     rep.info(
         "two-way: Jain fairness of goodput",

@@ -70,8 +70,8 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Small windows, delack off vs on.
-    let small_off = measure(&scenario(seed, duration_s, 8, false).run());
-    let small_on = measure(&scenario(seed, duration_s, 8, true).run());
+    let small_off = measure(&scenario(seed, duration_s, 8, false).trace_free().run());
+    let small_on = measure(&scenario(seed, duration_s, 8, true).trace_free().run());
     rep.check(
         "maxwnd 8: compressed ACK fraction (off -> on)",
         "delack minimizes ACK-compression at small windows",
@@ -107,7 +107,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Large windows: compression returns despite delack.
-    let large_on = measure(&scenario(seed, duration_s, 1000, true).run());
+    let large_on = measure(&scenario(seed, duration_s, 1000, true).trace_free().run());
     rep.check(
         "maxwnd 1000 + delack: compressed ACK fraction",
         "significant again — delack reduces but does not eliminate",

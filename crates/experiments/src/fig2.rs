@@ -33,10 +33,7 @@ pub fn scenario(seed: u64, duration_s: u64) -> Scenario {
 /// Run and evaluate the Figure 2 reproduction. The metrics are computed
 /// online with the trace disabled.
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    let mut sc = scenario(seed, duration_s);
-    sc.stream = true;
-    sc.record_trace = false;
-    let run = sc.run();
+    let run = scenario(seed, duration_s).trace_free().run();
     let mut rep = Report::new(
         "fig2",
         "One-way traffic: 3 connections, tau = 1 s, B = 20 (paper Fig. 2)",

@@ -21,7 +21,7 @@ use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
 use td_analysis::epochs::{detect_epochs, mean_drops_per_epoch};
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
-use td_analysis::{compression, csv, data_drop_fraction};
+use td_analysis::{compression, csv};
 use td_engine::SimDuration;
 
 /// Scenario: 5+5 connections, τ = 0.01 s, buffer as given (30 or 60).
@@ -38,7 +38,7 @@ pub fn scenario(seed: u64, duration_s: u64, buffer: u32) -> Scenario {
 /// Run and evaluate the Figure 3 reproduction (including the buffer-60
 /// counterexample to "more buffer = more throughput").
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    let run = scenario(seed, duration_s, 30).run();
+    let run = scenario(seed, duration_s, 30).trace_free().run();
     let mut rep = Report::new(
         "fig3",
         "Two-way traffic: 5+5 connections, tau = 0.01 s, B = 30 (paper Fig. 3)",
@@ -58,7 +58,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Buffer 60: utilization must NOT increase (paper: drops to ~0.87).
-    let run60 = scenario(seed, duration_s, 60).run();
+    let run60 = scenario(seed, duration_s, 60).trace_free().run();
     let (u12b, u21b) = (run60.util12(), run60.util21());
     let util60 = f64::max(u12b, u21b);
     rep.check(
@@ -69,7 +69,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Drop attribution: ≥ 99 % data packets.
-    let frac = data_drop_fraction(run.world.trace()).unwrap_or(0.0);
+    let frac = run.data_drop_fraction().unwrap_or(0.0);
     rep.check(
         "fraction of drops that are data packets",
         "99.8 %",

@@ -19,12 +19,11 @@
 //! * packets remain completely clustered; ACKs are never dropped.
 
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
+use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE, GOODPUT_BIN};
 use td_analysis::epochs::{alternating_single_loser, detect_epochs, mean_drops_per_epoch};
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
-use td_analysis::{compression, csv, goodput_series};
-use td_analysis::{mean_ack_sojourn, power_law_exponent};
+use td_analysis::{compression, csv, power_law_exponent};
 use td_engine::{SimDuration, SimTime};
 
 /// Scenario: 1+1 connections, τ = 0.01 s, buffer as given (20 / 60 / 120).
@@ -39,7 +38,9 @@ pub fn scenario(seed: u64, duration_s: u64, buffer: u32) -> Scenario {
 }
 
 /// Run and evaluate the Figures 4–5 reproduction, including the buffer
-/// sweep showing utilization stuck at ~70 %.
+/// sweep showing utilization stuck at ~70 %. The B = 20 run keeps its
+/// trace — `fig4_bottleneck.pcap` is made from the records — and the
+/// sweep cells run trace-free.
 pub fn report(seed: u64, duration_s: u64) -> Report {
     let run = scenario(seed, duration_s, 20).run();
     let mut rep = Report::new(
@@ -65,18 +66,20 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     // Buffer sweep: 60 and 120 leave utilization ≈ 70 %, and the §4.3.1
     // mechanism is visible: the ACK queueing delay (the "effective pipe")
     // grows with the buffer as fast as the cycle does.
-    let base_sojourn = mean_ack_sojourn(run.world.trace(), run.bottleneck_12, run.t0, run.t1)
+    let base_sojourn = run
+        .mean_ack_sojourn12()
         .expect("acks crossed the bottleneck");
     // The B = 60 / 120 cells are independent simulations: fan them out on
     // idle job slots. Bigger buffers stretch the window cycle (queueing
     // delay grows with occupancy), so each run stretches too to average
-    // over whole cycles. Workers reduce their multi-MB traces to three
-    // numbers before returning, and rows are emitted in buffer order, so
-    // the report is byte-identical to the old sequential loop.
+    // over whole cycles. Workers reduce their runs to three numbers
+    // before returning, and rows are emitted in buffer order, so the
+    // report is byte-identical to the old sequential loop.
     let sweep_cells = crate::sweep::parallel_map(&[60u32, 120], |_, &buffer| {
-        let r = scenario(seed, duration_s * buffer as u64 / 20, buffer).run();
-        let sojourn = mean_ack_sojourn(r.world.trace(), r.bottleneck_12, r.t0, r.t1);
-        (r.util12(), r.util21(), sojourn)
+        let r = scenario(seed, duration_s * buffer as u64 / 20, buffer)
+            .trace_free()
+            .run();
+        (r.util12(), r.util21(), r.mean_ack_sojourn12())
     });
     let mut sweep_sojourns = vec![(20u32, base_sojourn)];
     for (&buffer, (a, b, sojourn)) in [60u32, 120].iter().zip(sweep_cells) {
@@ -137,9 +140,8 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     // The bandwidth see-saw behind the out-of-phase mode: binned goodput
     // of the two connections is anti-correlated ("during this time the
     // other connection is getting most of the bandwidth", Sec. 4.3.1).
-    let bin = SimDuration::from_secs(5);
-    let g1 = goodput_series(run.world.trace(), run.host2, c1, run.t0, run.t1, bin);
-    let g2 = goodput_series(run.world.trace(), run.host1, c2, run.t0, run.t1, bin);
+    let bin = GOODPUT_BIN;
+    let (g1, g2) = (run.goodput(c1), run.goodput(c2));
     let n = (run.t1.since(run.t0) / bin) as usize;
     let r_bw = td_analysis::pearson(
         &g1.resample(run.t0, run.t1, n),

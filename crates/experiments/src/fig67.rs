@@ -58,7 +58,7 @@ fn both_idle_fraction(
 
 /// Run and evaluate the Figures 6–7 reproduction.
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    let run = scenario(seed, duration_s).run();
+    let run = scenario(seed, duration_s).trace_free().run();
     let mut rep = Report::new(
         "fig67",
         "Two-way traffic: 1+1 connections, tau = 1 s, B = 20 (paper Figs. 6-7)",

@@ -36,10 +36,9 @@ pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, w1: u64, w2: u64) 
 /// Run and evaluate the Figure 8 reproduction (small pipe). The metrics
 /// are computed online with the trace disabled.
 pub fn report_fig8(seed: u64, duration_s: u64) -> Report {
-    let mut sc = scenario(seed, duration_s, SimDuration::from_millis(10), 30, 25);
-    sc.stream = true;
-    sc.record_trace = false;
-    let run = sc.run();
+    let run = scenario(seed, duration_s, SimDuration::from_millis(10), 30, 25)
+        .trace_free()
+        .run();
     let mut rep = Report::new(
         "fig8",
         "Fixed windows 30/25, tau = 0.01 s, infinite buffers (paper Fig. 8)",
@@ -149,10 +148,9 @@ pub fn report_fig8(seed: u64, duration_s: u64) -> Report {
 /// Run and evaluate the Figure 9 reproduction (large pipe); trace-free
 /// like [`report_fig8`].
 pub fn report_fig9(seed: u64, duration_s: u64) -> Report {
-    let mut sc = scenario(seed, duration_s, SimDuration::from_secs(1), 30, 25);
-    sc.stream = true;
-    sc.record_trace = false;
-    let run = sc.run();
+    let run = scenario(seed, duration_s, SimDuration::from_secs(1), 30, 25)
+        .trace_free()
+        .run();
     let mut rep = Report::new(
         "fig9",
         "Fixed windows 30/25, tau = 1 s, infinite buffers (paper Fig. 9)",

@@ -140,10 +140,7 @@ fn seeded_prelude(w: &mut World) {
 /// Probe the scenario for its first congestion epoch after warm-up and
 /// return the exploration window `[start, end)`.
 fn probe_window(seed: u64) -> (SimTime, SimTime) {
-    let mut sc = fig45::scenario(seed, PROBE_SECS, 20);
-    sc.record_trace = false;
-    sc.stream = true;
-    let run = sc.run();
+    let run = fig45::scenario(seed, PROBE_SECS, 20).trace_free().run();
     let drops = run.drops();
     let epochs = detect_epochs(&drops, SimDuration::from_secs(4));
     let (i, epoch) = epochs

@@ -50,12 +50,11 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
 
     // Small pipe: out-of-phase should dominate. The ten start phases are
     // independent runs — a ReplicateSweep fans them over idle job slots;
-    // each worker classifies its own run (dropping the trace worker-side)
-    // and the census is folded in seed order, so the tallies are
+    // each worker classifies its own run and the census is folded in seed order, so the tallies are
     // identical to the old sequential loop at any job count.
     let census = ReplicateSweep::explicit("tbl-modes", seeds.clone());
     let small: Vec<(SyncMode, f64)> = census.run(|seed, _| {
-        let run = fig45::scenario(seed, duration_s, 20).run();
+        let run = fig45::scenario(seed, duration_s, 20).trace_free().run();
         let (m, _r, util) = mode_of(&run);
         (m, util)
     });
@@ -109,7 +108,7 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
         // drop and double drop behavior." Verify the drop pattern of the
         // first in-phase seed matches.
         if let Some(&seed) = in_seeds.first() {
-            let run = fig45::scenario(seed, duration_s, 20).run();
+            let run = fig45::scenario(seed, duration_s, 20).trace_free().run();
             let epochs = td_analysis::epochs::detect_epochs(
                 &run.drops(),
                 td_engine::SimDuration::from_secs(4),
@@ -143,7 +142,7 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
     // Large pipe: in-phase across phases — same sweep discipline.
     let in_phase: usize = census
         .run(|seed, _| {
-            let run = fig67::scenario(seed, duration_s * 2).run();
+            let run = fig67::scenario(seed, duration_s * 2).trace_free().run();
             (mode_of(&run).0 == SyncMode::InPhase) as usize
         })
         .into_iter()

@@ -12,16 +12,19 @@
 //! complexity.
 
 use crate::report::Report;
-use crate::scenario::DATA_SERVICE;
+use crate::scenario::{run_observed, DATA_SERVICE};
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
-use td_analysis::{compression, data_drop_fraction, StreamAnalyzer, StreamSpec};
+use td_analysis::{compression, StreamMetrics, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{SimDuration, SimRng, SimTime};
 use td_net::{chain, Chain, ConnId, LinkSpec};
 
-/// Build and run the 4-switch, 50-connection chain.
-pub fn run_chain(seed: u64, duration_s: u64) -> (Chain, SimTime, SimTime) {
+/// Build and run the 4-switch, 50-connection chain, trace-free, with the
+/// report's measurements — the middle trunk's two queues, every
+/// rightward trunk's utilization over `[t0, t1]`, and all drops —
+/// observed online.
+pub fn run_chain(seed: u64, duration_s: u64) -> (Chain, SimTime, SimTime, StreamMetrics) {
     let trunk = LinkSpec::paper_bottleneck(SimDuration::from_millis(10), Some(30));
     let mut c = chain(
         seed,
@@ -49,28 +52,26 @@ pub fn run_chain(seed: u64, duration_s: u64) -> (Chain, SimTime, SimTime) {
             .start_at(s, SimTime::from_nanos(rng.next_below(1_000_000_000)));
     }
     let t1 = SimTime::from_secs(duration_s);
-    c.world.run_until(t1);
     let t0 = SimTime::from_secs(duration_s / 5);
-    (c, t0, t1)
+    let mut spec = StreamSpec::new()
+        .queue(c.trunk_right[1])
+        .queue(c.trunk_left[1])
+        .drops();
+    for &ch in &c.trunk_right {
+        spec = spec.utilization(ch, t0, t1);
+    }
+    let m = run_observed(&mut c.world, &spec, t1);
+    (c, t0, t1, m)
 }
 
 /// Run and evaluate the multihop generality check.
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    let (c, t0, t1) = run_chain(seed, duration_s);
+    let (c, t0, t1, m) = run_chain(seed, duration_s);
     let mut rep = Report::new(
         "tbl-multihop",
         "Four switches, 50 connections, 1-3 hop paths (paper §5 / [19])",
         &format!("seed {seed}, {duration_s} s simulated, measured after {t0}"),
     );
-
-    // The trunk queues and utilizations, asked of the trace in one pass.
-    let mut spec = StreamSpec::new()
-        .queue(c.trunk_right[1])
-        .queue(c.trunk_left[1]);
-    for &ch in &c.trunk_right {
-        spec = spec.utilization(ch, t0, t1);
-    }
-    let m = StreamAnalyzer::replay(&spec, c.world.trace());
 
     // ACK-compression on the middle trunk (most crossing traffic).
     let (qr, ql) = (m.queue(c.trunk_right[1]), m.queue(c.trunk_left[1]));
@@ -97,7 +98,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     // that argument breaks — a cluster of ACKs compressed at one trunk
     // can slam the next trunk's full buffer — so data packets merely
     // *dominate* the drops here rather than monopolizing them.
-    let frac = data_drop_fraction(c.world.trace()).unwrap_or(1.0);
+    let frac = m.data_drop_fraction().unwrap_or(1.0);
     rep.check(
         "fraction of drops that are data packets",
         "majority data (single-bottleneck no-ACK-drop argument weakens over multiple hops)",

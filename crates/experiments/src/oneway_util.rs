@@ -26,11 +26,7 @@ pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, buffer: u32) -> Sc
 /// Run and evaluate the one-way utilization table. The metrics are
 /// computed online with the trace disabled.
 pub fn report(seed: u64, duration_s: u64) -> Report {
-    let run_sc = |mut sc: Scenario| {
-        sc.stream = true;
-        sc.record_trace = false;
-        sc.run()
-    };
+    let run_sc = |sc: Scenario| sc.trace_free().run();
     let mut rep = Report::new(
         "tbl-oneway-util",
         "One-way utilization vs pipe and buffer size (paper §3.1 in-text)",

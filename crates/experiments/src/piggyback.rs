@@ -21,8 +21,8 @@
 //!   one-way traffic.
 
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
-use td_analysis::{compression, queue_series, utilization_in};
+use crate::scenario::{run_observed, ConnSpec, Scenario, DATA_SERVICE};
+use td_analysis::{compression, StreamSpec};
 use td_core::{DelayedAck, ReceiverConfig, SenderConfig, TcpDuplex};
 use td_engine::{SimDuration, SimTime};
 use td_net::{dumbbell, ConnId, LinkSpec};
@@ -66,8 +66,12 @@ fn run_duplex(
     d.world.start_at(ea, SimTime::ZERO);
     d.world.start_at(eb, SimTime::from_millis(137));
     let t1 = SimTime::from_secs(duration_s);
-    d.world.run_until(t1);
     let t0 = SimTime::from_secs(duration_s / 5);
+    let spec = StreamSpec::new()
+        .queue(d.bottleneck_12)
+        .utilization(d.bottleneck_12, t0, t1)
+        .utilization(d.bottleneck_21, t0, t1);
+    let m = run_observed(&mut d.world, &spec, t1);
 
     let get = |ep| {
         d.world
@@ -79,15 +83,15 @@ fn run_duplex(
             .stats()
     };
     let (sa, sb) = (get(ea), get(eb));
-    let q1 = queue_series(d.world.trace(), d.bottleneck_12);
+    let q1 = m.queue(d.bottleneck_12);
     DuplexRun {
         pure_acks: sa.pure_acks_sent + sb.pure_acks_sent,
         piggybacked: sa.piggybacked_acks + sb.piggybacked_acks,
         delivered_each_way: (sa.delivered, sb.delivered),
-        fluctuation: compression::queue_fluctuation(&q1, t0, t1, DATA_SERVICE),
+        fluctuation: compression::queue_fluctuation(q1, t0, t1, DATA_SERVICE),
         util: (
-            utilization_in(d.world.trace(), d.bottleneck_12, t0, t1),
-            utilization_in(d.world.trace(), d.bottleneck_21, t0, t1),
+            m.utilization(d.bottleneck_12),
+            m.utilization(d.bottleneck_21),
         ),
     }
 }
@@ -107,7 +111,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     base_sc.seed = seed;
     base_sc.duration = SimDuration::from_secs(duration_s);
     base_sc.warmup = SimDuration::from_secs(duration_s / 5);
-    let base = base_sc.run();
+    let base = base_sc.trace_free().run();
     let base_acks: u64 = base
         .conns()
         .iter()

@@ -44,8 +44,12 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
         &format!("seed {seed}, {duration_s} s per cell, 1+1, tau = 0.01 s, B = 20"),
     );
 
-    let tahoe = scenario_with(seed, duration_s, CcKind::default()).run();
-    let reno = scenario_with(seed, duration_s, CcKind::Reno).run();
+    let tahoe = scenario_with(seed, duration_s, CcKind::default())
+        .trace_free()
+        .run();
+    let reno = scenario_with(seed, duration_s, CcKind::Reno)
+        .trace_free()
+        .run();
 
     let measure = |run: &crate::scenario::Run| {
         let sp = run.ack_spacing(run.fwd[0]);

@@ -13,7 +13,8 @@
 //! several bottleneck service times leaves only partial clustering.
 
 use crate::report::Report;
-use td_analysis::{clustering_coefficient, departures, utilization_in};
+use crate::scenario::run_observed;
+use td_analysis::{clustering_coefficient, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{Rate, SimDuration, SimTime};
 use td_net::{ConnId, DisciplineKind, FaultModel, World};
@@ -22,8 +23,8 @@ use td_net::{ConnId, DisciplineKind, FaultModel, World};
 /// one with the paper's 0.1 ms access delay, the other with
 /// `extra_access_delay` — both sending to sinks on host 2. Returns
 /// `[clustering, utilization]` — the reduction happens here, worker-side,
-/// so the finished `World` (and its multi-MB trace) never crosses a
-/// thread boundary when the cells are fanned out.
+/// so the finished `World` never crosses a thread boundary when the cells
+/// are fanned out.
 fn run_pair(seed: u64, duration_s: u64, extra_access_delay: SimDuration) -> Vec<f64> {
     let mut w = World::new(seed);
     let fast_src = w.add_host("src-fast", SimDuration::from_micros(100));
@@ -85,20 +86,23 @@ fn run_pair(seed: u64, duration_s: u64, extra_access_delay: SimDuration) -> Vec<
         w.attach(dst, src, conn, TcpReceiver::boxed(ReceiverConfig::paper()));
         w.start_at(s, SimTime::from_millis(i as u64 * 137));
     }
-    w.run_until(SimTime::from_secs(duration_s));
-
     // Clustering of data departures at the bottleneck (S1 -> S2 is the
     // 7th channel added: 3 duplex access links = ids 0..=5, trunk = 6/7).
     let bottleneck = td_net::ChannelId(6);
     let t0 = SimTime::from_secs(duration_s / 5);
     let t1 = SimTime::from_secs(duration_s);
-    let deps: Vec<_> = departures(w.trace(), bottleneck)
-        .into_iter()
+    let spec = StreamSpec::new()
+        .departures(bottleneck)
+        .utilization(bottleneck, t0, t1);
+    let m = run_observed(&mut w, &spec, t1);
+    let deps: Vec<_> = m
+        .departures(bottleneck)
+        .iter()
         .filter(|d| d.t >= t0 && d.pkt.is_data())
+        .copied()
         .collect();
     let cc = clustering_coefficient(&deps).unwrap_or(0.0);
-    let util = utilization_in(w.trace(), bottleneck, t0, t1);
-    vec![cc, util]
+    vec![cc, m.utilization(bottleneck)]
 }
 
 /// Run and evaluate the RTT-spread claim.

@@ -103,7 +103,7 @@ impl ScaleParams {
     /// 6400 × 156 + 6399 × 4 = 1 023 996 connections. Only viable with
     /// the compressed routing tables — a dense per-switch map at this
     /// scale would cost tens of GiB before the first packet moves. Trace
-    /// off, streaming metrics only, same shape as [`rung_100k`].
+    /// off, streaming metrics only, same shape as [`ScaleParams::rung_100k`].
     pub fn rung_1m(p: Profile) -> ScaleParams {
         ScaleParams {
             clusters: 6400,
@@ -245,6 +245,15 @@ pub fn run_chain(
     seed: u64,
     p: &ScaleParams,
 ) -> (ShardedWorld, ScaleMap, SimTime, SimTime, StreamMetrics) {
+    run_chain_observing(seed, p, chain_spec)
+}
+
+/// [`run_chain`] with the observers' spec chosen by the caller.
+fn run_chain_observing(
+    seed: u64,
+    p: &ScaleParams,
+    spec_of: impl Fn(&ScaleMap, SimTime, SimTime) -> StreamSpec,
+) -> (ShardedWorld, ScaleMap, SimTime, SimTime, StreamMetrics) {
     let map_cell: RefCell<Option<ScaleMap>> = RefCell::new(None);
     let mut sw = ShardedWorld::build(seed, crate::shards(), |w| {
         let m = build_chain(w, seed, p);
@@ -254,7 +263,7 @@ pub fn run_chain(
     let map = map_cell.into_inner().expect("builder ran at least once");
     let t1 = SimTime::from_secs(p.duration_s);
     let t0 = SimTime::from_secs(p.duration_s / 5);
-    let spec = chain_spec(&map, t0, t1);
+    let spec = spec_of(&map, t0, t1);
     sw.add_observers(|_| Box::new(StreamAnalyzer::new(&spec)));
     sw.run_until(t1);
     let parts = sw
@@ -413,6 +422,7 @@ fn report_params(seed: u64, p: &ScaleParams, id: &str, title: &str) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_net::TraceEvent;
 
     /// The quick-profile report must not depend on the shard count —
     /// this is the in-process version of the CI determinism diff.
@@ -430,16 +440,45 @@ mod tests {
 
     /// Merged per-shard observers must equal a replay of the merged
     /// trace (trace on, both feeds live), at more than one shard count —
-    /// this is where canonical-ties buffering earns its keep.
+    /// this is where canonical-ties buffering earns its keep. Deliveries
+    /// are per host and sojourns per channel, so the spec names keys in
+    /// both clusters and the merge has to take each from the shard that
+    /// owns it.
     #[test]
     fn merged_shard_observers_match_replay_of_merged_trace() {
         let p = ScaleParams::for_profile(Profile::Quick);
         assert!(p.trace, "quick profile records the trace");
+        // A receiving endpoint in the first and in the last cluster, read
+        // off a reference run's trace: (sink host, connection, source host).
+        let (sw, ..) = run_chain(7, &p);
+        let sinks = sw.trace().records().iter().filter_map(|r| match r.ev {
+            TraceEvent::Deliver { node, pkt } if pkt.is_data() => Some((node, pkt.conn, pkt.src)),
+            _ => None,
+        });
+        let first = sinks.clone().min_by_key(|k| k.0).expect("data flowed");
+        let last = sinks.max_by_key(|k| k.0).expect("data flowed");
+        assert_ne!(first.0, last.0);
+        let bin = SimDuration::from_secs(1);
+        let spec_of = |map: &ScaleMap, t0, t1| {
+            let lh = map.long_haul.expect("two clusters have a long haul");
+            let mut spec = chain_spec(map, t0, t1)
+                .drops()
+                .sojourns(map.probe_trunk, t0, t1)
+                .sojourns(lh, t0, t1);
+            for (sink, conn, source) in [first, last] {
+                spec = spec
+                    .deliveries(sink, conn, false)
+                    .deliveries(source, conn, true)
+                    .delivered(sink, conn, t0, t1)
+                    .goodput(sink, conn, t0, t1, bin);
+            }
+            spec
+        };
         for shards in [1, 2] {
             crate::set_shards(shards);
-            let (sw, map, t0, t1, observed) = run_chain(7, &p);
+            let (sw, map, t0, t1, observed) = run_chain_observing(7, &p, spec_of);
             crate::set_shards(1);
-            let replayed = StreamAnalyzer::replay(&chain_spec(&map, t0, t1), sw.trace());
+            let replayed = StreamAnalyzer::replay(&spec_of(&map, t0, t1), sw.trace());
             assert_eq!(
                 observed.queue(map.probe_trunk),
                 replayed.queue(map.probe_trunk),
@@ -451,6 +490,43 @@ mod tests {
                 replayed.utilization(lh).to_bits(),
                 "long-haul utilization diverged at {shards} shard(s)"
             );
+            assert_eq!(
+                observed.data_drop_fraction().map(f64::to_bits),
+                replayed.data_drop_fraction().map(f64::to_bits),
+                "drop attribution diverged at {shards} shard(s)"
+            );
+            for ch in [map.probe_trunk, lh] {
+                assert!(!observed.sojourns(ch).is_empty());
+                assert_eq!(
+                    observed.sojourns(ch),
+                    replayed.sojourns(ch),
+                    "sojourns at {ch:?} diverged at {shards} shard(s)"
+                );
+            }
+            for (sink, conn, source) in [first, last] {
+                let at = format!("{conn:?} at {shards} shard(s)");
+                assert!(!observed.deliveries(source, conn, true).is_empty());
+                assert_eq!(
+                    observed.deliveries(sink, conn, false),
+                    replayed.deliveries(sink, conn, false),
+                    "data deliveries diverged for {at}"
+                );
+                assert_eq!(
+                    observed.deliveries(source, conn, true),
+                    replayed.deliveries(source, conn, true),
+                    "ACK deliveries diverged for {at}"
+                );
+                assert_eq!(
+                    observed.delivered(sink, conn),
+                    replayed.delivered(sink, conn),
+                    "delivery count diverged for {at}"
+                );
+                assert_eq!(
+                    observed.goodput(sink, conn),
+                    replayed.goodput(sink, conn),
+                    "goodput diverged for {at}"
+                );
+            }
         }
     }
 }

@@ -7,10 +7,11 @@
 //! returns a [`Run`] that bundles the finished [`World`] with the ids
 //! needed to ask analysis questions about it.
 
+use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use td_analysis::{
-    ack_spacing, clustering_coefficient, deliveries, AckSpacing, StreamAnalyzer, StreamMetrics,
+    ack_spacing, clustering_coefficient, AckSpacing, Departure, StreamAnalyzer, StreamMetrics,
     StreamSpec, TimeSeries,
 };
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
@@ -24,6 +25,8 @@ use td_net::{
 pub const DATA_SERVICE: SimDuration = SimDuration::from_millis(80);
 /// The paper's bottleneck ACK service time (50 B at 50 Kbit/s).
 pub const ACK_SERVICE: SimDuration = SimDuration::from_millis(8);
+/// Bin width of [`Run::goodput`].
+pub const GOODPUT_BIN: SimDuration = SimDuration::from_secs(5);
 
 /// One connection: a sender on one host, its receiver on the other.
 #[derive(Clone, Copy, Debug)]
@@ -76,9 +79,10 @@ pub struct Scenario {
     /// DECbit-style CE marking threshold on the bottleneck channels
     /// (`None` = no marking, the paper's setting).
     pub mark_threshold: Option<u32>,
-    /// Record the event trace (default). Disable for throughput
-    /// benchmarking; analysis methods on [`Run`] then need
-    /// [`Scenario::stream`], and panic without it.
+    /// Record the event trace (default). Only a run whose *records*
+    /// become output needs it (a pcap, a trace hash, a test reading
+    /// them); analysis methods on [`Run`] work from [`Scenario::stream`]
+    /// without it, and panic with neither.
     pub record_trace: bool,
     /// Fault plan installed on the Switch-1 → Switch-2 bottleneck channel
     /// ([`FaultPlan::NONE`] = fault-free, the paper's setting).
@@ -120,6 +124,15 @@ impl Scenario {
             watchdog: None,
             stream: false,
         }
+    }
+
+    /// Observer on, trace off — the way registry entries run: every
+    /// [`Run`] measurement is folded online and no trace record is
+    /// stored, so run memory is O(live state + computed series).
+    pub fn trace_free(mut self) -> Self {
+        self.stream = true;
+        self.record_trace = false;
+        self
     }
 
     /// Add `n` forward (Host-1 → Host-2) connections.
@@ -206,7 +219,6 @@ impl Scenario {
             .set_fault_plan(d.bottleneck_21, self.fault_rev.clone())
             .expect("fault_rev plan must validate");
         let mut rng = SimRng::new(self.seed).derive(0xA11C);
-        let mut conns = Vec::new();
         let mut senders = BTreeMap::new();
         let mut receivers = BTreeMap::new();
         let mut next = 0u32;
@@ -229,23 +241,13 @@ impl Scenario {
             receivers.insert(conn, r);
             conn
         };
-        let mut fwd_conns = Vec::new();
-        for spec in &self.fwd {
-            let c = attach(&mut d.world, d.host1, d.host2, spec, &mut next, &mut rng);
-            fwd_conns.push(c);
-            conns.push(c);
-        }
-        let mut rev_conns = Vec::new();
-        for spec in &self.rev {
-            let c = attach(&mut d.world, d.host2, d.host1, spec, &mut next, &mut rng);
-            rev_conns.push(c);
-            conns.push(c);
-        }
         // The superset every `Run` analysis method may ask for: both
-        // bottleneck queue series and utilizations, every connection's
-        // cwnd, all drops, and the 1→2 departures that clustering reads.
-        // Emission order *is* trace order on a plain serial world, so no
-        // canonical-ties buffering.
+        // bottleneck queue series and utilizations, all drops, the 1→2
+        // departures that clustering reads and the sojourns behind the
+        // ACK queueing delay, and per connection its cwnd, the ACKs
+        // reaching its source, and the deliveries, delivery count and
+        // goodput at its sink. Emission order *is* trace order on a plain
+        // serial world, so no canonical-ties buffering.
         let (t0, t1) = (SimTime::ZERO + self.warmup, SimTime::ZERO + self.duration);
         let mut spec = StreamSpec::new()
             .queue(d.bottleneck_12)
@@ -253,9 +255,26 @@ impl Scenario {
             .utilization(d.bottleneck_12, t0, t1)
             .utilization(d.bottleneck_21, t0, t1)
             .drops()
-            .departures(d.bottleneck_12);
-        for &c in &conns {
-            spec = spec.cwnd(c);
+            .departures(d.bottleneck_12)
+            .sojourns(d.bottleneck_12, t0, t1);
+        let per_conn = |spec: StreamSpec, c: ConnId, source: NodeId, sink: NodeId| {
+            spec.cwnd(c)
+                .deliveries(source, c, true)
+                .deliveries(sink, c, false)
+                .delivered(sink, c, t0, t1)
+                .goodput(sink, c, t0, t1, GOODPUT_BIN)
+        };
+        let mut fwd_conns = Vec::new();
+        for cs in &self.fwd {
+            let c = attach(&mut d.world, d.host1, d.host2, cs, &mut next, &mut rng);
+            spec = per_conn(spec, c, d.host1, d.host2);
+            fwd_conns.push(c);
+        }
+        let mut rev_conns = Vec::new();
+        for cs in &self.rev {
+            let c = attach(&mut d.world, d.host2, d.host1, cs, &mut next, &mut rng);
+            spec = per_conn(spec, c, d.host2, d.host1);
+            rev_conns.push(c);
         }
         if self.stream {
             d.world.add_observer(Box::new(StreamAnalyzer::new(&spec)));
@@ -292,16 +311,39 @@ impl Scenario {
             }
         };
         if self.stream {
-            let mut obs = run.world.take_observers();
-            let an = *obs
-                .pop()
-                .expect("stream scenario lost its observer")
-                .into_any()
-                .downcast::<StreamAnalyzer>()
-                .expect("observer is a StreamAnalyzer");
-            run.metrics = OnceCell::from(an.finish());
+            run.metrics = OnceCell::from(take_analyzer(&mut run.world).finish());
         }
     }
+}
+
+/// Take the world's [`StreamAnalyzer`] back — by type, not by position,
+/// since a caller may have registered observers of its own — and leave
+/// every other observer registered, in order.
+fn take_analyzer(world: &mut World) -> StreamAnalyzer {
+    let mut obs = world.take_observers();
+    let at = obs
+        .iter()
+        .position(|o| (&**o as &dyn Any).is::<StreamAnalyzer>())
+        .expect("the world has a StreamAnalyzer observer");
+    let an = obs
+        .remove(at)
+        .into_any()
+        .downcast::<StreamAnalyzer>()
+        .expect("checked by type above");
+    for o in obs {
+        world.add_observer(o);
+    }
+    *an
+}
+
+/// Run a hand-built world to `t1` the way [`Scenario::trace_free`] runs a
+/// dumbbell: trace recording off, one [`StreamAnalyzer`] for `spec`
+/// riding along; returns what it measured.
+pub fn run_observed(world: &mut World, spec: &StreamSpec, t1: SimTime) -> StreamMetrics {
+    world.trace_mut().set_enabled(false);
+    world.add_observer(Box::new(StreamAnalyzer::new(spec)));
+    world.run_until(t1);
+    take_analyzer(world).finish()
 }
 
 /// A finished scenario: the world plus everything needed to interrogate it.
@@ -356,14 +398,26 @@ impl Run {
     /// [`Scenario::record_trace`] nor [`Scenario::stream`] was set — since
     /// every measurement of it would be a silent zero.
     pub fn metrics(&self) -> &StreamMetrics {
-        self.metrics.get_or_init(|| {
-            assert!(
-                self.world.trace().is_enabled(),
-                "this Run recorded nothing to measure: set Scenario::record_trace \
-                 (replay the trace) or Scenario::stream (observe online)"
-            );
-            StreamAnalyzer::replay(&self.spec, self.world.trace())
-        })
+        self.metrics
+            .get_or_init(|| StreamAnalyzer::replay(&self.spec, self.world.trace()))
+    }
+
+    /// The host `conn` sends data from (and receives its ACKs at).
+    pub fn source(&self, conn: ConnId) -> NodeId {
+        if self.fwd.contains(&conn) {
+            self.host1
+        } else {
+            self.host2
+        }
+    }
+
+    /// The host `conn`'s data is delivered to.
+    pub fn sink(&self, conn: ConnId) -> NodeId {
+        if self.fwd.contains(&conn) {
+            self.host2
+        } else {
+            self.host1
+        }
     }
 
     /// Queue-length series at switch 1's bottleneck buffer.
@@ -422,18 +476,46 @@ impl Run {
 
     /// ACK-compression (§4.2): spacing of the ACKs arriving at `conn`'s
     /// sending host within `[t0, t1]`, against the data service time.
-    /// Needs the recorded trace; `None` with fewer than two ACKs.
+    /// `None` with fewer than two ACKs.
     pub fn ack_spacing(&self, conn: ConnId) -> Option<AckSpacing> {
-        let source = if self.fwd.contains(&conn) {
-            self.host1
-        } else {
-            self.host2
-        };
-        let acks: Vec<_> = deliveries(self.world.trace(), source, conn, true)
-            .into_iter()
+        let acks: Vec<_> = self
+            .metrics()
+            .deliveries(self.source(conn), conn, true)
+            .iter()
             .filter(|d| d.t >= self.t0 && d.t <= self.t1)
+            .copied()
             .collect();
         ack_spacing(&acks, DATA_SERVICE)
+    }
+
+    /// Every packet delivered to `conn`'s receiving endpoint, over the
+    /// whole run, in delivery order.
+    pub fn deliveries(&self, conn: ConnId) -> &[Departure] {
+        self.metrics().deliveries(self.sink(conn), conn, false)
+    }
+
+    /// Data packets of `conn` delivered within the measurement window.
+    pub fn delivered(&self, conn: ConnId) -> u64 {
+        self.metrics().delivered(self.sink(conn), conn)
+    }
+
+    /// Goodput of `conn` over the measurement window, as a step series
+    /// in packets/second over [`GOODPUT_BIN`]-wide bins.
+    pub fn goodput(&self, conn: ConnId) -> TimeSeries {
+        self.metrics().goodput(self.sink(conn), conn).clone()
+    }
+
+    /// Mean queueing + serialization delay of the ACKs crossing the 1→2
+    /// bottleneck within the window, in seconds (§4.3.1's "effective
+    /// pipe"); `None` if no ACK crossed.
+    pub fn mean_ack_sojourn12(&self) -> Option<f64> {
+        self.metrics().mean_ack_sojourn(self.bottleneck_12)
+    }
+
+    /// Fraction of all dropped packets, over the whole run, that were
+    /// data packets; `None` if nothing dropped.
+    pub fn data_drop_fraction(&self) -> Option<f64> {
+        self.metrics().data_drop_fraction()
     }
 
     /// Clustering coefficient at `ch`, optionally data-only. Departures

@@ -8,7 +8,7 @@
 //! completion for a client that already gave up.
 //!
 //! The mechanism mirrors the repository's existing fault-isolation
-//! contract: the engine's hot loop ([`crate::World::dispatch`]-side,
+//! contract: the engine's hot loop (`World::dispatch`-side,
 //! via [`tick`]) polls a **thread-local** deadline every
 //! [`CHECK_INTERVAL`] dispatched events, and when the deadline has
 //! passed it panics with a recognizable [`PANIC_PREFIX`] payload. The

@@ -24,8 +24,9 @@ use td_engine::SimTime;
 /// Observers must be passive: they see each event by reference, cannot
 /// touch the world, and must not panic on any event sequence. `Send`
 /// because sharded worlds run on worker threads (the observer travels
-/// with its shard's `World`).
-pub trait TraceObserver: Send {
+/// with its shard's `World`); `Any` so a caller holding several kinds of
+/// observer can tell them apart by type before taking one back.
+pub trait TraceObserver: Send + std::any::Any {
     /// One trace event, in emission order (the exact order the records
     /// would appear in the trace of this world).
     fn on_record(&mut self, t: SimTime, ev: &TraceEvent);

@@ -819,7 +819,7 @@ impl World {
     /// ascending id order, so consecutive hosts sharing a next-hop extend
     /// the previous run in O(1) and the dense (switch × host) map is never
     /// materialized. Afterwards each fully-covering switch elides its
-    /// majority channel into a default route (see [`crate::route`]).
+    /// majority channel into a default route (see the `route` module).
     pub fn compute_routes(&mut self) {
         let host_ids = self.host_ids();
         for node in &mut self.nodes {
