@@ -377,7 +377,7 @@ impl Endpoint for TcpDuplex {
             None
         };
         self.next_expected = r.read_u64()?;
-        let n = r.read_u64()?;
+        let n = r.read_len()?;
         self.reassembly.clear();
         for _ in 0..n {
             self.reassembly.insert(r.read_u64()?);

@@ -174,7 +174,7 @@ impl Endpoint for TcpReceiver {
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.next_expected = r.read_u64()?;
-        let n = r.read_u64()?;
+        let n = r.read_len()?;
         self.reassembly.clear();
         for _ in 0..n {
             self.reassembly.insert(r.read_u64()?);

@@ -15,8 +15,9 @@
 //!   O(log n) cancellation and O(1) `&self` peeking. Ties in time are
 //!   broken by schedule order, which makes every run deterministic: two
 //!   events scheduled for the same instant fire in the order they were
-//!   scheduled. (The pre-slab implementation survives in [`legacy`] as a
-//!   differential-testing oracle and benchmark baseline.)
+//!   scheduled. (The pre-slab implementation is not part of this crate;
+//!   it survives under `tests/` as the oracle `queue_differential.rs`
+//!   locksteps against.)
 //! * [`SimRng`] — a small, seedable, deterministic random-number generator
 //!   (an `xoshiro256**` implemented locally) so experiments are reproducible
 //!   from a single `u64` seed and independent of external crate versioning.
@@ -58,7 +59,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod legacy;
 pub mod meter;
 mod queue;
 mod rate;

@@ -9,7 +9,8 @@
 //! whole-simulation runs reproducible: there is never an "arbitrary"
 //! choice left to hash-map iteration order or heap tie-breaking, and it is
 //! byte-for-byte the order the engine's original binary-heap queue
-//! produced (see [`crate::legacy`] and `tests/queue_differential.rs`).
+//! produced (`tests/queue_differential.rs` locksteps the two; the old
+//! queue lives on only as that test's reference module).
 //!
 //! Each slot remembers its position in the heap, which buys the two
 //! operations the old design faked with tombstones:

@@ -1,23 +1,21 @@
 //! The pre-slab event queue, kept verbatim as a reference semantics oracle.
 //!
 //! This is the `BinaryHeap + HashSet` design the engine shipped with before
-//! the indexed d-ary heap landed in [`crate::EventQueue`]: cancellation is
-//! lazy (a tombstone set consulted on every pop), and retired ids are
-//! tracked with a fired-set + watermark. It is **not** used by any
-//! simulation — it exists so that:
-//!
-//! * the differential ordering test (`tests/queue_differential.rs`) can
-//!   drive both implementations with an identical schedule/cancel/pop
-//!   script and assert identical observable behaviour at every step, and
-//! * the engine benchmarks can publish old-vs-new numbers from a single
-//!   binary, so the speedup claim in `BENCH_engine.json` is reproducible
-//!   with one command rather than a checkout dance.
+//! the indexed d-ary heap landed in [`td_engine::EventQueue`]: cancellation
+//! is lazy (a tombstone set consulted on every pop), and retired ids are
+//! tracked with a fired-set + watermark. It is **not** part of the
+//! `td-engine` library and no simulation uses it — it exists so that the
+//! differential ordering test (`queue_differential.rs`, which declares it
+//! as `mod legacy`) can drive both implementations with an identical
+//! schedule/cancel/pop script and assert identical observable behaviour
+//! at every step. A pinned hash over that script would say *that* the
+//! order changed; only a second implementation says which side is right.
 //!
 //! Do not "improve" this module; its value is being frozen.
 
-use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use td_engine::SimTime;
 
 /// Opaque handle to an event scheduled into a [`LegacyEventQueue`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

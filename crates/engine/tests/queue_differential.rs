@@ -1,18 +1,21 @@
 //! Differential test: the slab-backed 4-ary [`EventQueue`] must be
 //! observably indistinguishable from the pre-slab binary-heap queue
-//! ([`td_engine::legacy::LegacyEventQueue`]) under any interleaving of
-//! schedules, cancels, and pops.
+//! ([`legacy::LegacyEventQueue`], this test's own module — the library
+//! exports one queue) under any interleaving of schedules, cancels, and
+//! pops.
 //!
 //! One `SimRng`-generated script (≥100k ops) drives both implementations
 //! in lockstep. After every operation the test asserts identical `len()`,
-//! `dispatched()`, `peak_len()`, `scheduled()`, `now()` and `peek_time()`;
-//! every pop must yield the identical `(time, payload)`; and every cancel
-//! must return the identical verdict. Because the payload is the op index,
-//! agreement on pop payloads proves the *total order* matches — including
-//! the tie-break by schedule sequence that all experiment reproducibility
-//! rests on.
+//! `is_empty()`, `dispatched()`, `peak_len()`, `scheduled()`, `now()` and
+//! `peek_time()`; every pop must yield the identical `(time, payload)`; and
+//! every cancel must return the identical verdict. Because the payload is
+//! the op index, agreement on pop payloads proves the *total order*
+//! matches — including the tie-break by schedule sequence that all
+//! experiment reproducibility rests on.
 
-use td_engine::legacy::{LegacyEventId, LegacyEventQueue};
+mod legacy;
+
+use legacy::{LegacyEventId, LegacyEventQueue};
 use td_engine::{EventId, EventQueue, SimDuration, SimRng};
 
 /// Handles for the same logical event in both queues.
@@ -75,6 +78,11 @@ fn lockstep(seed: u64, ops: u64, time_jitter: u64) {
             }
         }
         assert_eq!(nq.len(), oq.len(), "len diverged at step {step}");
+        assert_eq!(
+            nq.is_empty(),
+            oq.is_empty(),
+            "is_empty diverged at step {step}"
+        );
         assert_eq!(nq.now(), oq.now(), "clock diverged at step {step}");
         assert_eq!(
             nq.dispatched(),

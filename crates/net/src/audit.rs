@@ -435,8 +435,8 @@ impl Audit {
             let b = r.read_f64()?;
             self.window_bounds.insert(c, b);
         }
-        let n_viol = r.read_u64()?;
-        self.violations = Vec::with_capacity((n_viol as usize).min(MAX_RECORDED));
+        let n_viol = r.read_len()?;
+        self.violations = Vec::with_capacity(n_viol.min(MAX_RECORDED));
         for _ in 0..n_viol {
             let t = r.read_time()?;
             let invariant = match r.read_u8()? {

@@ -1502,7 +1502,7 @@ impl World {
     ) -> Result<(), SnapError> {
         let busy = r.read_bool()?;
         self.hosts.set_proc_busy(ni, busy);
-        let n = r.read_u64()?;
+        let n = r.read_len()?;
         let q = self.hosts.proc_queue_mut(ni);
         q.clear();
         for _ in 0..n {

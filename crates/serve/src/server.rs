@@ -397,7 +397,7 @@ fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
         tag => return Err(SnapError::Corrupt(format!("unknown profile tag {tag}"))),
     };
     let priority = r.read_u8()?;
-    let n = r.read_u64()?;
+    let n = r.read_len()?;
     let mut overrides = Vec::new();
     for _ in 0..n {
         let k = r.read_str()?;

@@ -3,9 +3,10 @@
 //!
 //! These are the same runners behind `td-repro`; the full-length runs are
 //! recorded in EXPERIMENTS.md. One test per experiment id so a regression
-//! names the figure it broke.
+//! names the figure it broke, and `every_registry_id_has_a_one_liner`
+//! fails when `registry()` gains an id the table below does not name.
 
-use tahoe_dynamics::experiments::registry::{find, Profile};
+use tahoe_dynamics::experiments::registry::{find, registry, Profile};
 
 fn check(id: &str) {
     let rep = find(id)
@@ -19,69 +20,49 @@ fn check(id: &str) {
     assert!(!rep.rows.is_empty());
 }
 
-#[test]
-fn fig2_one_way_baseline() {
-    check("fig2");
+/// One `#[test]` per row, in `registry()` order, and the ids as `CHECKED`.
+macro_rules! claims {
+    ($($name:ident => $id:literal,)*) => {
+        $(
+            #[test]
+            fn $name() {
+                check($id);
+            }
+        )*
+        const CHECKED: &[&str] = &[$($id),*];
+    };
+}
+
+claims! {
+    fig2_one_way_baseline => "fig2",
+    fig3_ten_connection_fluctuations => "fig3",
+    fig45_out_of_phase_small_pipe => "fig45",
+    fig67_in_phase_large_pipe => "fig67",
+    fig8_fixed_windows_small_pipe => "fig8",
+    fig9_fixed_windows_large_pipe => "fig9",
+    oneway_utilization_table => "oneway-util",
+    zero_ack_conjecture => "conjecture",
+    delayed_ack_option => "delayed-ack",
+    multihop_generality => "multihop",
+    scale_cluster_chain => "scale",
+    decbit_generality => "decbit",
+    piggyback_duplex => "piggyback",
+    synchronization_mode_census => "modes",
+    rtt_spread_breaks_clustering => "rtt-spread",
+    crosstraffic_interleaves_clusters => "crosstraffic",
+    short_flow_completion_times => "short-flows",
+    reno_structural_vs_specific => "reno",
+    ablation_pacing => "abl-pacing",
+    ablation_increment_rule => "abl-increment",
+    ablation_red_desynchronizes_losses => "abl-red",
+    ablation_gateway_discipline => "abl-discipline",
+    chaos_recovery_drill => "chaos",
 }
 
 #[test]
-fn fig3_ten_connection_fluctuations() {
-    check("fig3");
-}
-
-#[test]
-fn fig45_out_of_phase_small_pipe() {
-    check("fig45");
-}
-
-#[test]
-fn fig67_in_phase_large_pipe() {
-    check("fig67");
-}
-
-#[test]
-fn fig8_fixed_windows_small_pipe() {
-    check("fig8");
-}
-
-#[test]
-fn fig9_fixed_windows_large_pipe() {
-    check("fig9");
-}
-
-#[test]
-fn oneway_utilization_table() {
-    check("oneway-util");
-}
-
-#[test]
-fn zero_ack_conjecture() {
-    check("conjecture");
-}
-
-#[test]
-fn delayed_ack_option() {
-    check("delayed-ack");
-}
-
-#[test]
-fn multihop_generality() {
-    check("multihop");
-}
-
-#[test]
-fn ablation_pacing() {
-    check("abl-pacing");
-}
-
-#[test]
-fn ablation_increment_rule() {
-    check("abl-increment");
-}
-
-#[test]
-fn ablation_gateway_discipline() {
-    check("abl-discipline");
+fn every_registry_id_has_a_one_liner() {
+    let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    assert_eq!(ids, CHECKED, "registry() and the claims! table disagree");
 }
 
 /// Seed-robustness of the fig45 headline, with the paper's own caveat.
@@ -135,39 +116,4 @@ fn fig45_headline_is_seed_robust() {
         "out-of-phase should dominate at small pipe: {out_of_phase}/{}",
         seeds.len()
     );
-}
-
-#[test]
-fn decbit_generality() {
-    check("decbit");
-}
-
-#[test]
-fn piggyback_duplex() {
-    check("piggyback");
-}
-
-#[test]
-fn synchronization_mode_census() {
-    check("modes");
-}
-
-#[test]
-fn rtt_spread_breaks_clustering() {
-    check("rtt-spread");
-}
-
-#[test]
-fn crosstraffic_interleaves_clusters() {
-    check("crosstraffic");
-}
-
-#[test]
-fn short_flow_completion_times() {
-    check("short-flows");
-}
-
-#[test]
-fn reno_structural_vs_specific() {
-    check("reno");
 }
