@@ -11,8 +11,9 @@
 //! * [`Rate`] — a bandwidth in bits/second with exact integer
 //!   transmission-time arithmetic.
 //! * [`EventQueue`] — a totally ordered, cancellable pending-event set:
-//!   an indexed 4-ary min-heap over a generation-counted slab, with true
-//!   O(log n) cancellation and O(1) `&self` peeking. Ties in time are
+//!   a 4-ary min-heap for the events due soon and unsorted per-epoch
+//!   buckets for the rest, over a generation-counted slab, with true
+//!   cancellation and O(1) `&self` peeking. Ties in time are
 //!   broken by schedule order, which makes every run deterministic: two
 //!   events scheduled for the same instant fire in the order they were
 //!   scheduled. (The pre-slab implementation is not part of this crate;

@@ -1,46 +1,81 @@
-//! The pending-event set: an indexed 4-ary min-heap over a slab.
+//! The pending-event set: a two-tier queue over a generation-counted slab.
 //!
-//! Events live in a **generation-counted slab**: scheduling claims a slot
-//! (reusing freed ones), and the returned [`EventId`] is the pair
-//! `(slot, generation)`. A parallel **4-ary heap of slot indices** orders
-//! the pending set by `(time, seq)`, where `seq` is a monotone counter
-//! assigned at scheduling time — so events scheduled for the same instant
-//! fire in scheduling order. This total order is what makes
-//! whole-simulation runs reproducible: there is never an "arbitrary"
-//! choice left to hash-map iteration order or heap tie-breaking, and it is
-//! byte-for-byte the order the engine's original binary-heap queue
-//! produced (`tests/queue_differential.rs` locksteps the two; the old
-//! queue lives on only as that test's reference module).
+//! Events live in a **slab**: scheduling claims a slot (reusing freed
+//! ones), and the returned [`EventId`] is the pair `(slot, generation)`.
+//! The pending set is ordered by `(time, key, seq)`, where `seq` is a
+//! monotone counter assigned at scheduling time — so events scheduled for
+//! the same instant (and key) fire in scheduling order. This total order is
+//! what makes whole-simulation runs reproducible: there is never an
+//! "arbitrary" choice left to hash-map iteration order or heap
+//! tie-breaking, and it is byte-for-byte the order the engine's original
+//! binary-heap queue produced (`tests/queue_differential.rs` locksteps the
+//! two; the old queue lives on only as that test's reference module).
 //!
-//! Each slot remembers its position in the heap, which buys the two
-//! operations the old design faked with tombstones:
+//! Sim time is cut into fixed **epochs** of 2²¹ ns (≈ 2 ms), and the
+//! pending set into two tiers by epoch alone:
 //!
-//! * [`EventQueue::cancel`] is a **true O(log n) removal** — swap the
-//!   victim with the last heap entry and re-sift. No tombstone ever enters
-//!   the heap, so `pop` and `peek_time` never loop over corpses, `len` is
-//!   a plain `Vec::len`, and there is **no hashing anywhere** on the
-//!   schedule/cancel/pop path (the old queue paid a `HashSet` probe per
-//!   pop plus fired-set bookkeeping per event).
-//! * Liveness checks ([`EventQueue::cancel`] re-cancel, [`EventQueue::has_fired`])
-//!   are a **generation compare**: freeing a slot bumps its generation, so
-//!   a stale handle can never alias a reused slot (generations are `u64`;
-//!   they do not wrap in any feasible run).
+//! * The **near tier** is a 4-ary min-heap holding every event whose epoch
+//!   is at or before `near_epoch`. Its entries carry `(at, key, seq, slot)`
+//!   inline, so a sift compares and moves 32-byte cells of one dense array
+//!   and never loads from the slab.
+//! * The **parked tier** holds every later event, unsorted, in one bucket
+//!   of slot indices per epoch: a ring of 2048 buckets (≈ 4.3 s) for the
+//!   epochs just past `near_epoch`, an ordered map for the few beyond the
+//!   ring's horizon. Parking is a `Vec::push`; cancelling a parked event
+//!   is a `swap_remove`.
 //!
-//! Why d = 4: a d-ary heap trades deeper trees for wider nodes. With
-//! 4 children per node the tree is half as deep as a binary heap
-//! (log₄ n = ½ log₂ n), sift-up — the operation `schedule_at` always pays —
-//! does half the comparisons, and the four children sit in adjacent
-//! `Vec` cells, so the extra comparisons in sift-down are against hot
-//! cache lines. For discrete-event simulation, where schedules outnumber
-//! sift-downs (every pop is preceded by exactly one schedule, but cancels
-//! remove many events before they ever reach the root), this is the
-//! standard sweet spot.
+//! One dense backlink array (`pos`, indexed by slot) records where in its
+//! container — heap or bucket — each pending event sits; which container
+//! follows from the event's epoch. A parked event enters the heap only
+//! when the heap runs empty: the earliest non-empty bucket is promoted
+//! whole and `near_epoch` jumps to its epoch. Every mutating operation
+//! ends with that refill done, so *heap empty ⇒ nothing parked*, the heap
+//! root is always the global minimum, and [`EventQueue::peek_time`] stays
+//! `&self` and O(1). Because the tiers partition by time, which tier an
+//! event waited in can never change the order it pops in.
+//!
+//! On a 100k-connection world ≈ 109 000 events are pending but only
+//! ≈ 2 300 are due within the next few epochs; the rest are retransmit
+//! timers and not-yet-started connections, nearly all cancelled or
+//! re-armed before they come due. Those never touch the heap at all.
+//! `near_epoch` moves only while the heap is empty, so the worst cases —
+//! every pending event in one epoch, or a queue whose first event lies far
+//! ahead of all that follow — degrade to a flat 4-ary heap with inline
+//! keys until the clock passes `near_epoch`, never to a wrong order.
+//!
+//! Cancellation is **true removal** in both tiers: no tombstone is ever
+//! stored, so `pop` never loops over corpses, `len` is exact, and there is
+//! no hashing anywhere on the schedule/cancel/pop path. Liveness checks
+//! ([`EventQueue::cancel`] re-cancel, [`EventQueue::has_fired`]) are a
+//! **generation compare**: freeing a slot bumps its generation, so a stale
+//! handle can never alias a reused slot (generations are `u64`; they do
+//! not wrap in any feasible run).
 
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::SimTime;
+use std::collections::BTreeMap;
 
-/// Slot index marker for "not in the heap".
+/// Snapshot marker in a vacant slot's `heap_pos` field.
 const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// log₂ of the epoch width in nanoseconds: 2²¹ ns ≈ 2.1 ms.
+const EPOCH_SHIFT: u32 = 21;
+
+/// Buckets in the parked ring: epochs `near_epoch + 1 ..= near_epoch +
+/// RING_LEN` (≈ 4.3 s of sim time, past a 3 s initial RTO) park in the
+/// ring, later ones in the overflow map.
+const RING_LEN: u64 = 2048;
+const RING_WORDS: usize = RING_LEN as usize / 64;
+
+/// Emptied bucket buffers kept for reuse. A bucket opens about as often as
+/// one drains, so a handful is enough; without them a small world, whose
+/// buckets hold one event each, pays the allocator once per event.
+const SPARE_MAX: usize = 8;
+
+#[inline]
+fn epoch_of(at: SimTime) -> u64 {
+    at.as_nanos() >> EPOCH_SHIFT
+}
 
 /// Opaque handle to a scheduled event, used to cancel it.
 ///
@@ -75,8 +110,6 @@ impl EventId {
 struct Slot<E> {
     /// Generation of the current (or next) occupant.
     gen: u64,
-    /// Index into `heap` while pending; `NOT_IN_HEAP` when vacant.
-    heap_pos: u32,
     /// Absolute due time of the current occupant.
     at: SimTime,
     /// Caller-supplied tie key, ordered before `seq` among same-time
@@ -90,6 +123,23 @@ struct Slot<E> {
     event: Option<E>,
 }
 
+/// One near-tier heap cell: the slot's sort key, copied out of the slab so
+/// heap order can be restored without touching it.
+#[derive(Clone, Copy)]
+struct HeapEntry {
+    at: SimTime,
+    key: u64,
+    seq: u64,
+    slot: u32,
+}
+
+impl HeapEntry {
+    #[inline]
+    fn order(&self) -> (SimTime, u64, u64) {
+        (self.at, self.key, self.seq)
+    }
+}
+
 /// A deterministic, cancellable discrete-event queue.
 ///
 /// The queue also tracks the simulation clock: [`EventQueue::now`] is the
@@ -98,15 +148,35 @@ struct Slot<E> {
 /// caller bugs.
 ///
 /// Memory: the slab holds one cell per *concurrently pending* event (peak,
-/// not total — retired slots are reused), and the heap is a `Vec<u32>` of
-/// the same length. Nothing grows with the number of events ever
-/// scheduled.
+/// not total — retired slots are reused), plus four bytes of backlink and
+/// either four bytes of bucket or one 32-byte heap cell per pending event.
+/// An emptied bucket hands its buffer to the next bucket that opens (a
+/// pool of at most eight) or back to the allocator; no ring cell
+/// keeps capacity it is not using. Nothing grows with the number of events
+/// ever scheduled.
 pub struct EventQueue<E> {
-    /// Slot indices, heap-ordered by `(slots[i].at, slots[i].seq)`.
-    heap: Vec<u32>,
+    /// Near tier: every pending event with `epoch_of(at) <= near_epoch`,
+    /// heap-ordered by `(at, key, seq)`.
+    heap: Vec<HeapEntry>,
     slots: Vec<Slot<E>>,
+    /// Per slot: index of the pending event inside its container (`heap`,
+    /// or the bucket of its epoch). Stale for vacant slots.
+    pos: Vec<u32>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
+    /// Every parked event's epoch is later than this.
+    near_epoch: u64,
+    /// Parked events of epoch `e`, `near_epoch < e <= near_epoch +
+    /// RING_LEN`, sit in `ring[e % RING_LEN]`.
+    ring: Vec<Vec<u32>>,
+    /// Bit `i` set ⇔ `ring[i]` is non-empty.
+    occupied: [u64; RING_WORDS],
+    /// Parked events past the ring's horizon, by epoch. No bucket is empty.
+    overflow: BTreeMap<u64, Vec<u32>>,
+    /// Events in `ring` and `overflow` together.
+    parked: usize,
+    /// Emptied bucket buffers awaiting reuse.
+    spare: Vec<Vec<u32>>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -134,16 +204,7 @@ impl<E> Drop for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-            peak_len: 0,
-            unflushed_sched: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with slab and heap capacity for `n` concurrently
@@ -153,8 +214,21 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::with_capacity(n),
             slots: Vec::with_capacity(n),
+            pos: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
-            ..Self::new()
+            near_epoch: 0,
+            ring: std::iter::repeat_with(Vec::new)
+                .take(RING_LEN as usize)
+                .collect(),
+            occupied: [0; RING_WORDS],
+            overflow: BTreeMap::new(),
+            parked: 0,
+            spare: Vec::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            popped: 0,
+            peak_len: 0,
+            unflushed_sched: 0,
         }
     }
 
@@ -180,50 +254,46 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    /// Number of live pending events. Exact: cancelled events leave the
-    /// heap immediately.
+    /// Number of live pending events, both tiers. Exact: cancelled events
+    /// leave the queue immediately.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.parked
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
+        // An empty heap means an empty parked tier.
         self.heap.is_empty()
     }
 
-    /// `(at, key, seq)` sort key of the slot at heap position `pos`.
-    #[inline]
-    fn key(&self, pos: usize) -> (SimTime, u64, u64) {
-        let s = &self.slots[self.heap[pos] as usize];
-        (s.at, s.key, s.seq)
-    }
+    // -- near tier ----------------------------------------------------------
 
     #[inline]
-    fn set_pos(&mut self, pos: usize, slot: u32) {
-        self.heap[pos] = slot;
-        self.slots[slot as usize].heap_pos = pos as u32;
+    fn place(&mut self, pos: usize, entry: HeapEntry) {
+        self.heap[pos] = entry;
+        self.pos[entry.slot as usize] = pos as u32;
     }
 
     /// Move the entry at `pos` rootward while it sorts before its parent.
     fn sift_up(&mut self, mut pos: usize) {
-        let slot = self.heap[pos];
-        let key = self.key(pos);
+        let entry = self.heap[pos];
         while pos > 0 {
             let parent = (pos - 1) / 4;
-            if key >= self.key(parent) {
+            let p = self.heap[parent];
+            if entry.order() >= p.order() {
                 break;
             }
-            let p = self.heap[parent];
-            self.set_pos(pos, p);
+            self.place(pos, p);
             pos = parent;
         }
-        self.set_pos(pos, slot);
+        self.place(pos, entry);
     }
 
-    /// Move the entry at `pos` leafward while some child sorts before it.
-    fn sift_down(&mut self, mut pos: usize) {
-        let slot = self.heap[pos];
-        let key = self.key(pos);
+    /// Move the entry at `pos` leafward while some child sorts before it;
+    /// returns where it came to rest.
+    fn sift_down(&mut self, mut pos: usize) -> usize {
+        let entry = self.heap[pos];
+        let key = entry.order();
         loop {
             let first = pos * 4 + 1;
             if first >= self.heap.len() {
@@ -231,9 +301,9 @@ impl<E> EventQueue<E> {
             }
             let last = (first + 4).min(self.heap.len());
             let mut best = first;
-            let mut best_key = self.key(first);
+            let mut best_key = self.heap[first].order();
             for c in first + 1..last {
-                let k = self.key(c);
+                let k = self.heap[c].order();
                 if k < best_key {
                     best = c;
                     best_key = k;
@@ -243,27 +313,195 @@ impl<E> EventQueue<E> {
                 break;
             }
             let b = self.heap[best];
-            self.set_pos(pos, b);
+            self.place(pos, b);
             pos = best;
         }
-        self.set_pos(pos, slot);
+        self.place(pos, entry);
+        pos
     }
 
-    /// Detach the heap entry at `pos` and restore heap order. The caller
-    /// still owns the slot's contents.
+    /// Detach the heap entry at `pos`, restore heap order, and refill the
+    /// heap from the parked tier if that emptied it. The caller still owns
+    /// the slot's contents.
     fn remove_heap_entry(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        if pos == last {
-            self.heap.pop();
-            return;
+        let moved = self.heap.pop().expect("removing from an empty heap");
+        if pos < self.heap.len() {
+            self.heap[pos] = moved;
+            // The replacement came from a leaf: it moves down, or — when
+            // the removed entry sat outside its parent chain — up, never both.
+            if self.sift_down(pos) == pos {
+                self.sift_up(pos);
+            }
+        } else if self.heap.is_empty() && self.parked > 0 {
+            self.refill();
         }
-        let moved = self.heap[last];
-        self.heap.pop();
-        self.set_pos(pos, moved);
-        // The replacement came from a leaf: it can only need to move down,
-        // unless the removed entry was below the replacement's parent chain.
-        self.sift_down(pos);
-        self.sift_up(self.slots[moved as usize].heap_pos as usize);
+    }
+
+    // -- parked tier --------------------------------------------------------
+
+    /// Ring index of a parked epoch, or `None` if it lies past the horizon.
+    #[inline]
+    fn ring_index(&self, epoch: u64) -> Option<usize> {
+        debug_assert!(epoch > self.near_epoch);
+        (epoch - self.near_epoch <= RING_LEN).then_some((epoch % RING_LEN) as usize)
+    }
+
+    /// Append `slot` to the bucket of `epoch` (which is past `near_epoch`).
+    fn park(&mut self, epoch: u64, slot: u32) {
+        let bucket = match self.ring_index(epoch) {
+            Some(i) => {
+                self.occupied[i / 64] |= 1 << (i % 64);
+                &mut self.ring[i]
+            }
+            None => self.overflow.entry(epoch).or_default(),
+        };
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *bucket = spare;
+            }
+        }
+        self.pos[slot as usize] = bucket.len() as u32;
+        bucket.push(slot);
+        self.parked += 1;
+    }
+
+    /// Empty ring cell `i`, handing its bucket to the caller.
+    fn take_ring_bucket(&mut self, i: usize) -> Vec<u32> {
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        std::mem::take(&mut self.ring[i])
+    }
+
+    /// Keep an emptied bucket's buffer for the next bucket to open, up to
+    /// [`SPARE_MAX`] of them.
+    fn recycle(&mut self, mut buffer: Vec<u32>) {
+        if self.spare.len() < SPARE_MAX {
+            buffer.clear();
+            self.spare.push(buffer);
+        }
+    }
+
+    /// Remove `slot` from the bucket of `epoch` by swap-remove. A bucket
+    /// that empties gives up its buffer rather than keep its high-water
+    /// capacity in a ring cell that may not be used again for seconds.
+    fn unpark(&mut self, epoch: u64, slot: u32) {
+        let at = self.pos[slot as usize] as usize;
+        let ring_index = self.ring_index(epoch);
+        let bucket = match ring_index {
+            Some(i) => &mut self.ring[i],
+            None => self
+                .overflow
+                .get_mut(&epoch)
+                .expect("parked event's overflow bucket exists"),
+        };
+        debug_assert_eq!(bucket[at], slot);
+        bucket.swap_remove(at);
+        if let Some(&moved) = bucket.get(at) {
+            self.pos[moved as usize] = at as u32;
+        }
+        if bucket.is_empty() {
+            let buffer = match ring_index {
+                Some(i) => self.take_ring_bucket(i),
+                None => self.overflow.remove(&epoch).expect("bucket was just used"),
+            };
+            self.recycle(buffer);
+        }
+        self.parked -= 1;
+    }
+
+    /// Epoch of the earliest non-empty ring bucket.
+    fn next_ring_epoch(&self) -> Option<u64> {
+        // Ring indices in epoch order start just past `near_epoch` and wrap.
+        let start = ((self.near_epoch + 1) % RING_LEN) as usize;
+        let (w0, b0) = (start / 64, start % 64);
+        // The start word is visited twice: first its bits from `b0` up,
+        // last (all of those being clear by then) the ones below.
+        (0..=RING_WORDS).find_map(|k| {
+            let w = (w0 + k) % RING_WORDS;
+            let bits = match k {
+                0 => self.occupied[w] & (!0 << b0),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                let ahead = (i + RING_LEN as usize - start) % RING_LEN as usize;
+                self.near_epoch + 1 + ahead as u64
+            })
+        })
+    }
+
+    /// The heap ran empty with events still parked: promote the earliest
+    /// non-empty bucket whole and move `near_epoch` to its epoch.
+    fn refill(&mut self) {
+        debug_assert!(self.heap.is_empty() && self.parked > 0);
+        // Overflow epochs all lie past the ring's, so the map is consulted
+        // only when the ring is empty.
+        let bucket = match self.next_ring_epoch() {
+            Some(epoch) => {
+                self.near_epoch = epoch;
+                self.take_ring_bucket((epoch % RING_LEN) as usize)
+            }
+            None => {
+                let (epoch, bucket) = self
+                    .overflow
+                    .pop_first()
+                    .expect("parked events are in the ring or the overflow map");
+                self.near_epoch = epoch;
+                bucket
+            }
+        };
+        // The horizon moved with `near_epoch`: overflow buckets it now
+        // covers take their ring cells, vacant since the epochs that last
+        // used them are at or behind `near_epoch`.
+        while let Some(first) = self.overflow.first_entry() {
+            if *first.key() > self.near_epoch + RING_LEN {
+                break;
+            }
+            let i = (*first.key() % RING_LEN) as usize;
+            debug_assert!(self.ring[i].is_empty());
+            self.ring[i] = first.remove();
+            self.occupied[i / 64] |= 1 << (i % 64);
+        }
+        self.parked -= bucket.len();
+        for &slot in &bucket {
+            self.pos[slot as usize] = self.heap.len() as u32;
+            self.heap.push(self.heap_entry(slot));
+        }
+        self.recycle(bucket);
+        // Floyd's bottom-up build: O(bucket), every backlink kept current.
+        for pos in (0..self.heap.len().div_ceil(4)).rev() {
+            self.sift_down(pos);
+        }
+    }
+
+    // -- slab ---------------------------------------------------------------
+
+    #[inline]
+    fn heap_entry(&self, slot: u32) -> HeapEntry {
+        let s = &self.slots[slot as usize];
+        HeapEntry {
+            at: s.at,
+            key: s.key,
+            seq: s.seq,
+            slot,
+        }
+    }
+
+    /// Enter an occupied slot, by its heap entry, into the tier its epoch
+    /// belongs to.
+    fn insert(&mut self, entry: HeapEntry) {
+        let epoch = epoch_of(entry.at);
+        if self.heap.is_empty() {
+            // Nothing is pending, so any epoch may become the near one;
+            // taking this event's keeps "heap empty ⇒ nothing parked".
+            self.near_epoch = epoch;
+        }
+        if epoch <= self.near_epoch {
+            let pos = self.heap.len();
+            self.heap.push(entry);
+            self.sift_up(pos);
+        } else {
+            self.park(epoch, entry.slot);
+        }
     }
 
     /// Return `slot` to the free list, bumping its generation so every
@@ -271,11 +509,28 @@ impl<E> EventQueue<E> {
     fn retire(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         s.gen += 1;
-        s.heap_pos = NOT_IN_HEAP;
         let ev = s.event.take().expect("retiring a vacant slot");
         self.free.push(slot);
         ev
     }
+
+    /// `(at, key, seq, slot)` of every pending event, in pop order. Read
+    /// off the slab, so the answer does not depend on which tier an event
+    /// is waiting in.
+    fn pending_order(&self) -> Vec<(SimTime, u64, u64, u32)> {
+        let mut order: Vec<_> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.event.is_some())
+            .map(|(slot, s)| (s.at, s.key, s.seq, slot as u32))
+            .collect();
+        // `seq` is unique, so the slot never takes part in a comparison.
+        order.sort_unstable();
+        order
+    }
+
+    // -- public operations --------------------------------------------------
 
     /// Schedule `event` to fire at absolute time `at`. Same-time events
     /// fire in scheduling order (tie key 0 for every event on this path,
@@ -319,23 +574,18 @@ impl<E> EventQueue<E> {
                 assert!(slot != u32::MAX, "event slab full");
                 self.slots.push(Slot {
                     gen: 0,
-                    heap_pos: NOT_IN_HEAP,
                     at,
                     key,
                     seq,
                     event: Some(event),
                 });
+                self.pos.push(NOT_IN_HEAP);
                 slot
             }
         };
         let gen = self.slots[slot as usize].gen;
-        let pos = self.heap.len();
-        self.heap.push(slot);
-        self.slots[slot as usize].heap_pos = pos as u32;
-        self.sift_up(pos);
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
-        }
+        self.insert(HeapEntry { at, key, seq, slot });
+        self.peak_len = self.peak_len.max(self.len());
         self.unflushed_sched += 1;
         EventId { slot, gen }
     }
@@ -350,14 +600,19 @@ impl<E> EventQueue<E> {
     /// still pending (and is now guaranteed not to fire), `false` if it had
     /// already fired, been cancelled, or was never scheduled.
     ///
-    /// True removal: the event leaves the heap immediately (O(log n)
-    /// sift), its slot is reusable at once, and no residue survives to be
-    /// skipped by later pops.
+    /// True removal: the event leaves its tier immediately (an O(log n)
+    /// sift in the heap, an O(1) swap-remove when parked), its slot is
+    /// reusable at once, and no residue survives to be skipped by later
+    /// pops.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get(id.slot as usize) {
             Some(s) if s.gen == id.gen && s.event.is_some() => {
-                let pos = s.heap_pos as usize;
-                self.remove_heap_entry(pos);
+                let epoch = epoch_of(s.at);
+                if epoch <= self.near_epoch {
+                    self.remove_heap_entry(self.pos[id.slot as usize] as usize);
+                } else {
+                    self.unpark(epoch, id.slot);
+                }
                 self.retire(id.slot);
                 true
             }
@@ -378,11 +633,10 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event, advancing the clock.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let &root = self.heap.first()?;
-        let at = self.slots[root as usize].at;
+        let &HeapEntry { at, slot, .. } = self.heap.first()?;
         debug_assert!(at >= self.now, "heap produced an event in the past");
         self.remove_heap_entry(0);
-        let event = self.retire(root);
+        let event = self.retire(slot);
         self.now = at;
         self.popped += 1;
         crate::meter::flush(self.unflushed_sched, 1, self.peak_len);
@@ -400,11 +654,22 @@ impl<E> EventQueue<E> {
         self.pop()
     }
 
+    /// Remove and return the earliest live event if it is due strictly
+    /// before `bound` — [`EventQueue::pop_at_or_before`] for a run loop
+    /// whose horizon is exclusive.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? >= bound {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Timestamp of the next live event without popping it. O(1) and
-    /// `&self`: cancelled events are removed eagerly, so the root is
-    /// always live.
+    /// `&self`: cancelled events are removed eagerly and the heap is
+    /// refilled whenever it empties, so its root is always the live
+    /// minimum of both tiers.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&s| self.slots[s as usize].at)
+        self.heap.first().map(|e| e.at)
     }
 
     /// Advance the clock to `t` without popping anything — a bounded run
@@ -426,26 +691,23 @@ impl<E> EventQueue<E> {
     /// Remove *every* pending event, returning them as
     /// `(at, key, event)` sorted by `(at, key, seq)` — the exact order
     /// they would have popped in. The clock, dispatch count, and schedule
-    /// count are untouched; the slab and free list reset to empty.
+    /// count are untouched; every slot goes back on the free list with its
+    /// generation bumped, as if each event had been cancelled in that
+    /// order.
     ///
     /// This is the shard-construction primitive: a shard builds the full
     /// world (so ids line up globally), then drains the queue and
     /// re-schedules only the events it owns.
     pub fn drain_pending(&mut self) -> Vec<(SimTime, u64, E)> {
-        let mut out: Vec<(SimTime, u64, u64, E)> = Vec::with_capacity(self.heap.len());
-        for slot in std::mem::take(&mut self.heap) {
-            let s = &mut self.slots[slot as usize];
-            // Retire like `cancel`: generations bump so any outstanding
-            // handle to a drained event goes stale instead of aliasing.
-            s.gen += 1;
-            s.heap_pos = NOT_IN_HEAP;
-            let ev = s.event.take().expect("heap entry points at vacant slot");
-            out.push((s.at, s.key, s.seq, ev));
-            self.free.push(slot);
-        }
-        out.sort_by_key(|&(at, key, seq, _)| (at, key, seq));
-        out.into_iter()
-            .map(|(at, key, _, e)| (at, key, e))
+        let order = self.pending_order();
+        self.heap.clear();
+        self.ring.fill_with(Vec::new);
+        self.occupied = [0; RING_WORDS];
+        self.overflow.clear();
+        self.parked = 0;
+        order
+            .into_iter()
+            .map(|(at, key, _, slot)| (at, key, self.retire(slot)))
             .collect()
     }
 
@@ -453,17 +715,8 @@ impl<E> EventQueue<E> {
     /// `(at, key, seq)` — pop order. Non-destructive; used to serialize a
     /// canonical (shard-count-independent) picture of the pending set.
     pub fn pending(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut refs: Vec<(SimTime, u64, u64, &E)> = self
-            .heap
-            .iter()
-            .map(|&slot| {
-                let s = &self.slots[slot as usize];
-                let ev = s.event.as_ref().expect("heap entry points at vacant slot");
-                (s.at, s.key, s.seq, ev)
-            })
-            .collect();
-        refs.sort_by_key(|&(at, key, seq, _)| (at, key, seq));
-        refs.into_iter()
+        self.pending_entries()
+            .into_iter()
             .map(|(at, key, _, e)| (at, key, e))
             .collect()
     }
@@ -473,38 +726,44 @@ impl<E> EventQueue<E> {
     /// held elsewhere (e.g. endpoint timer handles during a canonical
     /// snapshot).
     pub fn pending_entries(&self) -> Vec<(SimTime, u64, EventId, &E)> {
-        let mut refs: Vec<(SimTime, u64, u64, EventId, &E)> = self
-            .heap
-            .iter()
-            .map(|&slot| {
+        self.pending_order()
+            .into_iter()
+            .map(|(at, key, _, slot)| {
                 let s = &self.slots[slot as usize];
-                let ev = s.event.as_ref().expect("heap entry points at vacant slot");
-                (s.at, s.key, s.seq, EventId::from_raw(slot, s.gen), ev)
+                let ev = s.event.as_ref().expect("pending slot is occupied");
+                (at, key, EventId::from_raw(slot, s.gen), ev)
             })
-            .collect();
-        refs.sort_by_key(|&(at, key, seq, _, _)| (at, key, seq));
-        refs.into_iter()
-            .map(|(at, key, _, id, e)| (at, key, id, e))
             .collect()
     }
 
     /// Serialize the queue's complete state — slab (including vacant
-    /// slots and their generations), heap order, free list, clock, and
+    /// slots and their generations), pending order, free list, clock, and
     /// counters — encoding each pending event with `enc`.
     ///
     /// The slab is captured **cell for cell**, not just the live events:
     /// external holders keep [`EventId`] handles into specific slots, and
     /// those handles only stay valid (and stale handles only stay stale)
     /// if slot indices and generations survive the round trip exactly.
+    ///
+    /// The "heap" section lists the pending slots in pop order, and each
+    /// slot's `heap_pos` is its rank in that list. A sorted array is a
+    /// valid 4-ary heap, so the layout is the one the flat-heap queue
+    /// wrote — but the bytes are a function of the pending set and the
+    /// slab alone, not of which tier anything happened to be waiting in.
     pub fn save_state(&self, w: &mut SnapWriter, mut enc: impl FnMut(&E, &mut SnapWriter)) {
+        let order = self.pending_order();
+        let mut rank = vec![NOT_IN_HEAP; self.slots.len()];
+        for (r, &(.., slot)) in order.iter().enumerate() {
+            rank[slot as usize] = r as u32;
+        }
         w.write_u64(self.next_seq);
         w.write_time(self.now);
         w.write_u64(self.popped);
         w.write_u64(self.peak_len as u64);
         w.write_u64(self.slots.len() as u64);
-        for s in &self.slots {
+        for (s, &heap_pos) in self.slots.iter().zip(&rank) {
             w.write_u64(s.gen);
-            w.write_u32(s.heap_pos);
+            w.write_u32(heap_pos);
             w.write_time(s.at);
             w.write_u64(s.key);
             w.write_u64(s.seq);
@@ -516,8 +775,8 @@ impl<E> EventQueue<E> {
                 None => w.write_bool(false),
             }
         }
-        w.write_u64(self.heap.len() as u64);
-        for &slot in &self.heap {
+        w.write_u64(order.len() as u64);
+        for &(.., slot) in &order {
             w.write_u32(slot);
         }
         w.write_u64(self.free.len() as u64);
@@ -529,6 +788,11 @@ impl<E> EventQueue<E> {
     /// Rebuild a queue from [`EventQueue::save_state`] bytes, decoding
     /// each pending event with `dec`. Slab/heap cross-links are verified,
     /// so a corrupt snapshot fails here instead of panicking mid-run.
+    ///
+    /// The heap section need only list each pending slot once, at the
+    /// position its `heap_pos` names: the slots are re-entered into the
+    /// tiers one by one, so a snapshot written by the flat-heap queue
+    /// (heap-ordered, not sorted) loads and pops in the right order too.
     ///
     /// The rebuilt queue starts with a zero meter debt
     /// (`unflushed_sched`): its events were already counted by the queue
@@ -543,16 +807,16 @@ impl<E> EventQueue<E> {
         let peak_len = r.read_u64()? as usize;
         let n_slots = r.read_len()?;
         let mut slots = Vec::with_capacity(n_slots);
+        let mut pos = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             let gen = r.read_u64()?;
-            let heap_pos = r.read_u32()?;
+            pos.push(r.read_u32()?);
             let at = r.read_time()?;
             let key = r.read_u64()?;
             let seq = r.read_u64()?;
             let event = if r.read_bool()? { Some(dec(r)?) } else { None };
             slots.push(Slot {
                 gen,
-                heap_pos,
                 at,
                 key,
                 seq,
@@ -563,9 +827,9 @@ impl<E> EventQueue<E> {
         if n_heap > n_slots {
             return Err(SnapError::Corrupt("heap larger than slab".into()));
         }
-        let mut heap = Vec::with_capacity(n_heap);
+        let mut order = Vec::with_capacity(n_heap);
         for _ in 0..n_heap {
-            heap.push(r.read_u32()?);
+            order.push(r.read_u32()?);
         }
         let n_free = r.read_u64()? as usize;
         if n_heap + n_free != n_slots {
@@ -577,11 +841,11 @@ impl<E> EventQueue<E> {
         }
         // Verify cross-links: every heap entry points at an occupied slot
         // that points back; every free entry at a vacant, detached slot.
-        for (pos, &slot) in heap.iter().enumerate() {
+        for (at, &slot) in order.iter().enumerate() {
             let s = slots
                 .get(slot as usize)
                 .ok_or_else(|| SnapError::Corrupt("heap entry out of slab".into()))?;
-            if s.heap_pos as usize != pos || s.event.is_none() {
+            if pos[slot as usize] as usize != at || s.event.is_none() {
                 return Err(SnapError::Corrupt("heap/slab backlink broken".into()));
             }
         }
@@ -589,45 +853,80 @@ impl<E> EventQueue<E> {
             let s = slots
                 .get(slot as usize)
                 .ok_or_else(|| SnapError::Corrupt("free entry out of slab".into()))?;
-            if s.heap_pos != NOT_IN_HEAP || s.event.is_some() {
+            if pos[slot as usize] != NOT_IN_HEAP || s.event.is_some() {
                 return Err(SnapError::Corrupt("free list points at live slot".into()));
             }
         }
-        Ok(EventQueue {
-            heap,
-            slots,
-            free,
-            next_seq,
-            now,
-            popped,
-            peak_len,
-            unflushed_sched: 0,
-        })
+        let mut q = Self::new();
+        q.slots = slots;
+        q.pos = pos;
+        q.free = free;
+        q.next_seq = next_seq;
+        q.now = now;
+        q.popped = popped;
+        q.peak_len = peak_len;
+        for slot in order {
+            q.insert(q.heap_entry(slot));
+        }
+        Ok(q)
     }
 
-    /// Heap-shape invariant check, for tests: every parent sorts at or
-    /// before its children and every slot/heap index link is mutual.
+    /// Two-tier invariant check, for tests: heap order, the tier boundary
+    /// at `near_epoch`, the ring horizon, every backlink mutual, and the
+    /// slab fully accounted for.
     #[cfg(test)]
     fn assert_invariants(&self) {
         assert_eq!(
-            self.heap.len() + self.free.len(),
+            self.heap.len() + self.parked + self.free.len(),
             self.slots.len(),
             "slab accounting broken"
         );
-        for pos in 0..self.heap.len() {
-            let slot = self.heap[pos] as usize;
-            assert_eq!(self.slots[slot].heap_pos as usize, pos, "backlink broken");
-            assert!(self.slots[slot].event.is_some(), "vacant slot in heap");
+        assert_eq!(self.pos.len(), self.slots.len());
+        assert!(
+            !self.heap.is_empty() || self.parked == 0,
+            "events parked behind an empty heap"
+        );
+        for (pos, e) in self.heap.iter().enumerate() {
+            let s = &self.slots[e.slot as usize];
+            assert_eq!(self.pos[e.slot as usize] as usize, pos, "backlink broken");
+            assert!(s.event.is_some(), "vacant slot in heap");
+            assert_eq!(e.order(), (s.at, s.key, s.seq), "inline key out of date");
+            assert!(epoch_of(e.at) <= self.near_epoch, "far event in the heap");
             if pos > 0 {
                 assert!(
-                    self.key((pos - 1) / 4) <= self.key(pos),
+                    self.heap[(pos - 1) / 4].order() <= e.order(),
                     "heap order broken"
                 );
             }
         }
+        let buckets = (self.ring.iter().enumerate())
+            .map(|(i, b)| {
+                let occupied = self.occupied[i / 64] & (1 << (i % 64)) != 0;
+                assert_eq!(occupied, !b.is_empty(), "occupancy bit out of date");
+                let ahead = (i as u64 + RING_LEN - (self.near_epoch + 1) % RING_LEN) % RING_LEN;
+                (self.near_epoch + 1 + ahead, b)
+            })
+            .chain(self.overflow.iter().map(|(&epoch, b)| {
+                assert!(!b.is_empty(), "empty overflow bucket");
+                assert!(
+                    epoch > self.near_epoch + RING_LEN,
+                    "overflow bucket inside the ring's horizon"
+                );
+                (epoch, b)
+            }));
+        let mut parked = 0;
+        for (epoch, bucket) in buckets {
+            for (at, &slot) in bucket.iter().enumerate() {
+                let s = &self.slots[slot as usize];
+                assert!(s.event.is_some(), "vacant slot parked");
+                assert_eq!(epoch_of(s.at), epoch, "event in the wrong bucket");
+                assert_eq!(self.pos[slot as usize] as usize, at, "backlink broken");
+            }
+            parked += bucket.len();
+        }
+        assert_eq!(parked, self.parked, "parked count out of date");
         for &slot in &self.free {
             assert!(self.slots[slot as usize].event.is_none());
-            assert_eq!(self.slots[slot as usize].heap_pos, NOT_IN_HEAP);
         }
     }
 }
@@ -1029,11 +1328,16 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// Round-trip helper for a `u64`-event queue.
-    fn roundtrip(q: &EventQueue<u64>) -> EventQueue<u64> {
+    /// [`EventQueue::save_state`] bytes of a `u64`-event queue.
+    fn state_bytes(q: &EventQueue<u64>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         q.save_state(&mut w, |e, w| w.write_u64(*e));
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    /// Round-trip helper for a `u64`-event queue.
+    fn roundtrip(q: &EventQueue<u64>) -> EventQueue<u64> {
+        let bytes = state_bytes(q);
         let mut r = SnapReader::new(&bytes);
         let restored = EventQueue::load_state(&mut r, |r| r.read_u64()).unwrap();
         r.finish().unwrap();
@@ -1115,6 +1419,253 @@ mod tests {
                 EventQueue::<u64>::load_state(&mut r, |r| r.read_u64()).is_err(),
                 "prefix of {cut} bytes decoded"
             );
+        }
+    }
+
+    #[test]
+    fn pop_before_excludes_its_bound() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(1), "a");
+        q.schedule_at(SimTime::from_secs(3), "b");
+        assert_eq!(
+            q.pop_before(SimTime::from_secs(2)),
+            Some((SimTime::from_secs(1), "a"))
+        );
+        // Bound exactly on the event time: it stays.
+        assert_eq!(q.pop_before(SimTime::from_secs(3)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            q.pop_before(SimTime::from_secs(4)),
+            Some((SimTime::from_secs(3), "b"))
+        );
+        assert_eq!(q.pop_before(SimTime::MAX), None);
+    }
+
+    /// A due-time offset from each tier's range: the same instant, inside
+    /// the near epoch, out in the ring, past the ring's horizon.
+    fn tiered_offset(rng: &mut crate::SimRng) -> SimDuration {
+        let epoch = 1u64 << EPOCH_SHIFT;
+        SimDuration::from_nanos(match rng.next_below(4) {
+            0 => 0,
+            1 => rng.next_below(epoch),
+            2 => rng.next_range(1, RING_LEN) * epoch,
+            _ => rng.next_range(RING_LEN, 40 * RING_LEN) * epoch,
+        })
+    }
+
+    /// One step of a schedule / cancel / pop script whose events spread
+    /// over heap, ring and overflow map. `ids` are handles that may still
+    /// be live.
+    fn tiered_step(q: &mut EventQueue<u64>, rng: &mut crate::SimRng, ids: &mut Vec<EventId>) {
+        match rng.next_below(8) {
+            0..=3 => {
+                let at = q.now() + tiered_offset(rng);
+                ids.push(q.schedule_keyed(at, rng.next_below(3), q.scheduled()));
+            }
+            4..=5 if !ids.is_empty() => {
+                let k = rng.next_below(ids.len() as u64) as usize;
+                q.cancel(ids.swap_remove(k));
+            }
+            _ => {
+                q.pop();
+            }
+        }
+    }
+
+    #[test]
+    fn both_tiers_keep_their_invariants() {
+        let mut q = EventQueue::new();
+        let mut rng = crate::SimRng::new(0x2_71E5);
+        let mut ids = Vec::new();
+        let (mut seen_ring, mut seen_overflow) = (false, false);
+        for step in 0..40_000u64 {
+            tiered_step(&mut q, &mut rng, &mut ids);
+            if step % 64 == 0 {
+                q.assert_invariants();
+            }
+            seen_ring |= q.occupied.iter().any(|&w| w != 0);
+            seen_overflow |= !q.overflow.is_empty();
+        }
+        assert!(seen_ring && seen_overflow, "script never left the heap");
+        while q.pop().is_some() {}
+        q.assert_invariants();
+        assert_eq!(
+            q.free.len(),
+            q.slots.len(),
+            "drained queue left occupied slots"
+        );
+        assert!(
+            q.ring.iter().all(|b| b.capacity() == 0),
+            "an emptied bucket kept its buffer"
+        );
+    }
+
+    #[test]
+    fn snapshot_mid_script_restores_every_tier_and_stays_in_lockstep() {
+        let mut q = EventQueue::new();
+        let mut rng = crate::SimRng::new(0x5AFE_71E5);
+        let mut ids = Vec::new();
+        for _ in 0..4_000 {
+            tiered_step(&mut q, &mut rng, &mut ids);
+        }
+        assert!(
+            !q.heap.is_empty() && q.occupied.iter().any(|&w| w != 0) && !q.overflow.is_empty(),
+            "snapshot point must have events in heap, ring and overflow map"
+        );
+        let mut restored = roundtrip(&q);
+        restored.assert_invariants();
+        assert_eq!(state_bytes(&restored), state_bytes(&q), "re-save diverged");
+        // Same script from here on, handles included, on both queues.
+        let mut rng2 = rng.clone();
+        let mut ids2 = ids.clone();
+        for _ in 0..4_000 {
+            tiered_step(&mut q, &mut rng, &mut ids);
+            tiered_step(&mut restored, &mut rng2, &mut ids2);
+            assert_eq!(q.peek_time(), restored.peek_time());
+            assert_eq!(q.len(), restored.len());
+        }
+        assert_eq!(ids, ids2);
+        restored.assert_invariants();
+        assert_eq!(
+            state_bytes(&restored),
+            state_bytes(&q),
+            "final bytes diverged"
+        );
+        loop {
+            let a = q.pop();
+            assert_eq!(a, restored.pop());
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_ignore_tier_history() {
+        // A far event first: `near_epoch` starts at its epoch, so the two
+        // earlier events that follow both join the heap.
+        let mut flat = EventQueue::new();
+        flat.schedule_at(SimTime::from_secs(10), 0u64);
+        flat.schedule_at(SimTime::from_secs(1), 1u64);
+        flat.schedule_at(SimTime::from_secs(5), 2u64);
+        assert_eq!((flat.heap.len(), flat.parked), (3, 0));
+        // Loading re-tiers from the earliest event: one in the heap, one
+        // in the ring, one in the overflow map.
+        let tiered = roundtrip(&flat);
+        assert_eq!((tiered.heap.len(), tiered.parked), (1, 2));
+        assert_eq!(tiered.overflow.len(), 1);
+        assert_eq!(state_bytes(&tiered), state_bytes(&flat));
+    }
+
+    /// The parts of an [`EventQueue::save_state`] image a test wants to
+    /// set by hand, for a `u64`-event queue at clock zero.
+    struct RawSnapshot {
+        /// `(gen, heap_pos, at_secs, event)`; `seq` is the slot index.
+        slots: Vec<(u64, u32, u64, Option<u64>)>,
+        heap: Vec<u32>,
+        free: Vec<u32>,
+    }
+
+    impl RawSnapshot {
+        /// Six pending events whose heap section is a valid 4-ary heap but
+        /// not sorted — what the flat-heap queue wrote — and one vacant
+        /// slot. Heap array by due second: [1, 3, 2, 9, 7, 5]; 5 hangs
+        /// under 3.
+        fn flat_heap() -> Self {
+            RawSnapshot {
+                slots: vec![
+                    (0, 3, 9, Some(90)),
+                    (2, 0, 1, Some(10)),
+                    (0, 5, 5, Some(50)),
+                    (1, NOT_IN_HEAP, 4, None),
+                    (0, 1, 3, Some(30)),
+                    (0, 2, 2, Some(20)),
+                    (0, 4, 7, Some(70)),
+                ],
+                heap: vec![1, 4, 5, 0, 6, 2],
+                free: vec![3],
+            }
+        }
+
+        fn load(&self) -> Result<EventQueue<u64>, SnapError> {
+            let n = self.slots.len() as u64;
+            let mut w = SnapWriter::new();
+            w.write_u64(n); // next_seq
+            w.write_time(SimTime::ZERO);
+            w.write_u64(0); // popped
+            w.write_u64(n); // peak_len
+            w.write_u64(n);
+            for (seq, &(gen, heap_pos, at_secs, event)) in self.slots.iter().enumerate() {
+                w.write_u64(gen);
+                w.write_u32(heap_pos);
+                w.write_time(SimTime::from_secs(at_secs));
+                w.write_u64(0); // key
+                w.write_u64(seq as u64);
+                w.write_bool(event.is_some());
+                if let Some(e) = event {
+                    w.write_u64(e);
+                }
+            }
+            for section in [&self.heap, &self.free] {
+                w.write_u64(section.len() as u64);
+                for &slot in section {
+                    w.write_u32(slot);
+                }
+            }
+            let bytes = w.into_bytes();
+            EventQueue::load_state(&mut SnapReader::new(&bytes), |r| r.read_u64())
+        }
+    }
+
+    #[test]
+    fn heap_ordered_snapshot_from_the_flat_queue_loads_and_pops_in_order() {
+        let mut q = RawSnapshot::flat_heap().load().unwrap();
+        q.assert_invariants();
+        assert_eq!(q.len(), 6);
+        assert!(q.parked > 0, "seconds apart: most of these park");
+        // Handles into the old slab keep their meaning.
+        assert!(q.has_fired(EventId::from_raw(1, 1)));
+        assert!(q.cancel(EventId::from_raw(6, 0)));
+        // Saving again writes the canonical, sorted form of the same state.
+        let resaved = state_bytes(&q);
+        assert_eq!(state_bytes(&roundtrip(&q)), resaved);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![10, 20, 30, 50, 90]);
+    }
+
+    #[test]
+    fn corrupt_cross_links_are_rejected_by_name() {
+        let corrupt = |edit: fn(&mut RawSnapshot)| {
+            let mut raw = RawSnapshot::flat_heap();
+            edit(&mut raw);
+            match raw.load() {
+                Err(SnapError::Corrupt(why)) => why,
+                Err(other) => panic!("expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("corrupt snapshot loaded"),
+            }
+        };
+        assert_eq!(
+            corrupt(|raw| raw.heap.extend([0, 1])),
+            "heap larger than slab"
+        );
+        assert_eq!(corrupt(|raw| raw.free.push(3)), "slab accounting broken");
+        assert_eq!(corrupt(|raw| raw.heap[2] = 99), "heap entry out of slab");
+        // A slot listed twice, a backlink naming another position, a heap
+        // entry pointing at a vacant slot.
+        for edit in [
+            (|raw| raw.heap[1] = 1) as fn(&mut RawSnapshot),
+            |raw| raw.slots[4].1 = 2,
+            |raw| raw.slots[4].3 = None,
+        ] {
+            assert_eq!(corrupt(edit), "heap/slab backlink broken");
+        }
+        assert_eq!(corrupt(|raw| raw.free[0] = 99), "free entry out of slab");
+        // A free entry naming an occupied slot, a vacant slot that claims
+        // a heap position.
+        for edit in [(|raw| raw.free[0] = 2) as fn(&mut RawSnapshot), |raw| {
+            raw.slots[3].1 = 0
+        }] {
+            assert_eq!(corrupt(edit), "free list points at live slot");
         }
     }
 

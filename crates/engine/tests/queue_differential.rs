@@ -1,4 +1,4 @@
-//! Differential test: the slab-backed 4-ary [`EventQueue`] must be
+//! Differential test: the slab-backed two-tier [`EventQueue`] must be
 //! observably indistinguishable from the pre-slab binary-heap queue
 //! ([`legacy::LegacyEventQueue`], this test's own module — the library
 //! exports one queue) under any interleaving of schedules, cancels, and
@@ -12,6 +12,11 @@
 //! the op index, agreement on pop payloads proves the *total order*
 //! matches — including the tie-break by schedule sequence that all
 //! experiment reproducibility rests on.
+//!
+//! The time jitter decides which tier of the shipped queue a script
+//! exercises: up to 1 ms stays inside one epoch and so inside its heap;
+//! 5 s spreads events over the parked ring and just past its horizon;
+//! 200 s parks nearly everything in the overflow map.
 
 mod legacy;
 
@@ -138,4 +143,18 @@ fn new_queue_matches_legacy_across_seeds() {
     for seed in 1..=8u64 {
         lockstep(seed, 15_000, 200);
     }
+}
+
+#[test]
+fn new_queue_matches_legacy_across_the_ring() {
+    // Jitter of 5 s: most events park, in the ring and just past its
+    // horizon, and reach the heap a bucket at a time.
+    lockstep(0x71E5, 100_000, 5_000_000_000);
+}
+
+#[test]
+fn new_queue_matches_legacy_in_the_overflow_map() {
+    // Jitter of 200 s: nearly every event parks past the ring's horizon
+    // and migrates into the ring as the clock approaches.
+    lockstep(0x0F10, 100_000, 200_000_000_000);
 }

@@ -1823,8 +1823,7 @@ impl World {
     /// Dispatch every event strictly before `bound` (the shard's current
     /// safe horizon).
     pub(crate) fn run_before(&mut self, bound: SimTime) {
-        while self.queue.peek_time().is_some_and(|t| t < bound) {
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
+        while let Some((t, ev)) = self.queue.pop_before(bound) {
             self.dispatch(t, ev);
         }
     }
