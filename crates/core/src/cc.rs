@@ -91,8 +91,7 @@ pub trait CongestionControl: Send {
     /// An ACK advanced `snd_una`, with its congestion-experienced echo bit
     /// (DECbit). Algorithms that ignore marking (Tahoe, Reno, fixed) keep
     /// the default, which forwards to [`CongestionControl::on_ack`].
-    fn on_ack_marked(&mut self, ce: bool) {
-        let _ = ce;
+    fn on_ack_marked(&mut self, _ce: bool) {
         self.on_ack();
     }
 
@@ -105,12 +104,6 @@ pub trait CongestionControl: Send {
     /// The first ACK of new data after a loss-recovery episode (Reno
     /// deflates its window here; others ignore it).
     fn on_recovery_ack(&mut self) {}
-
-    /// True while the algorithm is in slow start (`cwnd < ssthresh`).
-    fn in_slow_start(&self) -> bool;
-
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
 
     /// Serialize the algorithm's *mutable* state for a simulation
     /// snapshot. Structural parameters (`maxwnd`, the increment rule) are
@@ -162,13 +155,6 @@ impl Tahoe {
         }
     }
 
-    fn cwnd_value(&self) -> f64 {
-        match self.wnd {
-            Wnd::Exact { floor, frac } => floor as f64 + frac as f64 / floor as f64,
-            Wnd::Real { cwnd } => cwnd,
-        }
-    }
-
     /// `cwnd < ssthresh`, computed exactly for the Exact representation:
     /// floor + frac/floor < s/2  ⟺  2·floor² + 2·frac < s·floor.
     fn below_threshold(&self) -> bool {
@@ -189,7 +175,10 @@ impl CongestionControl for Tahoe {
     }
 
     fn cwnd(&self) -> f64 {
-        self.cwnd_value()
+        match self.wnd {
+            Wnd::Exact { floor, frac } => floor as f64 + frac as f64 / floor as f64,
+            Wnd::Real { cwnd } => cwnd,
+        }
     }
 
     fn ssthresh(&self) -> f64 {
@@ -217,9 +206,7 @@ impl CongestionControl for Tahoe {
                 } else {
                     *cwnd += 1.0 / *cwnd; // the original, anomalous rule
                 }
-                if *cwnd > self.maxwnd as f64 {
-                    *cwnd = self.maxwnd as f64;
-                }
+                *cwnd = cwnd.min(self.maxwnd as f64);
             }
         }
     }
@@ -237,17 +224,6 @@ impl CongestionControl for Tahoe {
             IncrementRule::Modified => Wnd::Exact { floor: 1, frac: 0 },
             IncrementRule::Original => Wnd::Real { cwnd: 1.0 },
         };
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.below_threshold()
-    }
-
-    fn name(&self) -> &'static str {
-        match self.rule {
-            IncrementRule::Modified => "tahoe-modified",
-            IncrementRule::Original => "tahoe-original",
-        }
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -311,15 +287,8 @@ impl CongestionControl for FixedWindow {
     }
     fn on_ack(&mut self) {}
     fn on_loss(&mut self, _kind: LossKind) {}
-    fn in_slow_start(&self) -> bool {
-        false
-    }
-    fn name(&self) -> &'static str {
-        "fixed-window"
-    }
-    fn save_state(&self, _w: &mut SnapWriter) {
-        // The window is structural; there is no mutable state.
-    }
+    // The window is structural; there is no mutable state.
+    fn save_state(&self, _w: &mut SnapWriter) {}
     fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         Ok(())
     }
@@ -375,9 +344,7 @@ impl CongestionControl for Reno {
         } else {
             self.cwnd += 1.0 / self.cwnd.floor().max(1.0);
         }
-        if self.cwnd > self.maxwnd as f64 {
-            self.cwnd = self.maxwnd as f64;
-        }
+        self.cwnd = self.cwnd.min(self.maxwnd as f64);
     }
 
     fn on_dupack(&mut self) {
@@ -407,14 +374,6 @@ impl CongestionControl for Reno {
         }
     }
 
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         w.write_f64(self.cwnd);
         w.write_f64(self.ssthresh);
@@ -437,7 +396,7 @@ mod tests {
     fn tahoe_starts_in_slow_start() {
         let t = Tahoe::new(IncrementRule::Modified, 1000);
         assert_eq!(t.window(), 1);
-        assert!(t.in_slow_start());
+        assert!(t.cwnd() < t.ssthresh());
         assert_eq!(t.ssthresh(), 1000.0);
     }
 
@@ -467,7 +426,7 @@ mod tests {
         t.on_loss(LossKind::DupAck);
         assert_eq!(t.window(), 1);
         assert_eq!(t.ssthresh(), 10.5);
-        assert!(t.in_slow_start());
+        assert!(t.cwnd() < t.ssthresh());
     }
 
     #[test]
@@ -484,7 +443,7 @@ mod tests {
             t.on_ack();
         }
         assert_eq!(t.window(), 4);
-        assert!(!t.in_slow_start());
+        assert!(t.cwnd() >= t.ssthresh());
         // One epoch = window() ACKs → floor += 1, exactly.
         for w in 4..10u64 {
             assert_eq!(t.window(), w);
@@ -542,7 +501,7 @@ mod tests {
         both(&mut orig, &mut modi, 3);
         assert_eq!(orig.window(), modi.window());
         assert_eq!(orig.window(), 4);
-        assert!(!orig.in_slow_start() && !modi.in_slow_start());
+        assert!(orig.cwnd() >= orig.ssthresh() && modi.cwnd() >= modi.ssthresh());
         // One epoch of w ACKs each: Modified's floor moves to 5,
         // Original's stalls at 4 — same inputs, different windows.
         both(&mut orig, &mut modi, 4);
@@ -618,22 +577,25 @@ mod tests {
         f.on_dupack();
         assert_eq!(f.window(), 30);
         assert_eq!(f.cwnd(), 30.0);
-        assert!(!f.in_slow_start());
+        assert!(f.cwnd() >= f.ssthresh());
     }
 
     #[test]
     fn cckind_builders() {
-        assert_eq!(CcKind::default().build(1000).name(), "tahoe-modified");
-        assert_eq!(
+        // Built fresh, every loss-driven variant starts in slow start at
+        // cwnd 1 under ssthresh = maxwnd; the fixed window starts open.
+        for kind in [
+            CcKind::default(),
             CcKind::Tahoe {
-                rule: IncrementRule::Original
-            }
-            .build(1000)
-            .name(),
-            "tahoe-original"
-        );
+                rule: IncrementRule::Original,
+            },
+            CcKind::Reno,
+        ] {
+            let cc = kind.build(1000);
+            assert_eq!((cc.window(), cc.cwnd(), cc.ssthresh()), (1, 1.0, 1000.0));
+            assert!(cc.cwnd() < cc.ssthresh());
+        }
         assert_eq!(CcKind::FixedWindow { wnd: 5 }.build(1000).window(), 5);
-        assert_eq!(CcKind::Reno.build(1000).name(), "reno");
     }
 
     #[test]
@@ -763,18 +725,9 @@ impl CongestionControl for Decbit {
     }
 
     fn on_loss(&mut self, _kind: LossKind) {
-        self.wnd = (self.wnd * 0.875).max(1.0);
-        self.acks = 0;
-        self.marked = 0;
-        self.cycle = (self.wnd as u64).max(1);
-    }
-
-    fn in_slow_start(&self) -> bool {
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "decbit"
+        // The cycle ends as if every ACK in it had come back marked.
+        self.marked = self.cycle;
+        self.decide();
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -873,6 +826,7 @@ mod decbit_tests {
 
     #[test]
     fn cckind_builds_decbit() {
-        assert_eq!(CcKind::Decbit.build(100).name(), "decbit");
+        let d = CcKind::Decbit.build(100);
+        assert_eq!((d.window(), d.cwnd(), d.ssthresh()), (1, 1.0, 100.0));
     }
 }

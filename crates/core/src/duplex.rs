@@ -7,40 +7,32 @@
 //! supplies the configuration where it does fire: a single connection with
 //! bulk data flowing in *both* directions between its two endpoints.
 //!
-//! A [`TcpDuplex`] endpoint combines the sender and receiver machinery:
-//!
-//! * every data packet carries a piggybacked cumulative ack
-//!   ([`td_net::Packet::ack`]). Whether piggybacks actually replace pure
-//!   ACKs depends on the delayed-ACK option: with it **off**, arrivals are
-//!   acknowledged immediately, the window is typically closed at that
-//!   instant, and the ack goes out pure (the later reverse data carries a
-//!   stale number); with it **on**, the held ack rides the next reverse
-//!   data packet — the behaviour BSD's option was designed to enable;
-//! * pure ACKs are generated only when acknowledgment is urgent (an
-//!   out-of-order or duplicate segment — the dup-ACK congestion signal) or
-//!   when the window is closed and nothing can carry the ack (after the
-//!   delayed-ACK grace period, or immediately with delack off);
-//! * duplicate-ACK counting follows BSD: only *pure* ACKs repeating the
-//!   cumulative point count toward fast retransmit — data-bearing
-//!   segments never do;
-//! * loss recovery, RTT estimation (Karn's rule), RTO backoff, and the
-//!   congestion-control plumbing are the same as [`crate::TcpSender`]'s.
+//! A [`TcpDuplex`] endpoint is [`crate::TcpSender`]'s send half and
+//! [`crate::TcpReceiver`]'s receive half — one loss recovery, RTT
+//! estimator and reassembly queue, not copies — plus a piggyback policy.
+//! Every data packet carries the cumulative ack ([`td_net::Packet::ack`])
+//! and the CE echo. A pure ACK goes out only when acknowledgment is urgent
+//! (an out-of-order or duplicate segment — the dup-ACK signal) or no data
+//! can carry it. With delayed ACKs **off** that is every arrival: the
+//! window is then typically closed, so the ack goes out pure and the later
+//! reverse data carries a stale number. With them **on**, the held ack
+//! rides the next reverse data packet — what BSD's option was designed
+//! for. Only pure ACKs count toward fast retransmit, as in BSD, and the
+//! window loop runs after every arriving segment. Pacing and finite
+//! transfers are one-way sender options and are rejected.
 //!
 //! The interesting dynamical consequence, tested in the experiments crate:
 //! full piggybacking removes the data/ACK *size asymmetry* that
 //! ACK-compression feeds on — every segment serializes in a data-packet
 //! time, so the 10× spacing collapse cannot happen.
 
-use crate::cc::CongestionControl;
 use crate::config::{ReceiverConfig, SenderConfig};
-use crate::rtt::RttEstimator;
+use crate::receiver::{Arrival, RecvHalf, TOKEN_DELACK};
+use crate::sender::{Ack, SendHalf, Wire, TOKEN_RTO};
 use std::any::Any;
-use std::collections::BTreeSet;
-use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
-use td_net::{Ctx, Endpoint, LossKind, Packet, PacketKind, ProtoEvent, TimerHandle};
-
-const TOKEN_RTO: u64 = 1;
-const TOKEN_DELACK: u64 = 2;
+use std::cmp::Ordering;
+use td_engine::{SnapError, SnapReader, SnapWriter};
+use td_net::{Ctx, Endpoint, Packet, PacketKind};
 
 /// Counters exposed after a run.
 #[derive(Clone, Copy, Default, Debug)]
@@ -63,23 +55,32 @@ pub struct DuplexStats {
 
 /// One endpoint of a bidirectional TCP connection.
 pub struct TcpDuplex {
-    scfg: SenderConfig,
     rcfg: ReceiverConfig,
-    cc: Box<dyn CongestionControl>,
-    rtt: RttEstimator,
-    // -- sender half --
-    snd_una: u64,
-    snd_nxt: u64,
-    snd_max: u64,
-    dupacks: u32,
-    rto_armed: Option<td_net::TimerHandle>,
-    timing: Option<(u64, SimTime)>,
-    // -- receiver half --
-    next_expected: u64,
-    reassembly: BTreeSet<u64>,
-    ack_pending: bool,
-    ce_pending: bool,
+    snd: SendHalf,
+    wire: Piggyback,
+}
+
+/// The duplex's wire: data segments carry the receive half's cumulative
+/// ack and CE echo.
+#[derive(Default)]
+struct Piggyback {
+    rcv: RecvHalf,
     stats: DuplexStats,
+}
+
+impl Wire for Piggyback {
+    fn send_data(&mut self, ctx: &mut Ctx<'_>, cfg: &SenderConfig, seq: u64, retx: bool) {
+        let ack = self.rcv.cumulative_ack();
+        let ce = std::mem::take(&mut self.rcv.ce_pending);
+        ctx.send_full(PacketKind::Data, seq, ack, cfg.data_size, retx, ce);
+        self.stats.data_sent += 1;
+        if std::mem::take(&mut self.rcv.ack_pending) {
+            self.stats.piggybacked_acks += 1;
+        }
+        if retx {
+            self.stats.retransmits += 1;
+        }
+    }
 }
 
 impl TcpDuplex {
@@ -89,22 +90,14 @@ impl TcpDuplex {
             scfg.pacing.is_none(),
             "pacing is not supported on duplex endpoints"
         );
+        assert!(
+            scfg.data_limit.is_none(),
+            "data_limit is not supported on duplex endpoints"
+        );
         TcpDuplex {
-            cc: scfg.cc.build(scfg.maxwnd),
-            rtt: RttEstimator::new(scfg.rto),
-            scfg,
             rcfg,
-            snd_una: 1,
-            snd_nxt: 1,
-            snd_max: 1,
-            dupacks: 0,
-            rto_armed: None,
-            timing: None,
-            next_expected: 1,
-            reassembly: BTreeSet::new(),
-            ack_pending: false,
-            ce_pending: false,
-            stats: DuplexStats::default(),
+            snd: SendHalf::new(scfg),
+            wire: Piggyback::default(),
         }
     }
 
@@ -115,184 +108,71 @@ impl TcpDuplex {
 
     /// Run counters.
     pub fn stats(&self) -> DuplexStats {
-        self.stats
+        self.wire.stats
     }
 
     /// Highest in-order sequence received.
     pub fn cumulative_ack(&self) -> u64 {
-        self.next_expected - 1
+        self.wire.rcv.cumulative_ack()
     }
 
     /// Usable send window.
     pub fn window(&self) -> u64 {
-        self.cc.window().min(self.scfg.maxwnd)
+        self.snd.window()
     }
 
     /// Packets in flight.
     pub fn outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-
-    fn emit_cwnd(&mut self, ctx: &mut Ctx<'_>) {
-        let (cwnd, ssthresh) = (self.cc.cwnd(), self.cc.ssthresh());
-        ctx.emit(ProtoEvent::Cwnd { cwnd, ssthresh });
-    }
-
-    fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(h) = self.rto_armed.take() {
-            ctx.cancel_timer(h);
-        }
-        self.rto_armed = Some(ctx.set_timer(self.rtt.rto(), TOKEN_RTO));
-    }
-
-    fn send_data(&mut self, ctx: &mut Ctx<'_>, seq: u64, retx: bool) {
-        // Every data packet carries the current cumulative ack.
-        let ack = self.cumulative_ack();
-        let ce = std::mem::take(&mut self.ce_pending);
-        ctx.send_full(PacketKind::Data, seq, ack, self.scfg.data_size, retx, ce);
-        self.stats.data_sent += 1;
-        if self.ack_pending {
-            self.ack_pending = false;
-            self.stats.piggybacked_acks += 1;
-        }
-        if retx {
-            self.stats.retransmits += 1;
-            ctx.emit(ProtoEvent::Retransmit { seq });
-        } else if self.timing.is_none() {
-            self.timing = Some((seq, ctx.now()));
-        }
-        if self.rto_armed.is_none() {
-            self.arm_rto(ctx);
-        }
+        self.snd.outstanding()
     }
 
     fn send_pure_ack(&mut self, ctx: &mut Ctx<'_>) {
-        self.ack_pending = false;
-        self.stats.pure_acks_sent += 1;
-        let ce = std::mem::take(&mut self.ce_pending);
-        ctx.send_marked(
-            PacketKind::Ack,
-            self.cumulative_ack(),
-            self.rcfg.ack_size,
-            false,
-            ce,
-        );
+        self.wire.stats.pure_acks_sent += 1;
+        self.wire.rcv.send_ack(ctx, self.rcfg.ack_size);
     }
 
-    fn try_send(&mut self, ctx: &mut Ctx<'_>) {
-        let wnd = self.window();
-        while self.snd_nxt - self.snd_una < wnd {
-            let seq = self.snd_nxt;
-            let retx = seq < self.snd_max;
-            self.send_data(ctx, seq, retx);
-            self.snd_nxt += 1;
-            self.snd_max = self.snd_max.max(self.snd_nxt);
+    /// Take the acknowledgment `pkt` carries, then run the window loop.
+    fn process_ack(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
+        if let Ack::Dup(Ordering::Equal) = self.snd.on_ack(ctx, pkt, &mut self.wire) {
+            self.wire.stats.fast_retransmits += 1;
         }
+        self.snd.try_send(ctx, &mut self.wire);
     }
-
-    /// Handle an acknowledgment point (from a pure ACK's `seq` or a data
-    /// packet's piggyback field). `pure` controls dup-ACK counting.
-    fn process_ack(&mut self, ctx: &mut Ctx<'_>, ack: u64, ce: bool, pure: bool) {
-        if ack + 1 > self.snd_una {
-            if self.dupacks >= self.scfg.dupack_threshold {
-                self.cc.on_recovery_ack();
-            }
-            self.dupacks = 0;
-            self.snd_una = ack + 1;
-            if let Some((seq, sent_at)) = self.timing {
-                if ack >= seq {
-                    self.rtt.sample(ctx.now().since(sent_at));
-                    self.timing = None;
-                }
-            }
-            self.cc.on_ack_marked(ce);
-            self.emit_cwnd(ctx);
-            self.snd_nxt = self.snd_nxt.max(self.snd_una);
-            if self.snd_max > self.snd_una {
-                self.arm_rto(ctx);
-            } else if let Some(h) = self.rto_armed.take() {
-                ctx.cancel_timer(h);
-            }
-        } else if pure && ack + 1 == self.snd_una && self.snd_max > self.snd_una {
-            self.dupacks += 1;
-            self.cc.on_dupack();
-            if self.dupacks == self.scfg.dupack_threshold {
-                self.stats.fast_retransmits += 1;
-                ctx.emit(ProtoEvent::LossDetected {
-                    seq: self.snd_una,
-                    kind: LossKind::DupAck,
-                });
-                self.cc.on_loss(LossKind::DupAck);
-                self.emit_cwnd(ctx);
-                self.timing = None;
-                self.send_data(ctx, self.snd_una, true);
-                self.arm_rto(ctx);
-            }
-        }
-    }
-
-    /// Handle arriving data; returns whether an ack must go out *now*
-    /// (congestion signal) or merely *eventually* (in-order progress).
-    fn process_data(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> AckUrgency {
-        self.ce_pending |= pkt.ce;
-        let seq = pkt.seq;
-        if seq < self.next_expected {
-            return AckUrgency::Now; // duplicate — resignal cumulative point
-        }
-        if seq > self.next_expected {
-            self.reassembly.insert(seq);
-            return AckUrgency::Now; // out of order — dup-ACK signal
-        }
-        self.stats.delivered += 1;
-        self.next_expected += 1;
-        while self.reassembly.remove(&self.next_expected) {
-            self.stats.delivered += 1;
-            self.next_expected += 1;
-        }
-        ctx.emit(ProtoEvent::InOrder {
-            seq: self.cumulative_ack(),
-        });
-        AckUrgency::Eventually
-    }
-}
-
-enum AckUrgency {
-    Now,
-    Eventually,
 }
 
 impl Endpoint for TcpDuplex {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.emit_cwnd(ctx);
-        self.try_send(ctx);
+        self.snd.emit_cwnd(ctx);
+        self.snd.try_send(ctx, &mut self.wire);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        match pkt.kind {
-            PacketKind::Ack => {
-                self.process_ack(ctx, pkt.seq, pkt.ce, true);
-                self.try_send(ctx);
+        if pkt.is_ack() {
+            self.process_ack(ctx, &pkt);
+            return;
+        }
+        // Out-of-order or duplicate data resignals the cumulative point
+        // now (the dup-ACK signal); in-order data may wait.
+        let urgent = match self.wire.rcv.on_data(ctx, &pkt) {
+            Arrival::InOrder(n) => {
+                self.wire.stats.delivered += n;
+                false
             }
-            PacketKind::Data => {
-                let urgency = self.process_data(ctx, &pkt);
-                // The piggybacked ack advances our sender side (never
-                // counted as a duplicate: it rides data).
-                self.process_ack(ctx, pkt.ack, pkt.ce, false);
-                // Whatever data the window now allows carries our ack.
-                let before = self.stats.data_sent;
-                self.ack_pending = true;
-                self.try_send(ctx);
-                let data_flowed = self.stats.data_sent > before;
-                if !data_flowed {
-                    match (urgency, self.rcfg.delayed_ack) {
-                        (AckUrgency::Now, _) | (_, None) => self.send_pure_ack(ctx),
-                        (AckUrgency::Eventually, Some(del)) => {
-                            // Hold the ack for a future data transmission
-                            // or the delack timer, whichever first.
-                            ctx.set_timer(del.max_delay, TOKEN_DELACK);
-                        }
-                    }
+            Arrival::Duplicate | Arrival::OutOfOrder => true,
+        };
+        // The piggybacked ack advances our send side, and whatever data
+        // the window now allows carries our ack.
+        let before = self.wire.stats.data_sent;
+        self.wire.rcv.ack_pending = true;
+        self.process_ack(ctx, &pkt);
+        if self.wire.stats.data_sent == before {
+            match self.rcfg.delayed_ack {
+                // Hold the ack for a future data transmission or the
+                // delack timer, whichever first.
+                Some(del) if !urgent => {
+                    ctx.set_timer(del.max_delay, TOKEN_DELACK);
                 }
+                _ => self.send_pure_ack(ctx),
             }
         }
     }
@@ -300,26 +180,12 @@ impl Endpoint for TcpDuplex {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             TOKEN_RTO => {
-                self.rto_armed = None;
-                if self.snd_max <= self.snd_una {
-                    return;
+                if self.snd.on_rto(ctx, &mut self.wire) {
+                    self.wire.stats.timeouts += 1;
                 }
-                self.stats.timeouts += 1;
-                self.rtt.on_timeout();
-                self.dupacks = 0;
-                ctx.emit(ProtoEvent::LossDetected {
-                    seq: self.snd_una,
-                    kind: LossKind::Timeout,
-                });
-                self.cc.on_loss(LossKind::Timeout);
-                self.emit_cwnd(ctx);
-                self.timing = None;
-                self.snd_nxt = self.snd_una;
-                self.try_send(ctx);
-                self.arm_rto(ctx);
             }
             TOKEN_DELACK => {
-                if self.ack_pending {
+                if self.wire.rcv.ack_pending {
                     self.send_pure_ack(ctx);
                 }
             }
@@ -328,69 +194,29 @@ impl Endpoint for TcpDuplex {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.cc.save_state(w);
-        self.rtt.save_state(w);
-        w.write_u64(self.snd_una);
-        w.write_u64(self.snd_nxt);
-        w.write_u64(self.snd_max);
-        w.write_u32(self.dupacks);
-        w.write_bool(self.rto_armed.is_some());
-        if let Some(h) = &self.rto_armed {
-            h.save_state(w);
-        }
-        w.write_bool(self.timing.is_some());
-        if let Some((seq, at)) = self.timing {
-            w.write_u64(seq);
-            w.write_time(at);
-        }
-        w.write_u64(self.next_expected);
-        w.write_u64(self.reassembly.len() as u64);
-        for seq in &self.reassembly {
-            w.write_u64(*seq); // BTreeSet iterates sorted: deterministic
-        }
-        w.write_bool(self.ack_pending);
-        w.write_bool(self.ce_pending);
-        w.write_u64(self.stats.data_sent);
-        w.write_u64(self.stats.retransmits);
-        w.write_u64(self.stats.pure_acks_sent);
-        w.write_u64(self.stats.piggybacked_acks);
-        w.write_u64(self.stats.delivered);
-        w.write_u64(self.stats.fast_retransmits);
-        w.write_u64(self.stats.timeouts);
+        self.snd.save_state(w);
+        self.wire.rcv.save_state(w);
+        let s = &self.wire.stats;
+        w.write_u64(s.data_sent);
+        w.write_u64(s.retransmits);
+        w.write_u64(s.pure_acks_sent);
+        w.write_u64(s.piggybacked_acks);
+        w.write_u64(s.delivered);
+        w.write_u64(s.fast_retransmits);
+        w.write_u64(s.timeouts);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cc.load_state(r)?;
-        self.rtt.load_state(r)?;
-        self.snd_una = r.read_u64()?;
-        self.snd_nxt = r.read_u64()?;
-        self.snd_max = r.read_u64()?;
-        self.dupacks = r.read_u32()?;
-        self.rto_armed = if r.read_bool()? {
-            Some(TimerHandle::load_state(r)?)
-        } else {
-            None
-        };
-        self.timing = if r.read_bool()? {
-            Some((r.read_u64()?, r.read_time()?))
-        } else {
-            None
-        };
-        self.next_expected = r.read_u64()?;
-        let n = r.read_len()?;
-        self.reassembly.clear();
-        for _ in 0..n {
-            self.reassembly.insert(r.read_u64()?);
-        }
-        self.ack_pending = r.read_bool()?;
-        self.ce_pending = r.read_bool()?;
-        self.stats.data_sent = r.read_u64()?;
-        self.stats.retransmits = r.read_u64()?;
-        self.stats.pure_acks_sent = r.read_u64()?;
-        self.stats.piggybacked_acks = r.read_u64()?;
-        self.stats.delivered = r.read_u64()?;
-        self.stats.fast_retransmits = r.read_u64()?;
-        self.stats.timeouts = r.read_u64()?;
+        self.snd.load_state(r)?;
+        self.wire.rcv.load_state(r)?;
+        let s = &mut self.wire.stats;
+        s.data_sent = r.read_u64()?;
+        s.retransmits = r.read_u64()?;
+        s.pure_acks_sent = r.read_u64()?;
+        s.piggybacked_acks = r.read_u64()?;
+        s.delivered = r.read_u64()?;
+        s.fast_retransmits = r.read_u64()?;
+        s.timeouts = r.read_u64()?;
         Ok(())
     }
 
@@ -546,6 +372,16 @@ mod tests {
     fn pacing_rejected() {
         let scfg = SenderConfig {
             pacing: Some(SimDuration::from_millis(80)),
+            ..SenderConfig::paper()
+        };
+        let _ = TcpDuplex::new(scfg, ReceiverConfig::paper());
+    }
+
+    #[test]
+    #[should_panic(expected = "data_limit is not supported")]
+    fn data_limit_rejected() {
+        let scfg = SenderConfig {
+            data_limit: Some(100),
             ..SenderConfig::paper()
         };
         let _ = TcpDuplex::new(scfg, ReceiverConfig::paper());

@@ -2,8 +2,8 @@
 //!
 //! The algorithm under study in Zhang, Shenker & Clark, SIGCOMM '91 (§2.1),
 //! implemented as [`td_net::Endpoint`]s: a [`TcpSender`] with pluggable
-//! congestion control and a [`TcpReceiver`] with an optional delayed-ACK
-//! mode.
+//! congestion control, a [`TcpReceiver`] with an optional delayed-ACK
+//! mode, and a [`TcpDuplex`] built from the sender's and receiver's halves.
 //!
 //! ## The algorithm (paper §2.1)
 //!
@@ -27,12 +27,12 @@
 //!
 //! Losses are detected by duplicate ACKs (fast retransmit, threshold 3 as
 //! in BSD) or retransmission-timer expiry (Jacobson/Karels estimation with
-//! the BSD 500 ms coarse clock, Karn's rule, exponential backoff). On
-//! either signal the sender performs the window reduction above and pulls
-//! `snd_nxt` back to the first unacknowledged segment — BSD Tahoe's
-//! go-back-N recovery. Receivers keep out-of-order segments (BSD
-//! reassembly queue), so cumulative ACKs jump forward once a hole is
-//! filled.
+//! the BSD 500 ms coarse clock, Karn's rule, exponential backoff). Either
+//! signal performs the window reduction above; fast retransmit then
+//! resends the first unacknowledged segment, a timeout pulls `snd_nxt`
+//! back to it — BSD Tahoe's go-back-N recovery. Receivers keep
+//! out-of-order segments (BSD reassembly queue), so cumulative ACKs jump
+//! forward once a hole is filled.
 //!
 //! ## Variants
 //!

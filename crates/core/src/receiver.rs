@@ -1,4 +1,5 @@
-//! The TCP receiver (data sink).
+//! The receive half every receiving endpoint is built from, and the TCP
+//! receiver (data sink).
 //!
 //! Mirrors the BSD 4.3-Tahoe receive path for the paper's workload
 //! (one-directional bulk transfer, pre-established connection):
@@ -14,6 +15,9 @@
 //!   paper's third trigger — piggy-backing on reverse-direction data —
 //!   cannot arise in this workload, where each connection is one-way and
 //!   reverse traffic belongs to a *different* connection.
+//!
+//! [`RecvHalf`] is the first two points, shared by [`TcpReceiver`] and
+//! [`crate::TcpDuplex`]; when an ACK goes out is each endpoint's policy.
 
 use crate::config::ReceiverConfig;
 use std::any::Any;
@@ -21,7 +25,104 @@ use std::collections::BTreeSet;
 use td_engine::{SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, Packet, PacketKind, ProtoEvent};
 
-const TOKEN_DELACK: u64 = 2;
+pub(crate) const TOKEN_DELACK: u64 = 2;
+
+/// How [`RecvHalf::on_data`] classified an arriving data segment.
+pub(crate) enum Arrival {
+    /// Already delivered (a go-back-N retransmission).
+    Duplicate,
+    /// A hole precedes it; buffered for reassembly.
+    OutOfOrder,
+    /// Delivered, with this many in all (reassembly drained behind it).
+    InOrder(u64),
+}
+
+/// Reassembly and the cumulative acknowledgment point for one direction
+/// of data.
+pub(crate) struct RecvHalf {
+    /// Next in-order sequence number expected (first is 1).
+    next_expected: u64,
+    /// Out-of-order segments above `next_expected` (reassembly queue).
+    reassembly: BTreeSet<u64>,
+    /// An ACK of in-order data is being held back.
+    pub(crate) ack_pending: bool,
+    /// A CE-marked data packet arrived since the last ACK went out; the
+    /// next ACK echoes the mark (DECbit feedback path).
+    pub(crate) ce_pending: bool,
+}
+
+impl Default for RecvHalf {
+    fn default() -> Self {
+        RecvHalf {
+            next_expected: 1,
+            reassembly: BTreeSet::new(),
+            ack_pending: false,
+            ce_pending: false,
+        }
+    }
+}
+
+impl RecvHalf {
+    /// Highest in-order sequence number received so far.
+    pub(crate) fn cumulative_ack(&self) -> u64 {
+        self.next_expected - 1
+    }
+
+    /// Take in a data segment: note its CE mark, buffer or deliver it, and
+    /// emit [`ProtoEvent::InOrder`] when the cumulative point advances.
+    pub(crate) fn on_data(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Arrival {
+        self.ce_pending |= pkt.ce;
+        let seq = pkt.seq;
+        if seq < self.next_expected {
+            return Arrival::Duplicate;
+        }
+        if seq > self.next_expected {
+            self.reassembly.insert(seq);
+            return Arrival::OutOfOrder;
+        }
+        // In order: deliver it plus anything contiguous in the reassembly
+        // queue.
+        let first = self.next_expected;
+        self.next_expected += 1;
+        while self.reassembly.remove(&self.next_expected) {
+            self.next_expected += 1;
+        }
+        ctx.emit(ProtoEvent::InOrder {
+            seq: self.cumulative_ack(),
+        });
+        Arrival::InOrder(self.next_expected - first)
+    }
+
+    /// Send a pure ACK of the cumulative point, echoing any pending CE
+    /// mark; nothing is held back afterwards.
+    pub(crate) fn send_ack(&mut self, ctx: &mut Ctx<'_>, size: u32) {
+        self.ack_pending = false;
+        let ce = std::mem::take(&mut self.ce_pending);
+        ctx.send_marked(PacketKind::Ack, self.cumulative_ack(), size, false, ce);
+    }
+
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.write_u64(self.next_expected);
+        w.write_u64(self.reassembly.len() as u64);
+        for seq in &self.reassembly {
+            w.write_u64(*seq); // BTreeSet iterates sorted: deterministic
+        }
+        w.write_bool(self.ack_pending);
+        w.write_bool(self.ce_pending);
+    }
+
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.next_expected = r.read_u64()?;
+        let n = r.read_len()?;
+        self.reassembly.clear();
+        for _ in 0..n {
+            self.reassembly.insert(r.read_u64()?);
+        }
+        self.ack_pending = r.read_bool()?;
+        self.ce_pending = r.read_bool()?;
+        Ok(())
+    }
+}
 
 /// Counters exposed after a run.
 #[derive(Clone, Copy, Default, Debug)]
@@ -41,15 +142,7 @@ pub struct ReceiverStats {
 /// The receiving endpoint of one connection.
 pub struct TcpReceiver {
     cfg: ReceiverConfig,
-    /// Next in-order sequence number expected (first is 1).
-    next_expected: u64,
-    /// Out-of-order segments above `next_expected` (reassembly queue).
-    reassembly: BTreeSet<u64>,
-    /// Delayed-ACK pending flag.
-    ack_pending: bool,
-    /// A CE-marked data packet arrived since the last ACK went out; the
-    /// next ACK echoes the mark (DECbit feedback path).
-    ce_pending: bool,
+    rcv: RecvHalf,
     stats: ReceiverStats,
 }
 
@@ -58,10 +151,7 @@ impl TcpReceiver {
     pub fn new(cfg: ReceiverConfig) -> Self {
         TcpReceiver {
             cfg,
-            next_expected: 1,
-            reassembly: BTreeSet::new(),
-            ack_pending: false,
-            ce_pending: false,
+            rcv: RecvHalf::default(),
             stats: ReceiverStats::default(),
         }
     }
@@ -78,20 +168,12 @@ impl TcpReceiver {
 
     /// Highest in-order sequence number received so far.
     pub fn cumulative_ack(&self) -> u64 {
-        self.next_expected - 1
+        self.rcv.cumulative_ack()
     }
 
     fn send_ack(&mut self, ctx: &mut Ctx<'_>) {
-        self.ack_pending = false;
         self.stats.acks_sent += 1;
-        let ce = std::mem::take(&mut self.ce_pending);
-        ctx.send_marked(
-            PacketKind::Ack,
-            self.cumulative_ack(),
-            self.cfg.ack_size,
-            false,
-            ce,
-        );
+        self.rcv.send_ack(ctx, self.cfg.ack_size);
     }
 }
 
@@ -100,51 +182,28 @@ impl Endpoint for TcpReceiver {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         debug_assert!(pkt.is_data(), "receiver got a non-data packet");
-        self.ce_pending |= pkt.ce;
-        let seq = pkt.seq;
-
-        if seq < self.next_expected {
-            // Duplicate of delivered data (a go-back-N retransmission).
-            // BSD ACKs these immediately even with delayed ACKs on.
-            self.stats.duplicates += 1;
-            self.send_ack(ctx);
-            return;
-        }
-
-        if seq > self.next_expected {
-            // A hole precedes this segment: buffer it, ACK immediately
-            // (the duplicate ACK that drives fast retransmit).
-            self.stats.out_of_order += 1;
-            self.reassembly.insert(seq);
-            self.send_ack(ctx);
-            return;
-        }
-
-        // In-order: deliver it plus anything contiguous in the reassembly
-        // queue.
-        self.stats.delivered += 1;
-        self.next_expected += 1;
-        while self.reassembly.remove(&self.next_expected) {
-            self.stats.delivered += 1;
-            self.next_expected += 1;
-        }
-        ctx.emit(ProtoEvent::InOrder {
-            seq: self.cumulative_ack(),
-        });
-
-        match self.cfg.delayed_ack {
-            None => self.send_ack(ctx),
-            Some(del) => {
-                if self.ack_pending {
+        // Every arrival is ACKed at once unless the delayed-ACK option
+        // holds it. BSD ACKs duplicates immediately even with delayed ACKs
+        // on; an out-of-order ACK is the duplicate ACK that drives fast
+        // retransmit.
+        match self.rcv.on_data(ctx, &pkt) {
+            Arrival::Duplicate => self.stats.duplicates += 1,
+            Arrival::OutOfOrder => self.stats.out_of_order += 1,
+            Arrival::InOrder(n) => {
+                self.stats.delivered += n;
+                match self.cfg.delayed_ack {
+                    None => {}
                     // Second segment since the last ACK: ACK both now.
-                    self.stats.acks_coalesced += 1;
-                    self.send_ack(ctx);
-                } else {
-                    self.ack_pending = true;
-                    ctx.set_timer(del.max_delay, TOKEN_DELACK);
+                    Some(_) if self.rcv.ack_pending => self.stats.acks_coalesced += 1,
+                    Some(del) => {
+                        self.rcv.ack_pending = true;
+                        ctx.set_timer(del.max_delay, TOKEN_DELACK);
+                        return;
+                    }
                 }
             }
         }
+        self.send_ack(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -152,19 +211,13 @@ impl Endpoint for TcpReceiver {
         // The timer is not cancelled when the ACK goes out early; it just
         // finds nothing to do (cheaper than tracking handles, identical
         // behaviour).
-        if self.ack_pending {
+        if self.rcv.ack_pending {
             self.send_ack(ctx);
         }
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.write_u64(self.next_expected);
-        w.write_u64(self.reassembly.len() as u64);
-        for seq in &self.reassembly {
-            w.write_u64(*seq); // BTreeSet iterates sorted: deterministic
-        }
-        w.write_bool(self.ack_pending);
-        w.write_bool(self.ce_pending);
+        self.rcv.save_state(w);
         w.write_u64(self.stats.delivered);
         w.write_u64(self.stats.out_of_order);
         w.write_u64(self.stats.duplicates);
@@ -173,14 +226,7 @@ impl Endpoint for TcpReceiver {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_expected = r.read_u64()?;
-        let n = r.read_len()?;
-        self.reassembly.clear();
-        for _ in 0..n {
-            self.reassembly.insert(r.read_u64()?);
-        }
-        self.ack_pending = r.read_bool()?;
-        self.ce_pending = r.read_bool()?;
+        self.rcv.load_state(r)?;
         self.stats.delivered = r.read_u64()?;
         self.stats.out_of_order = r.read_u64()?;
         self.stats.duplicates = r.read_u64()?;
@@ -200,8 +246,8 @@ impl Endpoint for TcpReceiver {
             finished: None,
             detail: format!(
                 "next_expected={} reassembly={}",
-                self.next_expected,
-                self.reassembly.len()
+                self.rcv.next_expected,
+                self.rcv.reassembly.len()
             ),
         }
     }

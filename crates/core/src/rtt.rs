@@ -17,10 +17,10 @@
 //! BSD's measurement quantization (which the paper's simulator, working in
 //! continuous time, did not have).
 //!
-//! Karn's rule is enforced by the caller ([`crate::TcpSender`]): samples
-//! are only taken for segments transmitted exactly once. Exponential
-//! backoff doubles the RTO per consecutive timeout, saturating at the
-//! configured maximum.
+//! Karn's rule is enforced by the caller (the send half shared by
+//! [`crate::TcpSender`] and [`crate::TcpDuplex`]): samples are only taken
+//! for segments transmitted exactly once. Exponential backoff doubles the
+//! RTO per consecutive timeout, saturating at the configured maximum.
 
 use crate::config::RtoConfig;
 use td_engine::SimDuration;

@@ -1,37 +1,258 @@
-//! The TCP sender.
+//! The send half every sending endpoint is built from, and the TCP sender.
 //!
-//! Implements the BSD 4.3-Tahoe transmission machinery the paper studies
-//! (§2.1), against the [`td_net::Endpoint`] interface:
-//!
-//! * **Window-limited transmission** of an infinite bulk stream: send while
-//!   `snd_nxt − snd_una < wnd`, where `wnd = ⌊min(cwnd, maxwnd)⌋` comes
-//!   from the pluggable [`CongestionControl`]. Without pacing, every
-//!   permission to send is exercised immediately — the "nonpaced" property
-//!   whose consequences (packet clustering → ACK-compression) the paper
-//!   dissects.
-//! * **Loss detection** (paper footnote 4) by duplicate ACKs — BSD's
-//!   `t_dupacks == tcprexmtthresh` (exactly-equals, so one fast retransmit
-//!   per dup-ACK run) — and by retransmission timeout.
-//! * **Go-back-N recovery**: on either loss signal, `snd_nxt` is pulled
-//!   back to `snd_una` and transmission resumes under the post-loss window
-//!   (1 packet for Tahoe). Receivers keep out-of-order data, so the
-//!   cumulative ACK typically jumps over everything already buffered.
-//! * **Karn's rule**: one segment is timed at a time and the measurement is
-//!   abandoned whenever recovery retransmits.
-//!
-//! The sender emits [`ProtoEvent`] annotations (cwnd samples on every
-//! change, loss detections, retransmissions) so `td-analysis` can
-//! reconstruct the paper's Figure 2/5/7 cwnd plots and loss chronologies.
+//! [`SendHalf`] is the sending side of the crate-level algorithm, once,
+//! for [`TcpSender`] and [`crate::TcpDuplex`]: window-limited
+//! transmission that uses every permission to send at once unless the
+//! endpoint paces (the "nonpaced" property behind clustering and
+//! ACK-compression); loss detection by BSD's `t_dupacks ==
+//! tcprexmtthresh` (one fast retransmit per dup-ACK run) or by timeout,
+//! recovered as [`SendHalf::on_loss_detected`] says; and Karn's rule — one
+//! segment timed at a time, the sample dropped whenever recovery
+//! retransmits. Each endpoint supplies the [`Wire`] a data segment goes
+//! out on. The half emits the cwnd, loss and retransmit [`ProtoEvent`]s
+//! behind the paper's cwnd plots and loss chronologies.
 
 use crate::cc::CongestionControl;
 use crate::config::SenderConfig;
 use crate::rtt::RttEstimator;
 use std::any::Any;
+use std::cmp::Ordering;
 use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, LossKind, Packet, PacketKind, ProtoEvent, TimerHandle};
 
-const TOKEN_RTO: u64 = 1;
+pub(crate) const TOKEN_RTO: u64 = 1;
 const TOKEN_PACE: u64 = 3;
+
+/// How an endpoint puts the send half's data segments on the wire; `cfg`
+/// is the connection's, lent by the half.
+pub(crate) trait Wire {
+    /// May the window loop send `seq` now? `false` ends the loop.
+    fn may_send(&mut self, _ctx: &mut Ctx<'_>, _cfg: &SenderConfig, _seq: u64) -> bool {
+        true
+    }
+
+    /// Transmit data segment `seq` (`retx`: it was sent before).
+    fn send_data(&mut self, ctx: &mut Ctx<'_>, cfg: &SenderConfig, seq: u64, retx: bool);
+}
+
+/// What [`SendHalf::on_ack`] made of an acknowledgment.
+pub(crate) enum Ack {
+    /// It advanced `snd_una`.
+    New,
+    /// A duplicate; its run length against the threshold (`Equal`: fast retransmit).
+    Dup(Ordering),
+    Old,
+}
+
+/// Congestion control, RTT estimation and loss recovery for one direction
+/// of data: all a sending endpoint does but put segments on the wire.
+pub(crate) struct SendHalf {
+    cfg: SenderConfig,
+    cc: Box<dyn CongestionControl>,
+    rtt: RttEstimator,
+    /// Lowest unacknowledged sequence number (first is 1).
+    snd_una: u64,
+    /// Next sequence number to transmit (pulled back on loss).
+    snd_nxt: u64,
+    /// One past the highest sequence number ever transmitted.
+    snd_max: u64,
+    /// Consecutive duplicate-ACK count.
+    dupacks: u32,
+    /// RTO timer, if armed.
+    rto_armed: Option<TimerHandle>,
+    /// Segment being timed for RTT: (sequence, send time).
+    timing: Option<(u64, SimTime)>,
+}
+
+impl SendHalf {
+    pub(crate) fn new(cfg: SenderConfig) -> Self {
+        SendHalf {
+            cc: cfg.cc.build(cfg.maxwnd),
+            rtt: RttEstimator::new(cfg.rto),
+            cfg,
+            snd_una: 1,
+            snd_nxt: 1,
+            snd_max: 1,
+            dupacks: 0,
+            rto_armed: None,
+            timing: None,
+        }
+    }
+
+    pub(crate) fn window(&self) -> u64 {
+        self.cc.window().min(self.cfg.maxwnd)
+    }
+
+    pub(crate) fn outstanding(&self) -> u64 {
+        self.snd_nxt - self.snd_una
+    }
+
+    pub(crate) fn emit_cwnd(&mut self, ctx: &mut Ctx<'_>) {
+        let (cwnd, ssthresh) = (self.cc.cwnd(), self.cc.ssthresh());
+        ctx.emit(ProtoEvent::Cwnd { cwnd, ssthresh });
+    }
+
+    fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
+        self.cancel_rto(ctx);
+        self.rto_armed = Some(ctx.set_timer(self.rtt.rto(), TOKEN_RTO));
+    }
+
+    fn cancel_rto(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(h) = self.rto_armed.take() {
+            ctx.cancel_timer(h);
+        }
+    }
+
+    /// The window loop: transmit as much as the window and the wire allow.
+    pub(crate) fn try_send(&mut self, ctx: &mut Ctx<'_>, wire: &mut impl Wire) {
+        let wnd = self.window();
+        while self.snd_nxt - self.snd_una < wnd && wire.may_send(ctx, &self.cfg, self.snd_nxt) {
+            let seq = self.snd_nxt;
+            self.transmit(ctx, seq, seq < self.snd_max, wire);
+            self.snd_nxt += 1;
+            self.snd_max = self.snd_max.max(self.snd_nxt);
+        }
+    }
+
+    /// One data segment onto the wire, with its Karn and RTO bookkeeping.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, seq: u64, retx: bool, wire: &mut impl Wire) {
+        wire.send_data(ctx, &self.cfg, seq, retx);
+        if retx {
+            ctx.emit(ProtoEvent::Retransmit { seq });
+        } else if self.timing.is_none() {
+            self.timing = Some((seq, ctx.now()));
+        }
+        if self.rto_armed.is_none() {
+            self.arm_rto(ctx);
+        }
+    }
+
+    /// Process the acknowledgment `pkt` carries: a pure ACK's `seq`, or a
+    /// data segment's piggybacked `ack`, which never counts as a duplicate
+    /// (BSD). New data re-arms the RTO, or cancels it with nothing left in
+    /// flight; the window loop is the caller's to run.
+    pub(crate) fn on_ack(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet, wire: &mut impl Wire) -> Ack {
+        let pure = pkt.is_ack();
+        let ack = if pure { pkt.seq } else { pkt.ack };
+        debug_assert!(ack < self.snd_max, "ACK beyond anything sent");
+        if ack + 1 > self.snd_una {
+            if self.dupacks >= self.cfg.dupack_threshold {
+                self.cc.on_recovery_ack(); // Reno deflation; no-op elsewhere
+            }
+            self.dupacks = 0;
+            self.snd_una = ack + 1;
+            if let Some((seq, sent_at)) = self.timing {
+                if ack >= seq {
+                    self.rtt.sample(ctx.now().since(sent_at));
+                    self.timing = None;
+                }
+            }
+            self.cc.on_ack_marked(pkt.ce);
+            self.emit_cwnd(ctx);
+            self.snd_nxt = self.snd_nxt.max(self.snd_una);
+            if self.snd_max > self.snd_una {
+                self.arm_rto(ctx); // restart for the remaining flight
+            } else {
+                self.cancel_rto(ctx);
+            }
+            Ack::New
+        } else if pure && ack + 1 == self.snd_una && self.snd_max > self.snd_una {
+            self.dupacks += 1;
+            self.cc.on_dupack();
+            let run = self.dupacks.cmp(&self.cfg.dupack_threshold);
+            if run == Ordering::Equal {
+                self.on_loss_detected(ctx, LossKind::DupAck, wire);
+            }
+            Ack::Dup(run)
+        } else {
+            Ack::Old // older ACKs carry no information for this workload
+        }
+    }
+
+    /// The RTO fired: `false` for a stale timer (everything acknowledged),
+    /// else recover and return `true`.
+    pub(crate) fn on_rto(&mut self, ctx: &mut Ctx<'_>, wire: &mut impl Wire) -> bool {
+        self.rto_armed = None;
+        if self.snd_max <= self.snd_una {
+            return false;
+        }
+        self.rtt.on_timeout();
+        self.dupacks = 0;
+        self.on_loss_detected(ctx, LossKind::Timeout, wire);
+        true
+    }
+
+    /// Window reduction + retransmission on a detected loss.
+    ///
+    /// The two detection paths recover differently, as in BSD:
+    ///
+    /// * **Duplicate ACKs** (fast retransmit): resend exactly the first
+    ///   unacknowledged segment and leave `snd_nxt` where it is — the BSD
+    ///   code saves `onxt`, retransmits one segment, and restores. The
+    ///   receiver has buffered the rest of the window, so the next
+    ///   cumulative ACK jumps past it; re-sending it here would generate
+    ///   duplicate-data ACKs that masquerade as fresh dup-ACK runs and set
+    ///   off spurious retransmissions. The resend bypasses
+    ///   [`Wire::may_send`]: it replaces a packet that already left.
+    /// * **Timeout**: genuine go-back-N — `snd_nxt = snd_una` and resume
+    ///   under the collapsed window (everything in flight is presumed
+    ///   gone).
+    fn on_loss_detected(&mut self, ctx: &mut Ctx<'_>, kind: LossKind, wire: &mut impl Wire) {
+        ctx.emit(ProtoEvent::LossDetected {
+            seq: self.snd_una,
+            kind,
+        });
+        self.cc.on_loss(kind);
+        self.emit_cwnd(ctx);
+        // Karn: the timed segment is about to be retransmitted.
+        self.timing = None;
+        match kind {
+            LossKind::DupAck => self.transmit(ctx, self.snd_una, true, wire),
+            LossKind::Timeout => {
+                self.snd_nxt = self.snd_una;
+                self.try_send(ctx, wire);
+            }
+        }
+        self.arm_rto(ctx);
+    }
+
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        self.cc.save_state(w);
+        self.rtt.save_state(w);
+        w.write_u64(self.snd_una);
+        w.write_u64(self.snd_nxt);
+        w.write_u64(self.snd_max);
+        w.write_u32(self.dupacks);
+        w.write_bool(self.rto_armed.is_some());
+        if let Some(h) = &self.rto_armed {
+            h.save_state(w);
+        }
+        w.write_bool(self.timing.is_some());
+        if let Some((seq, at)) = self.timing {
+            w.write_u64(seq);
+            w.write_time(at);
+        }
+    }
+
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cc.load_state(r)?;
+        self.rtt.load_state(r)?;
+        self.snd_una = r.read_u64()?;
+        self.snd_nxt = r.read_u64()?;
+        self.snd_max = r.read_u64()?;
+        self.dupacks = r.read_u32()?;
+        self.rto_armed = r
+            .read_bool()?
+            .then(|| TimerHandle::load_state(r))
+            .transpose()?;
+        self.timing = if r.read_bool()? {
+            Some((r.read_u64()?, r.read_time()?))
+        } else {
+            None
+        };
+        Ok(())
+    }
+}
 
 /// Counters exposed after a run.
 #[derive(Clone, Copy, Default, Debug)]
@@ -52,23 +273,17 @@ pub struct SenderStats {
     pub timeouts: u64,
 }
 
-/// The sending endpoint of one connection.
+/// The sending endpoint of one connection: the send half, transmitting
+/// plain data through an optional pacer.
 pub struct TcpSender {
-    cfg: SenderConfig,
-    cc: Box<dyn CongestionControl>,
-    rtt: RttEstimator,
-    /// Lowest unacknowledged sequence number (first is 1).
-    snd_una: u64,
-    /// Next sequence number to transmit (pulled back on loss).
-    snd_nxt: u64,
-    /// One past the highest sequence number ever transmitted.
-    snd_max: u64,
-    /// Consecutive duplicate-ACK count.
-    dupacks: u32,
-    /// RTO timer, if armed.
-    rto_armed: Option<td_net::TimerHandle>,
-    /// Segment being timed for RTT: (sequence, send time).
-    timing: Option<(u64, SimTime)>,
+    snd: SendHalf,
+    out: Outbox,
+}
+
+/// The sender's wire: the data limit, the pacer, the completion time and
+/// the counters.
+#[derive(Default)]
+struct Outbox {
     /// Pacing: earliest time the next data packet may leave.
     pace_due: SimTime,
     /// Pacing timer armed.
@@ -78,23 +293,42 @@ pub struct TcpSender {
     stats: SenderStats,
 }
 
+impl Wire for Outbox {
+    fn may_send(&mut self, ctx: &mut Ctx<'_>, cfg: &SenderConfig, seq: u64) -> bool {
+        if cfg.data_limit.is_some_and(|limit| seq > limit) {
+            return false;
+        }
+        if let Some(interval) = cfg.pacing {
+            let now = ctx.now();
+            if now < self.pace_due {
+                if !self.pace_armed {
+                    self.pace_armed = true;
+                    ctx.set_timer(self.pace_due.since(now), TOKEN_PACE);
+                }
+                return false;
+            }
+            self.pace_due = now + interval;
+        }
+        true
+    }
+
+    fn send_data(&mut self, ctx: &mut Ctx<'_>, cfg: &SenderConfig, seq: u64, retx: bool) {
+        ctx.send(PacketKind::Data, seq, cfg.data_size, retx);
+        self.stats.packets_sent += 1;
+        if retx {
+            self.stats.retransmits += 1;
+        } else {
+            self.stats.new_data_sent += 1;
+        }
+    }
+}
+
 impl TcpSender {
     /// A fresh sender (nothing sent, `snd_una = snd_nxt = 1`).
     pub fn new(cfg: SenderConfig) -> Self {
         TcpSender {
-            cc: cfg.cc.build(cfg.maxwnd),
-            rtt: RttEstimator::new(cfg.rto),
-            cfg,
-            snd_una: 1,
-            snd_nxt: 1,
-            snd_max: 1,
-            dupacks: 0,
-            rto_armed: None,
-            timing: None,
-            pace_due: SimTime::ZERO,
-            pace_armed: false,
-            finished_at: None,
-            stats: SenderStats::default(),
+            snd: SendHalf::new(cfg),
+            out: Outbox::default(),
         }
     }
 
@@ -105,274 +339,116 @@ impl TcpSender {
 
     /// Run counters.
     pub fn stats(&self) -> SenderStats {
-        self.stats
+        self.out.stats
     }
 
     /// Real-valued congestion window (for inspection).
     pub fn cwnd(&self) -> f64 {
-        self.cc.cwnd()
+        self.snd.cc.cwnd()
     }
 
     /// Usable window in packets.
     pub fn window(&self) -> u64 {
-        self.cc.window().min(self.cfg.maxwnd)
+        self.snd.window()
     }
 
     /// Packets in flight (`snd_nxt − snd_una`).
     pub fn outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
+        self.snd.outstanding()
     }
 
     /// The RTT estimator (for inspection).
     pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
+        &self.snd.rtt
     }
 
     /// For finite transfers ([`SenderConfig::data_limit`]): when the last
     /// packet was cumulatively acknowledged. `None` while in progress or
     /// for infinite streams.
     pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
-    }
-
-    fn emit_cwnd(&mut self, ctx: &mut Ctx<'_>) {
-        let (cwnd, ssthresh) = (self.cc.cwnd(), self.cc.ssthresh());
-        ctx.emit(ProtoEvent::Cwnd { cwnd, ssthresh });
-    }
-
-    fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(h) = self.rto_armed.take() {
-            ctx.cancel_timer(h);
-        }
-        self.rto_armed = Some(ctx.set_timer(self.rtt.rto(), TOKEN_RTO));
-    }
-
-    fn cancel_rto(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(h) = self.rto_armed.take() {
-            ctx.cancel_timer(h);
-        }
-    }
-
-    /// Transmit as much as the window (and the pacer) allows.
-    fn try_send(&mut self, ctx: &mut Ctx<'_>) {
-        let wnd = self.window();
-        let highest = self.cfg.data_limit.unwrap_or(u64::MAX);
-        while self.snd_nxt - self.snd_una < wnd && self.snd_nxt <= highest {
-            if let Some(interval) = self.cfg.pacing {
-                let now = ctx.now();
-                if now < self.pace_due {
-                    if !self.pace_armed {
-                        self.pace_armed = true;
-                        ctx.set_timer(self.pace_due.since(now), TOKEN_PACE);
-                    }
-                    return;
-                }
-                self.pace_due = now + interval;
-            }
-            let seq = self.snd_nxt;
-            let retx = seq < self.snd_max;
-            ctx.send(PacketKind::Data, seq, self.cfg.data_size, retx);
-            self.stats.packets_sent += 1;
-            if retx {
-                self.stats.retransmits += 1;
-                ctx.emit(ProtoEvent::Retransmit { seq });
-            } else {
-                self.stats.new_data_sent += 1;
-                if self.timing.is_none() {
-                    self.timing = Some((seq, ctx.now()));
-                }
-            }
-            self.snd_nxt += 1;
-            self.snd_max = self.snd_max.max(self.snd_nxt);
-            if self.rto_armed.is_none() {
-                self.arm_rto(ctx);
-            }
-        }
-    }
-
-    /// Window reduction + retransmission on a detected loss.
-    ///
-    /// The two detection paths recover differently, as in BSD:
-    ///
-    /// * **Duplicate ACKs** (fast retransmit): resend exactly the first
-    ///   unacknowledged segment and leave `snd_nxt` where it is — the BSD
-    ///   code saves `onxt`, retransmits one segment, and restores. The
-    ///   receiver has buffered the rest of the window, so the next
-    ///   cumulative ACK jumps past it; re-sending it here would generate
-    ///   duplicate-data ACKs that masquerade as fresh dup-ACK runs and set
-    ///   off spurious retransmissions.
-    /// * **Timeout**: genuine go-back-N — `snd_nxt = snd_una` and resume
-    ///   under the collapsed window (everything in flight is presumed
-    ///   gone).
-    fn on_loss_detected(&mut self, ctx: &mut Ctx<'_>, kind: LossKind) {
-        ctx.emit(ProtoEvent::LossDetected {
-            seq: self.snd_una,
-            kind,
-        });
-        self.cc.on_loss(kind);
-        self.emit_cwnd(ctx);
-        // Karn: the timed segment is about to be retransmitted.
-        self.timing = None;
-        match kind {
-            LossKind::DupAck => self.retransmit_first_unacked(ctx),
-            LossKind::Timeout => {
-                self.snd_nxt = self.snd_una;
-                self.try_send(ctx);
-            }
-        }
-        self.arm_rto(ctx);
-    }
-
-    /// Resend `snd_una` once (the fast-retransmit action). Bypasses the
-    /// pacer: the retransmission replaces a packet that already left.
-    fn retransmit_first_unacked(&mut self, ctx: &mut Ctx<'_>) {
-        let seq = self.snd_una;
-        ctx.send(PacketKind::Data, seq, self.cfg.data_size, true);
-        self.stats.packets_sent += 1;
-        self.stats.retransmits += 1;
-        ctx.emit(ProtoEvent::Retransmit { seq });
+        self.out.finished_at
     }
 }
 
 impl Endpoint for TcpSender {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.emit_cwnd(ctx);
-        self.try_send(ctx);
+        self.snd.emit_cwnd(ctx);
+        self.snd.try_send(ctx, &mut self.out);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         debug_assert!(pkt.is_ack(), "sender got a non-ACK packet");
-        let ack = pkt.seq; // highest in-order seq received by the peer
-        debug_assert!(ack < self.snd_max, "ACK beyond anything sent");
-
-        if ack + 1 > self.snd_una {
-            // New data acknowledged.
-            if self.dupacks >= self.cfg.dupack_threshold {
-                self.cc.on_recovery_ack(); // Reno deflation; no-op elsewhere
-            }
-            self.dupacks = 0;
-            self.snd_una = ack + 1;
-            self.stats.acked = self.stats.acked.max(ack);
-            if let Some((seq, sent_at)) = self.timing {
-                if ack >= seq {
-                    self.rtt.sample(ctx.now().since(sent_at));
-                    self.timing = None;
-                }
-            }
-            self.cc.on_ack_marked(pkt.ce);
-            self.emit_cwnd(ctx);
-            self.snd_nxt = self.snd_nxt.max(self.snd_una);
-            if self.snd_max > self.snd_una {
-                self.arm_rto(ctx); // restart for the remaining flight
-            } else {
-                self.cancel_rto(ctx);
-            }
-            if let Some(limit) = self.cfg.data_limit {
-                if self.snd_una > limit && self.finished_at.is_none() {
+        match self.snd.on_ack(ctx, &pkt, &mut self.out) {
+            Ack::New => {
+                let stats = &mut self.out.stats;
+                stats.acked = stats.acked.max(pkt.seq);
+                let limit = self.snd.cfg.data_limit;
+                if self.out.finished_at.is_none() && limit.is_some_and(|l| self.snd.snd_una > l) {
                     // Transfer complete: everything acknowledged.
-                    self.finished_at = Some(ctx.now());
-                    self.cancel_rto(ctx);
+                    self.out.finished_at = Some(ctx.now());
+                    self.snd.cancel_rto(ctx);
+                }
+                self.snd.try_send(ctx, &mut self.out);
+            }
+            Ack::Dup(run) => {
+                self.out.stats.dupacks += 1;
+                match run {
+                    Ordering::Less => {}
+                    Ordering::Equal => self.out.stats.fast_retransmits += 1,
+                    // Reno: window inflation may have opened room.
+                    Ordering::Greater => self.snd.try_send(ctx, &mut self.out),
                 }
             }
-            self.try_send(ctx);
-        } else if ack + 1 == self.snd_una && self.snd_max > self.snd_una {
-            // Duplicate ACK while data is outstanding.
-            self.stats.dupacks += 1;
-            self.dupacks += 1;
-            self.cc.on_dupack();
-            if self.dupacks == self.cfg.dupack_threshold {
-                self.stats.fast_retransmits += 1;
-                self.on_loss_detected(ctx, LossKind::DupAck);
-            } else if self.dupacks > self.cfg.dupack_threshold {
-                // Reno: window inflation may have opened room.
-                self.try_send(ctx);
-            }
+            Ack::Old => {}
         }
-        // Older ACKs carry no information for this workload; ignore.
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             TOKEN_RTO => {
-                self.rto_armed = None;
-                if self.snd_max <= self.snd_una {
-                    return; // everything acked; stale timer
+                if self.snd.on_rto(ctx, &mut self.out) {
+                    self.out.stats.timeouts += 1;
                 }
-                self.stats.timeouts += 1;
-                self.rtt.on_timeout();
-                self.dupacks = 0;
-                self.on_loss_detected(ctx, LossKind::Timeout);
             }
             TOKEN_PACE => {
-                self.pace_armed = false;
-                self.try_send(ctx);
+                self.out.pace_armed = false;
+                self.snd.try_send(ctx, &mut self.out);
             }
             other => unreachable!("unknown sender timer token {other}"),
         }
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.cc.save_state(w);
-        self.rtt.save_state(w);
-        w.write_u64(self.snd_una);
-        w.write_u64(self.snd_nxt);
-        w.write_u64(self.snd_max);
-        w.write_u32(self.dupacks);
-        w.write_bool(self.rto_armed.is_some());
-        if let Some(h) = &self.rto_armed {
-            h.save_state(w);
-        }
-        w.write_bool(self.timing.is_some());
-        if let Some((seq, at)) = self.timing {
-            w.write_u64(seq);
-            w.write_time(at);
-        }
-        w.write_time(self.pace_due);
-        w.write_bool(self.pace_armed);
-        w.write_bool(self.finished_at.is_some());
-        if let Some(t) = self.finished_at {
+        self.snd.save_state(w);
+        w.write_time(self.out.pace_due);
+        w.write_bool(self.out.pace_armed);
+        w.write_bool(self.out.finished_at.is_some());
+        if let Some(t) = self.out.finished_at {
             w.write_time(t);
         }
-        w.write_u64(self.stats.packets_sent);
-        w.write_u64(self.stats.new_data_sent);
-        w.write_u64(self.stats.retransmits);
-        w.write_u64(self.stats.acked);
-        w.write_u64(self.stats.dupacks);
-        w.write_u64(self.stats.fast_retransmits);
-        w.write_u64(self.stats.timeouts);
+        let s = &self.out.stats;
+        w.write_u64(s.packets_sent);
+        w.write_u64(s.new_data_sent);
+        w.write_u64(s.retransmits);
+        w.write_u64(s.acked);
+        w.write_u64(s.dupacks);
+        w.write_u64(s.fast_retransmits);
+        w.write_u64(s.timeouts);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cc.load_state(r)?;
-        self.rtt.load_state(r)?;
-        self.snd_una = r.read_u64()?;
-        self.snd_nxt = r.read_u64()?;
-        self.snd_max = r.read_u64()?;
-        self.dupacks = r.read_u32()?;
-        self.rto_armed = if r.read_bool()? {
-            Some(TimerHandle::load_state(r)?)
-        } else {
-            None
-        };
-        self.timing = if r.read_bool()? {
-            Some((r.read_u64()?, r.read_time()?))
-        } else {
-            None
-        };
-        self.pace_due = r.read_time()?;
-        self.pace_armed = r.read_bool()?;
-        self.finished_at = if r.read_bool()? {
-            Some(r.read_time()?)
-        } else {
-            None
-        };
-        self.stats.packets_sent = r.read_u64()?;
-        self.stats.new_data_sent = r.read_u64()?;
-        self.stats.retransmits = r.read_u64()?;
-        self.stats.acked = r.read_u64()?;
-        self.stats.dupacks = r.read_u64()?;
-        self.stats.fast_retransmits = r.read_u64()?;
-        self.stats.timeouts = r.read_u64()?;
+        self.snd.load_state(r)?;
+        self.out.pace_due = r.read_time()?;
+        self.out.pace_armed = r.read_bool()?;
+        self.out.finished_at = r.read_bool()?.then(|| r.read_time()).transpose()?;
+        let s = &mut self.out.stats;
+        s.packets_sent = r.read_u64()?;
+        s.new_data_sent = r.read_u64()?;
+        s.retransmits = r.read_u64()?;
+        s.acked = r.read_u64()?;
+        s.dupacks = r.read_u64()?;
+        s.fast_retransmits = r.read_u64()?;
+        s.timeouts = r.read_u64()?;
         Ok(())
     }
 
@@ -381,23 +457,20 @@ impl Endpoint for TcpSender {
     }
 
     fn progress(&self) -> td_net::EndpointProgress {
+        let snd = &self.snd;
         td_net::EndpointProgress {
             // Infinite sources have no notion of "done" and opt out of
             // stall attribution; finite transfers are done once everything
             // is acknowledged.
-            finished: self.cfg.data_limit.map(|_| self.finished_at.is_some()),
+            finished: snd.cfg.data_limit.map(|_| self.out.finished_at.is_some()),
             detail: format!(
                 "snd_una={} snd_nxt={} snd_max={} cwnd={:.2} rto {} ({:.3}s)",
-                self.snd_una,
-                self.snd_nxt,
-                self.snd_max,
-                self.cc.cwnd(),
-                if self.rto_armed.is_some() {
-                    "armed"
-                } else {
-                    "unarmed"
-                },
-                self.rtt.rto().as_secs_f64(),
+                snd.snd_una,
+                snd.snd_nxt,
+                snd.snd_max,
+                snd.cc.cwnd(),
+                snd.rto_armed.map_or("unarmed", |_| "armed"),
+                snd.rtt.rto().as_secs_f64(),
             ),
         }
     }

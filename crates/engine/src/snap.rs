@@ -26,6 +26,7 @@
 //! [`SnapError`] instead of silently corrupted state.
 
 use crate::{SimDuration, SimRng, SimTime};
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 /// Why a snapshot could not be decoded or applied.
@@ -296,13 +297,24 @@ impl<'a> SnapReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Check the 4-byte magic and return the version that follows.
-    pub fn expect_header(&mut self, magic: &[u8; 4]) -> Result<u32, SnapError> {
+    /// Check the 4-byte magic and that the version after it is one of
+    /// `versions` — the ones this build decodes — and return the version.
+    /// Every top-level format checks its header here, so none can accept a
+    /// version it never wrote.
+    pub fn expect_header(
+        &mut self,
+        magic: &[u8; 4],
+        versions: RangeInclusive<u32>,
+    ) -> Result<u32, SnapError> {
         let got = self.take(4)?;
         if got != magic {
             return Err(SnapError::BadMagic);
         }
-        self.read_u32()
+        let version = self.read_u32()?;
+        if !versions.contains(&version) {
+            return Err(SnapError::UnsupportedVersion(version));
+        }
+        Ok(version)
     }
 
     /// Error unless every byte has been consumed.
@@ -472,14 +484,22 @@ mod tests {
     fn header_is_checked() {
         let w = SnapWriter::with_header(b"TEST", 3);
         let bytes = w.into_bytes();
-        assert_eq!(SnapReader::new(&bytes).expect_header(b"TEST").unwrap(), 3);
+        let header = |magic, versions| SnapReader::new(&bytes).expect_header(magic, versions);
+        assert_eq!(header(b"TEST", 3..=3), Ok(3));
+        assert_eq!(header(b"TEST", 1..=3), Ok(3));
+        assert_eq!(header(b"NOPE", 3..=3), Err(SnapError::BadMagic));
+        // A version outside the range is refused on either side of it.
         assert_eq!(
-            SnapReader::new(&bytes).expect_header(b"NOPE").unwrap_err(),
-            SnapError::BadMagic
+            header(b"TEST", 1..=2),
+            Err(SnapError::UnsupportedVersion(3))
+        );
+        assert_eq!(
+            header(b"TEST", 4..=9),
+            Err(SnapError::UnsupportedVersion(3))
         );
         assert_eq!(
             SnapReader::new(&bytes[..2])
-                .expect_header(b"TEST")
+                .expect_header(b"TEST", 3..=3)
                 .unwrap_err(),
             SnapError::Truncated
         );

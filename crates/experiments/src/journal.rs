@@ -50,8 +50,8 @@ pub const JOURNAL_FILE: &str = "journal.tdj";
 
 /// Magic prefix of every journal record payload.
 const MAGIC: &[u8; 4] = b"TDJL";
-/// Journal format version. Readers refuse anything newer; older cells
-/// still decode: v1 (pre-`peak_rss_kib`) defaults the field to 0, and
+/// Journal format version. Readers refuse anything newer, and version 0,
+/// which was never written; older cells still decode: v1 (pre-`peak_rss_kib`) defaults the field to 0, and
 /// v1/v2 (pre-`peak_rss_is_process_max`, when the watermark was never
 /// reset between cells) default the flag to `true` — which is exactly
 /// what their recorded values were.
@@ -514,10 +514,7 @@ pub fn decode_cell(bytes: &[u8]) -> Result<JournalCell, SnapError> {
 }
 
 fn expect_journal_record(r: &mut SnapReader<'_>, want_tag: u8) -> Result<u32, SnapError> {
-    let version = r.expect_header(MAGIC)?;
-    if version > VERSION {
-        return Err(SnapError::UnsupportedVersion(version));
-    }
+    let version = r.expect_header(MAGIC, 1..=VERSION)?;
     let tag = r.read_u8()?;
     if tag != want_tag {
         return Err(SnapError::Corrupt(format!(
@@ -763,6 +760,25 @@ mod tests {
         let cell = decode_cell(&w.into_bytes()).unwrap();
         assert_eq!(cell.timing.peak_rss_kib, want.timing.peak_rss_kib);
         assert!(cell.timing.peak_rss_is_process_max, "v2 default");
+    }
+
+    /// No journal was ever written at version 0: a record claiming it is
+    /// refused even with its checksum intact, not decoded as v1.
+    #[test]
+    fn version_zero_records_are_refused() {
+        let mut header = encode_header(&sample_header());
+        header[4..8].copy_from_slice(&0u32.to_le_bytes());
+        let header = decode_checked_line(&encode_checked_line(&header)).expect("checksum intact");
+        assert_eq!(
+            decode_header(&header),
+            Err(SnapError::UnsupportedVersion(0))
+        );
+        let mut cell = encode_cell(&sample_result(0));
+        cell[4..8].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode_cell(&cell).unwrap_err(),
+            SnapError::UnsupportedVersion(0)
+        );
     }
 
     #[test]

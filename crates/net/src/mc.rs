@@ -213,10 +213,7 @@ impl McSchedule {
     /// Decode, refusing unknown versions.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let version = r.expect_header(Self::MAGIC)?;
-        if version != Self::VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(Self::MAGIC, Self::VERSION..=Self::VERSION)?;
         let seed = r.read_u64()?;
         let n_grid = r.read_len()?;
         let mut grid = Vec::with_capacity(n_grid);

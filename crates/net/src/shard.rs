@@ -590,10 +590,7 @@ impl ShardSnapshot {
     /// [`SnapError`] instead of a panic or an absurd allocation.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<ShardSnapshot, SnapError> {
         let mut r = SnapReader::new(&bytes);
-        let version = r.expect_header(SHARD_MAGIC)?;
-        if version != SHARD_VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(SHARD_MAGIC, SHARD_VERSION..=SHARD_VERSION)?;
         let _seed = r.read_u64()?;
         let n_nodes = r.read_u32()? as usize;
         let n_channels = r.read_u32()? as usize;
@@ -708,10 +705,7 @@ impl ShardedWorld {
             ));
         }
         let mut r = SnapReader::new(&snap.bytes);
-        let version = r.expect_header(SHARD_MAGIC)?;
-        if version != SHARD_VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(SHARD_MAGIC, SHARD_VERSION..=SHARD_VERSION)?;
         if r.read_u64()? != self.seed {
             return Err(SnapError::Mismatch(
                 "snapshot seed differs from world seed".into(),

@@ -537,10 +537,7 @@ impl Snapshot {
     /// the restore path to allocate for them.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(&bytes);
-        let version = r.expect_header(Self::MAGIC)?;
-        if version != Self::VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(Self::MAGIC, Self::VERSION..=Self::VERSION)?;
         let _seed = r.read_u64()?;
         let n_nodes = r.read_u32()? as u64;
         let n_channels = r.read_u32()? as u64;
@@ -1416,10 +1413,7 @@ impl World {
     /// spurious verdict).
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
         let mut r = SnapReader::new(snap.as_bytes());
-        let version = r.expect_header(Snapshot::MAGIC)?;
-        if version != Snapshot::VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(Snapshot::MAGIC, Snapshot::VERSION..=Snapshot::VERSION)?;
         let seed = r.read_u64()?;
         if seed != self.seed {
             return Err(SnapError::Mismatch(format!(

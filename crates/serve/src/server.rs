@@ -385,10 +385,7 @@ fn decode_pending(bytes: &[u8]) -> Result<SimulateReq, String> {
 /// The TDQP v1 codec, the inverse of `persist_pending`'s writer.
 fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
     let mut r = SnapReader::new(bytes);
-    let version = r.expect_header(PENDING_MAGIC)?;
-    if version != PENDING_VERSION {
-        return Err(SnapError::UnsupportedVersion(version));
-    }
+    r.expect_header(PENDING_MAGIC, PENDING_VERSION..=PENDING_VERSION)?;
     let experiment = r.read_str()?;
     let seed = r.read_u64()?;
     let profile = match r.read_u8()? {

@@ -316,10 +316,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellDa
     }
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<CellData, td_engine::SnapError> {
-        let version = r.expect_header(MAGIC)?;
-        if version != VERSION {
-            return Err(td_engine::SnapError::UnsupportedVersion(version));
-        }
+        r.expect_header(MAGIC, VERSION..=VERSION)?;
         let config_hash = r.read_u64()?;
         let seed = r.read_u64()?;
         if let Some(want) = expect {
