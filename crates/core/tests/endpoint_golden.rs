@@ -4,22 +4,27 @@
 //! without delayed ACKs; original rule), Reno and DECbit behind a
 //! 4-packet buffer, a paced fixed-window sender, a finite transfer run to
 //! completion, and `TcpDuplex` pairs under loss with delayed ACKs on and
-//! off. Each world's snapshot bytes — event queue, every endpoint's
+//! off. Each world's snapshot bytes — pending events, every endpoint's
 //! protocol state and the full trace — are hashed (FNV-1a) at a mid-run
-//! point and at the end, and compared against constants recorded before
-//! the endpoints were rebuilt from shared send/receive halves. A change
-//! to the order of trace records, of timer schedules or cancels, or to an
-//! endpoint's snapshot layout moves a hash.
+//! point and at the end. A change to the order of trace records, of timer
+//! schedules or cancels, or to an endpoint's snapshot layout moves a hash.
+//!
+//! Each case carries a second pin that does not depend on the snapshot
+//! layout: FNV-1a over the `{:?}` rendering of every trace record and of
+//! every endpoint's stats struct, again at mid-run and at the end. A
+//! snapshot format change re-records the first pair only (TDSN v4, which
+//! stopped writing the event queue's slab, did); the second pair moves
+//! only when behaviour does.
 //!
 //! Every case also restores its mid-run snapshot onto a freshly built
 //! world and runs it to the end: the result must hash like the
-//! uninterrupted run.
+//! uninterrupted run, in both pins.
 
 use td_core::{
     CcKind, DelayedAck, DuplexStats, IncrementRule, ReceiverConfig, SenderConfig, SenderStats,
     TcpDuplex, TcpReceiver, TcpSender,
 };
-use td_engine::{fnv1a, Rate, SimDuration, SimTime};
+use td_engine::{fnv1a, fnv1a_continue, Rate, SimDuration, SimTime};
 use td_net::{ConnId, DisciplineKind, Endpoint, EndpointId, FaultModel, NodeId, TraceEvent, World};
 
 /// Where a golden run stops.
@@ -43,31 +48,80 @@ fn finish(w: &mut World, end: End) {
     }
 }
 
+/// A case's pins, each as (mid-run, end).
+struct Pins {
+    /// FNV-1a of the snapshot bytes.
+    snapshot: (u64, u64),
+    /// [`behaviour`] of the world.
+    behaviour: (u64, u64),
+}
+
+/// FNV-1a over the `{:?}` rendering of every trace record, one per line,
+/// then of every endpoint's stats struct: what the run did, blind to how
+/// a snapshot lays out its bytes.
+fn behaviour(w: &World) -> u64 {
+    let mut h = fnv1a(b"");
+    for rec in w.trace().records() {
+        h = fnv1a_continue(h, format!("{rec:?}\n").as_bytes());
+    }
+    for ep in (0..).map_while(|i| w.endpoint(EndpointId(i))) {
+        let any = ep.as_any();
+        let stats = if let Some(s) = any.downcast_ref::<TcpSender>() {
+            format!("{:?}\n", s.stats())
+        } else if let Some(r) = any.downcast_ref::<TcpReceiver>() {
+            format!("{:?}\n", r.stats())
+        } else if let Some(d) = any.downcast_ref::<TcpDuplex>() {
+            format!("{:?}\n", d.stats())
+        } else {
+            panic!("endpoint without a stats struct")
+        };
+        h = fnv1a_continue(h, stats.as_bytes());
+    }
+    h
+}
+
 /// Run `case` straight through, and again resumed from its mid-run
-/// snapshot; returns the finished world and the (mid, end) hashes.
-fn run(case: &Case) -> (World, EndpointId, (u64, u64)) {
+/// snapshot; returns the finished world and its pins.
+fn run(case: &Case) -> (World, EndpointId, Pins) {
     let (mut w, ep) = (case.build)();
     w.run_until(case.mid);
     let mid = w.snapshot();
+    let mid_behaviour = behaviour(&w);
     finish(&mut w, case.end);
-    let hashes = (fnv1a(mid.as_bytes()), fnv1a(w.snapshot().as_bytes()));
+    let pins = Pins {
+        snapshot: (fnv1a(mid.as_bytes()), fnv1a(w.snapshot().as_bytes())),
+        behaviour: (mid_behaviour, behaviour(&w)),
+    };
 
     let (mut resumed, _) = (case.build)();
     resumed.restore(&mid).expect("mid-run snapshot restores");
     finish(&mut resumed, case.end);
     assert_eq!(
         fnv1a(resumed.snapshot().as_bytes()),
-        hashes.1,
+        pins.snapshot.1,
         "resuming from the mid-run snapshot diverged"
     );
-    (w, ep, hashes)
+    assert_eq!(
+        behaviour(&resumed),
+        pins.behaviour.1,
+        "resuming from the mid-run snapshot changed behaviour"
+    );
+    (w, ep, pins)
 }
 
-fn assert_hashes(got: (u64, u64), want: (u64, u64)) {
+fn assert_pins(got: &Pins, snapshot: (u64, u64), behaviour: (u64, u64)) {
+    let show = |(mid, end): (u64, u64)| format!("(mid {mid:#018x}, end {end:#018x})");
     assert_eq!(
-        got, want,
-        "snapshot hashes moved: got (mid {:#018x}, end {:#018x})",
-        got.0, got.1
+        got.behaviour,
+        behaviour,
+        "behaviour hashes moved: got {}",
+        show(got.behaviour)
+    );
+    assert_eq!(
+        got.snapshot,
+        snapshot,
+        "snapshot hashes moved: got {}",
+        show(got.snapshot)
     );
 }
 
@@ -152,7 +206,11 @@ fn tahoe_modified_delack_off() {
     let (w, s, got) = run(&case);
     let st = sender_stats(&w, s);
     assert!(st.fast_retransmits > 0 && st.timeouts > 0, "{st:?}");
-    assert_hashes(got, (0xdee0_0c29_74a3_a822, 0x1369_9b21_32b1_7d7a));
+    assert_pins(
+        &got,
+        (0x0ed1_101c_f654_209b, 0xc674_ff94_8a15_0f78),
+        (0x0879_d3d1_5775_43d5, 0xe081_ded5_2040_f19c),
+    );
 }
 
 #[test]
@@ -171,7 +229,11 @@ fn tahoe_modified_delack_on() {
     let (w, s, got) = run(&case);
     let st = sender_stats(&w, s);
     assert!(st.retransmits > 0, "{st:?}");
-    assert_hashes(got, (0x92c4_4650_523a_67c2, 0xcd4c_b607_dd35_3a23));
+    assert_pins(
+        &got,
+        (0xe3a1_942f_6de1_bf0c, 0xdd68_5158_5f34_5931),
+        (0x27dc_76ea_d909_4150, 0x450e_06df_e11e_5066),
+    );
 }
 
 #[test]
@@ -191,7 +253,11 @@ fn tahoe_original() {
     };
     let (w, s, got) = run(&case);
     assert!(sender_stats(&w, s).retransmits > 0);
-    assert_hashes(got, (0xbc3a_e421_9ec8_3b95, 0xa8a7_a600_2d1d_4a03));
+    assert_pins(
+        &got,
+        (0xef35_771f_2b7c_4338, 0xc67a_b4ad_8db7_e218),
+        (0x3bf8_3d77_e826_b1d3, 0x1dc4_16d4_ca13_e87f),
+    );
 }
 
 #[test]
@@ -210,7 +276,11 @@ fn reno_behind_four_packet_buffer() {
     let (w, s, got) = run(&case);
     let st = sender_stats(&w, s);
     assert!(st.fast_retransmits > 0 && st.timeouts > 0, "{st:?}");
-    assert_hashes(got, (0x51c1_ad08_10c1_78ca, 0xdb4c_4143_52e0_e0f3));
+    assert_pins(
+        &got,
+        (0x1aac_01a5_fc17_82cc, 0xb963_12db_6cc2_9184),
+        (0x1b42_e8f0_46f8_7006, 0x1c32_1cb9_66ba_bfa4),
+    );
 }
 
 #[test]
@@ -235,7 +305,11 @@ fn decbit_behind_four_packet_buffer() {
         ce_marked_deliveries(&w) > 0,
         "no CE mark reached the receiver"
     );
-    assert_hashes(got, (0x2c37_8e17_46a9_2394, 0xcd00_525f_c8eb_c79a));
+    assert_pins(
+        &got,
+        (0x0663_a65b_47a5_d977, 0x3cc3_8b0c_5f0c_0bef),
+        (0x1a18_d6fd_ec79_96c6, 0xae8c_e9e8_5f66_3e35),
+    );
 }
 
 #[test]
@@ -253,7 +327,11 @@ fn paced_fixed_window() {
     };
     let (w, s, got) = run(&case);
     assert!(sender_stats(&w, s).new_data_sent > 300);
-    assert_hashes(got, (0x9072_b853_52cd_b58a, 0x86e3_9b8a_e8df_af13));
+    assert_pins(
+        &got,
+        (0xb3bf_fe87_7263_68c8, 0xddbe_d95b_cee1_83d6),
+        (0x3efa_2e13_9308_3fec, 0x23d5_8d9b_02d9_40db),
+    );
 }
 
 #[test]
@@ -274,7 +352,11 @@ fn finite_transfer_to_completion() {
     assert!(snd.finished_at().is_some(), "transfer must complete");
     assert_eq!(snd.stats().acked, 200);
     assert!(snd.stats().retransmits > 0, "the 4-packet buffer must drop");
-    assert_hashes(got, (0x9f43_1ae0_35f2_cc22, 0x6d49_5846_ca90_979c));
+    assert_pins(
+        &got,
+        (0x3d9f_f473_7e81_e0e1, 0x8517_258a_3557_727d),
+        (0xbcbe_b29f_6ded_e547, 0xa108_e9db_3fef_4612),
+    );
 }
 
 /// A duplex connection with bulk data both ways over 4-packet buffers;
@@ -318,7 +400,11 @@ fn duplex_delack_off_under_loss() {
     let (w, a, got) = run(&case);
     let st = duplex_stats(&w, a);
     assert!(st.fast_retransmits + st.timeouts > 0, "{st:?}");
-    assert_hashes(got, (0xf9bb_7f5f_effc_cee0, 0xf8b7_3ae4_940f_99b4));
+    assert_pins(
+        &got,
+        (0xef00_c377_d15f_8af1, 0x4d13_0d49_2a66_1d8b),
+        (0x380f_ba0e_0299_c334, 0x8fac_0c63_d45e_0e8e),
+    );
 }
 
 #[test]
@@ -332,5 +418,9 @@ fn duplex_delack_on_under_loss() {
     let st = duplex_stats(&w, a);
     assert!(st.fast_retransmits + st.timeouts > 0, "{st:?}");
     assert!(st.piggybacked_acks > 0, "{st:?}");
-    assert_hashes(got, (0xac52_5787_f848_0308, 0x2c34_49da_b023_3741));
+    assert_pins(
+        &got,
+        (0x7f0c_f036_b36a_be12, 0xfa9f_7f21_fedc_a127),
+        (0x0d62_273a_f3c9_db3a, 0x4ae6_23de_e33f_d18a),
+    );
 }

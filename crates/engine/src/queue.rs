@@ -50,13 +50,16 @@
 //! **generation compare**: freeing a slot bumps its generation, so a stale
 //! handle can never alias a reused slot (generations are `u64`; they do
 //! not wrap in any feasible run).
+//!
+//! The queue has no codec of its own. A snapshot lists the pending events
+//! in pop order ([`EventQueue::pending_entries`]) and a restore schedules
+//! them back into a fresh queue ([`EventQueue::from_pending`]); slots and
+//! generations are never written, so snapshot bytes do not depend on the
+//! slot-reuse history that led to a state.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::SnapError;
 use crate::SimTime;
 use std::collections::BTreeMap;
-
-/// Snapshot marker in a vacant slot's `heap_pos` field.
-const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// log₂ of the epoch width in nanoseconds: 2²¹ ns ≈ 2.1 ms.
 const EPOCH_SHIFT: u32 = 21;
@@ -91,15 +94,11 @@ pub struct EventId {
 }
 
 impl EventId {
-    /// Decompose the handle into `(slot, generation)` for snapshotting.
-    pub fn into_raw(self) -> (u32, u64) {
-        (self.slot, self.gen)
-    }
-
-    /// Rebuild a handle from captured `(slot, generation)` parts. Only
-    /// meaningful against a queue whose slab was restored from the same
-    /// snapshot; against any other queue the handle is simply stale (the
-    /// generation check makes misuse a no-op, never a wrong-event hit).
+    /// A handle from raw `(slot, generation)` parts. Snapshots never carry
+    /// these (they name a pending event by its place in pop order), so the
+    /// use left is a handle that is stale by construction — a slot past
+    /// any slab, e.g. `(u32::MAX, u64::MAX)` — on which `cancel` reports
+    /// "already retired" like any other stale handle.
     pub fn from_raw(slot: u32, gen: u64) -> Self {
         EventId { slot, gen }
     }
@@ -579,7 +578,8 @@ impl<E> EventQueue<E> {
                     seq,
                     event: Some(event),
                 });
-                self.pos.push(NOT_IN_HEAP);
+                // Set by `insert` below.
+                self.pos.push(0);
                 slot
             }
         };
@@ -736,139 +736,54 @@ impl<E> EventQueue<E> {
             .collect()
     }
 
-    /// Serialize the queue's complete state — slab (including vacant
-    /// slots and their generations), pending order, free list, clock, and
-    /// counters — encoding each pending event with `enc`.
+    /// Rebuild a queue from its pending events — how a snapshot restores
+    /// one. The clock stands at `now`, the [`EventQueue::dispatched`],
+    /// [`EventQueue::scheduled`] and [`EventQueue::peak_len`] counters
+    /// carry over, and `pending` — `(at, key, event)` in pop order, as
+    /// [`EventQueue::pending`] lists them — is scheduled in turn. Returns
+    /// the queue and each event's new [`EventId`], in input order.
     ///
-    /// The slab is captured **cell for cell**, not just the live events:
-    /// external holders keep [`EventId`] handles into specific slots, and
-    /// those handles only stay valid (and stale handles only stay stale)
-    /// if slot indices and generations survive the round trip exactly.
+    /// Dispatch order cannot change: the events take ascending seqs, so
+    /// they keep their relative pop order, and every later schedule gets a
+    /// larger seq than all of them, as in the queue they were listed from.
+    /// Only the slab layout differs, and nothing observable depends on it.
+    /// The rebuilt queue owes the thread's [`crate::meter`] nothing: its
+    /// events were counted by the queue that first scheduled them.
     ///
-    /// The "heap" section lists the pending slots in pop order, and each
-    /// slot's `heap_pos` is its rank in that list. A sorted array is a
-    /// valid 4-ary heap, so the layout is the one the flat-heap queue
-    /// wrote — but the bytes are a function of the pending set and the
-    /// slab alone, not of which tier anything happened to be waiting in.
-    pub fn save_state(&self, w: &mut SnapWriter, mut enc: impl FnMut(&E, &mut SnapWriter)) {
-        let order = self.pending_order();
-        let mut rank = vec![NOT_IN_HEAP; self.slots.len()];
-        for (r, &(.., slot)) in order.iter().enumerate() {
-            rank[slot as usize] = r as u32;
-        }
-        w.write_u64(self.next_seq);
-        w.write_time(self.now);
-        w.write_u64(self.popped);
-        w.write_u64(self.peak_len as u64);
-        w.write_u64(self.slots.len() as u64);
-        for (s, &heap_pos) in self.slots.iter().zip(&rank) {
-            w.write_u64(s.gen);
-            w.write_u32(heap_pos);
-            w.write_time(s.at);
-            w.write_u64(s.key);
-            w.write_u64(s.seq);
-            match &s.event {
-                Some(e) => {
-                    w.write_bool(true);
-                    enc(e, w);
-                }
-                None => w.write_bool(false),
-            }
-        }
-        w.write_u64(order.len() as u64);
-        for &(.., slot) in &order {
-            w.write_u32(slot);
-        }
-        w.write_u64(self.free.len() as u64);
-        for &slot in &self.free {
-            w.write_u32(slot);
-        }
-    }
-
-    /// Rebuild a queue from [`EventQueue::save_state`] bytes, decoding
-    /// each pending event with `dec`. Slab/heap cross-links are verified,
-    /// so a corrupt snapshot fails here instead of panicking mid-run.
-    ///
-    /// The heap section need only list each pending slot once, at the
-    /// position its `heap_pos` names: the slots are re-entered into the
-    /// tiers one by one, so a snapshot written by the flat-heap queue
-    /// (heap-ordered, not sorted) loads and pops in the right order too.
-    ///
-    /// The rebuilt queue starts with a zero meter debt
-    /// (`unflushed_sched`): its events were already counted by the queue
-    /// that originally scheduled them.
-    pub fn load_state(
-        r: &mut SnapReader<'_>,
-        mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
-    ) -> Result<Self, SnapError> {
-        let next_seq = r.read_u64()?;
-        let now = r.read_time()?;
-        let popped = r.read_u64()?;
-        let peak_len = r.read_u64()? as usize;
-        let n_slots = r.read_len()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        let mut pos = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let gen = r.read_u64()?;
-            pos.push(r.read_u32()?);
-            let at = r.read_time()?;
-            let key = r.read_u64()?;
-            let seq = r.read_u64()?;
-            let event = if r.read_bool()? { Some(dec(r)?) } else { None };
-            slots.push(Slot {
-                gen,
-                at,
-                key,
-                seq,
-                event,
-            });
-        }
-        let n_heap = r.read_u64()? as usize;
-        if n_heap > n_slots {
-            return Err(SnapError::Corrupt("heap larger than slab".into()));
-        }
-        let mut order = Vec::with_capacity(n_heap);
-        for _ in 0..n_heap {
-            order.push(r.read_u32()?);
-        }
-        let n_free = r.read_u64()? as usize;
-        if n_heap + n_free != n_slots {
-            return Err(SnapError::Corrupt("slab accounting broken".into()));
-        }
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(r.read_u32()?);
-        }
-        // Verify cross-links: every heap entry points at an occupied slot
-        // that points back; every free entry at a vacant, detached slot.
-        for (at, &slot) in order.iter().enumerate() {
-            let s = slots
-                .get(slot as usize)
-                .ok_or_else(|| SnapError::Corrupt("heap entry out of slab".into()))?;
-            if pos[slot as usize] as usize != at || s.event.is_none() {
-                return Err(SnapError::Corrupt("heap/slab backlink broken".into()));
-            }
-        }
-        for &slot in &free {
-            let s = slots
-                .get(slot as usize)
-                .ok_or_else(|| SnapError::Corrupt("free entry out of slab".into()))?;
-            if pos[slot as usize] != NOT_IN_HEAP || s.event.is_some() {
-                return Err(SnapError::Corrupt("free list points at live slot".into()));
-            }
-        }
+    /// An event due before `now`, or more events than `scheduled` allows,
+    /// is [`SnapError::Corrupt`] — damaged input, not a caller bug.
+    pub fn from_pending(
+        now: SimTime,
+        dispatched: u64,
+        scheduled: u64,
+        peak_len: usize,
+        pending: impl IntoIterator<Item = (SimTime, u64, E)>,
+    ) -> Result<(Self, Vec<EventId>), SnapError> {
         let mut q = Self::new();
-        q.slots = slots;
-        q.pos = pos;
-        q.free = free;
-        q.next_seq = next_seq;
         q.now = now;
-        q.popped = popped;
-        q.peak_len = peak_len;
-        for slot in order {
-            q.insert(q.heap_entry(slot));
+        let ids: Result<Vec<_>, _> = (pending.into_iter())
+            .map(|(at, key, event)| {
+                if at < now {
+                    return Err(SnapError::Corrupt(format!(
+                        "pending event at {at:?} is before the clock at {now:?}"
+                    )));
+                }
+                Ok(q.schedule_keyed(at, key, event))
+            })
+            .collect();
+        // Before any early return: a dropped queue flushes its debt.
+        q.unflushed_sched = 0;
+        let ids = ids?;
+        if q.next_seq > scheduled {
+            return Err(SnapError::Corrupt(format!(
+                "{} pending events, but only {scheduled} ever scheduled",
+                q.next_seq
+            )));
         }
-        Ok(q)
+        q.next_seq = scheduled;
+        q.popped = dispatched;
+        q.peak_len = q.peak_len.max(peak_len);
+        Ok((q, ids))
     }
 
     /// Two-tier invariant check, for tests: heap order, the tier boundary
@@ -1064,24 +979,6 @@ mod tests {
         let mut q = EventQueue::<()>::new();
         q.advance_clock(SimTime::from_secs(5));
         q.advance_clock(SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn keyed_snapshot_roundtrip_preserves_order() {
-        let mut q = EventQueue::new();
-        q.schedule_keyed(SimTime::from_secs(1), 5, 50u32);
-        q.schedule_keyed(SimTime::from_secs(1), 2, 20u32);
-        q.schedule_at(SimTime::from_secs(1), 99u32);
-        let mut w = crate::snap::SnapWriter::new();
-        q.save_state(&mut w, |e, w| w.write_u32(*e));
-        let bytes = w.into_bytes();
-        let mut restored: EventQueue<u32> =
-            EventQueue::load_state(&mut crate::snap::SnapReader::new(&bytes), |r| r.read_u32())
-                .unwrap();
-        let order: Vec<_> = std::iter::from_fn(|| restored.pop())
-            .map(|(_, e)| e)
-            .collect();
-        assert_eq!(order, vec![99, 20, 50]);
     }
 
     #[test]
@@ -1328,100 +1225,6 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// [`EventQueue::save_state`] bytes of a `u64`-event queue.
-    fn state_bytes(q: &EventQueue<u64>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        q.save_state(&mut w, |e, w| w.write_u64(*e));
-        w.into_bytes()
-    }
-
-    /// Round-trip helper for a `u64`-event queue.
-    fn roundtrip(q: &EventQueue<u64>) -> EventQueue<u64> {
-        let bytes = state_bytes(q);
-        let mut r = SnapReader::new(&bytes);
-        let restored = EventQueue::load_state(&mut r, |r| r.read_u64()).unwrap();
-        r.finish().unwrap();
-        restored
-    }
-
-    #[test]
-    fn snapshot_round_trip_replays_identically() {
-        let mut q = EventQueue::new();
-        let mut rng = crate::SimRng::new(0x5AFE);
-        let mut ids = Vec::new();
-        for step in 0..5_000u64 {
-            match rng.next_below(4) {
-                0..=1 => {
-                    let at = q.now() + SimDuration::from_nanos(rng.next_below(100));
-                    ids.push(q.schedule_at(at, step));
-                }
-                2 if !ids.is_empty() => {
-                    let k = rng.next_below(ids.len() as u64) as usize;
-                    q.cancel(ids.swap_remove(k));
-                }
-                _ => {
-                    q.pop();
-                }
-            }
-        }
-        let mut restored = roundtrip(&q);
-        restored.assert_invariants();
-        assert_eq!(restored.len(), q.len());
-        assert_eq!(restored.now(), q.now());
-        assert_eq!(restored.dispatched(), q.dispatched());
-        assert_eq!(restored.scheduled(), q.scheduled());
-        assert_eq!(restored.peak_len(), q.peak_len());
-        // Outstanding handles survive: cancel through the restored queue.
-        for &id in &ids {
-            assert_eq!(q.has_fired(id), restored.has_fired(id));
-        }
-        // Both queues drain in the identical order and keep agreeing on
-        // further mixed operations.
-        loop {
-            let a = q.pop();
-            let b = restored.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_preserves_handle_validity_and_staleness() {
-        let mut q = EventQueue::new();
-        let fired = q.schedule_at(SimTime::from_secs(1), 0u64);
-        q.pop();
-        // Reuses the fired slot at a later generation.
-        let live = q.schedule_at(SimTime::from_secs(2), 1u64);
-        let cancelled = q.schedule_at(SimTime::from_secs(3), 2u64);
-        q.cancel(cancelled);
-        let mut restored = roundtrip(&q);
-        assert!(restored.has_fired(fired));
-        assert!(restored.has_fired(cancelled));
-        assert!(!restored.has_fired(live));
-        assert!(!restored.cancel(fired), "stale handle accepted");
-        assert!(restored.cancel(live), "live handle rejected");
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_rejected_structurally() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), 7u64);
-        let mut w = SnapWriter::new();
-        q.save_state(&mut w, |e, w| w.write_u64(*e));
-        let bytes = w.into_bytes();
-        // Truncation at every prefix either loads (only at full length) or
-        // errors — never panics.
-        for cut in 0..bytes.len() {
-            let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(
-                EventQueue::<u64>::load_state(&mut r, |r| r.read_u64()).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-    }
-
     #[test]
     fn pop_before_excludes_its_bound() {
         let mut q = EventQueue::new();
@@ -1501,172 +1304,96 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mid_script_restores_every_tier_and_stays_in_lockstep() {
+    fn from_pending_rebuilds_every_tier_and_stays_in_lockstep() {
+        // A script over heap, ring and overflow map, with same-instant
+        // keyed ties and cancels before the capture.
         let mut q = EventQueue::new();
         let mut rng = crate::SimRng::new(0x5AFE_71E5);
         let mut ids = Vec::new();
         for _ in 0..4_000 {
             tiered_step(&mut q, &mut rng, &mut ids);
         }
+        let listed: Vec<_> = (q.pending_entries().into_iter())
+            .map(|(at, key, id, &e)| (at, key, id, e))
+            .collect();
+        let (mut r, new_ids) = EventQueue::from_pending(
+            q.now(),
+            q.dispatched(),
+            q.scheduled(),
+            q.peak_len(),
+            listed.iter().map(|&(at, key, _, e)| (at, key, e)),
+        )
+        .unwrap();
+        r.assert_invariants();
         assert!(
-            !q.heap.is_empty() && q.occupied.iter().any(|&w| w != 0) && !q.overflow.is_empty(),
-            "snapshot point must have events in heap, ring and overflow map"
+            !r.heap.is_empty() && r.occupied.iter().any(|&w| w != 0) && !r.overflow.is_empty(),
+            "the rebuilt queue must hold events in heap, ring and overflow map"
         );
-        let mut restored = roundtrip(&q);
-        restored.assert_invariants();
-        assert_eq!(state_bytes(&restored), state_bytes(&q), "re-save diverged");
-        // Same script from here on, handles included, on both queues.
+        assert_eq!(
+            r.unflushed_sched, 0,
+            "a rebuilt queue owes the meter nothing"
+        );
+        assert_eq!(
+            (
+                r.now(),
+                r.dispatched(),
+                r.scheduled(),
+                r.peak_len(),
+                r.len()
+            ),
+            (
+                q.now(),
+                q.dispatched(),
+                q.scheduled(),
+                q.peak_len(),
+                q.len()
+            )
+        );
+        let relisted: Vec<_> = (r.pending_entries().into_iter())
+            .map(|(at, key, id, &e)| (at, key, id, e))
+            .collect();
+        let old_ids: Vec<_> = listed.iter().map(|&(_, _, id, _)| id).collect();
+        let strip = |l: &[(SimTime, u64, EventId, u64)]| -> Vec<_> {
+            l.iter().map(|&(at, key, _, e)| (at, key, e)).collect()
+        };
+        assert_eq!(strip(&relisted), strip(&listed), "pop order moved");
+        assert!(relisted.iter().map(|p| p.2).eq(new_ids.iter().copied()));
+        // New schedules tie after every restored event: one at the root's
+        // instant and key, in both queues.
+        let (at, key, ..) = listed[0];
+        q.schedule_keyed(at, key, u64::MAX);
+        r.schedule_keyed(at, key, u64::MAX);
+        // The same script from here on; the handle lists line up
+        // entry for entry, so a cancel hits the same event in both.
+        let (mut ids, mut ids2) = (old_ids, new_ids);
         let mut rng2 = rng.clone();
-        let mut ids2 = ids.clone();
         for _ in 0..4_000 {
             tiered_step(&mut q, &mut rng, &mut ids);
-            tiered_step(&mut restored, &mut rng2, &mut ids2);
-            assert_eq!(q.peek_time(), restored.peek_time());
-            assert_eq!(q.len(), restored.len());
+            tiered_step(&mut r, &mut rng2, &mut ids2);
+            assert_eq!(q.peek_time(), r.peek_time());
+            assert_eq!(q.len(), r.len());
         }
-        assert_eq!(ids, ids2);
-        restored.assert_invariants();
-        assert_eq!(
-            state_bytes(&restored),
-            state_bytes(&q),
-            "final bytes diverged"
-        );
+        r.assert_invariants();
         loop {
             let a = q.pop();
-            assert_eq!(a, restored.pop());
+            assert_eq!(a, r.pop());
             if a.is_none() {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn snapshot_bytes_ignore_tier_history() {
-        // A far event first: `near_epoch` starts at its epoch, so the two
-        // earlier events that follow both join the heap.
-        let mut flat = EventQueue::new();
-        flat.schedule_at(SimTime::from_secs(10), 0u64);
-        flat.schedule_at(SimTime::from_secs(1), 1u64);
-        flat.schedule_at(SimTime::from_secs(5), 2u64);
-        assert_eq!((flat.heap.len(), flat.parked), (3, 0));
-        // Loading re-tiers from the earliest event: one in the heap, one
-        // in the ring, one in the overflow map.
-        let tiered = roundtrip(&flat);
-        assert_eq!((tiered.heap.len(), tiered.parked), (1, 2));
-        assert_eq!(tiered.overflow.len(), 1);
-        assert_eq!(state_bytes(&tiered), state_bytes(&flat));
-    }
-
-    /// The parts of an [`EventQueue::save_state`] image a test wants to
-    /// set by hand, for a `u64`-event queue at clock zero.
-    struct RawSnapshot {
-        /// `(gen, heap_pos, at_secs, event)`; `seq` is the slot index.
-        slots: Vec<(u64, u32, u64, Option<u64>)>,
-        heap: Vec<u32>,
-        free: Vec<u32>,
-    }
-
-    impl RawSnapshot {
-        /// Six pending events whose heap section is a valid 4-ary heap but
-        /// not sorted — what the flat-heap queue wrote — and one vacant
-        /// slot. Heap array by due second: [1, 3, 2, 9, 7, 5]; 5 hangs
-        /// under 3.
-        fn flat_heap() -> Self {
-            RawSnapshot {
-                slots: vec![
-                    (0, 3, 9, Some(90)),
-                    (2, 0, 1, Some(10)),
-                    (0, 5, 5, Some(50)),
-                    (1, NOT_IN_HEAP, 4, None),
-                    (0, 1, 3, Some(30)),
-                    (0, 2, 2, Some(20)),
-                    (0, 4, 7, Some(70)),
-                ],
-                heap: vec![1, 4, 5, 0, 6, 2],
-                free: vec![3],
-            }
-        }
-
-        fn load(&self) -> Result<EventQueue<u64>, SnapError> {
-            let n = self.slots.len() as u64;
-            let mut w = SnapWriter::new();
-            w.write_u64(n); // next_seq
-            w.write_time(SimTime::ZERO);
-            w.write_u64(0); // popped
-            w.write_u64(n); // peak_len
-            w.write_u64(n);
-            for (seq, &(gen, heap_pos, at_secs, event)) in self.slots.iter().enumerate() {
-                w.write_u64(gen);
-                w.write_u32(heap_pos);
-                w.write_time(SimTime::from_secs(at_secs));
-                w.write_u64(0); // key
-                w.write_u64(seq as u64);
-                w.write_bool(event.is_some());
-                if let Some(e) = event {
-                    w.write_u64(e);
-                }
-            }
-            for section in [&self.heap, &self.free] {
-                w.write_u64(section.len() as u64);
-                for &slot in section {
-                    w.write_u32(slot);
-                }
-            }
-            let bytes = w.into_bytes();
-            EventQueue::load_state(&mut SnapReader::new(&bytes), |r| r.read_u64())
-        }
-    }
-
-    #[test]
-    fn heap_ordered_snapshot_from_the_flat_queue_loads_and_pops_in_order() {
-        let mut q = RawSnapshot::flat_heap().load().unwrap();
-        q.assert_invariants();
-        assert_eq!(q.len(), 6);
-        assert!(q.parked > 0, "seconds apart: most of these park");
-        // Handles into the old slab keep their meaning.
-        assert!(q.has_fired(EventId::from_raw(1, 1)));
-        assert!(q.cancel(EventId::from_raw(6, 0)));
-        // Saving again writes the canonical, sorted form of the same state.
-        let resaved = state_bytes(&q);
-        assert_eq!(state_bytes(&roundtrip(&q)), resaved);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![10, 20, 30, 50, 90]);
-    }
-
-    #[test]
-    fn corrupt_cross_links_are_rejected_by_name() {
-        let corrupt = |edit: fn(&mut RawSnapshot)| {
-            let mut raw = RawSnapshot::flat_heap();
-            edit(&mut raw);
-            match raw.load() {
-                Err(SnapError::Corrupt(why)) => why,
-                Err(other) => panic!("expected Corrupt, got {other:?}"),
-                Ok(_) => panic!("corrupt snapshot loaded"),
-            }
-        };
-        assert_eq!(
-            corrupt(|raw| raw.heap.extend([0, 1])),
-            "heap larger than slab"
+        assert_eq!(q.dispatched(), r.dispatched());
+        // Damaged input is an error, never a panic.
+        let past = EventQueue::from_pending(
+            SimTime::from_secs(2),
+            0,
+            1,
+            1,
+            [(SimTime::from_secs(1), 0, 0u64)],
         );
-        assert_eq!(corrupt(|raw| raw.free.push(3)), "slab accounting broken");
-        assert_eq!(corrupt(|raw| raw.heap[2] = 99), "heap entry out of slab");
-        // A slot listed twice, a backlink naming another position, a heap
-        // entry pointing at a vacant slot.
-        for edit in [
-            (|raw| raw.heap[1] = 1) as fn(&mut RawSnapshot),
-            |raw| raw.slots[4].1 = 2,
-            |raw| raw.slots[4].3 = None,
-        ] {
-            assert_eq!(corrupt(edit), "heap/slab backlink broken");
-        }
-        assert_eq!(corrupt(|raw| raw.free[0] = 99), "free entry out of slab");
-        // A free entry naming an occupied slot, a vacant slot that claims
-        // a heap position.
-        for edit in [(|raw| raw.free[0] = 2) as fn(&mut RawSnapshot), |raw| {
-            raw.slots[3].1 = 0
-        }] {
-            assert_eq!(corrupt(edit), "free list points at live slot");
-        }
+        assert!(matches!(past, Err(SnapError::Corrupt(_))));
+        let uncounted =
+            EventQueue::from_pending(SimTime::ZERO, 0, 0, 1, [(SimTime::ZERO, 0, 0u64)]);
+        assert!(matches!(uncounted, Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -59,26 +59,20 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use td_engine::meter::{self, Meter};
-use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
+use td_engine::{EventId, SimTime, SnapError, SnapWriter};
 
 use crate::audit::Audit;
 use crate::packet::{NodeId, Packet};
 use crate::partition::partition;
 use crate::trace::{canonical_trace_cmp, Trace, TraceObserver, TraceRecord};
 use crate::world::{
-    load_event, load_trace_record, save_trace_record, set_timer_load_xlat, set_timer_save_xlat,
-    ChannelId, ChannelStats, Endpoint, EndpointId, World,
+    check_header, load_trace_record, read_pending, save_trace_record, with_table, write_pending,
+    ChannelId, ChannelStats, Endpoint, EndpointId, PendingBlob, World, HANDLE_IDS, HANDLE_INDEX,
 };
 
 /// How long a worker sleeps waiting for neighbour progress before
 /// re-checking on its own (belt-and-braces against a missed wakeup).
 const WAIT_SLICE: Duration = Duration::from_millis(50);
-
-/// One pending event while assembling a snapshot: `(time, canonical key,
-/// encoded blob, owning shard, raw queue id)`. The first three fields are
-/// the global sort key; the last two let endpoint timer handles be
-/// rewritten as indices into the sorted list.
-type PendingBlob = (SimTime, u64, Vec<u8>, usize, (u32, u64));
 
 /// State shared by all shard workers for one `run_until` call.
 struct Shared {
@@ -589,21 +583,7 @@ impl ShardSnapshot {
     /// against the byte budget so corrupt input fails fast with a
     /// [`SnapError`] instead of a panic or an absurd allocation.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<ShardSnapshot, SnapError> {
-        let mut r = SnapReader::new(&bytes);
-        r.expect_header(SHARD_MAGIC, SHARD_VERSION..=SHARD_VERSION)?;
-        let _seed = r.read_u64()?;
-        let n_nodes = r.read_u32()? as usize;
-        let n_channels = r.read_u32()? as usize;
-        let n_endpoints = r.read_u32()? as usize;
-        if n_nodes
-            .saturating_add(n_channels)
-            .saturating_add(n_endpoints)
-            > r.remaining()
-        {
-            return Err(SnapError::Corrupt(
-                "snapshot counts exceed the bytes that could encode them".into(),
-            ));
-        }
+        check_header(&bytes, SHARD_MAGIC, SHARD_VERSION)?;
         Ok(ShardSnapshot { bytes })
     }
 
@@ -629,34 +609,24 @@ impl ShardedWorld {
         let n = self.worlds.len();
         let w0 = &self.worlds[0];
         let mut w = SnapWriter::with_header(SHARD_MAGIC, SHARD_VERSION);
-        w.write_u64(self.seed);
-        w.write_u32(w0.node_count() as u32);
-        w.write_u32(w0.channel_count() as u32);
-        w.write_u32(w0.endpoint_count() as u32);
+        w0.write_fingerprint(&mut w);
         w.write_time(self.now);
 
         for i in 0..w0.endpoint_count() {
             w.write_u64(self.owner_of_ep(i).ep_packet_ctr(i));
         }
 
-        // Pending events, sorted into the global canonical order. The
-        // per-shard queue ids are remembered so endpoint timer handles can
-        // be rewritten as indices into this very list.
-        let mut pend: Vec<PendingBlob> = Vec::new();
-        for (s, world) in self.worlds.iter().enumerate() {
-            for (at, key, id, blob) in world.pending_event_blobs() {
-                pend.push((at, key, blob, s, id.into_raw()));
-            }
-        }
-        pend.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-        w.write_u64(pend.len() as u64);
-        for (at, _, blob, _, _) in &pend {
-            w.write_time(*at);
-            w.write_bytes(blob);
-        }
-        let mut xlats: Vec<HashMap<(u32, u64), u64>> = vec![HashMap::new(); n];
-        for (gi, (_, _, _, s, raw)) in pend.iter().enumerate() {
-            xlats[*s].insert(*raw, gi as u64);
+        // Pending events, merged into the global canonical order by
+        // `(time, key, encoding)`, each tagged with its shard so endpoint
+        // timer handles can be written as indices into this very list.
+        let mut pend: Vec<(usize, PendingBlob)> = (self.worlds.iter().enumerate())
+            .flat_map(|(s, world)| world.pending_event_blobs().into_iter().map(move |p| (s, p)))
+            .collect();
+        pend.sort_by(|(_, a), (_, b)| (a.0, a.1, &a.3).cmp(&(b.0, b.1, &b.3)));
+        write_pending(&mut w, pend.iter().map(|(_, p)| p));
+        let mut index: Vec<HashMap<EventId, u64>> = vec![HashMap::new(); n];
+        for (gi, (s, p)) in pend.iter().enumerate() {
+            index[*s].insert(p.2, gi as u64);
         }
 
         w.write_bool(self.trace.is_enabled());
@@ -676,18 +646,14 @@ impl ShardedWorld {
                 .save_channel_row(ch.0 as usize, &mut w);
         }
 
-        // Endpoint rows serialize timer handles through the thread-local
-        // translation table of their owning shard.
-        let mut installed: Option<usize> = None;
+        // Endpoint rows write timer handles through their owning shard's
+        // translation.
         for i in 0..w0.endpoint_count() {
             let s = self.ep_owner_shard(i);
-            if installed != Some(s) {
-                set_timer_save_xlat(Some(xlats[s].clone()));
-                installed = Some(s);
-            }
-            self.worlds[s].save_endpoint_row(i, &mut w);
+            with_table(&HANDLE_INDEX, &mut index[s], || {
+                self.worlds[s].save_endpoint_row(i, &mut w)
+            });
         }
-        set_timer_save_xlat(None);
 
         ShardSnapshot {
             bytes: w.into_bytes(),
@@ -704,50 +670,35 @@ impl ShardedWorld {
                 "sharded restore target must be freshly built, not already run".into(),
             ));
         }
-        let mut r = SnapReader::new(&snap.bytes);
-        r.expect_header(SHARD_MAGIC, SHARD_VERSION..=SHARD_VERSION)?;
-        if r.read_u64()? != self.seed {
-            return Err(SnapError::Mismatch(
-                "snapshot seed differs from world seed".into(),
-            ));
-        }
-        let w0_counts = (
-            self.worlds[0].node_count() as u32,
-            self.worlds[0].channel_count() as u32,
-            self.worlds[0].endpoint_count() as u32,
-        );
-        let counts = (r.read_u32()?, r.read_u32()?, r.read_u32()?);
-        if counts != w0_counts {
-            return Err(SnapError::Mismatch(
-                "snapshot topology counts differ from the built world".into(),
-            ));
-        }
+        let w0 = &self.worlds[0];
+        let mut r = w0.open_snapshot(&snap.bytes, SHARD_MAGIC, SHARD_VERSION)?;
+        let counts = (w0.node_count(), w0.channel_count(), w0.endpoint_count());
         let now = r.read_time()?;
 
-        let mut ep_ctrs = Vec::with_capacity(counts.2 as usize);
+        let mut ep_ctrs = Vec::with_capacity(counts.2);
         for _ in 0..counts.2 {
             ep_ctrs.push(r.read_u64()?);
         }
 
-        // Replace every shard's initial event population with the
-        // snapshot's pending set, routed to its owning shard.
-        for w in &mut self.worlds {
-            w.clear_pending();
+        // Replace every shard's queue with its owned slice of the
+        // snapshot's pending set, remembering where each global index
+        // landed for the timer-handle translation.
+        let pending = read_pending(&mut r)?;
+        let owner: Vec<usize> = (pending.iter())
+            .map(|(_, ev)| self.worlds[0].event_shard(&self.node_shard, ev) as usize)
+            .collect();
+        let mut owned: Vec<Vec<_>> = self.worlds.iter().map(|_| Vec::new()).collect();
+        for (p, &s) in pending.into_iter().zip(&owner) {
+            owned[s].push(p);
         }
-        let n_pend = r.read_len()?;
-        let mut load_xlats: Vec<HashMap<u64, (u32, u64)>> = vec![HashMap::new(); self.worlds.len()];
-        for gi in 0..n_pend {
-            let at = r.read_time()?;
-            let blob = r.read_bytes()?;
-            let ev = {
-                let mut er = SnapReader::new(blob);
-                let ev = load_event(&mut er)?;
-                er.finish()?;
-                ev
-            };
-            let owner = self.worlds[0].event_shard(&self.node_shard, &ev) as usize;
-            let id = self.worlds[owner].schedule_event_blob(at, blob)?;
-            load_xlats[owner].insert(gi as u64, id.into_raw());
+        let mut handle_ids = vec![vec![None; owner.len()]; self.worlds.len()];
+        for (s, events) in owned.into_iter().enumerate() {
+            let n = events.len();
+            let ids = self.worlds[s].rebuild_queue(now, 0, n as u64, n, events)?;
+            let mine = (0..owner.len()).filter(|&gi| owner[gi] == s);
+            for (gi, id) in mine.zip(ids) {
+                handle_ids[s][gi] = Some(id);
+            }
         }
 
         let trace_enabled = r.read_bool()?;
@@ -767,37 +718,29 @@ impl ShardedWorld {
         self.base_audit = restored_audit.clone();
         self.audit = restored_audit;
 
-        for ni in 0..counts.0 as usize {
+        for ni in 0..counts.0 {
             if self.worlds[0].is_host_node(ni) {
                 let s = self.node_shard[ni] as usize;
                 self.worlds[s].load_host_row(ni, &mut r)?;
             }
         }
-        for ci in 0..counts.1 as usize {
+        for ci in 0..counts.1 {
             let (src, _) = self.worlds[0].channel_nodes(ChannelId(ci as u32));
             let s = self.node_shard[src.0 as usize] as usize;
             self.worlds[s].load_channel_row(ci, &mut r)?;
         }
 
-        let mut installed: Option<usize> = None;
-        let res = (0..counts.2 as usize).try_for_each(|i| {
+        for i in 0..counts.2 {
             let s = self.ep_owner_shard(i);
-            if installed != Some(s) {
-                set_timer_load_xlat(Some(load_xlats[s].clone()));
-                installed = Some(s);
-            }
-            self.worlds[s].load_endpoint_row(i, &mut r)
-        });
-        set_timer_load_xlat(None);
-        res?;
+            with_table(&HANDLE_IDS, &mut handle_ids[s], || {
+                self.worlds[s].load_endpoint_row(i, &mut r)
+            })?;
+        }
         r.finish()?;
 
         for (i, ctr) in ep_ctrs.iter().enumerate() {
             let s = self.ep_owner_shard(i);
             self.worlds[s].set_ep_packet_ctr(i, *ctr);
-        }
-        for w in &mut self.worlds {
-            w.advance_clock(now);
         }
         self.now = now;
         Ok(())
@@ -810,21 +753,27 @@ mod tests {
     use crate::world::Ctx;
     use crate::{
         ConnId, DisciplineKind, FaultModel, FaultPlan, GilbertElliott, Outage, PacketKind,
-        ReorderJitter,
+        ReorderJitter, TimerHandle,
     };
     use std::any::Any;
-    use td_engine::{Rate, SimDuration};
+    use td_engine::{Rate, SimDuration, SnapReader};
 
-    /// Sends a data packet at start and on every ACK; a periodic timer
-    /// keeps it alive through loss. Never touches `Ctx::rng`.
+    /// Sends a data packet at start and on every ACK; a periodic timer,
+    /// whose handle it keeps (and snapshots), keeps it alive through loss.
+    /// Never touches `Ctx::rng`.
     struct Chatter {
         sent: u64,
         acked: u64,
+        timer: Option<TimerHandle>,
     }
 
     impl Chatter {
         fn boxed() -> Box<dyn Endpoint> {
-            Box::new(Chatter { sent: 0, acked: 0 })
+            Box::new(Chatter {
+                sent: 0,
+                acked: 0,
+                timer: None,
+            })
         }
     }
 
@@ -832,7 +781,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             self.sent += 1;
             ctx.send(PacketKind::Data, self.sent, 500, false);
-            ctx.set_timer(SimDuration::from_millis(40), 1);
+            self.timer = Some(ctx.set_timer(SimDuration::from_millis(40), 1));
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
             if pkt.is_ack() {
@@ -844,7 +793,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
             self.sent += 1;
             ctx.send(PacketKind::Data, self.sent, 500, true);
-            ctx.set_timer(SimDuration::from_millis(40), 1);
+            self.timer = Some(ctx.set_timer(SimDuration::from_millis(40), 1));
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -852,10 +801,19 @@ mod tests {
         fn save_state(&self, w: &mut SnapWriter) {
             w.write_u64(self.sent);
             w.write_u64(self.acked);
+            w.write_bool(self.timer.is_some());
+            if let Some(h) = &self.timer {
+                h.save_state(w);
+            }
         }
         fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
             self.sent = r.read_u64()?;
             self.acked = r.read_u64()?;
+            self.timer = if r.read_bool()? {
+                Some(TimerHandle::load_state(r)?)
+            } else {
+                None
+            };
             Ok(())
         }
     }
@@ -1249,6 +1207,37 @@ mod tests {
         // Wrong seed.
         let mut b = ShardedWorld::build(2, 1, two_clusters(false));
         assert!(matches!(b.restore(&snap), Err(SnapError::Mismatch(_))));
+    }
+
+    #[test]
+    fn handle_index_without_a_pending_event_is_corrupt() {
+        let mut sw = ShardedWorld::build(9, 2, two_clusters(false));
+        sw.run_until(SimTime::from_millis(20));
+        let chatter = (sw.endpoint(EndpointId(0)).unwrap().as_any())
+            .downcast_ref::<Chatter>()
+            .unwrap();
+        assert!(
+            chatter.timer.is_some(),
+            "the chatter must hold a live timer"
+        );
+        let mut bytes = sw.snapshot().as_bytes().to_vec();
+        let restore = |bytes: Vec<u8>| {
+            let snap = ShardSnapshot::from_bytes(bytes).unwrap();
+            ShardedWorld::build(9, 2, two_clusters(false)).restore(&snap)
+        };
+        restore(bytes.clone()).expect("the undamaged snapshot restores");
+        // The chatter's row ends in its armed handle, `(index, 0)`; point
+        // the index past the pending list.
+        let row = [
+            &chatter.sent.to_le_bytes()[..],
+            &chatter.acked.to_le_bytes(),
+            &[1],
+        ]
+        .concat();
+        let at = bytes.windows(row.len()).rposition(|w| w == row).unwrap() + row.len();
+        bytes[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let err = restore(bytes).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
     }
 
     #[test]

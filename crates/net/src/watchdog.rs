@@ -45,8 +45,10 @@ pub struct WatchdogConfig {
     /// longer than this while unfinished endpoints exist, the run is
     /// declared livelocked.
     pub progress_window: SimDuration,
-    /// Optional event budget (like [`crate::World::run_until_bounded`]);
-    /// exhausting it yields [`StallKind::BudgetExhausted`].
+    /// Optional budget of dispatches for one
+    /// [`crate::World::run_until_quiescent`] call, a guard against
+    /// runaway scenarios (e.g. a zero-delay timer loop in a buggy
+    /// endpoint); exhausting it yields [`StallKind::BudgetExhausted`].
     pub max_events: Option<u64>,
     /// Where to dump a post-mortem snapshot of the stalled world when a
     /// deadlock or livelock verdict is reached (`None` = don't). The file

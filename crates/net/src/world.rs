@@ -41,6 +41,14 @@
 //! of the topology alone, independent of how it is partitioned across
 //! shards. Serial worlds (the default) are bit-for-bit unchanged: every
 //! event carries key 0 and ties fall back to FIFO scheduling order.
+//!
+//! ## Snapshots
+//!
+//! TDSN ([`Snapshot`]), TDSW ([`crate::ShardSnapshot`]) and
+//! [`World::state_hash`] write pending events one way — pop order, each as
+//! due time plus encoded event — and a held [`TimerHandle`] as its event's
+//! index in that list. Restore rebuilds the queue with
+//! [`EventQueue::from_pending`], so no byte depends on slot-reuse history.
 
 use crate::arena::{ChannelArena, HostArena};
 use crate::audit::Audit;
@@ -58,6 +66,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
+use std::thread::LocalKey;
 use td_engine::meter::{self, Counter};
 use td_engine::{
     EventId, EventQueue, Rate, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
@@ -76,31 +85,31 @@ pub struct ChannelId(pub u32);
 pub struct EndpointId(pub u32);
 
 thread_local! {
-    /// When set, [`TimerHandle::save_state`] writes canonical pending-event
-    /// indices instead of raw slab coordinates: the map takes a handle's
-    /// `(slot, gen)` to its event's index in the globally sorted pending
-    /// set of a sharded snapshot. Raw coordinates are shard-layout
-    /// artifacts; the canonical index is not.
-    static TIMER_SAVE_XLAT: RefCell<Option<HashMap<(u32, u64), u64>>> =
+    /// While a snapshot writes endpoint rows: each pending event's id → its
+    /// index in the pending list written beside them.
+    pub(crate) static HANDLE_INDEX: RefCell<Option<HashMap<EventId, u64>>> =
         const { RefCell::new(None) };
-    /// The reverse map for restore: canonical pending-event index → the
-    /// `(slot, gen)` the event received when it was re-scheduled into the
-    /// restoring shard's queue.
-    static TIMER_LOAD_XLAT: RefCell<Option<HashMap<u64, (u32, u64)>>> =
+    /// While a restore reads endpoint rows: pending index → the event's id
+    /// in the rebuilt queue (`None` where another shard's queue holds it).
+    pub(crate) static HANDLE_IDS: RefCell<Option<Vec<Option<EventId>>>> =
         const { RefCell::new(None) };
 }
 
-/// Install (or clear) the canonical-snapshot save translation for this
-/// thread. Scoped strictly around endpoint `save_state` calls.
-pub(crate) fn set_timer_save_xlat(map: Option<HashMap<(u32, u64), u64>>) {
-    TIMER_SAVE_XLAT.with(|c| *c.borrow_mut() = map);
+/// Run `f` with `table` installed in `slot` for this thread (one of the
+/// handle translations above), then hand the table back.
+pub(crate) fn with_table<T: Default, R>(
+    slot: &'static LocalKey<RefCell<Option<T>>>,
+    table: &mut T,
+    f: impl FnOnce() -> R,
+) -> R {
+    slot.set(Some(std::mem::take(table)));
+    let out = f();
+    *table = slot.take().unwrap_or_default();
+    out
 }
 
-/// Install (or clear) the canonical-snapshot load translation for this
-/// thread. Scoped strictly around endpoint `load_state` calls.
-pub(crate) fn set_timer_load_xlat(map: Option<HashMap<u64, (u32, u64)>>) {
-    TIMER_LOAD_XLAT.with(|c| *c.borrow_mut() = map);
-}
+/// How a snapshot writes a handle whose timer is no longer pending.
+const STALE_HANDLE: (u32, u64) = (u32::MAX, u64::MAX);
 
 /// Handle to a pending endpoint timer, used to cancel it.
 #[derive(Clone, Copy, Debug)]
@@ -109,61 +118,55 @@ pub struct TimerHandle(EventId);
 impl TimerHandle {
     /// A handle that is stale by construction (out of any slab's range):
     /// `cancel` on it reports "already fired", exactly like a handle whose
-    /// slot generation has moved on. Canonical snapshots use it for saved
-    /// handles whose timer is no longer pending.
+    /// slot generation has moved on.
     fn stale() -> TimerHandle {
-        TimerHandle(EventId::from_raw(u32::MAX, u64::MAX))
+        TimerHandle(EventId::from_raw(STALE_HANDLE.0, STALE_HANDLE.1))
     }
 
     /// Serialize the handle (snapshot support for endpoints holding armed
-    /// timers). In the default (serial) snapshot the raw slab coordinates
-    /// go out verbatim — the queue round-trips its slab cell-for-cell, so
-    /// a live handle stays live and a stale one stays stale. Inside a
-    /// canonical sharded snapshot a thread-local translation rewrites the
-    /// handle to its event's canonical pending index (or a stale marker),
-    /// making the bytes independent of shard layout.
+    /// timers) as `(index, 0)`, its event's index in the pending list the
+    /// snapshot writes — or, for a timer that has fired or been cancelled,
+    /// as the stale marker `(u32::MAX, u64::MAX)`.
+    ///
+    /// # Panics
+    /// Outside a world snapshot, where there is no pending list to index.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        let (slot, gen) = self.0.into_raw();
-        let xlat =
-            TIMER_SAVE_XLAT.with(|c| c.borrow().as_ref().map(|m| m.get(&(slot, gen)).copied()));
-        match xlat {
-            // No translation installed: raw slab coordinates.
-            None => {
-                w.write_u32(slot);
-                w.write_u64(gen);
-            }
-            // Canonical: live handle → (pending index, 0).
-            Some(Some(idx)) => {
-                w.write_u32(idx as u32);
-                w.write_u64(0);
-            }
-            // Canonical: handle to a fired/cancelled timer → stale marker.
-            Some(None) => {
-                w.write_u32(u32::MAX);
-                w.write_u64(u64::MAX);
-            }
-        }
+        let index = HANDLE_INDEX.with_borrow(|index| {
+            let index = index
+                .as_ref()
+                .expect("timer handle saved outside a world snapshot");
+            index.get(&self.0).copied()
+        });
+        let (idx, tag) = index.map_or(STALE_HANDLE, |i| (i as u32, 0));
+        w.write_u32(idx);
+        w.write_u64(tag);
     }
 
-    /// Deserialize a handle written by [`TimerHandle::save_state`],
-    /// applying the reverse translation when a canonical restore is in
-    /// progress on this thread.
+    /// Deserialize a handle written by [`TimerHandle::save_state`] as the
+    /// restored event's new id. An index with no pending event behind it —
+    /// past the list, or held by another shard — is
+    /// [`SnapError::Corrupt`]: restored as stale, it would be a timer that
+    /// silently never fires.
+    ///
+    /// # Panics
+    /// Outside a world restore.
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<TimerHandle, SnapError> {
-        let slot = r.read_u32()?;
-        let gen = r.read_u64()?;
-        let translated = TIMER_LOAD_XLAT.with(|c| {
-            c.borrow().as_ref().map(|m| {
-                if slot == u32::MAX && gen == u64::MAX {
-                    TimerHandle::stale()
-                } else {
-                    match m.get(&u64::from(slot)) {
-                        Some(&(s, g)) => TimerHandle(EventId::from_raw(s, g)),
-                        None => TimerHandle::stale(),
-                    }
-                }
-            })
+        let raw = (r.read_u32()?, r.read_u64()?);
+        if raw == STALE_HANDLE {
+            return Ok(TimerHandle::stale());
+        }
+        let id = HANDLE_IDS.with_borrow(|ids| {
+            let ids = ids
+                .as_ref()
+                .expect("timer handle loaded outside a world restore");
+            match raw {
+                (idx, 0) => ids.get(idx as usize).copied().flatten(),
+                _ => None,
+            }
         });
-        Ok(translated.unwrap_or(TimerHandle(EventId::from_raw(slot, gen))))
+        id.map(TimerHandle).ok_or_else(|| {
+            SnapError::Corrupt(format!("timer handle {raw:?} names no pending event"))
+        })
     }
 }
 
@@ -301,7 +304,47 @@ fn canonical_key(ev: &Event) -> u64 {
     }
 }
 
-pub(crate) fn save_event(ev: &Event, w: &mut SnapWriter) {
+/// Tie key of `ev` in a world of the given mode: content-derived in
+/// canonical mode, 0 (FIFO ties — the legacy order, bit for bit)
+/// otherwise.
+fn tie_key(canonical: bool, ev: &Event) -> u64 {
+    if canonical {
+        canonical_key(ev)
+    } else {
+        0
+    }
+}
+
+/// One pending event as snapshots see it: due time, tie key, live queue
+/// id (for the timer-handle translation) and encoded event.
+pub(crate) type PendingBlob = (SimTime, u64, EventId, Vec<u8>);
+
+/// Write a pending list — its length, then each event's due time and
+/// encoded bytes — the one layout TDSN, TDSW and `World::state_hash`
+/// share. Tie keys are left out: the restoring world derives them.
+pub(crate) fn write_pending<'a>(
+    w: &mut SnapWriter,
+    pending: impl ExactSizeIterator<Item = &'a PendingBlob>,
+) {
+    w.write_u64(pending.len() as u64);
+    for (at, _, _, blob) in pending {
+        w.write_time(*at);
+        w.write_bytes(blob);
+    }
+}
+
+/// Read a list written by [`write_pending`], decoding every event.
+pub(crate) fn read_pending(r: &mut SnapReader<'_>) -> Result<Vec<(SimTime, Event)>, SnapError> {
+    let n = r.read_len()?;
+    (0..n)
+        .map(|_| {
+            let at = r.read_time()?;
+            Ok((at, r.read_section(load_event)?))
+        })
+        .collect()
+}
+
+fn save_event(ev: &Event, w: &mut SnapWriter) {
     match ev {
         Event::TxComplete(ch) => {
             w.write_u8(0);
@@ -332,7 +375,7 @@ pub(crate) fn save_event(ev: &Event, w: &mut SnapWriter) {
     }
 }
 
-pub(crate) fn load_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
+fn load_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
     Ok(match r.read_u8()? {
         0 => Event::TxComplete(ChannelId(r.read_u32()?)),
         1 => Event::Arrival {
@@ -521,8 +564,10 @@ impl Snapshot {
     /// inside the queue section. Version 3 added the model-checking
     /// fault overlay (injected outages + forced-drop counters) to each
     /// channel row, so restoring a branch snapshot reconstructs the
-    /// branch's decisions without replaying them.
-    pub const VERSION: u32 = 3;
+    /// branch's decisions without replaying them. Version 4 writes the
+    /// queue as its clock, counters and pop-ordered pending list instead
+    /// of its slab, and timer handles as indices into that list.
+    pub const VERSION: u32 = 4;
 
     /// The raw snapshot bytes (header included).
     pub fn as_bytes(&self) -> &[u8] {
@@ -536,19 +581,7 @@ impl Snapshot {
     /// corrupt counts fail here as a structured error instead of asking
     /// the restore path to allocate for them.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(&bytes);
-        r.expect_header(Self::MAGIC, Self::VERSION..=Self::VERSION)?;
-        let _seed = r.read_u64()?;
-        let n_nodes = r.read_u32()? as u64;
-        let n_channels = r.read_u32()? as u64;
-        let n_endpoints = r.read_u32()? as u64;
-        let declared = n_nodes + n_channels + n_endpoints;
-        if declared > r.remaining() as u64 {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot declares {declared} components but only {} payload byte(s) remain",
-                r.remaining()
-            )));
-        }
+        check_header(&bytes, Self::MAGIC, Self::VERSION)?;
         Ok(Snapshot { bytes })
     }
 
@@ -565,6 +598,26 @@ impl Snapshot {
         Snapshot::from_bytes(bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
+}
+
+/// Check a TDSN or TDSW header (magic, then `version`, the one this build
+/// decodes) and that the fingerprint's component counts fit the bytes
+/// after it: every component costs at least one payload byte.
+pub(crate) fn check_header(bytes: &[u8], magic: &[u8; 4], version: u32) -> Result<(), SnapError> {
+    let mut r = SnapReader::new(bytes);
+    r.expect_header(magic, version..=version)?;
+    let _seed = r.read_u64()?;
+    let n_nodes = r.read_u32()? as u64;
+    let n_channels = r.read_u32()? as u64;
+    let n_endpoints = r.read_u32()? as u64;
+    let declared = n_nodes + n_channels + n_endpoints;
+    if declared > r.remaining() as u64 {
+        return Err(SnapError::Corrupt(format!(
+            "snapshot declares {declared} components but only {} payload byte(s) remain",
+            r.remaining()
+        )));
+    }
+    Ok(())
 }
 
 /// The simulation: topology, endpoints, clock, trace.
@@ -984,17 +1037,29 @@ impl World {
         self.schedule_event(t, Event::Start(ep));
     }
 
-    /// Schedule an event, deriving its canonical ordering key when the
-    /// world runs in canonical mode (serial worlds use key 0 throughout,
-    /// which degrades ties to FIFO order — the legacy behavior, bit for
-    /// bit).
+    /// Schedule an event under the tie key of this world's mode.
     fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
-        let key = if self.canonical {
-            canonical_key(&ev)
-        } else {
-            0
-        };
-        self.queue.schedule_keyed(at, key, ev)
+        self.queue
+            .schedule_keyed(at, tie_key(self.canonical, &ev), ev)
+    }
+
+    /// Replace the event queue with `pending` (pop order), each event
+    /// keyed as [`World::schedule_event`] would key it, the clock at `now`
+    /// and the queue's counters as given (see [`EventQueue::from_pending`]).
+    /// Returns the events' new ids, in list order.
+    pub(crate) fn rebuild_queue(
+        &mut self,
+        now: SimTime,
+        dispatched: u64,
+        scheduled: u64,
+        peak_len: usize,
+        pending: Vec<(SimTime, Event)>,
+    ) -> Result<Vec<EventId>, SnapError> {
+        let canonical = self.canonical;
+        let keyed = (pending.into_iter()).map(|(at, ev)| (at, tie_key(canonical, &ev), ev));
+        let (queue, ids) = EventQueue::from_pending(now, dispatched, scheduled, peak_len, keyed)?;
+        self.queue = queue;
+        Ok(ids)
     }
 
     // -- running ------------------------------------------------------------
@@ -1158,21 +1223,6 @@ impl World {
         }
     }
 
-    /// Like [`World::run_until`], but stop after at most `max_events`
-    /// dispatches — a guard against runaway scenarios (e.g. a
-    /// zero-duration timer loop in a buggy endpoint). Returns `true` if
-    /// the time bound was reached, `false` if the budget ran out first.
-    pub fn run_until_bounded(&mut self, t_end: SimTime, max_events: u64) -> bool {
-        let stop_at = self.queue.dispatched().saturating_add(max_events);
-        while self.queue.dispatched() < stop_at {
-            match self.queue.pop_at_or_before(t_end) {
-                Some((t, ev)) => self.dispatch(t, ev),
-                None => return true,
-            }
-        }
-        false
-    }
-
     /// Total events dispatched so far.
     pub fn events_dispatched(&self) -> u64 {
         self.queue.dispatched()
@@ -1237,9 +1287,9 @@ impl World {
 
     // -- snapshot / restore -------------------------------------------------
 
-    /// Capture every piece of mutable simulation state: the event queue
-    /// (slab, generations, pending timers — cell for cell), the clock,
-    /// all RNG streams, per-channel occupancy and fault progress, host
+    /// Capture every piece of mutable simulation state: the clock, the
+    /// event queue's counters and its pending events in pop order, all RNG
+    /// streams, per-channel occupancy and fault progress, host
     /// processing queues, every endpoint's protocol state, the trace, and
     /// the auditor. Restoring onto a world freshly built from the same
     /// `(config, seed)` and running to the end is byte-identical to never
@@ -1258,14 +1308,15 @@ impl World {
 
     /// Stream the full snapshot encoding into `w`.
     fn write_state(&self, w: &mut SnapWriter) {
-        // Structural fingerprint, cross-checked by `restore`.
-        w.write_u64(self.seed);
-        w.write_u32(self.nodes.len() as u32);
-        w.write_u32(self.channels.len() as u32);
-        w.write_u32(self.endpoints.len() as u32);
-        // Engine state: pending events (with the clock inside), the shared
-        // stream, and the packet-id counters.
-        self.queue.save_state(w, save_event);
+        self.write_fingerprint(w);
+        // Engine state: the clock, the queue's counters and pending events,
+        // the shared stream, and the packet-id counters.
+        w.write_time(self.now());
+        w.write_u64(self.queue.dispatched());
+        w.write_u64(self.queue.scheduled());
+        w.write_u64(self.queue.peak_len() as u64);
+        let pending = self.pending_event_blobs();
+        write_pending(w, pending.iter());
         w.write_rng(&self.rng);
         w.write_u64(self.next_packet_id);
         w.write_bool(self.canonical);
@@ -1293,12 +1344,22 @@ impl World {
         for ci in 0..self.channels.len() {
             self.save_channel_row(ci, w);
         }
-        // Endpoints, one section each (empty for a detached slot, which
-        // can only be observed if snapshot were called mid-dispatch — the
-        // symmetric read keeps even that case consistent).
-        for i in 0..self.endpoints.len() {
-            self.save_endpoint_row(i, w);
-        }
+        self.save_endpoint_rows(&pending, w);
+    }
+
+    /// Serialize every endpoint, one section each (empty for a detached
+    /// slot, which can only be observed if snapshot were called
+    /// mid-dispatch — the symmetric read keeps even that case consistent),
+    /// timer handles written as indices into `pending`.
+    fn save_endpoint_rows(&self, pending: &[PendingBlob], w: &mut SnapWriter) {
+        let mut index = (pending.iter().enumerate())
+            .map(|(i, &(_, _, id, _))| (id, i as u64))
+            .collect();
+        with_table(&HANDLE_INDEX, &mut index, || {
+            for i in 0..self.endpoints.len() {
+                self.save_endpoint_row(i, w);
+            }
+        });
     }
 
     /// A 64-bit FNV-1a hash of the world's *canonical* state encoding,
@@ -1313,12 +1374,10 @@ impl World {
     /// only split states that are behaviorally one:
     ///
     /// * the trace (flag and records);
-    /// * event-queue bookkeeping (slab layout, sequence/pop/peak
-    ///   counters) — pending events are encoded in canonical pop order
-    ///   instead, which captures everything dispatch can see, including
-    ///   FIFO tie-breaking, and events referenced by live handles still
-    ///   pin their [`EventId`]s through the endpoint sections that hold
-    ///   those handles;
+    /// * the event queue's dispatch/schedule/peak counters — pending
+    ///   events are written in pop order, as in the snapshot, which
+    ///   captures everything dispatch can see, including FIFO
+    ///   tie-breaking, and timer handles as indices into that list;
     /// * per-channel throughput counters ([`ChannelStats`]);
     /// * the audit's absolute injected/delivered/dropped totals — their
     ///   *balance* (packets in the network) is behavioral and is hashed;
@@ -1330,19 +1389,11 @@ impl World {
     /// automatically invalidates any persisted dedup set.
     pub fn state_hash(&self) -> u64 {
         let mut w = SnapWriter::hashing_with_header(Snapshot::MAGIC, Snapshot::VERSION);
-        w.write_u64(self.seed);
-        w.write_u32(self.nodes.len() as u32);
-        w.write_u32(self.channels.len() as u32);
-        w.write_u32(self.endpoints.len() as u32);
+        self.write_fingerprint(&mut w);
         let now = self.now();
         w.write_time(now);
-        let pending = self.queue.pending_entries();
-        w.write_u64(pending.len() as u64);
-        for (at, key, _id, ev) in pending {
-            w.write_time(at);
-            w.write_u64(key);
-            save_event(ev, &mut w);
-        }
+        let pending = self.pending_event_blobs();
+        write_pending(&mut w, pending.iter());
         w.write_rng(&self.rng);
         w.write_u64(self.next_packet_id);
         w.write_bool(self.canonical);
@@ -1391,9 +1442,7 @@ impl World {
             }
             w.write_u32(self.channels.forced_drops(ci));
         }
-        for i in 0..self.endpoints.len() {
-            self.save_endpoint_row(i, &mut w);
-        }
+        self.save_endpoint_rows(&pending, &mut w);
         w.finish_hash()
     }
 
@@ -1412,30 +1461,15 @@ impl World {
     /// the world (a resumed run gets a fresh grace period, never a
     /// spurious verdict).
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(snap.as_bytes());
-        r.expect_header(Snapshot::MAGIC, Snapshot::VERSION..=Snapshot::VERSION)?;
-        let seed = r.read_u64()?;
-        if seed != self.seed {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot was taken with seed {seed}, this world uses {}",
-                self.seed
-            )));
-        }
-        for (what, got, want) in [
-            ("nodes", r.read_u32()?, self.nodes.len() as u32),
-            ("channels", r.read_u32()?, self.channels.len() as u32),
-            ("endpoints", r.read_u32()?, self.endpoints.len() as u32),
-        ] {
-            if got != want {
-                return Err(SnapError::Mismatch(format!(
-                    "snapshot has {got} {what}, this world has {want}"
-                )));
-            }
-        }
+        let mut r = self.open_snapshot(snap.as_bytes(), Snapshot::MAGIC, Snapshot::VERSION)?;
         // The queue is replaced wholesale — it carries the clock and any
         // pending `LinkUp` wake-ups the builder already scheduled, so
         // nothing is double-scheduled.
-        self.queue = EventQueue::load_state(&mut r, load_event)?;
+        let now = r.read_time()?;
+        let (dispatched, scheduled) = (r.read_u64()?, r.read_u64()?);
+        let peak_len = r.read_u64()? as usize;
+        let pending = read_pending(&mut r)?;
+        let ids = self.rebuild_queue(now, dispatched, scheduled, peak_len, pending)?;
         self.rng = r.read_rng()?;
         self.next_packet_id = r.read_u64()?;
         let canonical = r.read_bool()?;
@@ -1470,12 +1504,55 @@ impl World {
         for ci in 0..self.channels.len() {
             self.load_channel_row(ci, &mut r)?;
         }
-        for i in 0..self.endpoints.len() {
-            self.load_endpoint_row(i, &mut r)?;
-        }
+        let mut ids = ids.into_iter().map(Some).collect();
+        with_table(&HANDLE_IDS, &mut ids, || {
+            (0..self.endpoints.len()).try_for_each(|i| self.load_endpoint_row(i, &mut r))
+        })?;
         r.finish()?;
         meter::add(Counter::SnapshotsRestored, 1);
         Ok(())
+    }
+
+    /// Write the structural fingerprint every snapshot of this world opens
+    /// with — seed, then node, channel and endpoint counts — for
+    /// [`World::open_snapshot`] to cross-check.
+    pub(crate) fn write_fingerprint(&self, w: &mut SnapWriter) {
+        w.write_u64(self.seed);
+        w.write_u32(self.nodes.len() as u32);
+        w.write_u32(self.channels.len() as u32);
+        w.write_u32(self.endpoints.len() as u32);
+    }
+
+    /// A reader over snapshot `bytes` past their header and fingerprint,
+    /// once both check out: a seed or component count other than this
+    /// world's is [`SnapError::Mismatch`].
+    pub(crate) fn open_snapshot<'a>(
+        &self,
+        bytes: &'a [u8],
+        magic: &[u8; 4],
+        version: u32,
+    ) -> Result<SnapReader<'a>, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        r.expect_header(magic, version..=version)?;
+        let seed = r.read_u64()?;
+        if seed != self.seed {
+            return Err(SnapError::Mismatch(format!(
+                "snapshot was taken with seed {seed}, this world uses {}",
+                self.seed
+            )));
+        }
+        for (what, got, want) in [
+            ("nodes", r.read_u32()?, self.nodes.len() as u32),
+            ("channels", r.read_u32()?, self.channels.len() as u32),
+            ("endpoints", r.read_u32()?, self.endpoints.len() as u32),
+        ] {
+            if got != want {
+                return Err(SnapError::Mismatch(format!(
+                    "snapshot has {got} {what}, this world has {want}"
+                )));
+            }
+        }
+        Ok(r)
     }
 
     /// Serialize one host's receive-path state (processing flag + queue).
@@ -1808,12 +1885,6 @@ impl World {
         }
     }
 
-    /// Drop every pending event (sharded restore wipes the freshly built
-    /// initial population before re-scheduling the snapshot's event set).
-    pub(crate) fn clear_pending(&mut self) {
-        let _ = self.queue.drain_pending();
-    }
-
     /// Dispatch every event strictly before `bound` (the shard's current
     /// safe horizon).
     pub(crate) fn run_before(&mut self, bound: SimTime) {
@@ -1845,10 +1916,10 @@ impl World {
         self.queue.advance_clock(t);
     }
 
-    /// The pending event set in canonical pop order, each event encoded to
-    /// bytes: `(at, key, queue id, bytes)`. The queue id correlates
-    /// entries with timer handles held by endpoints.
-    pub(crate) fn pending_event_blobs(&self) -> Vec<(SimTime, u64, EventId, Vec<u8>)> {
+    /// The pending event set in pop order, each event encoded to bytes —
+    /// the one list TDSN, TDSW and [`World::state_hash`] write. The queue
+    /// id correlates entries with timer handles held by endpoints.
+    pub(crate) fn pending_event_blobs(&self) -> Vec<PendingBlob> {
         self.queue
             .pending_entries()
             .into_iter()
@@ -1858,20 +1929,6 @@ impl World {
                 (at, key, id, w.into_bytes())
             })
             .collect()
-    }
-
-    /// Re-schedule a pending event captured by
-    /// [`World::pending_event_blobs`] (canonical restore path). Returns
-    /// the new queue id so timer handles can be re-linked.
-    pub(crate) fn schedule_event_blob(
-        &mut self,
-        at: SimTime,
-        bytes: &[u8],
-    ) -> Result<EventId, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let ev = load_event(&mut r)?;
-        r.finish()?;
-        Ok(self.schedule_event(at, ev))
     }
 
     // -- internals ----------------------------------------------------------
@@ -2926,8 +2983,13 @@ mod budget_tests {
         );
         let ep = w.attach(h0, h1, ConnId(0), Box::new(Spinner));
         w.start_at(ep, SimTime::ZERO);
-        let finished = w.run_until_bounded(SimTime::from_secs(1), 10_000);
-        assert!(!finished, "spinner must exhaust the budget");
+        let cfg = WatchdogConfig {
+            max_events: Some(10_000),
+            ..WatchdogConfig::default()
+        };
+        let outcome = w.run_until_quiescent(SimTime::from_secs(1), &cfg);
+        let report = outcome.stall().expect("spinner must exhaust the budget");
+        assert_eq!(report.kind, StallKind::BudgetExhausted);
         assert!(w.events_dispatched() >= 10_000);
         assert!(w.events_dispatched() < 10_100, "stops promptly");
     }
@@ -2998,8 +3060,15 @@ mod budget_tests {
             Box::new(DropTail::new()),
             FaultModel::NONE,
         );
-        let finished = w.run_until_bounded(SimTime::from_secs(1), 10);
-        assert!(finished, "empty world reaches the bound trivially");
+        let cfg = WatchdogConfig {
+            max_events: Some(10),
+            ..WatchdogConfig::default()
+        };
+        let outcome = w.run_until_quiescent(SimTime::from_secs(1), &cfg);
+        assert!(
+            matches!(outcome, RunOutcome::Quiescent),
+            "an empty world ends quiescent within any budget"
+        );
     }
 }
 
@@ -3852,6 +3921,58 @@ mod snapshot_tests {
     }
 
     #[test]
+    fn restored_twin_snapshots_like_the_original_after_running_on() {
+        // Captured while the ticker's timer is armed; the twin's queue
+        // reuses slots in another order from here on, yet every later
+        // snapshot must still match byte for byte.
+        let mut a = busy_world(11);
+        a.run_until(SimTime::from_millis(700));
+        let mut b = busy_world(11);
+        b.restore(&a.snapshot()).unwrap();
+        for t in [SimTime::from_millis(1_000), T_END] {
+            a.run_until(t);
+            b.run_until(t);
+            assert_eq!(
+                a.snapshot().as_bytes(),
+                b.snapshot().as_bytes(),
+                "twin diverged by {t:?}"
+            );
+            assert_eq!(a.state_hash(), b.state_hash());
+        }
+    }
+
+    #[test]
+    fn handle_index_without_a_pending_event_is_corrupt() {
+        let mut a = busy_world(4);
+        a.run_until(SimTime::from_millis(700));
+        let ticker = (a.endpoint(EndpointId(0)).unwrap().as_any())
+            .downcast_ref::<Ticker>()
+            .unwrap();
+        assert!(
+            ticker.pending.is_some(),
+            "the ticker must hold a live timer"
+        );
+        let mut bytes = a.snapshot().bytes;
+        busy_world(4)
+            .restore(&Snapshot::from_bytes(bytes.clone()).unwrap())
+            .expect("the undamaged snapshot restores");
+        // The ticker's row ends in its armed handle, `(index, 0)`; point
+        // the index past the pending list.
+        let row = [
+            &ticker.remaining.to_le_bytes()[..],
+            &ticker.acks.to_le_bytes(),
+            &[1],
+        ]
+        .concat();
+        let at = bytes.windows(row.len()).rposition(|w| w == row).unwrap() + row.len();
+        bytes[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let err = busy_world(4)
+            .restore(&Snapshot::from_bytes(bytes).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+    }
+
+    #[test]
     fn restore_rejects_mismatched_world() {
         let mut a = busy_world(1);
         a.run_until(T_MID);
@@ -3880,6 +4001,13 @@ mod snapshot_tests {
         assert!(matches!(
             Snapshot::from_bytes(wrong_version),
             Err(SnapError::UnsupportedVersion(99))
+        ));
+        // Version 3 wrote the queue's slab; its bytes are refused.
+        let mut v3 = bytes.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(v3),
+            Err(SnapError::UnsupportedVersion(3))
         ));
         // Truncation anywhere in the payload surfaces as an error, never
         // a half-restored world that silently diverges.

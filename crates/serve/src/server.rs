@@ -28,7 +28,7 @@
 //! `serve` job pin.
 
 use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
-use crate::store::{CellData, CellKey, Lookup, Store};
+use crate::store::{CellData, CellKey, Lookup, Store, PENDING_NAME};
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -284,7 +284,7 @@ fn drain_queue(shared: &Shared) -> io::Result<()> {
 }
 
 /// Write the unstarted queue to `pending.tdq`: one checked line per
-/// job (the journal's line discipline), atomically.
+/// job (the journal's line discipline), atomically and durably.
 fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
     let mut text = String::new();
     for job in jobs {
@@ -304,14 +304,7 @@ fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
         text.push_str(&encode_checked_line(&w.into_bytes()));
         text.push('\n');
     }
-    let path = shared.store.pending_path();
-    let tmp = path.with_extension("tdq.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)
+    shared.store.write_durable(PENDING_NAME, text.as_bytes())
 }
 
 /// Replay `pending.tdq` into the queue as orphan jobs, then delete the
@@ -962,6 +955,40 @@ mod tests {
             w.write_u64(*v);
         }
         w.into_bytes()
+    }
+
+    #[test]
+    fn drain_leaves_the_pending_queue_and_no_temp_file() {
+        let shared = shared_on("drain");
+        let req = SimulateReq {
+            experiment: "fig2".into(),
+            seed: 4,
+            profile: Profile::Quick,
+            deadline_ms: None,
+            priority: 3,
+            overrides: Vec::new(),
+        };
+        let key = CellKey {
+            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
+            seed: req.seed,
+        };
+        shared.queue.lock().unwrap().items.push(Job {
+            seq: 0,
+            req,
+            key,
+            deadline: None,
+            reply: None,
+            recompute: false,
+        });
+        drain_queue(&shared).unwrap();
+        let mut names: Vec<_> = std::fs::read_dir(shared.store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, [PENDING_NAME], "a temp file outlived the drain");
+        assert_eq!(shared.counters.queue_persisted.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
     #[test]

@@ -38,6 +38,8 @@ use td_experiments::report::Report;
 const MAGIC: &[u8; 4] = b"TDCE";
 /// Cell-file format version.
 const VERSION: u32 = 1;
+/// File name of the persisted pending queue.
+pub(crate) const PENDING_NAME: &str = "pending.tdq";
 /// Distinguishes the temp files of one process's concurrent writes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -138,7 +140,7 @@ impl Store {
 
     /// Path of the persisted pending-queue file (see [`crate::server`]).
     pub fn pending_path(&self) -> PathBuf {
-        self.dir.join("pending.tdq")
+        self.dir.join(PENDING_NAME)
     }
 
     /// Look up a cell, verifying integrity; damage quarantines the file.
@@ -170,33 +172,41 @@ impl Store {
         std::fs::rename(path, qdir.join(name))
     }
 
-    /// Write a cell atomically and durably: temp + fsync + rename.
+    /// Write a cell atomically and durably: temp + fsync + rename +
+    /// directory fsync, the sequence every store file is written with.
     /// Returns the FNV-1a of the bytes written — what a later
     /// [`Store::load`] of the same file reports.
     pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<u64> {
         let (bytes, file_fnv) = encode_with_fnv(key, data);
-        let final_path = self.cell_path(key);
+        self.write_durable(&Self::cell_name(key), &bytes)?;
+        Ok(file_fnv)
+    }
+
+    /// Write `bytes` as file `name` of the store directory, atomically and
+    /// durably — the one sequence every store file is written with: a temp
+    /// file named uniquely per write, `sync_all`, rename over the final
+    /// name, directory fsync.
+    pub(crate) fn write_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         // Pid against other processes, counter against this one's other
-        // workers saving the same key: a shared temp file gets torn.
+        // workers writing the same name: a shared temp file gets torn.
         let tmp = self.dir.join(format!(
-            "{}.{}.{}.tmp",
-            Self::cell_name(key),
+            "{name}.{}.{}.tmp",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         {
             let mut f = std::fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, &bytes)?;
+            io::Write::write_all(&mut f, bytes)?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, &final_path)?;
+        std::fs::rename(&tmp, self.dir.join(name))?;
         // Make the rename itself durable where the platform allows
         // opening a directory; failure here loses durability, not
         // atomicity, so it is not fatal.
         if let Ok(d) = std::fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        Ok(file_fnv)
+        Ok(())
     }
 
     /// Scan every cell file; with `fix`, move damaged ones to
