@@ -1,4 +1,5 @@
-//! The pending-event set: a two-tier queue over a generation-counted slab.
+//! The pending-event set: a sorted run, a late heap and parked buckets
+//! over a generation-counted slab.
 //!
 //! Events live in a **slab**: scheduling claims a slot (reusing freed
 //! ones), and the returned [`EventId`] is the pair `(slot, generation)`.
@@ -11,45 +12,64 @@
 //! binary-heap queue produced (`tests/queue_differential.rs` locksteps the
 //! two; the old queue lives on only as that test's reference module).
 //!
-//! Sim time is cut into fixed **epochs** of 2²¹ ns (≈ 2 ms), and the
+//! Sim time is cut into fixed **epochs** of 2¹⁶ ns (≈ 65 µs), and the
 //! pending set into two tiers by epoch alone:
 //!
-//! * The **near tier** is a 4-ary min-heap holding every event whose epoch
-//!   is at or before `near_epoch`. Its entries carry `(at, key, seq, slot)`
-//!   inline, so a sift compares and moves 32-byte cells of one dense array
-//!   and never loads from the slab.
+//! * The **near tier** holds every event whose epoch is at or before
+//!   `near_epoch`, in two parts. The **run** is the bucket promoted last,
+//!   sorted once, descending by `(at, key, seq)`, so its earliest event is
+//!   its last cell and taking it is a `Vec::pop`. The **late heap** is a
+//!   4-ary min-heap for the events scheduled into an epoch at or before
+//!   `near_epoch` after that promotion. Cells of both carry
+//!   `(at, key, seq, slot)` inline, so ordering never loads from the slab,
+//!   and the earliest pending event is the earlier of the run's last cell
+//!   and the heap's root.
 //! * The **parked tier** holds every later event, unsorted, in one bucket
-//!   of slot indices per epoch: a ring of 2048 buckets (≈ 4.3 s) for the
-//!   epochs just past `near_epoch`, an ordered map for the few beyond the
-//!   ring's horizon. Parking is a `Vec::push`; cancelling a parked event
-//!   is a `swap_remove`.
+//!   per epoch: a ring of 65 536 cells (2³² ns ≈ 4.3 s, past a 3 s
+//!   initial RTO) for the epochs just past `near_epoch`, an ordered map for
+//!   the few beyond the ring's horizon. A bucket is a doubly linked list
+//!   threaded through two per-slot arrays, and a ring cell is its head
+//!   slot + 1, 0 for none — so the ring is one zeroed `u32` allocation,
+//!   made when the first event parks, and no bucket owns a buffer. A
+//!   two-level occupancy bitmap finds the next non-empty cell in a few
+//!   word scans. Parking pushes onto the list's head; cancelling a parked
+//!   event unlinks it; both are O(1).
 //!
-//! One dense backlink array (`pos`, indexed by slot) records where in its
-//! container — heap or bucket — each pending event sits; which container
-//! follows from the event's epoch. A parked event enters the heap only
-//! when the heap runs empty: the earliest non-empty bucket is promoted
-//! whole and `near_epoch` jumps to its epoch. Every mutating operation
-//! ends with that refill done, so *heap empty ⇒ nothing parked*, the heap
-//! root is always the global minimum, and [`EventQueue::peek_time`] stays
-//! `&self` and O(1). Because the tiers partition by time, which tier an
+//! Two dense arrays indexed by slot say where each pending event sits:
+//! `pos` holds its run index, its late-heap index (flagged), or — parked —
+//! the previous slot in its bucket's list, and `next` the following one.
+//! Which container follows from the event's epoch and the flag. A parked
+//! event reaches the near tier only
+//! when run and late heap are both empty: the earliest non-empty bucket is
+//! promoted whole, sorted into the run, and `near_epoch` jumps to its
+//! epoch. Every mutating operation ends with that refill done, so *near
+//! tier empty ⇒ nothing parked*, the earlier of the two near-tier heads is
+//! always the global minimum, and [`EventQueue::peek_time`] stays `&self`
+//! and O(1). Because the tiers partition by time, which tier or part an
 //! event waited in can never change the order it pops in.
 //!
-//! On a 100k-connection world ≈ 109 000 events are pending but only
-//! ≈ 2 300 are due within the next few epochs; the rest are retransmit
-//! timers and not-yet-started connections, nearly all cancelled or
-//! re-armed before they come due. Those never touch the heap at all.
-//! `near_epoch` moves only while the heap is empty, so the worst cases —
-//! every pending event in one epoch, or a queue whose first event lies far
-//! ahead of all that follow — degrade to a flat 4-ary heap with inline
-//! keys until the clock passes `near_epoch`, never to a wrong order.
+//! The widths come from the 100k-connection chain: its scheduling delays
+//! cluster at 33–131 µs and 262–524 µs, so at 65 µs most events land a few
+//! epochs out, park, and reach the near tier a sorted bucket at a time
+//! instead of one heap sift each. About 109 000 events are pending there,
+//! most of them retransmit timers and not-yet-started connections that are
+//! cancelled or re-armed before they come due; they never leave the ring.
+//! `near_epoch` moves only while the near tier is empty, so the worst
+//! cases — every pending event in one epoch, or a first event far ahead
+//! of all that follow — degrade to a flat 4-ary late heap with inline keys
+//! until the clock passes `near_epoch`, never to a wrong order.
 //!
-//! Cancellation is **true removal** in both tiers: no tombstone is ever
-//! stored, so `pop` never loops over corpses, `len` is exact, and there is
-//! no hashing anywhere on the schedule/cancel/pop path. Liveness checks
-//! ([`EventQueue::cancel`] re-cancel, [`EventQueue::has_fired`]) are a
-//! **generation compare**: freeing a slot bumps its generation, so a stale
-//! handle can never alias a reused slot (generations are `u64`; they do
-//! not wrap in any feasible run).
+//! Cancellation takes the event out at once, with one exception: a parked
+//! event is unlinked from its bucket and a late one sifted out of the
+//! heap, but a run cell is only marked dead, as shifting the run would
+//! cost O(run). Dead cells are trimmed off the run's end after every pop
+//! and cancel, so the run's last cell is always live; a live count keeps
+//! `len` exact, and there is no hashing anywhere on the
+//! schedule/cancel/pop path. Liveness checks ([`EventQueue::cancel`]
+//! re-cancel, [`EventQueue::has_fired`]) are a **generation compare**:
+//! freeing a slot bumps its generation, so a stale handle can never alias
+//! a reused slot (generations are `u64`; they do not wrap in any feasible
+//! run).
 //!
 //! The queue has no codec of its own. A snapshot lists the pending events
 //! in pop order ([`EventQueue::pending_entries`]) and a restore schedules
@@ -59,21 +79,30 @@
 
 use crate::snap::SnapError;
 use crate::SimTime;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// log₂ of the epoch width in nanoseconds: 2²¹ ns ≈ 2.1 ms.
-const EPOCH_SHIFT: u32 = 21;
+/// log₂ of the epoch width in nanoseconds: 2¹⁶ ns ≈ 65.5 µs.
+const EPOCH_SHIFT: u32 = 16;
 
-/// Buckets in the parked ring: epochs `near_epoch + 1 ..= near_epoch +
-/// RING_LEN` (≈ 4.3 s of sim time, past a 3 s initial RTO) park in the
-/// ring, later ones in the overflow map.
-const RING_LEN: u64 = 2048;
+/// Cells in the parked ring: epochs `near_epoch + 1 ..= near_epoch +
+/// RING_LEN` (2³² ns ≈ 4.3 s of sim time) park in the ring, later ones in
+/// the overflow map.
+const RING_LEN: u64 = 1 << 16;
+/// Words of the ring's occupancy bitmap, and of its summary (one bit per
+/// bitmap word).
 const RING_WORDS: usize = RING_LEN as usize / 64;
+const SUMMARY_WORDS: usize = RING_WORDS / 64;
 
-/// Emptied bucket buffers kept for reuse. A bucket opens about as often as
-/// one drains, so a handful is enough; without them a small world, whose
-/// buckets hold one event each, pays the allocator once per event.
-const SPARE_MAX: usize = 8;
+/// The slot of a run cell whose event was cancelled.
+const DEAD: u32 = u32::MAX;
+
+/// Flag on a `pos` entry: the event is in the late heap, at the index in
+/// the low bits.
+const LATE: u32 = 1 << 31;
+
+/// No slot: the end of a bucket list, or an empty bucket.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn epoch_of(at: SimTime) -> u64 {
@@ -122,17 +151,30 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// One near-tier heap cell: the slot's sort key, copied out of the slab so
-/// heap order can be restored without touching it.
+/// A payload shaped like a simulator's event: an enum of at most a `u32`
+/// and a `u64`, whose tag gives `Option` a niche.
+#[allow(dead_code)]
+enum Payload16 {
+    Wide(u32, u64),
+    Narrow(u32, u32),
+}
+
+// Every schedule writes a slot and every pop moves one out: a field added
+// to `Slot` must not silently grow the hot path past 48 bytes.
+const _: () = assert!(std::mem::size_of::<Payload16>() == 16);
+const _: () = assert!(std::mem::size_of::<Slot<Payload16>>() <= 48);
+
+/// One near-tier cell, in the run or the late heap: the slot's sort key,
+/// copied out of the slab so ordering never touches it.
 #[derive(Clone, Copy)]
-struct HeapEntry {
+struct Entry {
     at: SimTime,
     key: u64,
     seq: u64,
     slot: u32,
 }
 
-impl HeapEntry {
+impl Entry {
     #[inline]
     fn order(&self) -> (SimTime, u64, u64) {
         (self.at, self.key, self.seq)
@@ -147,35 +189,49 @@ impl HeapEntry {
 /// caller bugs.
 ///
 /// Memory: the slab holds one cell per *concurrently pending* event (peak,
-/// not total — retired slots are reused), plus four bytes of backlink and
-/// either four bytes of bucket or one 32-byte heap cell per pending event.
-/// An emptied bucket hands its buffer to the next bucket that opens (a
-/// pool of at most eight) or back to the allocator; no ring cell
-/// keeps capacity it is not using. Nothing grows with the number of events
-/// ever scheduled.
+/// not total — retired slots are reused), plus eight bytes of links per
+/// slot and one 32-byte near-tier cell per event in the near tier; the run
+/// may also hold the dead cells of cancelled events until they reach its
+/// end. Buckets own no memory. The ring is 256 KiB of cells plus 8 KiB of
+/// bitmap, allocated by the first event that parks. Nothing grows with the
+/// number of events ever scheduled.
 pub struct EventQueue<E> {
-    /// Near tier: every pending event with `epoch_of(at) <= near_epoch`,
-    /// heap-ordered by `(at, key, seq)`.
-    heap: Vec<HeapEntry>,
+    /// Near tier, sorted part: the bucket promoted last, descending by
+    /// `(at, key, seq)`. A cancelled cell stays, its slot [`DEAD`], until
+    /// it reaches the end; the last cell is always live.
+    run: Vec<Entry>,
+    /// Live cells in `run`.
+    run_live: usize,
+    /// Near tier, late part: events scheduled into an epoch at or before
+    /// `near_epoch` after `run` was promoted, heap-ordered by
+    /// `(at, key, seq)`.
+    late: Vec<Entry>,
     slots: Vec<Slot<E>>,
-    /// Per slot: index of the pending event inside its container (`heap`,
-    /// or the bucket of its epoch). Stale for vacant slots.
+    /// Per slot: where the pending event sits — its run index, its
+    /// late-heap index (flagged [`LATE`]), or, parked, the previous slot in
+    /// its bucket's list ([`NIL`] at the head). Stale for vacant slots.
     pos: Vec<u32>,
+    /// Per slot: the next slot in a parked event's bucket list ([`NIL`] at
+    /// the tail). Stale for other slots.
+    next: Vec<u32>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
-    /// Every parked event's epoch is later than this.
+    /// Every event in the near tier has an epoch at or before this, every
+    /// parked event a later one.
     near_epoch: u64,
     /// Parked events of epoch `e`, `near_epoch < e <= near_epoch +
-    /// RING_LEN`, sit in `ring[e % RING_LEN]`.
-    ring: Vec<Vec<u32>>,
-    /// Bit `i` set ⇔ `ring[i]` is non-empty.
-    occupied: [u64; RING_WORDS],
-    /// Parked events past the ring's horizon, by epoch. No bucket is empty.
-    overflow: BTreeMap<u64, Vec<u32>>,
-    /// Events in `ring` and `overflow` together.
+    /// RING_LEN`, form the bucket list whose head slot + 1 is
+    /// `ring[e % RING_LEN]`, 0 for an empty bucket. Empty until an event
+    /// first parks.
+    ring: Vec<u32>,
+    /// Bit `i` set ⇔ `ring[i]` is non-zero. Allocated with the ring.
+    occupied: Vec<u64>,
+    /// Bit `w` set ⇔ `occupied[w]` is non-zero.
+    summary: [u64; SUMMARY_WORDS],
+    /// Head slots of the bucket lists past the ring's horizon, by epoch.
+    overflow: BTreeMap<u64, u32>,
+    /// Events in the ring and the overflow map together.
     parked: usize,
-    /// Emptied bucket buffers awaiting reuse.
-    spare: Vec<Vec<u32>>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -206,23 +262,24 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with slab and heap capacity for `n` concurrently
-    /// pending events (e.g. a peak depth observed by
-    /// [`crate::meter`] on a previous comparable run).
+    /// An empty queue with slab capacity for `n` concurrently pending
+    /// events (e.g. a peak depth observed by [`crate::meter`] on a
+    /// previous comparable run).
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(n),
+            run: Vec::new(),
+            run_live: 0,
+            late: Vec::new(),
             slots: Vec::with_capacity(n),
             pos: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
             near_epoch: 0,
-            ring: std::iter::repeat_with(Vec::new)
-                .take(RING_LEN as usize)
-                .collect(),
-            occupied: [0; RING_WORDS],
+            ring: Vec::new(),
+            occupied: Vec::new(),
+            summary: [0; SUMMARY_WORDS],
             overflow: BTreeMap::new(),
             parked: 0,
-            spare: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -253,56 +310,58 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    /// Number of live pending events, both tiers. Exact: cancelled events
-    /// leave the queue immediately.
+    /// Number of live pending events, both tiers. Exact: a cancelled event
+    /// stops counting at once, even while its dead cell waits in the run.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.parked
+        self.run_live + self.late.len() + self.parked
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        // An empty heap means an empty parked tier.
-        self.heap.is_empty()
+        // The run's last cell is live, and an empty near tier means an
+        // empty parked tier.
+        self.run.is_empty() && self.late.is_empty()
     }
 
     // -- near tier ----------------------------------------------------------
 
     #[inline]
-    fn place(&mut self, pos: usize, entry: HeapEntry) {
-        self.heap[pos] = entry;
-        self.pos[entry.slot as usize] = pos as u32;
+    fn place(&mut self, i: usize, entry: Entry) {
+        self.late[i] = entry;
+        self.pos[entry.slot as usize] = i as u32 | LATE;
     }
 
-    /// Move the entry at `pos` rootward while it sorts before its parent.
-    fn sift_up(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / 4;
-            let p = self.heap[parent];
+    /// Move the late-heap entry at `i` rootward while it sorts before its
+    /// parent.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.late[i];
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            let p = self.late[parent];
             if entry.order() >= p.order() {
                 break;
             }
-            self.place(pos, p);
-            pos = parent;
+            self.place(i, p);
+            i = parent;
         }
-        self.place(pos, entry);
+        self.place(i, entry);
     }
 
-    /// Move the entry at `pos` leafward while some child sorts before it;
-    /// returns where it came to rest.
-    fn sift_down(&mut self, mut pos: usize) -> usize {
-        let entry = self.heap[pos];
+    /// Move the late-heap entry at `i` leafward while some child sorts
+    /// before it; returns where it came to rest.
+    fn sift_down(&mut self, mut i: usize) -> usize {
+        let entry = self.late[i];
         let key = entry.order();
         loop {
-            let first = pos * 4 + 1;
-            if first >= self.heap.len() {
+            let first = i * 4 + 1;
+            if first >= self.late.len() {
                 break;
             }
-            let last = (first + 4).min(self.heap.len());
+            let last = (first + 4).min(self.late.len());
             let mut best = first;
-            let mut best_key = self.heap[first].order();
+            let mut best_key = self.late[first].order();
             for c in first + 1..last {
-                let k = self.heap[c].order();
+                let k = self.late[c].order();
                 if k < best_key {
                     best = c;
                     best_key = k;
@@ -311,27 +370,40 @@ impl<E> EventQueue<E> {
             if best_key >= key {
                 break;
             }
-            let b = self.heap[best];
-            self.place(pos, b);
-            pos = best;
+            let b = self.late[best];
+            self.place(i, b);
+            i = best;
         }
-        self.place(pos, entry);
-        pos
+        self.place(i, entry);
+        i
     }
 
-    /// Detach the heap entry at `pos`, restore heap order, and refill the
-    /// heap from the parked tier if that emptied it. The caller still owns
-    /// the slot's contents.
-    fn remove_heap_entry(&mut self, pos: usize) {
-        let moved = self.heap.pop().expect("removing from an empty heap");
-        if pos < self.heap.len() {
-            self.heap[pos] = moved;
+    /// Detach the late-heap entry at `i` and restore heap order. The
+    /// caller still owns the slot's contents.
+    fn remove_late(&mut self, i: usize) {
+        let moved = self.late.pop().expect("removing from an empty late heap");
+        if i < self.late.len() {
+            self.late[i] = moved;
             // The replacement came from a leaf: it moves down, or — when
             // the removed entry sat outside its parent chain — up, never both.
-            if self.sift_down(pos) == pos {
-                self.sift_up(pos);
+            if self.sift_down(i) == i {
+                self.sift_up(i);
             }
-        } else if self.heap.is_empty() && self.parked > 0 {
+        }
+    }
+
+    /// Drop dead cells off the run's end, so its last cell is live.
+    #[inline]
+    fn trim_run(&mut self) {
+        while self.run.last().is_some_and(|e| e.slot == DEAD) {
+            self.run.pop();
+        }
+    }
+
+    /// A pop or cancel emptied the near tier: promote the next bucket.
+    #[inline]
+    fn refill_if_drained(&mut self) {
+        if self.is_empty() && self.parked > 0 {
             self.refill();
         }
     }
@@ -345,109 +417,123 @@ impl<E> EventQueue<E> {
         (epoch - self.near_epoch <= RING_LEN).then_some((epoch % RING_LEN) as usize)
     }
 
-    /// Append `slot` to the bucket of `epoch` (which is past `near_epoch`).
-    fn park(&mut self, epoch: u64, slot: u32) {
-        let bucket = match self.ring_index(epoch) {
-            Some(i) => {
-                self.occupied[i / 64] |= 1 << (i % 64);
-                &mut self.ring[i]
-            }
-            None => self.overflow.entry(epoch).or_default(),
-        };
-        if bucket.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                *bucket = spare;
+    /// Make `head` (a slot, or [`NIL`] for none) the head of ring cell
+    /// `i`'s bucket, allocating the ring if nothing has parked yet.
+    fn set_cell(&mut self, i: usize, head: u32) {
+        if self.ring.is_empty() {
+            // One zeroed allocation: every cell empty, every bit clear.
+            self.ring = vec![0; RING_LEN as usize];
+            self.occupied = vec![0; RING_WORDS];
+        }
+        // Cells hold head + 1, so NIL (u32::MAX) wraps to 0, the empty cell.
+        self.ring[i] = head.wrapping_add(1);
+        let w = i / 64;
+        if head != NIL {
+            self.occupied[w] |= 1 << (i % 64);
+            self.summary[w / 64] |= 1 << (w % 64);
+        } else {
+            self.occupied[w] &= !(1 << (i % 64));
+            if self.occupied[w] == 0 {
+                self.summary[w / 64] &= !(1 << (w % 64));
             }
         }
-        self.pos[slot as usize] = bucket.len() as u32;
-        bucket.push(slot);
+    }
+
+    /// Push `slot` onto the bucket list of `epoch` (which is past
+    /// `near_epoch`).
+    fn park(&mut self, epoch: u64, slot: u32) {
+        let head = match self.ring_index(epoch) {
+            Some(i) => {
+                let head = self.ring.get(i).map_or(NIL, |&c| c.wrapping_sub(1));
+                self.set_cell(i, slot);
+                head
+            }
+            None => self.overflow.insert(epoch, slot).unwrap_or(NIL),
+        };
+        self.pos[slot as usize] = NIL;
+        self.next[slot as usize] = head;
+        if head != NIL {
+            self.pos[head as usize] = slot;
+        }
         self.parked += 1;
     }
 
-    /// Empty ring cell `i`, handing its bucket to the caller.
-    fn take_ring_bucket(&mut self, i: usize) -> Vec<u32> {
-        self.occupied[i / 64] &= !(1 << (i % 64));
-        std::mem::take(&mut self.ring[i])
-    }
-
-    /// Keep an emptied bucket's buffer for the next bucket to open, up to
-    /// [`SPARE_MAX`] of them.
-    fn recycle(&mut self, mut buffer: Vec<u32>) {
-        if self.spare.len() < SPARE_MAX {
-            buffer.clear();
-            self.spare.push(buffer);
-        }
-    }
-
-    /// Remove `slot` from the bucket of `epoch` by swap-remove. A bucket
-    /// that empties gives up its buffer rather than keep its high-water
-    /// capacity in a ring cell that may not be used again for seconds.
+    /// Unlink `slot` from the bucket list of `epoch`.
     fn unpark(&mut self, epoch: u64, slot: u32) {
-        let at = self.pos[slot as usize] as usize;
-        let ring_index = self.ring_index(epoch);
-        let bucket = match ring_index {
-            Some(i) => &mut self.ring[i],
-            None => self
-                .overflow
-                .get_mut(&epoch)
-                .expect("parked event's overflow bucket exists"),
-        };
-        debug_assert_eq!(bucket[at], slot);
-        bucket.swap_remove(at);
-        if let Some(&moved) = bucket.get(at) {
-            self.pos[moved as usize] = at as u32;
+        let (prev, next) = (self.pos[slot as usize], self.next[slot as usize]);
+        if next != NIL {
+            self.pos[next as usize] = prev;
         }
-        if bucket.is_empty() {
-            let buffer = match ring_index {
-                Some(i) => self.take_ring_bucket(i),
-                None => self.overflow.remove(&epoch).expect("bucket was just used"),
-            };
-            self.recycle(buffer);
+        if prev != NIL {
+            self.next[prev as usize] = next;
+        } else {
+            match self.ring_index(epoch) {
+                Some(i) => self.set_cell(i, next),
+                None if next == NIL => {
+                    self.overflow.remove(&epoch);
+                }
+                None => {
+                    self.overflow.insert(epoch, next);
+                }
+            }
         }
         self.parked -= 1;
     }
 
-    /// Epoch of the earliest non-empty ring bucket.
-    fn next_ring_epoch(&self) -> Option<u64> {
-        // Ring indices in epoch order start just past `near_epoch` and wrap.
-        let start = ((self.near_epoch + 1) % RING_LEN) as usize;
-        let (w0, b0) = (start / 64, start % 64);
-        // The start word is visited twice: first its bits from `b0` up,
-        // last (all of those being clear by then) the ones below.
-        (0..=RING_WORDS).find_map(|k| {
-            let w = (w0 + k) % RING_WORDS;
-            let bits = match k {
-                0 => self.occupied[w] & (!0 << b0),
-                _ => self.occupied[w],
+    /// Index of the first non-zero occupancy word at or after `from`.
+    fn next_word(&self, from: usize) -> Option<usize> {
+        let (s, b) = (from / 64, from % 64);
+        (s..SUMMARY_WORDS).find_map(|k| {
+            let bits = match k == s {
+                true => self.summary[k] & (!0 << b),
+                false => self.summary[k],
             };
-            (bits != 0).then(|| {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                let ahead = (i + RING_LEN as usize - start) % RING_LEN as usize;
-                self.near_epoch + 1 + ahead as u64
-            })
+            (bits != 0).then(|| k * 64 + bits.trailing_zeros() as usize)
         })
     }
 
-    /// The heap ran empty with events still parked: promote the earliest
-    /// non-empty bucket whole and move `near_epoch` to its epoch.
+    /// Epoch of the earliest non-empty ring bucket.
+    fn next_ring_epoch(&self) -> Option<u64> {
+        if self.ring.is_empty() {
+            return None;
+        }
+        // Ring indices in epoch order start just past `near_epoch` and wrap.
+        let start = ((self.near_epoch + 1) % RING_LEN) as usize;
+        let (w, b) = (start / 64, start % 64);
+        let i = match self.occupied[w] & (!0 << b) {
+            // No bucket in the start word from `start` on: the next
+            // non-empty word past it, else — wrapping — the first one,
+            // which is at worst the start word's bits below `start`.
+            0 => {
+                let w = self.next_word(w + 1).or_else(|| self.next_word(0))?;
+                w * 64 + self.occupied[w].trailing_zeros() as usize
+            }
+            bits => w * 64 + bits.trailing_zeros() as usize,
+        };
+        let ahead = (i + RING_LEN as usize - start) % RING_LEN as usize;
+        Some(self.near_epoch + 1 + ahead as u64)
+    }
+
+    /// The near tier ran empty with events still parked: promote the
+    /// earliest non-empty bucket whole, as the new run, and move
+    /// `near_epoch` to its epoch.
     fn refill(&mut self) {
-        debug_assert!(self.heap.is_empty() && self.parked > 0);
+        debug_assert!(self.is_empty() && self.parked > 0);
         // Overflow epochs all lie past the ring's, so the map is consulted
         // only when the ring is empty.
-        let bucket = match self.next_ring_epoch() {
+        let (epoch, mut slot) = match self.next_ring_epoch() {
             Some(epoch) => {
-                self.near_epoch = epoch;
-                self.take_ring_bucket((epoch % RING_LEN) as usize)
+                let i = (epoch % RING_LEN) as usize;
+                let head = self.ring[i].wrapping_sub(1);
+                self.set_cell(i, NIL);
+                (epoch, head)
             }
-            None => {
-                let (epoch, bucket) = self
-                    .overflow
-                    .pop_first()
-                    .expect("parked events are in the ring or the overflow map");
-                self.near_epoch = epoch;
-                bucket
-            }
+            None => self
+                .overflow
+                .pop_first()
+                .expect("parked events are in the ring or the overflow map"),
         };
+        self.near_epoch = epoch;
         // The horizon moved with `near_epoch`: overflow buckets it now
         // covers take their ring cells, vacant since the epochs that last
         // used them are at or behind `near_epoch`.
@@ -456,48 +542,47 @@ impl<E> EventQueue<E> {
                 break;
             }
             let i = (*first.key() % RING_LEN) as usize;
-            debug_assert!(self.ring[i].is_empty());
-            self.ring[i] = first.remove();
-            self.occupied[i / 64] |= 1 << (i % 64);
+            let head = first.remove();
+            debug_assert!(self.ring.get(i).is_none_or(|&c| c == 0));
+            self.set_cell(i, head);
         }
-        self.parked -= bucket.len();
-        for &slot in &bucket {
-            self.pos[slot as usize] = self.heap.len() as u32;
-            self.heap.push(self.heap_entry(slot));
+        while slot != NIL {
+            let s = &self.slots[slot as usize];
+            self.run.push(Entry {
+                at: s.at,
+                key: s.key,
+                seq: s.seq,
+                slot,
+            });
+            slot = self.next[slot as usize];
         }
-        self.recycle(bucket);
-        // Floyd's bottom-up build: O(bucket), every backlink kept current.
-        for pos in (0..self.heap.len().div_ceil(4)).rev() {
-            self.sift_down(pos);
+        self.parked -= self.run.len();
+        self.run_live = self.run.len();
+        // Descending, so the earliest is last. Keys are unique (`seq`), so
+        // an unstable sort is exact.
+        self.run.sort_unstable_by_key(|e| Reverse(e.order()));
+        for (i, e) in self.run.iter().enumerate() {
+            self.pos[e.slot as usize] = i as u32;
         }
     }
 
     // -- slab ---------------------------------------------------------------
 
-    #[inline]
-    fn heap_entry(&self, slot: u32) -> HeapEntry {
-        let s = &self.slots[slot as usize];
-        HeapEntry {
-            at: s.at,
-            key: s.key,
-            seq: s.seq,
-            slot,
-        }
-    }
-
-    /// Enter an occupied slot, by its heap entry, into the tier its epoch
-    /// belongs to.
-    fn insert(&mut self, entry: HeapEntry) {
+    /// Enter an occupied slot, by its near-tier cell, into the tier its
+    /// epoch belongs to.
+    fn insert(&mut self, entry: Entry) {
         let epoch = epoch_of(entry.at);
-        if self.heap.is_empty() {
+        if self.is_empty() {
             // Nothing is pending, so any epoch may become the near one;
-            // taking this event's keeps "heap empty ⇒ nothing parked".
+            // taking this event's keeps "near tier empty ⇒ nothing parked".
             self.near_epoch = epoch;
-        }
-        if epoch <= self.near_epoch {
-            let pos = self.heap.len();
-            self.heap.push(entry);
-            self.sift_up(pos);
+            self.pos[entry.slot as usize] = 0;
+            self.run.push(entry);
+            self.run_live = 1;
+        } else if epoch <= self.near_epoch {
+            let i = self.late.len();
+            self.late.push(entry);
+            self.sift_up(i);
         } else {
             self.park(epoch, entry.slot);
         }
@@ -570,7 +655,8 @@ impl<E> EventQueue<E> {
             }
             None => {
                 let slot = self.slots.len() as u32;
-                assert!(slot != u32::MAX, "event slab full");
+                // Container indices share `pos` with the late flag.
+                assert!(slot < LATE, "event slab full");
                 self.slots.push(Slot {
                     gen: 0,
                     at,
@@ -580,11 +666,12 @@ impl<E> EventQueue<E> {
                 });
                 // Set by `insert` below.
                 self.pos.push(0);
+                self.next.push(NIL);
                 slot
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.insert(HeapEntry { at, key, seq, slot });
+        self.insert(Entry { at, key, seq, slot });
         self.peak_len = self.peak_len.max(self.len());
         self.unflushed_sched += 1;
         EventId { slot, gen }
@@ -600,18 +687,27 @@ impl<E> EventQueue<E> {
     /// still pending (and is now guaranteed not to fire), `false` if it had
     /// already fired, been cancelled, or was never scheduled.
     ///
-    /// True removal: the event leaves its tier immediately (an O(log n)
-    /// sift in the heap, an O(1) swap-remove when parked), its slot is
-    /// reusable at once, and no residue survives to be skipped by later
-    /// pops.
+    /// The event stops counting at once and its slot is reusable at once:
+    /// a parked event is unlinked from its bucket (O(1)), a late one
+    /// sifted out of the heap (O(log n)), and a run cell is marked dead —
+    /// left in place, and trimmed with any dead neighbours the moment it
+    /// is the run's last cell, so no pop ever returns or waits on it.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get(id.slot as usize) {
             Some(s) if s.gen == id.gen && s.event.is_some() => {
                 let epoch = epoch_of(s.at);
-                if epoch <= self.near_epoch {
-                    self.remove_heap_entry(self.pos[id.slot as usize] as usize);
-                } else {
+                if epoch > self.near_epoch {
                     self.unpark(epoch, id.slot);
+                } else {
+                    let i = self.pos[id.slot as usize];
+                    if i & LATE != 0 {
+                        self.remove_late((i & !LATE) as usize);
+                    } else {
+                        self.run[i as usize].slot = DEAD;
+                        self.run_live -= 1;
+                        self.trim_run();
+                    }
+                    self.refill_if_drained();
                 }
                 self.retire(id.slot);
                 true
@@ -633,9 +729,25 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event, advancing the clock.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let &HeapEntry { at, slot, .. } = self.heap.first()?;
-        debug_assert!(at >= self.now, "heap produced an event in the past");
-        self.remove_heap_entry(0);
+        let Entry { at, slot, .. } = match (self.run.last(), self.late.first()) {
+            (None, None) => return None,
+            (Some(&r), Some(&l)) if l.order() < r.order() => {
+                self.remove_late(0);
+                l
+            }
+            (Some(&r), _) => {
+                self.run.pop();
+                self.run_live -= 1;
+                self.trim_run();
+                r
+            }
+            (None, Some(&l)) => {
+                self.remove_late(0);
+                l
+            }
+        };
+        debug_assert!(at >= self.now, "queue produced an event in the past");
+        self.refill_if_drained();
         let event = self.retire(slot);
         self.now = at;
         self.popped += 1;
@@ -665,11 +777,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next live event without popping it. O(1) and
-    /// `&self`: cancelled events are removed eagerly and the heap is
-    /// refilled whenever it empties, so its root is always the live
-    /// minimum of both tiers.
+    /// `&self`: the run's last cell is always live and the near tier is
+    /// refilled whenever it empties, so the earlier of the run's last cell
+    /// and the late heap's root is the live minimum of both tiers.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        match (self.run.last(), self.late.first()) {
+            (Some(r), Some(l)) => Some(r.at.min(l.at)),
+            (r, l) => r.or(l).map(|e| e.at),
+        }
     }
 
     /// Advance the clock to `t` without popping anything — a bounded run
@@ -678,13 +793,20 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `t` is before [`EventQueue::now`] (the clock never
-    /// rewinds).
+    /// rewinds), or after the earliest pending event (which would then be
+    /// in the past, and the next pop would rewind the clock to it).
     pub fn advance_clock(&mut self, t: SimTime) {
         assert!(
             t >= self.now,
             "cannot rewind the clock: t={t:?} now={:?}",
             self.now
         );
+        if let Some(next) = self.peek_time() {
+            assert!(
+                t <= next,
+                "cannot advance the clock past a pending event: t={t:?} next={next:?}"
+            );
+        }
         self.now = t;
     }
 
@@ -700,9 +822,13 @@ impl<E> EventQueue<E> {
     /// re-schedules only the events it owns.
     pub fn drain_pending(&mut self) -> Vec<(SimTime, u64, E)> {
         let order = self.pending_order();
-        self.heap.clear();
-        self.ring.fill_with(Vec::new);
-        self.occupied = [0; RING_WORDS];
+        self.run.clear();
+        self.run_live = 0;
+        self.late.clear();
+        // The next event to park allocates a fresh, zeroed ring.
+        self.ring = Vec::new();
+        self.occupied = Vec::new();
+        self.summary = [0; SUMMARY_WORDS];
         self.overflow.clear();
         self.parked = 0;
         order
@@ -786,63 +912,103 @@ impl<E> EventQueue<E> {
         Ok((q, ids))
     }
 
-    /// Two-tier invariant check, for tests: heap order, the tier boundary
-    /// at `near_epoch`, the ring horizon, every backlink mutual, and the
+    /// Invariant check, for tests: run order and liveness, late-heap
+    /// order, the tier boundary at `near_epoch`, the ring's cells and
+    /// bitmap, the ring horizon, every bucket list and backlink, and the
     /// slab fully accounted for.
     #[cfg(test)]
     fn assert_invariants(&self) {
         assert_eq!(
-            self.heap.len() + self.parked + self.free.len(),
+            self.len() + self.free.len(),
             self.slots.len(),
             "slab accounting broken"
         );
         assert_eq!(self.pos.len(), self.slots.len());
+        assert_eq!(self.next.len(), self.slots.len());
         assert!(
-            !self.heap.is_empty() || self.parked == 0,
-            "events parked behind an empty heap"
+            !self.is_empty() || self.parked == 0,
+            "events parked behind an empty near tier"
         );
-        for (pos, e) in self.heap.iter().enumerate() {
-            let s = &self.slots[e.slot as usize];
-            assert_eq!(self.pos[e.slot as usize] as usize, pos, "backlink broken");
-            assert!(s.event.is_some(), "vacant slot in heap");
-            assert_eq!(e.order(), (s.at, s.key, s.seq), "inline key out of date");
-            assert!(epoch_of(e.at) <= self.near_epoch, "far event in the heap");
-            if pos > 0 {
+        // The run: live cells strictly descending, the last cell live.
+        assert!(
+            self.run.last().is_none_or(|e| e.slot != DEAD),
+            "dead cell at the run's end"
+        );
+        let live: Vec<(usize, &Entry)> = (self.run.iter().enumerate())
+            .filter(|(_, e)| e.slot != DEAD)
+            .collect();
+        assert_eq!(live.len(), self.run_live, "run live count out of date");
+        assert!(
+            live.windows(2).all(|w| w[0].1.order() > w[1].1.order()),
+            "run out of order"
+        );
+        for &(i, e) in &live {
+            self.assert_near(e, i as u32);
+        }
+        for (i, e) in self.late.iter().enumerate() {
+            self.assert_near(e, i as u32 | LATE);
+            if i > 0 {
                 assert!(
-                    self.heap[(pos - 1) / 4].order() <= e.order(),
-                    "heap order broken"
+                    self.late[(i - 1) / 4].order() <= e.order(),
+                    "late heap order broken"
                 );
             }
         }
-        let buckets = (self.ring.iter().enumerate())
-            .map(|(i, b)| {
-                let occupied = self.occupied[i / 64] & (1 << (i % 64)) != 0;
-                assert_eq!(occupied, !b.is_empty(), "occupancy bit out of date");
+        // The ring: bitmap and summary agree with the cells.
+        assert_eq!(self.occupied.len(), self.ring.len() / 64);
+        for (w, summary) in self.summary.iter().enumerate() {
+            for b in 0..64 {
+                let word = self.occupied.get(w * 64 + b).copied().unwrap_or(0);
+                assert_eq!(summary >> b & 1 == 1, word != 0, "summary bit out of date");
+            }
+        }
+        let mut heads = Vec::new();
+        for (i, &cell) in self.ring.iter().enumerate() {
+            let occupied = self.occupied[i / 64] & (1 << (i % 64)) != 0;
+            assert_eq!(occupied, cell != 0, "occupancy bit out of date");
+            if cell != 0 {
                 let ahead = (i as u64 + RING_LEN - (self.near_epoch + 1) % RING_LEN) % RING_LEN;
-                (self.near_epoch + 1 + ahead, b)
-            })
-            .chain(self.overflow.iter().map(|(&epoch, b)| {
-                assert!(!b.is_empty(), "empty overflow bucket");
-                assert!(
-                    epoch > self.near_epoch + RING_LEN,
-                    "overflow bucket inside the ring's horizon"
-                );
-                (epoch, b)
-            }));
+                heads.push((self.near_epoch + 1 + ahead, cell - 1));
+            }
+        }
+        for (&epoch, &head) in &self.overflow {
+            assert!(
+                epoch > self.near_epoch + RING_LEN,
+                "overflow bucket inside the ring's horizon"
+            );
+            heads.push((epoch, head));
+        }
+        // Every bucket list: non-empty, linked both ways, one epoch.
         let mut parked = 0;
-        for (epoch, bucket) in buckets {
-            for (at, &slot) in bucket.iter().enumerate() {
+        for (epoch, head) in heads {
+            assert_ne!(head, NIL, "empty bucket");
+            let (mut prev, mut slot) = (NIL, head);
+            while slot != NIL {
                 let s = &self.slots[slot as usize];
                 assert!(s.event.is_some(), "vacant slot parked");
                 assert_eq!(epoch_of(s.at), epoch, "event in the wrong bucket");
-                assert_eq!(self.pos[slot as usize] as usize, at, "backlink broken");
+                assert_eq!(self.pos[slot as usize], prev, "backlink broken");
+                (prev, slot) = (slot, self.next[slot as usize]);
+                parked += 1;
             }
-            parked += bucket.len();
         }
         assert_eq!(parked, self.parked, "parked count out of date");
         for &slot in &self.free {
             assert!(self.slots[slot as usize].event.is_none());
         }
+    }
+
+    /// One live near-tier cell, at container index `at` (flag included).
+    #[cfg(test)]
+    fn assert_near(&self, e: &Entry, at: u32) {
+        let s = &self.slots[e.slot as usize];
+        assert_eq!(self.pos[e.slot as usize], at, "backlink broken");
+        assert!(s.event.is_some(), "vacant slot in the near tier");
+        assert_eq!(e.order(), (s.at, s.key, s.seq), "inline key out of date");
+        assert!(
+            epoch_of(e.at) <= self.near_epoch,
+            "far event in the near tier"
+        );
     }
 }
 
@@ -982,6 +1148,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "past a pending event")]
+    fn advance_clock_rejects_passing_a_pending_event() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(3), ());
+        // Up to the event is fine; one nanosecond past it would leave it
+        // in the past, and the next pop would rewind the clock.
+        q.advance_clock(SimTime::from_secs(3));
+        q.advance_clock(SimTime::from_secs(3) + SimDuration::from_nanos(1));
+    }
+
+    #[test]
     fn clock_advances_on_pop() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(5), ());
@@ -1075,7 +1252,7 @@ mod tests {
         let a = q.schedule_at(SimTime::from_secs(1), ());
         q.schedule_at(SimTime::from_secs(2), ());
         q.cancel(a);
-        // `&self` peek: cancelled events are already gone from the heap.
+        // `&self` peek: a cancelled run cell never sits at the run's end.
         let q_ref: &EventQueue<()> = &q;
         assert_eq!(q_ref.peek_time(), Some(SimTime::from_secs(2)));
     }
@@ -1129,9 +1306,9 @@ mod tests {
     /// Audit of true cancellation (no residue by construction): a long
     /// interleaving of schedules, cancels of live / fired / stale /
     /// never-scheduled ids, double-cancels, and pops must keep the slab
-    /// and heap mutually consistent at every step and leave the slab
-    /// fully free once drained. The invariant check also verifies heap
-    /// order and slot↔heap backlinks, so any sift bug surfaces here.
+    /// and near tier mutually consistent at every step and leave the slab
+    /// fully free once drained. The invariant check also verifies run and
+    /// heap order and every slot backlink, so any sift bug surfaces here.
     #[test]
     fn cancel_heavy_run_leaves_no_residue() {
         let mut q = EventQueue::new();
@@ -1257,7 +1434,7 @@ mod tests {
     }
 
     /// One step of a schedule / cancel / pop script whose events spread
-    /// over heap, ring and overflow map. `ids` are handles that may still
+    /// over near tier, ring and overflow map. `ids` are handles that may still
     /// be live.
     fn tiered_step(q: &mut EventQueue<u64>, rng: &mut crate::SimRng, ids: &mut Vec<EventId>) {
         match rng.next_below(8) {
@@ -1289,7 +1466,10 @@ mod tests {
             seen_ring |= q.occupied.iter().any(|&w| w != 0);
             seen_overflow |= !q.overflow.is_empty();
         }
-        assert!(seen_ring && seen_overflow, "script never left the heap");
+        assert!(
+            seen_ring && seen_overflow,
+            "script never left the near tier"
+        );
         while q.pop().is_some() {}
         q.assert_invariants();
         assert_eq!(
@@ -1298,14 +1478,14 @@ mod tests {
             "drained queue left occupied slots"
         );
         assert!(
-            q.ring.iter().all(|b| b.capacity() == 0),
-            "an emptied bucket kept its buffer"
+            q.ring.iter().all(|&c| c == 0),
+            "a drained ring kept a bucket"
         );
     }
 
     #[test]
     fn from_pending_rebuilds_every_tier_and_stays_in_lockstep() {
-        // A script over heap, ring and overflow map, with same-instant
+        // A script over near tier, ring and overflow map, with same-instant
         // keyed ties and cancels before the capture.
         let mut q = EventQueue::new();
         let mut rng = crate::SimRng::new(0x5AFE_71E5);
@@ -1326,8 +1506,8 @@ mod tests {
         .unwrap();
         r.assert_invariants();
         assert!(
-            !r.heap.is_empty() && r.occupied.iter().any(|&w| w != 0) && !r.overflow.is_empty(),
-            "the rebuilt queue must hold events in heap, ring and overflow map"
+            !r.run.is_empty() && r.occupied.iter().any(|&w| w != 0) && !r.overflow.is_empty(),
+            "the rebuilt queue must hold events in run, ring and overflow map"
         );
         assert_eq!(
             r.unflushed_sched, 0,
@@ -1399,11 +1579,142 @@ mod tests {
     #[test]
     fn with_capacity_preallocates() {
         let mut q = EventQueue::with_capacity(64);
-        assert!(q.heap.capacity() >= 64);
-        assert!(q.slots.capacity() >= 64);
+        assert!(q.slots.capacity() >= 64 && q.pos.capacity() >= 64);
         for i in 0..64u64 {
             q.schedule_at(SimTime::from_secs(i + 1), i);
         }
         assert_eq!(q.len(), 64);
+    }
+
+    #[test]
+    fn a_queue_that_never_parks_never_allocates_the_ring() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(1), ());
+        q.schedule_at(SimTime::from_secs(1), ());
+        q.pop();
+        assert!(q.ring.is_empty() && q.occupied.is_empty());
+        // The first event to park allocates it.
+        q.schedule_at(SimTime::from_secs(2), ());
+        assert_eq!(q.ring.len(), RING_LEN as usize);
+        q.assert_invariants();
+    }
+
+    #[test]
+    fn run_cancels_mark_dead_cells_and_trim_them_at_the_end() {
+        let epoch = 1u64 << EPOCH_SHIFT;
+        let t = |e: u64, ns: u64| SimTime::from_nanos(e * epoch + ns);
+        let mut q = EventQueue::new();
+        q.schedule_at(t(0, 0), 0);
+        // Five events of epoch 2, scheduled out of time order: one bucket.
+        let ids: Vec<_> = [3, 1, 5, 2, 4]
+            .into_iter()
+            .map(|i| (i, q.schedule_at(t(2, i * 100), i)))
+            .collect();
+        let id = |i| ids.iter().find(|&&(j, _)| j == i).unwrap().1;
+        assert_eq!(q.pop(), Some((t(0, 0), 0)));
+        // Promoted and sorted: the run is 5, 4, 3, 2, 1.
+        assert_eq!((q.run.len(), q.run_live, q.parked), (5, 5, 0));
+        assert!(q.cancel(id(3)), "mid-run cancel");
+        assert_eq!((q.run.len(), q.len()), (5, 4), "marked, not removed");
+        assert!(q.cancel(id(1)), "cancel at the run's end");
+        assert_eq!(q.run.len(), 4, "trimmed back to a live cell");
+        assert!(q.cancel(id(2)), "cancel beside a dead cell");
+        assert_eq!(q.run.len(), 2, "trimmed past the dead neighbour");
+        assert_eq!(q.peek_time(), Some(t(2, 400)));
+        q.assert_invariants();
+        // Late arrivals on both sides of the run's last cell.
+        q.schedule_at(t(2, 450), 45);
+        q.schedule_at(t(1, 0), 10);
+        q.assert_invariants();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![10, 4, 45, 5]);
+        // Cancelling a whole run promotes the next bucket.
+        q.schedule_at(t(10, 0), 100);
+        let a = q.schedule_at(t(10, 1), 101);
+        q.schedule_at(t(20, 0), 200);
+        assert_eq!(q.pop(), Some((t(10, 0), 100)));
+        assert!(q.cancel(a));
+        assert_eq!((q.near_epoch, q.peek_time()), (20, Some(t(20, 0))));
+        q.assert_invariants();
+    }
+
+    /// Seeds and jitters of `tests/queue_differential.rs`'s short-jitter
+    /// scripts.
+    const SHORT_JITTER: [(u64, u64); 10] = [
+        (0x5_4E71, 20_000),
+        (0x5_4E72, 40_000),
+        (0x5_4E73, 60_000),
+        (0x5_4E74, 80_000),
+        (0x5_4E75, 100_000),
+        (0x5_4E76, 120_000),
+        (0x5_4E77, 140_000),
+        (0x5_4E78, 160_000),
+        (0x5_4E79, 180_000),
+        (0x5_4E7A, 200_000),
+    ];
+    const SHORT_JITTER_OPS: u64 = 4_000;
+
+    /// The lockstep scripts' op mix, replayed on this queue alone with the
+    /// same draws, so every path counted here is one those scripts take.
+    #[test]
+    fn short_jitter_scripts_reach_every_run_path() {
+        // Cancels at the run's end, beside a dead cell, of a run's last
+        // live cell; late arrivals before and after the run's last cell.
+        let mut seen = [0u64; 5];
+        let (mut runs, mut run_events) = (0u64, 0u64);
+        for (seed, jitter) in SHORT_JITTER {
+            let mut q = EventQueue::new();
+            let mut rng = crate::SimRng::new(seed);
+            let mut handles = Vec::new();
+            let mut promoted = None;
+            for step in 0..SHORT_JITTER_OPS {
+                match rng.next_below(8) {
+                    0..=3 => {
+                        let at = q.now() + SimDuration::from_nanos(rng.next_below(jitter));
+                        if let Some(last) = q.run.last() {
+                            if epoch_of(at) <= q.near_epoch {
+                                seen[if at < last.at { 3 } else { 4 }] += 1;
+                            }
+                        }
+                        handles.push(q.schedule_at(at, step));
+                    }
+                    4..=5 if !handles.is_empty() => {
+                        let k = rng.next_below(handles.len() as u64) as usize;
+                        let id = handles[k];
+                        let s = &q.slots[id.slot as usize];
+                        let live = s.gen == id.gen && s.event.is_some();
+                        let at = q.pos[id.slot as usize] as usize;
+                        if live && epoch_of(s.at) <= q.near_epoch && at & LATE as usize == 0 {
+                            let dead = |i: usize| q.run.get(i).is_some_and(|e| e.slot == DEAD);
+                            seen[0] += u64::from(at + 1 == q.run.len());
+                            seen[1] += u64::from(dead(at + 1) || (at > 0 && dead(at - 1)));
+                            seen[2] += u64::from(q.run_live == 1);
+                        }
+                        if q.cancel(id) {
+                            handles.swap_remove(k);
+                        }
+                    }
+                    _ => {
+                        q.pop();
+                    }
+                }
+                if promoted != Some(q.near_epoch) {
+                    promoted = Some(q.near_epoch);
+                    runs += 1;
+                    run_events += q.run.len() as u64;
+                }
+                if step % 256 == 0 {
+                    q.assert_invariants();
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "a run path went unexercised: {seen:?}"
+        );
+        assert!(
+            run_events >= 10 * runs,
+            "runs too short to matter: {run_events} events in {runs} runs"
+        );
     }
 }

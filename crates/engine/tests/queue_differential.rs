@@ -1,4 +1,4 @@
-//! Differential test: the slab-backed two-tier [`EventQueue`] must be
+//! Differential test: the slab-backed tiered [`EventQueue`] must be
 //! observably indistinguishable from the pre-slab binary-heap queue
 //! ([`legacy::LegacyEventQueue`], this test's own module — the library
 //! exports one queue) under any interleaving of schedules, cancels, and
@@ -13,15 +13,21 @@
 //! matches — including the tie-break by schedule sequence that all
 //! experiment reproducibility rests on.
 //!
-//! The time jitter decides which tier of the shipped queue a script
-//! exercises: up to 1 ms stays inside one epoch and so inside its heap;
-//! 5 s spreads events over the parked ring and just past its horizon;
-//! 200 s parks nearly everything in the overflow map.
+//! The time jitter decides which parts of the shipped queue a script
+//! exercises: 50–200 ns stays inside one 2¹⁶ ns epoch, so events go
+//! through its sorted run and late heap; 20–200 µs and 1 ms spread them
+//! over a few to a few dozen epochs, so buckets park and are promoted
+//! into runs of tens of events while late arrivals and cancels hit every
+//! part of a run; 5 s spreads events over the parked ring and just past
+//! its horizon; 200 s parks nearly everything in the overflow map. One
+//! more script starts from a world builder's shape — one event a second
+//! out, then 50 000 earlier ones in random order — which sends everything
+//! before that second through the late heap.
 
 mod legacy;
 
 use legacy::{LegacyEventId, LegacyEventQueue};
-use td_engine::{EventId, EventQueue, SimDuration, SimRng};
+use td_engine::{EventId, EventQueue, SimDuration, SimRng, SimTime};
 
 /// Handles for the same logical event in both queues.
 #[derive(Clone, Copy)]
@@ -31,11 +37,24 @@ struct Pair {
 }
 
 fn lockstep(seed: u64, ops: u64, time_jitter: u64) {
+    lockstep_after(&[], seed, ops, time_jitter);
+}
+
+/// [`lockstep`] on queues that already hold `prelude`: one event due at
+/// each of those instants (ns), scheduled in that order.
+fn lockstep_after(prelude: &[u64], seed: u64, ops: u64, time_jitter: u64) {
     let mut nq: EventQueue<u64> = EventQueue::new();
     let mut oq: LegacyEventQueue<u64> = LegacyEventQueue::new();
     // Events believed pending (may contain already-fired ids; both queues
     // must agree on rejecting those cancels too).
     let mut handles: Vec<Pair> = Vec::new();
+    for (i, &at) in (ops..).zip(prelude) {
+        let at = SimTime::from_nanos(at);
+        handles.push(Pair {
+            new: nq.schedule_at(at, i),
+            old: oq.schedule_at(at, i),
+        });
+    }
     let mut rng = SimRng::new(seed);
     let mut pops = 0u64;
     let mut cancels_accepted = 0u64;
@@ -157,4 +176,27 @@ fn new_queue_matches_legacy_in_the_overflow_map() {
     // Jitter of 200 s: nearly every event parks past the ring's horizon
     // and migrates into the ring as the clock approaches.
     lockstep(0x0F10, 100_000, 200_000_000_000);
+}
+
+#[test]
+fn new_queue_matches_legacy_on_short_jitter() {
+    // Jitter of 20–200 µs, where the chain's scheduling delays cluster:
+    // runs of tens of events, late arrivals on both sides of a run's last
+    // cell, cancels at a run's end, beside its dead cells and of whole
+    // runs. `queue.rs`'s `short_jitter_scripts_reach_every_run_path`
+    // replays these seeds and counts each of those paths.
+    for i in 0..10u64 {
+        lockstep(0x5_4E71 + i, 4_000, 20_000 * (i + 1));
+    }
+}
+
+#[test]
+fn new_queue_matches_legacy_after_out_of_order_construction() {
+    // One event 1 s out, then 50 000 earlier ones in random order: the
+    // first fixes the near epoch a second ahead of the rest.
+    let mut rng = SimRng::new(0xB17D);
+    let prelude: Vec<u64> = std::iter::once(1_000_000_000)
+        .chain((0..50_000).map(|_| rng.next_below(1_000_000_000)))
+        .collect();
+    lockstep_after(&prelude, 0xC0_57, 100_000, 200_000);
 }

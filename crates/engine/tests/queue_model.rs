@@ -6,13 +6,19 @@
 //! length, cancellation results, and the `pending()` / `pending_entries()`
 //! / `drain_pending()` views.
 //!
-//! Schedule offsets are drawn from four classes sized against the queue's
-//! two tiers — zero, inside one 2²¹ ns epoch, tens of epochs out (the
+//! Schedule offsets are drawn from four classes, sized when the queue's
+//! epochs were 2²¹ ns — zero, inside one such span, tens of spans out (the
 //! parked ring), and seconds to minutes out (past the ring's horizon, in
 //! the overflow map) — so scripts park events, cancel them where they are
 //! parked, and run the clock across many epochs at a time. The sizes are
-//! the test's own: if the queue's private constants move, only which tier
-//! a class lands in changes, never what the model expects.
+//! the test's own: now that epochs are 2¹⁶ ns, the second class spreads
+//! over up to 32 of them and so parks too, but only which tier a class
+//! lands in changed, never what the model expects.
+//!
+//! A second set of cases draws offsets at the queue's own boundaries
+//! instead: within 2 µs of a 2¹⁶ ns epoch edge, inside the next few such
+//! epochs (so runs form and late arrivals land beside them), and within
+//! two epochs of the ring's 2³² ns horizon.
 //!
 //! Cases are generated from the engine's own [`SimRng`] with fixed seeds,
 //! so the suite is deterministic, dependency-free, and reproducible by
@@ -22,6 +28,9 @@ use std::collections::BTreeMap;
 use td_engine::{EventId, EventQueue, SimDuration, SimRng, SimTime};
 
 const EPOCH_NS: u64 = 1 << 21;
+/// The queue's epoch width and ring horizon, for the boundary cases.
+const FINE_EPOCH_NS: u64 = 1 << 16;
+const HORIZON_NS: u64 = 1 << 32;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -49,8 +58,25 @@ fn offset(rng: &mut SimRng) -> u64 {
     }
 }
 
+/// An offset at the queue's boundaries: zero, astride an epoch edge one
+/// to four epochs out, anywhere in the next three epochs, or astride the
+/// ring's horizon.
+fn edge_offset(rng: &mut SimRng) -> u64 {
+    match rng.next_below(4) {
+        0 => 0,
+        1 => rng.next_range(1, 4) * FINE_EPOCH_NS + rng.next_below(4_000) - 2_000,
+        2 => rng.next_below(3 * FINE_EPOCH_NS),
+        _ => HORIZON_NS + rng.next_below(4 * FINE_EPOCH_NS) - 2 * FINE_EPOCH_NS,
+    }
+}
+
 /// A random operation script, 1..400 ops long.
 fn script(rng: &mut SimRng) -> Vec<Op> {
+    script_with(rng, offset)
+}
+
+/// [`script`] with due-time, span and advance offsets drawn by `offset`.
+fn script_with(rng: &mut SimRng, offset: fn(&mut SimRng) -> u64) -> Vec<Op> {
     let len = rng.next_range(1, 399) as usize;
     (0..len)
         .map(|_| match rng.next_below(16) {
@@ -223,5 +249,13 @@ fn queue_matches_reference_model() {
     for case in 0..1024u64 {
         let mut rng = SimRng::new(0x51EE_D000 + case);
         check_script(case, script(&mut rng));
+    }
+}
+
+#[test]
+fn queue_matches_reference_model_at_its_boundaries() {
+    for case in 0..512u64 {
+        let mut rng = SimRng::new(0xED6E_0000 + case);
+        check_script(case, script_with(&mut rng, edge_offset));
     }
 }

@@ -7,9 +7,11 @@
 //! built twin, and running to the end must be **byte-identical** to an
 //! uninterrupted run. "Byte-identical" is checked at the strongest
 //! level available: the FNV-1a hash of the *final snapshot* of each
-//! world, which serializes the event queue slab, every RNG stream, all
-//! endpoint state, channel/queue occupancy with in-flight packets,
-//! fault progress, the audit tally, and the full trace.
+//! world, which serializes the event queue's clock, counters and pending
+//! events in pop order (an arrival with its packet), every RNG stream,
+//! all endpoint state with timer handles as indices into that pending
+//! list, channel/queue occupancy with in-flight packets, fault progress,
+//! the audit tally, and the full trace.
 
 use td_engine::{SimDuration, SimRng, SimTime};
 use td_experiments::{ConnSpec, Scenario};

@@ -685,7 +685,7 @@ impl ShardedWorld {
         // landed for the timer-handle translation.
         let pending = read_pending(&mut r)?;
         let owner: Vec<usize> = (pending.iter())
-            .map(|(_, ev)| self.worlds[0].event_shard(&self.node_shard, ev) as usize)
+            .map(|(_, ev, _)| self.worlds[0].event_shard(&self.node_shard, ev) as usize)
             .collect();
         let mut owned: Vec<Vec<_>> = self.worlds.iter().map(|_| Vec::new()).collect();
         for (p, &s) in pending.into_iter().zip(&owner) {

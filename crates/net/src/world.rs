@@ -25,7 +25,9 @@
 //!    (`TxStart`) and schedules `TxComplete` one serialization time later.
 //! 4. `TxComplete` (`TxEnd` record): the packet leaves the buffer; fault
 //!    injection decides whether it survives; if so an `Arrival` at the far
-//!    end is scheduled one propagation delay later.
+//!    end is scheduled one propagation delay later. The packet waits in
+//!    the world's flight arena meanwhile and the event carries its index,
+//!    so every event is 16 bytes and the queue moves no packet bytes.
 //! 5. `Arrival` at a switch re-enters step 2 on the routed output channel;
 //!    at a host it joins the serial processing queue and is handed to the
 //!    endpoint (`Deliver` record) after the per-packet processing delay.
@@ -47,8 +49,11 @@
 //! TDSN ([`Snapshot`]), TDSW ([`crate::ShardSnapshot`]) and
 //! [`World::state_hash`] write pending events one way — pop order, each as
 //! due time plus encoded event — and a held [`TimerHandle`] as its event's
-//! index in that list. Restore rebuilds the queue with
-//! [`EventQueue::from_pending`], so no byte depends on slot-reuse history.
+//! index in that list. An `Arrival` is encoded with its packet, read from
+//! the flight arena, never with its arena index. Restore stashes each
+//! decoded packet in a fresh arena and rebuilds the queue with
+//! [`EventQueue::from_pending`], so no byte depends on slot-reuse or
+//! arena history.
 
 use crate::arena::{ChannelArena, HostArena};
 use crate::audit::Audit;
@@ -263,9 +268,11 @@ struct EpMeta {
 #[derive(Debug)]
 pub(crate) enum Event {
     TxComplete(ChannelId),
+    /// A packet reaches the far end of `ch`. It waits in the world's
+    /// flight arena, at index `flight`, until the event fires.
     Arrival {
         ch: ChannelId,
-        pkt: Packet,
+        flight: u32,
     },
     HostProcess(NodeId),
     Timer {
@@ -279,6 +286,11 @@ pub(crate) enum Event {
     LinkUp(ChannelId),
 }
 
+// The queue moves an event on every schedule and pop: a field that grows
+// it past 16 bytes (a `Packet` is 56) must be a deliberate decision.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+const _: () = assert!(std::mem::size_of::<Option<Event>>() <= 16);
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -287,31 +299,23 @@ fn fnv(h: u64, x: u64) -> u64 {
 }
 
 /// Content-derived ordering key for canonical mode: a function of *what*
-/// the event is (kind, component ids, packet identity), never of when or
-/// where it was scheduled. Two distinct events simultaneous at the same
-/// instant get distinct keys (up to FNV collisions); the one same-key case
-/// — a fault-duplicated packet's two identical `Arrival`s — commutes, so
-/// the residual FIFO tie-break is unobservable.
-fn canonical_key(ev: &Event) -> u64 {
+/// the event is (kind, component ids, packet identity — an `Arrival`'s
+/// packet read from `flight`), never of when or where it was scheduled.
+/// Two distinct events simultaneous at the same instant get distinct keys
+/// (up to FNV collisions); the one same-key case — a fault-duplicated
+/// packet's two identical `Arrival`s — commutes, so the residual FIFO
+/// tie-break is unobservable.
+fn canonical_key(ev: &Event, flight: &[Packet]) -> u64 {
     let h = FNV_OFFSET;
     match ev {
         Event::TxComplete(ch) => fnv(fnv(h, 0), u64::from(ch.0)),
-        Event::Arrival { ch, pkt } => fnv(fnv(fnv(h, 1), u64::from(ch.0)), pkt.id.0),
+        Event::Arrival { ch, flight: i } => {
+            fnv(fnv(fnv(h, 1), u64::from(ch.0)), flight[*i as usize].id.0)
+        }
         Event::HostProcess(node) => fnv(fnv(h, 2), u64::from(node.0)),
         Event::Timer { ep, token } => fnv(fnv(fnv(h, 3), u64::from(ep.0)), *token),
         Event::Start(ep) => fnv(fnv(h, 4), u64::from(ep.0)),
         Event::LinkUp(ch) => fnv(fnv(h, 5), u64::from(ch.0)),
-    }
-}
-
-/// Tie key of `ev` in a world of the given mode: content-derived in
-/// canonical mode, 0 (FIFO ties — the legacy order, bit for bit)
-/// otherwise.
-fn tie_key(canonical: bool, ev: &Event) -> u64 {
-    if canonical {
-        canonical_key(ev)
-    } else {
-        0
     }
 }
 
@@ -333,27 +337,34 @@ pub(crate) fn write_pending<'a>(
     }
 }
 
+/// One decoded pending event: due time, event, and — for an `Arrival` —
+/// its packet, which [`World::rebuild_queue`] stashes in the flight arena
+/// before pointing the event at it.
+pub(crate) type LoadedEvent = (SimTime, Event, Option<Packet>);
+
 /// Read a list written by [`write_pending`], decoding every event.
-pub(crate) fn read_pending(r: &mut SnapReader<'_>) -> Result<Vec<(SimTime, Event)>, SnapError> {
+pub(crate) fn read_pending(r: &mut SnapReader<'_>) -> Result<Vec<LoadedEvent>, SnapError> {
     let n = r.read_len()?;
     (0..n)
         .map(|_| {
             let at = r.read_time()?;
-            Ok((at, r.read_section(load_event)?))
+            let (ev, pkt) = r.read_section(load_event)?;
+            Ok((at, ev, pkt))
         })
         .collect()
 }
 
-fn save_event(ev: &Event, w: &mut SnapWriter) {
+/// Encode `ev`; an `Arrival` is written with its packet, out of `flight`.
+fn save_event(ev: &Event, flight: &[Packet], w: &mut SnapWriter) {
     match ev {
         Event::TxComplete(ch) => {
             w.write_u8(0);
             w.write_u32(ch.0);
         }
-        Event::Arrival { ch, pkt } => {
+        Event::Arrival { ch, flight: i } => {
             w.write_u8(1);
             w.write_u32(ch.0);
-            pkt.save_state(w);
+            flight[*i as usize].save_state(w);
         }
         Event::HostProcess(node) => {
             w.write_u8(2);
@@ -375,20 +386,25 @@ fn save_event(ev: &Event, w: &mut SnapWriter) {
     }
 }
 
-fn load_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
+/// Decode an event written by [`save_event`]. An `Arrival` comes back with
+/// its packet beside it and a flight index that names nothing yet.
+fn load_event(r: &mut SnapReader<'_>) -> Result<(Event, Option<Packet>), SnapError> {
     Ok(match r.read_u8()? {
-        0 => Event::TxComplete(ChannelId(r.read_u32()?)),
-        1 => Event::Arrival {
-            ch: ChannelId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-        },
-        2 => Event::HostProcess(NodeId(r.read_u32()?)),
-        3 => Event::Timer {
-            ep: EndpointId(r.read_u32()?),
-            token: r.read_u64()?,
-        },
-        4 => Event::Start(EndpointId(r.read_u32()?)),
-        5 => Event::LinkUp(ChannelId(r.read_u32()?)),
+        0 => (Event::TxComplete(ChannelId(r.read_u32()?)), None),
+        1 => {
+            let ch = ChannelId(r.read_u32()?);
+            let pkt = Packet::load_state(r)?;
+            let flight = u32::MAX;
+            (Event::Arrival { ch, flight }, Some(pkt))
+        }
+        2 => (Event::HostProcess(NodeId(r.read_u32()?)), None),
+        3 => {
+            let ep = EndpointId(r.read_u32()?);
+            let token = r.read_u64()?;
+            (Event::Timer { ep, token }, None)
+        }
+        4 => (Event::Start(EndpointId(r.read_u32()?)), None),
+        5 => (Event::LinkUp(ChannelId(r.read_u32()?)), None),
         t => return Err(SnapError::Corrupt(format!("unknown event tag {t}"))),
     })
 }
@@ -644,6 +660,11 @@ pub struct World {
     /// Sharded runs: cross-shard deliveries buffered for the executor,
     /// as `(arrival time, channel, packet)`.
     outbox: Vec<(SimTime, ChannelId, Packet)>,
+    /// Packets between transmission and arrival, one per pending
+    /// `Arrival`, which names its cell. Cells are reused via `flight_free`.
+    flight: Vec<Packet>,
+    /// Vacant `flight` cells, reused LIFO.
+    flight_free: Vec<u32>,
     /// Streaming observers fed at every trace-emission site, **even when
     /// trace recording is disabled** — the trace-free analysis path.
     /// Not part of snapshots: observers are analysis state, not
@@ -670,6 +691,8 @@ impl World {
             ep_packet_ctr: Vec::new(),
             remote_node: Vec::new(),
             outbox: Vec::new(),
+            flight: Vec::new(),
+            flight_free: Vec::new(),
             observers: Vec::new(),
         }
     }
@@ -1037,15 +1060,52 @@ impl World {
         self.schedule_event(t, Event::Start(ep));
     }
 
-    /// Schedule an event under the tie key of this world's mode.
-    fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
-        self.queue
-            .schedule_keyed(at, tie_key(self.canonical, &ev), ev)
+    /// Tie key of `ev` in this world's mode: content-derived in canonical
+    /// mode, 0 (FIFO ties — the legacy order, bit for bit) otherwise.
+    fn tie_key(&self, ev: &Event) -> u64 {
+        if self.canonical {
+            canonical_key(ev, &self.flight)
+        } else {
+            0
+        }
     }
 
-    /// Replace the event queue with `pending` (pop order), each event
-    /// keyed as [`World::schedule_event`] would key it, the clock at `now`
-    /// and the queue's counters as given (see [`EventQueue::from_pending`]).
+    /// Schedule an event under the tie key of this world's mode.
+    fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
+        let key = self.tie_key(&ev);
+        self.queue.schedule_keyed(at, key, ev)
+    }
+
+    /// Put an in-flight packet in the flight arena; returns its cell.
+    fn stash(&mut self, pkt: Packet) -> u32 {
+        match self.flight_free.pop() {
+            Some(i) => {
+                self.flight[i as usize] = pkt;
+                i
+            }
+            None => {
+                self.flight.push(pkt);
+                (self.flight.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take a packet back out of the flight arena, freeing its cell.
+    fn unstash(&mut self, i: u32) -> Packet {
+        self.flight_free.push(i);
+        self.flight[i as usize]
+    }
+
+    /// Schedule `pkt`'s arrival over `ch` at `at`.
+    fn schedule_arrival(&mut self, at: SimTime, ch: ChannelId, pkt: Packet) {
+        let flight = self.stash(pkt);
+        self.schedule_event(at, Event::Arrival { ch, flight });
+    }
+
+    /// Replace the event queue with `pending` (pop order), each `Arrival`'s
+    /// packet stashed in an emptied flight arena and each event keyed as
+    /// [`World::schedule_event`] would key it, the clock at `now` and the
+    /// queue's counters as given (see [`EventQueue::from_pending`]).
     /// Returns the events' new ids, in list order.
     pub(crate) fn rebuild_queue(
         &mut self,
@@ -1053,10 +1113,16 @@ impl World {
         dispatched: u64,
         scheduled: u64,
         peak_len: usize,
-        pending: Vec<(SimTime, Event)>,
+        pending: Vec<LoadedEvent>,
     ) -> Result<Vec<EventId>, SnapError> {
-        let canonical = self.canonical;
-        let keyed = (pending.into_iter()).map(|(at, ev)| (at, tie_key(canonical, &ev), ev));
+        self.flight.clear();
+        self.flight_free.clear();
+        let keyed = (pending.into_iter()).map(|(at, mut ev, pkt)| {
+            if let (Event::Arrival { flight, .. }, Some(pkt)) = (&mut ev, pkt) {
+                *flight = self.stash(pkt);
+            }
+            (at, self.tie_key(&ev), ev)
+        });
         let (queue, ids) = EventQueue::from_pending(now, dispatched, scheduled, peak_len, keyed)?;
         self.queue = queue;
         Ok(ids)
@@ -1881,6 +1947,8 @@ impl World {
         for (at, key, ev) in self.queue.drain_pending() {
             if self.event_shard(node_shard, &ev) == my_shard {
                 self.queue.schedule_keyed(at, key, ev);
+            } else if let Event::Arrival { flight, .. } = ev {
+                self.unstash(flight);
             }
         }
     }
@@ -1907,7 +1975,7 @@ impl World {
     /// cut channel). `at` is never in this shard's past: the sender's
     /// horizon protocol guarantees `at ≥ lb_sender + delay ≥ now`.
     pub(crate) fn inject_arrival(&mut self, at: SimTime, ch: ChannelId, pkt: Packet) {
-        self.schedule_event(at, Event::Arrival { ch, pkt });
+        self.schedule_arrival(at, ch, pkt);
     }
 
     /// Advance the clock to `t` (idle shard catching up to the run's end
@@ -1925,7 +1993,7 @@ impl World {
             .into_iter()
             .map(|(at, key, id, ev)| {
                 let mut w = SnapWriter::new();
-                save_event(ev, &mut w);
+                save_event(ev, &self.flight, &mut w);
                 (at, key, id, w.into_bytes())
             })
             .collect()
@@ -1939,7 +2007,10 @@ impl World {
         crate::deadline::tick(t, self.queue.dispatched());
         match ev {
             Event::TxComplete(ch) => self.tx_complete(t, ch),
-            Event::Arrival { ch, pkt } => self.arrival(t, ch, pkt),
+            Event::Arrival { ch, flight } => {
+                let pkt = self.unstash(flight);
+                self.arrival(t, ch, pkt)
+            }
             Event::HostProcess(node) => self.host_process(t, node),
             Event::Timer { ep, token } => self.with_endpoint(ep, |e, ctx| e.on_timer(ctx, token)),
             Event::Start(ep) => self.with_endpoint(ep, |e, ctx| e.on_start(ctx)),
@@ -2142,7 +2213,7 @@ impl World {
         {
             self.outbox.push((arrival, ch_id, pkt));
         } else {
-            self.schedule_event(arrival, Event::Arrival { ch: ch_id, pkt });
+            self.schedule_arrival(arrival, ch_id, pkt);
         }
     }
 
