@@ -8,8 +8,8 @@ use td_experiments::registry::{Entry, Profile};
 use td_experiments::runner::{run_batch, RunnerConfig};
 use td_experiments::Report;
 use td_net::{
-    Ctx, DropTail, Endpoint, EndpointProgress, FaultModel, Packet, RunOutcome, WatchdogConfig,
-    World,
+    Ctx, DisciplineKind, Endpoint, EndpointProgress, FaultModel, Packet, RunOutcome,
+    WatchdogConfig, World,
 };
 
 fn one_job() -> RunnerConfig {
@@ -91,7 +91,7 @@ fn wedged_world() -> World {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
     }

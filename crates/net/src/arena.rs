@@ -1,18 +1,31 @@
-//! Struct-of-arrays storage for the hot simulation state.
+//! Row and column storage for the hot simulation state.
 //!
-//! The event loop touches channels and host receive paths millions of
-//! times per simulated second. Storing each channel as one boxed bundle
-//! (config + queue + stats + RNG) spreads a dispatch's working set across
-//! the heap; splitting the fields into parallel columns keeps the
-//! `Copy` configuration (rates, delays, capacities) densely packed and
-//! separates it from the mutable hot state (in-service slot, counters)
-//! and the cold boxed state (discipline, fault plan, private RNG).
+//! **Channels: one hot row each, plus three cold columns.** Every hop of
+//! every packet runs `offer`, `maybe_start_tx` and `tx_complete` (in
+//! `world.rs`) on one channel, and between them they read or write nearly
+//! every field of it: rate, delay, capacity, mark threshold, forced drops,
+//! the in-service slot, the stats and the discipline. Those live together
+//! in one [`ChannelRow`], so a hop touches one row — three cache lines —
+//! with the drop-tail FIFO's header inline in it (the discipline is an
+//! enum, see [`crate::Discipline`]). The fault plan, the private RNG and
+//! the model checker's injected-outage overlay are read per transmission
+//! too, but are bulky or nearly always empty, so they stay in columns
+//! beside the rows.
 //!
-//! [`ChannelArena::get_mut`] hands back a [`ChannelMut`] view that reads
-//! like the old per-object struct at call sites: config fields by value,
-//! mutable state by reference. The borrow is per-column, so the world can
-//! hold a channel view while independently touching its own trace, audit,
-//! and queue fields.
+//! The fields used to be 13 parallel columns, one `Vec` each, on the
+//! theory that a dispatch would touch "a handful of cache lines instead of
+//! chasing a pointer per field". A profile of the 640-cluster chain (seed
+//! 1, one `td-bench pass`, 9 134 samples at 5 kHz) said otherwise: building
+//! the 11-field per-call view cost 6.7 % — one cache line per field, from
+//! 11 separate buffers — on top of 10.5 % for the boxed discipline behind
+//! it. A hop uses all of one channel, not one field of all channels.
+//!
+//! [`ChannelArena::get_mut`] lends a channel's row and its cold columns
+//! as one [`ChannelMut`], borrowed apart, so the world can hold it while
+//! independently touching its own trace, audit and queue fields.
+//!
+//! **Hosts** keep a column layout ([`HostArena`]); the profile above did
+//! not single out the host receive path.
 
 use crate::discipline::Discipline;
 use crate::fault::{FaultPlan, Outage};
@@ -21,200 +34,146 @@ use crate::world::ChannelStats;
 use std::collections::VecDeque;
 use td_engine::{Rate, SimDuration, SimRng, SimTime};
 
-/// Column storage for every simplex channel in a world.
-pub(crate) struct ChannelArena {
-    // -- immutable configuration (Copy, densely packed) --
-    src: Vec<NodeId>,
-    dst: Vec<NodeId>,
-    rate: Vec<Rate>,
-    delay: Vec<SimDuration>,
-    capacity: Vec<Option<u32>>,
-    mark_threshold: Vec<Option<u32>>,
-    // -- hot mutable state --
-    in_service: Vec<Option<(Packet, SimTime)>>,
-    stats: Vec<ChannelStats>,
-    // -- cold / boxed state --
-    discipline: Vec<Box<dyn Discipline>>,
-    fault: Vec<FaultPlan>,
-    rng: Vec<SimRng>,
-    // -- model-checking fault overlay (empty outside `td_net::mc`) --
-    injected_outages: Vec<Vec<Outage>>,
-    forced_drops: Vec<u32>,
-}
-
-/// A mutable view of one channel, shaped like the old per-object struct:
-/// `Copy` config by value, state by `&mut`.
-pub(crate) struct ChannelMut<'a> {
+/// Everything a packet's hop reads or writes on one simplex channel.
+pub(crate) struct ChannelRow {
+    pub src: NodeId,
+    pub dst: NodeId,
     pub rate: Rate,
     pub delay: SimDuration,
+    /// Buffer bound in packets, waiting plus in service (`None` =
+    /// unbounded).
     pub capacity: Option<u32>,
+    /// DECbit marking threshold (see `World::set_mark_threshold`).
     pub mark_threshold: Option<u32>,
-    pub in_service: &'a mut Option<(Packet, SimTime)>,
-    pub stats: &'a mut ChannelStats,
-    pub discipline: &'a mut dyn Discipline,
-    pub fault: &'a mut FaultPlan,
-    pub rng: &'a mut SimRng,
-    pub injected_outages: &'a [Outage],
-    pub forced_drops: &'a mut u32,
+    /// Transmissions the model checker has forced to drop, still pending
+    /// (see `World::force_drops`); 0 outside `td_net::mc`.
+    pub forced_drops: u32,
+    /// The packet being serialized and when it started.
+    pub in_service: Option<(Packet, SimTime)>,
+    pub stats: ChannelStats,
+    /// The waiting packets.
+    pub discipline: Discipline,
 }
 
-impl ChannelMut<'_> {
-    /// Buffer occupancy: waiting packets plus the one in service.
-    pub fn occupancy(&self) -> u32 {
-        self.discipline.len() as u32 + self.in_service.is_some() as u32
-    }
-
-    /// True if the link is down at instant `t`, under either the static
-    /// fault plan or a dynamically injected model-checking outage.
-    pub fn link_down(&self, t: SimTime) -> bool {
-        self.fault.is_down(t) || self.injected_outages.iter().any(|o| o.covers(t))
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-impl ChannelArena {
-    pub fn new() -> Self {
-        ChannelArena {
-            src: Vec::new(),
-            dst: Vec::new(),
-            rate: Vec::new(),
-            delay: Vec::new(),
-            capacity: Vec::new(),
-            mark_threshold: Vec::new(),
-            in_service: Vec::new(),
-            stats: Vec::new(),
-            discipline: Vec::new(),
-            fault: Vec::new(),
-            rng: Vec::new(),
-            injected_outages: Vec::new(),
-            forced_drops: Vec::new(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Append a channel; returns its index.
-    pub fn push(
-        &mut self,
+impl ChannelRow {
+    /// A fresh row: empty buffer, idle transmitter, no marking, zeroed
+    /// stats.
+    pub fn new(
         src: NodeId,
         dst: NodeId,
         rate: Rate,
         delay: SimDuration,
         capacity: Option<u32>,
-        discipline: Box<dyn Discipline>,
-        fault: FaultPlan,
-        rng: SimRng,
-    ) -> usize {
-        let i = self.len();
-        self.src.push(src);
-        self.dst.push(dst);
-        self.rate.push(rate);
-        self.delay.push(delay);
-        self.capacity.push(capacity);
-        self.mark_threshold.push(None);
-        self.in_service.push(None);
-        self.stats.push(ChannelStats::default());
-        self.discipline.push(discipline);
-        self.fault.push(fault);
-        self.rng.push(rng);
-        self.injected_outages.push(Vec::new());
-        self.forced_drops.push(0);
-        i
-    }
-
-    pub fn get_mut(&mut self, i: usize) -> ChannelMut<'_> {
-        ChannelMut {
-            rate: self.rate[i],
-            delay: self.delay[i],
-            capacity: self.capacity[i],
-            mark_threshold: self.mark_threshold[i],
-            in_service: &mut self.in_service[i],
-            stats: &mut self.stats[i],
-            discipline: self.discipline[i].as_mut(),
-            fault: &mut self.fault[i],
-            rng: &mut self.rng[i],
-            injected_outages: &self.injected_outages[i],
-            forced_drops: &mut self.forced_drops[i],
+        discipline: Discipline,
+    ) -> Self {
+        ChannelRow {
+            src,
+            dst,
+            rate,
+            delay,
+            capacity,
+            mark_threshold: None,
+            forced_drops: 0,
+            in_service: None,
+            stats: ChannelStats::default(),
+            discipline,
         }
     }
 
-    // -- column accessors (read paths that don't need a full view) --
+    /// Buffer occupancy: waiting packets plus the one in service.
+    #[inline]
+    pub fn occupancy(&self) -> u32 {
+        self.discipline.len() as u32 + self.in_service.is_some() as u32
+    }
+}
 
-    pub fn src(&self, i: usize) -> NodeId {
-        self.src[i]
+/// Every simplex channel in a world: hot rows plus cold columns, all
+/// indexed by `ChannelId`.
+pub(crate) struct ChannelArena {
+    rows: Vec<ChannelRow>,
+    fault: Vec<FaultPlan>,
+    rng: Vec<SimRng>,
+    /// Model-checking fault overlay (empty outside `td_net::mc`).
+    injected_outages: Vec<Vec<Outage>>,
+}
+
+/// One channel lent out whole: its hot row and its cold columns.
+pub(crate) struct ChannelMut<'a> {
+    pub row: &'a mut ChannelRow,
+    pub fault: &'a mut FaultPlan,
+    pub rng: &'a mut SimRng,
+    pub injected_outages: &'a [Outage],
+}
+
+impl ChannelMut<'_> {
+    /// True if the link is down at instant `t`, under either the static
+    /// fault plan or a dynamically injected model-checking outage.
+    #[inline]
+    pub fn link_down(&self, t: SimTime) -> bool {
+        self.fault.is_down(t) || self.injected_outages.iter().any(|o| o.covers(t))
     }
-    pub fn dst(&self, i: usize) -> NodeId {
-        self.dst[i]
+}
+
+impl ChannelArena {
+    pub fn new() -> Self {
+        ChannelArena {
+            rows: Vec::new(),
+            fault: Vec::new(),
+            rng: Vec::new(),
+            injected_outages: Vec::new(),
+        }
     }
-    pub fn delay(&self, i: usize) -> SimDuration {
-        self.delay[i]
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
     }
-    pub fn rate(&self, i: usize) -> Rate {
-        self.rate[i]
+
+    /// Append a channel; returns its index.
+    pub fn push(&mut self, row: ChannelRow, fault: FaultPlan, rng: SimRng) -> usize {
+        self.rows.push(row);
+        self.fault.push(fault);
+        self.rng.push(rng);
+        self.injected_outages.push(Vec::new());
+        self.rows.len() - 1
     }
-    pub fn capacity(&self, i: usize) -> Option<u32> {
-        self.capacity[i]
+
+    #[inline]
+    pub fn row(&self, i: usize) -> &ChannelRow {
+        &self.rows[i]
     }
-    pub fn mark_threshold(&self, i: usize) -> Option<u32> {
-        self.mark_threshold[i]
+
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut ChannelRow {
+        &mut self.rows[i]
     }
-    pub fn stats(&self, i: usize) -> ChannelStats {
-        self.stats[i]
+
+    #[inline]
+    pub fn get_mut(&mut self, i: usize) -> ChannelMut<'_> {
+        ChannelMut {
+            row: &mut self.rows[i],
+            fault: &mut self.fault[i],
+            rng: &mut self.rng[i],
+            injected_outages: &self.injected_outages[i],
+        }
     }
-    pub fn in_service(&self, i: usize) -> &Option<(Packet, SimTime)> {
-        &self.in_service[i]
-    }
-    pub fn discipline(&self, i: usize) -> &dyn Discipline {
-        self.discipline[i].as_ref()
-    }
-    pub fn discipline_mut(&mut self, i: usize) -> &mut dyn Discipline {
-        self.discipline[i].as_mut()
-    }
+
     pub fn fault(&self, i: usize) -> &FaultPlan {
         &self.fault[i]
     }
-    pub fn set_fault(&mut self, i: usize, plan: FaultPlan) {
-        self.fault[i] = plan;
-    }
-    pub fn set_mark_threshold(&mut self, i: usize, threshold: Option<u32>) {
-        self.mark_threshold[i] = threshold;
+    pub fn fault_mut(&mut self, i: usize) -> &mut FaultPlan {
+        &mut self.fault[i]
     }
     pub fn rng(&self, i: usize) -> &SimRng {
         &self.rng[i]
     }
-    pub fn set_rng(&mut self, i: usize, rng: SimRng) {
-        self.rng[i] = rng;
-    }
-    pub fn set_in_service(&mut self, i: usize, v: Option<(Packet, SimTime)>) {
-        self.in_service[i] = v;
-    }
-    pub fn stats_mut(&mut self, i: usize) -> &mut ChannelStats {
-        &mut self.stats[i]
-    }
-    pub fn fault_mut(&mut self, i: usize) -> &mut FaultPlan {
-        &mut self.fault[i]
+    pub fn rng_mut(&mut self, i: usize) -> &mut SimRng {
+        &mut self.rng[i]
     }
     pub fn injected_outages(&self, i: usize) -> &[Outage] {
         &self.injected_outages[i]
     }
     pub fn injected_outages_mut(&mut self, i: usize) -> &mut Vec<Outage> {
         &mut self.injected_outages[i]
-    }
-    pub fn set_injected_outages(&mut self, i: usize, outages: Vec<Outage>) {
-        self.injected_outages[i] = outages;
-    }
-    pub fn forced_drops(&self, i: usize) -> u32 {
-        self.forced_drops[i]
-    }
-    pub fn set_forced_drops(&mut self, i: usize, n: u32) {
-        self.forced_drops[i] = n;
-    }
-
-    /// Buffer occupancy of channel `i` (waiting + in service).
-    pub fn occupancy(&self, i: usize) -> u32 {
-        self.discipline[i].len() as u32 + self.in_service[i].is_some() as u32
     }
 }
 

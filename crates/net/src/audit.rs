@@ -24,12 +24,61 @@
 
 use crate::packet::{ConnId, NodeId};
 use crate::world::ChannelId;
-use std::collections::HashMap;
 use td_engine::meter::{self, Counter, Meter};
-use td_engine::SimTime;
+use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Keep the first this-many violation records (the count keeps rising).
 pub const MAX_RECORDED: usize = meter::MAX_NOTES;
+
+/// The host of a vacant ACK-mark slot.
+const NO_HOST: NodeId = NodeId(u32::MAX);
+
+const NO_MARK: (NodeId, u64) = (NO_HOST, 0);
+
+/// Entry `conn` of a table indexed by connection id, growing the table
+/// with `vacant` entries to reach it.
+fn entry<T: Clone>(table: &mut Vec<T>, conn: ConnId, vacant: T) -> &mut T {
+    let c = conn.0 as usize;
+    if c >= table.len() {
+        table.resize(c + 1, vacant);
+    }
+    &mut table[c]
+}
+
+/// The highest ACK sequence per (connection, emitting host): two tables
+/// indexed by `ConnId`, for the first and the second host to ACK on a
+/// connection, each entry `(host, seq)` ([`NO_MARK`] while vacant). Two
+/// suffice — a connection has at most two endpoints, on distinct hosts
+/// (`World::attach` enforces it) — and only connections that ACK both
+/// ways grow the second.
+#[derive(Clone, Default)]
+struct AckMarks([Vec<(NodeId, u64)>; 2]);
+
+impl AckMarks {
+    /// `host`'s mark on `conn`: its own, else a vacant one (`None` when
+    /// two other hosts hold both).
+    fn slot(&mut self, conn: ConnId, host: NodeId) -> Option<&mut (NodeId, u64)> {
+        let [first, second] = &mut self.0;
+        let m = entry(first, conn, NO_MARK);
+        if m.0 == host || m.0 == NO_HOST {
+            return Some(m);
+        }
+        let m = entry(second, conn, NO_MARK);
+        (m.0 == host || m.0 == NO_HOST).then_some(m)
+    }
+
+    /// Every mark as `(conn, host, seq)`, in `(conn, host)` order. The
+    /// second table never outgrows the first: it gains an entry only
+    /// where the first holds another host.
+    fn sorted(&self) -> impl Iterator<Item = (ConnId, NodeId, u64)> + '_ {
+        let [first, second] = &self.0;
+        (0..).map(ConnId).zip(first).flat_map(move |(c, &a)| {
+            let b = second.get(c.0 as usize).copied().unwrap_or(NO_MARK);
+            let pair = if b.0 < a.0 { [b, a] } else { [a, b] };
+            (pair.into_iter().filter(|m| m.0 != NO_HOST)).map(move |(host, seq)| (c, host, seq))
+        })
+    }
+}
 
 /// Which invariant a violation broke.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,9 +136,10 @@ pub struct Audit {
     delivered: u64,
     dropped: u64,
     /// Highest ACK sequence seen per (connection, emitting host).
-    last_ack: HashMap<(ConnId, NodeId), u64>,
-    /// Registered cwnd upper bound per connection (sender `maxwnd`).
-    window_bounds: HashMap<ConnId, f64>,
+    last_ack: AckMarks,
+    /// Registered cwnd upper bound per connection (sender `maxwnd`),
+    /// indexed by `ConnId`.
+    window_bounds: Vec<Option<f64>>,
     violations: Vec<AuditViolation>,
     total: u64,
     /// Conservation is flagged at most once: a broken counter would
@@ -151,22 +201,19 @@ impl Audit {
 
     /// An ACK left a host: its cumulative sequence must not regress.
     pub(crate) fn on_ack_send(&mut self, t: SimTime, conn: ConnId, host: NodeId, seq: u64) {
-        match self.last_ack.get_mut(&(conn, host)) {
-            Some(prev) if seq < *prev => {
-                let prev = *prev;
-                self.record(
-                    t,
-                    Invariant::MonotoneAck,
-                    format!(
-                        "conn {} host {} ack regressed {prev} -> {seq}",
-                        conn.0, host.0
-                    ),
-                );
-            }
-            Some(prev) => *prev = seq,
-            None => {
-                self.last_ack.insert((conn, host), seq);
-            }
+        let slot = (self.last_ack.slot(conn, host)).expect("at most two endpoints per connection");
+        if slot.0 == host && seq < slot.1 {
+            let prev = slot.1;
+            self.record(
+                t,
+                Invariant::MonotoneAck,
+                format!(
+                    "conn {} host {} ack regressed {prev} -> {seq}",
+                    conn.0, host.0
+                ),
+            );
+        } else {
+            *slot = (host, seq);
         }
     }
 
@@ -180,7 +227,7 @@ impl Audit {
                 Invariant::WindowBound,
                 format!("conn {} cwnd = {cwnd} is not finite-positive", conn.0),
             );
-        } else if let Some(&bound) = self.window_bounds.get(&conn) {
+        } else if let Some(bound) = self.window_bounds.get(conn.0 as usize).copied().flatten() {
             // The usable window is ⌊min(cwnd, maxwnd)⌋: the integer part
             // of cwnd is clamped at maxwnd while congestion avoidance
             // keeps accumulating the fractional increment, so the raw
@@ -250,7 +297,7 @@ impl Audit {
     /// variable may carry a sub-packet fractional overshoot while its
     /// integer part is clamped.
     pub(crate) fn set_window_bound(&mut self, conn: ConnId, maxwnd: f64) {
-        self.window_bounds.insert(conn, maxwnd);
+        *entry(&mut self.window_bounds, conn, None) = Some(maxwnd);
     }
 
     /// Switch this auditor into distributed (per-shard) mode; see the
@@ -269,12 +316,15 @@ impl Audit {
         self.injected += other.injected;
         self.delivered += other.delivered;
         self.dropped += other.dropped;
-        for (&key, &seq) in &other.last_ack {
-            let e = self.last_ack.entry(key).or_insert(seq);
-            *e = (*e).max(seq);
+        for (c, host, seq) in other.last_ack.sorted() {
+            let slot = (self.last_ack.slot(c, host)).expect("at most two endpoints per connection");
+            let prev = if slot.0 == host { slot.1 } else { seq };
+            *slot = (host, prev.max(seq));
         }
-        for (&conn, &bound) in &other.window_bounds {
-            self.window_bounds.insert(conn, bound);
+        for (c, bound) in (0..).map(ConnId).zip(&other.window_bounds) {
+            if bound.is_some() {
+                *entry(&mut self.window_bounds, c, None) = *bound;
+            }
         }
         self.violations.extend(other.violations.iter().cloned());
         self.total += other.total;
@@ -344,27 +394,32 @@ impl Audit {
         self.total
     }
 
-    /// Serialize the auditor (snapshot support). Maps are written in
-    /// sorted key order so the byte stream is deterministic.
-    pub(crate) fn save_state(&self, w: &mut td_engine::SnapWriter) {
+    /// Write the ACK marks as a `(conn, host, seq)` list sorted by
+    /// `(conn, host)`, then the window bounds as a `(conn, bound)` list
+    /// sorted by conn — the layout [`Audit::save_state`] and
+    /// [`Audit::write_canonical`] share.
+    fn write_tables(&self, w: &mut SnapWriter) {
+        w.write_u64(self.last_ack.sorted().count() as u64);
+        for (c, host, seq) in self.last_ack.sorted() {
+            w.write_u32(c.0);
+            w.write_u32(host.0);
+            w.write_u64(seq);
+        }
+        let bounds = (0u32..).zip(&self.window_bounds);
+        let bounds = bounds.filter_map(|(c, b)| Some((c, (*b)?)));
+        w.write_u64(bounds.clone().count() as u64);
+        for (c, b) in bounds {
+            w.write_u32(c);
+            w.write_f64(b);
+        }
+    }
+
+    /// Serialize the auditor (snapshot support).
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.write_u64(self.injected);
         w.write_u64(self.delivered);
         w.write_u64(self.dropped);
-        let mut acks: Vec<_> = self.last_ack.iter().collect();
-        acks.sort_by_key(|((c, n), _)| (c.0, n.0));
-        w.write_u64(acks.len() as u64);
-        for ((c, n), seq) in acks {
-            w.write_u32(c.0);
-            w.write_u32(n.0);
-            w.write_u64(*seq);
-        }
-        let mut bounds: Vec<_> = self.window_bounds.iter().collect();
-        bounds.sort_by_key(|(c, _)| c.0);
-        w.write_u64(bounds.len() as u64);
-        for (c, b) in bounds {
-            w.write_u32(c.0);
-            w.write_f64(*b);
-        }
+        self.write_tables(w);
         w.write_u64(self.violations.len() as u64);
         for v in &self.violations {
             w.write_time(v.t);
@@ -388,52 +443,57 @@ impl Audit {
     /// window bounds (sorted, like [`Audit::save_state`]), and the
     /// conservation latch. Recorded violations and their count are
     /// reporting, not state, and are excluded.
-    pub(crate) fn write_canonical(&self, w: &mut td_engine::SnapWriter) {
+    pub(crate) fn write_canonical(&self, w: &mut SnapWriter) {
         w.write_i64(self.injected as i64 - self.delivered as i64 - self.dropped as i64);
-        let mut acks: Vec<_> = self.last_ack.iter().collect();
-        acks.sort_by_key(|((c, n), _)| (c.0, n.0));
-        w.write_u64(acks.len() as u64);
-        for ((c, n), seq) in acks {
-            w.write_u32(c.0);
-            w.write_u32(n.0);
-            w.write_u64(*seq);
-        }
-        let mut bounds: Vec<_> = self.window_bounds.iter().collect();
-        bounds.sort_by_key(|(c, _)| c.0);
-        w.write_u64(bounds.len() as u64);
-        for (c, b) in bounds {
-            w.write_u32(c.0);
-            w.write_f64(*b);
-        }
+        self.write_tables(w);
         w.write_bool(self.conservation_flagged);
     }
 
-    /// Restore state written by [`Audit::save_state`].
+    /// Restore state written by [`Audit::save_state`] for a world whose
+    /// connection ids lie below `conn_ids`; an id at or above it is
+    /// [`SnapError::Mismatch`] (and never sizes a table).
     ///
     /// Fields are assigned directly, never through [`Audit::record`]:
     /// replaying captured violations must not re-mirror them into the
     /// thread's meter.
     pub(crate) fn load_state(
         &mut self,
-        r: &mut td_engine::SnapReader<'_>,
-    ) -> Result<(), td_engine::SnapError> {
+        r: &mut SnapReader<'_>,
+        conn_ids: usize,
+    ) -> Result<(), SnapError> {
+        let read_conn = |r: &mut SnapReader<'_>| {
+            let c = r.read_u32()?;
+            if c as usize >= conn_ids {
+                return Err(SnapError::Mismatch(format!(
+                    "audit names connection {c}, this world has ids below {conn_ids} only"
+                )));
+            }
+            Ok(ConnId(c))
+        };
         self.injected = r.read_u64()?;
         self.delivered = r.read_u64()?;
         self.dropped = r.read_u64()?;
         let n_acks = r.read_len()?;
-        self.last_ack = HashMap::with_capacity(n_acks);
+        self.last_ack = AckMarks::default();
         for _ in 0..n_acks {
-            let c = ConnId(r.read_u32()?);
-            let n = NodeId(r.read_u32()?);
+            let c = read_conn(r)?;
+            let host = NodeId(r.read_u32()?);
             let seq = r.read_u64()?;
-            self.last_ack.insert((c, n), seq);
+            match self.last_ack.slot(c, host) {
+                Some(slot) if host != NO_HOST => *slot = (host, seq),
+                _ => {
+                    return Err(SnapError::Corrupt(format!(
+                        "ACK mark of connection {} from host {}: a third host, or none",
+                        c.0, host.0
+                    )))
+                }
+            }
         }
         let n_bounds = r.read_len()?;
-        self.window_bounds = HashMap::with_capacity(n_bounds);
+        self.window_bounds = Vec::new();
         for _ in 0..n_bounds {
-            let c = ConnId(r.read_u32()?);
-            let b = r.read_f64()?;
-            self.window_bounds.insert(c, b);
+            let c = read_conn(r)?;
+            *entry(&mut self.window_bounds, c, None) = Some(r.read_f64()?);
         }
         let n_viol = r.read_len()?;
         self.violations = Vec::with_capacity(n_viol.min(MAX_RECORDED));
@@ -444,11 +504,7 @@ impl Audit {
                 1 => Invariant::MonotoneAck,
                 2 => Invariant::WindowBound,
                 3 => Invariant::QueueOccupancy,
-                k => {
-                    return Err(td_engine::SnapError::Corrupt(format!(
-                        "unknown invariant tag {k}"
-                    )))
-                }
+                k => return Err(SnapError::Corrupt(format!("unknown invariant tag {k}"))),
             };
             let detail = r.read_str()?;
             self.violations.push(AuditViolation {
@@ -611,5 +667,120 @@ mod tests {
         let tally = Tally::of(&m);
         assert_eq!(tally.total, MAX_RECORDED as u64 + 10);
         assert_eq!(tally.reports.len(), MAX_RECORDED);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A hand-built auditor over sparse connections: conn 5 ACKs from two
+    /// hosts, conn 9 regresses once, conn 7 has a window bound and never
+    /// ACKs.
+    fn sparse_audit() -> Audit {
+        let mut a = Audit::default();
+        for _ in 0..7 {
+            a.on_inject();
+        }
+        a.on_deliver(SimTime::from_secs(1));
+        a.on_drop();
+        a.on_ack_send(SimTime::from_secs(1), ConnId(9), NodeId(4), 12);
+        a.on_ack_send(SimTime::from_secs(1), ConnId(5), NodeId(3), 7);
+        a.on_ack_send(SimTime::from_secs(2), ConnId(5), NodeId(1), 2);
+        a.on_ack_send(SimTime::from_secs(2), ConnId(0), NodeId(2), 1);
+        a.on_ack_send(SimTime::from_secs(3), ConnId(9), NodeId(4), 10);
+        a.on_ack_send(SimTime::from_secs(3), ConnId(5), NodeId(3), 8);
+        a.set_window_bound(ConnId(7), 20.0);
+        a.set_window_bound(ConnId(0), 8.0);
+        a
+    }
+
+    /// The bytes `save_state` and `write_canonical` write — sorted
+    /// `(conn, host)` ACK marks, sorted window bounds — and a merge that
+    /// keeps the larger mark of each `(conn, host)`, pinned whatever
+    /// tables hold them.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let a = sparse_audit();
+        assert_eq!(a.total_violations(), 1, "conn 9's regression");
+        let mut w = td_engine::SnapWriter::new();
+        a.save_state(&mut w);
+        let saved = hex(&w.into_bytes());
+        let mut w = td_engine::SnapWriter::new();
+        a.write_canonical(&mut w);
+        let canonical = hex(&w.into_bytes());
+
+        let mut other = Audit::default();
+        other.on_ack_send(SimTime::from_secs(4), ConnId(5), NodeId(1), 9);
+        other.on_ack_send(SimTime::from_secs(4), ConnId(5), NodeId(3), 4);
+        other.on_ack_send(SimTime::from_secs(4), ConnId(12), NodeId(6), 3);
+        other.set_window_bound(ConnId(12), 4.0);
+        let mut merged = a.clone();
+        merged.merge_from(&other);
+        let mut w = td_engine::SnapWriter::new();
+        merged.write_canonical(&mut w);
+        let merged = hex(&w.into_bytes());
+
+        // (conn, host, seq) ACK marks in (conn, host) order, then
+        // (conn, bound) window bounds in conn order.
+        const ACKS: &str = concat!(
+            "0400000000000000",
+            "00000000020000000100000000000000",
+            "05000000010000000200000000000000",
+            "05000000030000000800000000000000",
+            "09000000040000000c00000000000000",
+        );
+        const BOUNDS: &str = concat!(
+            "0200000000000000",
+            "000000000000000000002040",
+            "070000000000000000003440",
+        );
+        let expect_saved = [
+            "070000000000000001000000000000000100000000000000",
+            ACKS,
+            BOUNDS,
+            "0100000000000000005ed0b20000000001240000000000000063",
+            "6f6e6e203920686f737420342061636b20726567726573736564203132202d3e203130",
+            "010000000000000000",
+        ]
+        .concat();
+        assert_eq!(saved, expect_saved, "save_state bytes moved");
+        let expect_canonical = ["0500000000000000", ACKS, BOUNDS, "00"].concat();
+        assert_eq!(canonical, expect_canonical, "write_canonical bytes moved");
+        let expect_merged = [
+            "0500000000000000",
+            "0500000000000000",
+            "00000000020000000100000000000000",
+            "05000000010000000900000000000000",
+            "05000000030000000800000000000000",
+            "09000000040000000c00000000000000",
+            "0c000000060000000300000000000000",
+            "0300000000000000",
+            "000000000000000000002040",
+            "070000000000000000003440",
+            "0c0000000000000000001040",
+            "00",
+        ]
+        .concat();
+        assert_eq!(merged, expect_merged, "merged marks are not the maxima");
+    }
+
+    /// Restore rebuilds the dense tables exactly, and refuses a connection
+    /// id its world does not have rather than sizing a table for it.
+    #[test]
+    fn load_refuses_ids_past_the_worlds_connections() {
+        let a = sparse_audit();
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = Audit::default();
+        let mut r = SnapReader::new(&bytes);
+        back.load_state(&mut r, 10).unwrap();
+        r.finish().unwrap();
+        let mut again = SnapWriter::new();
+        back.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        // Conn 9 holds a mark: ids below 9 cannot name it.
+        let err = (Audit::default().load_state(&mut SnapReader::new(&bytes), 9)).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
     }
 }

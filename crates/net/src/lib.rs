@@ -4,8 +4,8 @@
 //! the Dynamics of a Congestion Control Algorithm: The Effects of Two-Way
 //! Traffic"* (Zhang, Shenker, Clark): hosts, store-and-forward switches,
 //! simplex channels with exact integer serialization times, per-output-port
-//! queues with pluggable disciplines (FIFO drop-tail as in the paper, plus
-//! Random Drop and Fair Queueing for ablations), and an event-sourced trace
+//! queues with a choice of discipline (FIFO drop-tail as in the paper, plus
+//! Random Drop, Fair Queueing and RED for ablations), and an event-sourced trace
 //! of everything that happens to every packet.
 //!
 //! The transport protocol is *not* here — `td-core` implements TCP on top of
@@ -109,7 +109,7 @@ mod trace;
 mod watchdog;
 mod world;
 
-pub use discipline::{Discipline, DisciplineKind, DropTail, FairQueueing, RandomDrop, Red, Victim};
+pub use discipline::{Discipline, DisciplineKind, FairQueueing, Red, Victim};
 pub use fault::{
     FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, GilbertElliott, Outage,
     ReorderJitter,

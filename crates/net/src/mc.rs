@@ -542,7 +542,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discipline::DropTail;
+    use crate::discipline::DisciplineKind;
     use crate::fault::FaultModel;
     use crate::packet::{ConnId, Packet, PacketKind};
     use crate::trace::ProtoEvent;
@@ -603,7 +603,7 @@ mod tests {
             Rate::from_kbps(500),
             SimDuration::from_millis(10),
             Some(20),
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let c_ba = w.add_channel(
@@ -612,7 +612,7 @@ mod tests {
             Rate::from_kbps(500),
             SimDuration::from_millis(10),
             Some(20),
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let src = w.attach(

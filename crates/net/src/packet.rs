@@ -17,6 +17,12 @@ pub struct NodeId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ConnId(pub u32);
 
+/// Connection ids are table indices (the world's connection table, the
+/// auditor's marks), so they must stay below this cap: a stray id then
+/// costs at most a few hundred MiB of table, never gigabytes. The 1M rung
+/// uses ids below 2²⁰.
+pub(crate) const CONN_ID_CAP: u32 = 1 << 24;
+
 /// Globally unique packet identity, preserved across hops (a retransmission
 /// is a *new* packet with a new id but the same sequence number).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

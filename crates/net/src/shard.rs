@@ -714,7 +714,7 @@ impl ShardedWorld {
         }
 
         let mut restored_audit = Audit::default();
-        restored_audit.load_state(&mut r)?;
+        restored_audit.load_state(&mut r, self.worlds[0].conn_id_bound())?;
         self.base_audit = restored_audit.clone();
         self.audit = restored_audit;
 
@@ -1021,6 +1021,46 @@ mod tests {
         w.start_at(c0, SimTime::from_millis(1));
     }
 
+    /// Sends `n` data packets at start and nothing after.
+    struct Burst {
+        n: u64,
+    }
+
+    impl Endpoint for Burst {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for seq in 1..=self.n {
+                ctx.send(PacketKind::Data, seq, 500, false);
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A burst of seven into a slow `capacity`-packet buffer: one in
+    /// service, six waiting, for 80 ms each.
+    fn burst_into(capacity: u32) -> impl Fn(&mut World) {
+        move |w: &mut World| {
+            let h = SimDuration::from_micros(100);
+            let a0 = w.add_host("a0", h);
+            let b0 = w.add_host("b0", h);
+            w.add_channel(
+                a0,
+                b0,
+                Rate::from_kbps(50),
+                SimDuration::from_millis(10),
+                Some(capacity),
+                DisciplineKind::DropTail.build(),
+                FaultModel::NONE,
+            );
+            let src = w.attach(a0, b0, ConnId(0), Box::new(Burst { n: 7 }));
+            w.attach(b0, a0, ConnId(0), Box::new(Sink { got: 0 }));
+            w.start_at(src, SimTime::ZERO);
+        }
+    }
+
     fn run_at(shards: u32, faulty: bool, t_end: SimTime) -> ShardedWorld {
         let mut sw = ShardedWorld::build(0xC0FFEE, shards, two_clusters(faulty));
         sw.run_until(t_end);
@@ -1207,6 +1247,19 @@ mod tests {
         // Wrong seed.
         let mut b = ShardedWorld::build(2, 1, two_clusters(false));
         assert!(matches!(b.restore(&snap), Err(SnapError::Mismatch(_))));
+    }
+
+    /// TDSW's fingerprint, like TDSN's, does not cover capacities: a twin
+    /// rebuilt with smaller buffers must be refused by the channel row.
+    #[test]
+    fn restore_rejects_a_backlog_over_the_twins_capacity() {
+        let mut sw = ShardedWorld::build(3, 1, burst_into(8));
+        sw.run_until(SimTime::from_millis(1));
+        let snap = sw.snapshot();
+        (ShardedWorld::build(3, 1, burst_into(8)).restore(&snap))
+            .expect("a same-capacity twin restores");
+        let err = (ShardedWorld::build(3, 1, burst_into(4)).restore(&snap)).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
     }
 
     #[test]

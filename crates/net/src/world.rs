@@ -9,10 +9,26 @@
 //! world. Endpoint callbacks never recurse into other endpoints — all
 //! inter-endpoint communication rides packets through the event queue.
 //!
-//! Hot per-channel and per-host state lives in struct-of-arrays arenas
-//! (see [`crate::arena`]): `Copy` configuration columns stay densely
-//! packed, and the world borrows one channel as a [`ChannelMut`] view
-//! while independently touching its own trace, audit, and queue fields.
+//! A packet pays a few lookups at every hop, and each is an index, never
+//! a hash or a virtual call:
+//!
+//! * its channel is one hot row ([`crate::arena`]): rate, delay,
+//!   capacity, in-service slot, stats and the discipline, which is a
+//!   closed enum ([`Discipline`]) with the drop-tail FIFO inline — the
+//!   fault plan, private RNG and injected-outage overlay stay cold
+//!   columns beside the rows;
+//! * a switch's next hop comes from its compressed route table;
+//! * at a host, the endpoint comes from one world-level connection table
+//!   indexed by [`ConnId`], whose entry lists the connection's (at most
+//!   two) endpoints with their hosts;
+//! * the auditor's per-connection ACK marks and window bounds are dense
+//!   tables indexed the same way ([`crate::audit`]).
+//!
+//! Profiled on the 640-cluster chain (seed 1, one `td-bench pass`, 9 134
+//! samples at 5 kHz), their former shapes cost 10.5 % (the boxed
+//! discipline), 6.7 % (a per-call view over 11 parallel channel columns),
+//! 5.8 % (a SipHash map per host, keyed by connection) and 1.5 % (the
+//! auditor's SipHash maps) of the pass.
 //!
 //! ## Life of a packet
 //!
@@ -55,11 +71,11 @@
 //! [`EventQueue::from_pending`], so no byte depends on slot-reuse or
 //! arena history.
 
-use crate::arena::{ChannelArena, HostArena};
+use crate::arena::{ChannelArena, ChannelRow, HostArena};
 use crate::audit::Audit;
 use crate::discipline::{Discipline, Victim};
 use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
-use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind};
+use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind, CONN_ID_CAP};
 use crate::route::RouteTable;
 use crate::trace::{
     DropReason, LossKind, ProtoEvent, Trace, TraceEvent, TraceObserver, TraceRecord,
@@ -244,7 +260,6 @@ pub trait Endpoint: Send {
 enum NodeKind {
     Host {
         uplink: Option<ChannelId>,
-        endpoints: HashMap<ConnId, EndpointId>,
     },
     Switch {
         /// Compressed next-hop table (see [`crate::route`]): sorted
@@ -264,6 +279,12 @@ struct EpMeta {
     peer: NodeId,
     conn: ConnId,
 }
+
+/// One connection's endpoints as `(host, endpoint)` pairs, in attach
+/// order; a vacant slot holds [`NO_ENDPOINT`].
+type ConnEntry = [(NodeId, EndpointId); 2];
+
+const NO_ENDPOINT: (NodeId, EndpointId) = (NodeId(u32::MAX), EndpointId(u32::MAX));
 
 #[derive(Debug)]
 pub(crate) enum Event {
@@ -644,6 +665,9 @@ pub struct World {
     channels: ChannelArena,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
     ep_meta: Vec<EpMeta>,
+    /// The connection table, indexed by `ConnId`: a delivery at a host
+    /// takes the endpoint whose host matches. See [`World::attach`].
+    conns: Vec<ConnEntry>,
     trace: Trace,
     rng: SimRng,
     seed: u64,
@@ -682,6 +706,7 @@ impl World {
             channels: ChannelArena::new(),
             endpoints: Vec::new(),
             ep_meta: Vec::new(),
+            conns: Vec::new(),
             trace: Trace::new(),
             rng: SimRng::new(seed),
             seed,
@@ -732,10 +757,7 @@ impl World {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             name: name.to_owned(),
-            kind: NodeKind::Host {
-                uplink: None,
-                endpoints: HashMap::new(),
-            },
+            kind: NodeKind::Host { uplink: None },
         });
         self.hosts.push_host(proc_delay);
         id
@@ -766,7 +788,7 @@ impl World {
         rate: Rate,
         delay: SimDuration,
         capacity: Option<u32>,
-        discipline: Box<dyn Discipline>,
+        discipline: Discipline,
         fault: FaultModel,
     ) -> ChannelId {
         assert!(
@@ -775,17 +797,9 @@ impl World {
         );
         let id = ChannelId(self.channels.len() as u32);
         let rng = SimRng::new(self.seed).derive(FAULT_STREAM ^ u64::from(id.0));
-        self.channels.push(
-            src,
-            dst,
-            rate,
-            delay,
-            capacity,
-            discipline,
-            FaultPlan::from(fault),
-            rng,
-        );
-        if let NodeKind::Host { uplink, .. } = &mut self.nodes[src.0 as usize].kind {
+        let row = ChannelRow::new(src, dst, rate, delay, capacity, discipline);
+        self.channels.push(row, FaultPlan::from(fault), rng);
+        if let NodeKind::Host { uplink } = &mut self.nodes[src.0 as usize].kind {
             assert!(
                 uplink.is_none(),
                 "host {} already has an uplink; hosts are single-homed",
@@ -810,7 +824,7 @@ impl World {
                 self.schedule_event(outage.up, Event::LinkUp(ch));
             }
         }
-        self.channels.set_fault(ch.0 as usize, plan);
+        *self.channels.fault_mut(ch.0 as usize) = plan;
         Ok(())
     }
 
@@ -843,16 +857,14 @@ impl World {
     /// to the decision point. The counter is part of the snapshot's v3
     /// channel row, so branch snapshots carry pending forced drops.
     pub fn force_drops(&mut self, ch: ChannelId, n: u32) {
-        let ci = ch.0 as usize;
-        let cur = self.channels.forced_drops(ci);
-        self.channels.set_forced_drops(ci, cur + n);
+        self.channels.row_mut(ch.0 as usize).forced_drops += n;
     }
 
     /// Enable DECbit-style congestion marking on a channel: packets whose
     /// acceptance pushes buffer occupancy above `threshold` get their CE
     /// bit set (see [`crate::Packet::ce`]).
     pub fn set_mark_threshold(&mut self, ch: ChannelId, threshold: Option<u32>) {
-        self.channels.set_mark_threshold(ch.0 as usize, threshold);
+        self.channels.row_mut(ch.0 as usize).mark_threshold = threshold;
     }
 
     /// Install a static route: packets for destination host `dst` arriving
@@ -861,7 +873,7 @@ impl World {
     /// packets and surface only as baffling conservation noise, so it is
     /// rejected at install time.
     pub fn set_route(&mut self, sw: NodeId, dst: NodeId, ch: ChannelId) {
-        let src = self.channels.src(ch.0 as usize);
+        let src = self.channels.row(ch.0 as usize).src;
         assert!(
             src == sw,
             "set_route: channel {} leaves node {} ({}), not switch {} ({}) — \
@@ -907,8 +919,8 @@ impl World {
         let n = self.nodes.len();
         let mut incoming: Vec<Vec<(NodeId, ChannelId)>> = vec![Vec::new(); n];
         for ci in 0..self.channels.len() {
-            let (cs, cd) = (self.channels.src(ci), self.channels.dst(ci));
-            incoming[cd.0 as usize].push((cs, ChannelId(ci as u32)));
+            let row = self.channels.row(ci);
+            incoming[row.dst.0 as usize].push((row.src, ChannelId(ci as u32)));
         }
         // BFS scratch shared across destinations: epoch-stamped visited
         // marks make the per-destination reset O(1) instead of O(nodes),
@@ -1030,6 +1042,11 @@ impl World {
     /// Attach a protocol endpoint to `host`, speaking connection `conn`
     /// with the endpoint on `peer`. Returns its id; schedule it with
     /// [`World::start_at`].
+    ///
+    /// # Panics
+    /// If `host` is a switch, if `conn` already has two endpoints or
+    /// already has one on `host`, or if `conn` is 2²⁴ or above:
+    /// connection ids index a table, so keep them dense.
     pub fn attach(
         &mut self,
         host: NodeId,
@@ -1038,21 +1055,44 @@ impl World {
         ep: Box<dyn Endpoint>,
     ) -> EndpointId {
         let id = EndpointId(self.endpoints.len() as u32);
-        match &mut self.nodes[host.0 as usize].kind {
-            NodeKind::Host { endpoints, .. } => {
-                let prev = endpoints.insert(conn, id);
-                assert!(
-                    prev.is_none(),
-                    "host {} already has an endpoint for {conn:?}",
-                    self.nodes[host.0 as usize].name
-                );
-            }
-            NodeKind::Switch { .. } => panic!("attach endpoint to a switch"),
+        if let NodeKind::Switch { .. } = self.nodes[host.0 as usize].kind {
+            panic!("attach endpoint to a switch");
         }
+        let entry = *self.conn_entry(conn);
+        if entry.iter().any(|&(h, _)| h == host) {
+            let name = &self.nodes[host.0 as usize].name;
+            panic!("host {name} already has an endpoint for {conn:?}");
+        }
+        let slot = (entry.iter().position(|&s| s == NO_ENDPOINT))
+            .unwrap_or_else(|| panic!("{conn:?} already has two endpoints"));
+        self.conns[conn.0 as usize][slot] = (host, id);
         self.endpoints.push(Some(ep));
         self.ep_meta.push(EpMeta { host, peer, conn });
         self.ep_packet_ctr.push(0);
         id
+    }
+
+    /// Connection `conn`'s entry in the connection table, growing the
+    /// table to reach it.
+    ///
+    /// # Panics
+    /// If `conn` is at or above the id cap, 2²⁴.
+    fn conn_entry(&mut self, conn: ConnId) -> &mut ConnEntry {
+        assert!(
+            conn.0 < CONN_ID_CAP,
+            "{conn:?} is at or above the connection id cap 2^24"
+        );
+        let c = conn.0 as usize;
+        if c >= self.conns.len() {
+            self.conns.resize(c + 1, [NO_ENDPOINT; 2]);
+        }
+        &mut self.conns[c]
+    }
+
+    /// Connection ids this world knows lie below this bound (attached
+    /// endpoints and registered window bounds alike).
+    pub(crate) fn conn_id_bound(&self) -> usize {
+        self.conns.len()
     }
 
     /// Schedule an endpoint's `on_start` at absolute time `t`.
@@ -1228,7 +1268,7 @@ impl World {
     /// this is only read when it has drained.)
     fn packets_in_network(&self) -> u64 {
         let channel_pkts: u64 = (0..self.channels.len())
-            .map(|ci| u64::from(self.channels.occupancy(ci)))
+            .map(|ci| u64::from(self.channels.row(ci).occupancy()))
             .sum();
         channel_pkts + self.hosts.queued_packets()
     }
@@ -1308,7 +1348,14 @@ impl World {
 
     /// Register a connection's cwnd upper bound (its sender's `maxwnd`)
     /// with the auditor, enabling the `cwnd ≤ maxwnd` check.
+    ///
+    /// # Panics
+    /// If `conn` is at or above the connection id cap (see
+    /// [`World::attach`]).
     pub fn set_window_bound(&mut self, conn: ConnId, maxwnd: f64) {
+        // A bounded connection is one this world knows, endpoints or not:
+        // restore accepts the ids `conn_id_bound` covers.
+        self.conn_entry(conn);
         self.audit.set_window_bound(conn, maxwnd);
     }
 
@@ -1332,7 +1379,7 @@ impl World {
 
     /// Online counters for a channel.
     pub fn channel_stats(&self, ch: ChannelId) -> ChannelStats {
-        self.channels.stats(ch.0 as usize)
+        self.channels.row(ch.0 as usize).stats
     }
 
     /// Fraction of `[SimTime::ZERO, now]` the channel's transmitter was
@@ -1342,11 +1389,11 @@ impl World {
         if now == SimTime::ZERO {
             return 0.0;
         }
-        let ci = ch.0 as usize;
-        let mut busy = self.channels.stats(ci).busy;
+        let row = self.channels.row(ch.0 as usize);
+        let mut busy = row.stats.busy;
         // Count the in-progress transmission up to `now`.
-        if let Some((_, started)) = self.channels.in_service(ci) {
-            busy += now.saturating_since(*started);
+        if let Some((_, started)) = row.in_service {
+            busy += now.saturating_since(started);
         }
         busy.as_secs_f64() / now.as_secs_f64()
     }
@@ -1476,11 +1523,12 @@ impl World {
             // The behavioral subset of `save_channel_row`: in-service
             // slot, burst phase, private RNG, discipline, and the live
             // part of the mc overlay — no throughput counters.
-            match self.channels.in_service(ci) {
+            let row = self.channels.row(ci);
+            match row.in_service {
                 Some((pkt, started)) => {
                     w.write_bool(true);
                     pkt.save_state(&mut w);
-                    w.write_time(*started);
+                    w.write_time(started);
                 }
                 None => w.write_bool(false),
             }
@@ -1493,7 +1541,7 @@ impl World {
             );
             w.write_rng(self.channels.rng(ci));
             let mut dw = SnapWriter::new();
-            self.channels.discipline(ci).save_state(&mut dw);
+            row.discipline.save_state(&mut dw);
             w.write_section(dw);
             let live: Vec<&Outage> = self
                 .channels
@@ -1506,7 +1554,7 @@ impl World {
                 w.write_time(o.down);
                 w.write_time(o.up);
             }
-            w.write_u32(self.channels.forced_drops(ci));
+            w.write_u32(row.forced_drops);
         }
         self.save_endpoint_rows(&pending, &mut w);
         w.finish_hash()
@@ -1561,7 +1609,7 @@ impl World {
         }
         self.trace.set_enabled(enabled);
         self.trace.set_records(records);
-        self.audit.load_state(&mut r)?;
+        self.audit.load_state(&mut r, self.conn_id_bound())?;
         for ni in 0..self.nodes.len() {
             if self.hosts.is_host(ni) {
                 self.load_host_row(ni, &mut r)?;
@@ -1651,11 +1699,12 @@ impl World {
     /// Serialize one channel's mutable state (in-service slot, burst-loss
     /// phase, private RNG, counters, and the discipline's own section).
     pub(crate) fn save_channel_row(&self, ci: usize, w: &mut SnapWriter) {
-        match self.channels.in_service(ci) {
+        let row = self.channels.row(ci);
+        match row.in_service {
             Some((pkt, started)) => {
                 w.write_bool(true);
                 pkt.save_state(w);
-                w.write_time(*started);
+                w.write_time(started);
             }
             None => w.write_bool(false),
         }
@@ -1667,14 +1716,14 @@ impl World {
                 .is_some_and(|b| b.in_bad()),
         );
         w.write_rng(self.channels.rng(ci));
-        let stats = self.channels.stats(ci);
+        let stats = row.stats;
         w.write_dur(stats.busy);
         w.write_u64(stats.tx_packets);
         w.write_u64(stats.tx_bytes);
         w.write_u64(stats.drops);
         w.write_u64(stats.enqueued);
         let mut dw = SnapWriter::new();
-        self.channels.discipline(ci).save_state(&mut dw);
+        row.discipline.save_state(&mut dw);
         w.write_section(dw);
         // v3: model-checking fault overlay. Always empty outside mc runs,
         // so ordinary snapshots cost two fixed-size fields per channel.
@@ -1684,10 +1733,14 @@ impl World {
             w.write_time(o.down);
             w.write_time(o.up);
         }
-        w.write_u32(self.channels.forced_drops(ci));
+        w.write_u32(row.forced_drops);
     }
 
-    /// Restore one channel's mutable state.
+    /// Restore one channel's mutable state. Refuses state the channel
+    /// could never reach: more packets than its capacity (the snapshot's
+    /// fingerprint does not cover capacities, so this is what catches a
+    /// restore onto a world rebuilt with smaller buffers), or an injected
+    /// outage window that is empty.
     pub(crate) fn load_channel_row(
         &mut self,
         ci: usize,
@@ -1700,7 +1753,7 @@ impl World {
         } else {
             None
         };
-        self.channels.set_in_service(ci, in_service);
+        self.channels.row_mut(ci).in_service = in_service;
         let in_bad = r.read_bool()?;
         match &mut self.channels.fault_mut(ci).burst {
             Some(b) => b.set_in_bad(in_bad),
@@ -1713,24 +1766,37 @@ impl World {
             }
             None => {}
         }
-        self.channels.set_rng(ci, r.read_rng()?);
-        let stats = self.channels.stats_mut(ci);
+        *self.channels.rng_mut(ci) = r.read_rng()?;
+        let row = self.channels.row_mut(ci);
+        let stats = &mut row.stats;
         stats.busy = r.read_dur()?;
         stats.tx_packets = r.read_u64()?;
         stats.tx_bytes = r.read_u64()?;
         stats.drops = r.read_u64()?;
         stats.enqueued = r.read_u64()?;
-        r.read_section(|r| self.channels.discipline_mut(ci).load_state(r))?;
+        r.read_section(|r| row.discipline.load_state(r))?;
+        if let Some(cap) = row.capacity {
+            let held = row.discipline.len() as u64 + u64::from(row.in_service.is_some());
+            if held > u64::from(cap) {
+                return Err(SnapError::Mismatch(format!(
+                    "snapshot holds {held} packets on channel {ci}, whose capacity is {cap}"
+                )));
+            }
+        }
         let n_inj = r.read_len()?;
         let mut inj = Vec::with_capacity(n_inj);
         for _ in 0..n_inj {
             let down = r.read_time()?;
             let up = r.read_time()?;
+            if down >= up {
+                return Err(SnapError::Corrupt(format!(
+                    "injected outage [{down:?}, {up:?}) on channel {ci} is empty"
+                )));
+            }
             inj.push(Outage { down, up });
         }
-        self.channels.set_injected_outages(ci, inj);
-        let forced = r.read_u32()?;
-        self.channels.set_forced_drops(ci, forced);
+        *self.channels.injected_outages_mut(ci) = inj;
+        self.channels.row_mut(ci).forced_drops = r.read_u32()?;
         Ok(())
     }
 
@@ -1774,15 +1840,13 @@ impl World {
 
     /// Endpoints of a channel as `(src, dst)`.
     pub fn channel_nodes(&self, ch: ChannelId) -> (NodeId, NodeId) {
-        (
-            self.channels.src(ch.0 as usize),
-            self.channels.dst(ch.0 as usize),
-        )
+        let row = self.channels.row(ch.0 as usize);
+        (row.src, row.dst)
     }
 
     /// Propagation delay of a channel.
     pub fn channel_delay(&self, ch: ChannelId) -> SimDuration {
-        self.channels.delay(ch.0 as usize)
+        self.channels.row(ch.0 as usize).delay
     }
 
     // -- shard support (crate-internal; see `crate::shard`) -----------------
@@ -1828,8 +1892,8 @@ impl World {
     /// shard replicas to reject builders that vary wiring, delays, routes
     /// or start times while keeping the component counts equal. Mutable
     /// run state is excluded, and discipline *parameters* (e.g. RED
-    /// thresholds) are not visible through the trait, so a builder varying
-    /// only those still slips through.
+    /// thresholds) are only hashed as the discipline's name, so a builder
+    /// varying only those still slips through.
     pub(crate) fn structure_digest(&self) -> u64 {
         fn fold_bytes(mut h: u64, b: &[u8]) -> u64 {
             h = fnv(h, b.len() as u64);
@@ -1861,13 +1925,14 @@ impl World {
             }
         }
         for ci in 0..self.channels.len() {
-            h = fnv(h, u64::from(self.channels.src(ci).0));
-            h = fnv(h, u64::from(self.channels.dst(ci).0));
-            h = fnv(h, self.channels.rate(ci).bits_per_sec());
-            h = fnv(h, self.channels.delay(ci).as_nanos());
-            h = fold_opt_u32(h, self.channels.capacity(ci));
-            h = fold_opt_u32(h, self.channels.mark_threshold(ci));
-            h = fold_bytes(h, self.channels.discipline(ci).name().as_bytes());
+            let row = self.channels.row(ci);
+            h = fnv(h, u64::from(row.src.0));
+            h = fnv(h, u64::from(row.dst.0));
+            h = fnv(h, row.rate.bits_per_sec());
+            h = fnv(h, row.delay.as_nanos());
+            h = fold_opt_u32(h, row.capacity);
+            h = fold_opt_u32(h, row.mark_threshold);
+            h = fold_bytes(h, row.discipline.name().as_bytes());
             let fp = self.channels.fault(ci);
             h = fnv(h, fp.model.drop_prob.to_bits());
             h = fnv(h, fp.model.corrupt_prob.to_bits());
@@ -1932,8 +1997,8 @@ impl World {
     pub(crate) fn event_shard(&self, node_shard: &[u32], ev: &Event) -> u32 {
         let node = match ev {
             // Transmitter-side events live with the channel, i.e. its src.
-            Event::TxComplete(ch) | Event::LinkUp(ch) => self.channels.src(ch.0 as usize),
-            Event::Arrival { ch, .. } => self.channels.dst(ch.0 as usize),
+            Event::TxComplete(ch) | Event::LinkUp(ch) => self.channels.row(ch.0 as usize).src,
+            Event::Arrival { ch, .. } => self.channels.row(ch.0 as usize).dst,
             Event::HostProcess(node) => *node,
             Event::Timer { ep, .. } | Event::Start(ep) => self.ep_meta[ep.0 as usize].host,
         };
@@ -2022,8 +2087,9 @@ impl World {
     fn offer(&mut self, t: SimTime, ch_id: ChannelId, mut pkt: Packet) {
         let canonical = self.canonical;
         let ch = self.channels.get_mut(ch_id.0 as usize);
-        let occupancy = ch.occupancy();
-        let capacity = ch.capacity;
+        let row = ch.row;
+        let occupancy = row.occupancy();
+        let capacity = row.capacity;
         // Canonical mode keeps queue-discipline randomness on the
         // channel's private stream: the draw sequence then depends only on
         // the traffic through this channel, not on how events from other
@@ -2032,8 +2098,8 @@ impl World {
         let rng: &mut SimRng = if canonical { ch.rng } else { &mut self.rng };
         // Active queue management (RED) may discard before the buffer is
         // physically full.
-        if !ch.discipline.admit(&pkt, occupancy, rng) {
-            ch.stats.drops += 1;
+        if !row.discipline.admit(&pkt, occupancy, rng) {
+            row.stats.drops += 1;
             self.audit.on_drop();
             self.record(
                 t,
@@ -2047,13 +2113,13 @@ impl World {
             return;
         }
         // DECbit marking: decided on the occupancy the packet would create.
-        if ch.mark_threshold.is_some_and(|k| occupancy + 1 > k) {
+        if row.mark_threshold.is_some_and(|k| occupancy + 1 > k) {
             pkt.ce = true;
         }
         if capacity.is_some_and(|cap| occupancy >= cap) {
-            match ch.discipline.select_victim(&pkt, rng) {
+            match row.discipline.select_victim(&pkt, rng) {
                 Victim::Arriving => {
-                    ch.stats.drops += 1;
+                    row.stats.drops += 1;
                     self.audit.on_drop();
                     self.record(
                         t,
@@ -2067,9 +2133,9 @@ impl World {
                     return;
                 }
                 Victim::Queued(victim) => {
-                    ch.stats.drops += 1;
-                    ch.discipline.enqueue(pkt);
-                    ch.stats.enqueued += 1;
+                    row.stats.drops += 1;
+                    row.discipline.enqueue(pkt);
+                    row.stats.enqueued += 1;
                     self.audit.on_drop();
                     self.audit.on_enqueue(t, ch_id, occupancy, capacity);
                     self.record(
@@ -2092,8 +2158,8 @@ impl World {
                 }
             }
         } else {
-            ch.discipline.enqueue(pkt);
-            ch.stats.enqueued += 1;
+            row.discipline.enqueue(pkt);
+            row.stats.enqueued += 1;
             self.audit.on_enqueue(t, ch_id, occupancy + 1, capacity);
             self.record(
                 t,
@@ -2113,11 +2179,11 @@ impl World {
             // A downed link (static plan or injected overlay) refuses new
             // transmissions; the LinkUp event scheduled by `set_fault_plan`
             // / `inject_outage` restarts it.
-            if ch.in_service.is_some() || ch.link_down(t) {
+            if ch.row.in_service.is_some() || ch.link_down(t) {
                 None
-            } else if let Some(pkt) = ch.discipline.dequeue() {
-                *ch.in_service = Some((pkt, t));
-                Some((pkt, ch.rate.transmission_time(pkt.size)))
+            } else if let Some(pkt) = ch.row.discipline.dequeue() {
+                ch.row.in_service = Some((pkt, t));
+                Some((pkt, ch.row.rate.transmission_time(pkt.size)))
             } else {
                 None
             }
@@ -2131,32 +2197,33 @@ impl World {
     fn tx_complete(&mut self, t: SimTime, ch_id: ChannelId) {
         let (pkt, qlen_after, delay, outcome) = {
             let ch = self.channels.get_mut(ch_id.0 as usize);
-            let (pkt, started) = ch.in_service.take().expect("TxComplete without tx");
-            ch.stats.busy += t.since(started);
-            ch.stats.tx_packets += 1;
-            ch.stats.tx_bytes += pkt.size as u64;
-            let qlen_after = ch.occupancy();
+            let row = ch.row;
+            let (pkt, started) = row.in_service.take().expect("TxComplete without tx");
+            row.stats.busy += t.since(started);
+            row.stats.tx_packets += 1;
+            row.stats.tx_bytes += pkt.size as u64;
+            let qlen_after = row.occupancy();
             // A pending forced drop (model-checker branch decision) wins
             // outright and consumes no randomness — the channel's private
             // stream stays aligned with the sibling branch that delivered.
-            let outcome = if *ch.forced_drops > 0 {
-                *ch.forced_drops -= 1;
+            let outcome = if row.forced_drops > 0 {
+                row.forced_drops -= 1;
                 FaultOutcome::Dropped(FaultKind::Dropped)
             } else {
                 // Fault decisions draw only from the channel's private
                 // stream, never from the world's shared RNG.
-                let mut outcome = ch.fault.decide(t, ch.delay, &mut *ch.rng);
+                let mut outcome = ch.fault.decide(t, row.delay, ch.rng);
                 // An injected outage cuts surviving transmissions the same
                 // way a static outage window does.
                 if let FaultOutcome::Deliver { extra_delay, .. } = outcome {
-                    let arrival = t + ch.delay + extra_delay;
+                    let arrival = t + row.delay + extra_delay;
                     if ch.injected_outages.iter().any(|o| o.cuts(t, arrival)) {
                         outcome = FaultOutcome::Dropped(FaultKind::LinkDown);
                     }
                 }
                 outcome
             };
-            (pkt, qlen_after, ch.delay, outcome)
+            (pkt, qlen_after, row.delay, outcome)
         };
         self.record(
             t,
@@ -2204,7 +2271,7 @@ impl World {
     /// — when the channel's destination belongs to another shard — the
     /// outbox for the executor to forward.
     fn deliver_or_export(&mut self, arrival: SimTime, ch_id: ChannelId, pkt: Packet) {
-        let dst = self.channels.dst(ch_id.0 as usize);
+        let dst = self.channels.row(ch_id.0 as usize).dst;
         if self
             .remote_node
             .get(dst.0 as usize)
@@ -2218,7 +2285,7 @@ impl World {
     }
 
     fn arrival(&mut self, t: SimTime, ch_id: ChannelId, pkt: Packet) {
-        let node_id = self.channels.dst(ch_id.0 as usize);
+        let node_id = self.channels.row(ch_id.0 as usize).dst;
         let ni = node_id.0 as usize;
         if self.hosts.is_host(ni) {
             debug_assert_eq!(pkt.dst, node_id, "packet delivered to wrong host");
@@ -2258,15 +2325,15 @@ impl World {
         }
         self.audit.on_deliver(t);
         self.record(t, TraceEvent::Deliver { node: node_id, pkt });
-        let ep = match &self.nodes[ni].kind {
-            NodeKind::Host { endpoints, .. } => *endpoints.get(&pkt.conn).unwrap_or_else(|| {
+        let ep = (self.conns.get(pkt.conn.0 as usize))
+            .and_then(|entry| entry.iter().find(|&&(h, _)| h == node_id))
+            .map(|&(_, ep)| ep)
+            .unwrap_or_else(|| {
                 panic!(
                     "host {} has no endpoint for {:?}",
                     self.nodes[ni].name, pkt.conn
                 )
-            }),
-            NodeKind::Switch { .. } => unreachable!(),
-        };
+            });
         self.with_endpoint(ep, |e, ctx| e.on_packet(ctx, pkt));
     }
 
@@ -2386,7 +2453,7 @@ impl Ctx<'_> {
             self.world.audit.on_ack_send(t, pkt.conn, host, pkt.seq);
         }
         let uplink = match &self.world.nodes[host.0 as usize].kind {
-            NodeKind::Host { uplink, .. } => uplink.unwrap_or_else(|| {
+            NodeKind::Host { uplink } => uplink.unwrap_or_else(|| {
                 panic!(
                     "host {} has no uplink channel",
                     self.world.nodes[host.0 as usize].name
@@ -2436,7 +2503,7 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discipline::DropTail;
+    use crate::discipline::DisciplineKind;
 
     /// Sends `n` data packets back-to-back at start; counts ACKs received.
     pub(super) struct Blaster {
@@ -2494,7 +2561,7 @@ mod tests {
             rate,
             delay,
             capacity,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let c10 = w.add_channel(
@@ -2503,7 +2570,7 @@ mod tests {
             rate,
             delay,
             capacity,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         (w, h0, h1, c01, c10)
@@ -2657,7 +2724,7 @@ mod tests {
                 r,
                 d,
                 None,
-                Box::new(DropTail::new()),
+                DisciplineKind::DropTail.build(),
                 FaultModel::NONE,
             );
         }
@@ -2714,7 +2781,7 @@ mod tests {
                 spec.0,
                 spec.1,
                 spec.2,
-                Box::new(DropTail::new()),
+                DisciplineKind::DropTail.build(),
                 FaultModel::NONE,
             );
         }
@@ -2740,7 +2807,7 @@ mod tests {
                 Rate::from_kbps(50),
                 SimDuration::from_millis(10),
                 None,
-                Box::new(DropTail::new()),
+                DisciplineKind::DropTail.build(),
                 FaultModel::NONE,
             )
         };
@@ -2776,7 +2843,7 @@ mod tests {
                 Rate::from_kbps(50),
                 SimDuration::from_millis(10),
                 None,
-                Box::new(DropTail::new()),
+                DisciplineKind::DropTail.build(),
                 FaultModel::NONE,
             )
         };
@@ -2896,7 +2963,7 @@ mod tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::lossy(1.0),
         );
         w.add_channel(
@@ -2905,7 +2972,7 @@ mod tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let src = w.attach(
@@ -2978,7 +3045,7 @@ mod tests {
             Rate::from_mbps(10),
             SimDuration::from_micros(100),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         // no route installed on s0, no channel to h1
@@ -3016,12 +3083,50 @@ mod tests {
         assert_eq!(w.channel_stats(c01).busy, SimDuration::ZERO);
         assert_eq!(w.channel_stats(c01).tx_packets, 3);
     }
+
+    /// The connection table has two slots per connection, and delivery
+    /// picks the one whose host matches: a third endpoint has no slot.
+    #[test]
+    #[should_panic(expected = "ConnId(0) already has two endpoints")]
+    fn attach_rejects_a_third_endpoint_on_one_connection() {
+        let mut w = World::new(1);
+        let hosts: Vec<NodeId> = (0..3)
+            .map(|i| w.add_host(&format!("H{i}"), SimDuration::ZERO))
+            .collect();
+        for &h in &hosts {
+            w.attach(h, hosts[0], ConnId(0), Box::new(Acker { data_seen: 0 }));
+        }
+    }
+
+    /// Two endpoints of one connection on one host could not be told
+    /// apart by delivery.
+    #[test]
+    #[should_panic(expected = "host H0 already has an endpoint for ConnId(3)")]
+    fn attach_rejects_a_second_endpoint_on_one_host() {
+        let (mut w, h0, h1, _, _) = direct_world(Rate::from_kbps(50), SimDuration::ZERO, None);
+        w.attach(h0, h1, ConnId(3), Box::new(Acker { data_seen: 0 }));
+        w.attach(h0, h1, ConnId(3), Box::new(Acker { data_seen: 0 }));
+    }
+
+    /// Connection ids index tables: one at the cap is refused before it
+    /// can size them.
+    #[test]
+    #[should_panic(expected = "ConnId(16777216) is at or above the connection id cap")]
+    fn attach_rejects_a_conn_id_at_the_cap() {
+        let (mut w, h0, h1, _, _) = direct_world(Rate::from_kbps(50), SimDuration::ZERO, None);
+        w.attach(
+            h0,
+            h1,
+            ConnId(CONN_ID_CAP),
+            Box::new(Acker { data_seen: 0 }),
+        );
+    }
 }
 
 #[cfg(test)]
 mod budget_tests {
     use super::*;
-    use crate::discipline::DropTail;
+    use crate::discipline::DisciplineKind;
 
     /// An endpoint that reschedules itself forever with zero delay.
     struct Spinner;
@@ -3049,7 +3154,7 @@ mod budget_tests {
             Rate::from_kbps(50),
             SimDuration::ZERO,
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let ep = w.attach(h0, h1, ConnId(0), Box::new(Spinner));
@@ -3080,7 +3185,7 @@ mod budget_tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.add_channel(
@@ -3089,7 +3194,7 @@ mod budget_tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.set_fault_plan(
@@ -3128,7 +3233,7 @@ mod budget_tests {
             Rate::from_kbps(50),
             SimDuration::ZERO,
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         let cfg = WatchdogConfig {
@@ -3147,7 +3252,7 @@ mod budget_tests {
 mod fault_tests {
     use super::tests::{direct_world, Acker, Blaster};
     use super::*;
-    use crate::discipline::{DropTail, RandomDrop};
+    use crate::discipline::DisciplineKind;
     use crate::fault::Outage;
     use crate::trace::TraceRecord;
 
@@ -3376,7 +3481,7 @@ mod fault_tests {
             rate,
             delay,
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.add_channel(
@@ -3385,7 +3490,7 @@ mod fault_tests {
             rate,
             delay,
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.add_channel(
@@ -3394,7 +3499,7 @@ mod fault_tests {
             rate,
             delay,
             Some(2),
-            Box::new(RandomDrop::new()),
+            DisciplineKind::RandomDrop.build(),
             FaultModel::NONE,
         );
         w.add_channel(
@@ -3403,7 +3508,7 @@ mod fault_tests {
             rate,
             delay,
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.set_fault_plan(ca, plan).unwrap();
@@ -3644,13 +3749,34 @@ mod mc_primitive_tests {
         // post-recovery packets.
         assert_eq!(data_seen(&twin, twin_snk), 3);
     }
+
+    /// `inject_outage` refuses an empty window, and so does restore.
+    #[test]
+    fn restore_rejects_an_empty_injected_outage() {
+        let (mut w, _, c01) = blaster_world();
+        let (down, up) = (SimTime::from_millis(85), SimTime::from_millis(300));
+        w.inject_outage(c01, down, up);
+        let window = |a: SimTime, b: SimTime| {
+            [a.as_nanos().to_le_bytes(), b.as_nanos().to_le_bytes()].concat()
+        };
+        let mut bytes = w.snapshot().as_bytes().to_vec();
+        // The overlay writes the window as `down`, `up`: swap them.
+        let at = (bytes.windows(16).rposition(|b| b == window(down, up)))
+            .expect("the overlay holds the window");
+        bytes[at..at + 16].copy_from_slice(&window(up, down));
+        let err = blaster_world()
+            .0
+            .restore(&Snapshot::from_bytes(bytes).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+    }
 }
 
 #[cfg(test)]
 mod watchdog_tests {
     use super::tests::{Acker, Blaster};
     use super::*;
-    use crate::discipline::DropTail;
+    use crate::discipline::DisciplineKind;
 
     /// Claims to have pending work but never schedules anything.
     struct Inert;
@@ -3701,7 +3827,7 @@ mod watchdog_tests {
                 Rate::from_kbps(50),
                 SimDuration::from_millis(10),
                 None,
-                Box::new(DropTail::new()),
+                DisciplineKind::DropTail.build(),
                 FaultModel::NONE,
             );
         }
@@ -3811,9 +3937,9 @@ mod watchdog_tests {
 
 #[cfg(test)]
 mod snapshot_tests {
-    use super::tests::{Acker, Blaster};
+    use super::tests::{direct_world, Acker, Blaster};
     use super::*;
-    use crate::discipline::{DropTail, Red};
+    use crate::discipline::DisciplineKind;
     use crate::fault::GilbertElliott;
 
     /// Sends one data packet per timer tick; carries a live [`TimerHandle`]
@@ -3887,7 +4013,7 @@ mod snapshot_tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             Some(5),
-            Box::new(Red::default()),
+            DisciplineKind::Red.build(),
             FaultModel::NONE,
         );
         let rev = w.add_channel(
@@ -3896,7 +4022,7 @@ mod snapshot_tests {
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
-            Box::new(DropTail::new()),
+            DisciplineKind::DropTail.build(),
             FaultModel::NONE,
         );
         w.set_fault_plan(
@@ -4055,6 +4181,48 @@ mod snapshot_tests {
         let mut w = busy_world(1);
         w.add_host("extra", SimDuration::ZERO);
         let err = w.restore(&snap).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
+    }
+
+    /// The fingerprint checks only the seed and component counts, so a
+    /// twin rebuilt with smaller buffers passes it; the channel row must
+    /// then refuse a backlog the twin's `offer` could never build.
+    #[test]
+    fn restore_rejects_a_backlog_over_the_twins_capacity() {
+        let build = |capacity| {
+            let (mut w, h0, h1, c01, _) = direct_world(
+                Rate::from_kbps(50),
+                SimDuration::from_millis(10),
+                Some(capacity),
+            );
+            let src = w.attach(
+                h0,
+                h1,
+                ConnId(0),
+                Box::new(Blaster {
+                    n: 7,
+                    acks_seen: 0,
+                    data_size: 500,
+                }),
+            );
+            w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
+            w.start_at(src, SimTime::ZERO);
+            (w, c01)
+        };
+        let (mut a, c01) = build(8);
+        a.run_until(SimTime::from_millis(1));
+        let row = a.channels.row(c01.0 as usize);
+        assert_eq!(
+            row.discipline.len(),
+            6,
+            "six wait behind the one in service"
+        );
+        let snap = a.snapshot();
+        build(8)
+            .0
+            .restore(&snap)
+            .expect("a same-capacity twin restores");
+        let err = build(4).0.restore(&snap).unwrap_err();
         assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
     }
 
