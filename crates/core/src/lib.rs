@@ -83,7 +83,7 @@ mod receiver;
 mod rtt;
 mod sender;
 
-pub use cc::{CcKind, CongestionControl, IncrementRule};
+pub use cc::{Cc, CcKind, IncrementRule};
 pub use config::{DelayedAck, ReceiverConfig, RtoConfig, SenderConfig};
 pub use datagram::{Blackhole, PoissonSource};
 pub use duplex::{DuplexStats, TcpDuplex};

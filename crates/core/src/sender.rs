@@ -12,7 +12,7 @@
 //! out on. The half emits the cwnd, loss and retransmit [`ProtoEvent`]s
 //! behind the paper's cwnd plots and loss chronologies.
 
-use crate::cc::CongestionControl;
+use crate::cc::Cc;
 use crate::config::SenderConfig;
 use crate::rtt::RttEstimator;
 use std::any::Any;
@@ -48,7 +48,7 @@ pub(crate) enum Ack {
 /// of data: all a sending endpoint does but put segments on the wire.
 pub(crate) struct SendHalf {
     cfg: SenderConfig,
-    cc: Box<dyn CongestionControl>,
+    cc: Cc,
     rtt: RttEstimator,
     /// Lowest unacknowledged sequence number (first is 1).
     snd_una: u64,

@@ -1,4 +1,4 @@
-//! Differential test: every `CongestionControl` variant against a
+//! Differential test: every `Cc` variant against a
 //! reference machine written from the published rules.
 //!
 //! The reference machines share no code with `td-core`'s `cc.rs`; each is
@@ -33,7 +33,7 @@
 //! rule's `cwnd` runs past `maxwnd` by up to a packet. Withhold either and
 //! the first disagreement is the pinned case number.
 
-use td_core::{CcKind, CongestionControl, IncrementRule};
+use td_core::{Cc, CcKind, IncrementRule};
 use td_engine::SimRng;
 use td_net::LossKind;
 
@@ -350,7 +350,7 @@ impl Reference for Fixed {
     }
 }
 
-fn apply(cc: &mut dyn CongestionControl, s: Step) {
+fn apply(cc: &mut Cc, s: Step) {
     match s {
         Step::Ack => cc.on_ack(),
         Step::AckMarked(ce) => cc.on_ack_marked(ce),
@@ -371,7 +371,7 @@ fn first_disagreement(
             let mut cc = kind(case, maxwnd).build(maxwnd);
             let mut rf = reference(case, maxwnd);
             for (i, &s) in script(case).iter().enumerate() {
-                apply(cc.as_mut(), s);
+                apply(&mut cc, s);
                 rf.step(s);
                 let got = (cc.window(), cc.cwnd(), cc.ssthresh());
                 let want = (rf.window(), rf.cwnd(), rf.ssthresh());

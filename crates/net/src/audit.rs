@@ -306,6 +306,11 @@ impl Audit {
         self.distributed = true;
     }
 
+    #[cfg(test)]
+    pub(crate) fn is_distributed(&self) -> bool {
+        self.distributed
+    }
+
     /// Fold one shard's auditor into this (merged) one: counters add,
     /// ACK high-water marks union by max, window bounds union, recorded
     /// violations concatenate (canonicalized by

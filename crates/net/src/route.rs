@@ -20,12 +20,29 @@
 //!   default still distinguishes "no route" (→ dispatch panic) from a
 //!   routed destination, exactly like the dense map did.
 //!
+//! **The builder.** [`crate::World::compute_routes`] runs one BFS per
+//! destination host, in ascending host id order, over switches only: the
+//! incoming switch-sourced channels are flat CSR arrays (ascending channel
+//! id per node, the tie-break), the root host scans its own incoming
+//! channels, and a host is never pushed onto the frontier. Hosts do not
+//! forward — a packet that reaches one is delivered to its endpoint — so a
+//! path through another host is no path at all; routing one there would
+//! end in a dispatch panic on that host. On single-homed hosts (one
+//! uplink, downlinks only from that uplink's switch) the switches-only BFS
+//! is exactly the host-inclusive one: such a host is discovered only
+//! through its own switch, which is then already seen, so the host would
+//! discover nothing. Each switch the BFS reaches widens or closes one open
+//! run held in a dense array over the switch list, and closed runs are
+//! appended with [`RouteTable::push_run`]; the dense (switch × host) map
+//! is never materialized.
+//!
 //! A run may span node ids that are not hosts (switch ids interleave with
 //! host ids in every builder); that is sound because packets are only
-//! ever destined to hosts, and [`RouteTable::extend`] widens a run across
-//! a gap only when no *host* id in the gap was skipped. The semantic
-//! content of a table — what [`crate::World::structure_digest`] must
-//! hash — is therefore its resolution over host ids only, exposed as
+//! ever destined to hosts, and the builder widens a run across a gap only
+//! when the switch also routed the immediately preceding host, so no
+//! *host* id in the gap was skipped. The semantic content of a table —
+//! what [`crate::World::structure_digest`] must hash — is therefore its
+//! resolution over host ids only, exposed as
 //! [`RouteTable::canonical_host_segments`].
 
 use crate::packet::NodeId;
@@ -65,24 +82,14 @@ impl RouteTable {
         }
     }
 
-    /// Append `(dst → ch)` during an ascending-destination build
-    /// ([`crate::World::compute_routes`]): extends the last run when this
-    /// switch also routed the immediately preceding host (`prev_host`)
-    /// over the same channel — which guarantees no host id in the widened
-    /// gap was skipped — and starts a new run otherwise.
-    pub fn extend(&mut self, prev_host: Option<u32>, dst: NodeId, ch: ChannelId) {
-        if let Some(last) = self.runs.last_mut() {
-            debug_assert!(last.end < dst.0, "extend requires ascending destinations");
-            if last.ch == ch && Some(last.end) == prev_host {
-                last.end = dst.0;
-                return;
-            }
-        }
-        self.runs.push(Run {
-            start: dst.0,
-            end: dst.0,
-            ch,
-        });
+    /// Append a closed run during the ascending-destination bulk build
+    /// ([`crate::World::compute_routes`], which owns the widening rule).
+    pub fn push_run(&mut self, run: Run) {
+        debug_assert!(
+            self.runs.last().is_none_or(|last| last.end < run.start),
+            "runs arrive in ascending, disjoint order"
+        );
+        self.runs.push(run);
     }
 
     /// Install a single route, preserving the run invariants: overwrites
@@ -310,19 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_bridges_only_hostless_gaps() {
-        let mut t = RouteTable::new();
-        // Hosts 1, 3, 7; host 5 skipped for this switch.
-        t.extend(None, NodeId(1), ch(9));
-        t.extend(Some(1), NodeId(3), ch(9));
-        assert_eq!(t.run_count(), 1, "gap id 2 holds no skipped host");
-        t.extend(Some(5), NodeId(7), ch(9));
-        assert_eq!(t.run_count(), 2, "host 5 was skipped: no bridge");
-        assert_eq!(t.lookup(NodeId(2)), Some(ch(9)), "non-host id inside run");
-        assert_eq!(t.lookup(NodeId(5)), None);
-    }
-
-    #[test]
     fn elision_requires_full_coverage() {
         let hosts = [1, 3, 5];
         let mut partial = RouteTable::new();
@@ -357,10 +351,13 @@ mod tests {
         }
         // Run-built then elided.
         let mut b = RouteTable::new();
-        b.extend(None, NodeId(1), ch(1));
-        b.extend(Some(1), NodeId(3), ch(1));
-        b.extend(Some(3), NodeId(5), ch(2));
-        b.extend(Some(5), NodeId(7), ch(2));
+        for (start, end, c) in [(1, 3, 1), (5, 7, 2)] {
+            b.push_run(Run {
+                start,
+                end,
+                ch: ch(c),
+            });
+        }
         b.elide_default(&hosts);
         assert_ne!(a.default_route(), b.default_route());
         assert_eq!(

@@ -201,10 +201,15 @@ impl ShardedWorld {
             }
         }
 
-        for (s, w) in worlds.iter_mut().enumerate() {
-            let remote: Vec<bool> = node_shard.iter().map(|&ns| ns != s as u32).collect();
-            w.set_remote_nodes(remote);
-            w.retain_owned_events(&node_shard, s as u32);
+        // One shard owns every node and every event: nothing is remote,
+        // nothing to drain, and its auditor keeps the whole-world
+        // conservation check a plain `World` makes.
+        if shards > 1 {
+            for (s, w) in worlds.iter_mut().enumerate() {
+                let remote: Vec<bool> = node_shard.iter().map(|&ns| ns != s as u32).collect();
+                w.set_remote_nodes(remote);
+                w.retain_owned_events(&node_shard, s as u32);
+            }
         }
 
         ShardedWorld {
@@ -717,6 +722,13 @@ impl ShardedWorld {
         restored_audit.load_state(&mut r, self.worlds[0].conn_id_bound())?;
         self.base_audit = restored_audit.clone();
         self.audit = restored_audit;
+        // Shard auditors restart from zero and would see pre-snapshot
+        // packets delivered without their injection: from here on only
+        // the merged view (`base_audit` plus the shards) checks
+        // conservation, a lone shard's included.
+        for w in &mut self.worlds {
+            w.set_distributed_audit();
+        }
 
         for ni in 0..counts.0 {
             if self.worlds[0].is_host_node(ni) {
@@ -1199,6 +1211,51 @@ mod tests {
                 "snapshot bytes differ at {n} shards under faults"
             );
         }
+    }
+
+    /// A lone shard owns every node and event: its build schedules each
+    /// initial event once — no drain and re-schedule, which counted every
+    /// pending event twice — and its auditor checks conservation at every
+    /// delivery, as a plain `World`'s does. Replicas of a split world, and
+    /// any world after a restore, leave that to the merged counters.
+    #[test]
+    fn one_shard_build_schedules_once_and_audits_whole_world() {
+        use td_engine::meter::{self, Counter};
+        // The queue flushes its schedule count into the meter on pop or
+        // drop: build and drop inside the scope, keeping what to check.
+        let build = |shards| {
+            meter::scoped(|| {
+                let sw = ShardedWorld::build(0xC0FFEE, shards, two_clusters(false));
+                let pending: Vec<u64> = (sw.worlds.iter())
+                    .map(|w| w.pending_event_blobs().len() as u64)
+                    .collect();
+                let distributed: Vec<bool> = (sw.worlds.iter())
+                    .map(|w| w.audit().is_distributed())
+                    .collect();
+                (pending, distributed, sw.snapshot())
+            })
+        };
+        let ((pending, distributed, snap), metered) = build(1);
+        assert!(pending[0] > 0, "the builder starts endpoints");
+        assert_eq!(metered.count(Counter::EventsScheduled), pending[0]);
+        assert_eq!(distributed, [false]);
+
+        let ((owned, distributed, _), metered) = build(2);
+        assert_eq!(
+            owned.iter().sum::<u64>(),
+            pending[0],
+            "each event has one owner"
+        );
+        assert_eq!(
+            metered.count(Counter::EventsScheduled),
+            2 * pending[0] + pending[0],
+            "two replicas schedule everything, then re-schedule their own slices"
+        );
+        assert_eq!(distributed, [true, true]);
+
+        let mut resumed = ShardedWorld::build(0xC0FFEE, 1, two_clusters(false));
+        resumed.restore(&snap).expect("restore succeeds");
+        assert!(resumed.worlds[0].audit().is_distributed());
     }
 
     #[test]

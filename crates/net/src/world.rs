@@ -76,7 +76,7 @@ use crate::audit::Audit;
 use crate::discipline::{Discipline, Victim};
 use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
 use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind, CONN_ID_CAP};
-use crate::route::RouteTable;
+use crate::route::{RouteTable, Run};
 use crate::trace::{
     DropReason, LossKind, ProtoEvent, Trace, TraceEvent, TraceObserver, TraceRecord,
 };
@@ -85,7 +85,7 @@ use crate::watchdog::{
 };
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::thread::LocalKey;
 use td_engine::meter::{self, Counter};
@@ -897,65 +897,128 @@ impl World {
             .collect()
     }
 
-    /// Compute shortest-path routes from every switch to every host by BFS
-    /// (hop count metric; ties broken by channel id for determinism),
-    /// replacing whatever routes the switches held. Runs are appended
-    /// directly from the per-destination BFS — destinations arrive in
-    /// ascending id order, so consecutive hosts sharing a next-hop extend
-    /// the previous run in O(1) and the dense (switch × host) map is never
-    /// materialized. Afterwards each fully-covering switch elides its
-    /// majority channel into a default route (see the `route` module).
+    /// Compute shortest-path routes from every switch to every host
+    /// (hop-count metric, ties broken by ascending channel id), replacing
+    /// whatever routes the switches held.
+    ///
+    /// One BFS per destination host, in ascending id order, over switches
+    /// only. Incoming channels are flat CSR arrays holding only
+    /// switch-sourced channels, ascending channel id per node. The root
+    /// host scans its incoming channels; each popped switch scans its own.
+    /// A host is never pushed: hosts do not forward (`arrival` delivers
+    /// every packet that reaches one to its endpoint), so a path through
+    /// another host is no path. For single-homed hosts — one uplink, and
+    /// downlinks only from that uplink's switch — this is exactly the
+    /// host-inclusive BFS: such a host is only ever discovered through its
+    /// own switch, which is then already seen, so it discovers nothing.
+    ///
+    /// Each switch keeps one open run `(start, end, ch)` in a dense array
+    /// over the switch list, updated the moment the BFS reaches it: the
+    /// run widens to the new destination when the channel matches and the
+    /// switch also routed the immediately preceding host (so no host id in
+    /// the widened gap was skipped), and is closed into the switch's table
+    /// otherwise. Afterwards each fully covering table elides its majority
+    /// channel into a default route (see the `route` module).
     pub fn compute_routes(&mut self) {
-        let host_ids = self.host_ids();
-        for node in &mut self.nodes {
-            if let NodeKind::Switch { table } = &mut node.kind {
-                table.clear();
-            }
-        }
-        // Incoming-channel adjacency, built once: rescanning every channel
-        // per BFS frontier node is quadratic and dominates route setup on
-        // multi-thousand-node chains. Per-node lists hold channel ids in
-        // ascending order, preserving the id-order tie-break exactly.
+        // Dense ids: switches first, then hosts, each in node-id order.
         let n = self.nodes.len();
-        let mut incoming: Vec<Vec<(NodeId, ChannelId)>> = vec![Vec::new(); n];
+        let host_ids = self.host_ids();
+        let n_sw = (n - host_ids.len()) as u32;
+        let (mut next_sw, mut next_host) = (0, n_sw);
+        let dense: Vec<u32> = (0..n)
+            .map(|ni| {
+                let next = if self.hosts.is_host(ni) {
+                    &mut next_host
+                } else {
+                    &mut next_sw
+                };
+                *next += 1;
+                *next - 1
+            })
+            .collect();
+        // Switch-sourced incoming channels as CSR over dense ids: node
+        // `v`'s entries are `in_adj[in_off[v]..in_off[v + 1]]`, each a
+        // `(source switch, channel)`, filled in channel-id order.
+        let from_switch = |src: NodeId| !self.hosts.is_host(src.0 as usize);
+        let mut in_off = vec![0u32; n + 1];
         for ci in 0..self.channels.len() {
             let row = self.channels.row(ci);
-            incoming[row.dst.0 as usize].push((row.src, ChannelId(ci as u32)));
-        }
-        // BFS scratch shared across destinations: epoch-stamped visited
-        // marks make the per-destination reset O(1) instead of O(nodes),
-        // which matters when both factors are in the tens of thousands.
-        let mut seen = vec![0u32; n];
-        let mut via = vec![ChannelId(0); n];
-        let mut frontier = VecDeque::new();
-        let mut prev_host: Option<u32> = None;
-        for (epoch, &dst) in (1u32..).zip(&host_ids) {
-            seen[dst as usize] = epoch;
-            frontier.push_back(NodeId(dst));
-            while let Some(u) = frontier.pop_front() {
-                // Channels in id order → deterministic tie-breaking.
-                for &(cs, ch) in &incoming[u.0 as usize] {
-                    if seen[cs.0 as usize] != epoch {
-                        seen[cs.0 as usize] = epoch;
-                        via[cs.0 as usize] = ch;
-                        frontier.push_back(cs);
-                    }
-                }
+            if from_switch(row.src) {
+                in_off[dense[row.dst.0 as usize] as usize + 1] += 1;
             }
-            for (ni, node) in self.nodes.iter_mut().enumerate() {
-                if let NodeKind::Switch { table } = &mut node.kind {
-                    if seen[ni] == epoch {
-                        table.extend(prev_host, NodeId(dst), via[ni]);
+        }
+        for v in 0..n {
+            in_off[v + 1] += in_off[v];
+        }
+        let mut cursor = in_off.clone();
+        let mut in_adj = vec![(0u32, ChannelId(0)); in_off[n] as usize];
+        for ci in 0..self.channels.len() {
+            let row = self.channels.row(ci);
+            if from_switch(row.src) {
+                let c = &mut cursor[dense[row.dst.0 as usize] as usize];
+                in_adj[*c as usize] = (dense[row.src.0 as usize], ChannelId(ci as u32));
+                *c += 1;
+            }
+        }
+        let mut tables: Vec<&mut RouteTable> = self
+            .nodes
+            .iter_mut()
+            .filter_map(|node| match &mut node.kind {
+                NodeKind::Switch { table } => {
+                    table.clear();
+                    Some(table)
+                }
+                NodeKind::Host { .. } => None,
+            })
+            .collect();
+        debug_assert_eq!(tables.len(), n_sw as usize);
+        // A switch's open run ends at `dst` exactly when this BFS has
+        // reached it, so the runs double as the visited marks.
+        const NO_RUN: Run = Run {
+            start: u32::MAX,
+            end: u32::MAX,
+            ch: ChannelId(u32::MAX),
+        };
+        let mut open = vec![NO_RUN; n_sw as usize];
+        let mut frontier: Vec<u32> = Vec::with_capacity(n_sw as usize);
+        let mut prev_host: Option<u32> = None;
+        for &dst in &host_ids {
+            frontier.clear();
+            let (mut v, mut head) = (dense[dst as usize] as usize, 0);
+            loop {
+                for &(s, ch) in &in_adj[in_off[v] as usize..in_off[v + 1] as usize] {
+                    let run = &mut open[s as usize];
+                    if run.end == dst {
+                        continue;
+                    }
+                    frontier.push(s);
+                    if run.ch == ch && Some(run.end) == prev_host {
+                        run.end = dst;
+                    } else {
+                        if run.ch != NO_RUN.ch {
+                            tables[s as usize].push_run(*run);
+                        }
+                        *run = Run {
+                            start: dst,
+                            end: dst,
+                            ch,
+                        };
                     }
                 }
+                let Some(&u) = frontier.get(head) else {
+                    break;
+                };
+                head += 1;
+                v = u as usize;
             }
             prev_host = Some(dst);
         }
-        for node in &mut self.nodes {
-            if let NodeKind::Switch { table } = &mut node.kind {
-                table.elide_default(&host_ids);
-                table.shrink();
+        for (table, run) in tables.into_iter().zip(open) {
+            if run.ch != NO_RUN.ch {
+                table.push_run(run);
             }
+            table.elide_default(&host_ids);
+            table.shrink();
         }
     }
 
@@ -1989,6 +2052,12 @@ impl World {
     pub(crate) fn set_remote_nodes(&mut self, remote: Vec<bool>) {
         assert_eq!(remote.len(), self.nodes.len());
         self.remote_node = remote;
+        self.set_distributed_audit();
+    }
+
+    /// Leave conservation to the sharded executor's merged counters (see
+    /// `Audit::set_distributed`).
+    pub(crate) fn set_distributed_audit(&mut self) {
         self.audit.set_distributed();
     }
 
@@ -2857,6 +2926,104 @@ mod tests {
         assert_eq!(w.route_lookup(s0, h0), Some(s0h0));
         assert_eq!(w.route_lookup(s0, h1), Some(s0h1));
         assert!(w.route_table_bytes() < w.dense_route_bytes() || w.route_table_bytes() == 0);
+    }
+
+    /// Hosts do not forward, so the route builder never routes through
+    /// one. H's uplink goes to S2 and an extra channel S1 → H reaches it:
+    /// S1 must reach D (on S2) over switches, or not at all — a packet
+    /// routed S1 → H would reach a host with no endpoint for it.
+    #[test]
+    fn routes_never_transit_a_host() {
+        let build = |with_switch_path: bool| {
+            let mut w = World::new(1);
+            let s1 = w.add_switch("S1");
+            let s2 = w.add_switch("S2");
+            let s3 = w.add_switch("S3");
+            let h = w.add_host("H", SimDuration::from_micros(100));
+            let d = w.add_host("D", SimDuration::from_micros(100));
+            let link = |w: &mut World, x, y| {
+                w.add_channel(
+                    x,
+                    y,
+                    Rate::from_kbps(50),
+                    SimDuration::from_millis(10),
+                    None,
+                    DisciplineKind::DropTail.build(),
+                    FaultModel::NONE,
+                )
+            };
+            link(&mut w, h, s2);
+            link(&mut w, s2, h);
+            link(&mut w, s1, h); // the extra channel into H
+            link(&mut w, d, s2);
+            link(&mut w, s2, d);
+            link(&mut w, s2, s1);
+            let s1s3 = with_switch_path.then(|| {
+                let s1s3 = link(&mut w, s1, s3);
+                link(&mut w, s3, s2);
+                link(&mut w, s2, s3);
+                s1s3
+            });
+            w.compute_routes();
+            (w, s1, d, s1s3)
+        };
+        let (w, s1, d, s1s3) = build(true);
+        assert_eq!(w.route_lookup(s1, d), s1s3);
+        w.validate_routes();
+
+        let (w, s1, d, _) = build(false);
+        assert_eq!(w.route_lookup(s1, d), None);
+        let msg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.validate_routes()))
+            .expect_err("no switch path: validation must fail at build time");
+        let msg = msg.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("switch 0 (S1) has no route to host 4 (D)"),
+            "{msg}"
+        );
+    }
+
+    /// A run widens across an id gap only when the switch routed every
+    /// host in it: S reaches H1, H3 and H7 over one channel but not H5,
+    /// so its table keeps two runs and H5 stays unrouted.
+    #[test]
+    fn runs_bridge_only_hostless_gaps() {
+        let mut w = World::new(1);
+        let s = w.add_switch("S");
+        let h1 = w.add_host("H1", SimDuration::from_micros(100));
+        let b = w.add_switch("B");
+        let h3 = w.add_host("H3", SimDuration::from_micros(100));
+        let c = w.add_switch("C");
+        let h5 = w.add_host("H5", SimDuration::from_micros(100));
+        let _ = w.add_switch("X");
+        let h7 = w.add_host("H7", SimDuration::from_micros(100));
+        let link = |w: &mut World, x, y| {
+            w.add_channel(
+                x,
+                y,
+                Rate::from_kbps(50),
+                SimDuration::from_millis(10),
+                None,
+                DisciplineKind::DropTail.build(),
+                FaultModel::NONE,
+            )
+        };
+        let sb = link(&mut w, s, b);
+        for h in [h1, h3, h7] {
+            link(&mut w, h, b);
+            link(&mut w, b, h);
+        }
+        link(&mut w, h5, c);
+        link(&mut w, c, h5);
+        w.compute_routes();
+        for (dst, want) in [(h1, Some(sb)), (b, Some(sb)), (h3, Some(sb))] {
+            assert_eq!(w.route_lookup(s, dst), want, "inside the first run");
+        }
+        assert_eq!(w.route_lookup(s, h5), None, "skipped host: no bridge");
+        assert_eq!(w.route_lookup(s, h7), Some(sb));
+        match &w.nodes[s.0 as usize].kind {
+            NodeKind::Switch { table } => assert_eq!(table.run_count(), 2),
+            NodeKind::Host { .. } => unreachable!(),
+        }
     }
 
     #[test]
