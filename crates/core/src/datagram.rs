@@ -16,7 +16,7 @@
 //! load it takes to break the Tahoe clusters apart.
 
 use std::any::Any;
-use td_engine::{SimDuration, SnapError, SnapReader, SnapWriter};
+use td_engine::{SimDuration, SimRng, SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, Packet, PacketKind};
 
 const TOKEN_SEND: u64 = 7;
@@ -27,14 +27,19 @@ pub struct PoissonSource {
     rate_pps: f64,
     /// Wire size of each packet.
     size: u32,
+    /// The source's own stream for its gaps, so its draws never depend
+    /// on how other components' events interleave with its own.
+    rng: SimRng,
     seq: u64,
     sent: u64,
 }
 
 impl PoissonSource {
     /// A source emitting `size`-byte packets at `rate_pps` per second on
-    /// average.
-    pub fn new(rate_pps: f64, size: u32) -> Self {
+    /// average, drawing its gaps from `rng`. Give each source in a world
+    /// a stream of its own (e.g. `derive` with a distinct label): two
+    /// sources on one stream state would draw identical gaps.
+    pub fn new(rate_pps: f64, size: u32, rng: SimRng) -> Self {
         assert!(
             rate_pps > 0.0 && rate_pps.is_finite(),
             "rate must be positive"
@@ -42,14 +47,15 @@ impl PoissonSource {
         PoissonSource {
             rate_pps,
             size,
+            rng,
             seq: 0,
             sent: 0,
         }
     }
 
     /// A boxed source for [`td_net::World::attach`].
-    pub fn boxed(rate_pps: f64, size: u32) -> Box<dyn Endpoint> {
-        Box::new(Self::new(rate_pps, size))
+    pub fn boxed(rate_pps: f64, size: u32, rng: SimRng) -> Box<dyn Endpoint> {
+        Box::new(Self::new(rate_pps, size, rng))
     }
 
     /// Packets emitted so far.
@@ -59,7 +65,7 @@ impl PoissonSource {
 
     fn schedule_next(&mut self, ctx: &mut Ctx<'_>) {
         // Exponential inter-arrival: -ln(U)/lambda, U in (0, 1].
-        let u = 1.0 - ctx.rng().next_f64(); // (0, 1]
+        let u = 1.0 - self.rng.next_f64(); // (0, 1]
         let gap_s = -u.ln() / self.rate_pps;
         ctx.set_timer(SimDuration::from_secs_f64(gap_s), TOKEN_SEND);
     }
@@ -83,11 +89,13 @@ impl Endpoint for PoissonSource {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
+        w.write_rng(&self.rng);
         w.write_u64(self.seq);
         w.write_u64(self.sent);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.rng = r.read_rng()?;
         self.seq = r.read_u64()?;
         self.sent = r.read_u64()?;
         Ok(())
@@ -155,7 +163,12 @@ mod tests {
                 FaultModel::NONE,
             );
         }
-        let src = w.attach(a, b, ConnId(0), PoissonSource::boxed(rate_pps, 500));
+        let src = w.attach(
+            a,
+            b,
+            ConnId(0),
+            PoissonSource::boxed(rate_pps, 500, SimRng::new(seed)),
+        );
         let snk = w.attach(b, a, ConnId(0), Blackhole::boxed());
         w.start_at(src, SimTime::ZERO);
         w.run_until(SimTime::from_secs(secs));
@@ -227,6 +240,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn rejects_zero_rate() {
-        let _ = PoissonSource::new(0.0, 500);
+        let _ = PoissonSource::new(0.0, 500, SimRng::new(1));
     }
 }

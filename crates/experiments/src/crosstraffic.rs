@@ -17,7 +17,7 @@ use crate::report::Report;
 use crate::scenario::{run_observed, DATA_SERVICE};
 use td_analysis::{ack_spacing, clustering_coefficient, StreamSpec};
 use td_core::{Blackhole, PoissonSource, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use td_engine::{SimDuration, SimTime};
+use td_engine::{SimDuration, SimRng, SimTime};
 use td_net::{dumbbell, ConnId, LinkSpec, World};
 
 struct Cell {
@@ -64,20 +64,23 @@ fn run_cell(seed: u64, duration_s: u64, bg_pps: f64) -> Cell {
     );
     w.start_at(s1, SimTime::ZERO);
     w.start_at(s2, SimTime::from_millis(137));
-    // Background datagram flows, one per direction.
+    // Background datagram flows, one per direction, each drawing its gaps
+    // from its own stream: a shared label would make both directions draw
+    // identical gaps.
     if bg_pps > 0.0 {
+        let streams = SimRng::new(seed);
         let b1 = w.attach(
             d.host1,
             d.host2,
             ConnId(2),
-            PoissonSource::boxed(bg_pps, 500),
+            PoissonSource::boxed(bg_pps, 500, streams.derive(0xB6_0001)),
         );
         w.attach(d.host2, d.host1, ConnId(2), Blackhole::boxed());
         let b2 = w.attach(
             d.host2,
             d.host1,
             ConnId(3),
-            PoissonSource::boxed(bg_pps, 500),
+            PoissonSource::boxed(bg_pps, 500, streams.derive(0xB6_0002)),
         );
         w.attach(d.host1, d.host2, ConnId(3), Blackhole::boxed());
         w.start_at(b1, SimTime::from_millis(977));

@@ -152,9 +152,11 @@ fn whole_registry_output_bytes_match_digest() {
 }
 
 /// FNV-1a of all 23 visible registry entries rendered at seed 7, quick
-/// profile, `jobs = 1`; recorded before the batch extractors became
-/// drivers over the stream fold.
-const REGISTRY_OUTPUT_DIGEST: u64 = 0x7290_fa66_1d77_2326;
+/// profile, `jobs = 1`; re-recorded when every world moved queue-discipline
+/// draws onto per-channel streams and `PoissonSource` onto a stream of its
+/// own, which changed `crosstraffic`, `abl-red` and `abl-discipline` and
+/// no other entry.
+const REGISTRY_OUTPUT_DIGEST: u64 = 0x0c24_1752_308f_efc1;
 
 /// The `experiments[*]` rows of `timings.json` with the wall-clock and RSS
 /// keys cut out: what is left — event, audit, snapshot and model-check

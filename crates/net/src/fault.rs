@@ -17,12 +17,13 @@
 //! and every packet in transit is destroyed.
 //!
 //! Determinism: each channel owns a private `SimRng` stream derived from
-//! the world seed and the channel id (see `World::add_channel`), so
-//! enabling a fault on one channel cannot perturb any other channel's
-//! randomness — or the world's shared stream used by queue disciplines and
-//! start jitter. The [`FaultPlan::is_none`] fast path never touches the
-//! RNG at all, which keeps error-free runs byte-identical to builds
-//! without the fault subsystem.
+//! the world seed and the channel id (see `World::add_channel`), which its
+//! faults and its queue discipline share, so enabling a fault on one
+//! channel cannot perturb any other channel's randomness. Start jitter
+//! comes from the scenario's own RNG, never from a channel's. The
+//! [`FaultPlan::is_none`] fast path never touches the RNG at all, which
+//! keeps error-free runs byte-identical to builds without the fault
+//! subsystem.
 
 use td_engine::{SimDuration, SimRng, SimTime};
 

@@ -80,15 +80,17 @@
 //! ## Determinism
 //!
 //! All state transitions happen in the total event order provided by
-//! `td-engine`. Randomness comes from two kinds of seeded
-//! [`td_engine::SimRng`] streams, both derived from the world seed: the
-//! shared world stream (Random Drop, RED, scenario start-time jitter) and
-//! one private stream per channel that feeds only that channel's
-//! [`FaultPlan`]. Fault decisions never touch the shared stream, so
-//! configuring faults on one channel cannot perturb any other random
-//! decision — and a channel whose plan is [`FaultPlan::NONE`] never draws
-//! at all, keeping error-free runs byte-identical whether or not faults
-//! exist elsewhere. A `(config, seed)` pair fully determines a run.
+//! `td-engine`. The world's randomness is one private seeded
+//! [`td_engine::SimRng`] stream per channel, derived from the world seed
+//! and the channel id: that channel's [`FaultPlan`] and its queue
+//! discipline (Random Drop victims, RED early drops) share it, and nothing
+//! else draws from it. So configuring faults on one channel cannot perturb
+//! any other channel's random decisions — and a channel whose plan is
+//! [`FaultPlan::NONE`] never makes a fault draw, keeping error-free runs
+//! byte-identical whether or not faults exist elsewhere. Scenario
+//! start-time jitter comes from the scenario's own RNG, and
+//! an endpoint that needs randomness carries its own stream. A
+//! `(config, seed)` pair fully determines a run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

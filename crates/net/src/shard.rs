@@ -32,11 +32,11 @@
 //! Sharded runs are **byte-identical for every shard count**, including
 //! `--shards 1`. Three mechanisms carry the proof:
 //!
-//! * every shard world runs in *canonical mode* (`World::set_canonical`):
-//!   same-instant events are dispatched in content-key order, packet ids
-//!   are per-endpoint, and discipline randomness comes from per-channel
-//!   streams, so a shard's local evolution never depends on which other
-//!   events exist elsewhere;
+//! * every world stamps packet ids from per-endpoint counters and keeps
+//!   its randomness in per-channel streams (an endpoint that needs its
+//!   own, like `td_core::PoissonSource`, carries it), and every shard world
+//!   dispatches same-instant events in content-key order, so a shard's
+//!   local evolution never depends on which other events exist elsewhere;
 //! * the merged trace is re-sorted by `(time, causal rank, canonical
 //!   encoding)` — see `causal_rank` for why same-instant records need a
 //!   pipeline-order tie-break — and the
@@ -45,12 +45,6 @@
 //! * snapshots use a shard-count-invariant layout ([`ShardSnapshot`],
 //!   magic `TDSW`): global-id row order, globally sorted pending events,
 //!   and timer handles translated to pending-event indices.
-//!
-//! One obligation falls on workloads: endpoints driven under a sharded
-//! world must not draw from [`crate::Ctx::rng`] (the world-shared stream),
-//! because its draw order depends on the partition. The TCP machines in
-//! `td-core` never do; the datagram blaster does and is therefore
-//! serial-only.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -130,9 +124,9 @@ impl ShardedWorld {
     /// and keep each shard's slice of the initial event population.
     ///
     /// `build_fn` must be deterministic: every invocation has to produce
-    /// the same topology and endpoint set. All worlds run in canonical
-    /// mode — including the single-shard case, so `shards == 1` produces
-    /// the same bytes as any other count.
+    /// the same topology and endpoint set. All worlds order same-instant
+    /// events by content key — including the single-shard case, so
+    /// `shards == 1` produces the same bytes as any other count.
     ///
     /// # Panics
     ///
@@ -147,8 +141,7 @@ impl ShardedWorld {
         assert!(shards >= 1, "need at least one shard");
         let mut worlds = Vec::with_capacity(shards as usize);
         for _ in 0..shards {
-            let mut w = World::new(seed);
-            w.set_canonical();
+            let mut w = World::with_content_ties(seed);
             build_fn(&mut w);
             worlds.push(w);
         }
@@ -772,7 +765,6 @@ mod tests {
 
     /// Sends a data packet at start and on every ACK; a periodic timer,
     /// whose handle it keeps (and snapshots), keeps it alive through loss.
-    /// Never touches `Ctx::rng`.
     struct Chatter {
         sent: u64,
         acked: u64,

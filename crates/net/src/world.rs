@@ -48,17 +48,19 @@
 //!    at a host it joins the serial processing queue and is handed to the
 //!    endpoint (`Deliver` record) after the per-packet processing delay.
 //!
-//! ## Canonical mode
+//! ## Tie rule
 //!
-//! A world built for sharded execution (see [`crate::shard`]) runs in
-//! *canonical* mode: simultaneous events are ordered by a content-derived
-//! FNV-1a key instead of scheduling order, packet ids are drawn from
-//! per-endpoint counters instead of a global one, and queue-discipline
-//! randomness comes from each channel's private stream instead of the
-//! world's shared one. All three make the observable execution a function
-//! of the topology alone, independent of how it is partitioned across
-//! shards. Serial worlds (the default) are bit-for-bit unchanged: every
-//! event carries key 0 and ties fall back to FIFO scheduling order.
+//! Every world stamps packet ids from per-endpoint counters and draws
+//! queue-discipline randomness from each channel's private stream, so
+//! neither depends on how events from elsewhere interleave. The one
+//! difference between a serial and a sharded world is how same-instant
+//! events are ordered, fixed at construction: [`World::new`] breaks ties
+//! FIFO (every event carries key 0, the order it was scheduled in), while
+//! the replicas a [`crate::ShardedWorld`] builds order them by a
+//! content-derived FNV-1a key, which makes the observable execution a
+//! function of the topology alone, independent of how it is partitioned
+//! across shards. The rule decides paper results: content keys flip cells
+//! of the §4.3.3 zero-length-ACK conjecture, so serial worlds keep FIFO.
 //!
 //! ## Snapshots
 //!
@@ -93,8 +95,9 @@ use td_engine::{
     EventId, EventQueue, Rate, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
 };
 
-/// Base label for deriving each channel's private fault RNG stream from
-/// the world seed (`derive(FAULT_STREAM ^ channel_id)`).
+/// Base label for deriving each channel's private RNG stream — its fault
+/// and queue-discipline draws — from the world seed
+/// (`derive(FAULT_STREAM ^ channel_id)`).
 const FAULT_STREAM: u64 = 0xFA17_57F3_A400_0000;
 
 /// Identifies one simplex channel.
@@ -319,7 +322,7 @@ fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// Content-derived ordering key for canonical mode: a function of *what*
+/// Content-derived tie key of sharded replicas: a function of *what*
 /// the event is (kind, component ids, packet identity — an `Arrival`'s
 /// packet read from `flight`), never of when or where it was scheduled.
 /// Two distinct events simultaneous at the same instant get distinct keys
@@ -604,7 +607,9 @@ impl Snapshot {
     /// branch's decisions without replaying them. Version 4 writes the
     /// queue as its clock, counters and pop-ordered pending list instead
     /// of its slab, and timer handles as indices into that list.
-    pub const VERSION: u32 = 4;
+    /// Version 5 drops the world-shared RNG stream and the global
+    /// packet-id counter, which no world has any more.
+    pub const VERSION: u32 = 5;
 
     /// The raw snapshot bytes (header included).
     pub fn as_bytes(&self) -> &[u8] {
@@ -669,14 +674,12 @@ pub struct World {
     /// takes the endpoint whose host matches. See [`World::attach`].
     conns: Vec<ConnEntry>,
     trace: Trace,
-    rng: SimRng,
     seed: u64,
     audit: Audit,
-    next_packet_id: u64,
-    /// Canonical (shard-invariant) execution mode; see the module docs.
-    /// Set before construction, never toggled afterwards.
+    /// Content-keyed ties (sharded replicas) instead of FIFO ties; see
+    /// the module docs. Fixed at construction.
     canonical: bool,
-    /// Canonical-mode packet-id counters, one per endpoint.
+    /// Packet-id counters, one per endpoint.
     ep_packet_ctr: Vec<u64>,
     /// Sharded runs: `remote_node[n]` marks nodes owned by another shard.
     /// Empty (the default) means every node is local.
@@ -697,7 +700,8 @@ pub struct World {
 }
 
 impl World {
-    /// An empty world with the given RNG seed.
+    /// An empty world with the given RNG seed, breaking same-instant
+    /// ties FIFO.
     pub fn new(seed: u64) -> Self {
         World {
             queue: EventQueue::new(),
@@ -708,10 +712,8 @@ impl World {
             ep_meta: Vec::new(),
             conns: Vec::new(),
             trace: Trace::new(),
-            rng: SimRng::new(seed),
             seed,
             audit: Audit::default(),
-            next_packet_id: 0,
             canonical: false,
             ep_packet_ctr: Vec::new(),
             remote_node: Vec::new(),
@@ -719,6 +721,15 @@ impl World {
             flight: Vec::new(),
             flight_free: Vec::new(),
             observers: Vec::new(),
+        }
+    }
+
+    /// An empty world that orders same-instant events by content key: the
+    /// shard replicas [`crate::ShardedWorld::build`] creates.
+    pub(crate) fn with_content_ties(seed: u64) -> Self {
+        World {
+            canonical: true,
+            ..World::new(seed)
         }
     }
 
@@ -1163,8 +1174,8 @@ impl World {
         self.schedule_event(t, Event::Start(ep));
     }
 
-    /// Tie key of `ev` in this world's mode: content-derived in canonical
-    /// mode, 0 (FIFO ties — the legacy order, bit for bit) otherwise.
+    /// Tie key of `ev` under this world's tie rule: content-derived for
+    /// shard replicas, 0 (FIFO ties) otherwise.
     fn tie_key(&self, ev: &Event) -> u64 {
         if self.canonical {
             canonical_key(ev, &self.flight)
@@ -1486,15 +1497,13 @@ impl World {
     fn write_state(&self, w: &mut SnapWriter) {
         self.write_fingerprint(w);
         // Engine state: the clock, the queue's counters and pending events,
-        // the shared stream, and the packet-id counters.
+        // the tie rule, and the packet-id counters.
         w.write_time(self.now());
         w.write_u64(self.queue.dispatched());
         w.write_u64(self.queue.scheduled());
         w.write_u64(self.queue.peak_len() as u64);
         let pending = self.pending_event_blobs();
         write_pending(w, pending.iter());
-        w.write_rng(&self.rng);
-        w.write_u64(self.next_packet_id);
         w.write_bool(self.canonical);
         for &ctr in &self.ep_packet_ctr {
             w.write_u64(ctr);
@@ -1570,8 +1579,6 @@ impl World {
         w.write_time(now);
         let pending = self.pending_event_blobs();
         write_pending(&mut w, pending.iter());
-        w.write_rng(&self.rng);
-        w.write_u64(self.next_packet_id);
         w.write_bool(self.canonical);
         for &ctr in &self.ep_packet_ctr {
             w.write_u64(ctr);
@@ -1647,18 +1654,13 @@ impl World {
         let peak_len = r.read_u64()? as usize;
         let pending = read_pending(&mut r)?;
         let ids = self.rebuild_queue(now, dispatched, scheduled, peak_len, pending)?;
-        self.rng = r.read_rng()?;
-        self.next_packet_id = r.read_u64()?;
         let canonical = r.read_bool()?;
         if canonical != self.canonical {
+            let rule = |c: bool| if c { "content-keyed" } else { "FIFO" };
             return Err(SnapError::Mismatch(format!(
-                "snapshot was taken in {} mode, this world is in {} mode",
-                if canonical { "canonical" } else { "serial" },
-                if self.canonical {
-                    "canonical"
-                } else {
-                    "serial"
-                },
+                "snapshot was taken with {} ties, this world uses {} ties",
+                rule(canonical),
+                rule(self.canonical),
             )));
         }
         for ctr in &mut self.ep_packet_ctr {
@@ -1914,17 +1916,6 @@ impl World {
 
     // -- shard support (crate-internal; see `crate::shard`) -----------------
 
-    /// Switch this world into canonical (shard-invariant) execution mode.
-    /// Must precede all scheduling: events scheduled beforehand would
-    /// carry key 0 and order differently from a canonically keyed rebuild.
-    pub(crate) fn set_canonical(&mut self) {
-        assert!(
-            self.queue.is_empty() && self.queue.dispatched() == 0,
-            "canonical mode must be set before anything is scheduled"
-        );
-        self.canonical = true;
-    }
-
     /// Number of nodes added so far; node ids are dense in
     /// `0..node_count()`.
     pub fn node_count(&self) -> usize {
@@ -2154,17 +2145,14 @@ impl World {
 
     /// Offer a packet to a channel's buffer, applying capacity + discipline.
     fn offer(&mut self, t: SimTime, ch_id: ChannelId, mut pkt: Packet) {
-        let canonical = self.canonical;
         let ch = self.channels.get_mut(ch_id.0 as usize);
         let row = ch.row;
         let occupancy = row.occupancy();
         let capacity = row.capacity;
-        // Canonical mode keeps queue-discipline randomness on the
-        // channel's private stream: the draw sequence then depends only on
-        // the traffic through this channel, not on how events from other
-        // shards interleave with it. Serial mode keeps the legacy shared
-        // stream, preserving historical traces bit for bit.
-        let rng: &mut SimRng = if canonical { ch.rng } else { &mut self.rng };
+        // Queue-discipline randomness comes from the channel's private
+        // stream: the draw sequence depends only on the traffic through
+        // this channel, not on how events elsewhere interleave with it.
+        let rng = ch.rng;
         // Active queue management (RED) may discard before the buffer is
         // physically full.
         if !row.discipline.admit(&pkt, occupancy, rng) {
@@ -2487,20 +2475,11 @@ impl Ctx<'_> {
         ce: bool,
     ) -> PacketId {
         let t = self.now();
+        // The id names (endpoint, nth send), the same on any sharding.
+        let ctr = &mut self.world.ep_packet_ctr[self.ep.0 as usize];
+        let id = PacketId(((u64::from(self.ep.0) + 1) << 40) | *ctr);
+        *ctr += 1;
         let meta = &self.world.ep_meta[self.ep.0 as usize];
-        // Canonical mode draws ids from the endpoint's own counter: the
-        // id then names (endpoint, nth send), the same on any sharding.
-        // A serial world keeps the legacy global counter.
-        let id = if self.world.canonical {
-            let ctr = &mut self.world.ep_packet_ctr[self.ep.0 as usize];
-            let id = PacketId(((u64::from(self.ep.0) + 1) << 40) | *ctr);
-            *ctr += 1;
-            id
-        } else {
-            let id = PacketId(self.world.next_packet_id);
-            self.world.next_packet_id += 1;
-            id
-        };
         let pkt = Packet {
             id,
             conn: meta.conn,
@@ -2559,14 +2538,6 @@ impl Ctx<'_> {
             self.world.audit.on_cwnd(t, conn, cwnd, ssthresh);
         }
         self.world.record(t, TraceEvent::Proto { conn, node, ev });
-    }
-
-    /// Deterministic randomness (shared world stream). Not
-    /// shard-invariant: an endpoint drawing from the shared stream makes
-    /// its run depend on global event interleaving, so sharded workloads
-    /// must use endpoints that never call this (the TCP machines don't).
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.world.rng
     }
 }
 #[cfg(test)]
@@ -3631,8 +3602,8 @@ mod fault_tests {
 
     /// Two disjoint host pairs in one world. Pair A (conn 0) takes the
     /// fault plan under test; pair B (conn 1) runs a Random Drop queue
-    /// that draws victims from the *shared* world RNG. If fault draws
-    /// leaked onto the shared stream, B's victim choices would shift.
+    /// that draws victims from its own channel's stream. If A's fault
+    /// draws leaked onto any other stream, B's victim choices would shift.
     fn two_pair_trace(plan: FaultPlan) -> (Vec<TraceRecord>, usize) {
         let mut w = World::new(11);
         let rate = Rate::from_kbps(50);
@@ -3885,10 +3856,9 @@ mod mc_primitive_tests {
             })
             .collect();
         assert_eq!(fault_drops, vec![1, 2], "the *next* two transmissions die");
-        // RNG-free: both worlds end with identical shared and channel
-        // streams (the forced path never draws).
+        // RNG-free: both worlds end with identical channel streams (the
+        // forced path never draws).
         assert_eq!(data_seen(&clean, clean_snk), 5);
-        assert_eq!(clean.rng, w.rng);
         assert_eq!(
             clean.channels.rng(c01.0 as usize),
             w.channels.rng(c01.0 as usize)
