@@ -428,3 +428,21 @@ fn duplex_delack_on_under_loss() {
         (0x18e5_4a49_8646_6d38, 0x0f61_5b78_90e9_4182),
     );
 }
+
+/// `World::state_hash` of one case at mid-run. TCP endpoints hold armed
+/// RTO timers there, so the hash runs through the timer-handle index
+/// path, which the snapshot pins above reach only through TDSN.
+#[test]
+fn state_hash_is_pinned_at_mid_run() {
+    let (mut w, _) = one_way(
+        two_hosts(11, Some(5), 0.0).0,
+        SenderConfig::paper(),
+        ReceiverConfig::paper(),
+    );
+    w.run_until(SimTime::from_secs(25));
+    let got = w.state_hash();
+    assert_eq!(
+        got, 0xd800_7ed0_e1f4_7f5e,
+        "state_hash moved: got {got:#018x}"
+    );
+}

@@ -10,7 +10,7 @@
 //! each carries its own stream, saved in its snapshot row.
 
 use td_core::{Blackhole, PoissonSource, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use td_engine::{Rate, SimDuration, SimRng, SimTime};
+use td_engine::{fnv1a, Rate, SimDuration, SimRng, SimTime};
 use td_net::{ConnId, DisciplineKind, FaultModel, NodeId, ShardedWorld, World};
 
 /// A congested two-switch trunk: host/switch cluster per side, 20-packet
@@ -214,5 +214,23 @@ fn poisson_snapshot_resumes_to_the_same_bytes() {
     assert!(
         straight.as_bytes() == resumed.snapshot().as_bytes(),
         "resume from a mid-run snapshot diverged"
+    );
+}
+
+/// Absolute TDSW bytes of the two-way trunk at one shard, mid-run and at
+/// the end, as FNV-1a. The tests above compare shard counts with each
+/// other, so a layout slip made the same way at every count would pass
+/// them; this pin does not move unless the TDSW layout or the run does.
+#[test]
+fn tdsw_bytes_are_pinned() {
+    let mut sw = ShardedWorld::build(91, 1, two_way_trunk);
+    sw.run_until(SimTime::from_millis(700));
+    let mid = fnv1a(sw.snapshot().as_bytes());
+    sw.run_until(SimTime::from_millis(1500));
+    let end = fnv1a(sw.snapshot().as_bytes());
+    assert_eq!(
+        (mid, end),
+        (0x04dc_466e_5ea4_ae7e, 0x33e0_9ead_1c31_ad37),
+        "TDSW bytes moved: got (mid {mid:#018x}, end {end:#018x})"
     );
 }

@@ -25,22 +25,6 @@ use crate::packet::{ConnId, Packet};
 use std::collections::VecDeque;
 use td_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 
-fn save_packets(q: &VecDeque<Packet>, w: &mut SnapWriter) {
-    w.write_u64(q.len() as u64);
-    for p in q {
-        p.save_state(w);
-    }
-}
-
-fn load_packets(r: &mut SnapReader<'_>) -> Result<VecDeque<Packet>, SnapError> {
-    let n = r.read_len()?;
-    let mut q = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        q.push_back(Packet::load_state(r)?);
-    }
-    Ok(q)
-}
-
 /// A buildable, copyable selector for the discipline of a channel —
 /// what scenario configs carry instead of the discipline itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -168,13 +152,23 @@ impl Discipline {
         }
     }
 
+    /// Structural parameters, which `World::structure_digest` hashes:
+    /// RED's `w_q`, `min_th`, `max_th` and `max_p`; the other disciplines
+    /// have none.
+    pub(crate) fn params(&self) -> Option<[f64; 4]> {
+        match self {
+            Discipline::Red(red) => Some([red.w_q, red.min_th, red.max_th, red.max_p]),
+            _ => None,
+        }
+    }
+
     /// Serialize the discipline's mutable state — buffered packets plus
     /// any online estimators (snapshot support). Structural parameters
     /// (thresholds, weights) are carried by the rebuilt scenario, not the
     /// snapshot.
     pub fn save_state(&self, w: &mut SnapWriter) {
         match self {
-            Discipline::DropTail(q) | Discipline::RandomDrop(q) => save_packets(q, w),
+            Discipline::DropTail(q) | Discipline::RandomDrop(q) => Packet::save_queue(q, w),
             Discipline::FairQueueing(fq) => fq.save_state(w),
             Discipline::Red(red) => red.save_state(w),
         }
@@ -184,7 +178,7 @@ impl Discipline {
     /// built discipline of the same kind and parameters.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         match self {
-            Discipline::DropTail(q) | Discipline::RandomDrop(q) => *q = load_packets(r)?,
+            Discipline::DropTail(q) | Discipline::RandomDrop(q) => *q = Packet::load_queue(r)?,
             Discipline::FairQueueing(fq) => fq.load_state(r)?,
             Discipline::Red(red) => red.load_state(r)?,
         }
@@ -412,13 +406,13 @@ impl Red {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        save_packets(&self.q, w);
+        Packet::save_queue(&self.q, w);
         w.write_f64(self.avg);
         w.write_i64(self.count);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.q = load_packets(r)?;
+        self.q = Packet::load_queue(r)?;
         self.avg = r.read_f64()?;
         self.count = r.read_i64()?;
         Ok(())

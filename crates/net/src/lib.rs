@@ -12,6 +12,13 @@
 //! the [`Endpoint`] trait. The separation mirrors the paper's own layering:
 //! §2.2 describes the network model, §2.1 the algorithm under study.
 //!
+//! The simulation is a [`World`]: its per-packet path in one module, and
+//! beside it, one module each for its snapshot codec ([`Snapshot`], what
+//! [`ShardSnapshot`] shares with it, [`World::state_hash`]), its
+//! routing ([`World::compute_routes`]) and its run loops
+//! ([`World::run_until_quiescent`]). A [`ShardedWorld`] runs replicas of
+//! it on worker threads ([`shard`]).
+//!
 //! ## Model (paper §2.2)
 //!
 //! * Links are pairs of simplex **channels**; each channel has a bandwidth,

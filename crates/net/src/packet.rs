@@ -5,6 +5,7 @@
 //! ACKs (§2.2), but sizes are free parameters here — the §4.3.3 conjecture
 //! runs use zero-length ACKs.
 
+use std::collections::VecDeque;
 use std::fmt;
 use td_engine::SimTime;
 
@@ -132,6 +133,23 @@ impl Packet {
             retx: r.read_bool()?,
             ce: r.read_bool()?,
         })
+    }
+
+    /// Serialize a packet queue — a discipline's buffer or a host's
+    /// processing queue — as its length, then each packet.
+    pub(crate) fn save_queue(q: &VecDeque<Packet>, w: &mut td_engine::SnapWriter) {
+        w.write_u64(q.len() as u64);
+        for p in q {
+            p.save_state(w);
+        }
+    }
+
+    /// Deserialize a queue written by [`Packet::save_queue`].
+    pub(crate) fn load_queue(
+        r: &mut td_engine::SnapReader<'_>,
+    ) -> Result<VecDeque<Packet>, td_engine::SnapError> {
+        let n = r.read_len()?;
+        (0..n).map(|_| Packet::load_state(r)).collect()
     }
 }
 

@@ -56,12 +56,12 @@ use td_engine::meter::{self, Meter};
 use td_engine::{EventId, SimTime, SnapError, SnapWriter};
 
 use crate::audit::Audit;
-use crate::packet::{NodeId, Packet};
+use crate::packet::Packet;
 use crate::partition::partition;
 use crate::trace::{canonical_trace_cmp, Trace, TraceObserver, TraceRecord};
 use crate::world::{
-    check_header, load_trace_record, read_pending, save_trace_record, with_table, write_pending,
-    ChannelId, ChannelStats, Endpoint, EndpointId, PendingBlob, World, HANDLE_IDS, HANDLE_INDEX,
+    check_header, read_pending, read_tail, write_pending, write_tail, ChannelId, ChannelStats,
+    Endpoint, EndpointId, PendingBlob, World,
 };
 
 /// How long a worker sleeps waiting for neighbour progress before
@@ -132,11 +132,10 @@ impl ShardedWorld {
     ///
     /// Panics if `shards == 0`, if `build_fn` is non-deterministic
     /// (replicas are cross-checked by component counts plus a structural
-    /// digest over wiring, rates, delays, routes, fault plans, endpoint
-    /// placement and start times — see `World::structure_digest` for the
-    /// one blind spot, discipline parameters), or if the partition would
-    /// cut a zero-delay channel (the partitioner never does; this guards
-    /// direct misuse).
+    /// digest over wiring, rates, delays, routes, disciplines and their
+    /// parameters, fault plans, endpoint placement and start times), or if
+    /// the partition would cut a zero-delay channel (the partitioner never
+    /// does; this guards direct misuse).
     pub fn build(seed: u64, shards: u32, build_fn: impl Fn(&mut World)) -> ShardedWorld {
         assert!(shards >= 1, "need at least one shard");
         let mut worlds = Vec::with_capacity(shards as usize);
@@ -223,11 +222,6 @@ impl ShardedWorld {
         self.worlds.len() as u32
     }
 
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: NodeId) -> u32 {
-        self.node_shard[node.0 as usize]
-    }
-
     /// The world seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -312,17 +306,12 @@ impl ShardedWorld {
     /// Borrow an endpoint (from its owning shard — replicas on other
     /// shards never run and hold stale initial state).
     pub fn endpoint(&self, ep: EndpointId) -> Option<&dyn Endpoint> {
-        self.owner_of_ep(ep.0 as usize).endpoint(ep)
+        self.worlds[self.ep_owner_shard(ep.0 as usize)].endpoint(ep)
     }
 
     fn owner_of_channel(&self, ch: ChannelId) -> &World {
         let (src, _) = self.worlds[0].channel_nodes(ch);
         &self.worlds[self.node_shard[src.0 as usize] as usize]
-    }
-
-    fn owner_of_ep(&self, i: usize) -> &World {
-        let host = self.worlds[0].ep_host(i);
-        &self.worlds[self.node_shard[host.0 as usize] as usize]
     }
 
     fn ep_owner_shard(&self, i: usize) -> usize {
@@ -336,17 +325,16 @@ impl ShardedWorld {
     ///
     /// # Panics
     ///
-    /// Panics if `t_end == SimTime::MAX`: the inclusive run bound needs
-    /// `t_end + 1` to be representable, and saturating instead would
-    /// silently exclude events at exactly `t_end`.
+    /// Panics if `t_end == SimTime::MAX`: a worker's exclusive horizon
+    /// bound is `t_end + 1`, which must be representable — saturating
+    /// instead would silently exclude events at exactly `t_end`.
     pub fn run_until(&mut self, t_end: SimTime) {
         assert!(
             t_end < SimTime::MAX,
             "run bound must be below SimTime::MAX for the inclusive +1 bound to be representable"
         );
-        let bound = SimTime::from_nanos(t_end.as_nanos() + 1);
         if self.worlds.len() == 1 {
-            self.worlds[0].run_before(bound);
+            self.worlds[0].run_until(t_end);
         } else {
             self.run_parallel(t_end);
         }
@@ -486,10 +474,11 @@ fn run_shard(
             shared.inflight.fetch_sub(drained as i64, SeqCst);
         }
 
-        // 3. Dispatch everything provably safe.
+        // 3. Dispatch everything provably safe: strictly before `bound`,
+        // which is at least 1 — every cut delay is positive.
         let before = world.events_dispatched();
         let bound = horizon.min(t_end_n.saturating_add(1));
-        world.run_before(SimTime::from_nanos(bound));
+        world.run_until(SimTime::from_nanos(bound - 1));
         let ran = world.events_dispatched() != before;
 
         // 4. Export deliveries to their receiving shards. Count them as
@@ -604,14 +593,13 @@ impl ShardedWorld {
     /// Serialize the full simulation state into the shard-count-invariant
     /// [`ShardSnapshot`] format.
     pub fn snapshot(&self) -> ShardSnapshot {
-        let n = self.worlds.len();
         let w0 = &self.worlds[0];
         let mut w = SnapWriter::with_header(SHARD_MAGIC, SHARD_VERSION);
         w0.write_fingerprint(&mut w);
         w.write_time(self.now);
 
         for i in 0..w0.endpoint_count() {
-            w.write_u64(self.owner_of_ep(i).ep_packet_ctr(i));
+            w.write_u64(self.worlds[self.ep_owner_shard(i)].ep_packet_ctr(i));
         }
 
         // Pending events, merged into the global canonical order by
@@ -622,36 +610,20 @@ impl ShardedWorld {
             .collect();
         pend.sort_by(|(_, a), (_, b)| (a.0, a.1, &a.3).cmp(&(b.0, b.1, &b.3)));
         write_pending(&mut w, pend.iter().map(|(_, p)| p));
-        let mut index: Vec<HashMap<EventId, u64>> = vec![HashMap::new(); n];
+        let mut index: Vec<HashMap<EventId, u64>> = vec![HashMap::new(); self.worlds.len()];
         for (gi, (s, p)) in pend.iter().enumerate() {
             index[*s].insert(p.2, gi as u64);
         }
 
-        w.write_bool(self.trace.is_enabled());
-        w.write_u64(self.trace.len() as u64);
-        for rec in self.trace.records() {
-            save_trace_record(rec, &mut w);
-        }
-        self.audit.save_state(&mut w);
-
-        for ni in 0..w0.node_count() {
-            if w0.is_host_node(ni) {
-                self.worlds[self.node_shard[ni] as usize].save_host_row(ni, &mut w);
-            }
-        }
-        for ch in w0.channel_ids() {
-            self.owner_of_channel(ch)
-                .save_channel_row(ch.0 as usize, &mut w);
-        }
-
-        // Endpoint rows write timer handles through their owning shard's
-        // translation.
-        for i in 0..w0.endpoint_count() {
-            let s = self.ep_owner_shard(i);
-            with_table(&HANDLE_INDEX, &mut index[s], || {
-                self.worlds[s].save_endpoint_row(i, &mut w)
-            });
-        }
+        let node_shard = &self.node_shard;
+        write_tail(
+            &mut w,
+            &self.trace,
+            &self.audit,
+            &self.worlds,
+            |node| node_shard[node.0 as usize] as usize,
+            &mut index,
+        );
 
         ShardSnapshot {
             bytes: w.into_bytes(),
@@ -668,14 +640,11 @@ impl ShardedWorld {
                 "sharded restore target must be freshly built, not already run".into(),
             ));
         }
-        let w0 = &self.worlds[0];
-        let mut r = w0.open_snapshot(&snap.bytes, SHARD_MAGIC, SHARD_VERSION)?;
-        let counts = (w0.node_count(), w0.channel_count(), w0.endpoint_count());
+        let mut r = self.worlds[0].open_snapshot(&snap.bytes, SHARD_MAGIC, SHARD_VERSION)?;
         let now = r.read_time()?;
-
-        let mut ep_ctrs = Vec::with_capacity(counts.2);
-        for _ in 0..counts.2 {
-            ep_ctrs.push(r.read_u64()?);
+        for i in 0..self.worlds[0].endpoint_count() {
+            let s = self.ep_owner_shard(i);
+            self.worlds[s].set_ep_packet_ctr(i, r.read_u64()?);
         }
 
         // Replace every shard's queue with its owned slice of the
@@ -699,54 +668,27 @@ impl ShardedWorld {
             }
         }
 
-        let trace_enabled = r.read_bool()?;
-        let n_recs = r.read_len()?;
-        let mut records = Vec::with_capacity(n_recs);
-        for _ in 0..n_recs {
-            records.push(load_trace_record(&mut r)?);
-        }
-        self.trace.set_enabled(trace_enabled);
-        self.trace.set_records(records);
-        for w in &mut self.worlds {
-            w.trace_mut().set_enabled(trace_enabled);
-        }
-
-        let mut restored_audit = Audit::default();
-        restored_audit.load_state(&mut r, self.worlds[0].conn_id_bound())?;
-        self.base_audit = restored_audit.clone();
-        self.audit = restored_audit;
         // Shard auditors restart from zero and would see pre-snapshot
         // packets delivered without their injection: from here on only
         // the merged view (`base_audit` plus the shards) checks
         // conservation, a lone shard's included.
+        let mut restored_audit = Audit::default();
+        let node_shard = &self.node_shard;
+        read_tail(
+            &mut r,
+            &mut self.trace,
+            &mut restored_audit,
+            &mut self.worlds,
+            |node| node_shard[node.0 as usize] as usize,
+            &mut handle_ids,
+        )?;
+        r.finish()?;
         for w in &mut self.worlds {
+            w.trace_mut().set_enabled(self.trace.is_enabled());
             w.set_distributed_audit();
         }
-
-        for ni in 0..counts.0 {
-            if self.worlds[0].is_host_node(ni) {
-                let s = self.node_shard[ni] as usize;
-                self.worlds[s].load_host_row(ni, &mut r)?;
-            }
-        }
-        for ci in 0..counts.1 {
-            let (src, _) = self.worlds[0].channel_nodes(ChannelId(ci as u32));
-            let s = self.node_shard[src.0 as usize] as usize;
-            self.worlds[s].load_channel_row(ci, &mut r)?;
-        }
-
-        for i in 0..counts.2 {
-            let s = self.ep_owner_shard(i);
-            with_table(&HANDLE_IDS, &mut handle_ids[s], || {
-                self.worlds[s].load_endpoint_row(i, &mut r)
-            })?;
-        }
-        r.finish()?;
-
-        for (i, ctr) in ep_ctrs.iter().enumerate() {
-            let s = self.ep_owner_shard(i);
-            self.worlds[s].set_ep_packet_ctr(i, *ctr);
-        }
+        self.base_audit = restored_audit.clone();
+        self.audit = restored_audit;
         self.now = now;
         Ok(())
     }
@@ -757,8 +699,8 @@ mod tests {
     use super::*;
     use crate::world::Ctx;
     use crate::{
-        ConnId, DisciplineKind, FaultModel, FaultPlan, GilbertElliott, Outage, PacketKind,
-        ReorderJitter, TimerHandle,
+        ConnId, Discipline, DisciplineKind, FaultModel, FaultPlan, GilbertElliott, Outage,
+        PacketKind, Red, ReorderJitter, TimerHandle,
     };
     use std::any::Any;
     use td_engine::{Rate, SimDuration, SnapReader};
@@ -1175,6 +1117,32 @@ mod tests {
                     SimDuration::from_micros(100 + n),
                     Some(20),
                     DisciplineKind::DropTail.build(),
+                    FaultModel::NONE,
+                );
+            }
+        });
+    }
+
+    /// Replicas that differ only in a RED parameter are different worlds:
+    /// the digest hashes RED's parameters, not just the discipline's name.
+    #[test]
+    #[should_panic(expected = "disagree on structure")]
+    fn build_rejects_replicas_differing_in_red_parameters() {
+        let calls = std::cell::Cell::new(0u32);
+        let _ = ShardedWorld::build(1, 2, |w: &mut World| {
+            let max_p = if calls.get() == 0 { 0.1 } else { 0.2 };
+            calls.set(calls.get() + 1);
+            let h = SimDuration::from_micros(100);
+            let a = w.add_host("a", h);
+            let s = w.add_switch("s");
+            for (src, dst) in [(a, s), (s, a)] {
+                w.add_channel(
+                    src,
+                    dst,
+                    Rate::from_kbps(1000),
+                    SimDuration::from_micros(100),
+                    Some(20),
+                    Discipline::Red(Box::new(Red::new(0.2, 5.0, 15.0, max_p))),
                     FaultModel::NONE,
                 );
             }

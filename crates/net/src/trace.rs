@@ -15,7 +15,7 @@
 use crate::packet::{ConnId, NodeId, Packet};
 use crate::world::ChannelId;
 use std::cmp::Ordering;
-use td_engine::SimTime;
+use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
 
 /// An online consumer of trace events, fed by [`crate::World`] at every
 /// emission site **whether or not trace recording is enabled** — this is
@@ -167,6 +167,171 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
+/// Drop reasons in codec-tag order: a reason's tag is its index.
+const DROP_REASONS: [DropReason; 4] = [
+    DropReason::BufferFull,
+    DropReason::Fault,
+    DropReason::EarlyDrop,
+    DropReason::LinkDown,
+];
+
+/// Loss kinds in codec-tag order: a kind's tag is its index.
+const LOSS_KINDS: [LossKind; 2] = [LossKind::DupAck, LossKind::Timeout];
+
+/// `v`'s codec tag: its index in `table`.
+fn tag_of<T: PartialEq>(table: &[T], v: &T) -> u8 {
+    table
+        .iter()
+        .position(|x| x == v)
+        .expect("every value has a tag") as u8
+}
+
+/// The value codec tag `tag` names in `table`; an unknown tag is corrupt.
+fn from_tag<T: Copy>(table: &[T], tag: u8, what: &str) -> Result<T, SnapError> {
+    (table.get(tag as usize).copied())
+        .ok_or_else(|| SnapError::Corrupt(format!("unknown {what} tag {tag}")))
+}
+
+/// Codec tag of an event's variant, the byte after a record's time.
+fn event_tag(ev: &TraceEvent) -> u8 {
+    match ev {
+        TraceEvent::Send { .. } => 0,
+        TraceEvent::Enqueue { .. } => 1,
+        TraceEvent::Drop { .. } => 2,
+        TraceEvent::TxStart { .. } => 3,
+        TraceEvent::TxEnd { .. } => 4,
+        TraceEvent::Deliver { .. } => 5,
+        TraceEvent::Proto { .. } => 6,
+    }
+}
+
+/// Codec tag of a protocol annotation's variant.
+fn proto_tag(ev: &ProtoEvent) -> u8 {
+    match ev {
+        ProtoEvent::Cwnd { .. } => 0,
+        ProtoEvent::LossDetected { .. } => 1,
+        ProtoEvent::Retransmit { .. } => 2,
+        ProtoEvent::InOrder { .. } => 3,
+    }
+}
+
+impl TraceRecord {
+    /// Serialize the record (snapshot support): time, event tag, then the
+    /// event's fields, integers little-endian — the byte order
+    /// [`canonical_trace_cmp`] mirrors field by field.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.write_time(self.t);
+        w.write_u8(event_tag(&self.ev));
+        match &self.ev {
+            TraceEvent::Send { node, pkt } | TraceEvent::Deliver { node, pkt } => {
+                w.write_u32(node.0);
+                pkt.save_state(w);
+            }
+            TraceEvent::TxStart { ch, pkt } => {
+                w.write_u32(ch.0);
+                pkt.save_state(w);
+            }
+            TraceEvent::Enqueue {
+                ch,
+                pkt,
+                qlen_after,
+            }
+            | TraceEvent::TxEnd {
+                ch,
+                pkt,
+                qlen_after,
+            } => {
+                w.write_u32(ch.0);
+                pkt.save_state(w);
+                w.write_u32(*qlen_after);
+            }
+            TraceEvent::Drop {
+                ch,
+                pkt,
+                reason,
+                qlen,
+            } => {
+                w.write_u32(ch.0);
+                pkt.save_state(w);
+                w.write_u8(tag_of(&DROP_REASONS, reason));
+                w.write_u32(*qlen);
+            }
+            TraceEvent::Proto { conn, node, ev } => {
+                w.write_u32(conn.0);
+                w.write_u32(node.0);
+                w.write_u8(proto_tag(ev));
+                match *ev {
+                    ProtoEvent::Cwnd { cwnd, ssthresh } => {
+                        w.write_f64(cwnd);
+                        w.write_f64(ssthresh);
+                    }
+                    ProtoEvent::LossDetected { seq, kind } => {
+                        w.write_u64(seq);
+                        w.write_u8(tag_of(&LOSS_KINDS, &kind));
+                    }
+                    ProtoEvent::Retransmit { seq } | ProtoEvent::InOrder { seq } => {
+                        w.write_u64(seq)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deserialize a record written by [`TraceRecord::save_state`].
+    pub(crate) fn load_state(r: &mut SnapReader<'_>) -> Result<TraceRecord, SnapError> {
+        let t = r.read_time()?;
+        let ev = match r.read_u8()? {
+            0 => TraceEvent::Send {
+                node: NodeId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+            },
+            1 => TraceEvent::Enqueue {
+                ch: ChannelId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+                qlen_after: r.read_u32()?,
+            },
+            2 => TraceEvent::Drop {
+                ch: ChannelId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+                reason: from_tag(&DROP_REASONS, r.read_u8()?, "drop reason")?,
+                qlen: r.read_u32()?,
+            },
+            3 => TraceEvent::TxStart {
+                ch: ChannelId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+            },
+            4 => TraceEvent::TxEnd {
+                ch: ChannelId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+                qlen_after: r.read_u32()?,
+            },
+            5 => TraceEvent::Deliver {
+                node: NodeId(r.read_u32()?),
+                pkt: Packet::load_state(r)?,
+            },
+            6 => TraceEvent::Proto {
+                conn: ConnId(r.read_u32()?),
+                node: NodeId(r.read_u32()?),
+                ev: match r.read_u8()? {
+                    0 => ProtoEvent::Cwnd {
+                        cwnd: r.read_f64()?,
+                        ssthresh: r.read_f64()?,
+                    },
+                    1 => ProtoEvent::LossDetected {
+                        seq: r.read_u64()?,
+                        kind: from_tag(&LOSS_KINDS, r.read_u8()?, "loss kind")?,
+                    },
+                    2 => ProtoEvent::Retransmit { seq: r.read_u64()? },
+                    3 => ProtoEvent::InOrder { seq: r.read_u64()? },
+                    k => return Err(SnapError::Corrupt(format!("unknown proto event tag {k}"))),
+                },
+            },
+            k => return Err(SnapError::Corrupt(format!("unknown trace event tag {k}"))),
+        };
+        Ok(TraceRecord { t, ev })
+    }
+}
+
 /// Tie-break rank for merged trace records at the same instant,
 /// mirroring the order a serial dispatch emits them: a departure frees
 /// the wire (`TxEnd`), deliveries and the endpoint reactions they
@@ -225,33 +390,8 @@ pub fn canonical_trace_cmp(a: &TraceRecord, b: &TraceRecord) -> Ordering {
             .then_with(|| a.retx.cmp(&b.retx))
             .then_with(|| a.ce.cmp(&b.ce))
     }
-    fn tag(ev: &TraceEvent) -> u8 {
-        match ev {
-            TraceEvent::Send { .. } => 0,
-            TraceEvent::Enqueue { .. } => 1,
-            TraceEvent::Drop { .. } => 2,
-            TraceEvent::TxStart { .. } => 3,
-            TraceEvent::TxEnd { .. } => 4,
-            TraceEvent::Deliver { .. } => 5,
-            TraceEvent::Proto { .. } => 6,
-        }
-    }
-    fn reason_tag(r: &DropReason) -> u8 {
-        match r {
-            DropReason::BufferFull => 0,
-            DropReason::Fault => 1,
-            DropReason::EarlyDrop => 2,
-            DropReason::LinkDown => 3,
-        }
-    }
     fn proto_cmp(a: &ProtoEvent, b: &ProtoEvent) -> Ordering {
-        let ptag = |e: &ProtoEvent| match e {
-            ProtoEvent::Cwnd { .. } => 0u8,
-            ProtoEvent::LossDetected { .. } => 1,
-            ProtoEvent::Retransmit { .. } => 2,
-            ProtoEvent::InOrder { .. } => 3,
-        };
-        ptag(a).cmp(&ptag(b)).then_with(|| match (a, b) {
+        proto_tag(a).cmp(&proto_tag(b)).then_with(|| match (a, b) {
             (
                 ProtoEvent::Cwnd {
                     cwnd: c1,
@@ -265,13 +405,7 @@ pub fn canonical_trace_cmp(a: &TraceRecord, b: &TraceRecord) -> Ordering {
             (
                 ProtoEvent::LossDetected { seq: q1, kind: k1 },
                 ProtoEvent::LossDetected { seq: q2, kind: k2 },
-            ) => {
-                let ktag = |k: &LossKind| match k {
-                    LossKind::DupAck => 0u8,
-                    LossKind::Timeout => 1,
-                };
-                le64(*q1, *q2).then_with(|| ktag(k1).cmp(&ktag(k2)))
-            }
+            ) => le64(*q1, *q2).then_with(|| tag_of(&LOSS_KINDS, k1).cmp(&tag_of(&LOSS_KINDS, k2))),
             (ProtoEvent::Retransmit { seq: q1 }, ProtoEvent::Retransmit { seq: q2 })
             | (ProtoEvent::InOrder { seq: q1 }, ProtoEvent::InOrder { seq: q2 }) => le64(*q1, *q2),
             _ => unreachable!("equal proto tags imply equal variants"),
@@ -279,7 +413,7 @@ pub fn canonical_trace_cmp(a: &TraceRecord, b: &TraceRecord) -> Ordering {
     }
     a.t.cmp(&b.t)
         .then_with(|| causal_rank(&a.ev).cmp(&causal_rank(&b.ev)))
-        .then_with(|| tag(&a.ev).cmp(&tag(&b.ev)))
+        .then_with(|| event_tag(&a.ev).cmp(&event_tag(&b.ev)))
         .then_with(|| match (&a.ev, &b.ev) {
             (TraceEvent::Send { node: n1, pkt: p1 }, TraceEvent::Send { node: n2, pkt: p2 })
             | (
@@ -327,7 +461,7 @@ pub fn canonical_trace_cmp(a: &TraceRecord, b: &TraceRecord) -> Ordering {
                 },
             ) => le32(c1.0, c2.0)
                 .then_with(|| pkt_cmp(p1, p2))
-                .then_with(|| reason_tag(r1).cmp(&reason_tag(r2)))
+                .then_with(|| tag_of(&DROP_REASONS, r1).cmp(&tag_of(&DROP_REASONS, r2)))
                 .then_with(|| le32(*q1, *q2)),
             (TraceEvent::TxStart { ch: c1, pkt: p1 }, TraceEvent::TxStart { ch: c2, pkt: p2 }) => {
                 le32(c1.0, c2.0).then_with(|| pkt_cmp(p1, p2))
@@ -519,9 +653,8 @@ mod tests {
 mod canonical_cmp_tests {
     use super::*;
     use crate::packet::{PacketId, PacketKind};
-    use crate::world::save_trace_record;
     use crate::ChannelId;
-    use td_engine::{SimRng, SnapWriter};
+    use td_engine::SimRng;
 
     /// Draw a record with every field randomized, covering all variants
     /// and both enum arms of every tagged sub-field.
@@ -616,7 +749,7 @@ mod canonical_cmp_tests {
             .iter()
             .map(|r| {
                 let mut w = SnapWriter::new();
-                save_trace_record(r, &mut w);
+                r.save_state(&mut w);
                 (r.t, causal_rank(&r.ev), w.into_bytes())
             })
             .collect();

@@ -62,37 +62,41 @@
 //! across shards. The rule decides paper results: content keys flip cells
 //! of the §4.3.3 zero-length-ACK conjecture, so serial worlds keep FIFO.
 //!
-//! ## Snapshots
+//! ## Where each decision lives
 //!
-//! TDSN ([`Snapshot`]), TDSW ([`crate::ShardSnapshot`]) and
-//! [`World::state_hash`] write pending events one way — pop order, each as
-//! due time plus encoded event — and a held [`TimerHandle`] as its event's
-//! index in that list. An `Arrival` is encoded with its packet, read from
-//! the flight arena, never with its arena index. Restore stashes each
-//! decoded packet in a fresh arena and rebuilds the queue with
-//! [`EventQueue::from_pending`], so no byte depends on slot-reuse or
-//! arena history.
+//! This file is the per-packet core: [`World`] and [`Ctx`], the world's
+//! construction, and an event's path through `dispatch`, `offer`,
+//! `maybe_start_tx`, `tx_complete`, `arrival` and `host_process`. Each
+//! other decision has a child module, which sees the same private fields:
+//!
+//! * `snapshot` — the codec of TDSN ([`Snapshot`]), the parts of TDSW it
+//!   shares, and [`World::state_hash`];
+//! * `routes` — routing install and validation;
+//! * `run` — the run loops and the watchdog's verdicts.
+//!
+//! The trace-record codec belongs to [`crate::TraceRecord`], beside
+//! [`crate::canonical_trace_cmp`], which mirrors its byte order.
 
 use crate::arena::{ChannelArena, ChannelRow, HostArena};
 use crate::audit::Audit;
 use crate::discipline::{Discipline, Victim};
 use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
 use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind, CONN_ID_CAP};
-use crate::route::{RouteTable, Run};
-use crate::trace::{
-    DropReason, LossKind, ProtoEvent, Trace, TraceEvent, TraceObserver, TraceRecord,
-};
-use crate::watchdog::{
-    EndpointProgress, RunOutcome, StallKind, StallReport, StuckConn, WatchdogConfig,
-};
+use crate::route::RouteTable;
+use crate::trace::{DropReason, ProtoEvent, Trace, TraceEvent, TraceObserver};
+use crate::watchdog::EndpointProgress;
 use std::any::Any;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::path::Path;
-use std::thread::LocalKey;
-use td_engine::meter::{self, Counter};
 use td_engine::{
     EventId, EventQueue, Rate, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
+};
+
+mod routes;
+mod run;
+mod snapshot;
+
+pub use snapshot::Snapshot;
+pub(crate) use snapshot::{
+    check_header, read_pending, read_tail, write_pending, write_tail, PendingBlob,
 };
 
 /// Base label for deriving each channel's private RNG stream — its fault
@@ -108,91 +112,9 @@ pub struct ChannelId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EndpointId(pub u32);
 
-thread_local! {
-    /// While a snapshot writes endpoint rows: each pending event's id → its
-    /// index in the pending list written beside them.
-    pub(crate) static HANDLE_INDEX: RefCell<Option<HashMap<EventId, u64>>> =
-        const { RefCell::new(None) };
-    /// While a restore reads endpoint rows: pending index → the event's id
-    /// in the rebuilt queue (`None` where another shard's queue holds it).
-    pub(crate) static HANDLE_IDS: RefCell<Option<Vec<Option<EventId>>>> =
-        const { RefCell::new(None) };
-}
-
-/// Run `f` with `table` installed in `slot` for this thread (one of the
-/// handle translations above), then hand the table back.
-pub(crate) fn with_table<T: Default, R>(
-    slot: &'static LocalKey<RefCell<Option<T>>>,
-    table: &mut T,
-    f: impl FnOnce() -> R,
-) -> R {
-    slot.set(Some(std::mem::take(table)));
-    let out = f();
-    *table = slot.take().unwrap_or_default();
-    out
-}
-
-/// How a snapshot writes a handle whose timer is no longer pending.
-const STALE_HANDLE: (u32, u64) = (u32::MAX, u64::MAX);
-
 /// Handle to a pending endpoint timer, used to cancel it.
 #[derive(Clone, Copy, Debug)]
 pub struct TimerHandle(EventId);
-
-impl TimerHandle {
-    /// A handle that is stale by construction (out of any slab's range):
-    /// `cancel` on it reports "already fired", exactly like a handle whose
-    /// slot generation has moved on.
-    fn stale() -> TimerHandle {
-        TimerHandle(EventId::from_raw(STALE_HANDLE.0, STALE_HANDLE.1))
-    }
-
-    /// Serialize the handle (snapshot support for endpoints holding armed
-    /// timers) as `(index, 0)`, its event's index in the pending list the
-    /// snapshot writes — or, for a timer that has fired or been cancelled,
-    /// as the stale marker `(u32::MAX, u64::MAX)`.
-    ///
-    /// # Panics
-    /// Outside a world snapshot, where there is no pending list to index.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let index = HANDLE_INDEX.with_borrow(|index| {
-            let index = index
-                .as_ref()
-                .expect("timer handle saved outside a world snapshot");
-            index.get(&self.0).copied()
-        });
-        let (idx, tag) = index.map_or(STALE_HANDLE, |i| (i as u32, 0));
-        w.write_u32(idx);
-        w.write_u64(tag);
-    }
-
-    /// Deserialize a handle written by [`TimerHandle::save_state`] as the
-    /// restored event's new id. An index with no pending event behind it —
-    /// past the list, or held by another shard — is
-    /// [`SnapError::Corrupt`]: restored as stale, it would be a timer that
-    /// silently never fires.
-    ///
-    /// # Panics
-    /// Outside a world restore.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<TimerHandle, SnapError> {
-        let raw = (r.read_u32()?, r.read_u64()?);
-        if raw == STALE_HANDLE {
-            return Ok(TimerHandle::stale());
-        }
-        let id = HANDLE_IDS.with_borrow(|ids| {
-            let ids = ids
-                .as_ref()
-                .expect("timer handle loaded outside a world restore");
-            match raw {
-                (idx, 0) => ids.get(idx as usize).copied().flatten(),
-                _ => None,
-            }
-        });
-        id.map(TimerHandle).ok_or_else(|| {
-            SnapError::Corrupt(format!("timer handle {raw:?} names no pending event"))
-        })
-    }
-}
 
 /// Online per-channel counters, maintained regardless of trace recording.
 #[derive(Clone, Copy, Default, Debug)]
@@ -341,325 +263,6 @@ fn canonical_key(ev: &Event, flight: &[Packet]) -> u64 {
         Event::Start(ep) => fnv(fnv(h, 4), u64::from(ep.0)),
         Event::LinkUp(ch) => fnv(fnv(h, 5), u64::from(ch.0)),
     }
-}
-
-/// One pending event as snapshots see it: due time, tie key, live queue
-/// id (for the timer-handle translation) and encoded event.
-pub(crate) type PendingBlob = (SimTime, u64, EventId, Vec<u8>);
-
-/// Write a pending list — its length, then each event's due time and
-/// encoded bytes — the one layout TDSN, TDSW and `World::state_hash`
-/// share. Tie keys are left out: the restoring world derives them.
-pub(crate) fn write_pending<'a>(
-    w: &mut SnapWriter,
-    pending: impl ExactSizeIterator<Item = &'a PendingBlob>,
-) {
-    w.write_u64(pending.len() as u64);
-    for (at, _, _, blob) in pending {
-        w.write_time(*at);
-        w.write_bytes(blob);
-    }
-}
-
-/// One decoded pending event: due time, event, and — for an `Arrival` —
-/// its packet, which [`World::rebuild_queue`] stashes in the flight arena
-/// before pointing the event at it.
-pub(crate) type LoadedEvent = (SimTime, Event, Option<Packet>);
-
-/// Read a list written by [`write_pending`], decoding every event.
-pub(crate) fn read_pending(r: &mut SnapReader<'_>) -> Result<Vec<LoadedEvent>, SnapError> {
-    let n = r.read_len()?;
-    (0..n)
-        .map(|_| {
-            let at = r.read_time()?;
-            let (ev, pkt) = r.read_section(load_event)?;
-            Ok((at, ev, pkt))
-        })
-        .collect()
-}
-
-/// Encode `ev`; an `Arrival` is written with its packet, out of `flight`.
-fn save_event(ev: &Event, flight: &[Packet], w: &mut SnapWriter) {
-    match ev {
-        Event::TxComplete(ch) => {
-            w.write_u8(0);
-            w.write_u32(ch.0);
-        }
-        Event::Arrival { ch, flight: i } => {
-            w.write_u8(1);
-            w.write_u32(ch.0);
-            flight[*i as usize].save_state(w);
-        }
-        Event::HostProcess(node) => {
-            w.write_u8(2);
-            w.write_u32(node.0);
-        }
-        Event::Timer { ep, token } => {
-            w.write_u8(3);
-            w.write_u32(ep.0);
-            w.write_u64(*token);
-        }
-        Event::Start(ep) => {
-            w.write_u8(4);
-            w.write_u32(ep.0);
-        }
-        Event::LinkUp(ch) => {
-            w.write_u8(5);
-            w.write_u32(ch.0);
-        }
-    }
-}
-
-/// Decode an event written by [`save_event`]. An `Arrival` comes back with
-/// its packet beside it and a flight index that names nothing yet.
-fn load_event(r: &mut SnapReader<'_>) -> Result<(Event, Option<Packet>), SnapError> {
-    Ok(match r.read_u8()? {
-        0 => (Event::TxComplete(ChannelId(r.read_u32()?)), None),
-        1 => {
-            let ch = ChannelId(r.read_u32()?);
-            let pkt = Packet::load_state(r)?;
-            let flight = u32::MAX;
-            (Event::Arrival { ch, flight }, Some(pkt))
-        }
-        2 => (Event::HostProcess(NodeId(r.read_u32()?)), None),
-        3 => {
-            let ep = EndpointId(r.read_u32()?);
-            let token = r.read_u64()?;
-            (Event::Timer { ep, token }, None)
-        }
-        4 => (Event::Start(EndpointId(r.read_u32()?)), None),
-        5 => (Event::LinkUp(ChannelId(r.read_u32()?)), None),
-        t => return Err(SnapError::Corrupt(format!("unknown event tag {t}"))),
-    })
-}
-
-pub(crate) fn save_trace_record(rec: &TraceRecord, w: &mut SnapWriter) {
-    w.write_time(rec.t);
-    match &rec.ev {
-        TraceEvent::Send { node, pkt } => {
-            w.write_u8(0);
-            w.write_u32(node.0);
-            pkt.save_state(w);
-        }
-        TraceEvent::Enqueue {
-            ch,
-            pkt,
-            qlen_after,
-        } => {
-            w.write_u8(1);
-            w.write_u32(ch.0);
-            pkt.save_state(w);
-            w.write_u32(*qlen_after);
-        }
-        TraceEvent::Drop {
-            ch,
-            pkt,
-            reason,
-            qlen,
-        } => {
-            w.write_u8(2);
-            w.write_u32(ch.0);
-            pkt.save_state(w);
-            w.write_u8(match reason {
-                DropReason::BufferFull => 0,
-                DropReason::Fault => 1,
-                DropReason::EarlyDrop => 2,
-                DropReason::LinkDown => 3,
-            });
-            w.write_u32(*qlen);
-        }
-        TraceEvent::TxStart { ch, pkt } => {
-            w.write_u8(3);
-            w.write_u32(ch.0);
-            pkt.save_state(w);
-        }
-        TraceEvent::TxEnd {
-            ch,
-            pkt,
-            qlen_after,
-        } => {
-            w.write_u8(4);
-            w.write_u32(ch.0);
-            pkt.save_state(w);
-            w.write_u32(*qlen_after);
-        }
-        TraceEvent::Deliver { node, pkt } => {
-            w.write_u8(5);
-            w.write_u32(node.0);
-            pkt.save_state(w);
-        }
-        TraceEvent::Proto { conn, node, ev } => {
-            w.write_u8(6);
-            w.write_u32(conn.0);
-            w.write_u32(node.0);
-            match ev {
-                ProtoEvent::Cwnd { cwnd, ssthresh } => {
-                    w.write_u8(0);
-                    w.write_f64(*cwnd);
-                    w.write_f64(*ssthresh);
-                }
-                ProtoEvent::LossDetected { seq, kind } => {
-                    w.write_u8(1);
-                    w.write_u64(*seq);
-                    w.write_u8(match kind {
-                        LossKind::DupAck => 0,
-                        LossKind::Timeout => 1,
-                    });
-                }
-                ProtoEvent::Retransmit { seq } => {
-                    w.write_u8(2);
-                    w.write_u64(*seq);
-                }
-                ProtoEvent::InOrder { seq } => {
-                    w.write_u8(3);
-                    w.write_u64(*seq);
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn load_trace_record(r: &mut SnapReader<'_>) -> Result<TraceRecord, SnapError> {
-    let t = r.read_time()?;
-    let ev = match r.read_u8()? {
-        0 => TraceEvent::Send {
-            node: NodeId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-        },
-        1 => TraceEvent::Enqueue {
-            ch: ChannelId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-            qlen_after: r.read_u32()?,
-        },
-        2 => TraceEvent::Drop {
-            ch: ChannelId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-            reason: match r.read_u8()? {
-                0 => DropReason::BufferFull,
-                1 => DropReason::Fault,
-                2 => DropReason::EarlyDrop,
-                3 => DropReason::LinkDown,
-                k => return Err(SnapError::Corrupt(format!("unknown drop reason tag {k}"))),
-            },
-            qlen: r.read_u32()?,
-        },
-        3 => TraceEvent::TxStart {
-            ch: ChannelId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-        },
-        4 => TraceEvent::TxEnd {
-            ch: ChannelId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-            qlen_after: r.read_u32()?,
-        },
-        5 => TraceEvent::Deliver {
-            node: NodeId(r.read_u32()?),
-            pkt: Packet::load_state(r)?,
-        },
-        6 => TraceEvent::Proto {
-            conn: ConnId(r.read_u32()?),
-            node: NodeId(r.read_u32()?),
-            ev: match r.read_u8()? {
-                0 => ProtoEvent::Cwnd {
-                    cwnd: r.read_f64()?,
-                    ssthresh: r.read_f64()?,
-                },
-                1 => ProtoEvent::LossDetected {
-                    seq: r.read_u64()?,
-                    kind: match r.read_u8()? {
-                        0 => LossKind::DupAck,
-                        1 => LossKind::Timeout,
-                        k => return Err(SnapError::Corrupt(format!("unknown loss kind tag {k}"))),
-                    },
-                },
-                2 => ProtoEvent::Retransmit { seq: r.read_u64()? },
-                3 => ProtoEvent::InOrder { seq: r.read_u64()? },
-                k => return Err(SnapError::Corrupt(format!("unknown proto event tag {k}"))),
-            },
-        },
-        k => return Err(SnapError::Corrupt(format!("unknown trace event tag {k}"))),
-    };
-    Ok(TraceRecord { t, ev })
-}
-
-/// A versioned, self-contained capture of a [`World`]'s mutable state,
-/// produced by [`World::snapshot`] and consumed by [`World::restore`].
-///
-/// The format is a flat little-endian byte stream behind a 4-byte magic
-/// and a `u32` version; readers refuse unknown versions rather than
-/// guessing. Structural configuration (topology, rates, capacities, fault
-/// *plans*, endpoint parameters) is **not** captured — a snapshot is
-/// applied onto a world freshly built from the same `(config, seed)`
-/// pair, and [`World::restore`] cross-checks seed and component counts to
-/// catch mismatched pairings early.
-pub struct Snapshot {
-    bytes: Vec<u8>,
-}
-
-impl Snapshot {
-    /// File/stream magic: "TDSN".
-    pub const MAGIC: &'static [u8; 4] = b"TDSN";
-    /// Current format version. Version 2 added the canonical-mode flag,
-    /// per-endpoint packet-id counters, and per-event ordering keys
-    /// inside the queue section. Version 3 added the model-checking
-    /// fault overlay (injected outages + forced-drop counters) to each
-    /// channel row, so restoring a branch snapshot reconstructs the
-    /// branch's decisions without replaying them. Version 4 writes the
-    /// queue as its clock, counters and pop-ordered pending list instead
-    /// of its slab, and timer handles as indices into that list.
-    /// Version 5 drops the world-shared RNG stream and the global
-    /// packet-id counter, which no world has any more.
-    pub const VERSION: u32 = 5;
-
-    /// The raw snapshot bytes (header included).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Adopt raw bytes, validating the header and the structural
-    /// fingerprint's basic sanity (the payload is validated lazily by
-    /// [`World::restore`]). Declared component counts are bounded by the
-    /// byte length — every component costs at least one payload byte — so
-    /// corrupt counts fail here as a structured error instead of asking
-    /// the restore path to allocate for them.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
-        check_header(&bytes, Self::MAGIC, Self::VERSION)?;
-        Ok(Snapshot { bytes })
-    }
-
-    /// Write the snapshot to `path` atomically (temp file in the same
-    /// directory, then rename), so a crash mid-write never leaves a
-    /// truncated snapshot under the final name.
-    pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
-        td_engine::write_atomic(path, &self.bytes)
-    }
-
-    /// Read and header-validate a snapshot file.
-    pub fn read_from_file(path: &Path) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Snapshot::from_bytes(bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Check a TDSN or TDSW header (magic, then `version`, the one this build
-/// decodes) and that the fingerprint's component counts fit the bytes
-/// after it: every component costs at least one payload byte.
-pub(crate) fn check_header(bytes: &[u8], magic: &[u8; 4], version: u32) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(bytes);
-    r.expect_header(magic, version..=version)?;
-    let _seed = r.read_u64()?;
-    let n_nodes = r.read_u32()? as u64;
-    let n_channels = r.read_u32()? as u64;
-    let n_endpoints = r.read_u32()? as u64;
-    let declared = n_nodes + n_channels + n_endpoints;
-    if declared > r.remaining() as u64 {
-        return Err(SnapError::Corrupt(format!(
-            "snapshot declares {declared} components but only {} payload byte(s) remain",
-            r.remaining()
-        )));
-    }
-    Ok(())
 }
 
 /// The simulation: topology, endpoints, clock, trace.
@@ -878,241 +481,6 @@ impl World {
         self.channels.row_mut(ch.0 as usize).mark_threshold = threshold;
     }
 
-    /// Install a static route: packets for destination host `dst` arriving
-    /// at switch `sw` leave on channel `ch`. The channel must originate at
-    /// `sw`: a route onto another node's link would silently teleport
-    /// packets and surface only as baffling conservation noise, so it is
-    /// rejected at install time.
-    pub fn set_route(&mut self, sw: NodeId, dst: NodeId, ch: ChannelId) {
-        let src = self.channels.row(ch.0 as usize).src;
-        assert!(
-            src == sw,
-            "set_route: channel {} leaves node {} ({}), not switch {} ({}) — \
-             a switch can only route onto its own outgoing channels",
-            ch.0,
-            src.0,
-            self.nodes[src.0 as usize].name,
-            sw.0,
-            self.nodes[sw.0 as usize].name,
-        );
-        match &mut self.nodes[sw.0 as usize].kind {
-            NodeKind::Switch { table } => table.insert(dst, ch),
-            NodeKind::Host { .. } => panic!("set_route on a host"),
-        }
-    }
-
-    /// Ascending node ids of every host.
-    fn host_ids(&self) -> Vec<u32> {
-        (0..self.nodes.len() as u32)
-            .filter(|&n| self.hosts.is_host(n as usize))
-            .collect()
-    }
-
-    /// Compute shortest-path routes from every switch to every host
-    /// (hop-count metric, ties broken by ascending channel id), replacing
-    /// whatever routes the switches held.
-    ///
-    /// One BFS per destination host, in ascending id order, over switches
-    /// only. Incoming channels are flat CSR arrays holding only
-    /// switch-sourced channels, ascending channel id per node. The root
-    /// host scans its incoming channels; each popped switch scans its own.
-    /// A host is never pushed: hosts do not forward (`arrival` delivers
-    /// every packet that reaches one to its endpoint), so a path through
-    /// another host is no path. For single-homed hosts — one uplink, and
-    /// downlinks only from that uplink's switch — this is exactly the
-    /// host-inclusive BFS: such a host is only ever discovered through its
-    /// own switch, which is then already seen, so it discovers nothing.
-    ///
-    /// Each switch keeps one open run `(start, end, ch)` in a dense array
-    /// over the switch list, updated the moment the BFS reaches it: the
-    /// run widens to the new destination when the channel matches and the
-    /// switch also routed the immediately preceding host (so no host id in
-    /// the widened gap was skipped), and is closed into the switch's table
-    /// otherwise. Afterwards each fully covering table elides its majority
-    /// channel into a default route (see the `route` module).
-    pub fn compute_routes(&mut self) {
-        // Dense ids: switches first, then hosts, each in node-id order.
-        let n = self.nodes.len();
-        let host_ids = self.host_ids();
-        let n_sw = (n - host_ids.len()) as u32;
-        let (mut next_sw, mut next_host) = (0, n_sw);
-        let dense: Vec<u32> = (0..n)
-            .map(|ni| {
-                let next = if self.hosts.is_host(ni) {
-                    &mut next_host
-                } else {
-                    &mut next_sw
-                };
-                *next += 1;
-                *next - 1
-            })
-            .collect();
-        // Switch-sourced incoming channels as CSR over dense ids: node
-        // `v`'s entries are `in_adj[in_off[v]..in_off[v + 1]]`, each a
-        // `(source switch, channel)`, filled in channel-id order.
-        let from_switch = |src: NodeId| !self.hosts.is_host(src.0 as usize);
-        let mut in_off = vec![0u32; n + 1];
-        for ci in 0..self.channels.len() {
-            let row = self.channels.row(ci);
-            if from_switch(row.src) {
-                in_off[dense[row.dst.0 as usize] as usize + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            in_off[v + 1] += in_off[v];
-        }
-        let mut cursor = in_off.clone();
-        let mut in_adj = vec![(0u32, ChannelId(0)); in_off[n] as usize];
-        for ci in 0..self.channels.len() {
-            let row = self.channels.row(ci);
-            if from_switch(row.src) {
-                let c = &mut cursor[dense[row.dst.0 as usize] as usize];
-                in_adj[*c as usize] = (dense[row.src.0 as usize], ChannelId(ci as u32));
-                *c += 1;
-            }
-        }
-        let mut tables: Vec<&mut RouteTable> = self
-            .nodes
-            .iter_mut()
-            .filter_map(|node| match &mut node.kind {
-                NodeKind::Switch { table } => {
-                    table.clear();
-                    Some(table)
-                }
-                NodeKind::Host { .. } => None,
-            })
-            .collect();
-        debug_assert_eq!(tables.len(), n_sw as usize);
-        // A switch's open run ends at `dst` exactly when this BFS has
-        // reached it, so the runs double as the visited marks.
-        const NO_RUN: Run = Run {
-            start: u32::MAX,
-            end: u32::MAX,
-            ch: ChannelId(u32::MAX),
-        };
-        let mut open = vec![NO_RUN; n_sw as usize];
-        let mut frontier: Vec<u32> = Vec::with_capacity(n_sw as usize);
-        let mut prev_host: Option<u32> = None;
-        for &dst in &host_ids {
-            frontier.clear();
-            let (mut v, mut head) = (dense[dst as usize] as usize, 0);
-            loop {
-                for &(s, ch) in &in_adj[in_off[v] as usize..in_off[v + 1] as usize] {
-                    let run = &mut open[s as usize];
-                    if run.end == dst {
-                        continue;
-                    }
-                    frontier.push(s);
-                    if run.ch == ch && Some(run.end) == prev_host {
-                        run.end = dst;
-                    } else {
-                        if run.ch != NO_RUN.ch {
-                            tables[s as usize].push_run(*run);
-                        }
-                        *run = Run {
-                            start: dst,
-                            end: dst,
-                            ch,
-                        };
-                    }
-                }
-                let Some(&u) = frontier.get(head) else {
-                    break;
-                };
-                head += 1;
-                v = u as usize;
-            }
-            prev_host = Some(dst);
-        }
-        for (table, run) in tables.into_iter().zip(open) {
-            if run.ch != NO_RUN.ch {
-                table.push_run(run);
-            }
-            table.elide_default(&host_ids);
-            table.shrink();
-        }
-    }
-
-    /// Every (switch, destination host) pair with no installed route, as
-    /// `(switch, host)` node-id pairs in ascending order. Empty when the
-    /// routing tables are complete.
-    pub fn missing_routes(&self) -> Vec<(NodeId, NodeId)> {
-        let host_ids = self.host_ids();
-        let mut missing = Vec::new();
-        for (ni, node) in self.nodes.iter().enumerate() {
-            if let NodeKind::Switch { table } = &node.kind {
-                // Complete tables (the common case) are skipped by a run
-                // count, not a per-host probe.
-                if table.covered_hosts(&host_ids) == host_ids.len() {
-                    continue;
-                }
-                for h in table.missing_hosts(&host_ids) {
-                    missing.push((NodeId(ni as u32), NodeId(h)));
-                }
-            }
-        }
-        missing
-    }
-
-    /// Post-[`World::compute_routes`] reachability validation: panics
-    /// listing **every** (switch, destination) pair that has no route, so
-    /// a partitioned or mis-wired topology fails loudly at build time
-    /// instead of mid-run at the first undeliverable packet. Builders
-    /// whose topologies are fully connected by construction call this;
-    /// deliberately partial worlds (one-way cuts) simply don't.
-    pub fn validate_routes(&self) {
-        let missing = self.missing_routes();
-        if missing.is_empty() {
-            return;
-        }
-        let mut msg = format!("{} unreachable (switch, destination) pairs:", missing.len());
-        for (sw, dst) in &missing {
-            msg.push_str(&format!(
-                "\n  switch {} ({}) has no route to host {} ({})",
-                sw.0, self.nodes[sw.0 as usize].name, dst.0, self.nodes[dst.0 as usize].name
-            ));
-        }
-        panic!("{msg}");
-    }
-
-    /// Next-hop channel installed at switch `sw` for destination `dst`
-    /// (`None` for a host node or a missing route). Inspection surface
-    /// for route-equivalence tests and diagnostics.
-    pub fn route_lookup(&self, sw: NodeId, dst: NodeId) -> Option<ChannelId> {
-        match &self.nodes[sw.0 as usize].kind {
-            NodeKind::Switch { table } => table.lookup(dst),
-            NodeKind::Host { .. } => None,
-        }
-    }
-
-    /// Heap bytes held by all switch routing tables (the compressed
-    /// representation actually resident).
-    pub fn route_table_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Switch { table } => table.heap_bytes() as u64,
-                NodeKind::Host { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Bytes the legacy dense representation — one `(NodeId, ChannelId)`
-    /// entry per resolved (switch, host) route — would need for the same
-    /// tables, at 8 bytes per entry. This is the *floor* of any dense
-    /// map (a real `HashMap` adds control bytes and load-factor slack),
-    /// so compression ratios reported against it are conservative.
-    pub fn dense_route_bytes(&self) -> u64 {
-        let host_ids = self.host_ids();
-        self.nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Switch { table } => table.covered_hosts(&host_ids) as u64 * 8,
-                NodeKind::Host { .. } => 0,
-            })
-            .sum()
-    }
-
     /// Attach a protocol endpoint to `host`, speaking connection `conn`
     /// with the endpoint on `peer`. Returns its id; schedule it with
     /// [`World::start_at`].
@@ -1216,198 +584,6 @@ impl World {
         self.schedule_event(at, Event::Arrival { ch, flight });
     }
 
-    /// Replace the event queue with `pending` (pop order), each `Arrival`'s
-    /// packet stashed in an emptied flight arena and each event keyed as
-    /// [`World::schedule_event`] would key it, the clock at `now` and the
-    /// queue's counters as given (see [`EventQueue::from_pending`]).
-    /// Returns the events' new ids, in list order.
-    pub(crate) fn rebuild_queue(
-        &mut self,
-        now: SimTime,
-        dispatched: u64,
-        scheduled: u64,
-        peak_len: usize,
-        pending: Vec<LoadedEvent>,
-    ) -> Result<Vec<EventId>, SnapError> {
-        self.flight.clear();
-        self.flight_free.clear();
-        let keyed = (pending.into_iter()).map(|(at, mut ev, pkt)| {
-            if let (Event::Arrival { flight, .. }, Some(pkt)) = (&mut ev, pkt) {
-                *flight = self.stash(pkt);
-            }
-            (at, self.tie_key(&ev), ev)
-        });
-        let (queue, ids) = EventQueue::from_pending(now, dispatched, scheduled, peak_len, keyed)?;
-        self.queue = queue;
-        Ok(ids)
-    }
-
-    // -- running ------------------------------------------------------------
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Run until no event at or before `t_end` remains. Events scheduled
-    /// exactly at `t_end` do fire.
-    pub fn run_until(&mut self, t_end: SimTime) {
-        // Single bounded pop per iteration: the old peek-then-pop pair
-        // (and its "peeked event exists" coupling) predates true
-        // cancellation, when peeking had to mutate to discard tombstones.
-        while let Some((t, ev)) = self.queue.pop_at_or_before(t_end) {
-            self.dispatch(t, ev);
-        }
-    }
-
-    /// Run until the event queue drains entirely.
-    pub fn run_to_completion(&mut self) {
-        while let Some((t, ev)) = self.queue.pop() {
-            self.dispatch(t, ev);
-        }
-        let in_network = self.packets_in_network();
-        self.audit.on_quiescent(self.now(), in_network);
-    }
-
-    /// Run until no event at or before `t_end` remains, under a watchdog
-    /// that distinguishes the three ways a run can fail to make progress
-    /// (see [`crate::StallKind`]). Returns how the run ended; a stalled
-    /// run stops at the verdict instead of hanging.
-    pub fn run_until_quiescent(&mut self, t_end: SimTime, cfg: &WatchdogConfig) -> RunOutcome {
-        let stop_at = cfg
-            .max_events
-            .map(|m| self.queue.dispatched().saturating_add(m));
-        let mut last_progress_t = self.now();
-        let mut last_delivered = self.audit.delivered();
-        loop {
-            if stop_at.is_some_and(|s| self.queue.dispatched() >= s) {
-                let note = format!(
-                    "event budget exhausted with {} event(s) pending",
-                    self.queue.len()
-                );
-                return RunOutcome::Stalled(self.stall_report(StallKind::BudgetExhausted, note));
-            }
-            match self.queue.pop_at_or_before(t_end) {
-                Some((t, ev)) => {
-                    self.dispatch(t, ev);
-                    let delivered = self.audit.delivered();
-                    if delivered != last_delivered {
-                        last_delivered = delivered;
-                        last_progress_t = t;
-                    } else if t.saturating_since(last_progress_t) > cfg.progress_window {
-                        // No delivery for a full window. Only a livelock if
-                        // someone still has work to do; an idle tail (all
-                        // endpoints finished, stray timers draining) is fine.
-                        let stuck = self.stuck_endpoints();
-                        if stuck.is_empty() {
-                            last_progress_t = t;
-                        } else {
-                            let note = format!(
-                                "no delivery since t={:.6}s (window {:.3}s)",
-                                last_progress_t.as_secs_f64(),
-                                cfg.progress_window.as_secs_f64()
-                            );
-                            let mut report = self.stall_report(StallKind::Livelock, note);
-                            report.stuck = stuck;
-                            self.write_post_mortem(cfg, &mut report);
-                            return RunOutcome::Stalled(report);
-                        }
-                    }
-                }
-                None => {
-                    if !self.queue.is_empty() {
-                        // Events remain beyond t_end: the normal end of a
-                        // fixed-duration run.
-                        return RunOutcome::TimeBound;
-                    }
-                    let in_network = self.packets_in_network();
-                    self.audit.on_quiescent(self.now(), in_network);
-                    let stuck = self.stuck_endpoints();
-                    if stuck.is_empty() {
-                        return RunOutcome::Quiescent;
-                    }
-                    let note = format!("event queue empty, {} endpoint(s) unfinished", stuck.len());
-                    let mut report = self.stall_report(StallKind::Deadlock, note);
-                    report.stuck = stuck;
-                    self.write_post_mortem(cfg, &mut report);
-                    return RunOutcome::Stalled(report);
-                }
-            }
-        }
-    }
-
-    /// Packets currently buffered inside the network: channel queues,
-    /// in-service slots, and host processing queues. (In-flight `Arrival`
-    /// events are not counted — they are accounted by the event queue, and
-    /// this is only read when it has drained.)
-    fn packets_in_network(&self) -> u64 {
-        let channel_pkts: u64 = (0..self.channels.len())
-            .map(|ci| u64::from(self.channels.row(ci).occupancy()))
-            .sum();
-        channel_pkts + self.hosts.queued_packets()
-    }
-
-    /// Endpoints that self-report unfinished work, with their state
-    /// summaries (see [`Endpoint::progress`]).
-    fn stuck_endpoints(&self) -> Vec<StuckConn> {
-        self.endpoints
-            .iter()
-            .zip(&self.ep_meta)
-            .filter_map(|(ep, meta)| {
-                let p = ep.as_ref()?.progress();
-                if p.finished == Some(false) {
-                    Some(StuckConn {
-                        conn: meta.conn.0,
-                        host: meta.host,
-                        detail: p.detail,
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    fn stall_report(&self, kind: StallKind, note: String) -> StallReport {
-        StallReport {
-            kind,
-            at: self.now(),
-            events_dispatched: self.queue.dispatched(),
-            note,
-            stuck: Vec::new(),
-            post_mortem: None,
-        }
-    }
-
-    /// Dump a post-mortem snapshot of this (stalled) world into the
-    /// watchdog's configured directory, recording the path in the report.
-    /// The filename carries the stall kind and *simulation* time, so
-    /// repeated deterministic runs overwrite one file instead of
-    /// accumulating wall-clock-named copies. I/O failure is swallowed:
-    /// a post-mortem must never turn a diagnosed stall into a panic.
-    fn write_post_mortem(&self, cfg: &WatchdogConfig, report: &mut StallReport) {
-        let Some(dir) = &cfg.post_mortem_dir else {
-            return;
-        };
-        let kind = match report.kind {
-            StallKind::Deadlock => "deadlock",
-            StallKind::Livelock => "livelock",
-            StallKind::BudgetExhausted => "budget",
-        };
-        let path = dir.join(format!(
-            "postmortem-{kind}-t{}.tdsnap",
-            report.at.as_nanos()
-        ));
-        if std::fs::create_dir_all(dir).is_ok() && self.snapshot().write_to_file(&path).is_ok() {
-            report.post_mortem = Some(path);
-        }
-    }
-
-    /// Total events dispatched so far.
-    pub fn events_dispatched(&self) -> u64 {
-        self.queue.dispatched()
-    }
-
     // -- inspection ---------------------------------------------------------
 
     /// The run's invariant auditor (counters and recorded violations).
@@ -1472,421 +648,6 @@ impl World {
         busy.as_secs_f64() / now.as_secs_f64()
     }
 
-    // -- snapshot / restore -------------------------------------------------
-
-    /// Capture every piece of mutable simulation state: the clock, the
-    /// event queue's counters and its pending events in pop order, all RNG
-    /// streams, per-channel occupancy and fault progress, host
-    /// processing queues, every endpoint's protocol state, the trace, and
-    /// the auditor. Restoring onto a world freshly built from the same
-    /// `(config, seed)` and running to the end is byte-identical to never
-    /// having stopped (see [`World::restore`]).
-    ///
-    /// Must be called between events — i.e. from outside the event loop,
-    /// never from inside an endpoint callback.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut w = SnapWriter::with_header(Snapshot::MAGIC, Snapshot::VERSION);
-        self.write_state(&mut w);
-        meter::add(Counter::SnapshotsTaken, 1);
-        Snapshot {
-            bytes: w.into_bytes(),
-        }
-    }
-
-    /// Stream the full snapshot encoding into `w`.
-    fn write_state(&self, w: &mut SnapWriter) {
-        self.write_fingerprint(w);
-        // Engine state: the clock, the queue's counters and pending events,
-        // the tie rule, and the packet-id counters.
-        w.write_time(self.now());
-        w.write_u64(self.queue.dispatched());
-        w.write_u64(self.queue.scheduled());
-        w.write_u64(self.queue.peak_len() as u64);
-        let pending = self.pending_event_blobs();
-        write_pending(w, pending.iter());
-        w.write_bool(self.canonical);
-        for &ctr in &self.ep_packet_ctr {
-            w.write_u64(ctr);
-        }
-        // Trace.
-        w.write_bool(self.trace.is_enabled());
-        let records = self.trace.records();
-        w.write_u64(records.len() as u64);
-        for rec in records {
-            save_trace_record(rec, w);
-        }
-        // Auditor.
-        self.audit.save_state(w);
-        // Per-host receive-path state (switches carry none).
-        for ni in 0..self.nodes.len() {
-            if self.hosts.is_host(ni) {
-                self.save_host_row(ni, w);
-            }
-        }
-        // Per-channel mutable state. The discipline gets its own section
-        // so a save/load asymmetry in one implementation fails at its own
-        // boundary.
-        for ci in 0..self.channels.len() {
-            self.save_channel_row(ci, w);
-        }
-        self.save_endpoint_rows(&pending, w);
-    }
-
-    /// Serialize every endpoint, one section each (empty for a detached
-    /// slot, which can only be observed if snapshot were called
-    /// mid-dispatch — the symmetric read keeps even that case consistent),
-    /// timer handles written as indices into `pending`.
-    fn save_endpoint_rows(&self, pending: &[PendingBlob], w: &mut SnapWriter) {
-        let mut index = (pending.iter().enumerate())
-            .map(|(i, &(_, _, id, _))| (id, i as u64))
-            .collect();
-        with_table(&HANDLE_INDEX, &mut index, || {
-            for i in 0..self.endpoints.len() {
-                self.save_endpoint_row(i, w);
-            }
-        });
-    }
-
-    /// A 64-bit FNV-1a hash of the world's *canonical* state encoding,
-    /// streamed through a hashing [`SnapWriter`] so no snapshot buffer is
-    /// ever materialized. Two worlds with equal hashes (collisions aside)
-    /// evolve identically under identical future inputs; the model
-    /// checker uses this for visited-state deduplication.
-    ///
-    /// The canonical encoding differs from the snapshot encoding by
-    /// excluding state that is pure *observation* — it records what
-    /// happened but never feeds back into behavior, so keeping it would
-    /// only split states that are behaviorally one:
-    ///
-    /// * the trace (flag and records);
-    /// * the event queue's dispatch/schedule/peak counters — pending
-    ///   events are written in pop order, as in the snapshot, which
-    ///   captures everything dispatch can see, including FIFO
-    ///   tie-breaking, and timer handles as indices into that list;
-    /// * per-channel throughput counters ([`ChannelStats`]);
-    /// * the audit's absolute injected/delivered/dropped totals — their
-    ///   *balance* (packets in the network) is behavioral and is hashed;
-    ///   the recorded-violation list is reporting, not state;
-    /// * injected model-checking outages that have fully expired (their
-    ///   window can no longer cover or cut anything).
-    ///
-    /// The hash still covers the codec header, so a snapshot version bump
-    /// automatically invalidates any persisted dedup set.
-    pub fn state_hash(&self) -> u64 {
-        let mut w = SnapWriter::hashing_with_header(Snapshot::MAGIC, Snapshot::VERSION);
-        self.write_fingerprint(&mut w);
-        let now = self.now();
-        w.write_time(now);
-        let pending = self.pending_event_blobs();
-        write_pending(&mut w, pending.iter());
-        w.write_bool(self.canonical);
-        for &ctr in &self.ep_packet_ctr {
-            w.write_u64(ctr);
-        }
-        self.audit.write_canonical(&mut w);
-        for ni in 0..self.nodes.len() {
-            if self.hosts.is_host(ni) {
-                self.save_host_row(ni, &mut w);
-            }
-        }
-        for ci in 0..self.channels.len() {
-            // The behavioral subset of `save_channel_row`: in-service
-            // slot, burst phase, private RNG, discipline, and the live
-            // part of the mc overlay — no throughput counters.
-            let row = self.channels.row(ci);
-            match row.in_service {
-                Some((pkt, started)) => {
-                    w.write_bool(true);
-                    pkt.save_state(&mut w);
-                    w.write_time(started);
-                }
-                None => w.write_bool(false),
-            }
-            w.write_bool(
-                self.channels
-                    .fault(ci)
-                    .burst
-                    .as_ref()
-                    .is_some_and(|b| b.in_bad()),
-            );
-            w.write_rng(self.channels.rng(ci));
-            let mut dw = SnapWriter::new();
-            row.discipline.save_state(&mut dw);
-            w.write_section(dw);
-            let live: Vec<&Outage> = self
-                .channels
-                .injected_outages(ci)
-                .iter()
-                .filter(|o| o.up > now)
-                .collect();
-            w.write_u64(live.len() as u64);
-            for o in live {
-                w.write_time(o.down);
-                w.write_time(o.up);
-            }
-            w.write_u32(row.forced_drops);
-        }
-        self.save_endpoint_rows(&pending, &mut w);
-        w.finish_hash()
-    }
-
-    /// Apply a [`Snapshot`] onto this world, which must have been freshly
-    /// built from the same `(config, seed)` pair as the world that was
-    /// captured. The seed and component counts are cross-checked; queue,
-    /// clock, RNG streams, channel and host occupancy, endpoint state,
-    /// trace, and auditor are all replaced wholesale. After a successful
-    /// restore, continuing the run is byte-identical (trace, report,
-    /// golden hash) to the uninterrupted original.
-    ///
-    /// On error the world is left in an unspecified half-restored state
-    /// and must be discarded; nothing outside `self` is touched. Note the
-    /// watchdog's livelock progress window restarts at the restore point
-    /// — the window's loop-local bookkeeping is intentionally not part of
-    /// the world (a resumed run gets a fresh grace period, never a
-    /// spurious verdict).
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        let mut r = self.open_snapshot(snap.as_bytes(), Snapshot::MAGIC, Snapshot::VERSION)?;
-        // The queue is replaced wholesale — it carries the clock and any
-        // pending `LinkUp` wake-ups the builder already scheduled, so
-        // nothing is double-scheduled.
-        let now = r.read_time()?;
-        let (dispatched, scheduled) = (r.read_u64()?, r.read_u64()?);
-        let peak_len = r.read_u64()? as usize;
-        let pending = read_pending(&mut r)?;
-        let ids = self.rebuild_queue(now, dispatched, scheduled, peak_len, pending)?;
-        let canonical = r.read_bool()?;
-        if canonical != self.canonical {
-            let rule = |c: bool| if c { "content-keyed" } else { "FIFO" };
-            return Err(SnapError::Mismatch(format!(
-                "snapshot was taken with {} ties, this world uses {} ties",
-                rule(canonical),
-                rule(self.canonical),
-            )));
-        }
-        for ctr in &mut self.ep_packet_ctr {
-            *ctr = r.read_u64()?;
-        }
-        let enabled = r.read_bool()?;
-        let n_rec = r.read_len()?;
-        let mut records = Vec::with_capacity(n_rec);
-        for _ in 0..n_rec {
-            records.push(load_trace_record(&mut r)?);
-        }
-        self.trace.set_enabled(enabled);
-        self.trace.set_records(records);
-        self.audit.load_state(&mut r, self.conn_id_bound())?;
-        for ni in 0..self.nodes.len() {
-            if self.hosts.is_host(ni) {
-                self.load_host_row(ni, &mut r)?;
-            }
-        }
-        for ci in 0..self.channels.len() {
-            self.load_channel_row(ci, &mut r)?;
-        }
-        let mut ids = ids.into_iter().map(Some).collect();
-        with_table(&HANDLE_IDS, &mut ids, || {
-            (0..self.endpoints.len()).try_for_each(|i| self.load_endpoint_row(i, &mut r))
-        })?;
-        r.finish()?;
-        meter::add(Counter::SnapshotsRestored, 1);
-        Ok(())
-    }
-
-    /// Write the structural fingerprint every snapshot of this world opens
-    /// with — seed, then node, channel and endpoint counts — for
-    /// [`World::open_snapshot`] to cross-check.
-    pub(crate) fn write_fingerprint(&self, w: &mut SnapWriter) {
-        w.write_u64(self.seed);
-        w.write_u32(self.nodes.len() as u32);
-        w.write_u32(self.channels.len() as u32);
-        w.write_u32(self.endpoints.len() as u32);
-    }
-
-    /// A reader over snapshot `bytes` past their header and fingerprint,
-    /// once both check out: a seed or component count other than this
-    /// world's is [`SnapError::Mismatch`].
-    pub(crate) fn open_snapshot<'a>(
-        &self,
-        bytes: &'a [u8],
-        magic: &[u8; 4],
-        version: u32,
-    ) -> Result<SnapReader<'a>, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        r.expect_header(magic, version..=version)?;
-        let seed = r.read_u64()?;
-        if seed != self.seed {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot was taken with seed {seed}, this world uses {}",
-                self.seed
-            )));
-        }
-        for (what, got, want) in [
-            ("nodes", r.read_u32()?, self.nodes.len() as u32),
-            ("channels", r.read_u32()?, self.channels.len() as u32),
-            ("endpoints", r.read_u32()?, self.endpoints.len() as u32),
-        ] {
-            if got != want {
-                return Err(SnapError::Mismatch(format!(
-                    "snapshot has {got} {what}, this world has {want}"
-                )));
-            }
-        }
-        Ok(r)
-    }
-
-    /// Serialize one host's receive-path state (processing flag + queue).
-    pub(crate) fn save_host_row(&self, ni: usize, w: &mut SnapWriter) {
-        w.write_bool(self.hosts.proc_busy(ni));
-        let q = self.hosts.proc_queue(ni);
-        w.write_u64(q.len() as u64);
-        for p in q {
-            p.save_state(w);
-        }
-    }
-
-    /// Restore one host's receive-path state.
-    pub(crate) fn load_host_row(
-        &mut self,
-        ni: usize,
-        r: &mut SnapReader<'_>,
-    ) -> Result<(), SnapError> {
-        let busy = r.read_bool()?;
-        self.hosts.set_proc_busy(ni, busy);
-        let n = r.read_len()?;
-        let q = self.hosts.proc_queue_mut(ni);
-        q.clear();
-        for _ in 0..n {
-            q.push_back(Packet::load_state(r)?);
-        }
-        Ok(())
-    }
-
-    /// Serialize one channel's mutable state (in-service slot, burst-loss
-    /// phase, private RNG, counters, and the discipline's own section).
-    pub(crate) fn save_channel_row(&self, ci: usize, w: &mut SnapWriter) {
-        let row = self.channels.row(ci);
-        match row.in_service {
-            Some((pkt, started)) => {
-                w.write_bool(true);
-                pkt.save_state(w);
-                w.write_time(started);
-            }
-            None => w.write_bool(false),
-        }
-        w.write_bool(
-            self.channels
-                .fault(ci)
-                .burst
-                .as_ref()
-                .is_some_and(|b| b.in_bad()),
-        );
-        w.write_rng(self.channels.rng(ci));
-        let stats = row.stats;
-        w.write_dur(stats.busy);
-        w.write_u64(stats.tx_packets);
-        w.write_u64(stats.tx_bytes);
-        w.write_u64(stats.drops);
-        w.write_u64(stats.enqueued);
-        let mut dw = SnapWriter::new();
-        row.discipline.save_state(&mut dw);
-        w.write_section(dw);
-        // v3: model-checking fault overlay. Always empty outside mc runs,
-        // so ordinary snapshots cost two fixed-size fields per channel.
-        let inj = self.channels.injected_outages(ci);
-        w.write_u64(inj.len() as u64);
-        for o in inj {
-            w.write_time(o.down);
-            w.write_time(o.up);
-        }
-        w.write_u32(row.forced_drops);
-    }
-
-    /// Restore one channel's mutable state. Refuses state the channel
-    /// could never reach: more packets than its capacity (the snapshot's
-    /// fingerprint does not cover capacities, so this is what catches a
-    /// restore onto a world rebuilt with smaller buffers), or an injected
-    /// outage window that is empty.
-    pub(crate) fn load_channel_row(
-        &mut self,
-        ci: usize,
-        r: &mut SnapReader<'_>,
-    ) -> Result<(), SnapError> {
-        let in_service = if r.read_bool()? {
-            let pkt = Packet::load_state(r)?;
-            let started = r.read_time()?;
-            Some((pkt, started))
-        } else {
-            None
-        };
-        self.channels.row_mut(ci).in_service = in_service;
-        let in_bad = r.read_bool()?;
-        match &mut self.channels.fault_mut(ci).burst {
-            Some(b) => b.set_in_bad(in_bad),
-            None if in_bad => {
-                return Err(SnapError::Mismatch(
-                    "snapshot carries burst-loss state for a channel without a \
-                     burst process"
-                        .into(),
-                ))
-            }
-            None => {}
-        }
-        *self.channels.rng_mut(ci) = r.read_rng()?;
-        let row = self.channels.row_mut(ci);
-        let stats = &mut row.stats;
-        stats.busy = r.read_dur()?;
-        stats.tx_packets = r.read_u64()?;
-        stats.tx_bytes = r.read_u64()?;
-        stats.drops = r.read_u64()?;
-        stats.enqueued = r.read_u64()?;
-        r.read_section(|r| row.discipline.load_state(r))?;
-        if let Some(cap) = row.capacity {
-            let held = row.discipline.len() as u64 + u64::from(row.in_service.is_some());
-            if held > u64::from(cap) {
-                return Err(SnapError::Mismatch(format!(
-                    "snapshot holds {held} packets on channel {ci}, whose capacity is {cap}"
-                )));
-            }
-        }
-        let n_inj = r.read_len()?;
-        let mut inj = Vec::with_capacity(n_inj);
-        for _ in 0..n_inj {
-            let down = r.read_time()?;
-            let up = r.read_time()?;
-            if down >= up {
-                return Err(SnapError::Corrupt(format!(
-                    "injected outage [{down:?}, {up:?}) on channel {ci} is empty"
-                )));
-            }
-            inj.push(Outage { down, up });
-        }
-        *self.channels.injected_outages_mut(ci) = inj;
-        self.channels.row_mut(ci).forced_drops = r.read_u32()?;
-        Ok(())
-    }
-
-    /// Serialize one endpoint as a length-prefixed section.
-    pub(crate) fn save_endpoint_row(&self, i: usize, w: &mut SnapWriter) {
-        let mut ew = SnapWriter::new();
-        if let Some(ep) = &self.endpoints[i] {
-            ep.save_state(&mut ew);
-        }
-        w.write_section(ew);
-    }
-
-    /// Restore one endpoint from its length-prefixed section.
-    pub(crate) fn load_endpoint_row(
-        &mut self,
-        i: usize,
-        r: &mut SnapReader<'_>,
-    ) -> Result<(), SnapError> {
-        let ep = &mut self.endpoints[i];
-        r.read_section(|r| match ep {
-            Some(ep) => ep.load_state(r),
-            None => Ok(()),
-        })
-    }
-
     /// The endpoint object, for downcasting to its concrete type after a
     /// run (`None` if the id is out of range).
     pub fn endpoint(&self, ep: EndpointId) -> Option<&dyn Endpoint> {
@@ -1945,9 +706,8 @@ impl World {
     /// population. [`crate::ShardedWorld::build`] compares this across
     /// shard replicas to reject builders that vary wiring, delays, routes
     /// or start times while keeping the component counts equal. Mutable
-    /// run state is excluded, and discipline *parameters* (e.g. RED
-    /// thresholds) are only hashed as the discipline's name, so a builder
-    /// varying only those still slips through.
+    /// run state is excluded; a discipline is hashed by name and, for
+    /// RED, by its four parameters.
     pub(crate) fn structure_digest(&self) -> u64 {
         fn fold_bytes(mut h: u64, b: &[u8]) -> u64 {
             h = fnv(h, b.len() as u64);
@@ -1987,6 +747,9 @@ impl World {
             h = fold_opt_u32(h, row.capacity);
             h = fold_opt_u32(h, row.mark_threshold);
             h = fold_bytes(h, row.discipline.name().as_bytes());
+            for p in row.discipline.params().into_iter().flatten() {
+                h = fnv(h, p.to_bits());
+            }
             let fp = self.channels.fault(ci);
             h = fnv(h, fp.model.drop_prob.to_bits());
             h = fnv(h, fp.model.corrupt_prob.to_bits());
@@ -2017,10 +780,6 @@ impl World {
             h = fold_bytes(h, &blob);
         }
         h
-    }
-
-    pub(crate) fn is_host_node(&self, ni: usize) -> bool {
-        self.hosts.is_host(ni)
     }
 
     pub(crate) fn ep_host(&self, i: usize) -> NodeId {
@@ -2078,19 +837,6 @@ impl World {
         }
     }
 
-    /// Dispatch every event strictly before `bound` (the shard's current
-    /// safe horizon).
-    pub(crate) fn run_before(&mut self, bound: SimTime) {
-        while let Some((t, ev)) = self.queue.pop_before(bound) {
-            self.dispatch(t, ev);
-        }
-    }
-
-    /// Earliest pending local event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Take the buffered cross-shard deliveries.
     pub(crate) fn take_outbox(&mut self) -> Vec<(SimTime, ChannelId, Packet)> {
         std::mem::take(&mut self.outbox)
@@ -2101,27 +847,6 @@ impl World {
     /// horizon protocol guarantees `at ≥ lb_sender + delay ≥ now`.
     pub(crate) fn inject_arrival(&mut self, at: SimTime, ch: ChannelId, pkt: Packet) {
         self.schedule_arrival(at, ch, pkt);
-    }
-
-    /// Advance the clock to `t` (idle shard catching up to the run's end
-    /// time so every shard agrees on `now`).
-    pub(crate) fn advance_clock(&mut self, t: SimTime) {
-        self.queue.advance_clock(t);
-    }
-
-    /// The pending event set in pop order, each event encoded to bytes —
-    /// the one list TDSN, TDSW and [`World::state_hash`] write. The queue
-    /// id correlates entries with timer handles held by endpoints.
-    pub(crate) fn pending_event_blobs(&self) -> Vec<PendingBlob> {
-        self.queue
-            .pending_entries()
-            .into_iter()
-            .map(|(at, key, id, ev)| {
-                let mut w = SnapWriter::new();
-                save_event(ev, &self.flight, &mut w);
-                (at, key, id, w.into_bytes())
-            })
-            .collect()
     }
 
     // -- internals ----------------------------------------------------------
@@ -2616,6 +1341,34 @@ mod tests {
         (w, h0, h1, c01, c10)
     }
 
+    /// Five 500 B packets over a clean 50 Kbps / 10 ms link.
+    pub(super) fn blaster_world() -> (World, EndpointId, ChannelId) {
+        let (mut w, h0, h1, c01, _) =
+            direct_world(Rate::from_kbps(50), SimDuration::from_millis(10), None);
+        let src = w.attach(
+            h0,
+            h1,
+            ConnId(0),
+            Box::new(Blaster {
+                n: 5,
+                acks_seen: 0,
+                data_size: 500,
+            }),
+        );
+        let snk = w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
+        w.start_at(src, SimTime::ZERO);
+        (w, snk, c01)
+    }
+
+    pub(super) fn data_seen(w: &World, snk: EndpointId) -> u64 {
+        w.endpoint(snk)
+            .unwrap()
+            .as_any()
+            .downcast_ref::<Acker>()
+            .unwrap()
+            .data_seen
+    }
+
     #[test]
     fn single_packet_end_to_end_latency() {
         // 500 B at 50 Kbps = 80 ms tx; 10 ms prop; 0.1 ms host processing.
@@ -2735,265 +1488,6 @@ mod tests {
                     assert!(qlen_after <= 4, "occupancy {qlen_after} exceeded capacity");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn dumbbell_routing_delivers_through_switches() {
-        // H0 - S0 - S1 - H1.
-        let mut w = World::new(1);
-        let h0 = w.add_host("H0", SimDuration::from_micros(100));
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        let s0 = w.add_switch("S0");
-        let s1 = w.add_switch("S1");
-        let fast = Rate::from_mbps(10);
-        let slow = Rate::from_kbps(50);
-        let us = SimDuration::from_micros(100);
-        let ms10 = SimDuration::from_millis(10);
-        for (a, b, r, d) in [
-            (h0, s0, fast, us),
-            (s0, h0, fast, us),
-            (s0, s1, slow, ms10),
-            (s1, s0, slow, ms10),
-            (s1, h1, fast, us),
-            (h1, s1, fast, us),
-        ] {
-            w.add_channel(
-                a,
-                b,
-                r,
-                d,
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            );
-        }
-        w.compute_routes();
-        let src = w.attach(
-            h0,
-            h1,
-            ConnId(0),
-            Box::new(Blaster {
-                n: 3,
-                acks_seen: 0,
-                data_size: 500,
-            }),
-        );
-        let snk = w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
-        w.start_at(src, SimTime::ZERO);
-        w.run_to_completion();
-        let acker = w
-            .endpoint(snk)
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Acker>()
-            .unwrap();
-        assert_eq!(acker.data_seen, 3);
-        let blaster = w
-            .endpoint(src)
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Blaster>()
-            .unwrap();
-        assert_eq!(blaster.acks_seen, 3);
-    }
-
-    /// A manual route must leave on one of the switch's own outgoing
-    /// channels; wiring it onto another node's link is rejected at
-    /// install time, not discovered as conservation noise mid-run.
-    #[test]
-    #[should_panic(expected = "a switch can only route onto its own outgoing channels")]
-    fn set_route_rejects_foreign_channel() {
-        let mut w = World::new(1);
-        let h0 = w.add_host("H0", SimDuration::from_micros(100));
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        let s0 = w.add_switch("S0");
-        let s1 = w.add_switch("S1");
-        let spec = (
-            Rate::from_kbps(50),
-            SimDuration::from_millis(10),
-            None::<u32>,
-        );
-        for (a, b) in [(h0, s0), (s0, s1), (s1, h1)] {
-            w.add_channel(
-                a,
-                b,
-                spec.0,
-                spec.1,
-                spec.2,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            );
-        }
-        // Channel 2 leaves s1, not s0.
-        w.set_route(s0, h1, ChannelId(2));
-    }
-
-    /// `validate_routes` must list *every* unreachable (switch,
-    /// destination) pair at build time, not just the first.
-    #[test]
-    fn validate_routes_reports_all_missing_pairs() {
-        // Switch s has channels to a only; b and c are send-only hosts
-        // (their uplinks exist, the return channels don't).
-        let mut w = World::new(1);
-        let a = w.add_host("A", SimDuration::from_micros(100));
-        let b = w.add_host("B", SimDuration::from_micros(100));
-        let c = w.add_host("C", SimDuration::from_micros(100));
-        let s = w.add_switch("S");
-        let link = |w: &mut World, x, y| {
-            w.add_channel(
-                x,
-                y,
-                Rate::from_kbps(50),
-                SimDuration::from_millis(10),
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            )
-        };
-        link(&mut w, a, s);
-        link(&mut w, s, a);
-        link(&mut w, b, s);
-        link(&mut w, c, s);
-        w.compute_routes();
-        let missing = w.missing_routes();
-        assert_eq!(missing, vec![(s, b), (s, c)]);
-        let msg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.validate_routes()))
-            .expect_err("incomplete routes must fail validation");
-        let msg = msg.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("2 unreachable"), "{msg}");
-        assert!(
-            msg.contains("host 1 (B)") && msg.contains("host 2 (C)"),
-            "{msg}"
-        );
-    }
-
-    /// Complete tables validate silently, and lookups agree with what
-    /// the BFS installed.
-    #[test]
-    fn validate_routes_accepts_complete_tables() {
-        let mut w = World::new(1);
-        let h0 = w.add_host("H0", SimDuration::from_micros(100));
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        let s0 = w.add_switch("S0");
-        let link = |w: &mut World, x, y| {
-            w.add_channel(
-                x,
-                y,
-                Rate::from_kbps(50),
-                SimDuration::from_millis(10),
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            )
-        };
-        link(&mut w, h0, s0);
-        let s0h0 = link(&mut w, s0, h0);
-        link(&mut w, h1, s0);
-        let s0h1 = link(&mut w, s0, h1);
-        w.compute_routes();
-        w.validate_routes();
-        assert!(w.missing_routes().is_empty());
-        assert_eq!(w.route_lookup(s0, h0), Some(s0h0));
-        assert_eq!(w.route_lookup(s0, h1), Some(s0h1));
-        assert!(w.route_table_bytes() < w.dense_route_bytes() || w.route_table_bytes() == 0);
-    }
-
-    /// Hosts do not forward, so the route builder never routes through
-    /// one. H's uplink goes to S2 and an extra channel S1 → H reaches it:
-    /// S1 must reach D (on S2) over switches, or not at all — a packet
-    /// routed S1 → H would reach a host with no endpoint for it.
-    #[test]
-    fn routes_never_transit_a_host() {
-        let build = |with_switch_path: bool| {
-            let mut w = World::new(1);
-            let s1 = w.add_switch("S1");
-            let s2 = w.add_switch("S2");
-            let s3 = w.add_switch("S3");
-            let h = w.add_host("H", SimDuration::from_micros(100));
-            let d = w.add_host("D", SimDuration::from_micros(100));
-            let link = |w: &mut World, x, y| {
-                w.add_channel(
-                    x,
-                    y,
-                    Rate::from_kbps(50),
-                    SimDuration::from_millis(10),
-                    None,
-                    DisciplineKind::DropTail.build(),
-                    FaultModel::NONE,
-                )
-            };
-            link(&mut w, h, s2);
-            link(&mut w, s2, h);
-            link(&mut w, s1, h); // the extra channel into H
-            link(&mut w, d, s2);
-            link(&mut w, s2, d);
-            link(&mut w, s2, s1);
-            let s1s3 = with_switch_path.then(|| {
-                let s1s3 = link(&mut w, s1, s3);
-                link(&mut w, s3, s2);
-                link(&mut w, s2, s3);
-                s1s3
-            });
-            w.compute_routes();
-            (w, s1, d, s1s3)
-        };
-        let (w, s1, d, s1s3) = build(true);
-        assert_eq!(w.route_lookup(s1, d), s1s3);
-        w.validate_routes();
-
-        let (w, s1, d, _) = build(false);
-        assert_eq!(w.route_lookup(s1, d), None);
-        let msg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.validate_routes()))
-            .expect_err("no switch path: validation must fail at build time");
-        let msg = msg.downcast_ref::<String>().unwrap();
-        assert!(
-            msg.contains("switch 0 (S1) has no route to host 4 (D)"),
-            "{msg}"
-        );
-    }
-
-    /// A run widens across an id gap only when the switch routed every
-    /// host in it: S reaches H1, H3 and H7 over one channel but not H5,
-    /// so its table keeps two runs and H5 stays unrouted.
-    #[test]
-    fn runs_bridge_only_hostless_gaps() {
-        let mut w = World::new(1);
-        let s = w.add_switch("S");
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        let b = w.add_switch("B");
-        let h3 = w.add_host("H3", SimDuration::from_micros(100));
-        let c = w.add_switch("C");
-        let h5 = w.add_host("H5", SimDuration::from_micros(100));
-        let _ = w.add_switch("X");
-        let h7 = w.add_host("H7", SimDuration::from_micros(100));
-        let link = |w: &mut World, x, y| {
-            w.add_channel(
-                x,
-                y,
-                Rate::from_kbps(50),
-                SimDuration::from_millis(10),
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            )
-        };
-        let sb = link(&mut w, s, b);
-        for h in [h1, h3, h7] {
-            link(&mut w, h, b);
-            link(&mut w, b, h);
-        }
-        link(&mut w, h5, c);
-        link(&mut w, c, h5);
-        w.compute_routes();
-        for (dst, want) in [(h1, Some(sb)), (b, Some(sb)), (h3, Some(sb))] {
-            assert_eq!(w.route_lookup(s, dst), want, "inside the first run");
-        }
-        assert_eq!(w.route_lookup(s, h5), None, "skipped host: no bridge");
-        assert_eq!(w.route_lookup(s, h7), Some(sb));
-        match &w.nodes[s.0 as usize].kind {
-            NodeKind::Switch { table } => assert_eq!(table.run_count(), 2),
-            NodeKind::Host { .. } => unreachable!(),
         }
     }
 
@@ -3257,131 +1751,6 @@ mod tests {
             h1,
             ConnId(CONN_ID_CAP),
             Box::new(Acker { data_seen: 0 }),
-        );
-    }
-}
-
-#[cfg(test)]
-mod budget_tests {
-    use super::*;
-    use crate::discipline::DisciplineKind;
-
-    /// An endpoint that reschedules itself forever with zero delay.
-    struct Spinner;
-    impl Endpoint for Spinner {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::ZERO, 0);
-        }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            ctx.set_timer(SimDuration::ZERO, 0);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
-    #[test]
-    fn bounded_run_stops_a_spinner() {
-        let mut w = World::new(1);
-        let h0 = w.add_host("a", SimDuration::ZERO);
-        let h1 = w.add_host("b", SimDuration::ZERO);
-        w.add_channel(
-            h0,
-            h1,
-            Rate::from_kbps(50),
-            SimDuration::ZERO,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        let ep = w.attach(h0, h1, ConnId(0), Box::new(Spinner));
-        w.start_at(ep, SimTime::ZERO);
-        let cfg = WatchdogConfig {
-            max_events: Some(10_000),
-            ..WatchdogConfig::default()
-        };
-        let outcome = w.run_until_quiescent(SimTime::from_secs(1), &cfg);
-        let report = outcome.stall().expect("spinner must exhaust the budget");
-        assert_eq!(report.kind, StallKind::BudgetExhausted);
-        assert!(w.events_dispatched() >= 10_000);
-        assert!(w.events_dispatched() < 10_100, "stops promptly");
-    }
-
-    #[test]
-    fn budget_exhausted_mid_outage_reports_budget_not_deadlock() {
-        // The forward link is down from t=0 to t=10s; the pending LinkUp
-        // event keeps the queue non-empty, so running out of event budget
-        // mid-outage must be reported as "budget exhausted" — the run was
-        // cut short, nothing is provably stuck.
-        let mut w = World::new(1);
-        let h0 = w.add_host("a", SimDuration::ZERO);
-        let h1 = w.add_host("b", SimDuration::from_micros(100));
-        let c01 = w.add_channel(
-            h0,
-            h1,
-            Rate::from_kbps(50),
-            SimDuration::from_millis(10),
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        w.add_channel(
-            h1,
-            h0,
-            Rate::from_kbps(50),
-            SimDuration::from_millis(10),
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        w.set_fault_plan(
-            c01,
-            FaultPlan::with_outages(vec![crate::fault::Outage {
-                down: SimTime::ZERO,
-                up: SimTime::from_secs(10),
-            }]),
-        )
-        .unwrap();
-        let spinner = w.attach(h0, h1, ConnId(0), Box::new(Spinner));
-        w.start_at(spinner, SimTime::ZERO);
-        let cfg = WatchdogConfig {
-            max_events: Some(100),
-            ..WatchdogConfig::default()
-        };
-        let outcome = w.run_until_quiescent(SimTime::from_secs(20), &cfg);
-        let report = outcome.stall().expect("budget must be exhausted");
-        assert_eq!(report.kind, StallKind::BudgetExhausted);
-        assert!(
-            report.render().contains("budget exhausted"),
-            "{}",
-            report.render()
-        );
-        assert!(w.now() < SimTime::from_secs(10), "verdict lands mid-outage");
-    }
-
-    #[test]
-    fn bounded_run_reaches_time_bound_normally() {
-        let mut w = World::new(1);
-        let h0 = w.add_host("a", SimDuration::ZERO);
-        let h1 = w.add_host("b", SimDuration::ZERO);
-        w.add_channel(
-            h0,
-            h1,
-            Rate::from_kbps(50),
-            SimDuration::ZERO,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        let cfg = WatchdogConfig {
-            max_events: Some(10),
-            ..WatchdogConfig::default()
-        };
-        let outcome = w.run_until_quiescent(SimTime::from_secs(1), &cfg);
-        assert!(
-            matches!(outcome, RunOutcome::Quiescent),
-            "an empty world ends quiescent within any budget"
         );
     }
 }
@@ -3742,59 +2111,9 @@ mod fault_tests {
 
 #[cfg(test)]
 mod mc_primitive_tests {
-    use super::tests::{direct_world, Acker, Blaster};
+    use super::tests::{blaster_world, data_seen};
     use super::*;
     use crate::trace::TraceEvent;
-
-    /// Five 500 B packets over a clean 50 Kbps / 10 ms link.
-    fn blaster_world() -> (World, EndpointId, ChannelId) {
-        let (mut w, h0, h1, c01, _) =
-            direct_world(Rate::from_kbps(50), SimDuration::from_millis(10), None);
-        let src = w.attach(
-            h0,
-            h1,
-            ConnId(0),
-            Box::new(Blaster {
-                n: 5,
-                acks_seen: 0,
-                data_size: 500,
-            }),
-        );
-        let snk = w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
-        w.start_at(src, SimTime::ZERO);
-        (w, snk, c01)
-    }
-
-    fn data_seen(w: &World, snk: EndpointId) -> u64 {
-        w.endpoint(snk)
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Acker>()
-            .unwrap()
-            .data_seen
-    }
-
-    #[test]
-    fn state_hash_is_trace_invariant_and_state_sensitive() {
-        let (mut a, _, _) = blaster_world();
-        let (mut b, _, _) = blaster_world();
-        b.trace_mut().set_enabled(false);
-        a.run_until(SimTime::from_millis(100));
-        b.run_until(SimTime::from_millis(100));
-        assert_ne!(
-            a.snapshot().as_bytes(),
-            b.snapshot().as_bytes(),
-            "the snapshots must differ (one carries a trace)"
-        );
-        assert_eq!(
-            a.state_hash(),
-            b.state_hash(),
-            "the hash must not see the trace"
-        );
-        let before = a.state_hash();
-        a.run_until(SimTime::from_millis(200));
-        assert_ne!(before, a.state_hash(), "advancing state must move the hash");
-    }
 
     #[test]
     fn injected_outage_matches_static_outage_semantics() {
@@ -3864,544 +2183,5 @@ mod mc_primitive_tests {
             w.channels.rng(c01.0 as usize)
         );
         assert_eq!(w.audit().total_violations(), 0);
-    }
-
-    #[test]
-    fn snapshot_v3_roundtrips_the_mc_overlay() {
-        let (mut w, _, c01) = blaster_world();
-        w.inject_outage(c01, SimTime::from_millis(85), SimTime::from_millis(300));
-        w.force_drops(c01, 1);
-        w.run_until(SimTime::from_millis(50));
-        let snap = w.snapshot();
-        let (mut twin, twin_snk, _) = blaster_world();
-        twin.restore(&snap).unwrap();
-        assert_eq!(twin.snapshot().as_bytes(), snap.as_bytes());
-        assert_eq!(twin.state_hash(), w.state_hash());
-        // The restored overlay keeps acting: continue both runs and the
-        // futures agree byte for byte.
-        w.run_to_completion();
-        twin.run_to_completion();
-        assert_eq!(w.trace().records(), twin.trace().records());
-        // Forced drop (packet 1 at 80 ms) plus outage cuts leave only the
-        // post-recovery packets.
-        assert_eq!(data_seen(&twin, twin_snk), 3);
-    }
-
-    /// `inject_outage` refuses an empty window, and so does restore.
-    #[test]
-    fn restore_rejects_an_empty_injected_outage() {
-        let (mut w, _, c01) = blaster_world();
-        let (down, up) = (SimTime::from_millis(85), SimTime::from_millis(300));
-        w.inject_outage(c01, down, up);
-        let window = |a: SimTime, b: SimTime| {
-            [a.as_nanos().to_le_bytes(), b.as_nanos().to_le_bytes()].concat()
-        };
-        let mut bytes = w.snapshot().as_bytes().to_vec();
-        // The overlay writes the window as `down`, `up`: swap them.
-        let at = (bytes.windows(16).rposition(|b| b == window(down, up)))
-            .expect("the overlay holds the window");
-        bytes[at..at + 16].copy_from_slice(&window(up, down));
-        let err = blaster_world()
-            .0
-            .restore(&Snapshot::from_bytes(bytes).unwrap())
-            .unwrap_err();
-        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
-    }
-}
-
-#[cfg(test)]
-mod watchdog_tests {
-    use super::tests::{Acker, Blaster};
-    use super::*;
-    use crate::discipline::DisciplineKind;
-
-    /// Claims to have pending work but never schedules anything.
-    struct Inert;
-    impl Endpoint for Inert {
-        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn progress(&self) -> EndpointProgress {
-            EndpointProgress {
-                finished: Some(false),
-                detail: "rto unarmed, 3 packets unacked".to_owned(),
-            }
-        }
-    }
-
-    /// Re-arms a timer forever without ever sending: busy but stuck.
-    struct TimerChurn;
-    impl Endpoint for TimerChurn {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::from_secs(1), 0);
-        }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            ctx.set_timer(SimDuration::from_secs(1), 0);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn progress(&self) -> EndpointProgress {
-            EndpointProgress {
-                finished: Some(false),
-                detail: "retransmitting into the void".to_owned(),
-            }
-        }
-    }
-
-    fn two_host_world() -> (World, NodeId, NodeId) {
-        let mut w = World::new(5);
-        let h0 = w.add_host("H0", SimDuration::from_micros(100));
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        for (a, b) in [(h0, h1), (h1, h0)] {
-            w.add_channel(
-                a,
-                b,
-                Rate::from_kbps(50),
-                SimDuration::from_millis(10),
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            );
-        }
-        (w, h0, h1)
-    }
-
-    #[test]
-    fn clean_run_is_quiescent() {
-        let (mut w, h0, h1) = two_host_world();
-        let src = w.attach(
-            h0,
-            h1,
-            ConnId(0),
-            Box::new(Blaster {
-                n: 3,
-                acks_seen: 0,
-                data_size: 500,
-            }),
-        );
-        let _ = w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
-        w.start_at(src, SimTime::ZERO);
-        let outcome = w.run_until_quiescent(SimTime::from_secs(10), &WatchdogConfig::default());
-        assert!(matches!(outcome, RunOutcome::Quiescent));
-        assert_eq!(w.audit().total_violations(), 0);
-    }
-
-    #[test]
-    fn drained_queue_with_unfinished_endpoint_is_deadlock() {
-        let (mut w, h0, h1) = two_host_world();
-        let ep = w.attach(h0, h1, ConnId(0), Box::new(Inert));
-        w.start_at(ep, SimTime::ZERO);
-        let outcome = w.run_until_quiescent(SimTime::from_secs(10), &WatchdogConfig::default());
-        let report = outcome.stall().expect("must stall");
-        assert_eq!(report.kind, StallKind::Deadlock);
-        assert_eq!(report.stuck.len(), 1);
-        assert_eq!(report.stuck[0].conn, 0);
-        assert_eq!(report.stuck[0].host, h0);
-        assert!(report.render().contains("node0"), "{}", report.render());
-        assert!(
-            report.render().contains("rto unarmed"),
-            "{}",
-            report.render()
-        );
-    }
-
-    #[test]
-    fn eventful_run_without_goodput_is_livelock() {
-        let (mut w, h0, h1) = two_host_world();
-        let ep = w.attach(h0, h1, ConnId(0), Box::new(TimerChurn));
-        w.start_at(ep, SimTime::ZERO);
-        let cfg = WatchdogConfig {
-            progress_window: SimDuration::from_secs(5),
-            ..WatchdogConfig::default()
-        };
-        let outcome = w.run_until_quiescent(SimTime::from_secs(1000), &cfg);
-        let report = outcome.stall().expect("must stall");
-        assert_eq!(report.kind, StallKind::Livelock);
-        assert!(
-            w.now() < SimTime::from_secs(10),
-            "verdict promptly after one window, not at t_end"
-        );
-        assert_eq!(report.stuck[0].detail, "retransmitting into the void");
-    }
-
-    #[test]
-    fn events_past_bound_report_time_bound() {
-        let (mut w, h0, h1) = two_host_world();
-        let ep = w.attach(h0, h1, ConnId(0), Box::new(TimerChurn));
-        w.start_at(ep, SimTime::ZERO);
-        let outcome = w.run_until_quiescent(SimTime::from_secs(3), &WatchdogConfig::default());
-        assert!(matches!(outcome, RunOutcome::TimeBound));
-    }
-
-    /// A deadlock verdict with a configured post-mortem directory dumps a
-    /// restorable snapshot of the stalled world and names it in the
-    /// report.
-    #[test]
-    fn stall_verdict_writes_post_mortem_snapshot() {
-        let build = || {
-            let (mut w, h0, h1) = two_host_world();
-            let ep = w.attach(h0, h1, ConnId(0), Box::new(Inert));
-            w.start_at(ep, SimTime::ZERO);
-            w
-        };
-        let dir = std::env::temp_dir().join(format!("td-postmortem-test-{}", std::process::id()));
-        let cfg = WatchdogConfig {
-            post_mortem_dir: Some(dir.clone()),
-            ..WatchdogConfig::default()
-        };
-        let mut w = build();
-        let outcome = w.run_until_quiescent(SimTime::from_secs(10), &cfg);
-        let report = outcome.stall().expect("Inert must deadlock");
-        assert_eq!(report.kind, StallKind::Deadlock);
-        let path = report.post_mortem.clone().expect("post-mortem written");
-        assert!(path.starts_with(&dir));
-        assert!(report.render().contains("post-mortem snapshot"));
-        let snap = Snapshot::read_from_file(&path).expect("snapshot file readable");
-        let mut fresh = build();
-        fresh
-            .restore(&snap)
-            .expect("post-mortem restores onto a twin");
-        assert_eq!(fresh.now(), w.now());
-        assert_eq!(fresh.events_dispatched(), w.events_dispatched());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::tests::{direct_world, Acker, Blaster};
-    use super::*;
-    use crate::discipline::DisciplineKind;
-    use crate::fault::GilbertElliott;
-
-    /// Sends one data packet per timer tick; carries a live [`TimerHandle`]
-    /// across snapshots, exercising the endpoint save/load hooks.
-    struct Ticker {
-        interval: SimDuration,
-        remaining: u64,
-        acks: u64,
-        pending: Option<TimerHandle>,
-    }
-
-    impl Endpoint for Ticker {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.pending = Some(ctx.set_timer(self.interval, 1));
-        }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
-            if pkt.is_ack() {
-                self.acks += 1;
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            assert_eq!(token, 1);
-            self.pending = None;
-            if self.remaining == 0 {
-                return;
-            }
-            ctx.send(PacketKind::Data, self.remaining, 500, false);
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                self.pending = Some(ctx.set_timer(self.interval, 1));
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn save_state(&self, w: &mut SnapWriter) {
-            w.write_u64(self.remaining);
-            w.write_u64(self.acks);
-            match &self.pending {
-                Some(h) => {
-                    w.write_bool(true);
-                    h.save_state(w);
-                }
-                None => w.write_bool(false),
-            }
-        }
-        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.remaining = r.read_u64()?;
-            self.acks = r.read_u64()?;
-            self.pending = if r.read_bool()? {
-                Some(TimerHandle::load_state(r)?)
-            } else {
-                None
-            };
-            Ok(())
-        }
-    }
-
-    /// A world exercising every snapshotted subsystem at once: RED's
-    /// average-queue estimator and the shared RNG (early drops), a
-    /// capacity-limited buffer (overflow drops), a Gilbert–Elliott burst
-    /// process on the reverse channel (private fault RNG + Markov state),
-    /// pending timers, and two endpoints' worth of protocol state.
-    fn busy_world(seed: u64) -> World {
-        let mut w = World::new(seed);
-        let h0 = w.add_host("H0", SimDuration::from_micros(100));
-        let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        let _fwd = w.add_channel(
-            h0,
-            h1,
-            Rate::from_kbps(50),
-            SimDuration::from_millis(10),
-            Some(5),
-            DisciplineKind::Red.build(),
-            FaultModel::NONE,
-        );
-        let rev = w.add_channel(
-            h1,
-            h0,
-            Rate::from_kbps(50),
-            SimDuration::from_millis(10),
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        w.set_fault_plan(
-            rev,
-            FaultPlan::with_burst(GilbertElliott::new(0.2, 0.5, 0.8).unwrap()),
-        )
-        .unwrap();
-        let ticker = w.attach(
-            h0,
-            h1,
-            ConnId(0),
-            Box::new(Ticker {
-                interval: SimDuration::from_millis(50),
-                remaining: 30,
-                acks: 0,
-                pending: None,
-            }),
-        );
-        let blaster = w.attach(
-            h0,
-            h1,
-            ConnId(1),
-            Box::new(Blaster {
-                n: 30,
-                acks_seen: 0,
-                data_size: 500,
-            }),
-        );
-        let ack0 = w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
-        let ack1 = w.attach(h1, h0, ConnId(1), Box::new(Acker { data_seen: 0 }));
-        for ep in [ticker, blaster, ack0, ack1] {
-            w.start_at(ep, SimTime::ZERO);
-        }
-        w
-    }
-
-    const T_MID: SimTime = SimTime::from_secs(2);
-    const T_END: SimTime = SimTime::from_secs(120);
-
-    #[test]
-    fn restored_run_is_identical_to_uninterrupted() {
-        // Reference: run straight through.
-        let mut a = busy_world(42);
-        a.run_until(T_MID);
-        let t_snap = a.now();
-        let snap = a.snapshot();
-        a.run_until(T_END);
-
-        // Restore onto a freshly built world and continue.
-        let mut b = busy_world(42);
-        b.restore(&snap).unwrap();
-        assert_eq!(b.now(), t_snap, "clock must resume at the capture point");
-        b.run_until(T_END);
-
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.events_dispatched(), b.events_dispatched());
-        assert_eq!(a.trace().records(), b.trace().records(), "trace diverged");
-        assert_eq!(a.audit().injected(), b.audit().injected());
-        assert_eq!(a.audit().delivered(), b.audit().delivered());
-        assert_eq!(a.audit().dropped(), b.audit().dropped());
-        assert_eq!(a.audit().total_violations(), b.audit().total_violations());
-        for ch in [ChannelId(0), ChannelId(1)] {
-            let (sa, sb) = (a.channel_stats(ch), b.channel_stats(ch));
-            assert_eq!(sa.tx_packets, sb.tx_packets);
-            assert_eq!(sa.tx_bytes, sb.tx_bytes);
-            assert_eq!(sa.drops, sb.drops);
-            assert_eq!(sa.enqueued, sb.enqueued);
-            assert_eq!(sa.busy, sb.busy);
-        }
-        // Final protocol state matches too.
-        let ta = a.endpoint(EndpointId(0)).unwrap().as_any();
-        let tb = b.endpoint(EndpointId(0)).unwrap().as_any();
-        let (ta, tb) = (
-            ta.downcast_ref::<Ticker>().unwrap(),
-            tb.downcast_ref::<Ticker>().unwrap(),
-        );
-        assert_eq!(ta.acks, tb.acks);
-        assert_eq!(ta.remaining, tb.remaining);
-    }
-
-    #[test]
-    fn snapshot_of_restored_world_is_byte_identical() {
-        let mut a = busy_world(9);
-        a.run_until(T_MID);
-        let snap = a.snapshot();
-        let mut b = busy_world(9);
-        b.restore(&snap).unwrap();
-        assert_eq!(
-            snap.as_bytes(),
-            b.snapshot().as_bytes(),
-            "restore must reproduce every captured field exactly"
-        );
-    }
-
-    #[test]
-    fn restored_twin_snapshots_like_the_original_after_running_on() {
-        // Captured while the ticker's timer is armed; the twin's queue
-        // reuses slots in another order from here on, yet every later
-        // snapshot must still match byte for byte.
-        let mut a = busy_world(11);
-        a.run_until(SimTime::from_millis(700));
-        let mut b = busy_world(11);
-        b.restore(&a.snapshot()).unwrap();
-        for t in [SimTime::from_millis(1_000), T_END] {
-            a.run_until(t);
-            b.run_until(t);
-            assert_eq!(
-                a.snapshot().as_bytes(),
-                b.snapshot().as_bytes(),
-                "twin diverged by {t:?}"
-            );
-            assert_eq!(a.state_hash(), b.state_hash());
-        }
-    }
-
-    #[test]
-    fn handle_index_without_a_pending_event_is_corrupt() {
-        let mut a = busy_world(4);
-        a.run_until(SimTime::from_millis(700));
-        let ticker = (a.endpoint(EndpointId(0)).unwrap().as_any())
-            .downcast_ref::<Ticker>()
-            .unwrap();
-        assert!(
-            ticker.pending.is_some(),
-            "the ticker must hold a live timer"
-        );
-        let mut bytes = a.snapshot().bytes;
-        busy_world(4)
-            .restore(&Snapshot::from_bytes(bytes.clone()).unwrap())
-            .expect("the undamaged snapshot restores");
-        // The ticker's row ends in its armed handle, `(index, 0)`; point
-        // the index past the pending list.
-        let row = [
-            &ticker.remaining.to_le_bytes()[..],
-            &ticker.acks.to_le_bytes(),
-            &[1],
-        ]
-        .concat();
-        let at = bytes.windows(row.len()).rposition(|w| w == row).unwrap() + row.len();
-        bytes[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
-        let err = busy_world(4)
-            .restore(&Snapshot::from_bytes(bytes).unwrap())
-            .unwrap_err();
-        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_world() {
-        let mut a = busy_world(1);
-        a.run_until(T_MID);
-        let snap = a.snapshot();
-        // Wrong seed.
-        let err = busy_world(2).restore(&snap).unwrap_err();
-        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
-        // Wrong topology (extra host).
-        let mut w = busy_world(1);
-        w.add_host("extra", SimDuration::ZERO);
-        let err = w.restore(&snap).unwrap_err();
-        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
-    }
-
-    /// The fingerprint checks only the seed and component counts, so a
-    /// twin rebuilt with smaller buffers passes it; the channel row must
-    /// then refuse a backlog the twin's `offer` could never build.
-    #[test]
-    fn restore_rejects_a_backlog_over_the_twins_capacity() {
-        let build = |capacity| {
-            let (mut w, h0, h1, c01, _) = direct_world(
-                Rate::from_kbps(50),
-                SimDuration::from_millis(10),
-                Some(capacity),
-            );
-            let src = w.attach(
-                h0,
-                h1,
-                ConnId(0),
-                Box::new(Blaster {
-                    n: 7,
-                    acks_seen: 0,
-                    data_size: 500,
-                }),
-            );
-            w.attach(h1, h0, ConnId(0), Box::new(Acker { data_seen: 0 }));
-            w.start_at(src, SimTime::ZERO);
-            (w, c01)
-        };
-        let (mut a, c01) = build(8);
-        a.run_until(SimTime::from_millis(1));
-        let row = a.channels.row(c01.0 as usize);
-        assert_eq!(
-            row.discipline.len(),
-            6,
-            "six wait behind the one in service"
-        );
-        let snap = a.snapshot();
-        build(8)
-            .0
-            .restore(&snap)
-            .expect("a same-capacity twin restores");
-        let err = build(4).0.restore(&snap).unwrap_err();
-        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn snapshot_header_is_validated() {
-        let mut a = busy_world(3);
-        a.run_until(T_MID);
-        let bytes = a.snapshot().bytes;
-        assert!(matches!(
-            Snapshot::from_bytes(b"XXXX0000rest".to_vec()),
-            Err(SnapError::BadMagic)
-        ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(wrong_version),
-            Err(SnapError::UnsupportedVersion(99))
-        ));
-        // Version 3 wrote the queue's slab; its bytes are refused.
-        let mut v3 = bytes.clone();
-        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(v3),
-            Err(SnapError::UnsupportedVersion(3))
-        ));
-        // Truncation anywhere in the payload surfaces as an error, never
-        // a half-restored world that silently diverges.
-        let truncated = Snapshot::from_bytes(bytes[..bytes.len() / 2].to_vec()).unwrap();
-        assert!(busy_world(3).restore(&truncated).is_err());
-    }
-
-    #[test]
-    fn snapshot_files_roundtrip_atomically() {
-        let dir = std::env::temp_dir().join(format!("td-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mid.tdsnap");
-        let mut a = busy_world(7);
-        a.run_until(T_MID);
-        let snap = a.snapshot();
-        snap.write_to_file(&path).unwrap();
-        let back = Snapshot::read_from_file(&path).unwrap();
-        assert_eq!(snap.as_bytes(), back.as_bytes());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
