@@ -25,8 +25,9 @@ use td_net::{ChannelId, DisciplineKind, FaultModel, LinkSpec, NodeId, World};
 
 /// Reference next-hop map: per-destination BFS from scratch over the
 /// public channel list, dense `(switch, host) → channel` entries. Same
-/// tie-break contract as `World::compute_routes` (hop count, then
-/// ascending channel id), but none of its code or data structures.
+/// tie-break contract as `World::compute_routes` (hop count, then the
+/// neighbour the destination's BFS dequeued first, then the lowest
+/// channel into it), but none of its code or data structures.
 fn reference_routes(w: &World) -> HashMap<(NodeId, NodeId), ChannelId> {
     let n = w.node_count();
     let mut incoming: Vec<Vec<(NodeId, ChannelId)>> = vec![Vec::new(); n];

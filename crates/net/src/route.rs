@@ -20,21 +20,20 @@
 //!   default still distinguishes "no route" (→ dispatch panic) from a
 //!   routed destination, exactly like the dense map did.
 //!
-//! **The builder.** [`crate::World::compute_routes`] runs one BFS per
-//! destination host, in ascending host id order, over switches only: the
-//! incoming switch-sourced channels are flat CSR arrays (ascending channel
-//! id per node, the tie-break), the root host scans its own incoming
-//! channels, and a host is never pushed onto the frontier. Hosts do not
-//! forward — a packet that reaches one is delivered to its endpoint — so a
-//! path through another host is no path at all; routing one there would
-//! end in a dispatch panic on that host. On single-homed hosts (one
-//! uplink, downlinks only from that uplink's switch) the switches-only BFS
-//! is exactly the host-inclusive one: such a host is discovered only
-//! through its own switch, which is then already seen, so the host would
-//! discover nothing. Each switch the BFS reaches widens or closes one open
-//! run held in a dense array over the switch list, and closed runs are
-//! appended with [`RouteTable::push_run`]; the dense (switch × host) map
-//! is never materialized.
+//! **The builder.** [`crate::World::compute_routes`] produces the tables
+//! of one BFS per destination host over switches only — hop count, then
+//! the neighbour the destination's BFS dequeued first, then the lowest
+//! channel into it — without running that BFS per destination. Hosts do
+//! not forward — a packet that reaches one is delivered to its endpoint —
+//! so a path through another host is no path at all; routing one there
+//! would end in a dispatch panic on that host. The builder cuts the switch
+//! graph at its bridges into blocks, runs the BFS only inside a block
+//! (once per group of hosts fed alike, once per exit bridge), and gives
+//! every directed bridge, once, the host intervals beyond it; a switch's
+//! routes are its block's BFS results plus one interval set per exit
+//! bridge. It hands each switch its runs over host ranks in one
+//! [`RouteTable::install`]; the dense (switch × host) map is never
+//! materialized.
 //!
 //! A run may span node ids that are not hosts (switch ids interleave with
 //! host ids in every builder); that is sound because packets are only
@@ -49,7 +48,8 @@ use crate::packet::NodeId;
 use crate::world::ChannelId;
 
 /// One maximal range of destination ids sharing a next-hop channel.
-/// Bounds are inclusive.
+/// Bounds are inclusive: node ids in a table, host ranks on their way
+/// into [`RouteTable::install`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Run {
     pub start: u32,
@@ -82,14 +82,46 @@ impl RouteTable {
         }
     }
 
-    /// Append a closed run during the ascending-destination bulk build
+    /// Replace the table with one switch's routes from the bulk builder
     /// ([`crate::World::compute_routes`], which owns the widening rule).
-    pub fn push_run(&mut self, run: Run) {
-        debug_assert!(
-            self.runs.last().is_none_or(|last| last.end < run.start),
-            "runs arrive in ascending, disjoint order"
-        );
-        self.runs.push(run);
+    /// `ranked` spans host *ranks* — indices into the ascending `host_ids`
+    /// — and is ascending, disjoint and maximal. `per_ch` is a counter per
+    /// channel id, zero on entry and left zero.
+    ///
+    /// Default-route elision: when the runs cover every host, the channel
+    /// reaching the most hosts (ties broken by smaller channel id, for
+    /// determinism) becomes the default and its runs are dropped. Only
+    /// applied on full coverage — a partial table keeps returning `None`
+    /// for its unreachable hosts instead of silently misrouting them. The
+    /// runs kept are stored over host ids, in an allocation of exactly
+    /// their number.
+    pub fn install(&mut self, ranked: &[Run], host_ids: &[u32], per_ch: &mut [u32]) {
+        let hosts = |r: &Run| r.end - r.start + 1;
+        let covered: usize = ranked.iter().map(|r| hosts(r) as usize).sum();
+        self.default = None;
+        if covered == host_ids.len() && !ranked.is_empty() {
+            for r in ranked {
+                per_ch[r.ch.0 as usize] += hosts(r);
+            }
+            let mut best = ranked[0].ch;
+            for r in ranked {
+                let (n, most) = (per_ch[r.ch.0 as usize], per_ch[best.0 as usize]);
+                if n > most || (n == most && r.ch < best) {
+                    best = r.ch;
+                }
+            }
+            for r in ranked {
+                per_ch[r.ch.0 as usize] = 0;
+            }
+            self.default = Some(best);
+        }
+        let kept = ranked.iter().filter(|r| Some(r.ch) != self.default);
+        self.runs = Vec::with_capacity(kept.clone().count());
+        self.runs.extend(kept.map(|r| Run {
+            start: host_ids[r.start as usize],
+            end: host_ids[r.end as usize],
+            ch: r.ch,
+        }));
     }
 
     /// Install a single route, preserving the run invariants: overwrites
@@ -157,12 +189,6 @@ impl RouteTable {
         self.runs.truncate(w + 1);
     }
 
-    /// Drop every run, keeping the allocation for a rebuild.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.default = None;
-    }
-
     /// Number of hosts this table resolves a route for. `host_ids` is the
     /// ascending list of all host node ids in the world.
     pub fn covered_hosts(&self, host_ids: &[u32]) -> usize {
@@ -186,44 +212,6 @@ impl RouteTable {
             .copied()
             .filter(|&h| self.lookup(NodeId(h)).is_none())
             .collect()
-    }
-
-    /// Default-route elision: when the table covers every host, replace
-    /// the runs of the channel reaching the most hosts (ties broken by
-    /// smaller channel id, for determinism) with a single default. Only
-    /// applied on full coverage — a partial table keeps returning `None`
-    /// for its unreachable hosts instead of silently misrouting them —
-    /// and a no-op if the table already has a default.
-    pub fn elide_default(&mut self, host_ids: &[u32]) {
-        if self.default.is_some() || self.runs.is_empty() {
-            return;
-        }
-        let mut per_ch: Vec<(u32, usize)> = Vec::new(); // (channel id, hosts)
-        let mut total = 0usize;
-        for r in &self.runs {
-            let hosts = host_ids.partition_point(|&h| h <= r.end)
-                - host_ids.partition_point(|&h| h < r.start);
-            total += hosts;
-            match per_ch.iter_mut().find(|(c, _)| *c == r.ch.0) {
-                Some((_, n)) => *n += hosts,
-                None => per_ch.push((r.ch.0, hosts)),
-            }
-        }
-        if total < host_ids.len() {
-            return;
-        }
-        let (best, _) = per_ch
-            .into_iter()
-            .max_by_key(|&(c, n)| (n, std::cmp::Reverse(c)))
-            .expect("non-empty runs");
-        self.default = Some(ChannelId(best));
-        self.runs.retain(|r| r.ch.0 != best);
-        self.runs.shrink_to_fit();
-    }
-
-    /// Release surplus capacity after a bulk build.
-    pub fn shrink(&mut self) {
-        self.runs.shrink_to_fit();
     }
 
     /// Heap bytes held by this table.
@@ -316,26 +304,45 @@ mod tests {
         assert_eq!(t.run_count(), 1, "same-channel overwrite re-merges");
     }
 
+    /// `(first rank, last rank, channel)` triples as ranked runs.
+    fn ranked(runs: &[(u32, u32, u32)]) -> Vec<Run> {
+        runs.iter()
+            .map(|&(start, end, c)| Run {
+                start,
+                end,
+                ch: ch(c),
+            })
+            .collect()
+    }
+
     #[test]
     fn elision_requires_full_coverage() {
         let hosts = [1, 3, 5];
         let mut partial = RouteTable::new();
-        partial.insert(NodeId(1), ch(1));
-        partial.insert(NodeId(3), ch(1));
-        partial.elide_default(&hosts);
+        let mut per_ch = [0; 6];
+        partial.install(&ranked(&[(0, 1, 1)]), &hosts, &mut per_ch);
         assert_eq!(partial.default_route(), None, "host 5 unreachable");
+        assert_eq!(partial.lookup(NodeId(3)), Some(ch(1)));
         assert_eq!(partial.lookup(NodeId(5)), None);
 
         let mut full = RouteTable::new();
-        full.insert(NodeId(1), ch(1));
-        full.insert(NodeId(3), ch(1));
-        full.insert(NodeId(5), ch(2));
-        full.elide_default(&hosts);
+        full.install(&ranked(&[(0, 1, 1), (2, 2, 2)]), &hosts, &mut per_ch);
         assert_eq!(full.default_route(), Some(ch(1)), "majority channel wins");
         assert_eq!(full.run_count(), 1, "only the exception stays");
+        assert_eq!(full.heap_bytes(), std::mem::size_of::<Run>());
         assert_eq!(full.lookup(NodeId(1)), Some(ch(1)));
         assert_eq!(full.lookup(NodeId(3)), Some(ch(1)));
         assert_eq!(full.lookup(NodeId(5)), Some(ch(2)));
+
+        // Equal coverage: the smaller channel id becomes the default.
+        full.install(
+            &ranked(&[(0, 0, 4), (1, 1, 3), (2, 2, 5)]),
+            &hosts,
+            &mut per_ch,
+        );
+        assert_eq!(per_ch, [0; 6], "counters left zero");
+        assert_eq!(full.default_route(), Some(ch(3)));
+        assert_eq!(full.run_count(), 2);
     }
 
     #[test]
@@ -349,16 +356,9 @@ mod tests {
         for h in [5, 7] {
             a.insert(NodeId(h), ch(2));
         }
-        // Run-built then elided.
+        // Bulk-installed, so elided.
         let mut b = RouteTable::new();
-        for (start, end, c) in [(1, 3, 1), (5, 7, 2)] {
-            b.push_run(Run {
-                start,
-                end,
-                ch: ch(c),
-            });
-        }
-        b.elide_default(&hosts);
+        b.install(&ranked(&[(0, 1, 1), (2, 3, 2)]), &hosts, &mut [0; 3]);
         assert_ne!(a.default_route(), b.default_route());
         assert_eq!(
             a.canonical_host_segments(&hosts),
