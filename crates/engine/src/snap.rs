@@ -68,8 +68,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte string — the workspace's one byte-wise stable
-/// hash: the [`SnapWriter::hashing`] sink, journal line checksums, serve
-/// store trailers, seed derivation tags and golden output hashes.
+/// hash: the [`SnapWriter::hashing`] sink, cell-store trailers,
+/// `pending.tdq` line checksums, seed derivation tags and golden output
+/// hashes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
@@ -88,7 +89,10 @@ pub fn fnv1a_continue(h: u64, bytes: &[u8]) -> u64 {
 /// torn hybrid. The temp name is the *full* file name plus `.tmp`, so
 /// `x.tdsnap` and `x.tdmc` written into one directory do not share a
 /// staging file. Not fsync'd: this is for regenerable outputs (reports,
-/// post-mortems); the serve store has its own durable writer.
+/// post-mortems). What must survive a crash — the cells of `td-serve` and
+/// of `td-repro --out` sweeps, the sweep header, `pending.tdq` — goes
+/// through the cell store's durable writer (`td_experiments::store`),
+/// which adds the fsyncs.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let name = path.file_name().ok_or_else(|| {
         std::io::Error::new(

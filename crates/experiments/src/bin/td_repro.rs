@@ -31,38 +31,39 @@
 //!
 //! # Crash resilience
 //!
-//! With `--out DIR` the sweep also keeps an append-only, fsynced results
-//! journal (`journal.tdj`) in the directory: one line per completed
-//! `(experiment, replicate)` cell, durable the moment the cell finishes.
-//! `--resume DIR` replays that journal — configuration comes from the
-//! journal header, completed cells are reprinted without re-running, and
-//! only the missing cells execute. Because every seed is derived, not
-//! scheduled, the resumed sweep's stdout and output files are
-//! byte-identical to an uninterrupted run (only `timings.json` and the
-//! journal itself carry wall-clock noise). Every output file is written
-//! atomically (temp file + rename), so a crash can never leave a torn
-//! CSV or half a `timings.json`.
+//! With `--out DIR` the sweep also saves every finished
+//! `(experiment, replicate)` cell into the cell store `DIR/cells/`, one
+//! fsynced file per cell, durable the moment the cell finishes — the
+//! store `td-serve` uses, so `td-serve serve --store DIR/cells` serves
+//! the sweep's cells as hits. `--resume DIR` takes its configuration
+//! from the sweep's header in that store and looks every cell up by key:
+//! stored cells are reprinted without re-running, missing ones execute,
+//! and a damaged one is quarantined and recomputed. Because every seed
+//! is derived, not scheduled, the resumed sweep's stdout and output
+//! files, cells included, are byte-identical to an uninterrupted run's
+//! (only `timings.json` carries wall-clock noise). Every output file is
+//! written atomically (temp file + rename), so a crash can never leave a
+//! torn CSV or half a `timings.json`.
 //!
 //! On Unix, SIGINT/SIGTERM interrupt *gracefully*: in-flight experiments
-//! finish (and reach the journal), the partial `timings.json` is written
+//! finish (and reach the store), the partial `timings.json` is written
 //! with `"interrupted": true`, and the process exits with status 130 —
 //! `--resume` then picks up exactly where the signal landed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Mutex;
 use td_engine::write_atomic;
 use td_experiments::journal::{Journal, JournalHeader};
-use td_experiments::registry::{find, hidden, registry, Entry, Profile};
+use td_experiments::registry::{find, hidden, registry, Profile};
 use td_experiments::runner::{default_jobs, run_batch_resumable, BatchResult, RunnerConfig};
 
 /// Graceful-shutdown signal handling (SIGINT / SIGTERM).
 ///
 /// The handler only raises a flag — the runner's workers poll it between
-/// tasks, finish what they started, and flush the journal. This module
-/// is the one place in the whole workspace that needs `unsafe`: a raw
-/// `signal(2)` binding, so the zero-dependency rule holds. The handler
-/// body is a single atomic store, well inside the async-signal-safe set.
+/// tasks and finish what they started. This module is the one place in
+/// the whole workspace that needs `unsafe`: a raw `signal(2)` binding, so
+/// the zero-dependency rule holds. The handler body is a single atomic
+/// store, well inside the async-signal-safe set.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,7 +111,6 @@ struct Args {
     out: Option<PathBuf>,
     timings: Option<PathBuf>,
     resume: Option<PathBuf>,
-    salvage: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -123,7 +123,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut timings = None;
     let mut resume = None;
-    let mut salvage = false;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
@@ -174,7 +173,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--resume needs a directory")?;
                 resume = Some(PathBuf::from(v));
             }
-            "--salvage" => salvage = true,
             "--only" => {
                 let v = argv.next().ok_or("--only needs an experiment id")?;
                 ids.push(v);
@@ -190,12 +188,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if resume.is_some() && !ids.is_empty() {
-        return Err("--resume takes its experiment list from the journal; \
-                    don't pass ids with it"
-            .into());
-    }
-    if salvage && resume.is_none() {
-        return Err("--salvage only makes sense with --resume".into());
+        return Err("--resume reads the experiment list from DIR; don't pass ids with it".into());
     }
     Ok(Args {
         ids,
@@ -207,7 +200,6 @@ fn parse_args() -> Result<Args, String> {
         out,
         timings,
         resume,
-        salvage,
     })
 }
 
@@ -215,7 +207,7 @@ fn usage() {
     println!("td-repro — reproduce Zhang/Shenker/Clark (SIGCOMM '91)");
     println!();
     println!("usage: td-repro <id|all|list> [--full] [--seed N] [--jobs N] [--out DIR]");
-    println!("       td-repro --resume DIR [--salvage] [--jobs N]");
+    println!("       td-repro --resume DIR [--jobs N]");
     println!("       td-repro --list     (full registry, hidden entries flagged)");
     println!("       td-repro mc [--seed N] [--full] [--grid N] [--seed-violation]");
     println!("                   [--artifacts DIR] | --replay FILE.tdmc");
@@ -240,13 +232,10 @@ fn usage() {
     println!("  --shards N       worker shards for shard-aware experiments (e.g. scale);");
     println!("                   results are byte-identical for every N (default 1)");
     println!("  --out DIR        also write CSV data, a markdown summary, timings.json,");
-    println!("                   and an fsynced results journal (journal.tdj)");
+    println!("                   and every finished cell, fsynced, in DIR/cells/");
     println!("  --timings FILE   write the timings/observability report to FILE");
-    println!("  --resume DIR     continue an interrupted sweep from DIR's journal:");
-    println!("                   completed cells replay, only missing cells run");
-    println!("  --salvage        with --resume: if the journal has mid-file damage,");
-    println!("                   truncate at the first bad line, keep the intact");
-    println!("                   prefix, and rerun the dropped cells");
+    println!("  --resume DIR     continue an interrupted sweep from DIR/cells/:");
+    println!("                   stored cells replay, missing or damaged ones run");
 }
 
 /// Print the full registry — public entries first, then the hidden
@@ -484,124 +473,90 @@ fn main() -> ExitCode {
     let interrupt = install_signal_handlers();
 
     // Resolve what to run. A fresh sweep takes everything from the
-    // command line; a resumed one takes seed, profile, replicates, and
-    // the experiment list from the journal header (only --jobs and
-    // --timings still apply), so the two runs cannot diverge.
-    let (entries, cfg, out, completed): (Vec<Entry>, RunnerConfig, Option<PathBuf>, Vec<_>) =
-        if let Some(dir) = &args.resume {
-            let (header, cells) = if args.salvage {
-                match Journal::load_salvage(dir) {
-                    Ok((header, cells, report)) => {
-                        match report.truncated_at_byte {
-                            Some(offset) => eprintln!(
-                                "salvage: kept {} intact cell(s), dropped {} damaged \
-                                 line(s), truncated journal at byte {offset}",
-                                report.kept_cells, report.dropped_lines
-                            ),
-                            None => eprintln!(
-                                "salvage: journal is fully intact ({} cell(s)), \
-                                 nothing to drop",
-                                report.kept_cells
-                            ),
-                        }
-                        (header, cells)
-                    }
-                    Err(e) => {
-                        eprintln!("error: cannot salvage {}: {e}", dir.display());
-                        return ExitCode::from(2);
-                    }
+    // command line and starts an empty store when it has an output
+    // directory; a resumed one takes seed, profile, replicates, and the
+    // experiment list from the sweep's header (only --jobs and --timings
+    // still apply), so the two runs cannot diverge.
+    let (entries, cfg, out, journal) = if let Some(dir) = &args.resume {
+        let (journal, header) = match Journal::open(dir) {
+            Ok(x) => x,
+            Err(e) => {
+                eprintln!("error: cannot resume from {}: {e}", dir.display());
+                return ExitCode::from(2);
+            }
+        };
+        let mut picked = Vec::new();
+        for id in &header.ids {
+            match find(id) {
+                Some(e) => picked.push(e),
+                None => {
+                    eprintln!(
+                        "error: the sweep names experiment {id:?} but the registry \
+                         doesn't know it"
+                    );
+                    return ExitCode::from(2);
                 }
-            } else {
-                match Journal::load(dir) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        eprintln!("error: cannot resume from {}: {e}", dir.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            };
+            }
+        }
+        eprintln!(
+            "resuming from {}: stored cells replay, the rest run",
+            dir.display()
+        );
+        let cfg = RunnerConfig {
+            jobs: args.jobs,
+            profile: header.profile,
+            master_seed: header.master_seed,
+            replicates: header.replicates,
+            progress: true,
+            interrupt,
+        };
+        (picked, cfg, Some(dir.clone()), Some(journal))
+    } else {
+        let entries: Vec<_> = if args.ids.iter().any(|i| i == "all") {
+            registry()
+        } else {
             let mut picked = Vec::new();
-            for id in &header.ids {
+            for id in &args.ids {
                 match find(id) {
                     Some(e) => picked.push(e),
                     None => {
+                        eprintln!("error: unknown experiment id: {id} (try `td-repro list`)");
+                        return ExitCode::from(2);
+                    }
+                }
+            }
+            picked
+        };
+        let cfg = RunnerConfig {
+            jobs: args.jobs,
+            profile: args.profile,
+            master_seed: args.seed,
+            replicates: args.seeds,
+            progress: true,
+            interrupt,
+        };
+        let journal = match &args.out {
+            Some(dir) => {
+                let header = JournalHeader {
+                    master_seed: cfg.master_seed,
+                    profile: cfg.profile,
+                    replicates: cfg.replicates.max(1),
+                    ids: entries.iter().map(|e| e.id.to_owned()).collect(),
+                };
+                match Journal::create(dir, &header) {
+                    Ok(j) => Some(j),
+                    Err(e) => {
                         eprintln!(
-                            "error: journal names experiment {id:?} but the registry \
-                             doesn't know it"
+                            "error: cannot start the cell store in {}: {e}",
+                            dir.display()
                         );
                         return ExitCode::from(2);
                     }
                 }
             }
-            eprintln!(
-                "resuming from {}: {} of {} cells already journaled",
-                dir.display(),
-                cells.len(),
-                picked.len() * header.replicates.max(1) as usize,
-            );
-            let cfg = RunnerConfig {
-                jobs: args.jobs,
-                profile: header.profile,
-                master_seed: header.master_seed,
-                replicates: header.replicates,
-                progress: true,
-                interrupt,
-            };
-            (picked, cfg, Some(dir.clone()), cells)
-        } else {
-            let entries: Vec<_> = if args.ids.iter().any(|i| i == "all") {
-                registry()
-            } else {
-                let mut picked = Vec::new();
-                for id in &args.ids {
-                    match find(id) {
-                        Some(e) => picked.push(e),
-                        None => {
-                            eprintln!("error: unknown experiment id: {id} (try `td-repro list`)");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                picked
-            };
-            let cfg = RunnerConfig {
-                jobs: args.jobs,
-                profile: args.profile,
-                master_seed: args.seed,
-                replicates: args.seeds,
-                progress: true,
-                interrupt,
-            };
-            (entries, cfg, args.out.clone(), Vec::new())
+            None => None,
         };
-
-    // Open the journal: fresh (with a header line) for a new sweep with
-    // an output directory, append-mode for a resume. No directory, no
-    // journal — there is nowhere durable to put it.
-    let journal = match &out {
-        Some(dir) if args.resume.is_some() => match Journal::open_append(dir) {
-            Ok(j) => Some(Mutex::new(j)),
-            Err(e) => {
-                eprintln!("error: cannot reopen journal in {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        },
-        Some(dir) => {
-            let header = JournalHeader {
-                master_seed: cfg.master_seed,
-                profile: cfg.profile,
-                replicates: cfg.replicates.max(1),
-                ids: entries.iter().map(|e| e.id.to_owned()).collect(),
-            };
-            match Journal::create(dir, &header) {
-                Ok(j) => Some(Mutex::new(j)),
-                Err(e) => {
-                    eprintln!("error: cannot create journal in {}: {e}", dir.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
+        (entries, cfg, args.out.clone(), journal)
     };
 
     eprintln!(
@@ -610,10 +565,10 @@ fn main() -> ExitCode {
         cfg.replicates.max(1),
         cfg.jobs.max(1)
     );
-    let batch = run_batch_resumable(&entries, &cfg, journal.as_ref(), completed);
+    let batch = run_batch_resumable(&entries, &cfg, journal.as_ref());
 
     // Reports in registry order, independent of completion order (and of
-    // whether a cell ran now or was replayed from the journal).
+    // whether a cell ran now or was replayed from the store).
     for r in batch.primary() {
         println!("{}", r.report);
         if !r.report.all_ok() {
@@ -662,9 +617,12 @@ fn main() -> ExitCode {
         batch.total_wall_s,
         batch.jobs
     );
+    if args.resume.is_some() {
+        eprintln!("{} cell(s) replayed from the store", batch.journal_replayed);
+    }
     if batch.interrupted {
         eprintln!(
-            "interrupted: {} cell(s) journaled; finish with `td-repro --resume DIR`",
+            "interrupted after {} cell(s); finish with `td-repro --resume DIR`",
             batch.results.len()
         );
         return ExitCode::from(130);

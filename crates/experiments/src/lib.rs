@@ -34,6 +34,7 @@ pub mod scale;
 pub mod scenario;
 pub mod short_flows;
 pub mod simcli;
+pub mod store;
 pub mod sweep;
 
 pub use report::{Report, Row};
@@ -44,8 +45,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Worker-shard count for shard-aware experiments (`--shards N`),
 /// defaulting to one shard. A process-wide setting rather than a
 /// per-experiment parameter so the registry's uniform
-/// `fn(seed, profile)` runner signature — which the resumable-sweep
-/// journal format depends on — stays unchanged. Results are
+/// `fn(seed, profile)` runner signature — which the cell store's keys
+/// depend on — stays unchanged. Results are
 /// byte-identical for every value; only wall-clock changes.
 static SHARDS: AtomicU32 = AtomicU32::new(1);
 

@@ -11,6 +11,27 @@ pub enum Profile {
     Full,
 }
 
+impl Profile {
+    /// The byte `config_hash` and every on-disk format write for it.
+    pub fn tag(self) -> u8 {
+        match self {
+            Profile::Quick => 0,
+            Profile::Full => 1,
+        }
+    }
+
+    /// The inverse of [`Profile::tag`].
+    pub fn from_tag(tag: u8) -> Result<Profile, td_engine::SnapError> {
+        match tag {
+            0 => Ok(Profile::Quick),
+            1 => Ok(Profile::Full),
+            other => Err(td_engine::SnapError::Corrupt(format!(
+                "unknown profile tag {other}"
+            ))),
+        }
+    }
+}
+
 /// One registered experiment.
 pub struct Entry {
     /// Id used on the `td-repro` command line (`fig2`, `abl-pacing`, …).
@@ -81,10 +102,7 @@ pub fn config_hash(id: &str, profile: Profile, overrides: &[(String, u64)]) -> u
     bytes.extend_from_slice(b"td-serve-config-v1\0");
     bytes.extend_from_slice(id.as_bytes());
     bytes.push(0);
-    bytes.push(match profile {
-        Profile::Quick => 0,
-        Profile::Full => 1,
-    });
+    bytes.push(profile.tag());
     let mut sorted: Vec<&(String, u64)> = overrides.iter().collect();
     sorted.sort();
     for (k, v) in sorted {
@@ -93,7 +111,7 @@ pub fn config_hash(id: &str, profile: Profile, overrides: &[(String, u64)]) -> u
         bytes.push(b'=');
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    crate::journal::fnv1a(&bytes)
+    td_engine::fnv1a(&bytes)
 }
 
 /// All experiments, in presentation order.

@@ -39,13 +39,13 @@
 //! `timings.json` report — the trajectory file the benchmarking roadmap
 //! hangs off.
 
-use crate::journal::{Journal, JournalCell};
+use crate::journal::Journal;
 use crate::registry::{Entry, Profile};
 use crate::report::Report;
 use crate::sweep;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 use td_analysis::RunningStats;
 use td_engine::meter::{self, Counter, Gauge, Meter};
@@ -100,8 +100,8 @@ pub struct RunnerConfig {
     pub progress: bool,
     /// Cooperative interrupt flag (SIGINT/SIGTERM). When it reads
     /// `true`, workers finish their in-flight task — so every completed
-    /// cell still lands in the journal — but claim no new ones, and the
-    /// batch reports [`BatchResult::interrupted`].
+    /// cell still reaches the sweep's store — but claim no new ones, and
+    /// the batch reports [`BatchResult::interrupted`].
     pub interrupt: Option<&'static AtomicBool>,
 }
 
@@ -132,8 +132,9 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Wall-clock and engine counters for one executed experiment.
-#[derive(Clone, Copy, Debug)]
+/// Wall-clock and engine counters for one executed experiment (all zero
+/// for a cell replayed from a sweep's store).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Timing {
     /// Wall-clock seconds spent inside the experiment runner.
     pub wall_s: f64,
@@ -206,10 +207,10 @@ pub struct ExperimentResult {
     /// Everything the task metered, sweep helpers and shard workers
     /// included. `timings.json` reads the snapshot counters (watchdog
     /// post-mortems included) and the per-row and batch-level `mc` blocks
-    /// from here; zero for a replayed cell, whose journal line carries
-    /// only `timing` and `audit`.
+    /// from here; zero for a replayed cell, whose stored file carries
+    /// only its report.
     pub meter: Meter,
-    /// True if this cell was replayed from a results journal instead of
+    /// True if this cell was replayed from a sweep's store instead of
     /// executed (`--resume`).
     pub replayed: bool,
 }
@@ -231,7 +232,7 @@ pub struct BatchResult {
     /// batch before every task ran; `results` then holds only the
     /// completed cells.
     pub interrupted: bool,
-    /// Cells replayed from the results journal instead of executed
+    /// Cells replayed from the sweep's store instead of executed
     /// (`--resume`).
     pub journal_replayed: u64,
 }
@@ -479,26 +480,23 @@ fn panic_report(entry: &Entry, seed: u64, msg: &str) -> Report {
 /// batch keeps running; `run_batch` itself always returns a full
 /// `BatchResult` with one entry per task.
 pub fn run_batch(entries: &[Entry], cfg: &RunnerConfig) -> BatchResult {
-    run_batch_resumable(entries, cfg, None, Vec::new())
+    run_batch_resumable(entries, cfg, None)
 }
 
-/// [`run_batch`] with crash resilience: completed cells are appended to
-/// `journal` the moment they finish (fsynced, before the slot is even
-/// published), and `completed` cells replayed from a previous journal
-/// are pre-filled instead of re-executed.
+/// [`run_batch`] with crash resilience: a worker that claims a task
+/// first looks its cell up in `journal`'s store — a hit replays instead
+/// of running — and stores every cell it runs the moment it finishes
+/// (durably, before the slot is even published).
 ///
-/// Replayed cells are trusted only if they map onto this batch: their id
-/// must name one of `entries`, their replicate must be in range, and
-/// their seed must equal what this batch would derive — anything else
-/// (stale journal, edited file) is ignored and the cell simply reruns.
-/// Because every cell's seed is a pure function of `(master_seed, id,
-/// replicate)`, a resumed batch's reports are byte-identical to an
-/// uninterrupted run's.
+/// A cell's key is its `(id, profile, seed)`, and every seed is a pure
+/// function of `(master_seed, id, replicate)`, so a resumed batch's
+/// reports are byte-identical to an uninterrupted run's. A fresh sweep
+/// starts from an empty store ([`Journal::create`]), so it never
+/// replays a stale cell.
 pub fn run_batch_resumable(
     entries: &[Entry],
     cfg: &RunnerConfig,
-    journal: Option<&Mutex<Journal>>,
-    completed: Vec<JournalCell>,
+    journal: Option<&Journal>,
 ) -> BatchResult {
     let replicates = cfg.replicates.max(1);
     let n_tasks = entries.len() * replicates as usize;
@@ -519,43 +517,6 @@ pub fn run_batch_resumable(
     let done = AtomicUsize::new(0);
     let slots: Vec<OnceLock<ExperimentResult>> = (0..n_tasks).map(|_| OnceLock::new()).collect();
 
-    // Pre-fill slots with journal-replayed cells. Ids are re-interned
-    // against the entry list (the journal stores owned strings); a cell
-    // that doesn't match this batch's layout or seed derivation is
-    // dropped and its task reruns.
-    let mut journal_replayed: u64 = 0;
-    for cell in completed {
-        let Some(pos) = entries.iter().position(|e| e.id == cell.id) else {
-            continue;
-        };
-        if cell.replicate >= replicates {
-            continue;
-        }
-        let want_seed = if cell.replicate == 0 {
-            cfg.master_seed
-        } else {
-            derive_seed(cfg.master_seed, entries[pos].id, cell.replicate)
-        };
-        if cell.seed != want_seed {
-            continue;
-        }
-        let task = pos * replicates as usize + cell.replicate as usize;
-        let result = ExperimentResult {
-            id: entries[pos].id,
-            replicate: cell.replicate,
-            seed: cell.seed,
-            report: cell.report,
-            panic: cell.panic,
-            timing: cell.timing,
-            audit: cell.audit,
-            meter: Meter::default(),
-            replayed: true,
-        };
-        if slots[task].set(result).is_ok() {
-            journal_replayed += 1;
-        }
-    }
-
     let interrupted = || {
         cfg.interrupt
             .is_some_and(|flag| flag.load(Ordering::SeqCst))
@@ -567,17 +528,13 @@ pub fn run_batch_resumable(
                 loop {
                     // Cooperative interrupt: finish nothing new once the
                     // flag is up; in-flight tasks already past this check
-                    // run to completion and reach the journal.
+                    // run to completion and reach the store.
                     if interrupted() {
                         break;
                     }
                     let task = next.fetch_add(1, Ordering::Relaxed);
                     if task >= n_tasks {
                         break;
-                    }
-                    // Replayed from the journal: nothing to run.
-                    if slots[task].get().is_some() {
-                        continue;
                     }
                     // Task layout: entry-major, replicate-minor.
                     let entry = &entries[task / replicates as usize];
@@ -590,6 +547,11 @@ pub fn run_batch_resumable(
                     } else {
                         derive_seed(cfg.master_seed, entry.id, replicate)
                     };
+                    if let Some(stored) = journal.and_then(|j| j.replay(entry.id, replicate, seed)) {
+                        let fresh = slots[task].set(stored).is_ok();
+                        debug_assert!(fresh, "task {task} claimed twice");
+                        continue;
+                    }
 
                     let rss_reset = reset_peak_rss();
                     let t0 = Instant::now();
@@ -623,18 +585,15 @@ pub fn run_batch_resumable(
                         meter: metered,
                         replayed: false,
                     };
-                    // Journal before publishing the slot: after `append`
-                    // returns, the cell is durable (fsynced). A journal
-                    // I/O error is reported but doesn't fail the run —
-                    // the cell just isn't resumable.
-                    if let Some(j) = journal {
-                        let outcome = j.lock().unwrap().append(&result);
-                        if let Err(e) = outcome {
-                            eprintln!(
-                                "warning: journal append failed for {} replicate {}: {e}",
-                                result.id, result.replicate
-                            );
-                        }
+                    // Store before publishing the slot: after `record`
+                    // returns, the cell is durable (fsynced). A store I/O
+                    // error is reported but doesn't fail the run — the
+                    // cell just isn't resumable.
+                    if let Some(Err(e)) = journal.map(|j| j.record(&result)) {
+                        eprintln!(
+                            "warning: cannot store {} replicate {}: {e}",
+                            result.id, result.replicate
+                        );
                     }
                     if cfg.progress {
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -671,6 +630,7 @@ pub fn run_batch_resumable(
     // cells are returned, still in deterministic task order.
     let results: Vec<ExperimentResult> = slots.into_iter().filter_map(|s| s.into_inner()).collect();
     let interrupted = interrupted() || results.len() < n_tasks;
+    let journal_replayed = results.iter().filter(|r| r.replayed).count() as u64;
     BatchResult {
         results,
         jobs: budget,
@@ -877,8 +837,10 @@ mod tests {
         assert!(batch.timings_json().contains("\"interrupted\": true"));
     }
 
+    /// A second pass over a sweep's store replays every cell, byte for
+    /// byte, and runs none.
     #[test]
-    fn journal_replay_prefills_cells_byte_identically() {
+    fn stored_cells_replay_byte_identically() {
         use crate::journal::{Journal, JournalHeader};
         let dir = std::env::temp_dir().join(format!(
             "td-runner-replay-{}-{:?}",
@@ -899,37 +861,25 @@ mod tests {
             replicates: cfg.replicates,
             ids: entries.iter().map(|e| e.id.to_owned()).collect(),
         };
-        let journal = Mutex::new(Journal::create(&dir, &header).unwrap());
-        let first = run_batch_resumable(&entries, &cfg, Some(&journal), Vec::new());
-        drop(journal);
+        let journal = Journal::create(&dir, &header).unwrap();
+        let first = run_batch_resumable(&entries, &cfg, Some(&journal));
         assert!(!first.interrupted);
         assert_eq!(first.journal_replayed, 0);
 
-        let (got_header, cells) = Journal::load(&dir).unwrap();
+        let (journal, got_header) = Journal::open(&dir).unwrap();
         assert_eq!(got_header, header);
-        assert_eq!(cells.len(), 4, "every cell journaled");
-
-        // Replaying the complete journal re-runs nothing and reproduces
-        // every report byte-for-byte.
-        let second = run_batch_resumable(&entries, &cfg, None, cells);
+        let second = run_batch_resumable(&entries, &cfg, Some(&journal));
         assert_eq!(second.journal_replayed, 4);
-        assert!(second.results.iter().all(|r| r.replayed));
         assert_eq!(first.results.len(), second.results.len());
         for (a, b) in first.results.iter().zip(&second.results) {
             assert_eq!((a.id, a.replicate, a.seed), (b.id, b.replicate, b.seed));
             assert_eq!(a.report.to_string(), b.report.to_string());
             assert_eq!(a.report.csvs, b.report.csvs);
             assert_eq!(a.report.blobs, b.report.blobs);
-            assert!(!a.replayed);
+            assert!(!a.replayed && b.replayed);
+            assert_eq!(b.timing.events_dispatched, 0, "replays carry no timing");
         }
         assert!(second.timings_json().contains("\"journal_replayed\": 4"));
-
-        // A stale cell (wrong seed) is ignored, not trusted.
-        let (_, mut cells) = Journal::load(&dir).unwrap();
-        cells[0].seed ^= 1;
-        let third = run_batch_resumable(&entries, &cfg, None, cells);
-        assert_eq!(third.journal_replayed, 3);
-        assert_eq!(third.results.len(), 4, "dropped cell re-ran");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

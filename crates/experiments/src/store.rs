@@ -1,11 +1,17 @@
-//! Content-addressed, checksummed, quarantining result store.
+//! Content-addressed, checksummed, quarantining cell store.
+//!
+//! The one durable format for computed cells: `td-serve` keeps its cache
+//! here, and `td-repro --out DIR` writes every finished sweep cell into
+//! `DIR/cells/` (see [`crate::journal`]), so a daemon pointed at a
+//! sweep's cells serves them as hits.
 //!
 //! One file per simulation cell, named by the cell's identity —
 //! `cell-{config_hash:016x}-{seed:016x}.tdc` — so the store needs no
 //! index: a lookup is a filename. Each file is a [`SnapWriter`] payload
 //! (magic `TDCE`, version 1: key, experiment id, profile, and the full
-//! [`Report`] via the journal's shared report codec) followed by an
-//! 8-byte little-endian FNV-1a trailer over the payload.
+//! [`Report`] via [`write_report`]) followed by an 8-byte little-endian
+//! FNV-1a trailer over the payload. A cell's bytes are a pure function
+//! of its key: no wall clock, no host, no run history.
 //!
 //! Integrity discipline:
 //!
@@ -17,7 +23,7 @@
 //! * **Every write is atomic and durable**: temp file in the store
 //!   directory (named uniquely per write), `sync_all`, rename over the
 //!   final name, best-effort directory fsync. A crash can leave a stale
-//!   `.tmp`, never a torn cell.
+//!   `.tmp`, never a torn cell. Concurrent writers need no lock.
 //! * **Each stored byte is hashed once.** FNV-1a streams, so the trailer
 //!   check continued over the 8 trailer bytes is the FNV-1a of the whole
 //!   file: [`Store::load`] and [`Store::save`] return that fingerprint,
@@ -26,33 +32,32 @@
 //!   quarantines) damage; [`Store::compact`] clears `.tmp` leftovers
 //!   and the quarantine sidecar, reporting bytes reclaimed.
 
+use crate::journal::{read_report, write_report};
+use crate::registry::Profile;
+use crate::report::Report;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use td_engine::{SnapReader, SnapWriter};
-use td_experiments::journal::{fnv1a, fnv1a_continue, read_report, write_report};
-use td_experiments::registry::Profile;
-use td_experiments::report::Report;
+use td_engine::{fnv1a, fnv1a_continue, SnapReader, SnapWriter};
 
 /// Magic prefix of a cell-file payload.
 const MAGIC: &[u8; 4] = b"TDCE";
 /// Cell-file format version.
 const VERSION: u32 = 1;
-/// File name of the persisted pending queue.
-pub(crate) const PENDING_NAME: &str = "pending.tdq";
 /// Distinguishes the temp files of one process's concurrent writes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-#[cfg(test)]
 thread_local! {
-    /// Cell encodings on this thread, for the server's hit-path test.
-    pub(crate) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Cell encodings on this thread: `td-serve`'s tests count them to
+    /// show a hit re-encodes nothing.
+    #[doc(hidden)]
+    pub static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Identity of one cell: the canonical config hash plus the seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CellKey {
-    /// [`td_experiments::registry::config_hash`] of the request.
+    /// [`crate::registry::config_hash`] of the request.
     pub config_hash: u64,
     /// Master seed of the cell.
     pub seed: u64,
@@ -138,11 +143,6 @@ impl Store {
         self.dir.join(Self::cell_name(key))
     }
 
-    /// Path of the persisted pending-queue file (see [`crate::server`]).
-    pub fn pending_path(&self) -> PathBuf {
-        self.dir.join(PENDING_NAME)
-    }
-
     /// Look up a cell, verifying integrity; damage quarantines the file.
     pub fn load(&self, key: CellKey) -> io::Result<Lookup> {
         let path = self.cell_path(key);
@@ -186,7 +186,7 @@ impl Store {
     /// durably — the one sequence every store file is written with: a temp
     /// file named uniquely per write, `sync_all`, rename over the final
     /// name, directory fsync.
-    pub(crate) fn write_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    pub fn write_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         // Pid against other processes, counter against this one's other
         // workers writing the same name: a shared temp file gets torn.
         let tmp = self.dir.join(format!(
@@ -239,18 +239,30 @@ impl Store {
         Ok(report)
     }
 
-    /// Remove `.tmp` leftovers and the quarantine sidecar's contents,
-    /// reporting how much space came back.
-    pub fn compact(&self) -> io::Result<CompactReport> {
-        let mut report = CompactReport::default();
+    /// Remove the `.tmp` files of writers killed mid-write: how many, and
+    /// their bytes. Only safe while no other process writes the store.
+    pub fn remove_tmp(&self) -> io::Result<(usize, u64)> {
+        let (mut removed, mut bytes) = (0, 0);
         for entry in std::fs::read_dir(&self.dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
-                report.bytes_reclaimed += std::fs::metadata(&path)?.len();
+                bytes += std::fs::metadata(&path)?.len();
                 std::fs::remove_file(&path)?;
-                report.tmp_removed += 1;
+                removed += 1;
             }
         }
+        Ok((removed, bytes))
+    }
+
+    /// Remove `.tmp` leftovers and the quarantine sidecar's contents,
+    /// reporting how much space came back.
+    pub fn compact(&self) -> io::Result<CompactReport> {
+        let (tmp_removed, bytes_reclaimed) = self.remove_tmp()?;
+        let mut report = CompactReport {
+            tmp_removed,
+            bytes_reclaimed,
+            ..CompactReport::default()
+        };
         let qdir = self.quarantine_dir();
         if qdir.is_dir() {
             for entry in std::fs::read_dir(&qdir)? {
@@ -285,30 +297,29 @@ pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
 
 /// [`encode_cell_file`] plus the FNV-1a of everything it returns.
 fn encode_with_fnv(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
-    #[cfg(test)]
     ENCODES.with(|n| n.set(n.get() + 1));
     let mut w = SnapWriter::with_header(MAGIC, VERSION);
     w.write_u64(key.config_hash);
     w.write_u64(key.seed);
     w.write_str(&data.experiment);
-    w.write_u8(match data.profile {
-        Profile::Quick => 0,
-        Profile::Full => 1,
-    });
+    w.write_u8(data.profile.tag());
     write_report(&mut w, &data.report);
-    let mut bytes = w.into_bytes();
-    let check = fnv1a(&bytes);
-    let trailer = check.to_le_bytes();
-    bytes.extend_from_slice(&trailer);
-    (bytes, fnv1a_continue(check, &trailer))
+    seal(w.into_bytes())
 }
 
-/// Decode and verify a cell file. `expect` (when known) must match the
-/// embedded key — a renamed or cross-copied cell is corruption too.
-/// Structured errors, never panics. With the cell comes the FNV-1a of
-/// all of `bytes` (the trailer check continued over the trailer); only
-/// canonical files decode, so re-encoding the cell hashes the same.
-pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
+/// Frame a payload as a store file: the payload, then its FNV-1a as an
+/// 8-byte little-endian trailer. Returns the file and the FNV-1a of all
+/// of it.
+pub(crate) fn seal(mut payload: Vec<u8>) -> (Vec<u8>, u64) {
+    let check = fnv1a(&payload);
+    let trailer = check.to_le_bytes();
+    payload.extend_from_slice(&trailer);
+    (payload, fnv1a_continue(check, &trailer))
+}
+
+/// The inverse of [`seal`]: the payload of a file whose trailer checks
+/// out, and the FNV-1a of the whole file from that same pass.
+pub(crate) fn unseal(bytes: &[u8]) -> Result<(&[u8], u64), String> {
     if bytes.len() < 8 {
         return Err(format!(
             "file is {} byte(s), too short for a trailer",
@@ -324,6 +335,16 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellDa
              found {recorded:016x} in the trailer)"
         ));
     }
+    Ok((payload, fnv1a_continue(computed, trailer)))
+}
+
+/// Decode and verify a cell file. `expect` (when known) must match the
+/// embedded key — a renamed or cross-copied cell is corruption too.
+/// Structured errors, never panics. With the cell comes the FNV-1a of
+/// all of `bytes` (the trailer check continued over the trailer); only
+/// canonical files decode, so re-encoding the cell hashes the same.
+pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
+    let (payload, file_fnv) = unseal(bytes)?;
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<CellData, td_engine::SnapError> {
         r.expect_header(MAGIC, VERSION..=VERSION)?;
@@ -339,15 +360,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellDa
             }
         }
         let experiment = r.read_str()?;
-        let profile = match r.read_u8()? {
-            0 => Profile::Quick,
-            1 => Profile::Full,
-            other => {
-                return Err(td_engine::SnapError::Corrupt(format!(
-                    "unknown profile tag {other}"
-                )))
-            }
-        };
+        let profile = Profile::from_tag(r.read_u8()?)?;
         let report = read_report(&mut r)?;
         r.finish()?;
         Ok(CellData {
@@ -357,7 +370,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellDa
         })
     };
     let data = decode().map_err(|e| e.to_string())?;
-    Ok((data, fnv1a_continue(computed, trailer)))
+    Ok((data, file_fnv))
 }
 
 #[cfg(test)]
@@ -555,7 +568,7 @@ mod tests {
         ];
         let mut report = Report::new(&gen_str(rng), &gen_str(rng), &gen_str(rng));
         for _ in 0..rng.next_below(4) {
-            report.rows.push(td_experiments::report::Row {
+            report.rows.push(crate::report::Row {
                 metric: gen_str(rng),
                 paper: gen_str(rng),
                 measured: gen_str(rng),

@@ -2,26 +2,30 @@
 //! back as a structured error (or a clean parse), never a panic, an
 //! absurd allocation, or a hang.
 //!
-//! Four formats are attacked, each from a valid baseline produced by
-//! the real encoder:
+//! Every format is attacked from a valid baseline produced by the real
+//! encoder:
 //!
-//! * **TDJL journal lines** — the text layer (`hex payload + checksum`)
-//!   and the binary cell payload inside it, including lines rewritten
-//!   to claim versions v1/v2 (the read-compat surface) and absurd ones;
+//! * **TDCE** cell files ([`decode_cell_file`]) — the one durable cell
+//!   format, written by `td-serve` and by `td-repro --out`;
+//! * the **sweep header** (`cells/sweep.tdh`, [`decode_header`]), in
+//!   the cell files' framing;
+//! * **TDQP** lines of `td-serve`'s `pending.tdq` — the checked-line
+//!   text layer (`hex payload + checksum`);
 //! * **TDSN** serial world snapshots ([`Snapshot::from_bytes`]);
 //! * **TDSW** sharded world snapshots ([`ShardSnapshot::from_bytes`]);
 //! * **TDMC** model-checking schedules ([`McSchedule::from_bytes`]).
 //!
 //! Damage is seeded ([`SimRng`]) bit flips and truncations, so a
 //! failure reproduces exactly. The assertions are deliberately weak —
-//! `Ok` or `Err`, with a handful of cases where damage *must* be
-//! detected (checksum layer, truncation) — because the property under
-//! test is "hostile bytes cannot crash the process", not any
-//! particular diagnosis.
+//! `Ok` or `Err` — where a format has no checksum, because the property
+//! under test is "hostile bytes cannot crash the process", not any
+//! particular diagnosis. The checksummed formats must reject *every*
+//! single-byte flip and every truncation.
 
 use td_engine::{SimDuration, SimRng, SimTime};
-use td_experiments::journal::{decode_cell, decode_checked_line, encode_cell, encode_checked_line};
-use td_experiments::runner::{ExperimentResult, Timing};
+use td_experiments::journal::{decode_header, encode_header, JournalHeader};
+use td_experiments::registry::Profile;
+use td_experiments::store::{decode_cell_file, encode_cell_file, CellData, CellKey};
 use td_experiments::{ConnSpec, Report, Scenario};
 use td_net::mc::{Decision, McSchedule};
 use td_net::{ChannelId, ShardSnapshot, ShardedWorld, Snapshot};
@@ -31,7 +35,12 @@ use td_net::{ChannelId, ShardSnapshot, ShardedWorld, Snapshot};
 const FLIP_ROUNDS: u64 = 300;
 const TRUNC_ROUNDS: u64 = 120;
 
-fn sample_cell_bytes() -> Vec<u8> {
+const KEY: CellKey = CellKey {
+    config_hash: 0x5eed_cafe,
+    seed: 42,
+};
+
+fn sample_cell_file() -> Vec<u8> {
     let mut rep = Report::new("fig8", "fuzz baseline", "cfg");
     rep.check("metric", "paper", "ours".into(), true);
     rep.plots.push("ascii\nart".into());
@@ -39,23 +48,22 @@ fn sample_cell_bytes() -> Vec<u8> {
     rep.blobs.push(("t.bin".into(), vec![0, 1, 254, 255]));
     rep.metric("throughput", 0.75);
     rep.diagnostic("note".into());
-    encode_cell(&ExperimentResult {
-        id: "fig8",
-        replicate: 3,
-        seed: 42,
-        report: rep,
-        panic: Some("boom \"quoted\"".into()),
-        timing: Timing {
-            wall_s: 1.5,
-            events_scheduled: 100,
-            events_dispatched: 90,
-            peak_queue_depth: 12,
-            peak_rss_kib: 4096,
-            peak_rss_is_process_max: false,
+    encode_cell_file(
+        KEY,
+        &CellData {
+            experiment: "fig8".into(),
+            profile: Profile::Quick,
+            report: rep,
         },
-        audit: Default::default(),
-        meter: Default::default(),
-        replayed: false,
+    )
+}
+
+fn sample_header_file() -> Vec<u8> {
+    encode_header(&JournalHeader {
+        master_seed: 7,
+        profile: Profile::Full,
+        replicates: 3,
+        ids: vec!["fig8".into(), "short-flows".into(), "scale".into()],
     })
 }
 
@@ -67,9 +75,61 @@ fn flip(bytes: &[u8], rng: &mut SimRng) -> Vec<u8> {
     out
 }
 
+/// A checksummed file: every seeded single-byte change and every
+/// truncation is an `Err`, and compound damage never panics.
+fn fuzz_sealed<T, E>(
+    tag: &str,
+    baseline: &[u8],
+    seed: u64,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    assert!(
+        decode(baseline).is_ok(),
+        "{tag}: pristine baseline must decode"
+    );
+    let mut rng = SimRng::new(seed);
+    for _ in 0..FLIP_ROUNDS {
+        let at = rng.next_below(baseline.len() as u64) as usize;
+        let mut damaged = baseline.to_vec();
+        damaged[at] ^= 1 + rng.next_below(255) as u8;
+        assert!(
+            decode(&damaged).is_err(),
+            "{tag}: the trailer must catch a changed byte at {at}"
+        );
+        let mut multi = baseline.to_vec();
+        for _ in 0..=rng.next_below(8) {
+            let at = rng.next_below(multi.len() as u64) as usize;
+            multi[at] ^= 1 << rng.next_below(8);
+        }
+        let _ = decode(&multi);
+    }
+    for _ in 0..TRUNC_ROUNDS {
+        let cut = rng.next_below(baseline.len() as u64) as usize;
+        assert!(
+            decode(&baseline[..cut]).is_err(),
+            "{tag}: truncation to {cut} bytes must be rejected"
+        );
+    }
+}
+
 #[test]
-fn journal_text_layer_rejects_any_character_damage() {
-    let payload = sample_cell_bytes();
+fn cell_files_reject_every_flip_and_truncation() {
+    fuzz_sealed("TDCE", &sample_cell_file(), 0xF023, |b| {
+        decode_cell_file(b, Some(KEY))
+    });
+}
+
+#[test]
+fn sweep_headers_reject_every_flip_and_truncation() {
+    fuzz_sealed("sweep header", &sample_header_file(), 0xF027, decode_header);
+}
+
+#[cfg(unix)]
+#[test]
+fn pending_queue_lines_reject_any_character_damage() {
+    use td_serve::server::{decode_checked_line, encode_checked_line};
+    // Any payload will do: the attack is on the text layer.
+    let payload = sample_header_file();
     let line = encode_checked_line(&payload);
     assert_eq!(decode_checked_line(&line).unwrap(), payload);
 
@@ -98,34 +158,6 @@ fn journal_text_layer_rejects_any_character_damage() {
             decode_checked_line(&line[..cut]).is_err(),
             "truncation to {cut} chars must be rejected"
         );
-    }
-}
-
-#[test]
-fn journal_cell_payloads_never_panic_under_damage() {
-    let baseline = sample_cell_bytes();
-    assert!(decode_cell(&baseline).is_ok());
-
-    let mut rng = SimRng::new(0xF023);
-    for _ in 0..FLIP_ROUNDS {
-        // Ok or Err both acceptable; the property is "no panic".
-        let _ = decode_cell(&flip(&baseline, &mut rng));
-    }
-    for cut in 0..baseline.len() {
-        assert!(
-            decode_cell(&baseline[..cut]).is_err(),
-            "truncation to {cut} bytes must be rejected"
-        );
-    }
-    // Version field rewrites: the read-compat versions (1, 2) applied
-    // to a v3 body, plus junk versions. Bytes 4..8 are the LE version.
-    for version in [0u32, 1, 2, 4, 99, u32::MAX] {
-        let mut relabeled = baseline.clone();
-        relabeled[4..8].copy_from_slice(&version.to_le_bytes());
-        let _ = decode_cell(&relabeled);
-        for _ in 0..FLIP_ROUNDS / 6 {
-            let _ = decode_cell(&flip(&relabeled, &mut rng));
-        }
     }
 }
 

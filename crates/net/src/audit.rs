@@ -524,8 +524,8 @@ impl Audit {
     }
 }
 
-/// The auditor's verdict on one harness task, as `timings.json` and the
-/// journal's cell codec carry it: the task's [`Meter`] read back.
+/// The auditor's verdict on one harness task, as `timings.json` carries
+/// it: the task's [`Meter`] read back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Tally {
     /// Total violations while the task ran.

@@ -17,8 +17,8 @@
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use td_experiments::store::Store;
 use td_serve::server::{run, ServeConfig};
-use td_serve::store::Store;
 
 /// Graceful-shutdown signal handling (SIGINT / SIGTERM), the same raw
 /// `signal(2)` binding `td-repro` uses: the zero-dependency rule keeps

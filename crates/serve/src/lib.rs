@@ -1,12 +1,15 @@
 //! # td-serve — a fault-tolerant simulation-serving daemon
 //!
 //! The ROADMAP's census item calls for a long-running service that
-//! answers "simulate this config" queries from a journal-backed store.
+//! answers "simulate this config" queries from a durable cell store.
 //! This crate is that service: a daemon on a Unix socket speaking
 //! line-delimited JSON, content-addressing every result cell by
-//! `(config_hash, seed)` into an on-disk [`store::Store`], serving
-//! cache hits from disk and scheduling misses onto a bounded worker
-//! pool that shares `td_experiments::sweep`'s process-wide job budget.
+//! `(config_hash, seed)` into an on-disk [`td_experiments::store::Store`],
+//! serving cache hits from disk and scheduling misses onto a bounded
+//! worker pool that shares `td_experiments::sweep`'s process-wide job
+//! budget. It is the store `td-repro --out DIR` saves its sweep cells
+//! into, so a daemon on `--store DIR/cells` serves a sweep's cells as
+//! hits.
 //!
 //! A server that merely computes is not a product; one that degrades
 //! gracefully is. The robustness layer — all of it deterministic and
@@ -28,16 +31,16 @@
 //!   backoff (jitter seeded from `(config_hash, seed, attempt)`), and a
 //!   config that keeps failing trips a circuit breaker that rejects
 //!   further requests for it without burning workers.
-//! * **Store integrity** ([`store`]): cell files carry a checksum
-//!   trailer verified on every read; a corrupt cell is moved into a
+//! * **Store integrity** ([`td_experiments::store`]): cell files carry a
+//!   checksum trailer verified on every read; a corrupt cell is moved into a
 //!   `quarantine/` sidecar and transparently recomputed; writes are
 //!   atomic (temp file + fsync + rename); `td-serve verify` and
 //!   `td-serve compact` are the offline maintenance pair.
 //! * **Graceful drain**: SIGINT/SIGTERM (or an in-band `shutdown`
 //!   request) stops admission, finishes in-flight cells, answers every
-//!   queued client, persists the unstarted queue to `pending.tdq`
-//!   (checked-line format shared with the results journal), and exits
-//!   130 (signal) or 0 (`shutdown`). A restarted daemon replays
+//!   queued client, persists the unstarted queue to `pending.tdq` (one
+//!   checksummed hex line per job), and exits 130 (signal) or 0
+//!   (`shutdown`). A restarted daemon replays
 //!   `pending.tdq` into the store, so the work still happens.
 //!
 //! Responses for the same `(config_hash, seed)` are **byte-identical**
@@ -51,4 +54,3 @@
 pub mod proto;
 #[cfg(unix)]
 pub mod server;
-pub mod store;

@@ -28,7 +28,6 @@
 //! `serve` job pin.
 
 use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
-use crate::store::{CellData, CellKey, Lookup, Store, PENDING_NAME};
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -36,11 +35,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_engine::{SimRng, SnapError, SnapReader, SnapWriter};
-use td_experiments::journal::{decode_checked_line, encode_checked_line};
+use td_engine::{fnv1a, SimRng, SnapError, SnapReader, SnapWriter};
 use td_experiments::registry::{config_hash, find, validate_override, Profile};
+use td_experiments::store::{CellData, CellKey, Lookup, Store};
 use td_experiments::sweep::budget;
 
+/// File name of the persisted pending queue, inside the store directory.
+const PENDING_NAME: &str = "pending.tdq";
 /// Magic of a persisted pending-queue record.
 const PENDING_MAGIC: &[u8; 4] = b"TDQP";
 /// Pending-queue record version.
@@ -283,18 +284,95 @@ fn drain_queue(shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
+/// Path of the persisted pending-queue file.
+fn pending_path(store: &Store) -> PathBuf {
+    store.dir().join(PENDING_NAME)
+}
+
+/// Why a checked line failed to decode (see [`decode_checked_line`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LineDamage {
+    /// Structural damage: the line is not
+    /// `hex(payload) + space + 16-hex checksum`.
+    Format(String),
+    /// The line parsed but the recorded checksum disagrees with the
+    /// checksum computed over the decoded payload.
+    Checksum {
+        /// Checksum recorded at the end of the line.
+        recorded: u64,
+        /// Checksum computed from the line's payload bytes.
+        computed: u64,
+    },
+}
+
+/// Render a payload as one checked `pending.tdq` line (no trailing
+/// newline): `hex(payload) + space + 16-hex fnv1a64 checksum`. Line
+/// oriented, so a torn write can only damage the lines from the tear on.
+/// The inverse of [`decode_checked_line`].
+pub fn encode_checked_line(payload: &[u8]) -> String {
+    let mut line = String::with_capacity(payload.len() * 2 + 17);
+    for b in payload {
+        line.push_str(&format!("{b:02x}"));
+    }
+    line.push(' ');
+    line.push_str(&format!("{:016x}", fnv1a(payload)));
+    line
+}
+
+/// Parse one checked `hex payload + checksum` line, saying *why* on
+/// failure (see [`LineDamage`]).
+pub fn decode_checked_line(line: &str) -> Result<Vec<u8>, LineDamage> {
+    let (hex, check) = line
+        .split_once(' ')
+        .ok_or_else(|| LineDamage::Format("no space separator".into()))?;
+    if check.len() != 16 {
+        return Err(LineDamage::Format(format!(
+            "checksum field is {} chars, expected 16",
+            check.len()
+        )));
+    }
+    if hex.len() % 2 != 0 {
+        return Err(LineDamage::Format(format!(
+            "payload field has odd length {}",
+            hex.len()
+        )));
+    }
+    // Reject anything but hex digits up front: `from_str_radix` would
+    // otherwise accept a leading `+`, letting some damaged bytes parse
+    // to the same value they replaced.
+    if let Some(bad) = line
+        .bytes()
+        .position(|b| !b.is_ascii_hexdigit() && b != b' ')
+    {
+        return Err(LineDamage::Format(format!(
+            "non-hex character at column {}",
+            bad + 1
+        )));
+    }
+    let mut payload = Vec::with_capacity(hex.len() / 2);
+    for i in (0..hex.len()).step_by(2) {
+        payload.push(u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| {
+            LineDamage::Format(format!("non-hex payload byte at column {}", i + 1))
+        })?);
+    }
+    let recorded = u64::from_str_radix(check, 16)
+        .map_err(|_| LineDamage::Format("non-hex checksum field".into()))?;
+    let computed = fnv1a(&payload);
+    if computed != recorded {
+        return Err(LineDamage::Checksum { recorded, computed });
+    }
+    Ok(payload)
+}
+
 /// Write the unstarted queue to `pending.tdq`: one checked line per
-/// job (the journal's line discipline), atomically and durably.
+/// job, atomically and durably.
 fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
     let mut text = String::new();
     for job in jobs {
         let mut w = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
         w.write_str(&job.req.experiment);
         w.write_u64(job.req.seed);
-        w.write_u8(match job.req.profile {
-            Profile::Quick => 0,
-            Profile::Full => 1,
-        });
+        w.write_u8(job.req.profile.tag());
         w.write_u8(job.req.priority);
         w.write_u64(job.req.overrides.len() as u64);
         for (k, v) in &job.req.overrides {
@@ -313,7 +391,7 @@ fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
 /// live client could not have sent — see [`decode_pending`] — is skipped
 /// on its own.
 fn restore_pending(shared: &Shared) {
-    let path = shared.store.pending_path();
+    let path = pending_path(&shared.store);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(_) => return,
@@ -381,11 +459,7 @@ fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
     r.expect_header(PENDING_MAGIC, PENDING_VERSION..=PENDING_VERSION)?;
     let experiment = r.read_str()?;
     let seed = r.read_u64()?;
-    let profile = match r.read_u8()? {
-        0 => Profile::Quick,
-        1 => Profile::Full,
-        tag => return Err(SnapError::Corrupt(format!("unknown profile tag {tag}"))),
-    };
+    let profile = Profile::from_tag(r.read_u8()?)?;
     let priority = r.read_u8()?;
     let n = r.read_len()?;
     let mut overrides = Vec::new();
@@ -847,7 +921,6 @@ fn render_stats(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_experiments::journal::fnv1a;
 
     #[test]
     fn backoff_is_deterministic_and_monotone_in_attempt() {
@@ -895,7 +968,7 @@ mod tests {
     /// and both put the FNV-1a of the stored file on the wire.
     #[test]
     fn miss_encodes_once_hit_never_and_both_fingerprint_the_file() {
-        use crate::store::ENCODES;
+        use td_experiments::store::ENCODES;
         let shared = shared_on("encodes");
         let req = SimulateReq {
             experiment: "fig2".into(),
@@ -992,6 +1065,29 @@ mod tests {
     }
 
     #[test]
+    fn checked_lines_reject_bit_flips() {
+        let payload = pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 30)]);
+        let line = encode_checked_line(&payload);
+        assert_eq!(decode_checked_line(&line).unwrap(), payload);
+        let flipped = line.replacen('a', "b", 1);
+        if flipped != line {
+            let err = decode_checked_line(&flipped).unwrap_err();
+            assert!(
+                matches!(err, LineDamage::Checksum { .. } | LineDamage::Format(_)),
+                "{err:?}"
+            );
+        }
+        assert!(matches!(
+            decode_checked_line("nonsense"),
+            Err(LineDamage::Format(_))
+        ));
+        assert!(matches!(
+            decode_checked_line(""),
+            Err(LineDamage::Format(_))
+        ));
+    }
+
+    #[test]
     fn pending_queue_roundtrips_and_salvages() {
         let req = SimulateReq {
             experiment: "fig8".into(),
@@ -1037,7 +1133,7 @@ mod tests {
         lines.push(encode_checked_line(&bytes));
 
         let shared = shared_on("pending");
-        std::fs::write(shared.store.pending_path(), lines.join("\n")).unwrap();
+        std::fs::write(pending_path(&shared.store), lines.join("\n")).unwrap();
         restore_pending(&shared);
         let queued: Vec<_> = {
             let q = shared.queue.lock().unwrap();
@@ -1048,7 +1144,7 @@ mod tests {
         };
         assert_eq!(queued, [("fig8".to_owned(), 7), ("fig2".to_owned(), 0)]);
         assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 2);
-        assert!(!shared.store.pending_path().exists());
+        assert!(!pending_path(&shared.store).exists());
         let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 }

@@ -27,7 +27,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use td_experiments::journal::fnv1a;
+use td_engine::fnv1a;
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
 
