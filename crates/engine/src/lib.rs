@@ -70,5 +70,7 @@ mod time;
 pub use queue::{EventId, EventQueue};
 pub use rate::Rate;
 pub use rng::SimRng;
-pub use snap::{fnv1a, fnv1a_continue, write_atomic, SnapError, SnapReader, SnapWriter};
+pub use snap::{
+    fnv1a, fnv1a_continue, fnv1a_lanes, write_atomic, SnapError, SnapReader, SnapWriter,
+};
 pub use time::{SimDuration, SimTime};

@@ -67,10 +67,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte string — the workspace's one byte-wise stable
-/// hash: the [`SnapWriter::hashing`] sink, cell-store trailers,
-/// `pending.tdq` line checksums, seed derivation tags and golden output
-/// hashes.
+/// FNV-1a over a byte string — the workspace's byte-wise stable hash:
+/// the [`SnapWriter::hashing`] sink, `pending.tdq` line checksums, seed
+/// derivation tags and golden output hashes. Its xor-multiply chain
+/// runs one byte per multiply; the cell store seals its files with
+/// [`fnv1a_lanes`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
@@ -81,6 +82,48 @@ pub fn fnv1a_continue(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// One step of [`fnv1a_lanes`]: FNV-1a's xor-multiply on a whole word,
+/// then a shift-xor that folds the product's high bits back down. For a
+/// fixed `w` it is a bijection of `h` (odd multiply, xorshift), and for
+/// a fixed `h` a bijection of `w`.
+#[inline(always)]
+fn lane_step(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(FNV_PRIME);
+    h ^ (h >> 29)
+}
+
+/// A four-lane, word-wise FNV-1a: the cell store's file checksum.
+///
+/// Lane *i* starts at `lane_step(FNV_OFFSET, i)` and folds the
+/// little-endian `u64` words *i*, *i*+4, *i*+8, … of `bytes`. Then the
+/// four lane states, the < 32-byte tail (as zero-padded little-endian
+/// words) and the length are folded, in that order, into one state
+/// starting at the offset basis, with the same step.
+///
+/// Every step is a bijection of the state for a fixed input and of the
+/// input for a fixed state, so changing any one word — hence flipping
+/// any one bit — changes the result with certainty, as byte-wise
+/// [`fnv1a`] does. The four chains are independent, so the multiplies
+/// overlap: it runs at memory speed where [`fnv1a`] waits on one
+/// multiply per byte. It does not stream and is not [`fnv1a`]'s value.
+pub fn fnv1a_lanes(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut lanes: [u64; 4] = std::array::from_fn(|i| lane_step(FNV_OFFSET, i as u64));
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, word(w));
+        }
+    }
+    let mut h = lanes.into_iter().fold(FNV_OFFSET, lane_step);
+    for tail in blocks.remainder().chunks(8) {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = lane_step(h, u64::from_le_bytes(w));
+    }
+    lane_step(h, bytes.len() as u64)
 }
 
 /// Write `bytes` to `path` atomically against a crash of this process: a
@@ -578,6 +621,90 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+
+    /// A fixed, irregular byte pattern.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+            .collect()
+    }
+
+    /// [`fnv1a_lanes`] as its rustdoc states it, one word at a time.
+    fn lanes_by_the_doc(bytes: &[u8]) -> u64 {
+        let full = bytes.len() / 32 * 32;
+        let mut lanes: Vec<u64> = (0..4).map(|i| lane_step(FNV_OFFSET, i)).collect();
+        for (k, w) in bytes[..full].chunks(8).enumerate() {
+            lanes[k % 4] = lane_step(lanes[k % 4], u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        let mut h = FNV_OFFSET;
+        for lane in lanes {
+            h = lane_step(h, lane);
+        }
+        let mut tail = bytes[full..].to_vec();
+        tail.resize(tail.len().div_ceil(8) * 8, 0);
+        for w in tail.chunks(8) {
+            h = lane_step(h, u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        lane_step(h, bytes.len() as u64)
+    }
+
+    /// Pinned: cell-store trailers are these values, so a change here is
+    /// a TDCE / TDSH format change. Lengths straddle the tail and lane
+    /// edges.
+    #[test]
+    fn fnv1a_lanes_values_are_pinned() {
+        for (len, want) in [
+            (0, 0x3726_6f7c_ca56_4939u64),
+            (1, 0x0c98_a90b_b45b_2276),
+            (31, 0x1337_d23f_5d2c_c9db),
+            (32, 0x7098_d566_2585_8dec),
+            (33, 0xd44e_ed97_18ee_6a3c),
+            (64, 0x8907_f777_4d97_c76e),
+            (97, 0xe600_d871_af76_e4ae),
+            (1 << 20, 0x1133_8a8f_2af3_e653),
+        ] {
+            let bytes = pattern(len);
+            let got = fnv1a_lanes(&bytes);
+            assert_eq!(got, lanes_by_the_doc(&bytes), "{len} bytes: doc");
+            assert_eq!(got, want, "{len} bytes: {got:#018x}");
+        }
+    }
+
+    /// The guarantee the store's trailer rests on: every single-bit flip
+    /// of every buffer up to three blocks plus a tail changes the sum.
+    #[test]
+    fn fnv1a_lanes_detects_every_single_bit_flip() {
+        for len in 0..=97 {
+            let mut bytes = pattern(len);
+            let clean = fnv1a_lanes(&bytes);
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(fnv1a_lanes(&bytes), clean, "len {len}, bit {bit}");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// Lanes are not summed commutatively: swapping two words of
+    /// different lanes changes the sum, and so does a zero byte appended.
+    #[test]
+    fn fnv1a_lanes_is_order_sensitive() {
+        let bytes = pattern(96);
+        let clean = fnv1a_lanes(&bytes);
+        // Word pairs (a, b): same block, other block, last block.
+        for (a, b) in [(0, 1), (0, 3), (1, 6), (3, 8), (2, 11)] {
+            let mut swapped = bytes.clone();
+            for i in 0..8 {
+                swapped.swap(a * 8 + i, b * 8 + i);
+            }
+            assert_ne!(fnv1a_lanes(&swapped), clean, "words {a} and {b}");
+        }
+        // A zero byte appended moves the length, not a word.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_ne!(fnv1a_lanes(&longer), clean);
+        assert_ne!(fnv1a_lanes(&[0; 32]), fnv1a_lanes(&[0; 31]));
     }
 
     /// Drive the same mixed write sequence through either sink.

@@ -21,8 +21,8 @@
 //! * `DIR/cells/sweep.tdh` — the header record: master seed, profile,
 //!   replicate count and the exact id list, so `--resume` needs no flags
 //!   beyond the directory. It has a cell file's framing (payload, then
-//!   an FNV-1a trailer; magic `TDSH`) but not its extension, so
-//!   `td-serve verify` skips it.
+//!   an [`td_engine::fnv1a_lanes`] trailer; magic `TDSH`) but not its
+//!   extension, so `td-serve verify` skips it.
 //!
 //! A cell that panicked or tripped the invariant auditor is not stored,
 //! so a resume reruns it and its panic message and audit tally reappear.
@@ -32,7 +32,7 @@
 use crate::registry::{config_hash, Profile};
 use crate::report::{Report, Row};
 use crate::runner::{ExperimentResult, Timing};
-use crate::store::{seal, unseal, CellData, CellKey, Lookup, Store};
+use crate::store::{peek_version, seal, unseal, CellData, CellKey, Lookup, Store};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,8 +45,9 @@ const HEADER_FILE: &str = "sweep.tdh";
 
 /// Magic prefix of the header record's payload.
 const HEADER_MAGIC: &[u8; 4] = b"TDSH";
-/// Header record version.
-const HEADER_VERSION: u32 = 1;
+/// Header record version: 2 since the trailer became
+/// [`td_engine::fnv1a_lanes`].
+const HEADER_VERSION: u32 = 2;
 
 /// Crash-injection hook for the kill-and-resume integration tests: when
 /// `TD_REPRO_KILL_AFTER_CELLS=N` is set, the process aborts immediately
@@ -214,8 +215,14 @@ pub fn encode_header(h: &JournalHeader) -> Vec<u8> {
 }
 
 /// Decode and verify the header record's file bytes. Structured errors,
-/// never panics.
+/// never panics. A header of another format version is refused by name
+/// before the trailer is checked.
 pub fn decode_header(bytes: &[u8]) -> Result<JournalHeader, String> {
+    if let Some(v) = peek_version(bytes, HEADER_MAGIC).filter(|&v| v != HEADER_VERSION) {
+        return Err(format!(
+            "sweep header format v{v}; this build reads v{HEADER_VERSION}: rerun the sweep"
+        ));
+    }
     let (payload, _) = unseal(bytes)?;
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<JournalHeader, SnapError> {

@@ -8,10 +8,10 @@
 //! One file per simulation cell, named by the cell's identity —
 //! `cell-{config_hash:016x}-{seed:016x}.tdc` — so the store needs no
 //! index: a lookup is a filename. Each file is a [`SnapWriter`] payload
-//! (magic `TDCE`, version 1: key, experiment id, profile, and the full
+//! (magic `TDCE`, version 2: key, experiment id, profile, and the full
 //! [`Report`] via [`write_report`]) followed by an 8-byte little-endian
-//! FNV-1a trailer over the payload. A cell's bytes are a pure function
-//! of its key: no wall clock, no host, no run history.
+//! trailer, the [`fnv1a_lanes`] sum of the payload. A cell's bytes are
+//! a pure function of its key: no wall clock, no host, no run history.
 //!
 //! Integrity discipline:
 //!
@@ -19,15 +19,20 @@
 //!   the decoded key matches the filename's. Any mismatch is treated as
 //!   corruption — the file is moved into the `quarantine/` sidecar
 //!   directory (never deleted: it is evidence) and the caller
-//!   recomputes the cell.
+//!   recomputes the cell. A file of another format version (a v1 cell
+//!   sealed with byte-wise FNV-1a) is refused by name before the
+//!   trailer check, and takes the same quarantine-and-recompute path.
 //! * **Every write is atomic and durable**: temp file in the store
 //!   directory (named uniquely per write), `sync_all`, rename over the
 //!   final name, best-effort directory fsync. A crash can leave a stale
 //!   `.tmp`, never a torn cell. Concurrent writers need no lock.
-//! * **Each stored byte is hashed once.** FNV-1a streams, so the trailer
-//!   check continued over the 8 trailer bytes is the FNV-1a of the whole
-//!   file: [`Store::load`] and [`Store::save`] return that fingerprint,
-//!   which the daemon sends as `payload_fnv` without re-encoding.
+//! * **Each stored byte is hashed once.** The trailer is the cell's
+//!   fingerprint: the sum is computed once over the payload when a cell
+//!   is sealed and once when it is verified, and [`Store::save`],
+//!   [`Store::load`] and [`decode_cell_file`] all return that verified
+//!   trailer value, which the daemon sends as `payload_sum` without
+//!   re-encoding. The encoding is deterministic and only canonical files
+//!   decode, so the same cell always carries the same trailer.
 //! * [`Store::verify`] scans every cell offline and reports (optionally
 //!   quarantines) damage; [`Store::compact`] clears `.tmp` leftovers
 //!   and the quarantine sidecar, reporting bytes reclaimed.
@@ -38,12 +43,12 @@ use crate::report::Report;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use td_engine::{fnv1a, fnv1a_continue, SnapReader, SnapWriter};
+use td_engine::{fnv1a_lanes, SnapReader, SnapWriter};
 
 /// Magic prefix of a cell-file payload.
 const MAGIC: &[u8; 4] = b"TDCE";
-/// Cell-file format version.
-const VERSION: u32 = 1;
+/// Cell-file format version: 2 since the trailer became [`fnv1a_lanes`].
+const VERSION: u32 = 2;
 /// Distinguishes the temp files of one process's concurrent writes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -79,8 +84,8 @@ pub struct CellData {
 pub enum Lookup {
     /// No cell on disk.
     Miss,
-    /// Intact cell, checksum verified, and the FNV-1a of the file's
-    /// bytes (payload and trailer) from that same pass.
+    /// Intact cell, checksum verified, and its fingerprint: the
+    /// verified trailer value.
     Hit(Box<CellData>, u64),
     /// The cell was on disk but damaged; it has been moved to the
     /// quarantine sidecar and the caller should recompute. The string
@@ -152,7 +157,7 @@ impl Store {
             Err(e) => return Err(e),
         };
         match decode_cell_file(&bytes, Some(key)) {
-            Ok((data, file_fnv)) => Ok(Lookup::Hit(Box::new(data), file_fnv)),
+            Ok((data, sum)) => Ok(Lookup::Hit(Box::new(data), sum)),
             Err(why) => {
                 self.quarantine(&path)?;
                 Ok(Lookup::Quarantined(why))
@@ -174,12 +179,12 @@ impl Store {
 
     /// Write a cell atomically and durably: temp + fsync + rename +
     /// directory fsync, the sequence every store file is written with.
-    /// Returns the FNV-1a of the bytes written — what a later
-    /// [`Store::load`] of the same file reports.
+    /// Returns the cell's fingerprint, the trailer it wrote — what a
+    /// later [`Store::load`] of the same file reports.
     pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<u64> {
-        let (bytes, file_fnv) = encode_with_fnv(key, data);
+        let (bytes, sum) = encode_sealed(key, data);
         self.write_durable(&Self::cell_name(key), &bytes)?;
-        Ok(file_fnv)
+        Ok(sum)
     }
 
     /// Write `bytes` as file `name` of the store directory, atomically and
@@ -290,13 +295,13 @@ fn key_from_name(name: &str) -> Option<CellKey> {
     })
 }
 
-/// Serialize a cell: `TDCE` payload + 8-byte LE FNV-1a trailer.
+/// Serialize a cell: `TDCE` payload + 8-byte LE [`fnv1a_lanes`] trailer.
 pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
-    encode_with_fnv(key, data).0
+    encode_sealed(key, data).0
 }
 
-/// [`encode_cell_file`] plus the FNV-1a of everything it returns.
-fn encode_with_fnv(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
+/// [`encode_cell_file`] plus its trailer value.
+fn encode_sealed(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
     ENCODES.with(|n| n.set(n.get() + 1));
     let mut w = SnapWriter::with_header(MAGIC, VERSION);
     w.write_u64(key.config_hash);
@@ -307,18 +312,26 @@ fn encode_with_fnv(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
     seal(w.into_bytes())
 }
 
-/// Frame a payload as a store file: the payload, then its FNV-1a as an
-/// 8-byte little-endian trailer. Returns the file and the FNV-1a of all
-/// of it.
+/// Frame a payload as a store file: the payload, then its
+/// [`fnv1a_lanes`] sum as an 8-byte little-endian trailer. Returns the
+/// file and the trailer value.
 pub(crate) fn seal(mut payload: Vec<u8>) -> (Vec<u8>, u64) {
-    let check = fnv1a(&payload);
-    let trailer = check.to_le_bytes();
-    payload.extend_from_slice(&trailer);
-    (payload, fnv1a_continue(check, &trailer))
+    let sum = fnv1a_lanes(&payload);
+    payload.extend_from_slice(&sum.to_le_bytes());
+    (payload, sum)
+}
+
+/// The version of a store file that starts with `magic`, read before its
+/// trailer is checked: a file another build sealed another way is then
+/// refused by name, not as a checksum mismatch. `None` when the bytes do
+/// not start with `magic` and a version.
+pub(crate) fn peek_version(bytes: &[u8], magic: &[u8; 4]) -> Option<u32> {
+    let header = bytes.get(..8)?;
+    (&header[..4] == magic).then(|| u32::from_le_bytes(header[4..].try_into().expect("4 bytes")))
 }
 
 /// The inverse of [`seal`]: the payload of a file whose trailer checks
-/// out, and the FNV-1a of the whole file from that same pass.
+/// out, and the trailer value.
 pub(crate) fn unseal(bytes: &[u8]) -> Result<(&[u8], u64), String> {
     if bytes.len() < 8 {
         return Err(format!(
@@ -328,23 +341,27 @@ pub(crate) fn unseal(bytes: &[u8]) -> Result<(&[u8], u64), String> {
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - 8);
     let recorded = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let computed = fnv1a(payload);
+    let computed = fnv1a_lanes(payload);
     if recorded != computed {
         return Err(format!(
             "checksum mismatch (expected {computed:016x} from the payload, \
              found {recorded:016x} in the trailer)"
         ));
     }
-    Ok((payload, fnv1a_continue(computed, trailer)))
+    Ok((payload, computed))
 }
 
 /// Decode and verify a cell file. `expect` (when known) must match the
 /// embedded key — a renamed or cross-copied cell is corruption too.
-/// Structured errors, never panics. With the cell comes the FNV-1a of
-/// all of `bytes` (the trailer check continued over the trailer); only
-/// canonical files decode, so re-encoding the cell hashes the same.
+/// Structured errors, never panics. With the cell comes its verified
+/// trailer value, the fingerprint; only canonical files decode, so
+/// re-encoding the cell seals the same. A cell of another format version
+/// is refused by name before the trailer is checked.
 pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
-    let (payload, file_fnv) = unseal(bytes)?;
+    if let Some(v) = peek_version(bytes, MAGIC).filter(|&v| v != VERSION) {
+        return Err(format!("cell format v{v}; this build reads v{VERSION}"));
+    }
+    let (payload, sum) = unseal(bytes)?;
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<CellData, td_engine::SnapError> {
         r.expect_header(MAGIC, VERSION..=VERSION)?;
@@ -370,7 +387,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellDa
         })
     };
     let data = decode().map_err(|e| e.to_string())?;
-    Ok((data, file_fnv))
+    Ok((data, sum))
 }
 
 #[cfg(test)]
@@ -602,55 +619,89 @@ mod tests {
         )
     }
 
-    /// What the daemon's `payload_fnv` rests on: the one verifying pass
-    /// yields the FNV-1a of the file, a decoded cell re-encodes to the
-    /// same bytes, and `save` reports the fingerprint of what it wrote —
-    /// so a hit, a miss and a recompute put the same number on the wire.
+    /// The file's little-endian trailer.
+    fn trailer(file: &[u8]) -> u64 {
+        u64::from_le_bytes(file[file.len() - 8..].try_into().unwrap())
+    }
+
+    /// What the daemon's `payload_sum` rests on: `save` returns the
+    /// trailer it wrote, `load` and `decode_cell_file` the trailer they
+    /// verified, and a decoded cell re-encodes to the same bytes — so a
+    /// hit, a miss and a recompute put the same number on the wire.
     #[test]
-    fn fingerprint_is_the_file_fnv_and_survives_a_codec_round_trip() {
+    fn fingerprint_is_the_trailer_and_survives_a_codec_round_trip() {
         let store = tmp_store("fingerprint");
         let mut rng = td_engine::SimRng::new(0x7d5e_12f0);
         for case in 0..60 {
             let (key, data) = gen_cell(&mut rng);
-            let file = encode_cell_file(key, &data);
-            let (decoded, file_fnv) = decode_cell_file(&file, Some(key)).unwrap();
-            assert_eq!(file_fnv, fnv1a(&file), "case {case}: decode's fingerprint");
-            // Same bytes, hence the same FNV-1a: what `render_ok` used
-            // to compute per reply.
+            let saved = store.save(key, &data).unwrap();
+            let file = std::fs::read(store.cell_path(key)).unwrap();
+            assert!(file == encode_cell_file(key, &data), "case {case}: file");
+            assert_eq!(saved, trailer(&file), "case {case}: save");
+            let (decoded, sum) = decode_cell_file(&file, Some(key)).unwrap();
+            assert_eq!(sum, saved, "case {case}: decode");
             let again = encode_cell_file(key, &decoded);
             assert!(again == file, "case {case}: re-encoding differs");
-            assert_eq!(
-                store.save(key, &data).unwrap(),
-                file_fnv,
-                "case {case}: save"
-            );
-            assert!(std::fs::read(store.cell_path(key)).unwrap() == file);
             match store.load(key).unwrap() {
-                Lookup::Hit(_, fnv) => assert_eq!(fnv, file_fnv, "case {case}: load"),
+                Lookup::Hit(_, sum) => assert_eq!(sum, saved, "case {case}: load"),
                 other => panic!("case {case}: {other:?}"),
             }
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Only version 1 has ever been written. A hand-made version-0 file
-    /// would decode yet re-encode as version 1, and the fingerprint of
-    /// the file would no longer be the fingerprint of the cell.
+    /// `file` with its header's version set to `version` and resealed
+    /// with `sum`.
+    fn reversioned(file: &[u8], version: u32, sum: fn(&[u8]) -> u64) -> Vec<u8> {
+        let mut payload = file[..file.len() - 8].to_vec();
+        payload[4..8].copy_from_slice(&version.to_le_bytes());
+        let check = sum(&payload);
+        payload.extend_from_slice(&check.to_le_bytes());
+        payload
+    }
+
+    /// Any version but this build's is refused by name, whichever sum
+    /// sealed it — version 1 was sealed with byte-wise FNV-1a. A
+    /// hand-made file of another version that decoded would re-encode
+    /// as version 2, and its fingerprint would no longer be the cell's.
     #[test]
-    fn other_versions_are_refused() {
+    fn other_versions_are_refused_by_name() {
         let (key, data) = sample();
         let file = encode_cell_file(key, &data);
-        for version in [0u32, 2] {
-            let mut payload = file[..file.len() - 8].to_vec();
-            payload[4..8].copy_from_slice(&version.to_le_bytes());
-            let check = fnv1a(&payload);
-            payload.extend_from_slice(&check.to_le_bytes());
-            let why = decode_cell_file(&payload, Some(key)).unwrap_err();
-            assert!(
-                why.contains(&format!("unsupported snapshot version {version}")),
-                "{why}"
-            );
+        for (version, sum) in [
+            (0u32, fnv1a_lanes as fn(&[u8]) -> u64),
+            (1, td_engine::fnv1a),
+            (3, fnv1a_lanes),
+        ] {
+            let why = decode_cell_file(&reversioned(&file, version, sum), Some(key)).unwrap_err();
+            assert_eq!(why, format!("cell format v{version}; this build reads v2"));
         }
+    }
+
+    /// A v1 cell left by an older build: `load` quarantines it with the
+    /// version as the reason, and `verify` reports that reason.
+    #[test]
+    fn a_v1_cell_is_quarantined_by_name() {
+        let store = tmp_store("v1");
+        let (key, data) = sample();
+        let v1 = reversioned(&encode_cell_file(key, &data), 1, td_engine::fnv1a);
+        std::fs::write(store.cell_path(key), &v1).unwrap();
+        let rep = store.verify(false).unwrap();
+        assert_eq!(rep.intact, 0);
+        assert_eq!(
+            rep.corrupt,
+            vec![(
+                Store::cell_name(key),
+                "cell format v1; this build reads v2".to_owned()
+            )]
+        );
+        match store.load(key).unwrap() {
+            Lookup::Quarantined(why) => assert_eq!(why, "cell format v1; this build reads v2"),
+            other => panic!("{other:?}"),
+        }
+        assert!(store.quarantine_dir().join(Store::cell_name(key)).exists());
+        assert!(matches!(store.load(key).unwrap(), Lookup::Miss));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

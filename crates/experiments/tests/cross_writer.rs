@@ -1,7 +1,7 @@
 //! One cell format, two writers: the cells a `td-repro --out D` sweep
 //! stores are hits for a `td-serve` daemon on `--store D/cells`, and the
 //! hit's reply is byte-identical to the one a fresh daemon computes on a
-//! miss — `payload_fnv`, the FNV-1a of the stored file, included.
+//! miss — `payload_sum`, the stored file's checksum trailer, included.
 //!
 //! The sweep is the real `td-repro` binary; the daemons are
 //! `td_serve::server::run` on threads of this test process, each with

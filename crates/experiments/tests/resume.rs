@@ -278,3 +278,57 @@ fn resume_removes_stale_temp_files() {
     let _ = std::fs::remove_dir_all(&clean);
     let _ = std::fs::remove_dir_all(&crash);
 }
+
+/// `bytes` as an older build sealed them: header version 1 and a
+/// byte-wise FNV-1a trailer.
+fn sealed_as_v1(bytes: &[u8]) -> Vec<u8> {
+    let mut payload = bytes[..bytes.len() - 8].to_vec();
+    payload[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let check = td_engine::fnv1a(&payload);
+    payload.extend_from_slice(&check.to_le_bytes());
+    payload
+}
+
+/// A sweep an older build wrote: `--resume` refuses its v1 header by
+/// name and asks for a rerun, and a v1 cell under a current header is
+/// quarantined by name and recomputed.
+#[test]
+fn v1_header_is_refused_and_v1_cell_recomputed() {
+    let clean = tmp_dir("v1-clean");
+    let old = tmp_dir("v1-old");
+    let clean_out = clean_sweep(&clean);
+    clean_sweep(&old);
+
+    let header = old.join("cells/sweep.tdh");
+    let current = std::fs::read(&header).unwrap();
+    std::fs::write(&header, sealed_as_v1(&current)).unwrap();
+    let out = run_repro(&["--resume", old.to_str().unwrap()], &[]);
+    assert!(!out.status.success(), "a v1 header must be refused");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("sweep header format v1; this build reads v2: rerun the sweep"),
+        "{err}"
+    );
+
+    std::fs::write(&header, &current).unwrap();
+    let victim = cell_files(&old).remove(0);
+    let v1 = sealed_as_v1(&std::fs::read(&victim).unwrap());
+    std::fs::write(&victim, &v1).unwrap();
+    let resumed = resume(&old);
+    assert_eq!(
+        String::from_utf8_lossy(&clean_out.stdout),
+        String::from_utf8_lossy(&resumed.stdout)
+    );
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        err.contains("quarantined it (cell format v1; this build reads v2)"),
+        "{err}"
+    );
+    let mut got = dir_contents(&old);
+    let name = victim.file_name().unwrap().to_string_lossy();
+    assert!(got.remove(&format!("cells/quarantine/{name}")) == Some(v1));
+    assert_same_outputs(&dir_contents(&clean), &got);
+
+    let _ = std::fs::remove_dir_all(&clean);
+    let _ = std::fs::remove_dir_all(&old);
+}

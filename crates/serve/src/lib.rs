@@ -16,6 +16,10 @@
 //! exercised end to end by the integration tests and the CI `serve`
 //! job — is:
 //!
+//! * **Bounded input** ([`proto::MAX_LINE_BYTES`]): a request line over
+//!   64 KiB, or one never terminated, is answered `bad_request` and its
+//!   connection closed, so no client grows the daemon's memory; a line
+//!   that is not UTF-8 is answered `bad_request` too.
 //! * **Admission control** ([`server`]): a bounded priority queue;
 //!   when full, a request either sheds a strictly-lower-priority queued
 //!   request (whose client gets `overloaded`/`shed`) or is itself
@@ -32,10 +36,11 @@
 //!   config that keeps failing trips a circuit breaker that rejects
 //!   further requests for it without burning workers.
 //! * **Store integrity** ([`td_experiments::store`]): cell files carry a
-//!   checksum trailer verified on every read; a corrupt cell is moved into a
-//!   `quarantine/` sidecar and transparently recomputed; writes are
-//!   atomic (temp file + fsync + rename); `td-serve verify` and
-//!   `td-serve compact` are the offline maintenance pair.
+//!   checksum trailer verified on every read; a corrupt cell, or one of
+//!   an older format version, is moved into a `quarantine/` sidecar and
+//!   transparently recomputed; writes are atomic (temp file + fsync +
+//!   rename); `td-serve verify` and `td-serve compact` are the offline
+//!   maintenance pair.
 //! * **Graceful drain**: SIGINT/SIGTERM (or an in-band `shutdown`
 //!   request) stops admission, finishes in-flight cells, answers every
 //!   queued client, persists the unstarted queue to `pending.tdq` (one
@@ -45,8 +50,10 @@
 //!
 //! Responses for the same `(config_hash, seed)` are **byte-identical**
 //! whether served from cache or recomputed — the response deliberately
-//! carries no cache/wall-clock fields; cache behavior is observable
-//! only through the `stats` counters.
+//! carries no cache/wall-clock fields, and its `payload_sum` is the
+//! stored file's checksum trailer, the same on a hit, a miss and a
+//! recompute; cache behavior is observable only through the `stats`
+//! counters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

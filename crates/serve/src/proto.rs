@@ -19,12 +19,25 @@
 //! Unknown `simulate` keys must be valid config-override keys
 //! ([`td_experiments::registry::OVERRIDE_KEYS`]); anything else is a
 //! `bad_request`. Override order on the wire does not matter — the
-//! canonical config hash sorts them.
+//! canonical config hash sorts them. A request line is at most
+//! [`MAX_LINE_BYTES`] long and UTF-8; a longer one is answered
+//! `bad_request` and its connection closed, a non-UTF-8 one answered
+//! `bad_request`.
+//!
+//! A simulate request's `ok` reply summarizes the cell (experiment,
+//! seed, profile, config hash, row and failure counts) and ends with
+//! `payload_sum`: the stored cell file's 8-byte checksum trailer in hex
+//! ([`td_experiments::store`]), the same for a hit, a miss and a
+//! recompute of one cell.
 
 use td_experiments::registry::{validate_override, Profile};
 
 /// Escape a string for inclusion in a JSON response line.
 pub use td_experiments::runner::json_escape;
+
+/// Longest request line the daemon reads, newline excluded: a fixed cap,
+/// so a client that never sends a newline cannot grow its memory.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// Priority ceiling (inclusive). `0` is first to shed, `9` last.
 pub const MAX_PRIORITY: u64 = 9;

@@ -9,7 +9,7 @@
 //!   `shutdown` reply, or from the signal watcher)
 //!
 //! client line ──parse──▶ admission ──▶ store lookup ──hit──▶ respond ok
-//!                           │          (one FNV-1a   │miss/quarantined
+//!  (≤ 64 KiB)               │         (one checksum  │miss/quarantined
 //!                           │           pass)        ▼
 //!                           │        bounded priority queue ──▶ worker
 //!                           │                                    │
@@ -29,7 +29,7 @@
 
 use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -479,20 +479,70 @@ fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
     })
 }
 
-/// Serve one connection: a line-per-request loop until EOF.
+/// What one read of a request line produced.
+enum ConnLine {
+    /// A line (newline stripped), or the unterminated rest before EOF.
+    Line(String),
+    /// A line that cannot be parsed at all, answered `bad_request` with
+    /// `why`. Not UTF-8: the framing is intact and the connection goes
+    /// on. Longer than [`proto::MAX_LINE_BYTES`]: the rest of the line
+    /// was never read, so the connection `close`s after the reply.
+    Unreadable { why: String, close: bool },
+}
+
+/// Read one request line of at most [`proto::MAX_LINE_BYTES`] bytes
+/// (newline excluded) into `buf`; `None` at EOF or on a read error.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Option<ConnLine> {
+    buf.clear();
+    let cap = proto::MAX_LINE_BYTES as u64 + 1;
+    match reader.take(cap).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > proto::MAX_LINE_BYTES {
+        return Some(ConnLine::Unreadable {
+            why: format!("request line exceeds {} bytes", proto::MAX_LINE_BYTES),
+            close: true,
+        });
+    }
+    Some(match std::str::from_utf8(buf) {
+        Ok(line) => ConnLine::Line(line.to_owned()),
+        Err(e) => ConnLine::Unreadable {
+            why: format!(
+                "request line is not UTF-8 (invalid byte at offset {})",
+                e.valid_up_to()
+            ),
+            close: false,
+        },
+    })
+}
+
+/// Serve one connection: a line-per-request loop until EOF, or until a
+/// line over [`proto::MAX_LINE_BYTES`] has been answered.
 fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut reader, &mut buf) {
+        if matches!(&line, ConnLine::Line(l) if l.trim().is_empty()) {
             continue;
         }
         shared.replies_owed.fetch_add(1, Ordering::SeqCst);
-        let (mut resp, shutdown) = handle_line(shared, &line);
+        let (mut resp, shutdown) = match &line {
+            ConnLine::Line(l) => handle_line(shared, l),
+            ConnLine::Unreadable { why, .. } => {
+                shared.counters.requests.fetch_add(1, Ordering::SeqCst);
+                (bad_request(shared, why), false)
+            }
+        };
         resp.push('\n');
         // One write, and the socket has no buffer to flush.
         let wrote = writer.write_all(resp.as_bytes());
@@ -502,23 +552,26 @@ fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
             wake_accept(&shared.cfg.socket);
         }
         shared.replies_owed.fetch_sub(1, Ordering::SeqCst);
-        if wrote.is_err() {
+        if wrote.is_err() || matches!(line, ConnLine::Unreadable { close: true, .. }) {
             return;
         }
     }
+}
+
+/// Count a rejected request and word its `bad_request` reply.
+fn bad_request(shared: &Shared, why: &str) -> String {
+    shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
+    format!(
+        "{{\"status\":\"bad_request\",\"reason\":\"{}\"}}",
+        proto::json_escape(why)
+    )
 }
 
 /// Answer one line; `true` asks for a drain once the reply is written.
 fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
     shared.counters.requests.fetch_add(1, Ordering::SeqCst);
     let resp = match proto::parse_request(line) {
-        Err(why) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
-            format!(
-                "{{\"status\":\"bad_request\",\"reason\":\"{}\"}}",
-                proto::json_escape(&why)
-            )
-        }
+        Err(why) => bad_request(shared, &why),
         Ok(Request::Ping) => "{\"status\":\"ok\",\"pong\":true}".to_owned(),
         Ok(Request::Stats) => render_stats(shared),
         Ok(Request::Shutdown) => {
@@ -532,11 +585,8 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
 
 fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
     if find(&req.experiment).is_none() {
-        shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
-        return format!(
-            "{{\"status\":\"bad_request\",\"reason\":\"unknown experiment {}\"}}",
-            quoted(&req.experiment)
-        );
+        let why = format!("unknown experiment \"{}\"", req.experiment);
+        return bad_request(shared, &why);
     }
     let key = CellKey {
         config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
@@ -558,10 +608,10 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
     // Store lookup; a quarantined cell falls through to recompute.
     let mut recompute = false;
     match shared.store.load(key) {
-        Ok(Lookup::Hit(data, file_fnv)) => {
+        Ok(Lookup::Hit(data, sum)) => {
             shared.counters.hits.fetch_add(1, Ordering::SeqCst);
             shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-            return render_ok(key, &data, file_fnv);
+            return render_ok(key, &data, sum);
         }
         Ok(Lookup::Miss) => {
             shared.counters.misses.fetch_add(1, Ordering::SeqCst);
@@ -736,8 +786,8 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
                     profile: req.profile,
                     report: *report,
                 };
-                let file_fnv = match shared.store.save(job.key, &data) {
-                    Ok(fnv) => fnv,
+                let sum = match shared.store.save(job.key, &data) {
+                    Ok(sum) => sum,
                     Err(e) => {
                         shared.counters.failed.fetch_add(1, Ordering::SeqCst);
                         break render_failed(
@@ -755,7 +805,7 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
                 }
                 breaker_reset(shared, job.key.config_hash);
                 shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-                break render_ok(job.key, &data, file_fnv);
+                break render_ok(job.key, &data, sum);
             }
             CellOutcome::Deadline(why) => {
                 shared
@@ -824,21 +874,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn quoted(s: &str) -> String {
-    format!("\\\"{}\\\"", proto::json_escape(s))
-}
-
 /// The `ok` response. Deliberately free of cache/wall-clock fields so a
 /// cache hit and a recompute of the same cell are byte-identical.
-/// `payload_fnv` is the FNV-1a of the stored file's bytes (payload and
-/// trailer), as [`Store::load`] or [`Store::save`] reported it; the
-/// encoding is deterministic and only canonical files decode, so hit,
-/// miss and recompute agree — which the byte-identity tests pin.
-fn render_ok(key: CellKey, data: &CellData, payload_fnv: u64) -> String {
+/// `payload_sum` is the stored file's checksum trailer, as
+/// [`Store::load`] verified it or [`Store::save`] wrote it; the encoding
+/// is deterministic and only canonical files decode, so hit, miss and
+/// recompute agree — which the byte-identity tests pin.
+fn render_ok(key: CellKey, data: &CellData, payload_sum: u64) -> String {
     format!(
         "{{\"status\":\"ok\",\"experiment\":\"{}\",\"seed\":{},\"profile\":\"{}\",\
          \"config_hash\":\"{:016x}\",\"all_ok\":{},\"rows\":{},\"failures\":{},\
-         \"metrics\":{},\"payload_fnv\":\"{:016x}\"}}",
+         \"metrics\":{},\"payload_sum\":\"{:016x}\"}}",
         proto::json_escape(&data.experiment),
         key.seed,
         proto::profile_name(data.profile),
@@ -847,7 +893,7 @@ fn render_ok(key: CellKey, data: &CellData, payload_fnv: u64) -> String {
         data.report.rows.len(),
         data.report.failures().len(),
         data.report.metrics.len(),
-        payload_fnv,
+        payload_sum,
     )
 }
 
@@ -965,7 +1011,7 @@ mod tests {
     }
 
     /// A miss encodes its cell once (for the write), a hit not at all,
-    /// and both put the FNV-1a of the stored file on the wire.
+    /// and both put the stored file's trailer on the wire.
     #[test]
     fn miss_encodes_once_hit_never_and_both_fingerprint_the_file() {
         use td_experiments::store::ENCODES;
@@ -999,7 +1045,8 @@ mod tests {
             "a miss encodes for the write only"
         );
         let file = std::fs::read(shared.store.cell_path(key)).unwrap();
-        let fingerprint = format!("\"payload_fnv\":\"{:016x}\"}}", fnv1a(&file));
+        let trailer = u64::from_le_bytes(file[file.len() - 8..].try_into().unwrap());
+        let fingerprint = format!("\"payload_sum\":\"{trailer:016x}\"}}");
         assert!(miss.ends_with(&fingerprint), "{miss} vs {fingerprint}");
 
         let before = ENCODES.get();
@@ -1008,6 +1055,40 @@ mod tests {
         assert_eq!(hit, miss, "hit and miss replies are the same bytes");
         assert_eq!(shared.counters.hits.load(Ordering::SeqCst), 1);
         let _ = std::fs::remove_dir_all(shared.store.dir());
+    }
+
+    /// Every way a request line can end: through its newline (LF or
+    /// CRLF), at EOF unterminated, at the cap, past it, or not UTF-8.
+    #[test]
+    fn request_lines_are_bounded_and_checked() {
+        let cap = proto::MAX_LINE_BYTES;
+        let mut wire = b"ping\r\n{\"op\":\"stats\"}\n".to_vec();
+        wire.extend_from_slice(b"ok \xff bytes\n");
+        wire.extend(std::iter::repeat_n(b'a', cap));
+        wire.push(b'\n');
+        wire.extend(std::iter::repeat_n(b'b', cap + 1));
+        wire.extend_from_slice(b"\nnever read");
+        let mut reader = io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        let mut next = || read_line(&mut reader, &mut buf);
+        assert!(matches!(next(), Some(ConnLine::Line(l)) if l == "ping"));
+        assert!(matches!(next(), Some(ConnLine::Line(l)) if l == "{\"op\":\"stats\"}"));
+        match next() {
+            Some(ConnLine::Unreadable { why, close: false }) => {
+                assert_eq!(why, "request line is not UTF-8 (invalid byte at offset 3)");
+            }
+            _ => panic!("a non-UTF-8 line"),
+        }
+        assert!(matches!(next(), Some(ConnLine::Line(l)) if l.len() == cap));
+        match next() {
+            Some(ConnLine::Unreadable { why, close: true }) => {
+                assert_eq!(why, "request line exceeds 65536 bytes");
+            }
+            _ => panic!("an over-cap line"),
+        }
+        let mut tail = io::Cursor::new(b"ping".to_vec());
+        assert!(matches!(read_line(&mut tail, &mut buf), Some(ConnLine::Line(l)) if l == "ping"));
+        assert!(read_line(&mut tail, &mut buf).is_none());
     }
 
     /// One `pending.tdq` payload, field by field.

@@ -19,7 +19,11 @@
 //!   the same request as a cache hit;
 //! * the blocking accept and its wake-ups: a `shutdown` acknowledged
 //!   before EOF in every one of 30 daemon lifetimes, fresh connections
-//!   answered without an accept poll, SIGTERM noticed by an idle daemon.
+//!   answered without an accept poll, SIGTERM noticed by an idle daemon;
+//! * hostile request lines — over the 64 KiB cap, never terminated, not
+//!   UTF-8 — each answered `bad_request` while other connections are
+//!   served, and a cell of an older format version refused by name,
+//!   quarantined and recomputed.
 #![cfg(unix)]
 
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -27,7 +31,6 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use td_engine::fnv1a;
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
 
@@ -171,6 +174,23 @@ fn wait_stats(socket: &Path, what: &str, pred: impl Fn(&str) -> bool) -> String 
     }
 }
 
+/// A store file's 8-byte little-endian checksum trailer.
+fn trailer(file: &[u8]) -> u64 {
+    u64::from_le_bytes(file[file.len() - 8..].try_into().unwrap())
+}
+
+/// The one `.tdc` cell in `store`.
+fn only_cell(store: &Path) -> PathBuf {
+    let cells: Vec<PathBuf> = std::fs::read_dir(store)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "tdc"))
+        .collect();
+    assert_eq!(cells.len(), 1, "cells: {cells:?}");
+    cells.into_iter().next().unwrap()
+}
+
 /// A request that stays in the event loop long enough to trip any
 /// wall-clock deadline: `multihop` (the heaviest topology) over a
 /// 100 000 s simulation — minutes of dispatch in a debug build. The
@@ -200,7 +220,7 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
     assert_eq!(field(&s, "computed"), 1, "stats: {s}");
     assert_eq!(field(&s, "quarantined"), 0, "stats: {s}");
 
-    // The reply's fingerprint is the FNV-1a of the file on disk.
+    // The reply's fingerprint is the checksum trailer of the file on disk.
     let cell = std::fs::read_dir(&d.store)
         .unwrap()
         .filter_map(Result::ok)
@@ -208,7 +228,7 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
         .find(|p| p.extension().is_some_and(|e| e == "tdc"))
         .expect("a .tdc cell in the store");
     let mut bytes = std::fs::read(&cell).unwrap();
-    let fingerprint = |file: &[u8]| format!("\"payload_fnv\":\"{:016x}\"", fnv1a(file));
+    let fingerprint = |file: &[u8]| format!("\"payload_sum\":\"{:016x}\"", trailer(file));
     assert!(first.contains(&fingerprint(&bytes)), "reply: {first}");
 
     // Corrupt the stored cell: flip one byte mid-file.
@@ -533,4 +553,121 @@ fn sigterm_wakes_an_idle_daemon() {
     send_sigterm(&d.child);
     let code = exit_code_within(&mut d.child, Duration::from_secs(1));
     assert_eq!(code, Some(130), "signal drain exits 130");
+}
+
+/// Write `bytes` on a connection of its own, from another thread so a
+/// daemon that stops reading cannot block the test. While it is open a
+/// fresh connection must still get its `ping` answered. Returns the
+/// daemon's first reply on it, and whether the daemon then closed it.
+fn hostile_line(d: &Daemon, bytes: Vec<u8>) -> (String, bool) {
+    let stream = UnixStream::connect(&d.socket).expect("connect");
+    // A daemon that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        // A daemon that hangs up mid-line fails the rest of the write.
+        let _ = writer.write_all(&bytes);
+        writer
+    });
+    let pong = request(&d.socket, "{\"op\":\"ping\"}");
+    assert!(pong.contains("\"pong\":true"), "pong: {pong}");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    assert!(reply.ends_with('\n'), "daemon closed without replying");
+    let mut writer = sender.join().unwrap();
+    let closed = if writer.write_all(b"{\"op\":\"ping\"}\n").is_ok() {
+        let mut next = String::new();
+        // EOF, or a reset for the bytes the daemon never read.
+        !matches!(reader.read_line(&mut next), Ok(n) if n > 0)
+    } else {
+        true
+    };
+    (reply.trim_end().to_owned(), closed)
+}
+
+#[test]
+fn an_oversized_line_is_refused_and_its_connection_closed() {
+    let d = spawn_daemon("long-line", &["--jobs", "1"], &[]);
+    let mut line = format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(100 << 10));
+    line.push('\n');
+    let (reply, closed) = hostile_line(&d, line.into_bytes());
+    assert_eq!(
+        reply,
+        "{\"status\":\"bad_request\",\"reason\":\"request line exceeds 65536 bytes\"}"
+    );
+    assert!(closed, "the rest of the line is never read");
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "bad_requests"), 1, "stats: {s}");
+}
+
+#[test]
+fn a_never_terminated_line_is_cut_at_the_cap() {
+    let d = spawn_daemon("endless", &["--jobs", "1"], &[]);
+    let (reply, closed) = hostile_line(&d, vec![b'{'; 1 << 20]);
+    assert!(
+        reply.contains("request line exceeds 65536 bytes"),
+        "reply: {reply}"
+    );
+    assert!(closed);
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "bad_requests"), 1, "stats: {s}");
+}
+
+#[test]
+fn a_non_utf8_line_is_a_bad_request_not_a_hangup() {
+    let d = spawn_daemon("not-utf8", &["--jobs", "1"], &[]);
+    let (reply, closed) = hostile_line(&d, b"{\"op\":\"p\xffng\"}\n".to_vec());
+    assert_eq!(
+        reply,
+        "{\"status\":\"bad_request\",\"reason\":\"request line is not UTF-8 \
+         (invalid byte at offset 8)\"}"
+    );
+    assert!(!closed, "the next line on the connection is served");
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "bad_requests"), 1, "stats: {s}");
+}
+
+/// A cell an older build sealed — format version 1, byte-wise FNV-1a
+/// trailer — is refused by name: `verify` reports the version, and the
+/// daemon quarantines it and recomputes the same reply.
+#[test]
+fn a_v1_cell_is_quarantined_by_name_and_recomputed() {
+    let d = spawn_daemon("v1-cell", &["--jobs", "1"], &[]);
+    let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":5,\"sim_secs\":2}";
+    let first = request(&d.socket, req);
+    let cell = only_cell(&d.store);
+    let bytes = std::fs::read(&cell).unwrap();
+    let mut v1 = bytes[..bytes.len() - 8].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let check = td_engine::fnv1a(&v1);
+    v1.extend_from_slice(&check.to_le_bytes());
+    std::fs::write(&cell, &v1).unwrap();
+
+    let verify = Command::new(EXE)
+        .arg("verify")
+        .arg("--store")
+        .arg(&d.store)
+        .output()
+        .expect("run td-serve verify");
+    assert_eq!(verify.status.code(), Some(1), "a v1 cell is not intact");
+    let out = String::from_utf8_lossy(&verify.stdout);
+    assert!(
+        out.contains("cell format v1; this build reads v2"),
+        "verify: {out}"
+    );
+
+    let again = request(&d.socket, req);
+    assert_eq!(first, again, "the recompute answers the same bytes");
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "quarantined"), 1, "stats: {s}");
+    assert_eq!(field(&s, "recomputed"), 1, "stats: {s}");
+    let held = d.store.join("quarantine").join(cell.file_name().unwrap());
+    assert!(
+        std::fs::read(held).unwrap() == v1,
+        "the v1 file is evidence"
+    );
+    assert!(again.contains(&format!("{:016x}", trailer(&std::fs::read(&cell).unwrap()))));
 }
