@@ -32,7 +32,12 @@
 //!   `meter::absorb`. One `Counter` or `Gauge` variant per number, so a new
 //!   count is a new variant, not a new thread-local module.
 //! * [`snap`] — the little-endian framed codec ([`SnapWriter`] /
-//!   [`SnapReader`], FNV-1a, [`write_atomic`]) under every on-disk format.
+//!   [`SnapReader`]) under every on-disk format; the one checksum seal
+//!   for the files read back as outside input ([`SnapWriter::seal`],
+//!   [`SnapReader::open_sealed`], an [`fnv1a_lanes`] trailer); and the
+//!   one atomic, fsync'd file writer, [`write_atomic`]. Byte-wise
+//!   [`fnv1a`] hashes (state hashes, seed tags, golden outputs) and
+//!   checksums no file.
 //!
 //! The engine deliberately has **no** notion of network, packet, or host —
 //! those live in `td-net`. It also deliberately avoids an async runtime:

@@ -13,6 +13,15 @@
 //!   what the writer produced;
 //! * a 4-byte magic plus `u32` version header on every top-level artifact.
 //!
+//! Files whose every byte must be checked on read — the cell store's
+//! `TDCE` cells, its `TDSH` sweep header and `td-serve`'s `TDQP` pending
+//! queue — are *sealed*: [`SnapWriter::seal`] appends the
+//! [`fnv1a_lanes`] sum of the payload as an 8-byte little-endian
+//! trailer, and [`SnapReader::open_sealed`] refuses another version by
+//! name, verifies the trailer and checks the header before a field is
+//! read. Every file, sealed or not, lands on disk through
+//! [`write_atomic`].
+//!
 //! Forward-compat stance: a reader **refuses** versions it does not know
 //! ([`SnapError::UnsupportedVersion`]) rather than guessing. Snapshots are
 //! working files for crash recovery and post-mortems, not archival
@@ -26,8 +35,10 @@
 //! [`SnapError`] instead of silently corrupted state.
 
 use crate::{SimDuration, SimRng, SimTime};
+use std::io;
 use std::ops::RangeInclusive;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,10 +79,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte string — the workspace's byte-wise stable hash:
-/// the [`SnapWriter::hashing`] sink, `pending.tdq` line checksums, seed
-/// derivation tags and golden output hashes. Its xor-multiply chain
-/// runs one byte per multiply; the cell store seals its files with
-/// [`fnv1a_lanes`] instead.
+/// the [`SnapWriter::hashing`] sink, seed derivation tags and golden
+/// output hashes. Its xor-multiply chain runs one byte per multiply and
+/// checksums no file format: sealed files carry [`fnv1a_lanes`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
@@ -94,7 +104,8 @@ fn lane_step(h: u64, w: u64) -> u64 {
     h ^ (h >> 29)
 }
 
-/// A four-lane, word-wise FNV-1a: the cell store's file checksum.
+/// A four-lane, word-wise FNV-1a: the trailer of every sealed file
+/// ([`SnapWriter::seal`]).
 ///
 /// Lane *i* starts at `lane_step(FNV_OFFSET, i)` and folds the
 /// little-endian `u64` words *i*, *i*+4, *i*+8, … of `bytes`. Then the
@@ -126,28 +137,44 @@ pub fn fnv1a_lanes(bytes: &[u8]) -> u64 {
     lane_step(h, bytes.len() as u64)
 }
 
-/// Write `bytes` to `path` atomically against a crash of this process: a
-/// sibling temp file is written in full, then renamed over the target,
-/// so any instant leaves either the old file or the new one — never a
-/// torn hybrid. The temp name is the *full* file name plus `.tmp`, so
-/// `x.tdsnap` and `x.tdmc` written into one directory do not share a
-/// staging file. Not fsync'd: this is for regenerable outputs (reports,
-/// post-mortems). What must survive a crash — the cells of `td-serve` and
-/// of `td-repro --out` sweeps, the sweep header, `pending.tdq` — goes
-/// through the cell store's durable writer (`td_experiments::store`),
-/// which adds the fsyncs.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Distinguishes the temp files of one process's concurrent writes.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Write `bytes` to `path` atomically and durably — the one sequence
+/// every file of the workspace is written with: a sibling temp file
+/// named uniquely per write (`<name>.<pid>.<n>.tmp`), `sync_all`, rename
+/// over the target, then a best-effort fsync of the directory. A crash
+/// leaves the old file or the new one, never a torn hybrid, and at worst
+/// a stale `.tmp`. Concurrent writers of one target need no lock.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
             format!("no file name in {path:?}"),
         )
     })?;
+    // Pid against other processes, counter against this one's other
+    // threads writing the same name: a shared temp file gets torn.
     let mut tmp_name = name.to_os_string();
-    tmp_name.push(".tmp");
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        io::Write::write_all(&mut f, bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    // Make the rename itself durable where the platform allows opening
+    // a directory; failure here loses durability, not atomicity.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(d) = std::fs::File::open(dir.unwrap_or(Path::new("."))) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 /// Where a [`SnapWriter`]'s bytes go: an in-memory buffer (the normal
@@ -310,6 +337,17 @@ impl SnapWriter {
         }
     }
 
+    /// Consume the writer and seal its bytes: the payload, then its
+    /// [`fnv1a_lanes`] sum as an 8-byte little-endian trailer. Returns
+    /// the file and the trailer value, which [`SnapReader::open_sealed`]
+    /// returns again for the same file.
+    pub fn seal(self) -> (Vec<u8>, u64) {
+        let mut file = self.into_bytes();
+        let sum = fnv1a_lanes(&file);
+        file.extend_from_slice(&sum.to_le_bytes());
+        (file, sum)
+    }
+
     /// Write a nested section: the inner writer's bytes, length-prefixed.
     /// The matching [`SnapReader::read_section`] verifies the section was
     /// consumed exactly, so a save/load mismatch in any component fails
@@ -337,6 +375,44 @@ impl<'a> SnapReader<'a> {
     /// A reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Self {
         SnapReader { buf, pos: 0 }
+    }
+
+    /// Open a file [`SnapWriter::seal`] wrote under `magic` and
+    /// `version`. A file of another version is refused by name — "`what`
+    /// format v*N*; this build reads v*M*" — before its trailer is
+    /// checked, so one another build sealed another way does not read as
+    /// damage. Then the trailer is verified and the header checked.
+    /// Returns a reader over the payload, positioned after the header,
+    /// and the verified trailer value.
+    pub fn open_sealed(
+        bytes: &'a [u8],
+        magic: &[u8; 4],
+        version: u32,
+        what: &str,
+    ) -> Result<(SnapReader<'a>, u64), String> {
+        match SnapReader::new(bytes).expect_header(magic, 0..=u32::MAX) {
+            Ok(v) if v != version => {
+                return Err(format!("{what} format v{v}; this build reads v{version}"))
+            }
+            _ => {}
+        }
+        let Some(end) = bytes.len().checked_sub(8) else {
+            let n = bytes.len();
+            return Err(format!("file is {n} byte(s), too short for a trailer"));
+        };
+        let (payload, trailer) = bytes.split_at(end);
+        let recorded = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+        let sum = fnv1a_lanes(payload);
+        if recorded != sum {
+            return Err(format!(
+                "checksum mismatch (expected {sum:016x} from the payload, \
+                 found {recorded:016x} in the trailer)"
+            ));
+        }
+        let mut r = SnapReader::new(payload);
+        r.expect_header(magic, version..=version)
+            .map_err(|e| e.to_string())?;
+        Ok((r, sum))
     }
 
     /// Bytes not yet consumed.
@@ -705,6 +781,54 @@ mod tests {
         longer.push(0);
         assert_ne!(fnv1a_lanes(&longer), clean);
         assert_ne!(fnv1a_lanes(&[0; 32]), fnv1a_lanes(&[0; 31]));
+    }
+
+    #[test]
+    fn sealed_files_open_past_their_header() {
+        let mut w = SnapWriter::with_header(b"TEST", 2);
+        w.write_u64(7);
+        let (file, sum) = w.seal();
+        assert_eq!(file[file.len() - 8..], sum.to_le_bytes());
+        let (mut r, got) = SnapReader::open_sealed(&file, b"TEST", 2, "test").unwrap();
+        assert_eq!((r.read_u64(), got), (Ok(7), sum));
+        r.finish().expect("the trailer is not part of the payload");
+
+        let open = |bytes: &[u8]| SnapReader::open_sealed(bytes, b"TEST", 2, "test").map(|_| ());
+        // Another version is refused by name, whatever its trailer.
+        let mut v3 = SnapWriter::with_header(b"TEST", 3);
+        v3.write_u64(7);
+        let v3 = v3.into_bytes();
+        assert_eq!(open(&v3), Err("test format v3; this build reads v2".into()));
+        let mut other = SnapWriter::with_header(b"NOPE", 2);
+        other.write_u64(7);
+        let err = open(&other.seal().0).unwrap_err();
+        assert_eq!(err, SnapError::BadMagic.to_string());
+        for i in 0..file.len() {
+            let mut flipped = file.clone();
+            flipped[i] ^= 0x20;
+            assert!(open(&flipped).is_err(), "flip at {i}");
+        }
+        for cut in 0..file.len() {
+            assert!(open(&file[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(open(&file[..9]).unwrap_err().contains("checksum mismatch"));
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_target_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("td-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.bin");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.bin"]);
+        assert!(write_atomic(&dir.join(".."), b"x").is_err(), "no file name");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Drive the same mixed write sequence through either sink.

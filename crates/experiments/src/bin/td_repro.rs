@@ -42,8 +42,9 @@
 //! is derived, not scheduled, the resumed sweep's stdout and output
 //! files, cells included, are byte-identical to an uninterrupted run's
 //! (only `timings.json` carries wall-clock noise). Every output file is
-//! written atomically (temp file + rename), so a crash can never leave a
-//! torn CSV or half a `timings.json`.
+//! written atomically and durably ([`td_engine::write_atomic`]: temp file,
+//! fsync, rename), so a crash can never leave a torn CSV or half a
+//! `timings.json`.
 //!
 //! On Unix, SIGINT/SIGTERM interrupt *gracefully*: in-flight experiments
 //! finish (and reach the store), the partial `timings.json` is written

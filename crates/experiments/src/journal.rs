@@ -20,9 +20,10 @@
 //!   `td-serve serve --store DIR/cells` answers them as hits.
 //! * `DIR/cells/sweep.tdh` — the header record: master seed, profile,
 //!   replicate count and the exact id list, so `--resume` needs no flags
-//!   beyond the directory. It has a cell file's framing (payload, then
-//!   an [`td_engine::fnv1a_lanes`] trailer; magic `TDSH`) but not its
-//!   extension, so `td-serve verify` skips it.
+//!   beyond the directory. It is sealed like a cell file
+//!   ([`SnapWriter::seal`]; magic `TDSH`) but lacks its extension, so
+//!   `td-serve verify` skips it. A damaged header, or one of another
+//!   version, cannot be resumed: the error asks for a rerun.
 //!
 //! A cell that panicked or tripped the invariant auditor is not stored,
 //! so a resume reruns it and its panic message and audit tally reappear.
@@ -32,11 +33,11 @@
 use crate::registry::{config_hash, Profile};
 use crate::report::{Report, Row};
 use crate::runner::{ExperimentResult, Timing};
-use crate::store::{peek_version, seal, unseal, CellData, CellKey, Lookup, Store};
+use crate::store::{CellData, CellKey, Lookup, Store};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use td_engine::{SnapError, SnapReader, SnapWriter};
+use td_engine::{write_atomic, SnapError, SnapReader, SnapWriter};
 
 /// Subdirectory of an output directory that holds the sweep's cells.
 const CELLS_DIR: &str = "cells";
@@ -99,7 +100,7 @@ impl Journal {
             _ => {}
         }
         let store = Store::open(&cells)?;
-        store.write_durable(HEADER_FILE, &encode_header(header))?;
+        write_atomic(&cells.join(HEADER_FILE), &encode_header(header))?;
         Ok(Journal {
             store,
             profile: header.profile,
@@ -200,8 +201,7 @@ impl Journal {
     }
 }
 
-/// The header record's file bytes: a `TDSH` payload in a cell file's
-/// framing.
+/// The header record's file bytes: a `TDSH` payload, sealed.
 pub fn encode_header(h: &JournalHeader) -> Vec<u8> {
     let mut w = SnapWriter::with_header(HEADER_MAGIC, HEADER_VERSION);
     w.write_u64(h.master_seed);
@@ -211,22 +211,16 @@ pub fn encode_header(h: &JournalHeader) -> Vec<u8> {
     for id in &h.ids {
         w.write_str(id);
     }
-    seal(w.into_bytes()).0
+    w.seal().0
 }
 
 /// Decode and verify the header record's file bytes. Structured errors,
-/// never panics. A header of another format version is refused by name
-/// before the trailer is checked.
+/// never panics, each ending in "rerun the sweep". A header of another
+/// format version is refused by name before the trailer is checked.
 pub fn decode_header(bytes: &[u8]) -> Result<JournalHeader, String> {
-    if let Some(v) = peek_version(bytes, HEADER_MAGIC).filter(|&v| v != HEADER_VERSION) {
-        return Err(format!(
-            "sweep header format v{v}; this build reads v{HEADER_VERSION}: rerun the sweep"
-        ));
-    }
-    let (payload, _) = unseal(bytes)?;
-    let mut r = SnapReader::new(payload);
+    let (mut r, _) = SnapReader::open_sealed(bytes, HEADER_MAGIC, HEADER_VERSION, "sweep header")
+        .map_err(|why| format!("{why}: rerun the sweep"))?;
     let mut decode = || -> Result<JournalHeader, SnapError> {
-        r.expect_header(HEADER_MAGIC, HEADER_VERSION..=HEADER_VERSION)?;
         let master_seed = r.read_u64()?;
         let profile = Profile::from_tag(r.read_u8()?)?;
         let replicates = r.read_u64()?;
@@ -243,7 +237,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<JournalHeader, String> {
             ids,
         })
     };
-    decode().map_err(|e| e.to_string())
+    decode().map_err(|e| format!("{e}: rerun the sweep"))
 }
 
 /// Serialize a full [`Report`] into a snap stream: the body of every

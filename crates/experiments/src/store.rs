@@ -9,9 +9,10 @@
 //! `cell-{config_hash:016x}-{seed:016x}.tdc` — so the store needs no
 //! index: a lookup is a filename. Each file is a [`SnapWriter`] payload
 //! (magic `TDCE`, version 2: key, experiment id, profile, and the full
-//! [`Report`] via [`write_report`]) followed by an 8-byte little-endian
-//! trailer, the [`fnv1a_lanes`] sum of the payload. A cell's bytes are
-//! a pure function of its key: no wall clock, no host, no run history.
+//! [`Report`] via [`write_report`]) sealed by [`SnapWriter::seal`]: an
+//! 8-byte little-endian trailer, the [`td_engine::fnv1a_lanes`] sum of
+//! the payload. A cell's bytes are a pure function of its key: no wall
+//! clock, no host, no run history.
 //!
 //! Integrity discipline:
 //!
@@ -21,11 +22,13 @@
 //!   directory (never deleted: it is evidence) and the caller
 //!   recomputes the cell. A file of another format version (a v1 cell
 //!   sealed with byte-wise FNV-1a) is refused by name before the
-//!   trailer check, and takes the same quarantine-and-recompute path.
-//! * **Every write is atomic and durable**: temp file in the store
-//!   directory (named uniquely per write), `sync_all`, rename over the
-//!   final name, best-effort directory fsync. A crash can leave a stale
-//!   `.tmp`, never a torn cell. Concurrent writers need no lock.
+//!   trailer check ([`SnapReader::open_sealed`]), and takes the same
+//!   quarantine-and-recompute path.
+//! * **Every write is atomic and durable** ([`td_engine::write_atomic`]):
+//!   temp file in the store directory (named uniquely per write),
+//!   `sync_all`, rename over the final name, best-effort directory fsync.
+//!   A crash can leave a stale `.tmp`, never a torn cell. Concurrent
+//!   writers need no lock.
 //! * **Each stored byte is hashed once.** The trailer is the cell's
 //!   fingerprint: the sum is computed once over the payload when a cell
 //!   is sealed and once when it is verified, and [`Store::save`],
@@ -42,15 +45,13 @@ use crate::registry::Profile;
 use crate::report::Report;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use td_engine::{fnv1a_lanes, SnapReader, SnapWriter};
+use td_engine::{write_atomic, SnapError, SnapReader, SnapWriter};
 
 /// Magic prefix of a cell-file payload.
 const MAGIC: &[u8; 4] = b"TDCE";
-/// Cell-file format version: 2 since the trailer became [`fnv1a_lanes`].
+/// Cell-file format version: 2 since the trailer became
+/// [`td_engine::fnv1a_lanes`].
 const VERSION: u32 = 2;
-/// Distinguishes the temp files of one process's concurrent writes.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Cell encodings on this thread: `td-serve`'s tests count them to
@@ -165,10 +166,10 @@ impl Store {
         }
     }
 
-    /// Move a damaged file into the quarantine sidecar (evidence, not
-    /// deletion). An existing quarantined file of the same name is
-    /// overwritten — same identity, same damage class.
-    fn quarantine(&self, path: &Path) -> io::Result<()> {
+    /// Move a damaged file of the store directory into the quarantine
+    /// sidecar (evidence, not deletion). An existing quarantined file of
+    /// the same name is overwritten — same identity, same damage class.
+    pub fn quarantine(&self, path: &Path) -> io::Result<()> {
         let qdir = self.quarantine_dir();
         std::fs::create_dir_all(&qdir)?;
         let name = path
@@ -177,41 +178,13 @@ impl Store {
         std::fs::rename(path, qdir.join(name))
     }
 
-    /// Write a cell atomically and durably: temp + fsync + rename +
-    /// directory fsync, the sequence every store file is written with.
-    /// Returns the cell's fingerprint, the trailer it wrote — what a
-    /// later [`Store::load`] of the same file reports.
+    /// Write a cell atomically and durably ([`write_atomic`]). Returns
+    /// the cell's fingerprint, the trailer it wrote — what a later
+    /// [`Store::load`] of the same file reports.
     pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<u64> {
         let (bytes, sum) = encode_sealed(key, data);
-        self.write_durable(&Self::cell_name(key), &bytes)?;
+        write_atomic(&self.cell_path(key), &bytes)?;
         Ok(sum)
-    }
-
-    /// Write `bytes` as file `name` of the store directory, atomically and
-    /// durably — the one sequence every store file is written with: a temp
-    /// file named uniquely per write, `sync_all`, rename over the final
-    /// name, directory fsync.
-    pub fn write_durable(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        // Pid against other processes, counter against this one's other
-        // workers writing the same name: a shared temp file gets torn.
-        let tmp = self.dir.join(format!(
-            "{name}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.dir.join(name))?;
-        // Make the rename itself durable where the platform allows
-        // opening a directory; failure here loses durability, not
-        // atomicity, so it is not fatal.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
     }
 
     /// Scan every cell file; with `fix`, move damaged ones to
@@ -295,7 +268,7 @@ fn key_from_name(name: &str) -> Option<CellKey> {
     })
 }
 
-/// Serialize a cell: `TDCE` payload + 8-byte LE [`fnv1a_lanes`] trailer.
+/// Serialize a cell: a `TDCE` payload, sealed.
 pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
     encode_sealed(key, data).0
 }
@@ -309,46 +282,7 @@ fn encode_sealed(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
     w.write_str(&data.experiment);
     w.write_u8(data.profile.tag());
     write_report(&mut w, &data.report);
-    seal(w.into_bytes())
-}
-
-/// Frame a payload as a store file: the payload, then its
-/// [`fnv1a_lanes`] sum as an 8-byte little-endian trailer. Returns the
-/// file and the trailer value.
-pub(crate) fn seal(mut payload: Vec<u8>) -> (Vec<u8>, u64) {
-    let sum = fnv1a_lanes(&payload);
-    payload.extend_from_slice(&sum.to_le_bytes());
-    (payload, sum)
-}
-
-/// The version of a store file that starts with `magic`, read before its
-/// trailer is checked: a file another build sealed another way is then
-/// refused by name, not as a checksum mismatch. `None` when the bytes do
-/// not start with `magic` and a version.
-pub(crate) fn peek_version(bytes: &[u8], magic: &[u8; 4]) -> Option<u32> {
-    let header = bytes.get(..8)?;
-    (&header[..4] == magic).then(|| u32::from_le_bytes(header[4..].try_into().expect("4 bytes")))
-}
-
-/// The inverse of [`seal`]: the payload of a file whose trailer checks
-/// out, and the trailer value.
-pub(crate) fn unseal(bytes: &[u8]) -> Result<(&[u8], u64), String> {
-    if bytes.len() < 8 {
-        return Err(format!(
-            "file is {} byte(s), too short for a trailer",
-            bytes.len()
-        ));
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let recorded = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let computed = fnv1a_lanes(payload);
-    if recorded != computed {
-        return Err(format!(
-            "checksum mismatch (expected {computed:016x} from the payload, \
-             found {recorded:016x} in the trailer)"
-        ));
-    }
-    Ok((payload, computed))
+    w.seal()
 }
 
 /// Decode and verify a cell file. `expect` (when known) must match the
@@ -358,18 +292,13 @@ pub(crate) fn unseal(bytes: &[u8]) -> Result<(&[u8], u64), String> {
 /// re-encoding the cell seals the same. A cell of another format version
 /// is refused by name before the trailer is checked.
 pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
-    if let Some(v) = peek_version(bytes, MAGIC).filter(|&v| v != VERSION) {
-        return Err(format!("cell format v{v}; this build reads v{VERSION}"));
-    }
-    let (payload, sum) = unseal(bytes)?;
-    let mut r = SnapReader::new(payload);
-    let mut decode = || -> Result<CellData, td_engine::SnapError> {
-        r.expect_header(MAGIC, VERSION..=VERSION)?;
+    let (mut r, sum) = SnapReader::open_sealed(bytes, MAGIC, VERSION, "cell")?;
+    let mut decode = || -> Result<CellData, SnapError> {
         let config_hash = r.read_u64()?;
         let seed = r.read_u64()?;
         if let Some(want) = expect {
             if (CellKey { config_hash, seed }) != want {
-                return Err(td_engine::SnapError::Corrupt(format!(
+                return Err(SnapError::Corrupt(format!(
                     "cell key mismatch: file claims ({config_hash:016x}, \
                      {seed:016x}), expected ({:016x}, {:016x})",
                     want.config_hash, want.seed
@@ -669,9 +598,9 @@ mod tests {
         let (key, data) = sample();
         let file = encode_cell_file(key, &data);
         for (version, sum) in [
-            (0u32, fnv1a_lanes as fn(&[u8]) -> u64),
+            (0u32, td_engine::fnv1a_lanes as fn(&[u8]) -> u64),
             (1, td_engine::fnv1a),
-            (3, fnv1a_lanes),
+            (3, td_engine::fnv1a_lanes),
         ] {
             let why = decode_cell_file(&reversioned(&file, version, sum), Some(key)).unwrap_err();
             assert_eq!(why, format!("cell format v{version}; this build reads v2"));

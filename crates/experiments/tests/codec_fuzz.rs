@@ -7,10 +7,10 @@
 //!
 //! * **TDCE** cell files ([`decode_cell_file`]) — the one durable cell
 //!   format, written by `td-serve` and by `td-repro --out`;
-//! * the **sweep header** (`cells/sweep.tdh`, [`decode_header`]), in
-//!   the cell files' framing;
-//! * **TDQP** lines of `td-serve`'s `pending.tdq` — the checked-line
-//!   text layer (`hex payload + checksum`);
+//! * the **sweep header** (`cells/sweep.tdh`, [`decode_header`]),
+//!   sealed like a cell file;
+//! * **TDQP**, `td-serve`'s `pending.tdq` (`decode_pending_file`),
+//!   sealed like a cell file;
 //! * **TDSN** serial world snapshots ([`Snapshot::from_bytes`]);
 //! * **TDSW** sharded world snapshots ([`ShardSnapshot::from_bytes`]);
 //! * **TDMC** model-checking schedules ([`McSchedule::from_bytes`]).
@@ -126,39 +126,29 @@ fn sweep_headers_reject_every_flip_and_truncation() {
 
 #[cfg(unix)]
 #[test]
-fn pending_queue_lines_reject_any_character_damage() {
-    use td_serve::server::{decode_checked_line, encode_checked_line};
-    // Any payload will do: the attack is on the text layer.
-    let payload = sample_header_file();
-    let line = encode_checked_line(&payload);
-    assert_eq!(decode_checked_line(&line).unwrap(), payload);
-
-    let chars: Vec<char> = line.chars().collect();
-    let mut rng = SimRng::new(0xF022);
-    for _ in 0..FLIP_ROUNDS {
-        // Replace one character with a random printable one.
-        let at = rng.next_below(chars.len() as u64) as usize;
-        let mut damaged = chars.clone();
-        let repl = (b'!' + rng.next_below(93) as u8) as char;
-        // Case-only changes aren't damage: hex parsing is
-        // case-insensitive, so the payload and checksum are unchanged.
-        if repl.eq_ignore_ascii_case(&damaged[at]) {
-            continue;
-        }
-        damaged[at] = repl;
-        let s: String = damaged.iter().collect();
-        assert!(
-            decode_checked_line(&s).is_err(),
-            "single-character damage at {at} must fail the checksum"
-        );
-    }
-    for _ in 0..TRUNC_ROUNDS {
-        let cut = rng.next_below(line.len() as u64) as usize;
-        assert!(
-            decode_checked_line(&line[..cut]).is_err(),
-            "truncation to {cut} chars must be rejected"
-        );
-    }
+fn pending_queues_reject_every_flip_and_truncation() {
+    use td_serve::proto::SimulateReq;
+    use td_serve::server::{decode_pending_file, encode_pending_file};
+    let queue = [
+        SimulateReq {
+            experiment: "fig8".into(),
+            seed: 7,
+            profile: Profile::Full,
+            deadline_ms: None,
+            priority: 9,
+            overrides: vec![("sim_secs".into(), 30)],
+        },
+        SimulateReq {
+            experiment: "fig2".into(),
+            seed: 1,
+            profile: Profile::Quick,
+            deadline_ms: None,
+            priority: 0,
+            overrides: Vec::new(),
+        },
+    ];
+    let file = encode_pending_file(queue.iter());
+    fuzz_sealed("TDQP", &file, 0xF022, decode_pending_file);
 }
 
 fn fuzz_binary<Dec>(tag: &str, baseline: &[u8], seed: u64, decode: Dec)

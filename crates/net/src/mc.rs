@@ -250,7 +250,8 @@ impl McSchedule {
         })
     }
 
-    /// Write atomically (temp file + rename), like snapshot files.
+    /// Write atomically and durably ([`td_engine::write_atomic`]), like
+    /// snapshot files.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
         td_engine::write_atomic(path, &self.to_bytes())
     }

@@ -181,7 +181,7 @@ pub fn to_pcap_bytes(trace: &Trace, point: CapturePoint) -> Vec<u8> {
 }
 
 /// Write a pcap file (creating parent directories). The write is atomic
-/// — temp file + rename — so a crash can't leave a torn capture.
+/// ([`td_engine::write_atomic`]), so a crash can't leave a torn capture.
 pub fn write_pcap(trace: &Trace, point: CapturePoint, path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;

@@ -574,9 +574,9 @@ impl ShardSnapshot {
         Ok(ShardSnapshot { bytes })
     }
 
-    /// Write the snapshot to `path` atomically (temp file in the same
-    /// directory, then rename), so a crash mid-write never leaves a torn
-    /// snapshot under the final name.
+    /// Write the snapshot to `path` atomically and durably
+    /// ([`td_engine::write_atomic`]), so a crash mid-write never leaves a
+    /// torn snapshot under the final name.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
         td_engine::write_atomic(path, &self.bytes)
     }

@@ -222,8 +222,8 @@ impl Snapshot {
         Ok(Snapshot { bytes })
     }
 
-    /// Write the snapshot to `path` atomically (temp file in the same
-    /// directory, then rename), so a crash mid-write never leaves a
+    /// Write the snapshot to `path` atomically and durably
+    /// ([`td_engine::write_atomic`]), so a crash mid-write never leaves a
     /// truncated snapshot under the final name.
     pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
         td_engine::write_atomic(path, &self.bytes)

@@ -39,14 +39,16 @@
 //!   checksum trailer verified on every read; a corrupt cell, or one of
 //!   an older format version, is moved into a `quarantine/` sidecar and
 //!   transparently recomputed; writes are atomic (temp file + fsync +
-//!   rename); `td-serve verify` and `td-serve compact` are the offline
-//!   maintenance pair.
+//!   rename, [`td_engine::write_atomic`]); `td-serve verify` and
+//!   `td-serve compact` are the offline maintenance pair.
 //! * **Graceful drain**: SIGINT/SIGTERM (or an in-band `shutdown`
 //!   request) stops admission, finishes in-flight cells, answers every
 //!   queued client, persists the unstarted queue to `pending.tdq` (one
-//!   checksummed hex line per job), and exits 130 (signal) or 0
-//!   (`shutdown`). A restarted daemon replays
-//!   `pending.tdq` into the store, so the work still happens.
+//!   file, sealed like a cell: `TDQP` v2), and exits 130 (signal) or 0
+//!   (`shutdown`). A restarted daemon replays `pending.tdq` into the
+//!   store, so the work still happens; a `pending.tdq` that does not
+//!   decode is quarantined like a damaged cell, and the daemon starts
+//!   with an empty queue.
 //!
 //! Responses for the same `(config_hash, seed)` are **byte-identical**
 //! whether served from cache or recomputed — the response deliberately

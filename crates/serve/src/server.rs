@@ -35,17 +35,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_engine::{fnv1a, SimRng, SnapError, SnapReader, SnapWriter};
+use td_engine::{write_atomic, SimRng, SnapError, SnapReader, SnapWriter};
 use td_experiments::registry::{config_hash, find, validate_override, Profile};
 use td_experiments::store::{CellData, CellKey, Lookup, Store};
 use td_experiments::sweep::budget;
 
 /// File name of the persisted pending queue, inside the store directory.
 const PENDING_NAME: &str = "pending.tdq";
-/// Magic of a persisted pending-queue record.
+/// Magic of the persisted pending queue.
 const PENDING_MAGIC: &[u8; 4] = b"TDQP";
-/// Pending-queue record version.
-const PENDING_VERSION: u32 = 1;
+/// Pending-queue format version: 2 since the queue became one sealed
+/// file (version 1 was one checksummed hex line per job).
+const PENDING_VERSION: u32 = 2;
 
 /// Daemon configuration (the `td-serve serve` flag surface).
 #[derive(Clone, Debug)]
@@ -270,7 +271,8 @@ fn drain_queue(shared: &Shared) -> io::Result<()> {
         std::mem::take(&mut q.items)
     };
     if !jobs.is_empty() {
-        persist_pending(shared, &jobs)?;
+        let file = encode_pending_file(jobs.iter().map(|j| &j.req));
+        write_atomic(&pending_path(&shared.store), &file)?;
         shared
             .counters
             .queue_persisted
@@ -289,125 +291,85 @@ fn pending_path(store: &Store) -> PathBuf {
     store.dir().join(PENDING_NAME)
 }
 
-/// Why a checked line failed to decode (see [`decode_checked_line`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LineDamage {
-    /// Structural damage: the line is not
-    /// `hex(payload) + space + 16-hex checksum`.
-    Format(String),
-    /// The line parsed but the recorded checksum disagrees with the
-    /// checksum computed over the decoded payload.
-    Checksum {
-        /// Checksum recorded at the end of the line.
-        recorded: u64,
-        /// Checksum computed from the line's payload bytes.
-        computed: u64,
-    },
-}
-
-/// Render a payload as one checked `pending.tdq` line (no trailing
-/// newline): `hex(payload) + space + 16-hex fnv1a64 checksum`. Line
-/// oriented, so a torn write can only damage the lines from the tear on.
-/// The inverse of [`decode_checked_line`].
-pub fn encode_checked_line(payload: &[u8]) -> String {
-    let mut line = String::with_capacity(payload.len() * 2 + 17);
-    for b in payload {
-        line.push_str(&format!("{b:02x}"));
-    }
-    line.push(' ');
-    line.push_str(&format!("{:016x}", fnv1a(payload)));
-    line
-}
-
-/// Parse one checked `hex payload + checksum` line, saying *why* on
-/// failure (see [`LineDamage`]).
-pub fn decode_checked_line(line: &str) -> Result<Vec<u8>, LineDamage> {
-    let (hex, check) = line
-        .split_once(' ')
-        .ok_or_else(|| LineDamage::Format("no space separator".into()))?;
-    if check.len() != 16 {
-        return Err(LineDamage::Format(format!(
-            "checksum field is {} chars, expected 16",
-            check.len()
-        )));
-    }
-    if hex.len() % 2 != 0 {
-        return Err(LineDamage::Format(format!(
-            "payload field has odd length {}",
-            hex.len()
-        )));
-    }
-    // Reject anything but hex digits up front: `from_str_radix` would
-    // otherwise accept a leading `+`, letting some damaged bytes parse
-    // to the same value they replaced.
-    if let Some(bad) = line
-        .bytes()
-        .position(|b| !b.is_ascii_hexdigit() && b != b' ')
-    {
-        return Err(LineDamage::Format(format!(
-            "non-hex character at column {}",
-            bad + 1
-        )));
-    }
-    let mut payload = Vec::with_capacity(hex.len() / 2);
-    for i in (0..hex.len()).step_by(2) {
-        payload.push(u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| {
-            LineDamage::Format(format!("non-hex payload byte at column {}", i + 1))
-        })?);
-    }
-    let recorded = u64::from_str_radix(check, 16)
-        .map_err(|_| LineDamage::Format("non-hex checksum field".into()))?;
-    let computed = fnv1a(&payload);
-    if computed != recorded {
-        return Err(LineDamage::Checksum { recorded, computed });
-    }
-    Ok(payload)
-}
-
-/// Write the unstarted queue to `pending.tdq`: one checked line per
-/// job, atomically and durably.
-fn persist_pending(shared: &Shared, jobs: &[Job]) -> io::Result<()> {
-    let mut text = String::new();
-    for job in jobs {
-        let mut w = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
-        w.write_str(&job.req.experiment);
-        w.write_u64(job.req.seed);
-        w.write_u8(job.req.profile.tag());
-        w.write_u8(job.req.priority);
-        w.write_u64(job.req.overrides.len() as u64);
-        for (k, v) in &job.req.overrides {
+/// The `pending.tdq` bytes of a queue: a `TDQP` header, the job count,
+/// then per job its experiment, seed, profile, priority and overrides,
+/// sealed ([`SnapWriter::seal`]). The inverse of [`decode_pending_file`].
+pub fn encode_pending_file<'a>(reqs: impl ExactSizeIterator<Item = &'a SimulateReq>) -> Vec<u8> {
+    let mut w = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
+    w.write_u64(reqs.len() as u64);
+    for req in reqs {
+        w.write_str(&req.experiment);
+        w.write_u64(req.seed);
+        w.write_u8(req.profile.tag());
+        w.write_u8(req.priority);
+        w.write_u64(req.overrides.len() as u64);
+        for (k, v) in &req.overrides {
             w.write_str(k);
             w.write_u64(*v);
         }
-        text.push_str(&encode_checked_line(&w.into_bytes()));
-        text.push('\n');
     }
-    shared.store.write_durable(PENDING_NAME, text.as_bytes())
+    w.seal().0
+}
+
+/// Decode and verify `pending.tdq`'s bytes into its job records: an
+/// error when the trailer, the header or the structure fails. A record
+/// that decodes is not yet a job a live client could have queued: the
+/// daemon checks each one before it restores it.
+pub fn decode_pending_file(bytes: &[u8]) -> Result<Vec<SimulateReq>, String> {
+    let (mut r, _) =
+        SnapReader::open_sealed(bytes, PENDING_MAGIC, PENDING_VERSION, "pending queue")?;
+    let mut decode = || -> Result<Vec<SimulateReq>, SnapError> {
+        let jobs = r.read_len()?;
+        let mut reqs = Vec::with_capacity(jobs);
+        for _ in 0..jobs {
+            // Fields are evaluated in the order they are written.
+            reqs.push(SimulateReq {
+                experiment: r.read_str()?,
+                seed: r.read_u64()?,
+                profile: Profile::from_tag(r.read_u8()?)?,
+                deadline_ms: None,
+                priority: r.read_u8()?,
+                overrides: (0..r.read_len()?)
+                    .map(|_| Ok((r.read_str()?, r.read_u64()?)))
+                    .collect::<Result<_, SnapError>>()?,
+            });
+        }
+        r.finish()?;
+        Ok(reqs)
+    };
+    decode().map_err(|e| e.to_string())
 }
 
 /// Replay `pending.tdq` into the queue as orphan jobs, then delete the
-/// file. Salvage-tolerant: a line whose checksum fails drops the rest
-/// (the write was torn from there on); a line that checks out but that a
-/// live client could not have sent — see [`decode_pending`] — is skipped
-/// on its own.
+/// file. A file that cannot be read or does not decode — damaged, or of
+/// another version — is moved into the quarantine sidecar, like a
+/// damaged cell, and the daemon starts with an empty queue. A record
+/// that decodes but that a live client could not have sent (see
+/// [`check_pending`]) is skipped on its own.
 fn restore_pending(shared: &Shared) {
     let path = pending_path(&shared.store);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(_) => return,
+    let decoded = match std::fs::read(&path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return,
+        read => read
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| decode_pending_file(&bytes)),
+    };
+    let reqs = match decoded {
+        Ok(reqs) => reqs,
+        Err(why) => {
+            match shared.store.quarantine(&path) {
+                Ok(()) => eprintln!("td-serve: quarantined {PENDING_NAME} ({why})"),
+                Err(e) => eprintln!("td-serve: {PENDING_NAME} is damaged ({why}): {e}"),
+            }
+            return;
+        }
     };
     let mut restored = 0u64;
-    for line in text.lines() {
-        let Ok(bytes) = decode_checked_line(line) else {
-            break;
-        };
-        let req = match decode_pending(&bytes) {
-            Ok(req) => req,
-            Err(why) => {
-                eprintln!("td-serve: skipping a pending job from the last drain: {why}");
-                continue;
-            }
-        };
+    for req in reqs {
+        if let Err(why) = check_pending(&req) {
+            eprintln!("td-serve: skipping a pending job from the last drain: {why}");
+            continue;
+        }
         let key = CellKey {
             config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
             seed: req.seed,
@@ -436,11 +398,10 @@ fn restore_pending(shared: &Shared) {
     }
 }
 
-/// Decode one `pending.tdq` payload and hold it to what `parse_request`
-/// and `handle_simulate` demand of a request off the socket: the file
+/// Hold one `pending.tdq` record to what `parse_request` and
+/// `handle_simulate` demand of a request off the socket: the file
 /// outlives the binary that wrote it, so it is outside input too.
-fn decode_pending(bytes: &[u8]) -> Result<SimulateReq, String> {
-    let req = read_pending(bytes).map_err(|e| e.to_string())?;
+fn check_pending(req: &SimulateReq) -> Result<(), String> {
     if u64::from(req.priority) > MAX_PRIORITY {
         return Err(format!("priority {} above {MAX_PRIORITY}", req.priority));
     }
@@ -450,33 +411,7 @@ fn decode_pending(bytes: &[u8]) -> Result<SimulateReq, String> {
     if find(&req.experiment).is_none() {
         return Err(format!("unknown experiment {:?}", req.experiment));
     }
-    Ok(req)
-}
-
-/// The TDQP v1 codec, the inverse of `persist_pending`'s writer.
-fn read_pending(bytes: &[u8]) -> Result<SimulateReq, SnapError> {
-    let mut r = SnapReader::new(bytes);
-    r.expect_header(PENDING_MAGIC, PENDING_VERSION..=PENDING_VERSION)?;
-    let experiment = r.read_str()?;
-    let seed = r.read_u64()?;
-    let profile = Profile::from_tag(r.read_u8()?)?;
-    let priority = r.read_u8()?;
-    let n = r.read_len()?;
-    let mut overrides = Vec::new();
-    for _ in 0..n {
-        let k = r.read_str()?;
-        let v = r.read_u64()?;
-        overrides.push((k, v));
-    }
-    r.finish()?;
-    Ok(SimulateReq {
-        experiment,
-        seed,
-        profile,
-        deadline_ms: None,
-        priority,
-        overrides,
-    })
+    Ok(())
 }
 
 /// What one read of a request line produced.
@@ -1091,26 +1026,6 @@ mod tests {
         assert!(read_line(&mut tail, &mut buf).is_none());
     }
 
-    /// One `pending.tdq` payload, field by field.
-    fn pending_payload(
-        version: u32,
-        experiment: &str,
-        priority: u8,
-        overrides: &[(&str, u64)],
-    ) -> Vec<u8> {
-        let mut w = SnapWriter::with_header(PENDING_MAGIC, version);
-        w.write_str(experiment);
-        w.write_u64(9);
-        w.write_u8(1);
-        w.write_u8(priority);
-        w.write_u64(overrides.len() as u64);
-        for (k, v) in overrides {
-            w.write_str(k);
-            w.write_u64(*v);
-        }
-        w.into_bytes()
-    }
-
     #[test]
     fn drain_leaves_the_pending_queue_and_no_temp_file() {
         let shared = shared_on("drain");
@@ -1145,87 +1060,117 @@ mod tests {
         let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
-    #[test]
-    fn checked_lines_reject_bit_flips() {
-        let payload = pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 30)]);
-        let line = encode_checked_line(&payload);
-        assert_eq!(decode_checked_line(&line).unwrap(), payload);
-        let flipped = line.replacen('a', "b", 1);
-        if flipped != line {
-            let err = decode_checked_line(&flipped).unwrap_err();
-            assert!(
-                matches!(err, LineDamage::Checksum { .. } | LineDamage::Format(_)),
-                "{err:?}"
-            );
-        }
-        assert!(matches!(
-            decode_checked_line("nonsense"),
-            Err(LineDamage::Format(_))
-        ));
-        assert!(matches!(
-            decode_checked_line(""),
-            Err(LineDamage::Format(_))
-        ));
-    }
-
-    #[test]
-    fn pending_queue_roundtrips_and_salvages() {
-        let req = SimulateReq {
-            experiment: "fig8".into(),
+    /// A queued request, as a client would have sent it.
+    fn pending(experiment: &str, priority: u8, overrides: &[(&str, u64)]) -> SimulateReq {
+        SimulateReq {
+            experiment: experiment.into(),
             seed: 9,
             profile: Profile::Full,
             deadline_ms: Some(5),
-            priority: 7,
-            overrides: vec![("sim_secs".into(), 30)],
+            priority,
+            overrides: overrides.iter().map(|&(k, v)| (k.into(), v)).collect(),
+        }
+    }
+
+    /// The experiments and priorities in the queue.
+    fn queued(shared: &Shared) -> Vec<(String, u8)> {
+        let q = shared.queue.lock().unwrap();
+        q.items
+            .iter()
+            .map(|j| (j.req.experiment.clone(), j.req.priority))
+            .collect()
+    }
+
+    #[test]
+    fn pending_queue_roundtrips_and_skips_invalid_records() {
+        let req = pending("fig8", 7, &[("sim_secs", 30)]);
+        let file = encode_pending_file([&req].into_iter());
+        // Every field but the deadline, which does not survive a restart.
+        let want = SimulateReq {
+            deadline_ms: None,
+            ..req.clone()
         };
-        let bytes = pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 30)]);
-        let got = decode_pending(&bytes).unwrap();
-        assert_eq!(got.experiment, req.experiment);
-        assert_eq!(got.seed, req.seed);
-        assert_eq!(got.profile, req.profile);
-        assert_eq!(got.priority, req.priority);
-        assert_eq!(got.overrides, req.overrides);
-        assert_eq!(got.deadline_ms, None, "deadlines don't survive a restart");
+        assert_eq!(decode_pending_file(&file), Ok(vec![want]));
         // Truncations are refused, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(decode_pending(&bytes[..cut]).is_err(), "cut {cut}");
+        for cut in 0..file.len() {
+            assert!(decode_pending_file(&file[..cut]).is_err(), "cut {cut}");
         }
 
-        // A line can carry a good checksum and still be something no live
-        // client could have queued. Each such line is skipped on its own;
-        // the good lines around it restore; a checksum failure still
-        // drops everything after it.
+        // A record can decode and still be something no live client
+        // could have queued. Each such record is skipped on its own; the
+        // good records around it restore.
         let invalid = [
-            pending_payload(0, "fig8", 7, &[]),
-            pending_payload(PENDING_VERSION + 1, "fig8", 7, &[]),
-            pending_payload(PENDING_VERSION, "fig8", 255, &[]),
-            pending_payload(PENDING_VERSION, "fig8", 7, &[("sim_secs", 0)]),
-            pending_payload(PENDING_VERSION, "fig8", 7, &[("shards", 2)]),
-            pending_payload(PENDING_VERSION, "no-such-entry", 7, &[]),
+            pending("fig8", 255, &[]),
+            pending("fig8", 7, &[("sim_secs", 0)]),
+            pending("fig8", 7, &[("shards", 2)]),
+            pending("no-such-entry", 7, &[]),
         ];
-        let mut lines = vec![encode_checked_line(&bytes)];
-        for payload in &invalid {
-            assert!(decode_pending(payload).is_err());
-            lines.push(encode_checked_line(payload));
+        for req in &invalid {
+            assert!(check_pending(req).is_err(), "{req:?}");
         }
-        let fig2 = pending_payload(PENDING_VERSION, "fig2", 0, &[]);
-        lines.push(encode_checked_line(&fig2));
-        lines.push("not a checked line".to_owned());
-        lines.push(encode_checked_line(&bytes));
-
+        let fig2 = pending("fig2", 0, &[]);
+        let queue: Vec<_> = [&req].into_iter().chain(&invalid).chain([&fig2]).collect();
         let shared = shared_on("pending");
-        std::fs::write(pending_path(&shared.store), lines.join("\n")).unwrap();
+        let path = pending_path(&shared.store);
+        std::fs::write(&path, encode_pending_file(queue.into_iter())).unwrap();
         restore_pending(&shared);
-        let queued: Vec<_> = {
-            let q = shared.queue.lock().unwrap();
-            q.items
-                .iter()
-                .map(|j| (j.req.experiment.clone(), j.req.priority))
-                .collect()
-        };
-        assert_eq!(queued, [("fig8".to_owned(), 7), ("fig2".to_owned(), 0)]);
+        assert_eq!(
+            queued(&shared),
+            [("fig8".to_owned(), 7), ("fig2".to_owned(), 0)]
+        );
         assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 2);
-        assert!(!pending_path(&shared.store).exists());
+        assert!(!path.exists(), "a restored queue is consumed");
+        assert!(!shared.store.quarantine_dir().exists());
         let _ = std::fs::remove_dir_all(shared.store.dir());
+    }
+
+    /// A `pending.tdq` that does not decode as a whole is quarantined,
+    /// never read in part and never deleted, and the queue starts empty.
+    #[test]
+    fn damaged_pending_files_are_quarantined_whole() {
+        let good = encode_pending_file([&pending("fig2", 0, &[])].into_iter());
+        let resealed = |version: u32| {
+            let mut file = good[..good.len() - 8].to_vec();
+            file[4..8].copy_from_slice(&version.to_le_bytes());
+            let sum = td_engine::fnv1a_lanes(&file);
+            file.extend_from_slice(&sum.to_le_bytes());
+            file
+        };
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x10;
+        let mut bad_profile = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
+        bad_profile.write_u64(1);
+        bad_profile.write_str("fig2");
+        bad_profile.write_u64(9);
+        bad_profile.write_u8(99);
+        bad_profile.write_u8(0);
+        bad_profile.write_u64(0);
+        // What a version 1 daemon wrote for a full-profile fig2 job: a
+        // hex line with a byte-wise FNV-1a checksum.
+        let v1_line = "5444515001000000040000000000000066696732090000000000000001000000\
+                       000000000000 2a5db100f1a0ac71\n";
+        for (case, bytes, why) in [
+            ("v0", resealed(0), "queue format v0; this build reads v2"),
+            ("v3", resealed(3), "queue format v3; this build reads v2"),
+            ("flip", flipped, "checksum mismatch"),
+            ("profile", bad_profile.seal().0, "profile tag 99"),
+            ("v1 text", v1_line.as_bytes().to_vec(), "checksum mismatch"),
+            ("bytes", b"\xff\xfe pending".to_vec(), "checksum mismatch"),
+        ] {
+            assert!(
+                decode_pending_file(&bytes).unwrap_err().contains(why),
+                "{case}: {:?}",
+                decode_pending_file(&bytes)
+            );
+            let shared = shared_on("damaged-pending");
+            std::fs::write(pending_path(&shared.store), &bytes).unwrap();
+            restore_pending(&shared);
+            assert!(queued(&shared).is_empty(), "{case}");
+            assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 0);
+            assert!(!pending_path(&shared.store).exists(), "{case}");
+            let held = shared.store.quarantine_dir().join(PENDING_NAME);
+            assert!(std::fs::read(held).unwrap() == bytes, "{case}: evidence");
+            let _ = std::fs::remove_dir_all(shared.store.dir());
+        }
     }
 }

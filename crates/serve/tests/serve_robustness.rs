@@ -22,8 +22,12 @@
 //!   answered without an accept poll, SIGTERM noticed by an idle daemon;
 //! * hostile request lines — over the 64 KiB cap, never terminated, not
 //!   UTF-8 — each answered `bad_request` while other connections are
-//!   served, and a cell of an older format version refused by name,
-//!   quarantined and recomputed.
+//!   served, and seeded random lines written in random-sized pieces,
+//!   each answered by exactly one `bad_request`;
+//! * a cell of an older format version refused by name, quarantined and
+//!   recomputed, and a `pending.tdq` that does not decode — a version 1
+//!   text file, a flipped byte, bytes that are not UTF-8 — quarantined,
+//!   with the daemon booting on an empty queue.
 #![cfg(unix)]
 
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -31,6 +35,9 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+use td_engine::SimRng;
+use td_serve::proto::{SimulateReq, MAX_LINE_BYTES};
+use td_serve::server::{decode_pending_file, encode_pending_file};
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
 
@@ -172,6 +179,12 @@ fn wait_stats(socket: &Path, what: &str, pred: impl Fn(&str) -> bool) -> String 
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+/// How many jobs the sealed `pending.tdq` in `store` holds.
+fn pending_jobs(store: &Path) -> usize {
+    let file = std::fs::read(store.join("pending.tdq")).expect("pending.tdq");
+    decode_pending_file(&file).expect("a pending queue").len()
 }
 
 /// A store file's 8-byte little-endian checksum trailer.
@@ -429,8 +442,7 @@ fn shed_queue_full_and_shutdown_drain() {
     let status = d.child.wait().expect("wait daemon");
     assert_eq!(status.code(), Some(0), "shutdown drain exits 0");
     // The queued-but-unstarted job was persisted.
-    let pending = std::fs::read_to_string(d.store.join("pending.tdq")).unwrap();
-    assert_eq!(pending.lines().count(), 1, "pending: {pending:?}");
+    assert_eq!(pending_jobs(&d.store), 1);
 }
 
 #[test]
@@ -469,8 +481,7 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
     );
     let status = d.child.wait().expect("wait daemon");
     assert_eq!(status.code(), Some(130), "signal drain exits 130");
-    let pending = std::fs::read_to_string(store.join("pending.tdq")).unwrap();
-    assert_eq!(pending.lines().count(), 2, "pending: {pending:?}");
+    assert_eq!(pending_jobs(&store), 2);
 
     // Restart on the same store: the pending queue replays as orphan
     // jobs and lands in the store; the same request is then a hit.
@@ -670,4 +681,162 @@ fn a_v1_cell_is_quarantined_by_name_and_recomputed() {
         "the v1 file is evidence"
     );
     assert!(again.contains(&format!("{:016x}", trailer(&std::fs::read(&cell).unwrap()))));
+}
+
+/// Boot a daemon on a store whose `pending.tdq` is `bytes`, which do not
+/// decode: the file is moved into quarantine intact, nothing is
+/// restored, and the daemon serves.
+fn boots_past_a_damaged_pending_queue(tag: &str, bytes: &[u8]) {
+    let store = tmp_dir(tag);
+    std::fs::write(store.join("pending.tdq"), bytes).unwrap();
+    let d = spawn_daemon_at(&store, &store.join("s.sock"), &["--jobs", "1"], &[]);
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "queue_restored"), 0, "stats: {s}");
+    assert!(!store.join("pending.tdq").exists(), "moved, not left");
+    let held = std::fs::read(store.join("quarantine").join("pending.tdq")).unwrap();
+    assert!(held == bytes, "the quarantined file is the evidence");
+    let pong = request(&d.socket, "{\"op\":\"ping\"}");
+    assert!(pong.contains("\"pong\":true"), "pong: {pong}");
+    let reply = request(
+        &d.socket,
+        "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":3,\"sim_secs\":1}",
+    );
+    assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
+}
+
+/// What a version 1 daemon drained to: one checksummed hex line per job.
+#[test]
+fn a_v1_text_pending_queue_is_quarantined() {
+    let v1 = "5444515001000000040000000000000066696732090000000000000001000000\
+              000000000000 2a5db100f1a0ac71\n";
+    boots_past_a_damaged_pending_queue("pending-v1", v1.as_bytes());
+}
+
+#[test]
+fn a_pending_queue_with_a_flipped_byte_is_quarantined() {
+    let req = SimulateReq {
+        experiment: "fig2".into(),
+        seed: 4,
+        profile: td_experiments::registry::Profile::Quick,
+        deadline_ms: None,
+        priority: 5,
+        overrides: vec![("sim_secs".into(), 1)],
+    };
+    let mut file = encode_pending_file([&req].into_iter());
+    let mid = file.len() / 2;
+    file[mid] ^= 0x01;
+    boots_past_a_damaged_pending_queue("pending-flip", &file);
+}
+
+/// Once the daemon returned without a word here, and overwrote the file
+/// unread at its next drain.
+#[test]
+fn a_non_utf8_pending_queue_is_quarantined() {
+    boots_past_a_damaged_pending_queue("pending-bytes", b"TDQP\xff\xfe\x00 not a queue\n");
+}
+
+/// A random request line: non-blank, newline-free, under the cap. It
+/// is built from pieces of the grammar (text the parser must refuse
+/// deep inside an object), in half the lines mixed with arbitrary bytes.
+fn random_line(rng: &mut SimRng) -> Vec<u8> {
+    const TOKENS: [&[u8]; 16] = [
+        b"{",
+        b"}",
+        b"\"",
+        b":",
+        b",",
+        b" ",
+        b"\\",
+        b"\\u00e9",
+        b"\"op\"",
+        b"\"ping\"",
+        b"\"simulate\"",
+        b"\"seed\"",
+        b"\"fig2\"",
+        b"7",
+        b"18446744073709551616",
+        b"true",
+    ];
+    let len = match rng.next_below(8) {
+        0..=4 => 1 + rng.next_below(64),
+        5 | 6 => 65 + rng.next_below(4096),
+        _ => 4097 + rng.next_below(MAX_LINE_BYTES as u64 - 4098),
+    } as usize;
+    let arbitrary = rng.next_below(2) == 0;
+    let mut line = Vec::with_capacity(len + 20);
+    while line.len() < len {
+        if arbitrary && rng.next_below(2) == 0 {
+            line.push(rng.next_u64() as u8);
+        } else {
+            line.extend_from_slice(TOKENS[rng.next_below(TOKENS.len() as u64) as usize]);
+        }
+    }
+    line.truncate(len);
+    line.retain(|&b| b != b'\n');
+    // A printable first byte keeps the line from being blank; half the
+    // lines open an object, so the parser reads past the first byte.
+    line.insert(
+        0,
+        match rng.next_below(2) {
+            0 => b'{',
+            _ => b'!' + rng.next_below(94) as u8,
+        },
+    );
+    line
+}
+
+/// Seeded random lines, each written in random-sized pieces with pauses
+/// between them, while a second connection pings: every line gets
+/// exactly one `bad_request`, and the daemon counts each.
+#[test]
+fn random_lines_in_partial_writes_each_get_one_bad_request() {
+    const LINES: u64 = 40;
+    let d = spawn_daemon("fuzz", &["--jobs", "1"], &[]);
+    let stream = UnixStream::connect(&d.socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let pinger = UnixStream::connect(&d.socket).expect("connect");
+    pinger
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut ping_writer = pinger.try_clone().unwrap();
+    let mut ping_reader = BufReader::new(pinger);
+    let mut ping = || {
+        ping_writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut pong = String::new();
+        ping_reader.read_line(&mut pong).expect("a pong");
+        assert_eq!(pong, "{\"status\":\"ok\",\"pong\":true}\n");
+    };
+
+    let mut rng = SimRng::new(0x5eed_f022);
+    for i in 0..LINES {
+        let line = random_line(&mut rng);
+        let mut rest = &line[..];
+        while !rest.is_empty() {
+            let piece = 1 + rng.next_below(rest.len().min(8192) as u64) as usize;
+            writer.write_all(&rest[..piece]).unwrap();
+            rest = &rest[piece..];
+            std::thread::sleep(Duration::from_micros(rng.next_below(1500)));
+            // Mid-line, another client is served.
+            ping();
+        }
+        writer.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply");
+        assert!(
+            reply.starts_with("{\"status\":\"bad_request\",\"reason\":"),
+            "line {i} ({} bytes): {reply}",
+            line.len()
+        );
+    }
+    // Exactly one reply per line: the next one answers this ping.
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\":true"), "pong: {pong}");
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "bad_requests"), LINES, "stats: {s}");
 }
