@@ -25,8 +25,9 @@
 //!   `td-serve verify` skips it. A damaged header, or one of another
 //!   version, cannot be resumed: the error asks for a rerun.
 //!
-//! A cell that panicked or tripped the invariant auditor is not stored,
-//! so a resume reruns it and its panic message and audit tally reappear.
+//! A cell that panicked or tripped the invariant auditor is not stored
+//! ([`crate::cell::store_policy`], which `td-serve` applies too), so a
+//! resume reruns it and its panic message and audit tally reappear.
 //! A stored cell carries no timing: a replayed one reports zero timing
 //! and `replayed: true`.
 
@@ -145,10 +146,10 @@ impl Journal {
     }
 
     /// [`Journal::append`] through a shared reference: concurrent saves
-    /// are safe, each one a file of its own. A cell that panicked or
-    /// has audit violations is not stored, so a resume reruns it.
+    /// are safe, each one a file of its own. A cell the store policy
+    /// refuses is not stored, so a resume reruns it.
     pub(crate) fn record(&self, result: &ExperimentResult) -> io::Result<()> {
-        if result.panic.is_some() || result.audit.total > 0 {
+        if crate::cell::store_policy(result.panic.as_deref(), &result.audit).is_err() {
             return Ok(());
         }
         let data = CellData {

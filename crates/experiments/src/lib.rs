@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod cell;
 pub mod chaos;
 pub mod conjecture;
 pub mod crosstraffic;

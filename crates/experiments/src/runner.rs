@@ -27,10 +27,10 @@
 //! never tasks between queues, and granting a sweep more or fewer slots
 //! can only change the wall clock, never a byte of output.
 //!
-//! The pool is also fault-isolated: every task runs under
-//! [`std::panic::catch_unwind`], so one panicking scenario becomes one
-//! failed [`ExperimentResult`] (panic message preserved in
-//! `timings.json`) instead of a poisoned batch.
+//! The pool is also fault-isolated: every task runs through
+//! [`crate::cell::compute`], `td-serve`'s executor too, so one panicking
+//! scenario becomes one failed [`ExperimentResult`] (panic message
+//! preserved in `timings.json`) instead of a poisoned batch.
 //!
 //! Finally, the pool is the observability hook: each task is metered with
 //! wall-clock time and one [`td_engine::meter`] scope (events scheduled /
@@ -39,16 +39,16 @@
 //! `timings.json` report — the trajectory file the benchmarking roadmap
 //! hangs off.
 
+use crate::cell::{self, Limits, Outcome};
 use crate::journal::Journal;
 use crate::registry::{Entry, Profile};
 use crate::report::Report;
 use crate::sweep;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 use td_analysis::RunningStats;
-use td_engine::meter::{self, Counter, Gauge, Meter};
+use td_engine::meter::{Counter, Gauge, Meter};
 use td_engine::{fnv1a, fnv1a_continue};
 use td_net::audit::Tally;
 
@@ -434,17 +434,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// The synthetic report of a panicked task: one failing row carrying the
 /// panic message, so every downstream consumer (`all_ok`, pass counts,
 /// exit codes, summaries) treats the panic as a mismatch instead of
@@ -474,7 +463,7 @@ fn panic_report(entry: &Entry, seed: u64, msg: &str) -> Report {
 /// back deterministically), which is what lets the thread-local
 /// [`td_engine::meter`] meter it.
 ///
-/// Fault isolation: each task runs under `catch_unwind`. A panicking
+/// Fault isolation: each task runs through [`cell::compute`]. A panicking
 /// experiment yields a failed [`ExperimentResult`] (message in
 /// [`ExperimentResult::panic`] and `timings.json`) and the rest of the
 /// batch keeps running; `run_batch` itself always returns a full
@@ -554,19 +543,13 @@ pub fn run_batch_resumable(
                     }
 
                     let rss_reset = reset_peak_rss();
-                    let t0 = Instant::now();
-                    let (outcome, metered) = meter::scoped(|| {
-                        catch_unwind(AssertUnwindSafe(|| entry.run(seed, cfg.profile)))
-                    });
-                    let wall_s = t0.elapsed().as_secs_f64();
-                    let (report, panic) = match outcome {
-                        Ok(report) => (report, None),
-                        Err(payload) => {
-                            let msg = panic_message(payload);
+                    let run = cell::compute(entry, seed, cfg.profile, Limits::default());
+                    let (report, panic) = match run.outcome {
+                        Outcome::Ok(report) => (report, None),
+                        Outcome::Deadline(msg) | Outcome::Panic(msg) => {
                             (panic_report(entry, seed, &msg), Some(msg))
                         }
                     };
-
                     let result = ExperimentResult {
                         id: entry.id,
                         replicate,
@@ -574,15 +557,15 @@ pub fn run_batch_resumable(
                         report,
                         panic,
                         timing: Timing {
-                            wall_s,
-                            events_scheduled: metered.count(Counter::EventsScheduled),
-                            events_dispatched: metered.count(Counter::EventsDispatched),
-                            peak_queue_depth: metered.gauge(Gauge::PeakQueueDepth) as usize,
+                            wall_s: run.wall_s,
+                            events_scheduled: run.meter.count(Counter::EventsScheduled),
+                            events_dispatched: run.meter.count(Counter::EventsDispatched),
+                            peak_queue_depth: run.meter.gauge(Gauge::PeakQueueDepth) as usize,
                             peak_rss_kib: peak_rss_kib(),
                             peak_rss_is_process_max: !rss_reset,
                         },
-                        audit: Tally::of(&metered),
-                        meter: metered,
+                        audit: Tally::of(&run.meter),
+                        meter: run.meter,
                         replayed: false,
                     };
                     // Store before publishing the slot: after `record`
@@ -607,7 +590,7 @@ pub fn run_batch_resumable(
                         eprintln!(
                             "[{finished}/{n_tasks}] {} (seed {seed}): {status} in {:.1}s, {} events, peak queue {}",
                             entry.id,
-                            wall_s,
+                            result.timing.wall_s,
                             result.timing.events_dispatched,
                             result.timing.peak_queue_depth
                         );

@@ -28,10 +28,11 @@
 //!
 //! Worker pools that fan replicates out to helper threads should
 //! propagate the deadline with [`get`] + [`arm_until`] so helpers abort
-//! promptly too (see `td_experiments::sweep::parallel_map`); the
-//! serving layer additionally classifies *any* panic that unwinds out
-//! of an expired-deadline cell as a deadline, because a helper-thread
-//! unwind can lose the original payload at the scope boundary.
+//! promptly too (see `td_experiments::sweep::parallel_map`); the cell
+//! executor (`td_experiments::cell::compute`) classifies *any* panic
+//! that unwinds out of an expired-deadline cell as a deadline, because
+//! a helper-thread unwind can lose the original payload at the scope
+//! boundary.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};

@@ -30,11 +30,16 @@
 //!   polls; an over-budget cell unwinds and the client gets a
 //!   structured `deadline_exceeded` carrying the partial diagnostics
 //!   (simulated time reached, events dispatched).
-//! * **Crash isolation**: every cell runs under `catch_unwind`; a
-//!   panicking experiment is retried with deterministic exponential
-//!   backoff (jitter seeded from `(config_hash, seed, attempt)`), and a
-//!   config that keeps failing trips a circuit breaker that rejects
-//!   further requests for it without burning workers.
+//! * **Crash isolation**: every cell runs through
+//!   [`td_experiments::cell::compute`], the executor `td-repro` uses —
+//!   one meter scope, `catch_unwind`, one classification; a panicking
+//!   experiment is retried with deterministic exponential backoff
+//!   (jitter seeded from `(config_hash, seed, attempt)`), a report the
+//!   invariant auditor flagged is refused by
+//!   [`td_experiments::cell::store_policy`] and answered `failed`
+//!   without being cached, and a config that keeps failing trips a
+//!   circuit breaker that rejects further requests for it without
+//!   burning workers.
 //! * **Store integrity** ([`td_experiments::store`]): cell files carry a
 //!   checksum trailer verified on every read; a corrupt cell, or one of
 //!   an older format version, is moved into a `quarantine/` sidecar and

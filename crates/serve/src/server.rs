@@ -13,11 +13,11 @@
 //!                           │           pass)        ▼
 //!                           │        bounded priority queue ──▶ worker
 //!                           │                                    │
-//!                      overloaded /                     catch_unwind(run)
+//!                      overloaded /                      cell::compute
 //!                      queue_full / shed               ╱        │        ╲
-//!                                             ok: encode once,  deadline   panic:
-//!                                             store, respond    exceeded   retry→backoff
-//!                                                                          →failed→breaker
+//!                                             ok: store_policy  deadline   panic:
+//!                                             clean: store, ok  exceeded   retry→backoff
+//!                                             audited: failed→breaker      →failed→breaker
 //! ```
 //!
 //! All robustness decisions are deterministic: the backoff jitter is
@@ -36,9 +36,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use td_engine::{write_atomic, SimRng, SnapError, SnapReader, SnapWriter};
-use td_experiments::registry::{config_hash, find, validate_override, Profile};
+use td_experiments::cell::{self, Limits, Outcome};
+use td_experiments::registry::{config_hash, find, validate_override, Entry, Profile};
 use td_experiments::store::{CellData, CellKey, Lookup, Store};
 use td_experiments::sweep::budget;
+use td_experiments::Report;
+use td_net::audit::Tally;
 
 /// File name of the persisted pending queue, inside the store directory.
 const PENDING_NAME: &str = "pending.tdq";
@@ -112,7 +115,7 @@ pub struct Counters {
     pub worker_panics: AtomicU64,
     /// `deadline_exceeded` responses.
     pub deadline_exceeded: AtomicU64,
-    /// `failed` responses (retries exhausted or store errors).
+    /// `failed` responses (retries exhausted, audit violations, store errors).
     pub failed: AtomicU64,
     /// Queued requests shed to admit a higher-priority one.
     pub shed: AtomicU64,
@@ -132,6 +135,8 @@ pub struct Counters {
 struct Job {
     seq: u64,
     req: SimulateReq,
+    /// `req`'s registry entry, resolved at admission or restore.
+    entry: Entry,
     key: CellKey,
     deadline: Option<Instant>,
     /// `None` for orphans restored from `pending.tdq` — the original
@@ -366,10 +371,13 @@ fn restore_pending(shared: &Shared) {
     };
     let mut restored = 0u64;
     for req in reqs {
-        if let Err(why) = check_pending(&req) {
-            eprintln!("td-serve: skipping a pending job from the last drain: {why}");
-            continue;
-        }
+        let entry = match check_pending(&req) {
+            Ok(entry) => entry,
+            Err(why) => {
+                eprintln!("td-serve: skipping a pending job from the last drain: {why}");
+                continue;
+            }
+        };
         let key = CellKey {
             config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
             seed: req.seed,
@@ -380,6 +388,7 @@ fn restore_pending(shared: &Shared) {
         q.items.push(Job {
             seq,
             req,
+            entry,
             key,
             deadline: None,
             reply: None,
@@ -399,19 +408,16 @@ fn restore_pending(shared: &Shared) {
 }
 
 /// Hold one `pending.tdq` record to what `parse_request` and
-/// `handle_simulate` demand of a request off the socket: the file
-/// outlives the binary that wrote it, so it is outside input too.
-fn check_pending(req: &SimulateReq) -> Result<(), String> {
+/// `handle_simulate` demand of a request off the socket (the file
+/// outlives the binary that wrote it), and resolve its entry.
+fn check_pending(req: &SimulateReq) -> Result<Entry, String> {
     if u64::from(req.priority) > MAX_PRIORITY {
         return Err(format!("priority {} above {MAX_PRIORITY}", req.priority));
     }
     for (key, value) in &req.overrides {
         validate_override(key, *value)?;
     }
-    if find(&req.experiment).is_none() {
-        return Err(format!("unknown experiment {:?}", req.experiment));
-    }
-    Ok(())
+    find(&req.experiment).ok_or_else(|| format!("unknown experiment {:?}", req.experiment))
 }
 
 /// What one read of a request line produced.
@@ -519,10 +525,10 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
 }
 
 fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
-    if find(&req.experiment).is_none() {
+    let Some(entry) = find(&req.experiment) else {
         let why = format!("unknown experiment \"{}\"", req.experiment);
         return bad_request(shared, &why);
-    }
+    };
     let key = CellKey {
         config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
         seed: req.seed,
@@ -607,6 +613,7 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
         q.items.push(Job {
             seq,
             req,
+            entry,
             key,
             deadline,
             reply: Some(tx),
@@ -650,62 +657,18 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-enum CellOutcome {
-    Ok(Box<td_experiments::Report>),
-    Deadline(String),
-    Panic(String),
-}
-
-/// One attempt: arm the sim-secs override and the wall-clock deadline,
-/// run the entry under `catch_unwind`, classify the outcome. A panic
-/// from a cell whose deadline has passed counts as a deadline — a
-/// helper-thread unwind can lose the marker payload at the thread-scope
-/// boundary, so expiry is checked directly too.
-fn run_cell(req: &SimulateReq, deadline: Option<Instant>) -> CellOutcome {
-    let Some(entry) = find(&req.experiment) else {
-        return CellOutcome::Panic(format!(
-            "experiment {:?} vanished from registry",
-            req.experiment
-        ));
-    };
-    let sim_secs = req
-        .overrides
-        .iter()
-        .find(|(k, _)| k == "sim_secs")
-        .map(|(_, v)| *v);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _secs_guard = sim_secs.map(td_experiments::override_sim_secs);
-        let _deadline_guard = deadline.map(td_net::deadline::arm_until);
-        entry.run(req.seed, req.profile)
-    }));
-    match result {
-        Ok(report) => CellOutcome::Ok(Box::new(report)),
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            if msg.starts_with(td_net::deadline::PANIC_PREFIX) {
-                CellOutcome::Deadline(msg)
-            } else if expired {
-                // The marker payload was lost at a thread-scope
-                // boundary; recover the diagnostics it carried.
-                CellOutcome::Deadline(td_net::deadline::take_last_message().unwrap_or(msg))
-            } else {
-                CellOutcome::Panic(msg)
-            }
-        }
-    }
-}
-
 fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
-    let req = &job.req;
+    let (req, c) = (&job.req, &shared.counters);
     // A request can expire while queued; don't burn a worker on it.
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
-        shared
-            .counters
-            .deadline_exceeded
-            .fetch_add(1, Ordering::SeqCst);
+        c.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
         return render_deadline(req, job.key, "deadline expired while queued");
     }
+    let sim_secs = req.overrides.iter().find(|(k, _)| k == "sim_secs");
+    let limits = Limits {
+        sim_secs: sim_secs.map(|&(_, v)| v),
+        deadline: job.deadline,
+    };
 
     // Borrow one job-budget slot while computing, so in-experiment
     // replicate sweeps can use whatever the other workers leave idle.
@@ -714,55 +677,58 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
     let mut attempt = 0u32;
     let resp = loop {
         attempt += 1;
-        match run_cell(req, job.deadline) {
-            CellOutcome::Ok(report) => {
-                let data = CellData {
-                    experiment: req.experiment.clone(),
-                    profile: req.profile,
-                    report: *report,
-                };
-                let sum = match shared.store.save(job.key, &data) {
-                    Ok(sum) => sum,
-                    Err(e) => {
-                        shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-                        break render_failed(
-                            req,
-                            job.key,
-                            attempt,
-                            false,
-                            &format!("store write failed: {e}"),
-                        );
-                    }
-                };
-                shared.counters.computed.fetch_add(1, Ordering::SeqCst);
-                if job.recompute {
-                    shared.counters.recomputed.fetch_add(1, Ordering::SeqCst);
-                }
-                breaker_reset(shared, job.key.config_hash);
-                shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-                break render_ok(job.key, &data, sum);
-            }
-            CellOutcome::Deadline(why) => {
-                shared
-                    .counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::SeqCst);
+        let run = cell::compute(&job.entry, req.seed, req.profile, limits);
+        let why = match run.outcome {
+            // A report the auditor flagged would violate again on a
+            // retry: it fails now, and nothing is cached.
+            Outcome::Ok(report) => match cell::store_policy(None, &Tally::of(&run.meter)) {
+                Ok(()) => break save_computed(shared, job, attempt, report),
+                Err(why) => why,
+            },
+            Outcome::Deadline(why) => {
+                c.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
                 break render_deadline(req, job.key, &why);
             }
-            CellOutcome::Panic(why) => {
-                shared.counters.worker_panics.fetch_add(1, Ordering::SeqCst);
-                if attempt >= max_attempts {
-                    let open = breaker_record_failure(shared, job.key.config_hash);
-                    shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-                    break render_failed(req, job.key, attempt, open, &why);
+            Outcome::Panic(why) => {
+                c.worker_panics.fetch_add(1, Ordering::SeqCst);
+                if attempt < max_attempts {
+                    c.retries.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(backoff(shared.cfg.backoff_base_ms, job.key, attempt));
+                    continue;
                 }
-                shared.counters.retries.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(backoff(shared.cfg.backoff_base_ms, job.key, attempt));
+                why
             }
-        }
+        };
+        let open = breaker_record_failure(shared, job.key.config_hash);
+        c.failed.fetch_add(1, Ordering::SeqCst);
+        break render_failed(req, job.key, attempt, open, &why);
     };
     budget().release(slot);
     resp
+}
+
+/// Store a computed report the policy accepted and answer `ok`.
+fn save_computed(shared: &Shared, job: &Job, attempt: u32, report: Report) -> String {
+    let data = CellData {
+        experiment: job.req.experiment.clone(),
+        profile: job.req.profile,
+        report,
+    };
+    let sum = match shared.store.save(job.key, &data) {
+        Ok(sum) => sum,
+        Err(e) => {
+            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
+            let why = format!("store write failed: {e}");
+            return render_failed(&job.req, job.key, attempt, false, &why);
+        }
+    };
+    shared.counters.computed.fetch_add(1, Ordering::SeqCst);
+    if job.recompute {
+        shared.counters.recomputed.fetch_add(1, Ordering::SeqCst);
+    }
+    breaker_reset(shared, job.key.config_hash);
+    shared.counters.ok.fetch_add(1, Ordering::SeqCst);
+    render_ok(job.key, &data, sum)
 }
 
 /// Exponential backoff with deterministic jitter: attempt `a` sleeps
@@ -797,16 +763,6 @@ fn breaker_record_failure(shared: &Shared, config: u64) -> bool {
 
 fn breaker_reset(shared: &Shared, config: u64) {
     shared.breaker.lock().unwrap().remove(&config);
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// The `ok` response. Deliberately free of cache/wall-clock fields so a
@@ -966,6 +922,7 @@ mod tests {
         let job = Job {
             seq: 0,
             req: req.clone(),
+            entry: find("fig2").unwrap(),
             key,
             deadline: None,
             reply: None,
@@ -989,6 +946,60 @@ mod tests {
         assert_eq!(ENCODES.get(), before, "a hit re-encodes nothing");
         assert_eq!(hit, miss, "hit and miss replies are the same bytes");
         assert_eq!(shared.counters.hits.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(shared.store.dir());
+    }
+
+    /// A report the invariant auditor flagged is answered `failed` with
+    /// the violation as its reason, every time it is asked, and never
+    /// reaches the store: a cached copy would be served `ok` forever.
+    #[test]
+    fn audit_violating_cells_are_failed_and_never_stored() {
+        let shared = shared_on("audit");
+        let req = SimulateReq {
+            experiment: "audit-probe".into(),
+            seed: 5,
+            profile: Profile::Quick,
+            deadline_ms: None,
+            priority: 0,
+            overrides: Vec::new(),
+        };
+        let key = CellKey {
+            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
+            seed: req.seed,
+        };
+        let job = Job {
+            seq: 0,
+            req,
+            entry: Entry::new(
+                "audit-probe",
+                "violates an invariant, then reports a pass (test fixture)",
+                |seed, _| {
+                    td_net::audit::inject_violation_for_test("probe conservation broken");
+                    let mut rep = td_experiments::Report::new("audit-probe", "probe", "-");
+                    rep.check("completed", "yes", format!("seed {seed}"), true);
+                    rep
+                },
+            ),
+            key,
+            deadline: None,
+            reply: None,
+            recompute: false,
+        };
+        for _ in 0..2 {
+            let reply = process_job(&shared, &job);
+            assert!(reply.starts_with("{\"status\":\"failed\""), "{reply}");
+            assert!(reply.contains("probe conservation broken"), "{reply}");
+            assert!(!shared.store.cell_path(key).exists(), "the cell was stored");
+        }
+        let c = &shared.counters;
+        assert_eq!(c.failed.load(Ordering::SeqCst), 2);
+        assert_eq!(c.computed.load(Ordering::SeqCst), 0);
+        assert_eq!(c.ok.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            c.retries.load(Ordering::SeqCst),
+            0,
+            "a violation is not retried"
+        );
         let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
@@ -1044,6 +1055,7 @@ mod tests {
         shared.queue.lock().unwrap().items.push(Job {
             seq: 0,
             req,
+            entry: find("fig2").unwrap(),
             key,
             deadline: None,
             reply: None,
