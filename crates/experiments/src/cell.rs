@@ -2,7 +2,7 @@
 //! workers share. [`compute`] runs a registry entry under one meter
 //! scope and the caller's [`Limits`], behind `catch_unwind`, and
 //! classifies its end; [`store_policy`] decides whether it may be
-//! saved. Failure reports, retries and the breaker stay with the callers.
+//! saved. What a failure is answered with stays with the callers.
 
 use crate::registry::{Entry, Profile};
 use crate::report::Report;

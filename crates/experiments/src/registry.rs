@@ -235,8 +235,9 @@ pub fn registry() -> Vec<Entry> {
     ]
 }
 
-/// Entries addressable with `--only` but excluded from `--all`:
-/// resource-budget and robustness drills rather than paper claims.
+/// Entries addressable with `--only` but excluded from `--all`: the
+/// resource-budget rungs and the model-checking drill rather than paper
+/// claims.
 pub fn hidden() -> Vec<Entry> {
     vec![
         Entry {
@@ -254,39 +255,7 @@ pub fn hidden() -> Vec<Entry> {
             about: "Bounded model checking: fault placements across one fig45 congestion epoch",
             runner: crate::mc::report,
         },
-        Entry {
-            id: "faulty",
-            about: "Serve-harness drill: panics the first TD_FAULTY_PANICS calls, then succeeds",
-            runner: faulty_runner,
-        },
     ]
-}
-
-/// A deliberately unreliable runner for exercising `td-serve`'s retry,
-/// backoff, and circuit-breaker paths end to end: each call panics
-/// until the process-wide call counter reaches `TD_FAULTY_PANICS`
-/// (default 0 — never panics). The success report is a pure function of
-/// `(seed, profile)` — it must not mention the call count, so a cached
-/// response and a post-retry recompute stay byte-identical.
-fn faulty_runner(seed: u64, profile: Profile) -> Report {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CALLS: AtomicU64 = AtomicU64::new(0);
-    let limit: u64 = std::env::var("TD_FAULTY_PANICS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let call = CALLS.fetch_add(1, Ordering::SeqCst);
-    if call < limit {
-        panic!("faulty: induced failure {} of {limit}", call + 1);
-    }
-    let mut rep = Report::new(
-        "faulty",
-        "Deliberate-failure drill",
-        &format!("seed={seed} profile={profile:?}"),
-    );
-    rep.check("survived", "true", "true".into(), true);
-    rep.metric("seed", seed as f64);
-    rep
 }
 
 /// Look up one experiment by id, including hidden entries.
@@ -372,17 +341,5 @@ mod tests {
             assert_eq!(secs(Profile::Full, 600, 2000), 42);
         }
         assert_eq!(secs(Profile::Quick, 600, 2000), 600, "guard restores");
-    }
-
-    #[test]
-    fn faulty_entry_is_hidden_and_benign_by_default() {
-        // TD_FAULTY_PANICS unset: the drill never panics and its report
-        // depends only on (seed, profile).
-        let e = find("faulty").expect("hidden entry resolves");
-        let a = e.run(7, Profile::Quick);
-        let b = e.run(7, Profile::Quick);
-        assert_eq!(a.config, b.config);
-        assert!(a.all_ok());
-        assert!(registry().iter().all(|e| e.id != "faulty"));
     }
 }

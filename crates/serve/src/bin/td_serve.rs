@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! td-serve serve   --store DIR [--socket PATH] [--jobs N] [--queue-cap N]
-//!                  [--retries N] [--backoff-ms N] [--breaker N] [--deadline-ms N]
+//!                  [--deadline-ms N]
 //! td-serve verify  --store DIR [--fix]      # checksum-scan every cell
 //! td-serve compact --store DIR              # drop tmp files + quarantine
 //! td-serve req     --socket PATH JSON...    # send request line(s), print replies
@@ -64,7 +64,7 @@ fn install_signal_handlers() -> Option<&'static std::sync::atomic::AtomicBool> {
 fn usage() -> String {
     "usage:\n  \
      td-serve serve   --store DIR [--socket PATH] [--jobs N] [--queue-cap N]\n                   \
-     [--retries N] [--backoff-ms N] [--breaker N] [--deadline-ms N]\n  \
+     [--deadline-ms N]\n  \
      td-serve verify  --store DIR [--fix]\n  \
      td-serve compact --store DIR\n  \
      td-serve req     --socket PATH JSON...\n  \
@@ -74,9 +74,6 @@ fn usage() -> String {
      --socket PATH      Unix socket path (default: STORE/td-serve.sock)\n  \
      --jobs N           worker threads (default: available cores)\n  \
      --queue-cap N      bounded queue capacity (default: 64)\n  \
-     --retries N        retries after a failed attempt (default: 2)\n  \
-     --backoff-ms N     base retry backoff in ms (default: 50)\n  \
-     --breaker N        consecutive failures to open a config's circuit (default: 3)\n  \
      --deadline-ms N    default per-request deadline (default: none)"
         .to_owned()
 }
@@ -102,12 +99,6 @@ fn cmd_serve(args: &mut std::env::Args) -> Result<i32, String> {
             "--jobs" => cfg.jobs = parse_u64("--jobs", args.next())?.clamp(1, 512) as usize,
             "--queue-cap" => {
                 cfg.queue_cap = parse_u64("--queue-cap", args.next())?.clamp(1, 1 << 20) as usize;
-            }
-            "--retries" => cfg.max_retries = parse_u64("--retries", args.next())?.min(100) as u32,
-            "--backoff-ms" => cfg.backoff_base_ms = parse_u64("--backoff-ms", args.next())?,
-            "--breaker" => {
-                cfg.breaker_threshold =
-                    parse_u64("--breaker", args.next())?.clamp(1, 1 << 20) as u32;
             }
             "--deadline-ms" => {
                 let ms = parse_u64("--deadline-ms", args.next())?;

@@ -30,16 +30,13 @@
 //!   polls; an over-budget cell unwinds and the client gets a
 //!   structured `deadline_exceeded` carrying the partial diagnostics
 //!   (simulated time reached, events dispatched).
-//! * **Crash isolation**: every cell runs through
+//! * **Crash isolation**: every cell runs once per request through
 //!   [`td_experiments::cell::compute`], the executor `td-repro` uses —
-//!   one meter scope, `catch_unwind`, one classification; a panicking
-//!   experiment is retried with deterministic exponential backoff
-//!   (jitter seeded from `(config_hash, seed, attempt)`), a report the
-//!   invariant auditor flagged is refused by
-//!   [`td_experiments::cell::store_policy`] and answered `failed`
-//!   without being cached, and a config that keeps failing trips a
-//!   circuit breaker that rejects further requests for it without
-//!   burning workers.
+//!   one meter scope, `catch_unwind`, one classification. A cell is a
+//!   pure function of its key, so a panic or a report the invariant
+//!   auditor flagged (refused by [`td_experiments::cell::store_policy`])
+//!   would recur on a rerun: either is answered `failed` with its reason
+//!   and never cached, and the daemon serves on.
 //! * **Store integrity** ([`td_experiments::store`]): cell files carry a
 //!   checksum trailer verified on every read; a corrupt cell, or one of
 //!   an older format version, is moved into a `quarantine/` sidecar and

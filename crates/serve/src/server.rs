@@ -1,5 +1,5 @@
-//! The daemon: accept loop, admission control, worker pool, retry /
-//! breaker policy, and graceful drain.
+//! The daemon: accept loop, admission control, worker pool and graceful
+//! drain.
 //!
 //! # Request lifecycle
 //!
@@ -13,29 +13,28 @@
 //!                           │           pass)        ▼
 //!                           │        bounded priority queue ──▶ worker
 //!                           │                                    │
-//!                      overloaded /                      cell::compute
+//!                      overloaded /                  cell::compute, once
 //!                      queue_full / shed               ╱        │        ╲
 //!                                             ok: store_policy  deadline   panic:
-//!                                             clean: store, ok  exceeded   retry→backoff
-//!                                             audited: failed→breaker      →failed→breaker
+//!                                             clean: store, ok  exceeded   failed
+//!                                             audited: failed
 //! ```
 //!
-//! All robustness decisions are deterministic: the backoff jitter is
-//! seeded from `(config_hash, seed, attempt)`, the circuit breaker is a
-//! plain consecutive-failure counter per config, and responses carry no
-//! wall-clock or cache fields — a cache hit and a recompute of the same
-//! cell are byte-identical, which the integration tests and the CI
-//! `serve` job pin.
+//! A cell's report is a pure function of `(experiment, profile, seed,
+//! overrides)`, so a worker computes it at most once per request and
+//! answers what that run produced: a panic or an audit violation would
+//! recur on a second run. Responses carry no wall-clock or cache fields —
+//! a cache hit and a recompute of the same cell are byte-identical,
+//! which the integration tests and the CI `serve` job pin.
 
 use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_engine::{write_atomic, SimRng, SnapError, SnapReader, SnapWriter};
+use td_engine::{write_atomic, SnapError, SnapReader, SnapWriter};
 use td_experiments::cell::{self, Limits, Outcome};
 use td_experiments::registry::{config_hash, find, validate_override, Entry, Profile};
 use td_experiments::store::{CellData, CellKey, Lookup, Store};
@@ -62,14 +61,6 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Bounded queue capacity; beyond it, shed or reject.
     pub queue_cap: usize,
-    /// Retries after the first failed attempt.
-    pub max_retries: u32,
-    /// Base backoff between attempts (doubles per retry, plus
-    /// deterministic jitter).
-    pub backoff_base_ms: u64,
-    /// Consecutive final failures of one config before its circuit
-    /// breaker opens.
-    pub breaker_threshold: u32,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline_ms: Option<u64>,
 }
@@ -83,9 +74,6 @@ impl Default for ServeConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2),
             queue_cap: 64,
-            max_retries: 2,
-            backoff_base_ms: 50,
-            breaker_threshold: 3,
             default_deadline_ms: None,
         }
     }
@@ -109,20 +97,16 @@ pub struct Counters {
     pub computed: AtomicU64,
     /// Cells recomputed after their stored copy was quarantined.
     pub recomputed: AtomicU64,
-    /// Attempts retried after a worker panic.
-    pub retries: AtomicU64,
-    /// Worker panics caught (every attempt, retried or not).
+    /// Worker panics caught.
     pub worker_panics: AtomicU64,
     /// `deadline_exceeded` responses.
     pub deadline_exceeded: AtomicU64,
-    /// `failed` responses (retries exhausted, audit violations, store errors).
+    /// `failed` responses (worker panics, audit violations, store errors).
     pub failed: AtomicU64,
     /// Queued requests shed to admit a higher-priority one.
     pub shed: AtomicU64,
     /// Requests rejected outright (`queue_full` or `draining`).
     pub overloaded: AtomicU64,
-    /// Requests rejected by an open circuit breaker.
-    pub circuit_open: AtomicU64,
     /// Corrupt store cells moved to quarantine during lookups.
     pub quarantined: AtomicU64,
     /// Queued jobs persisted to `pending.tdq` at drain.
@@ -164,8 +148,6 @@ struct Shared {
     /// Request lines read whose reply is not yet on its socket. The
     /// drain waits for zero before the process may exit.
     replies_owed: AtomicU64,
-    /// Consecutive final failures per config hash.
-    breaker: Mutex<HashMap<u64, u32>>,
 }
 
 /// Run the daemon until a drain completes. `interrupt` is the
@@ -185,7 +167,6 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
         cond: Condvar::new(),
         draining: AtomicBool::new(false),
         replies_owed: AtomicU64::new(0),
-        breaker: Mutex::new(HashMap::new()),
         cfg,
     });
 
@@ -539,13 +520,6 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
         return render_overloaded("draining");
     }
 
-    // Circuit breaker: a config that keeps failing is rejected without
-    // burning a worker on it again.
-    if breaker_is_open(shared, key.config_hash) {
-        shared.counters.circuit_open.fetch_add(1, Ordering::SeqCst);
-        return render_failed(&req, key, 0, true, "circuit breaker open for this config");
-    }
-
     // Store lookup; a quarantined cell falls through to recompute.
     let mut recompute = false;
     match shared.store.load(key) {
@@ -565,10 +539,7 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
             );
             recompute = true;
         }
-        Err(e) => {
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-            return render_failed(&req, key, 0, false, &format!("store read failed: {e}"));
-        }
+        Err(e) => return failed(shared, &req, key, &format!("store read failed: {e}")),
     }
 
     let deadline = req
@@ -673,42 +644,28 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
     // Borrow one job-budget slot while computing, so in-experiment
     // replicate sweeps can use whatever the other workers leave idle.
     let slot = budget().acquire_up_to(1);
-    let max_attempts = 1 + shared.cfg.max_retries;
-    let mut attempt = 0u32;
-    let resp = loop {
-        attempt += 1;
-        let run = cell::compute(&job.entry, req.seed, req.profile, limits);
-        let why = match run.outcome {
-            // A report the auditor flagged would violate again on a
-            // retry: it fails now, and nothing is cached.
-            Outcome::Ok(report) => match cell::store_policy(None, &Tally::of(&run.meter)) {
-                Ok(()) => break save_computed(shared, job, attempt, report),
-                Err(why) => why,
-            },
-            Outcome::Deadline(why) => {
-                c.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
-                break render_deadline(req, job.key, &why);
-            }
-            Outcome::Panic(why) => {
-                c.worker_panics.fetch_add(1, Ordering::SeqCst);
-                if attempt < max_attempts {
-                    c.retries.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(backoff(shared.cfg.backoff_base_ms, job.key, attempt));
-                    continue;
-                }
-                why
-            }
-        };
-        let open = breaker_record_failure(shared, job.key.config_hash);
-        c.failed.fetch_add(1, Ordering::SeqCst);
-        break render_failed(req, job.key, attempt, open, &why);
+    let run = cell::compute(&job.entry, req.seed, req.profile, limits);
+    let resp = match run.outcome {
+        // A report the auditor flagged fails, and nothing is cached.
+        Outcome::Ok(report) => match cell::store_policy(None, &Tally::of(&run.meter)) {
+            Ok(()) => save_computed(shared, job, report),
+            Err(why) => failed(shared, req, job.key, &why),
+        },
+        Outcome::Deadline(why) => {
+            c.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
+            render_deadline(req, job.key, &why)
+        }
+        Outcome::Panic(why) => {
+            c.worker_panics.fetch_add(1, Ordering::SeqCst);
+            failed(shared, req, job.key, &why)
+        }
     };
     budget().release(slot);
     resp
 }
 
 /// Store a computed report the policy accepted and answer `ok`.
-fn save_computed(shared: &Shared, job: &Job, attempt: u32, report: Report) -> String {
+fn save_computed(shared: &Shared, job: &Job, report: Report) -> String {
     let data = CellData {
         experiment: job.req.experiment.clone(),
         profile: job.req.profile,
@@ -717,52 +674,16 @@ fn save_computed(shared: &Shared, job: &Job, attempt: u32, report: Report) -> St
     let sum = match shared.store.save(job.key, &data) {
         Ok(sum) => sum,
         Err(e) => {
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
             let why = format!("store write failed: {e}");
-            return render_failed(&job.req, job.key, attempt, false, &why);
+            return failed(shared, &job.req, job.key, &why);
         }
     };
     shared.counters.computed.fetch_add(1, Ordering::SeqCst);
     if job.recompute {
         shared.counters.recomputed.fetch_add(1, Ordering::SeqCst);
     }
-    breaker_reset(shared, job.key.config_hash);
     shared.counters.ok.fetch_add(1, Ordering::SeqCst);
     render_ok(job.key, &data, sum)
-}
-
-/// Exponential backoff with deterministic jitter: attempt `a` sleeps
-/// `base·2^(a−1) + jitter`, the jitter drawn from a [`SimRng`] seeded
-/// by `(config_hash, seed, attempt)` — reproducible run to run, yet
-/// decorrelated across cells so retry storms don't synchronize.
-fn backoff(base_ms: u64, key: CellKey, attempt: u32) -> Duration {
-    let base = base_ms.max(1);
-    let exp = base.saturating_mul(1 << attempt.min(6).saturating_sub(1));
-    let mut rng = SimRng::new(
-        key.config_hash
-            ^ key.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    );
-    Duration::from_millis(exp + rng.next_below(base))
-}
-
-fn breaker_is_open(shared: &Shared, config: u64) -> bool {
-    let b = shared.breaker.lock().unwrap();
-    b.get(&config)
-        .is_some_and(|&n| n >= shared.cfg.breaker_threshold.max(1))
-}
-
-/// Record a final (retries-exhausted) failure; true if the breaker for
-/// this config is now open.
-fn breaker_record_failure(shared: &Shared, config: u64) -> bool {
-    let mut b = shared.breaker.lock().unwrap();
-    let n = b.entry(config).or_insert(0);
-    *n += 1;
-    *n >= shared.cfg.breaker_threshold.max(1)
-}
-
-fn breaker_reset(shared: &Shared, config: u64) {
-    shared.breaker.lock().unwrap().remove(&config);
 }
 
 /// The `ok` response. Deliberately free of cache/wall-clock fields so a
@@ -803,17 +724,12 @@ fn render_deadline(req: &SimulateReq, key: CellKey, diagnostics: &str) -> String
     )
 }
 
-fn render_failed(
-    req: &SimulateReq,
-    key: CellKey,
-    attempts: u32,
-    circuit_open: bool,
-    reason: &str,
-) -> String {
+/// Count a `failed` request and word its reply.
+fn failed(shared: &Shared, req: &SimulateReq, key: CellKey, reason: &str) -> String {
+    shared.counters.failed.fetch_add(1, Ordering::SeqCst);
     format!(
         "{{\"status\":\"failed\",\"experiment\":\"{}\",\"seed\":{},\
-         \"config_hash\":\"{:016x}\",\"attempts\":{attempts},\
-         \"circuit_open\":{circuit_open},\"reason\":\"{}\"}}",
+         \"config_hash\":\"{:016x}\",\"reason\":\"{}\"}}",
         proto::json_escape(&req.experiment),
         req.seed,
         key.config_hash,
@@ -831,9 +747,9 @@ fn render_stats(shared: &Arc<Shared>) -> String {
     format!(
         "{{\"status\":\"stats\",\"requests\":{},\"ok\":{},\"bad_requests\":{},\
          \"hits\":{},\"misses\":{},\"computed\":{},\"recomputed\":{},\
-         \"retries\":{},\"worker_panics\":{},\"deadline_exceeded\":{},\
-         \"failed\":{},\"shed\":{},\"overloaded\":{},\"circuit_open\":{},\
-         \"quarantined\":{},\"queue_persisted\":{},\"queue_restored\":{},\
+         \"worker_panics\":{},\"deadline_exceeded\":{},\
+         \"failed\":{},\"shed\":{},\"overloaded\":{},\"quarantined\":{},\
+         \"queue_persisted\":{},\"queue_restored\":{},\
          \"queued\":{queued},\"in_flight\":{in_flight}}}",
         get(&c.requests),
         get(&c.ok),
@@ -842,13 +758,11 @@ fn render_stats(shared: &Arc<Shared>) -> String {
         get(&c.misses),
         get(&c.computed),
         get(&c.recomputed),
-        get(&c.retries),
         get(&c.worker_panics),
         get(&c.deadline_exceeded),
         get(&c.failed),
         get(&c.shed),
         get(&c.overloaded),
-        get(&c.circuit_open),
         get(&c.quarantined),
         get(&c.queue_persisted),
         get(&c.queue_restored),
@@ -858,30 +772,6 @@ fn render_stats(shared: &Arc<Shared>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_and_monotone_in_attempt() {
-        let key = CellKey {
-            config_hash: 0xabc,
-            seed: 7,
-        };
-        let a1 = backoff(50, key, 1);
-        let a1b = backoff(50, key, 1);
-        assert_eq!(a1, a1b, "same (config, seed, attempt) → same delay");
-        let a2 = backoff(50, key, 2);
-        let a3 = backoff(50, key, 3);
-        assert!(a1 >= Duration::from_millis(50));
-        assert!(a2 >= Duration::from_millis(100));
-        assert!(a3 >= Duration::from_millis(200));
-        // Jitter is bounded by one base unit.
-        assert!(a1 < Duration::from_millis(100));
-        // Different cells get different jitter streams.
-        let other = CellKey {
-            config_hash: 0xdef,
-            seed: 7,
-        };
-        assert_ne!(backoff(50, key, 1), backoff(50, other, 1));
-    }
 
     fn shared_on(tag: &str) -> Arc<Shared> {
         let dir = std::env::temp_dir().join(format!("td-server-{tag}-{}", std::process::id()));
@@ -893,12 +783,40 @@ mod tests {
             cond: Condvar::new(),
             draining: AtomicBool::new(false),
             replies_owed: AtomicU64::new(0),
-            breaker: Mutex::new(HashMap::new()),
             cfg: ServeConfig {
                 store_dir: dir,
                 ..ServeConfig::default()
             },
         })
+    }
+
+    /// A quick `fig2` request at `seed`, one simulated second long.
+    fn fig2_quick(seed: u64) -> SimulateReq {
+        SimulateReq {
+            experiment: "fig2".into(),
+            seed,
+            profile: Profile::Quick,
+            deadline_ms: None,
+            priority: 0,
+            overrides: vec![("sim_secs".into(), 1)],
+        }
+    }
+
+    /// `req` as a worker would take it off the queue, run by `entry`.
+    fn job_for(req: SimulateReq, entry: Entry) -> Job {
+        let key = CellKey {
+            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
+            seed: req.seed,
+        };
+        Job {
+            seq: 0,
+            req,
+            entry,
+            key,
+            deadline: None,
+            reply: None,
+            recompute: false,
+        }
     }
 
     /// A miss encodes its cell once (for the write), a hit not at all,
@@ -907,27 +825,9 @@ mod tests {
     fn miss_encodes_once_hit_never_and_both_fingerprint_the_file() {
         use td_experiments::store::ENCODES;
         let shared = shared_on("encodes");
-        let req = SimulateReq {
-            experiment: "fig2".into(),
-            seed: 3,
-            profile: Profile::Quick,
-            deadline_ms: None,
-            priority: 0,
-            overrides: vec![("sim_secs".into(), 1)],
-        };
-        let key = CellKey {
-            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
-            seed: req.seed,
-        };
-        let job = Job {
-            seq: 0,
-            req: req.clone(),
-            entry: find("fig2").unwrap(),
-            key,
-            deadline: None,
-            reply: None,
-            recompute: false,
-        };
+        let req = fig2_quick(3);
+        let job = job_for(req.clone(), find("fig2").unwrap());
+        let key = job.key;
 
         let before = ENCODES.get();
         let miss = process_job(&shared, &job);
@@ -955,51 +855,78 @@ mod tests {
     #[test]
     fn audit_violating_cells_are_failed_and_never_stored() {
         let shared = shared_on("audit");
-        let req = SimulateReq {
-            experiment: "audit-probe".into(),
-            seed: 5,
-            profile: Profile::Quick,
-            deadline_ms: None,
-            priority: 0,
-            overrides: Vec::new(),
-        };
-        let key = CellKey {
-            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
-            seed: req.seed,
-        };
-        let job = Job {
-            seq: 0,
-            req,
-            entry: Entry::new(
-                "audit-probe",
-                "violates an invariant, then reports a pass (test fixture)",
-                |seed, _| {
-                    td_net::audit::inject_violation_for_test("probe conservation broken");
-                    let mut rep = td_experiments::Report::new("audit-probe", "probe", "-");
-                    rep.check("completed", "yes", format!("seed {seed}"), true);
-                    rep
-                },
-            ),
-            key,
-            deadline: None,
-            reply: None,
-            recompute: false,
-        };
+        let probe = Entry::new(
+            "audit-probe",
+            "violates an invariant, then reports a pass (test fixture)",
+            |seed, _| {
+                td_net::audit::inject_violation_for_test("probe conservation broken");
+                let mut rep = td_experiments::Report::new("audit-probe", "probe", "-");
+                rep.check("completed", "yes", format!("seed {seed}"), true);
+                rep
+            },
+        );
+        let job = job_for(fig2_quick(5), probe);
         for _ in 0..2 {
             let reply = process_job(&shared, &job);
             assert!(reply.starts_with("{\"status\":\"failed\""), "{reply}");
             assert!(reply.contains("probe conservation broken"), "{reply}");
-            assert!(!shared.store.cell_path(key).exists(), "the cell was stored");
+            let stored = shared.store.cell_path(job.key).exists();
+            assert!(!stored, "the cell was stored");
         }
         let c = &shared.counters;
         assert_eq!(c.failed.load(Ordering::SeqCst), 2);
         assert_eq!(c.computed.load(Ordering::SeqCst), 0);
         assert_eq!(c.ok.load(Ordering::SeqCst), 0);
-        assert_eq!(
-            c.retries.load(Ordering::SeqCst),
-            0,
-            "a violation is not retried"
+        let _ = std::fs::remove_dir_all(shared.store.dir());
+    }
+
+    /// A panicking cell is run once per request and answered `failed`
+    /// with the panic message, every time: the same run would panic
+    /// again, so nothing retries it, refuses it, or stores it.
+    #[test]
+    fn a_panic_is_computed_once_and_never_refused() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let counted_panic = Entry::new("fig2", "panics on every run (test fixture)", |seed, _| {
+            RUNS.fetch_add(1, Ordering::SeqCst);
+            panic!("fixture panic at seed {seed}")
+        });
+        let shared = shared_on("panic-once");
+        let job = job_for(fig2_quick(8), counted_panic);
+        for _ in 0..2 {
+            let reply = process_job(&shared, &job);
+            assert!(reply.starts_with("{\"status\":\"failed\""), "{reply}");
+            assert!(reply.contains("fixture panic at seed 8"), "{reply}");
+        }
+        assert_eq!(RUNS.load(Ordering::SeqCst), 2, "one run per request");
+        let c = &shared.counters;
+        assert_eq!(c.worker_panics.load(Ordering::SeqCst), 2);
+        assert_eq!(c.failed.load(Ordering::SeqCst), 2);
+        assert_eq!(c.computed.load(Ordering::SeqCst), 0);
+        assert!(
+            !shared.store.cell_path(job.key).exists(),
+            "the cell was stored"
         );
+        let _ = std::fs::remove_dir_all(shared.store.dir());
+    }
+
+    /// Failures of one config never stand between a client and that
+    /// config's stored cells: after three failed seeds, a stored seed is
+    /// still a hit with the miss's bytes.
+    #[test]
+    fn failures_of_a_config_leave_its_stored_cells_served() {
+        let shared = shared_on("failed-config");
+        let stored = fig2_quick(3);
+        let miss = process_job(&shared, &job_for(stored.clone(), find("fig2").unwrap()));
+        assert!(miss.starts_with("{\"status\":\"ok\""), "{miss}");
+        // The same `fig2` config key, at three other seeds.
+        let panics = || Entry::new("fig2", "panics (test fixture)", |_, _| panic!("fixture"));
+        for seed in [4, 5, 6] {
+            let reply = process_job(&shared, &job_for(fig2_quick(seed), panics()));
+            assert!(reply.starts_with("{\"status\":\"failed\""), "{reply}");
+        }
+        let hit = handle_simulate(&shared, stored);
+        assert_eq!(hit, miss, "the stored cell is answered as it was computed");
+        assert_eq!(shared.counters.hits.load(Ordering::SeqCst), 1);
         let _ = std::fs::remove_dir_all(shared.store.dir());
     }
 
@@ -1040,27 +967,8 @@ mod tests {
     #[test]
     fn drain_leaves_the_pending_queue_and_no_temp_file() {
         let shared = shared_on("drain");
-        let req = SimulateReq {
-            experiment: "fig2".into(),
-            seed: 4,
-            profile: Profile::Quick,
-            deadline_ms: None,
-            priority: 3,
-            overrides: Vec::new(),
-        };
-        let key = CellKey {
-            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
-            seed: req.seed,
-        };
-        shared.queue.lock().unwrap().items.push(Job {
-            seq: 0,
-            req,
-            entry: find("fig2").unwrap(),
-            key,
-            deadline: None,
-            reply: None,
-            recompute: false,
-        });
+        let job = job_for(fig2_quick(4), find("fig2").unwrap());
+        shared.queue.lock().unwrap().items.push(job);
         drain_queue(&shared).unwrap();
         let mut names: Vec<_> = std::fs::read_dir(shared.store.dir())
             .unwrap()

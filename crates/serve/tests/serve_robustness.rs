@@ -6,9 +6,6 @@
 //! * miss → hit → corrupt → quarantine → recompute, with the `ok`
 //!   responses byte-identical throughout (the cache is invisible except
 //!   through `stats`);
-//! * a worker panic (the hidden `faulty` experiment) retried to
-//!   success, and — with retries exhausted — tripping the circuit
-//!   breaker;
 //! * a wall-clock deadline killing an oversized cell with a structured
 //!   `deadline_exceeded`;
 //! * admission control shedding a lower-priority queued request and
@@ -61,26 +58,24 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(tag: &str, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
+fn spawn_daemon(tag: &str, extra: &[&str]) -> Daemon {
     let store = tmp_dir(tag);
     let socket = store.join("s.sock");
-    spawn_daemon_at(&store, &socket, extra, envs)
+    spawn_daemon_at(&store, &socket, extra)
 }
 
-fn spawn_daemon_at(store: &Path, socket: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
-    let mut cmd = Command::new(EXE);
-    cmd.arg("serve")
+fn spawn_daemon_at(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {
+    let child = Command::new(EXE)
+        .arg("serve")
         .arg("--store")
         .arg(store)
         .arg("--socket")
         .arg(socket)
         .args(extra)
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let child = cmd.spawn().expect("spawn td-serve");
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn td-serve");
     let daemon = Daemon {
         child,
         socket: socket.to_path_buf(),
@@ -218,7 +213,7 @@ fn oversized(seed: u64, deadline_ms: u64) -> String {
 
 #[test]
 fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
-    let d = spawn_daemon("cache", &["--jobs", "2"], &[]);
+    let d = spawn_daemon("cache", &["--jobs", "2"]);
     let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":5,\"sim_secs\":2}";
 
     // Miss: computed and stored.
@@ -290,85 +285,31 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
     );
 }
 
+/// A cell is a pure function of its key, so the daemon has nothing to
+/// retry: the retry, backoff and breaker flags are unknown flags.
 #[test]
-fn worker_panic_is_retried_to_success() {
-    // The hidden `faulty` experiment panics on its first call, then
-    // succeeds; one retry should rescue the request.
-    let d = spawn_daemon(
-        "retry",
-        &["--jobs", "1", "--retries", "2", "--backoff-ms", "1"],
-        &[("TD_FAULTY_PANICS", "1")],
-    );
-    let reply = request(
-        &d.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"faulty\",\"seed\":3}",
-    );
-    assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
-    let s = stats(&d.socket);
-    assert_eq!(field(&s, "worker_panics"), 1, "stats: {s}");
-    assert_eq!(field(&s, "retries"), 1, "stats: {s}");
-    assert_eq!(field(&s, "failed"), 0, "stats: {s}");
-    assert_eq!(field(&s, "computed"), 1, "stats: {s}");
-}
-
-#[test]
-fn exhausted_retries_trip_the_circuit_breaker() {
-    // Every call panics; two final failures open the breaker for the
-    // config, after which requests are rejected without a worker.
-    let d = spawn_daemon(
-        "breaker",
-        &[
-            "--jobs",
-            "1",
-            "--retries",
-            "1",
-            "--backoff-ms",
-            "1",
-            "--breaker",
-            "2",
-        ],
-        &[("TD_FAULTY_PANICS", "1000000")],
-    );
-    let r1 = request(
-        &d.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"faulty\",\"seed\":1}",
-    );
-    assert!(r1.contains("\"status\":\"failed\""), "r1: {r1}");
-    assert_eq!(field(&r1, "attempts"), 2, "r1: {r1}");
-    assert!(r1.contains("\"circuit_open\":false"), "r1: {r1}");
-
-    let r2 = request(
-        &d.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"faulty\",\"seed\":2}",
-    );
-    assert!(r2.contains("\"status\":\"failed\""), "r2: {r2}");
-    assert!(
-        r2.contains("\"circuit_open\":true"),
-        "second final failure should open the breaker: {r2}"
-    );
-
-    // Breaker open: rejected up front, attempts 0.
-    let r3 = request(
-        &d.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"faulty\",\"seed\":3}",
-    );
-    assert!(r3.contains("\"status\":\"failed\""), "r3: {r3}");
-    assert_eq!(field(&r3, "attempts"), 0, "r3: {r3}");
-    assert!(r3.contains("circuit breaker open"), "r3: {r3}");
-
-    let s = stats(&d.socket);
-    assert_eq!(field(&s, "worker_panics"), 4, "stats: {s}");
-    assert_eq!(field(&s, "retries"), 2, "stats: {s}");
-    assert_eq!(field(&s, "failed"), 2, "stats: {s}");
-    assert_eq!(field(&s, "circuit_open"), 1, "stats: {s}");
-    // The daemon survived every panic: still answering.
-    let pong = request(&d.socket, "{\"op\":\"ping\"}");
-    assert!(pong.contains("\"pong\":true"), "pong: {pong}");
+fn retry_flags_are_unknown() {
+    let store = tmp_dir("no-retries");
+    for flag in ["--retries", "--backoff-ms", "--breaker"] {
+        let out = Command::new(EXE)
+            .arg("serve")
+            .arg("--store")
+            .arg(&store)
+            .args([flag, "1"])
+            .output()
+            .expect("run td-serve serve");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown serve flag \"{flag}\"")),
+            "{err}"
+        );
+    }
 }
 
 #[test]
 fn deadline_kills_an_oversized_cell() {
-    let d = spawn_daemon("deadline", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("deadline", &["--jobs", "1"]);
     let reply = request(&d.socket, &oversized(99, 200));
     assert!(
         reply.contains("\"status\":\"deadline_exceeded\""),
@@ -390,7 +331,7 @@ fn deadline_kills_an_oversized_cell() {
 
 #[test]
 fn shed_queue_full_and_shutdown_drain() {
-    let mut d = spawn_daemon("shed", &["--jobs", "1", "--queue-cap", "1"], &[]);
+    let mut d = spawn_daemon("shed", &["--jobs", "1", "--queue-cap", "1"]);
 
     // Occupy the single worker with an oversized cell; its 2s deadline
     // bounds how long the drain can take (the cell itself needs >3s).
@@ -449,7 +390,7 @@ fn shed_queue_full_and_shutdown_drain() {
 fn sigterm_drain_persists_queue_and_restart_replays_it() {
     let store = tmp_dir("drain");
     let socket1 = store.join("s1.sock");
-    let mut d = spawn_daemon_at(&store, &socket1, &["--jobs", "1"], &[]);
+    let mut d = spawn_daemon_at(&store, &socket1, &["--jobs", "1"]);
 
     // Worker busy on a deadline-bounded oversized cell; two quick jobs
     // queued behind it.
@@ -486,7 +427,7 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
     // Restart on the same store: the pending queue replays as orphan
     // jobs and lands in the store; the same request is then a hit.
     let socket2 = store.join("s2.sock");
-    let d2 = spawn_daemon_at(&store, &socket2, &["--jobs", "2"], &[]);
+    let d2 = spawn_daemon_at(&store, &socket2, &["--jobs", "2"]);
     let s = wait_stats(&d2.socket, "restored queue drained", |s| {
         field(s, "queue_restored") == 2 && field(s, "computed") == 2 && field(s, "in_flight") == 0
     });
@@ -527,7 +468,7 @@ fn shutdown_reply_always_precedes_exit() {
     let store = tmp_dir("lifetimes");
     for life in 0..30 {
         let socket = store.join(format!("s{life}.sock"));
-        let mut d = spawn_daemon_at(&store, &socket, &["--jobs", "1"], &[]);
+        let mut d = spawn_daemon_at(&store, &socket, &["--jobs", "1"]);
         // `request` fails on EOF before a reply line.
         let ack = request(&d.socket, "{\"op\":\"shutdown\"}");
         assert_eq!(ack, "{\"status\":\"ok\",\"draining\":true}", "life {life}");
@@ -542,7 +483,7 @@ fn fresh_connections_do_not_wait_for_an_accept_poll() {
     // What `td-serve req` does per request. The 25 ms accept poll this
     // replaces pinned the median at >= 25 ms; a blocking accept answers
     // in well under a millisecond, and 5 ms leaves room for a busy box.
-    let d = spawn_daemon("fresh", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("fresh", &["--jobs", "1"]);
     let mut ms: Vec<f64> = (0..20)
         .map(|_| {
             let start = Instant::now();
@@ -560,7 +501,7 @@ fn fresh_connections_do_not_wait_for_an_accept_poll() {
 fn sigterm_wakes_an_idle_daemon() {
     // Nothing connects, so nothing but the signal watcher's self-connect
     // can get the daemon out of its blocking accept.
-    let mut d = spawn_daemon("idle-term", &["--jobs", "1"], &[]);
+    let mut d = spawn_daemon("idle-term", &["--jobs", "1"]);
     send_sigterm(&d.child);
     let code = exit_code_within(&mut d.child, Duration::from_secs(1));
     assert_eq!(code, Some(130), "signal drain exits 130");
@@ -601,7 +542,7 @@ fn hostile_line(d: &Daemon, bytes: Vec<u8>) -> (String, bool) {
 
 #[test]
 fn an_oversized_line_is_refused_and_its_connection_closed() {
-    let d = spawn_daemon("long-line", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("long-line", &["--jobs", "1"]);
     let mut line = format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(100 << 10));
     line.push('\n');
     let (reply, closed) = hostile_line(&d, line.into_bytes());
@@ -616,7 +557,7 @@ fn an_oversized_line_is_refused_and_its_connection_closed() {
 
 #[test]
 fn a_never_terminated_line_is_cut_at_the_cap() {
-    let d = spawn_daemon("endless", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("endless", &["--jobs", "1"]);
     let (reply, closed) = hostile_line(&d, vec![b'{'; 1 << 20]);
     assert!(
         reply.contains("request line exceeds 65536 bytes"),
@@ -629,7 +570,7 @@ fn a_never_terminated_line_is_cut_at_the_cap() {
 
 #[test]
 fn a_non_utf8_line_is_a_bad_request_not_a_hangup() {
-    let d = spawn_daemon("not-utf8", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("not-utf8", &["--jobs", "1"]);
     let (reply, closed) = hostile_line(&d, b"{\"op\":\"p\xffng\"}\n".to_vec());
     assert_eq!(
         reply,
@@ -646,7 +587,7 @@ fn a_non_utf8_line_is_a_bad_request_not_a_hangup() {
 /// daemon quarantines it and recomputes the same reply.
 #[test]
 fn a_v1_cell_is_quarantined_by_name_and_recomputed() {
-    let d = spawn_daemon("v1-cell", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("v1-cell", &["--jobs", "1"]);
     let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":5,\"sim_secs\":2}";
     let first = request(&d.socket, req);
     let cell = only_cell(&d.store);
@@ -689,7 +630,7 @@ fn a_v1_cell_is_quarantined_by_name_and_recomputed() {
 fn boots_past_a_damaged_pending_queue(tag: &str, bytes: &[u8]) {
     let store = tmp_dir(tag);
     std::fs::write(store.join("pending.tdq"), bytes).unwrap();
-    let d = spawn_daemon_at(&store, &store.join("s.sock"), &["--jobs", "1"], &[]);
+    let d = spawn_daemon_at(&store, &store.join("s.sock"), &["--jobs", "1"]);
     let s = stats(&d.socket);
     assert_eq!(field(&s, "queue_restored"), 0, "stats: {s}");
     assert!(!store.join("pending.tdq").exists(), "moved, not left");
@@ -791,7 +732,7 @@ fn random_line(rng: &mut SimRng) -> Vec<u8> {
 #[test]
 fn random_lines_in_partial_writes_each_get_one_bad_request() {
     const LINES: u64 = 40;
-    let d = spawn_daemon("fuzz", &["--jobs", "1"], &[]);
+    let d = spawn_daemon("fuzz", &["--jobs", "1"]);
     let stream = UnixStream::connect(&d.socket).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
