@@ -14,13 +14,12 @@
 //! * a 4-byte magic plus `u32` version header on every top-level artifact.
 //!
 //! Files whose every byte must be checked on read — the cell store's
-//! `TDCE` cells, its `TDSH` sweep header and `td-serve`'s `TDQP` pending
-//! queue — are *sealed*: [`SnapWriter::seal`] appends the
-//! [`fnv1a_lanes`] sum of the payload as an 8-byte little-endian
-//! trailer, and [`SnapReader::open_sealed`] refuses another version by
-//! name, verifies the trailer and checks the header before a field is
-//! read. Every file, sealed or not, lands on disk through
-//! [`write_atomic`].
+//! `TDCE` cells and its `TDSH` sweep header — are *sealed*:
+//! [`SnapWriter::seal`] appends the [`fnv1a_lanes`] sum of the payload
+//! as an 8-byte little-endian trailer, and [`SnapReader::open_sealed`]
+//! refuses another version by name, verifies the trailer and checks the
+//! header before a field is read. Every file, sealed or not, lands on
+//! disk through [`write_atomic`].
 //!
 //! Forward-compat stance: a reader **refuses** versions it does not know
 //! ([`SnapError::UnsupportedVersion`]) rather than guessing. Snapshots are
@@ -145,7 +144,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// named uniquely per write (`<name>.<pid>.<n>.tmp`), `sync_all`, rename
 /// over the target, then a best-effort fsync of the directory. A crash
 /// leaves the old file or the new one, never a torn hybrid, and at worst
-/// a stale `.tmp`. Concurrent writers of one target need no lock.
+/// a stale `.tmp`; a write that fails with an error removes its temp
+/// file. Concurrent writers of one target need no lock.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let name = path.file_name().ok_or_else(|| {
         io::Error::new(
@@ -162,12 +162,14 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
+    let mut f = std::fs::File::create(&tmp)?;
+    let written = io::Write::write_all(&mut f, bytes).and_then(|()| f.sync_all());
+    drop(f);
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        // Best effort: the write's own error is the one worth reporting.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)?;
     // Make the rename itself durable where the platform allows opening
     // a directory; failure here loses durability, not atomicity.
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
@@ -828,6 +830,17 @@ mod tests {
             .collect();
         assert_eq!(names, ["out.bin"]);
         assert!(write_atomic(&dir.join(".."), b"x").is_err(), "no file name");
+        // A rename onto a non-empty directory fails after the temp file
+        // was written: the error is returned and the temp file removed.
+        let occupied = dir.join("occupied");
+        std::fs::create_dir_all(occupied.join("inner")).unwrap();
+        assert!(write_atomic(&occupied, b"x").is_err(), "onto a directory");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["occupied", "out.bin"], "a temp file outlived it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -169,7 +169,7 @@ impl Store {
     /// Move a damaged file of the store directory into the quarantine
     /// sidecar (evidence, not deletion). An existing quarantined file of
     /// the same name is overwritten — same identity, same damage class.
-    pub fn quarantine(&self, path: &Path) -> io::Result<()> {
+    fn quarantine(&self, path: &Path) -> io::Result<()> {
         let qdir = self.quarantine_dir();
         std::fs::create_dir_all(&qdir)?;
         let name = path

@@ -9,8 +9,6 @@
 //!   format, written by `td-serve` and by `td-repro --out`;
 //! * the **sweep header** (`cells/sweep.tdh`, [`decode_header`]),
 //!   sealed like a cell file;
-//! * **TDQP**, `td-serve`'s `pending.tdq` (`decode_pending_file`),
-//!   sealed like a cell file;
 //! * **TDSN** serial world snapshots ([`Snapshot::from_bytes`]);
 //! * **TDSW** sharded world snapshots ([`ShardSnapshot::from_bytes`]);
 //! * **TDMC** model-checking schedules ([`McSchedule::from_bytes`]).
@@ -122,33 +120,6 @@ fn cell_files_reject_every_flip_and_truncation() {
 #[test]
 fn sweep_headers_reject_every_flip_and_truncation() {
     fuzz_sealed("sweep header", &sample_header_file(), 0xF027, decode_header);
-}
-
-#[cfg(unix)]
-#[test]
-fn pending_queues_reject_every_flip_and_truncation() {
-    use td_serve::proto::SimulateReq;
-    use td_serve::server::{decode_pending_file, encode_pending_file};
-    let queue = [
-        SimulateReq {
-            experiment: "fig8".into(),
-            seed: 7,
-            profile: Profile::Full,
-            deadline_ms: None,
-            priority: 9,
-            overrides: vec![("sim_secs".into(), 30)],
-        },
-        SimulateReq {
-            experiment: "fig2".into(),
-            seed: 1,
-            profile: Profile::Quick,
-            deadline_ms: None,
-            priority: 0,
-            overrides: Vec::new(),
-        },
-    ];
-    let file = encode_pending_file(queue.iter());
-    fuzz_sealed("TDQP", &file, 0xF022, decode_pending_file);
 }
 
 fn fuzz_binary<Dec>(tag: &str, baseline: &[u8], seed: u64, decode: Dec)

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The daemon drains gracefully on SIGINT/SIGTERM (finish in-flight
-//! cells, persist the unstarted queue, exit 130) or on an in-band
+//! cells, answer queued clients `draining`, exit 130) or on an in-band
 //! `{"op":"shutdown"}` request (same drain, exit 0).
 
 use std::io::{BufRead as _, BufReader, Write as _};

@@ -45,12 +45,10 @@
 //!   `td-serve compact` are the offline maintenance pair.
 //! * **Graceful drain**: SIGINT/SIGTERM (or an in-band `shutdown`
 //!   request) stops admission, finishes in-flight cells, answers every
-//!   queued client, persists the unstarted queue to `pending.tdq` (one
-//!   file, sealed like a cell: `TDQP` v2), and exits 130 (signal) or 0
-//!   (`shutdown`). A restarted daemon replays `pending.tdq` into the
-//!   store, so the work still happens; a `pending.tdq` that does not
-//!   decode is quarantined like a damaged cell, and the daemon starts
-//!   with an empty queue.
+//!   queued client `overloaded`/`draining`, writes nothing, and exits
+//!   130 (signal) or 0 (`shutdown`). A cell is a pure function of its
+//!   key, so a client that resubmits to the next daemon gets the same
+//!   bytes.
 //!
 //! Responses for the same `(config_hash, seed)` are **byte-identical**
 //! whether served from cache or recomputed — the response deliberately

@@ -27,35 +27,26 @@
 //! a cache hit and a recompute of the same cell are byte-identical,
 //! which the integration tests and the CI `serve` job pin.
 
-use crate::proto::{self, Request, SimulateReq, MAX_PRIORITY};
+use crate::proto::{self, Request, SimulateReq};
 use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_engine::{write_atomic, SnapError, SnapReader, SnapWriter};
 use td_experiments::cell::{self, Limits, Outcome};
-use td_experiments::registry::{config_hash, find, validate_override, Entry, Profile};
+use td_experiments::registry::{config_hash, find, Entry};
 use td_experiments::store::{CellData, CellKey, Lookup, Store};
 use td_experiments::sweep::budget;
 use td_experiments::Report;
 use td_net::audit::Tally;
-
-/// File name of the persisted pending queue, inside the store directory.
-const PENDING_NAME: &str = "pending.tdq";
-/// Magic of the persisted pending queue.
-const PENDING_MAGIC: &[u8; 4] = b"TDQP";
-/// Pending-queue format version: 2 since the queue became one sealed
-/// file (version 1 was one checksummed hex line per job).
-const PENDING_VERSION: u32 = 2;
 
 /// Daemon configuration (the `td-serve serve` flag surface).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Unix socket path to listen on.
     pub socket: PathBuf,
-    /// Store directory (cells, quarantine sidecar, pending queue).
+    /// Store directory (cells and their quarantine sidecar).
     pub store_dir: PathBuf,
     /// Worker threads = job-budget slots.
     pub jobs: usize,
@@ -109,23 +100,17 @@ pub struct Counters {
     pub overloaded: AtomicU64,
     /// Corrupt store cells moved to quarantine during lookups.
     pub quarantined: AtomicU64,
-    /// Queued jobs persisted to `pending.tdq` at drain.
-    pub queue_persisted: AtomicU64,
-    /// Jobs restored from `pending.tdq` at startup.
-    pub queue_restored: AtomicU64,
 }
 
 /// One queued simulate job.
 struct Job {
     seq: u64,
     req: SimulateReq,
-    /// `req`'s registry entry, resolved at admission or restore.
+    /// `req`'s registry entry, resolved at admission.
     entry: Entry,
     key: CellKey,
     deadline: Option<Instant>,
-    /// `None` for orphans restored from `pending.tdq` — the original
-    /// client is gone; the result still lands in the store.
-    reply: Option<mpsc::Sender<String>>,
+    reply: mpsc::Sender<String>,
     /// The stored copy was quarantined; success counts as a recompute.
     recompute: bool,
 }
@@ -169,8 +154,6 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
         replies_owed: AtomicU64::new(0),
         cfg,
     });
-
-    restore_pending(&shared);
 
     let mut workers = Vec::new();
     for _ in 0..shared.cfg.jobs.max(1) {
@@ -224,10 +207,10 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
     }
 
     shared.draining.store(true, Ordering::SeqCst);
-    eprintln!("td-serve: draining (in-flight cells finish, queue persists)");
+    eprintln!("td-serve: draining (in-flight cells finish, queued clients are answered)");
     drop(listener);
     let _ = std::fs::remove_file(&shared.cfg.socket);
-    drain_queue(&shared)?;
+    drain_queue(&shared);
     for w in workers {
         let _ = w.join();
     }
@@ -248,157 +231,19 @@ fn wake_accept(socket: &Path) {
     let _ = UnixStream::connect(socket);
 }
 
-/// Stop the workers, persist unstarted jobs, answer their clients.
-fn drain_queue(shared: &Shared) -> io::Result<()> {
+/// Stop the workers and answer every queued client `draining`: a cell
+/// is a pure function of its key, so a client that resubmits gets the
+/// same bytes, and the drain leaves nothing on disk.
+fn drain_queue(shared: &Shared) {
     let jobs = {
         let mut q = shared.queue.lock().unwrap();
         q.stop = true;
         shared.cond.notify_all();
         std::mem::take(&mut q.items)
     };
-    if !jobs.is_empty() {
-        let file = encode_pending_file(jobs.iter().map(|j| &j.req));
-        write_atomic(&pending_path(&shared.store), &file)?;
-        shared
-            .counters
-            .queue_persisted
-            .fetch_add(jobs.len() as u64, Ordering::SeqCst);
-    }
     for job in jobs {
-        if let Some(tx) = job.reply {
-            let _ = tx.send(render_overloaded("draining"));
-        }
+        let _ = job.reply.send(render_overloaded("draining"));
     }
-    Ok(())
-}
-
-/// Path of the persisted pending-queue file.
-fn pending_path(store: &Store) -> PathBuf {
-    store.dir().join(PENDING_NAME)
-}
-
-/// The `pending.tdq` bytes of a queue: a `TDQP` header, the job count,
-/// then per job its experiment, seed, profile, priority and overrides,
-/// sealed ([`SnapWriter::seal`]). The inverse of [`decode_pending_file`].
-pub fn encode_pending_file<'a>(reqs: impl ExactSizeIterator<Item = &'a SimulateReq>) -> Vec<u8> {
-    let mut w = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
-    w.write_u64(reqs.len() as u64);
-    for req in reqs {
-        w.write_str(&req.experiment);
-        w.write_u64(req.seed);
-        w.write_u8(req.profile.tag());
-        w.write_u8(req.priority);
-        w.write_u64(req.overrides.len() as u64);
-        for (k, v) in &req.overrides {
-            w.write_str(k);
-            w.write_u64(*v);
-        }
-    }
-    w.seal().0
-}
-
-/// Decode and verify `pending.tdq`'s bytes into its job records: an
-/// error when the trailer, the header or the structure fails. A record
-/// that decodes is not yet a job a live client could have queued: the
-/// daemon checks each one before it restores it.
-pub fn decode_pending_file(bytes: &[u8]) -> Result<Vec<SimulateReq>, String> {
-    let (mut r, _) =
-        SnapReader::open_sealed(bytes, PENDING_MAGIC, PENDING_VERSION, "pending queue")?;
-    let mut decode = || -> Result<Vec<SimulateReq>, SnapError> {
-        let jobs = r.read_len()?;
-        let mut reqs = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            // Fields are evaluated in the order they are written.
-            reqs.push(SimulateReq {
-                experiment: r.read_str()?,
-                seed: r.read_u64()?,
-                profile: Profile::from_tag(r.read_u8()?)?,
-                deadline_ms: None,
-                priority: r.read_u8()?,
-                overrides: (0..r.read_len()?)
-                    .map(|_| Ok((r.read_str()?, r.read_u64()?)))
-                    .collect::<Result<_, SnapError>>()?,
-            });
-        }
-        r.finish()?;
-        Ok(reqs)
-    };
-    decode().map_err(|e| e.to_string())
-}
-
-/// Replay `pending.tdq` into the queue as orphan jobs, then delete the
-/// file. A file that cannot be read or does not decode — damaged, or of
-/// another version — is moved into the quarantine sidecar, like a
-/// damaged cell, and the daemon starts with an empty queue. A record
-/// that decodes but that a live client could not have sent (see
-/// [`check_pending`]) is skipped on its own.
-fn restore_pending(shared: &Shared) {
-    let path = pending_path(&shared.store);
-    let decoded = match std::fs::read(&path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return,
-        read => read
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| decode_pending_file(&bytes)),
-    };
-    let reqs = match decoded {
-        Ok(reqs) => reqs,
-        Err(why) => {
-            match shared.store.quarantine(&path) {
-                Ok(()) => eprintln!("td-serve: quarantined {PENDING_NAME} ({why})"),
-                Err(e) => eprintln!("td-serve: {PENDING_NAME} is damaged ({why}): {e}"),
-            }
-            return;
-        }
-    };
-    let mut restored = 0u64;
-    for req in reqs {
-        let entry = match check_pending(&req) {
-            Ok(entry) => entry,
-            Err(why) => {
-                eprintln!("td-serve: skipping a pending job from the last drain: {why}");
-                continue;
-            }
-        };
-        let key = CellKey {
-            config_hash: config_hash(&req.experiment, req.profile, &req.overrides),
-            seed: req.seed,
-        };
-        let mut q = shared.queue.lock().unwrap();
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.items.push(Job {
-            seq,
-            req,
-            entry,
-            key,
-            deadline: None,
-            reply: None,
-            recompute: false,
-        });
-        shared.cond.notify_one();
-        restored += 1;
-    }
-    let _ = std::fs::remove_file(&path);
-    if restored > 0 {
-        shared
-            .counters
-            .queue_restored
-            .fetch_add(restored, Ordering::SeqCst);
-        eprintln!("td-serve: restored {restored} pending job(s) from the last drain");
-    }
-}
-
-/// Hold one `pending.tdq` record to what `parse_request` and
-/// `handle_simulate` demand of a request off the socket (the file
-/// outlives the binary that wrote it), and resolve its entry.
-fn check_pending(req: &SimulateReq) -> Result<Entry, String> {
-    if u64::from(req.priority) > MAX_PRIORITY {
-        return Err(format!("priority {} above {MAX_PRIORITY}", req.priority));
-    }
-    for (key, value) in &req.overrides {
-        validate_override(key, *value)?;
-    }
-    find(&req.experiment).ok_or_else(|| format!("unknown experiment {:?}", req.experiment))
 }
 
 /// What one read of a request line produced.
@@ -569,9 +414,7 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
                 Some(i) => {
                     let victim = q.items.remove(i);
                     shared.counters.shed.fetch_add(1, Ordering::SeqCst);
-                    if let Some(vtx) = victim.reply {
-                        let _ = vtx.send(render_overloaded("shed"));
-                    }
+                    let _ = victim.reply.send(render_overloaded("shed"));
                 }
                 None => {
                     shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
@@ -587,7 +430,7 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
             entry,
             key,
             deadline,
-            reply: Some(tx),
+            reply: tx,
             recompute,
         });
         shared.cond.notify_one();
@@ -618,10 +461,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.cond.wait(q).unwrap();
             }
         };
-        let resp = process_job(shared, &job);
-        if let Some(tx) = &job.reply {
-            let _ = tx.send(resp);
-        }
+        let _ = job.reply.send(process_job(shared, &job));
         let mut q = shared.queue.lock().unwrap();
         q.in_flight -= 1;
         shared.cond.notify_all();
@@ -749,7 +589,6 @@ fn render_stats(shared: &Arc<Shared>) -> String {
          \"hits\":{},\"misses\":{},\"computed\":{},\"recomputed\":{},\
          \"worker_panics\":{},\"deadline_exceeded\":{},\
          \"failed\":{},\"shed\":{},\"overloaded\":{},\"quarantined\":{},\
-         \"queue_persisted\":{},\"queue_restored\":{},\
          \"queued\":{queued},\"in_flight\":{in_flight}}}",
         get(&c.requests),
         get(&c.ok),
@@ -764,14 +603,13 @@ fn render_stats(shared: &Arc<Shared>) -> String {
         get(&c.shed),
         get(&c.overloaded),
         get(&c.quarantined),
-        get(&c.queue_persisted),
-        get(&c.queue_restored),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_experiments::registry::Profile;
 
     fn shared_on(tag: &str) -> Arc<Shared> {
         let dir = std::env::temp_dir().join(format!("td-server-{tag}-{}", std::process::id()));
@@ -814,7 +652,7 @@ mod tests {
             entry,
             key,
             deadline: None,
-            reply: None,
+            reply: mpsc::channel().0,
             recompute: false,
         }
     }
@@ -964,133 +802,25 @@ mod tests {
         assert!(read_line(&mut tail, &mut buf).is_none());
     }
 
+    /// A drain answers every queued client `draining` and writes
+    /// nothing: the store directory stays empty.
     #[test]
-    fn drain_leaves_the_pending_queue_and_no_temp_file() {
+    fn drain_answers_queued_clients_and_writes_nothing() {
         let shared = shared_on("drain");
-        let job = job_for(fig2_quick(4), find("fig2").unwrap());
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            reply: tx,
+            ..job_for(fig2_quick(4), find("fig2").unwrap())
+        };
         shared.queue.lock().unwrap().items.push(job);
-        drain_queue(&shared).unwrap();
-        let mut names: Vec<_> = std::fs::read_dir(shared.store.dir())
+        drain_queue(&shared);
+        assert_eq!(rx.recv(), Ok(render_overloaded("draining")));
+        assert!(shared.queue.lock().unwrap().stop, "the workers stop");
+        let left: Vec<_> = std::fs::read_dir(shared.store.dir())
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
-        names.sort();
-        assert_eq!(names, [PENDING_NAME], "a temp file outlived the drain");
-        assert_eq!(shared.counters.queue_persisted.load(Ordering::SeqCst), 1);
+        assert!(left.is_empty(), "the drain wrote {left:?}");
         let _ = std::fs::remove_dir_all(shared.store.dir());
-    }
-
-    /// A queued request, as a client would have sent it.
-    fn pending(experiment: &str, priority: u8, overrides: &[(&str, u64)]) -> SimulateReq {
-        SimulateReq {
-            experiment: experiment.into(),
-            seed: 9,
-            profile: Profile::Full,
-            deadline_ms: Some(5),
-            priority,
-            overrides: overrides.iter().map(|&(k, v)| (k.into(), v)).collect(),
-        }
-    }
-
-    /// The experiments and priorities in the queue.
-    fn queued(shared: &Shared) -> Vec<(String, u8)> {
-        let q = shared.queue.lock().unwrap();
-        q.items
-            .iter()
-            .map(|j| (j.req.experiment.clone(), j.req.priority))
-            .collect()
-    }
-
-    #[test]
-    fn pending_queue_roundtrips_and_skips_invalid_records() {
-        let req = pending("fig8", 7, &[("sim_secs", 30)]);
-        let file = encode_pending_file([&req].into_iter());
-        // Every field but the deadline, which does not survive a restart.
-        let want = SimulateReq {
-            deadline_ms: None,
-            ..req.clone()
-        };
-        assert_eq!(decode_pending_file(&file), Ok(vec![want]));
-        // Truncations are refused, never a panic.
-        for cut in 0..file.len() {
-            assert!(decode_pending_file(&file[..cut]).is_err(), "cut {cut}");
-        }
-
-        // A record can decode and still be something no live client
-        // could have queued. Each such record is skipped on its own; the
-        // good records around it restore.
-        let invalid = [
-            pending("fig8", 255, &[]),
-            pending("fig8", 7, &[("sim_secs", 0)]),
-            pending("fig8", 7, &[("shards", 2)]),
-            pending("no-such-entry", 7, &[]),
-        ];
-        for req in &invalid {
-            assert!(check_pending(req).is_err(), "{req:?}");
-        }
-        let fig2 = pending("fig2", 0, &[]);
-        let queue: Vec<_> = [&req].into_iter().chain(&invalid).chain([&fig2]).collect();
-        let shared = shared_on("pending");
-        let path = pending_path(&shared.store);
-        std::fs::write(&path, encode_pending_file(queue.into_iter())).unwrap();
-        restore_pending(&shared);
-        assert_eq!(
-            queued(&shared),
-            [("fig8".to_owned(), 7), ("fig2".to_owned(), 0)]
-        );
-        assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 2);
-        assert!(!path.exists(), "a restored queue is consumed");
-        assert!(!shared.store.quarantine_dir().exists());
-        let _ = std::fs::remove_dir_all(shared.store.dir());
-    }
-
-    /// A `pending.tdq` that does not decode as a whole is quarantined,
-    /// never read in part and never deleted, and the queue starts empty.
-    #[test]
-    fn damaged_pending_files_are_quarantined_whole() {
-        let good = encode_pending_file([&pending("fig2", 0, &[])].into_iter());
-        let resealed = |version: u32| {
-            let mut file = good[..good.len() - 8].to_vec();
-            file[4..8].copy_from_slice(&version.to_le_bytes());
-            let sum = td_engine::fnv1a_lanes(&file);
-            file.extend_from_slice(&sum.to_le_bytes());
-            file
-        };
-        let mut flipped = good.clone();
-        flipped[good.len() / 2] ^= 0x10;
-        let mut bad_profile = SnapWriter::with_header(PENDING_MAGIC, PENDING_VERSION);
-        bad_profile.write_u64(1);
-        bad_profile.write_str("fig2");
-        bad_profile.write_u64(9);
-        bad_profile.write_u8(99);
-        bad_profile.write_u8(0);
-        bad_profile.write_u64(0);
-        // What a version 1 daemon wrote for a full-profile fig2 job: a
-        // hex line with a byte-wise FNV-1a checksum.
-        let v1_line = "5444515001000000040000000000000066696732090000000000000001000000\
-                       000000000000 2a5db100f1a0ac71\n";
-        for (case, bytes, why) in [
-            ("v0", resealed(0), "queue format v0; this build reads v2"),
-            ("v3", resealed(3), "queue format v3; this build reads v2"),
-            ("flip", flipped, "checksum mismatch"),
-            ("profile", bad_profile.seal().0, "profile tag 99"),
-            ("v1 text", v1_line.as_bytes().to_vec(), "checksum mismatch"),
-            ("bytes", b"\xff\xfe pending".to_vec(), "checksum mismatch"),
-        ] {
-            assert!(
-                decode_pending_file(&bytes).unwrap_err().contains(why),
-                "{case}: {:?}",
-                decode_pending_file(&bytes)
-            );
-            let shared = shared_on("damaged-pending");
-            std::fs::write(pending_path(&shared.store), &bytes).unwrap();
-            restore_pending(&shared);
-            assert!(queued(&shared).is_empty(), "{case}");
-            assert_eq!(shared.counters.queue_restored.load(Ordering::SeqCst), 0);
-            assert!(!pending_path(&shared.store).exists(), "{case}");
-            let held = shared.store.quarantine_dir().join(PENDING_NAME);
-            assert!(std::fs::read(held).unwrap() == bytes, "{case}: evidence");
-            let _ = std::fs::remove_dir_all(shared.store.dir());
-        }
     }
 }

@@ -10,10 +10,12 @@
 //!   `deadline_exceeded`;
 //! * admission control shedding a lower-priority queued request and
 //!   rejecting on a full queue, then an in-band `shutdown` drain
-//!   (exit 0) persisting the queue;
-//! * SIGTERM drain (exit 130) persisting the unstarted queue to
-//!   `pending.tdq`, and a restarted daemon replaying it and serving
-//!   the same request as a cache hit;
+//!   (exit 0) answering the queued client `draining`;
+//! * SIGTERM drain (exit 130) answering every queued client `draining`
+//!   and leaving nothing in the store but cells and `quarantine/`, and a
+//!   restarted daemon, past a stale `pending.tdq` it neither reads nor
+//!   touches, computing a resubmitted request and then serving it as a
+//!   byte-identical hit;
 //! * the blocking accept and its wake-ups: a `shutdown` acknowledged
 //!   before EOF in every one of 30 daemon lifetimes, fresh connections
 //!   answered without an accept poll, SIGTERM noticed by an idle daemon;
@@ -22,9 +24,7 @@
 //!   served, and seeded random lines written in random-sized pieces,
 //!   each answered by exactly one `bad_request`;
 //! * a cell of an older format version refused by name, quarantined and
-//!   recomputed, and a `pending.tdq` that does not decode — a version 1
-//!   text file, a flipped byte, bytes that are not UTF-8 — quarantined,
-//!   with the daemon booting on an empty queue.
+//!   recomputed.
 #![cfg(unix)]
 
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -33,8 +33,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use td_engine::SimRng;
-use td_serve::proto::{SimulateReq, MAX_LINE_BYTES};
-use td_serve::server::{decode_pending_file, encode_pending_file};
+use td_serve::proto::MAX_LINE_BYTES;
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
 
@@ -176,10 +175,14 @@ fn wait_stats(socket: &Path, what: &str, pred: impl Fn(&str) -> bool) -> String 
     }
 }
 
-/// How many jobs the sealed `pending.tdq` in `store` holds.
-fn pending_jobs(store: &Path) -> usize {
-    let file = std::fs::read(store.join("pending.tdq")).expect("pending.tdq");
-    decode_pending_file(&file).expect("a pending queue").len()
+/// Assert that a drained `store` holds nothing but `cell-*.tdc` files
+/// and the `quarantine/` sidecar: no queue file and no `*.tmp`.
+fn assert_only_cells(store: &Path) {
+    for entry in std::fs::read_dir(store).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let cell = name.starts_with("cell-") && name.ends_with(".tdc");
+        assert!(cell || name == "quarantine", "left in the store: {name}");
+    }
 }
 
 /// A store file's 8-byte little-endian checksum trailer.
@@ -382,12 +385,11 @@ fn shed_queue_full_and_shutdown_drain() {
     );
     let status = d.child.wait().expect("wait daemon");
     assert_eq!(status.code(), Some(0), "shutdown drain exits 0");
-    // The queued-but-unstarted job was persisted.
-    assert_eq!(pending_jobs(&d.store), 1);
+    assert_only_cells(&d.store);
 }
 
 #[test]
-fn sigterm_drain_persists_queue_and_restart_replays_it() {
+fn sigterm_drain_answers_the_queue_and_restart_serves_resubmits() {
     let store = tmp_dir("drain");
     let socket1 = store.join("s1.sock");
     let mut d = spawn_daemon_at(&store, &socket1, &["--jobs", "1"]);
@@ -422,29 +424,28 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
     );
     let status = d.child.wait().expect("wait daemon");
     assert_eq!(status.code(), Some(130), "signal drain exits 130");
-    assert_eq!(pending_jobs(&store), 2);
+    assert_only_cells(&store);
 
-    // Restart on the same store: the pending queue replays as orphan
-    // jobs and lands in the store; the same request is then a hit.
+    // Restart on the same store, past a `pending.tdq` an older build
+    // drained to: it is neither read nor touched. The resubmitted request
+    // is a miss, computed, then a hit with the same bytes.
+    let stale = b"TDQP\x02\x00\x00\x00 an older build's queue \xff";
+    std::fs::write(store.join("pending.tdq"), stale).unwrap();
     let socket2 = store.join("s2.sock");
     let d2 = spawn_daemon_at(&store, &socket2, &["--jobs", "2"]);
-    let s = wait_stats(&d2.socket, "restored queue drained", |s| {
-        field(s, "queue_restored") == 2 && field(s, "computed") == 2 && field(s, "in_flight") == 0
-    });
+    let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":21,\"sim_secs\":1}";
+    let miss = request(&d2.socket, req);
+    assert!(miss.contains("\"status\":\"ok\""), "miss: {miss}");
+    let s = stats(&d2.socket);
+    assert_eq!(field(&s, "misses"), 1, "stats: {s}");
+    assert_eq!(field(&s, "computed"), 1, "stats: {s}");
+    let hit = request(&d2.socket, req);
+    assert_eq!(hit, miss, "the hit is the miss's bytes");
+    let s = stats(&d2.socket);
+    assert_eq!(field(&s, "hits"), 1, "stats: {s}");
     assert!(
-        !store.join("pending.tdq").exists(),
-        "pending.tdq consumed at startup"
-    );
-    let hit = request(
-        &d2.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":21,\"sim_secs\":1}",
-    );
-    assert!(hit.contains("\"status\":\"ok\""), "hit: {hit}");
-    let s2 = stats(&d2.socket);
-    assert_eq!(
-        field(&s2, "hits"),
-        field(&s, "hits") + 1,
-        "restored job should make the request a cache hit: {s2}"
+        std::fs::read(store.join("pending.tdq")).unwrap() == stale,
+        "the stale queue file is untouched"
     );
 }
 
@@ -622,58 +623,6 @@ fn a_v1_cell_is_quarantined_by_name_and_recomputed() {
         "the v1 file is evidence"
     );
     assert!(again.contains(&format!("{:016x}", trailer(&std::fs::read(&cell).unwrap()))));
-}
-
-/// Boot a daemon on a store whose `pending.tdq` is `bytes`, which do not
-/// decode: the file is moved into quarantine intact, nothing is
-/// restored, and the daemon serves.
-fn boots_past_a_damaged_pending_queue(tag: &str, bytes: &[u8]) {
-    let store = tmp_dir(tag);
-    std::fs::write(store.join("pending.tdq"), bytes).unwrap();
-    let d = spawn_daemon_at(&store, &store.join("s.sock"), &["--jobs", "1"]);
-    let s = stats(&d.socket);
-    assert_eq!(field(&s, "queue_restored"), 0, "stats: {s}");
-    assert!(!store.join("pending.tdq").exists(), "moved, not left");
-    let held = std::fs::read(store.join("quarantine").join("pending.tdq")).unwrap();
-    assert!(held == bytes, "the quarantined file is the evidence");
-    let pong = request(&d.socket, "{\"op\":\"ping\"}");
-    assert!(pong.contains("\"pong\":true"), "pong: {pong}");
-    let reply = request(
-        &d.socket,
-        "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":3,\"sim_secs\":1}",
-    );
-    assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
-}
-
-/// What a version 1 daemon drained to: one checksummed hex line per job.
-#[test]
-fn a_v1_text_pending_queue_is_quarantined() {
-    let v1 = "5444515001000000040000000000000066696732090000000000000001000000\
-              000000000000 2a5db100f1a0ac71\n";
-    boots_past_a_damaged_pending_queue("pending-v1", v1.as_bytes());
-}
-
-#[test]
-fn a_pending_queue_with_a_flipped_byte_is_quarantined() {
-    let req = SimulateReq {
-        experiment: "fig2".into(),
-        seed: 4,
-        profile: td_experiments::registry::Profile::Quick,
-        deadline_ms: None,
-        priority: 5,
-        overrides: vec![("sim_secs".into(), 1)],
-    };
-    let mut file = encode_pending_file([&req].into_iter());
-    let mid = file.len() / 2;
-    file[mid] ^= 0x01;
-    boots_past_a_damaged_pending_queue("pending-flip", &file);
-}
-
-/// Once the daemon returned without a word here, and overwrote the file
-/// unread at its next drain.
-#[test]
-fn a_non_utf8_pending_queue_is_quarantined() {
-    boots_past_a_damaged_pending_queue("pending-bytes", b"TDQP\xff\xfe\x00 not a queue\n");
 }
 
 /// A random request line: non-blank, newline-free, under the cap. It
