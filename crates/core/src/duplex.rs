@@ -31,6 +31,7 @@ use crate::receiver::{Arrival, RecvHalf, TOKEN_DELACK};
 use crate::sender::{Ack, SendHalf, Wire, TOKEN_RTO};
 use std::any::Any;
 use std::cmp::Ordering;
+use std::sync::Arc;
 use td_engine::{SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, Packet, PacketKind};
 
@@ -55,7 +56,7 @@ pub struct DuplexStats {
 
 /// One endpoint of a bidirectional TCP connection.
 pub struct TcpDuplex {
-    rcfg: ReceiverConfig,
+    rcfg: Arc<ReceiverConfig>,
     snd: SendHalf,
     wire: Piggyback,
 }
@@ -84,8 +85,10 @@ impl Wire for Piggyback {
 }
 
 impl TcpDuplex {
-    /// A fresh duplex endpoint.
-    pub fn new(scfg: SenderConfig, rcfg: ReceiverConfig) -> Self {
+    /// A fresh duplex endpoint. Pass `Arc` clones to share the configs
+    /// among many endpoints.
+    pub fn new(scfg: impl Into<Arc<SenderConfig>>, rcfg: impl Into<Arc<ReceiverConfig>>) -> Self {
+        let scfg = scfg.into();
         assert!(
             scfg.pacing.is_none(),
             "pacing is not supported on duplex endpoints"
@@ -95,14 +98,17 @@ impl TcpDuplex {
             "data_limit is not supported on duplex endpoints"
         );
         TcpDuplex {
-            rcfg,
+            rcfg: rcfg.into(),
             snd: SendHalf::new(scfg),
             wire: Piggyback::default(),
         }
     }
 
     /// A boxed endpoint, ready for [`td_net::World::attach`].
-    pub fn boxed(scfg: SenderConfig, rcfg: ReceiverConfig) -> Box<dyn Endpoint> {
+    pub fn boxed(
+        scfg: impl Into<Arc<SenderConfig>>,
+        rcfg: impl Into<Arc<ReceiverConfig>>,
+    ) -> Box<dyn Endpoint> {
         Box::new(Self::new(scfg, rcfg))
     }
 

@@ -90,3 +90,17 @@ pub use duplex::{DuplexStats, TcpDuplex};
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{SenderStats, TcpSender};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What one connection boxes: its sender and its receiver. Configs are
+    /// shared per class through an `Arc`, so they add a pointer each, not
+    /// a copy.
+    #[test]
+    fn a_connection_boxes_at_most_320_bytes() {
+        let (s, r) = (size_of::<TcpSender>(), size_of::<TcpReceiver>());
+        assert!(s + r <= 320, "TcpSender {s} B + TcpReceiver {r} B");
+    }
+}

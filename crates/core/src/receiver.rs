@@ -22,6 +22,7 @@
 use crate::config::ReceiverConfig;
 use std::any::Any;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use td_engine::{SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, Packet, PacketKind, ProtoEvent};
 
@@ -141,23 +142,25 @@ pub struct ReceiverStats {
 
 /// The receiving endpoint of one connection.
 pub struct TcpReceiver {
-    cfg: ReceiverConfig,
+    /// Shared by every receiver built from the same config.
+    cfg: Arc<ReceiverConfig>,
     rcv: RecvHalf,
     stats: ReceiverStats,
 }
 
 impl TcpReceiver {
-    /// A fresh receiver.
-    pub fn new(cfg: ReceiverConfig) -> Self {
+    /// A fresh receiver. Pass an `Arc<ReceiverConfig>` clone to share one
+    /// config among many receivers.
+    pub fn new(cfg: impl Into<Arc<ReceiverConfig>>) -> Self {
         TcpReceiver {
-            cfg,
+            cfg: cfg.into(),
             rcv: RecvHalf::default(),
             stats: ReceiverStats::default(),
         }
     }
 
     /// A boxed receiver, ready for [`td_net::World::attach`].
-    pub fn boxed(cfg: ReceiverConfig) -> Box<dyn Endpoint> {
+    pub fn boxed(cfg: impl Into<Arc<ReceiverConfig>>) -> Box<dyn Endpoint> {
         Box::new(Self::new(cfg))
     }
 

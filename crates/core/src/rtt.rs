@@ -23,18 +23,16 @@
 //! RTO per consecutive timeout, saturating at the configured maximum.
 
 use crate::config::RtoConfig;
-use td_engine::SimDuration;
+use td_engine::{SimDuration, SnapError, SnapReader, SnapWriter};
+
+/// The backoff exponent saturates here: 2¹² ≫ any max/min RTO ratio.
+const MAX_BACKOFF: u8 = 12;
 
 /// RTT estimator plus backoff state.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
     cfg: RtoConfig,
-    /// Smoothed RTT in ns; `None` until the first sample.
-    srtt: Option<u64>,
-    /// Mean deviation in ns.
-    rttvar: u64,
-    /// Consecutive-timeout count (backoff exponent).
-    backoff: u32,
+    state: RttState,
 }
 
 impl RttEstimator {
@@ -42,94 +40,128 @@ impl RttEstimator {
     pub fn new(cfg: RtoConfig) -> Self {
         RttEstimator {
             cfg,
-            srtt: None,
-            rttvar: 0,
-            backoff: 0,
+            state: RttState::default(),
         }
     }
 
     /// Incorporate one RTT measurement (also clears timeout backoff, as a
     /// valid sample means the network is acking again).
     pub fn sample(&mut self, rtt: SimDuration) {
-        let m = rtt.as_nanos();
-        match self.srtt {
-            None => {
-                // First sample: srtt = m, rttvar = m/2 (RFC 6298 / BSD).
-                self.srtt = Some(m);
-                self.rttvar = m / 2;
-            }
-            Some(srtt) => {
-                let err = m as i128 - srtt as i128;
-                let new_srtt = (srtt as i128 + err / 8).max(0) as u64;
-                let abs_err = err.unsigned_abs() as u64;
-                // rttvar += (|err| - rttvar) / 4, in signed arithmetic.
-                let dv = abs_err as i128 - self.rttvar as i128;
-                self.rttvar = (self.rttvar as i128 + dv / 4).max(0) as u64;
-                self.srtt = Some(new_srtt);
-            }
-        }
-        self.backoff = 0;
+        self.state.sample(rtt);
     }
 
     /// Current smoothed RTT (`None` before any sample).
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt.map(SimDuration::from_nanos)
+        self.state.srtt()
     }
 
     /// Note a retransmission timeout: doubles subsequent RTOs.
     pub fn on_timeout(&mut self) {
-        self.backoff = (self.backoff + 1).min(12); // 2^12 ≫ max/min ratio
+        self.state.on_timeout();
     }
 
     /// Clear backoff without a sample (e.g. on fast retransmit).
     pub fn reset_backoff(&mut self) {
-        self.backoff = 0;
+        self.state.backoff = 0;
     }
 
     /// Current backoff exponent.
     pub fn backoff(&self) -> u32 {
-        self.backoff
+        u32::from(self.state.backoff)
     }
 
     /// Serialize the estimator's mutable state (the config is structural).
-    pub fn save_state(&self, w: &mut td_engine::SnapWriter) {
-        match self.srtt {
-            Some(srtt) => {
-                w.write_bool(true);
-                w.write_u64(srtt);
-            }
-            None => w.write_bool(false),
-        }
-        w.write_u64(self.rttvar);
-        w.write_u32(self.backoff);
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        self.state.save_state(w);
     }
 
     /// Restore state written by [`RttEstimator::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut td_engine::SnapReader<'_>,
-    ) -> Result<(), td_engine::SnapError> {
-        self.srtt = if r.read_bool()? {
-            Some(r.read_u64()?)
-        } else {
-            None
-        };
-        self.rttvar = r.read_u64()?;
-        self.backoff = r.read_u32()?;
-        Ok(())
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.state.load_state(r)
     }
 
     /// The retransmission timeout to arm now: estimator output (or the
     /// initial RTO), backed off, clamped to `[min, max]`, then rounded up
     /// to the clock granularity.
     pub fn rto(&self) -> SimDuration {
-        let base = match self.srtt {
-            None => self.cfg.initial,
-            Some(srtt) => SimDuration::from_nanos(srtt.saturating_add(4 * self.rttvar)),
+        self.state.rto(&self.cfg)
+    }
+}
+
+/// An estimator's mutable state without its configuration. A sending
+/// endpoint keeps this and reads the [`RtoConfig`] from the
+/// [`crate::SenderConfig`] its whole class shares, so the timer
+/// parameters are stored once per class, not once per connection.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RttState {
+    /// Smoothed RTT in ns; meaningful once `sampled`.
+    srtt: u64,
+    /// Mean deviation in ns.
+    rttvar: u64,
+    /// Consecutive-timeout count (backoff exponent), at most
+    /// [`MAX_BACKOFF`].
+    backoff: u8,
+    /// A sample has set `srtt`.
+    sampled: bool,
+}
+
+impl RttState {
+    pub(crate) fn sample(&mut self, rtt: SimDuration) {
+        let m = rtt.as_nanos();
+        if self.sampled {
+            let err = m as i128 - self.srtt as i128;
+            let new_srtt = (self.srtt as i128 + err / 8).max(0) as u64;
+            let abs_err = err.unsigned_abs() as u64;
+            // rttvar += (|err| - rttvar) / 4, in signed arithmetic.
+            let dv = abs_err as i128 - self.rttvar as i128;
+            self.rttvar = (self.rttvar as i128 + dv / 4).max(0) as u64;
+            self.srtt = new_srtt;
+        } else {
+            // First sample: srtt = m, rttvar = m/2 (RFC 6298 / BSD).
+            self.srtt = m;
+            self.rttvar = m / 2;
+            self.sampled = true;
+        }
+        self.backoff = 0;
+    }
+
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
+        self.sampled.then(|| SimDuration::from_nanos(self.srtt))
+    }
+
+    pub(crate) fn on_timeout(&mut self) {
+        self.backoff = (self.backoff + 1).min(MAX_BACKOFF);
+    }
+
+    pub(crate) fn rto(&self, cfg: &RtoConfig) -> SimDuration {
+        let base = match self.srtt() {
+            None => cfg.initial,
+            Some(srtt) => SimDuration::from_nanos(srtt.as_nanos().saturating_add(4 * self.rttvar)),
         };
         let backed = base.saturating_mul(1u64 << self.backoff);
-        let clamped = backed.max(self.cfg.min).min(self.cfg.max);
-        round_up(clamped, self.cfg.granularity)
+        let clamped = backed.max(cfg.min).min(cfg.max);
+        round_up(clamped, cfg.granularity)
+    }
+
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.write_bool(self.sampled);
+        if self.sampled {
+            w.write_u64(self.srtt);
+        }
+        w.write_u64(self.rttvar);
+        w.write_u32(u32::from(self.backoff));
+    }
+
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.sampled = r.read_bool()?;
+        self.srtt = if self.sampled { r.read_u64()? } else { 0 };
+        self.rttvar = r.read_u64()?;
+        let backoff = r.read_u32()?;
+        self.backoff = u8::try_from(backoff)
+            .ok()
+            .filter(|&b| b <= MAX_BACKOFF)
+            .ok_or_else(|| SnapError::Corrupt(format!("RTO backoff {backoff} > {MAX_BACKOFF}")))?;
+        Ok(())
     }
 }
 
@@ -315,6 +347,29 @@ mod tests {
             e.on_timeout();
         }
         assert_eq!(e.rto(), SimDuration::from_secs(64));
+    }
+
+    #[test]
+    fn state_roundtrips_and_an_impossible_backoff_is_corrupt() {
+        let mut e = RttEstimator::new(fine_cfg());
+        e.sample(SimDuration::from_millis(100));
+        for _ in 0..20 {
+            e.on_timeout();
+        }
+        let mut w = SnapWriter::new();
+        e.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut back = RttEstimator::new(fine_cfg());
+        back.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(
+            (back.srtt(), back.backoff(), back.rto()),
+            (e.srtt(), 12, e.rto())
+        );
+        // The backoff is the last field, a u32: 13 can never be saved.
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&13u32.to_le_bytes());
+        let err = back.load_state(&mut SnapReader::new(&bytes));
+        assert!(matches!(err, Err(SnapError::Corrupt(_))), "{err:?}");
     }
 
     #[test]

@@ -14,14 +14,18 @@
 
 use crate::cc::Cc;
 use crate::config::SenderConfig;
-use crate::rtt::RttEstimator;
+use crate::rtt::RttState;
 use std::any::Any;
 use std::cmp::Ordering;
-use td_engine::{SimTime, SnapError, SnapReader, SnapWriter};
+use std::sync::Arc;
+use td_engine::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use td_net::{Ctx, Endpoint, LossKind, Packet, PacketKind, ProtoEvent, TimerHandle};
 
 pub(crate) const TOKEN_RTO: u64 = 1;
 const TOKEN_PACE: u64 = 3;
+
+/// [`SendHalf::timing`] while no segment is timed.
+const NOT_TIMING: (u64, SimTime) = (0, SimTime::ZERO);
 
 /// How an endpoint puts the send half's data segments on the wire; `cfg`
 /// is the connection's, lent by the half.
@@ -47,9 +51,11 @@ pub(crate) enum Ack {
 /// Congestion control, RTT estimation and loss recovery for one direction
 /// of data: all a sending endpoint does but put segments on the wire.
 pub(crate) struct SendHalf {
-    cfg: SenderConfig,
+    /// Shared by every endpoint built from the same config.
+    cfg: Arc<SenderConfig>,
     cc: Cc,
-    rtt: RttEstimator,
+    /// Its parameters are `cfg.rto`.
+    rtt: RttState,
     /// Lowest unacknowledged sequence number (first is 1).
     snd_una: u64,
     /// Next sequence number to transmit (pulled back on loss).
@@ -60,22 +66,23 @@ pub(crate) struct SendHalf {
     dupacks: u32,
     /// RTO timer, if armed.
     rto_armed: Option<TimerHandle>,
-    /// Segment being timed for RTT: (sequence, send time).
-    timing: Option<(u64, SimTime)>,
+    /// Segment being timed for RTT: (sequence, send time); sequence 0
+    /// (never sent, the first is 1) while none is.
+    timing: (u64, SimTime),
 }
 
 impl SendHalf {
-    pub(crate) fn new(cfg: SenderConfig) -> Self {
+    pub(crate) fn new(cfg: Arc<SenderConfig>) -> Self {
         SendHalf {
             cc: cfg.cc.build(cfg.maxwnd),
-            rtt: RttEstimator::new(cfg.rto),
+            rtt: RttState::default(),
             cfg,
             snd_una: 1,
             snd_nxt: 1,
             snd_max: 1,
             dupacks: 0,
             rto_armed: None,
-            timing: None,
+            timing: NOT_TIMING,
         }
     }
 
@@ -94,7 +101,7 @@ impl SendHalf {
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
         self.cancel_rto(ctx);
-        self.rto_armed = Some(ctx.set_timer(self.rtt.rto(), TOKEN_RTO));
+        self.rto_armed = Some(ctx.set_timer(self.rtt.rto(&self.cfg.rto), TOKEN_RTO));
     }
 
     fn cancel_rto(&mut self, ctx: &mut Ctx<'_>) {
@@ -119,8 +126,8 @@ impl SendHalf {
         wire.send_data(ctx, &self.cfg, seq, retx);
         if retx {
             ctx.emit(ProtoEvent::Retransmit { seq });
-        } else if self.timing.is_none() {
-            self.timing = Some((seq, ctx.now()));
+        } else if self.timing.0 == 0 {
+            self.timing = (seq, ctx.now());
         }
         if self.rto_armed.is_none() {
             self.arm_rto(ctx);
@@ -141,11 +148,10 @@ impl SendHalf {
             }
             self.dupacks = 0;
             self.snd_una = ack + 1;
-            if let Some((seq, sent_at)) = self.timing {
-                if ack >= seq {
-                    self.rtt.sample(ctx.now().since(sent_at));
-                    self.timing = None;
-                }
+            let (seq, sent_at) = self.timing;
+            if seq != 0 && ack >= seq {
+                self.rtt.sample(ctx.now().since(sent_at));
+                self.timing = NOT_TIMING;
             }
             self.cc.on_ack_marked(pkt.ce);
             self.emit_cwnd(ctx);
@@ -205,7 +211,7 @@ impl SendHalf {
         self.cc.on_loss(kind);
         self.emit_cwnd(ctx);
         // Karn: the timed segment is about to be retransmitted.
-        self.timing = None;
+        self.timing = NOT_TIMING;
         match kind {
             LossKind::DupAck => self.transmit(ctx, self.snd_una, true, wire),
             LossKind::Timeout => {
@@ -227,8 +233,9 @@ impl SendHalf {
         if let Some(h) = &self.rto_armed {
             h.save_state(w);
         }
-        w.write_bool(self.timing.is_some());
-        if let Some((seq, at)) = self.timing {
+        let (seq, at) = self.timing;
+        w.write_bool(seq != 0);
+        if seq != 0 {
             w.write_u64(seq);
             w.write_time(at);
         }
@@ -246,9 +253,13 @@ impl SendHalf {
             .then(|| TimerHandle::load_state(r))
             .transpose()?;
         self.timing = if r.read_bool()? {
-            Some((r.read_u64()?, r.read_time()?))
+            let (seq, at) = (r.read_u64()?, r.read_time()?);
+            if seq == 0 {
+                return Err(SnapError::Corrupt("timed segment 0".into()));
+            }
+            (seq, at)
         } else {
-            None
+            NOT_TIMING
         };
         Ok(())
     }
@@ -286,10 +297,13 @@ pub struct TcpSender {
 struct Outbox {
     /// Pacing: earliest time the next data packet may leave.
     pace_due: SimTime,
+    /// When the final packet of a finite transfer was acknowledged, once
+    /// `finished`. (A flag beside the time, not an `Option`, so it shares
+    /// a word with `pace_armed`.)
+    finished_at: SimTime,
+    finished: bool,
     /// Pacing timer armed.
     pace_armed: bool,
-    /// When the final packet of a finite transfer was acknowledged.
-    finished_at: Option<SimTime>,
     stats: SenderStats,
 }
 
@@ -324,16 +338,17 @@ impl Wire for Outbox {
 }
 
 impl TcpSender {
-    /// A fresh sender (nothing sent, `snd_una = snd_nxt = 1`).
-    pub fn new(cfg: SenderConfig) -> Self {
+    /// A fresh sender (nothing sent, `snd_una = snd_nxt = 1`). Pass an
+    /// `Arc<SenderConfig>` clone to share one config among many senders.
+    pub fn new(cfg: impl Into<Arc<SenderConfig>>) -> Self {
         TcpSender {
-            snd: SendHalf::new(cfg),
+            snd: SendHalf::new(cfg.into()),
             out: Outbox::default(),
         }
     }
 
     /// A boxed sender, ready for [`td_net::World::attach`].
-    pub fn boxed(cfg: SenderConfig) -> Box<dyn Endpoint> {
+    pub fn boxed(cfg: impl Into<Arc<SenderConfig>>) -> Box<dyn Endpoint> {
         Box::new(Self::new(cfg))
     }
 
@@ -357,16 +372,16 @@ impl TcpSender {
         self.snd.outstanding()
     }
 
-    /// The RTT estimator (for inspection).
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.snd.rtt
+    /// Current smoothed RTT (`None` before any sample).
+    pub fn srtt(&self) -> Option<SimDuration> {
+        self.snd.rtt.srtt()
     }
 
     /// For finite transfers ([`SenderConfig::data_limit`]): when the last
     /// packet was cumulatively acknowledged. `None` while in progress or
     /// for infinite streams.
     pub fn finished_at(&self) -> Option<SimTime> {
-        self.out.finished_at
+        self.out.finished.then_some(self.out.finished_at)
     }
 }
 
@@ -383,9 +398,10 @@ impl Endpoint for TcpSender {
                 let stats = &mut self.out.stats;
                 stats.acked = stats.acked.max(pkt.seq);
                 let limit = self.snd.cfg.data_limit;
-                if self.out.finished_at.is_none() && limit.is_some_and(|l| self.snd.snd_una > l) {
+                if !self.out.finished && limit.is_some_and(|l| self.snd.snd_una > l) {
                     // Transfer complete: everything acknowledged.
-                    self.out.finished_at = Some(ctx.now());
+                    self.out.finished = true;
+                    self.out.finished_at = ctx.now();
                     self.snd.cancel_rto(ctx);
                 }
                 self.snd.try_send(ctx, &mut self.out);
@@ -422,9 +438,9 @@ impl Endpoint for TcpSender {
         self.snd.save_state(w);
         w.write_time(self.out.pace_due);
         w.write_bool(self.out.pace_armed);
-        w.write_bool(self.out.finished_at.is_some());
-        if let Some(t) = self.out.finished_at {
-            w.write_time(t);
+        w.write_bool(self.out.finished);
+        if self.out.finished {
+            w.write_time(self.out.finished_at);
         }
         let s = &self.out.stats;
         w.write_u64(s.packets_sent);
@@ -440,7 +456,12 @@ impl Endpoint for TcpSender {
         self.snd.load_state(r)?;
         self.out.pace_due = r.read_time()?;
         self.out.pace_armed = r.read_bool()?;
-        self.out.finished_at = r.read_bool()?.then(|| r.read_time()).transpose()?;
+        self.out.finished = r.read_bool()?;
+        self.out.finished_at = if self.out.finished {
+            r.read_time()?
+        } else {
+            SimTime::ZERO
+        };
         let s = &mut self.out.stats;
         s.packets_sent = r.read_u64()?;
         s.new_data_sent = r.read_u64()?;
@@ -462,7 +483,7 @@ impl Endpoint for TcpSender {
             // Infinite sources have no notion of "done" and opt out of
             // stall attribution; finite transfers are done once everything
             // is acknowledged.
-            finished: snd.cfg.data_limit.map(|_| self.out.finished_at.is_some()),
+            finished: snd.cfg.data_limit.map(|_| self.out.finished),
             detail: format!(
                 "snd_una={} snd_nxt={} snd_max={} cwnd={:.2} rto {} ({:.3}s)",
                 snd.snd_una,
@@ -470,7 +491,7 @@ impl Endpoint for TcpSender {
                 snd.snd_max,
                 snd.cc.cwnd(),
                 snd.rto_armed.map_or("unarmed", |_| "armed"),
-                snd.rtt.rto().as_secs_f64(),
+                snd.rtt.rto(&snd.cfg.rto).as_secs_f64(),
             ),
         }
     }
@@ -482,7 +503,7 @@ mod tests {
     use crate::cc::{CcKind, IncrementRule};
     use crate::config::{ReceiverConfig, RtoConfig};
     use crate::receiver::TcpReceiver;
-    use td_engine::{Rate, SimDuration};
+    use td_engine::Rate;
     use td_net::{ConnId, DisciplineKind, FaultModel, NodeId, TraceEvent, World};
 
     /// Two hosts, direct duplex link; returns (world, sender-ep, receiver-ep).
@@ -807,7 +828,7 @@ mod tests {
         // The path RTT is ≥ 100 ms (two 80 ms serializations dominate);
         // a retransmission-ambiguity sample could look like ~1 RTT too
         // high/low. We only assert an estimate exists and is plausible.
-        let srtt = snd.rtt().srtt().expect("must have sampled");
+        let srtt = snd.srtt().expect("must have sampled");
         assert!(srtt >= SimDuration::from_millis(100), "srtt {srtt}");
         assert!(tx_progress(&w, s) > 100);
     }

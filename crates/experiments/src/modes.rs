@@ -35,6 +35,19 @@ fn mode_of(run: &crate::scenario::Run) -> (SyncMode, f64, f64) {
     (m, r, util)
 }
 
+/// Epochs of one run whose connections all lost two packets, all lost
+/// one, and all epochs: the drop pattern of §4.3.3's minority modes.
+fn drop_pattern(run: &crate::scenario::Run) -> (usize, usize, usize) {
+    let epochs =
+        td_analysis::epochs::detect_epochs(&run.drops(), td_engine::SimDuration::from_secs(4));
+    let all = |n| {
+        (epochs.iter())
+            .filter(|e| e.losses_by_conn.values().all(|&k| k == n))
+            .count()
+    };
+    (all(2), all(1), epochs.len())
+}
+
 /// Run and evaluate the mode census.
 pub fn report(seed0: u64, duration_s: u64) -> Report {
     let seeds: Vec<u64> = (seed0..seed0 + 10).collect();
@@ -51,18 +64,23 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
     // Small pipe: out-of-phase should dominate. The ten start phases are
     // independent runs — a ReplicateSweep fans them over idle job slots;
     // each worker classifies its own run and the census is folded in seed order, so the tallies are
-    // identical to the old sequential loop at any job count.
+    // identical to the old sequential loop at any job count. An in-phase
+    // run also hands back its drop pattern, read below for the first one.
     let census = ReplicateSweep::explicit("tbl-modes", seeds.clone());
-    let small: Vec<(SyncMode, f64)> = census.run(|seed, _| {
+    let small = census.run(|seed, _| {
         let run = fig45::scenario(seed, duration_s, 20).trace_free().run();
         let (m, _r, util) = mode_of(&run);
-        (m, util)
+        (
+            m,
+            util,
+            (m == SyncMode::InPhase).then(|| drop_pattern(&run)),
+        )
     });
     let mut counts = (0usize, 0usize, 0usize); // (out, in, indeterminate)
     let mut out_utils = Vec::new();
     let mut in_utils = Vec::new();
-    let mut in_seeds = Vec::new();
-    for (&seed, &(m, util)) in seeds.iter().zip(&small) {
+    let mut in_patterns = Vec::new();
+    for &(m, util, pattern) in &small {
         match m {
             SyncMode::OutOfPhase => {
                 counts.0 += 1;
@@ -71,7 +89,7 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
             SyncMode::InPhase => {
                 counts.1 += 1;
                 in_utils.push(util);
-                in_seeds.push(seed);
+                in_patterns.extend(pattern);
             }
             SyncMode::Indeterminate => counts.2 += 1,
         }
@@ -107,28 +125,12 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
         // every congestion epoch. Some modes alternate between the single
         // drop and double drop behavior." Verify the drop pattern of the
         // first in-phase seed matches.
-        if let Some(&seed) = in_seeds.first() {
-            let run = fig45::scenario(seed, duration_s, 20).trace_free().run();
-            let epochs = td_analysis::epochs::detect_epochs(
-                &run.drops(),
-                td_engine::SimDuration::from_secs(4),
-            );
-            let both_double = epochs
-                .iter()
-                .filter(|e| e.losses_by_conn.values().all(|&n| n == 2))
-                .count();
-            let both_single = epochs
-                .iter()
-                .filter(|e| e.losses_by_conn.values().all(|&n| n == 1))
-                .count();
+        if let Some(&(both_double, both_single, epochs)) = in_patterns.first() {
             rep.check(
                 "minority mode drop pattern",
                 "double drops per epoch / alternating single-double (Sec. 4.3.3)",
-                format!(
-                    "{both_double} double-double and {both_single} single-single of {} epochs",
-                    epochs.len()
-                ),
-                both_double > 0 && (both_double + both_single) * 3 >= epochs.len() * 2,
+                format!("{both_double} double-double and {both_single} single-single of {epochs} epochs"),
+                both_double > 0 && (both_double + both_single) * 3 >= epochs * 2,
             );
         }
     } else {

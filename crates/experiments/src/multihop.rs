@@ -13,6 +13,7 @@
 
 use crate::report::Report;
 use crate::scenario::{run_observed, DATA_SERVICE};
+use std::sync::Arc;
 use td_analysis::plot::Plot;
 use td_analysis::sync::{classify_sync, SyncMode};
 use td_analysis::{compression, StreamMetrics, StreamSpec};
@@ -34,6 +35,10 @@ pub fn run_chain(seed: u64, duration_s: u64) -> (Chain, SimTime, SimTime, Stream
         SimDuration::from_micros(100),
     );
     let mut rng = SimRng::new(seed).derive(0x50C8);
+    let (scfg, rcfg) = (
+        Arc::new(SenderConfig::paper()),
+        Arc::new(ReceiverConfig::paper()),
+    );
     for i in 0..50u32 {
         let hops = 1 + (i as usize % 3); // path length 1, 2 or 3 trunk hops
         let start = rng.next_below((4 - hops) as u64) as usize;
@@ -45,9 +50,9 @@ pub fn run_chain(seed: u64, duration_s: u64) -> (Chain, SimTime, SimTime, Stream
         let conn = ConnId(i);
         let s = c
             .world
-            .attach(src, dst, conn, TcpSender::boxed(SenderConfig::paper()));
+            .attach(src, dst, conn, TcpSender::boxed(Arc::clone(&scfg)));
         c.world
-            .attach(dst, src, conn, TcpReceiver::boxed(ReceiverConfig::paper()));
+            .attach(dst, src, conn, TcpReceiver::boxed(Arc::clone(&rcfg)));
         c.world
             .start_at(s, SimTime::from_nanos(rng.next_below(1_000_000_000)));
     }

@@ -20,6 +20,7 @@
 //! encoding. Wall-clock, shard count, and core count appear nowhere.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::registry::Profile;
 use crate::report::Report;
@@ -130,6 +131,21 @@ pub struct ScaleMap {
 /// Build the cluster chain into `w` and attach all connections. Pure
 /// function of `(seed, params)` — called once per shard replica by
 /// [`ShardedWorld::build`], so it must stay deterministic.
+///
+/// Every connection is attached before any start is scheduled. Each
+/// start time is drawn from the jitter stream as its connection is
+/// attached, and the starts are then scheduled in connection order, so
+/// the events and their sequence numbers are those of a build that
+/// scheduled each start right after its attach. What the order changes
+/// is the heap, and only for a chain rebuilt on a process's main thread
+/// after the previous one was dropped. There, under glibc's defaults,
+/// dropping the world leaves small chunks in the allocator's per-thread
+/// cache above the endpoint boxes, so the heap is not trimmed below them
+/// and the rebuild reuses the boxes' pages instead of faulting fresh
+/// ones in: a 100k rebuild took 12 800 minor faults fewer and half the
+/// time. Builds on spawned threads, which is every build `td-repro` and
+/// `td-serve` make, measured the same in either order (DESIGN.md §S3,
+/// "Construction").
 pub fn build_chain(w: &mut World, seed: u64, p: &ScaleParams) -> ScaleMap {
     let host_link = LinkSpec::paper_host_link();
     let trunk = LinkSpec::paper_bottleneck(SimDuration::from_millis(10), Some(30));
@@ -175,14 +191,19 @@ pub fn build_chain(w: &mut World, seed: u64, p: &ScaleParams) -> ScaleMap {
 
     // Traffic. Start times are jittered from a seed-derived stream that is
     // independent of the world RNG, so attachment stays shard-invariant.
+    // Each start is drawn where its connection is attached and scheduled
+    // after the last attach, in connection order (see the doc comment).
     let mut rng = SimRng::new(seed).derive(0x5CA1_E000);
-    let mut next_conn = 0u32;
+    let (scfg, rcfg) = (
+        Arc::new(SenderConfig::paper()),
+        Arc::new(ReceiverConfig::paper()),
+    );
+    let mut starts = Vec::with_capacity(p.total_conns() as usize);
     let mut attach_pair = |w: &mut World, src: NodeId, dst: NodeId, rng: &mut SimRng| {
-        let conn = ConnId(next_conn);
-        next_conn += 1;
-        let s = w.attach(src, dst, conn, TcpSender::boxed(SenderConfig::paper()));
-        w.attach(dst, src, conn, TcpReceiver::boxed(ReceiverConfig::paper()));
-        w.start_at(s, SimTime::from_nanos(rng.next_below(1_000_000_000)));
+        let conn = ConnId(starts.len() as u32);
+        let s = w.attach(src, dst, conn, TcpSender::boxed(Arc::clone(&scfg)));
+        w.attach(dst, src, conn, TcpReceiver::boxed(Arc::clone(&rcfg)));
+        starts.push((s, SimTime::from_nanos(rng.next_below(1_000_000_000))));
     };
     for (c, hs) in hosts.iter().enumerate() {
         for i in 0..p.conns_per_cluster {
@@ -207,6 +228,9 @@ pub fn build_chain(w: &mut World, seed: u64, p: &ScaleParams) -> ScaleMap {
                 attach_pair(w, src, dst, &mut rng);
             }
         }
+    }
+    for (ep, at) in starts {
+        w.start_at(ep, at);
     }
 
     ScaleMap {

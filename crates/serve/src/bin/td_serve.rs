@@ -61,6 +61,38 @@ fn install_signal_handlers() -> Option<&'static std::sync::atomic::AtomicBool> {
     }
 }
 
+/// A fired deadline unwinds its worker by design and is answered
+/// `deadline_exceeded`; it is not a crash, so it gets one plain stderr
+/// line instead of the default hook's `panicked at` report. A panic on a
+/// thread whose deadline has passed counts too: a thread scope re-raises
+/// a helper's deadline panic with a payload of its own. That line keeps
+/// such a panic's message and location, so a real bug that happens to
+/// panic after the deadline still shows. Every other panic goes to the
+/// default hook.
+fn install_panic_hook() {
+    use td_net::deadline;
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = (payload.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        match msg {
+            Some(m) if m.starts_with(deadline::PANIC_PREFIX) => eprintln!("td-serve: {m}"),
+            _ if deadline::expired() => {
+                let loc = info
+                    .location()
+                    .map_or(String::new(), |l| format!(" at {l}"));
+                eprintln!(
+                    "td-serve: {} (unwound by: {}{loc})",
+                    deadline::PANIC_PREFIX,
+                    msg.unwrap_or("a non-string payload")
+                );
+            }
+            _ => default(info),
+        }
+    }));
+}
+
 fn usage() -> String {
     "usage:\n  \
      td-serve serve   --store DIR [--socket PATH] [--jobs N] [--queue-cap N]\n                   \
@@ -114,6 +146,7 @@ fn cmd_serve(args: &mut std::env::Args) -> Result<i32, String> {
     cfg.socket = socket.unwrap_or_else(|| store_dir.join("td-serve.sock"));
     cfg.store_dir = store_dir;
     let interrupt = install_signal_handlers();
+    install_panic_hook();
     run(cfg, interrupt).map_err(|e| format!("serve failed: {e}"))
 }
 

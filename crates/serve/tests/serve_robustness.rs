@@ -7,7 +7,7 @@
 //!   responses byte-identical throughout (the cache is invisible except
 //!   through `stats`);
 //! * a wall-clock deadline killing an oversized cell with a structured
-//!   `deadline_exceeded`;
+//!   `deadline_exceeded`, and leaving no panic report on stderr;
 //! * admission control shedding a lower-priority queued request and
 //!   rejecting on a full queue, then an in-band `shutdown` drain
 //!   (exit 0) answering the queued client `draining`;
@@ -64,6 +64,10 @@ fn spawn_daemon(tag: &str, extra: &[&str]) -> Daemon {
 }
 
 fn spawn_daemon_at(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {
+    spawn_daemon_with_stderr(store, socket, extra, Stdio::null())
+}
+
+fn spawn_daemon_with_stderr(store: &Path, socket: &Path, extra: &[&str], stderr: Stdio) -> Daemon {
     let child = Command::new(EXE)
         .arg("serve")
         .arg("--store")
@@ -72,7 +76,7 @@ fn spawn_daemon_at(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {
         .arg(socket)
         .args(extra)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
         .expect("spawn td-serve");
     let daemon = Daemon {
@@ -330,6 +334,33 @@ fn deadline_kills_an_oversized_cell() {
         "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":99,\"sim_secs\":1}",
     );
     assert!(quick.contains("\"status\":\"ok\""), "quick: {quick}");
+}
+
+/// An expired deadline is an expected outcome, not a crash: the daemon's
+/// stderr carries no panic report for it, with or without a backtrace.
+#[test]
+fn a_deadline_expiry_writes_no_panic_report() {
+    use std::io::Read as _;
+    let store = tmp_dir("deadline-stderr");
+    let socket = store.join("s.sock");
+    let mut d = spawn_daemon_with_stderr(&store, &socket, &["--jobs", "1"], Stdio::piped());
+    let reply = request(&d.socket, &oversized(98, 200));
+    assert!(
+        reply.contains("\"status\":\"deadline_exceeded\""),
+        "reply: {reply}"
+    );
+    let ack = request(&d.socket, "{\"op\":\"shutdown\"}");
+    assert!(ack.contains("\"draining\":true"), "ack: {ack}");
+    assert_eq!(
+        exit_code_within(&mut d.child, Duration::from_secs(20)),
+        Some(0)
+    );
+    let mut err = String::new();
+    (d.child.stderr.take().expect("stderr is piped"))
+        .read_to_string(&mut err)
+        .expect("read the daemon's stderr");
+    assert!(!err.contains("panicked at"), "stderr: {err}");
+    assert!(err.contains("td-deadline exceeded"), "stderr: {err}");
 }
 
 #[test]
