@@ -146,7 +146,7 @@ impl Endpoint for Blackhole {
 mod tests {
     use super::*;
     use td_engine::{Rate, SimTime};
-    use td_net::{ConnId, DisciplineKind, FaultModel, TraceEvent, World};
+    use td_net::{ConnId, DisciplineKind, TraceEvent, World};
 
     fn run(rate_pps: f64, secs: u64, seed: u64) -> (u64, u64, Vec<f64>) {
         let mut w = World::new(seed);
@@ -160,7 +160,6 @@ mod tests {
                 SimDuration::from_millis(1),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         let src = w.attach(

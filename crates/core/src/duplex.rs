@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::config::DelayedAck;
     use td_engine::{Rate, SimDuration};
-    use td_net::{ConnId, DisciplineKind, FaultModel, World};
+    use td_net::{ConnId, DisciplineKind, World};
 
     fn duplex_world(
         delack: bool,
@@ -254,7 +254,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 capacity,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         let scfg = SenderConfig {

@@ -50,16 +50,16 @@
 //! ```
 //! use td_core::*;
 //! use td_engine::{Rate, SimDuration, SimTime};
-//! use td_net::{ConnId, DisciplineKind, FaultModel, World};
+//! use td_net::{ConnId, DisciplineKind, World};
 //!
 //! let mut w = World::new(7);
 //! let src = w.add_host("src", SimDuration::from_micros(100));
 //! let dst = w.add_host("dst", SimDuration::from_micros(100));
 //! // Tight 5-packet buffer: slow start will overshoot and drop.
 //! w.add_channel(src, dst, Rate::from_kbps(50), SimDuration::from_millis(10),
-//!               Some(5), DisciplineKind::DropTail.build(), FaultModel::NONE);
+//!               Some(5), DisciplineKind::DropTail.build());
 //! w.add_channel(dst, src, Rate::from_kbps(50), SimDuration::from_millis(10),
-//!               Some(5), DisciplineKind::DropTail.build(), FaultModel::NONE);
+//!               Some(5), DisciplineKind::DropTail.build());
 //! let s = w.attach(src, dst, ConnId(0), TcpSender::boxed(SenderConfig::paper()));
 //! let r = w.attach(dst, src, ConnId(0), TcpReceiver::boxed(ReceiverConfig::paper()));
 //! w.start_at(s, SimTime::ZERO);

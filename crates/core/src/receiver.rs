@@ -262,7 +262,7 @@ mod tests {
     use crate::config::DelayedAck;
     use std::any::Any;
     use td_engine::{Rate, SimDuration, SimTime};
-    use td_net::{ConnId, DisciplineKind, FaultModel, NodeId, TraceEvent, World};
+    use td_net::{ConnId, DisciplineKind, NodeId, TraceEvent, World};
 
     /// Scripted data source: sends a fixed list of (time, seq) data packets.
     struct Script {
@@ -305,7 +305,6 @@ mod tests {
                 SimDuration::from_nanos(1),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         let src = w.attach(

@@ -504,7 +504,7 @@ mod tests {
     use crate::config::{ReceiverConfig, RtoConfig};
     use crate::receiver::TcpReceiver;
     use td_engine::Rate;
-    use td_net::{ConnId, DisciplineKind, FaultModel, NodeId, TraceEvent, World};
+    use td_net::{ConnId, DisciplineKind, FaultPlan, NodeId, TraceEvent, World};
 
     /// Two hosts, direct duplex link; returns (world, sender-ep, receiver-ep).
     fn tcp_world(
@@ -524,17 +524,8 @@ mod tests {
             delay,
             capacity,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
-        w.add_channel(
-            h1,
-            h0,
-            rate,
-            delay,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
+        w.add_channel(h1, h0, rate, delay, None, DisciplineKind::DropTail.build());
         let s = w.attach(h0, h1, ConnId(0), TcpSender::boxed(scfg));
         let r = w.attach(h1, h0, ConnId(0), TcpReceiver::boxed(rcfg));
         w.start_at(s, SimTime::ZERO);
@@ -673,15 +664,15 @@ mod tests {
         let mut w = World::new(9);
         let h0 = w.add_host("src", SimDuration::from_micros(100));
         let h1 = w.add_host("dst", SimDuration::from_micros(100));
-        w.add_channel(
+        let fwd = w.add_channel(
             h0,
             h1,
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::lossy(1.0), // nothing gets through
         );
+        w.set_fault_plan(fwd, FaultPlan::lossy(1.0)).unwrap(); // nothing gets through
         w.add_channel(
             h1,
             h0,
@@ -689,7 +680,6 @@ mod tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let s = w.attach(h0, h1, ConnId(0), TcpSender::boxed(scfg));
         let _r = w.attach(
@@ -720,15 +710,15 @@ mod tests {
         let mut w = World::new(9);
         let h0 = w.add_host("src", SimDuration::from_micros(100));
         let h1 = w.add_host("dst", SimDuration::from_micros(100));
-        w.add_channel(
+        let fwd = w.add_channel(
             h0,
             h1,
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::lossy(1.0),
         );
+        w.set_fault_plan(fwd, FaultPlan::lossy(1.0)).unwrap();
         w.add_channel(
             h1,
             h0,
@@ -736,7 +726,6 @@ mod tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let s = w.attach(h0, h1, ConnId(0), TcpSender::boxed(scfg));
         let _ = w.attach(
@@ -933,7 +922,7 @@ mod finite_tests {
     use crate::config::ReceiverConfig;
     use crate::receiver::TcpReceiver;
     use td_engine::{Rate, SimDuration};
-    use td_net::{ConnId, DisciplineKind, FaultModel, World};
+    use td_net::{ConnId, DisciplineKind, World};
 
     fn finite_world(limit: u64, capacity: Option<u32>) -> (World, td_net::EndpointId) {
         let mut w = World::new(3);
@@ -947,7 +936,6 @@ mod finite_tests {
                 SimDuration::from_millis(10),
                 capacity,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         let cfg = SenderConfig {

@@ -29,7 +29,7 @@ use td_core::{
     TcpDuplex, TcpReceiver, TcpSender,
 };
 use td_engine::{fnv1a, fnv1a_continue, Rate, SimDuration, SimTime};
-use td_net::{ConnId, DisciplineKind, Endpoint, EndpointId, FaultModel, NodeId, TraceEvent, World};
+use td_net::{ConnId, DisciplineKind, Endpoint, EndpointId, FaultPlan, NodeId, TraceEvent, World};
 
 /// Where a golden run stops.
 #[derive(Clone, Copy)]
@@ -143,12 +143,8 @@ fn two_hosts(seed: u64, capacity: Option<u32>, fwd_loss: f64) -> (World, td_net:
         SimDuration::from_millis(10),
         capacity,
         DisciplineKind::DropTail.build(),
-        if fwd_loss > 0.0 {
-            FaultModel::lossy(fwd_loss)
-        } else {
-            FaultModel::NONE
-        },
     );
+    w.set_fault_plan(fwd, FaultPlan::lossy(fwd_loss)).unwrap();
     w.add_channel(
         h1,
         h0,
@@ -156,7 +152,6 @@ fn two_hosts(seed: u64, capacity: Option<u32>, fwd_loss: f64) -> (World, td_net:
         SimDuration::from_millis(10),
         capacity,
         DisciplineKind::DropTail.build(),
-        FaultModel::NONE,
     );
     (w, fwd)
 }

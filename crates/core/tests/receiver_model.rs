@@ -12,7 +12,7 @@
 use std::any::Any;
 use td_core::{ReceiverConfig, TcpReceiver};
 use td_engine::{Rate, SimDuration, SimRng, SimTime};
-use td_net::{ConnId, Ctx, DisciplineKind, Endpoint, FaultModel, Packet, PacketKind, World};
+use td_net::{ConnId, Ctx, DisciplineKind, Endpoint, Packet, PacketKind, World};
 
 /// Scripted source: sends `seqs` at 1 ms intervals; records ack stream.
 struct Script {
@@ -48,7 +48,6 @@ fn run_sequence(seqs: Vec<u64>) -> (Vec<u64>, u64, u64) {
             SimDuration::from_nanos(1),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
     }
     let src = w.attach(h0, h1, ConnId(0), Box::new(Script { seqs, acks: vec![] }));

@@ -11,7 +11,7 @@
 
 use td_core::{Blackhole, PoissonSource, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{fnv1a, Rate, SimDuration, SimRng, SimTime};
-use td_net::{ConnId, DisciplineKind, FaultModel, NodeId, ShardedWorld, World};
+use td_net::{ConnId, DisciplineKind, NodeId, ShardedWorld, World};
 
 /// A congested two-switch trunk: host/switch cluster per side, 20-packet
 /// drop-tail queues, a 200 Kbit/s trunk whose two directions take
@@ -31,7 +31,6 @@ fn trunk(w: &mut World, delays_ms: [u64; 2]) -> (NodeId, NodeId) {
                 SimDuration::from_micros(100),
                 Some(20),
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
     }
@@ -43,7 +42,6 @@ fn trunk(w: &mut World, delays_ms: [u64; 2]) -> (NodeId, NodeId) {
             SimDuration::from_millis(ms),
             Some(20),
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
     }
     w.compute_routes();

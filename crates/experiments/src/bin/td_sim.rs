@@ -27,7 +27,6 @@ fn main() -> ExitCode {
         scenario,
         out,
         pcap,
-        shards,
     } = match parse(&argv) {
         Ok(a) => a,
         Err(e) => {
@@ -36,14 +35,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    td_experiments::set_shards(shards);
-    if shards > 1 {
-        eprintln!(
-            "note: the dumbbell has a single bottleneck and runs serially; \
-             --shards {shards} applies to shard-aware runs (see `td-repro scale`)"
-        );
-    }
-
     eprintln!(
         "simulating {} ({} fwd + {} rev connections, tau {}, buffer {:?}, {:?}) ...",
         scenario.duration,

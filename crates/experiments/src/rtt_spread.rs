@@ -17,7 +17,7 @@ use crate::scenario::run_observed;
 use td_analysis::{clustering_coefficient, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{Rate, SimDuration, SimTime};
-use td_net::{ConnId, DisciplineKind, FaultModel, World};
+use td_net::{ConnId, DisciplineKind, World};
 
 /// Build the asymmetric-access dumbbell: two source hosts on switch 1 —
 /// one with the paper's 0.1 ms access delay, the other with
@@ -34,24 +34,8 @@ fn run_pair(seed: u64, duration_s: u64, extra_access_delay: SimDuration) -> Vec<
     let s2 = w.add_switch("S2");
     let fast = Rate::from_mbps(10);
     let add = |w: &mut World, a, b, delay: SimDuration, rate: Rate, cap: Option<u32>| {
-        w.add_channel(
-            a,
-            b,
-            rate,
-            delay,
-            cap,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        w.add_channel(
-            b,
-            a,
-            rate,
-            delay,
-            cap,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
+        w.add_channel(a, b, rate, delay, cap, DisciplineKind::DropTail.build());
+        w.add_channel(b, a, rate, delay, cap, DisciplineKind::DropTail.build());
     };
     add(
         &mut w,

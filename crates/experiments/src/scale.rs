@@ -28,9 +28,7 @@ use crate::scenario::DATA_SERVICE;
 use td_analysis::{compression, StreamAnalyzer, StreamMetrics, StreamSpec};
 use td_core::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use td_engine::{fnv1a, fnv1a_continue, Rate, SimDuration, SimRng, SimTime};
-use td_net::{
-    ChannelId, ConnId, DisciplineKind, FaultModel, LinkSpec, NodeId, ShardedWorld, World,
-};
+use td_net::{ChannelId, ConnId, DisciplineKind, LinkSpec, NodeId, ShardedWorld, World};
 
 /// Propagation delay of the long-haul trunks joining clusters: prime, so
 /// no event-time arithmetic can alias it onto the 10 ms paper delays,
@@ -154,7 +152,6 @@ pub fn build_chain(w: &mut World, seed: u64, p: &ScaleParams) -> ScaleMap {
         delay: LONG_HAUL_DELAY,
         capacity: Some(50),
         discipline: DisciplineKind::DropTail,
-        fault: FaultModel::NONE,
     };
 
     let mut hosts: Vec<[NodeId; 4]> = Vec::with_capacity(p.clusters);

@@ -194,7 +194,6 @@ impl Scenario {
             delay: self.tau,
             capacity: self.buffer,
             discipline: self.discipline,
-            fault: td_net::FaultModel::NONE,
         };
         let mut d = dumbbell(
             self.seed,

@@ -19,13 +19,8 @@ pub struct SimArgs {
     pub scenario: Scenario,
     /// Output directory for CSV/SVG/pcap (None = summary only).
     pub out: Option<std::path::PathBuf>,
-    /// Write a pcap of the 1→2 bottleneck.
+    /// Write a pcap of the 1→2 bottleneck into `out` (requires `out`).
     pub pcap: bool,
-    /// Worker-shard count (`--shards N`, default 1). Fed into
-    /// [`crate::set_shards`]; the dumbbell itself is a single-bottleneck
-    /// topology and always executes serially, but the flag keeps the two
-    /// binaries' CLIs uniform for scripts that drive both.
-    pub shards: u32,
 }
 
 /// Parse a congestion-control name.
@@ -88,7 +83,6 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
     let mut mark: Option<u32> = None;
     let mut out = None;
     let mut pcap = false;
-    let mut shards: u32 = 1;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -117,12 +111,6 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
             "--paced" => pacing = true,
             "--pcap" => pcap = true,
             "--out" => out = Some(std::path::PathBuf::from(val("--out")?)),
-            "--shards" => {
-                shards = val("--shards")?.parse().map_err(|e| format!("{e}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -139,6 +127,11 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
     }
     if duration_s < 10 {
         return Err("--duration must be at least 10 s".into());
+    }
+    // The pcap is a file in the output directory; without one it would
+    // be silently dropped.
+    if pcap && out.is_none() {
+        return Err("--pcap writes into the --out directory; give --out DIR".into());
     }
     // DECbit needs marking to function; default its threshold.
     if cc == CcKind::Decbit && mark.is_none() {
@@ -169,7 +162,6 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
         scenario: sc,
         out,
         pcap,
-        shards,
     })
 }
 
@@ -199,12 +191,7 @@ pub fn usage() -> String {
      \n\
      output:\n\
      \x20 --out DIR         write CSV + SVG (+ pcap with --pcap)\n\
-     \x20 --pcap            capture the 1->2 bottleneck wire\n\
-     \n\
-     execution:\n\
-     \x20 --shards N        worker shards for shard-aware runs    [1]\n\
-     \x20                   (the dumbbell is single-bottleneck and runs\n\
-     \x20                   serially; results never depend on N)\n"
+     \x20 --pcap            capture the 1->2 bottleneck wire (needs --out)\n"
         .into()
 }
 
@@ -294,6 +281,10 @@ mod tests {
         assert!(parse(&args("--duration 5")).is_err());
         assert!(parse(&args("--bogus")).is_err());
         assert!(parse(&args("--buffer")).is_err(), "missing value");
+        let err = parse(&args("--shards 2")).unwrap_err();
+        assert!(err.contains("unknown flag: --shards"), "{err}");
+        let err = parse(&args("--pcap")).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
     }
 
     #[test]

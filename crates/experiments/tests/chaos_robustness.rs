@@ -8,8 +8,7 @@ use td_experiments::registry::{Entry, Profile};
 use td_experiments::runner::{run_batch, RunnerConfig};
 use td_experiments::Report;
 use td_net::{
-    Ctx, DisciplineKind, Endpoint, EndpointProgress, FaultModel, Packet, RunOutcome,
-    WatchdogConfig, World,
+    Ctx, DisciplineKind, Endpoint, EndpointProgress, Packet, RunOutcome, WatchdogConfig, World,
 };
 
 fn one_job() -> RunnerConfig {
@@ -92,7 +91,6 @@ fn wedged_world() -> World {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
     }
     let ep = w.attach(h0, h1, td_net::ConnId(0), Box::new(Wedged));

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use td_engine::{Rate, SimDuration, SimRng};
 use td_experiments::scale::{build_chain, ScaleParams};
-use td_net::{ChannelId, DisciplineKind, FaultModel, LinkSpec, NodeId, World};
+use td_net::{ChannelId, DisciplineKind, LinkSpec, NodeId, World};
 
 /// Reference next-hop map: per-destination BFS from scratch over the
 /// public channel list, dense `(switch, host) → channel` entries. Same
@@ -257,7 +257,6 @@ fn random_world(seed: u64, f: Family) -> World {
             SimDuration::from_micros(100),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
     }
     w.compute_routes();

@@ -6,8 +6,7 @@
 //! network is not a TCP. A [`FaultPlan`] composes four orthogonal fault
 //! processes per channel:
 //!
-//! * independent per-packet drop/corrupt coin flips ([`FaultModel`],
-//!   following the smoltcp example convention),
+//! * an independent per-packet drop coin ([`FaultPlan::lossy`]),
 //! * [`GilbertElliott`] two-state burst loss (good/bad Markov chain),
 //! * packet duplication, and
 //! * bounded reordering jitter ([`ReorderJitter`]),
@@ -32,9 +31,6 @@ use td_engine::{SimDuration, SimRng, SimTime};
 pub enum FaultKind {
     /// The packet vanished in transit.
     Dropped,
-    /// The packet arrived damaged; the receiving node discards it (we model
-    /// a perfect checksum).
-    Corrupted,
     /// The link was down (scheduled outage) while the packet was in
     /// transit; everything on the wire is lost.
     LinkDown,
@@ -59,71 +55,6 @@ fn check_prob(name: &str, p: f64) -> Result<(), FaultError> {
         Ok(())
     } else {
         Err(FaultError(format!("{name} = {p} is not in [0, 1]")))
-    }
-}
-
-/// Independent per-packet fault probabilities for one channel.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultModel {
-    /// Probability a packet is lost in transit.
-    pub drop_prob: f64,
-    /// Probability a surviving packet arrives corrupted.
-    pub corrupt_prob: f64,
-}
-
-impl FaultModel {
-    /// A perfect channel (the paper's setting).
-    pub const NONE: FaultModel = FaultModel {
-        drop_prob: 0.0,
-        corrupt_prob: 0.0,
-    };
-
-    /// A validated model: both probabilities must be finite and in
-    /// `[0, 1]`. Direct struct construction bypasses this check (the
-    /// fields are public for literals like [`FaultModel::NONE`]), but
-    /// [`crate::World::set_fault_plan`] re-validates the whole plan.
-    pub fn new(drop_prob: f64, corrupt_prob: f64) -> Result<Self, FaultError> {
-        check_prob("drop_prob", drop_prob)?;
-        check_prob("corrupt_prob", corrupt_prob)?;
-        Ok(FaultModel {
-            drop_prob,
-            corrupt_prob,
-        })
-    }
-
-    /// A channel that loses packets at rate `p`.
-    pub fn lossy(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        FaultModel {
-            drop_prob: p,
-            corrupt_prob: 0.0,
-        }
-    }
-
-    /// True if no fault can ever occur (fast path: skip the RNG entirely,
-    /// keeping error-free runs independent of the fault stream).
-    pub fn is_none(&self) -> bool {
-        self.drop_prob == 0.0 && self.corrupt_prob == 0.0
-    }
-
-    /// Roll the dice for one packet.
-    pub fn apply(&self, rng: &mut SimRng) -> Option<FaultKind> {
-        if self.is_none() {
-            return None;
-        }
-        if self.drop_prob > 0.0 && rng.chance(self.drop_prob) {
-            return Some(FaultKind::Dropped);
-        }
-        if self.corrupt_prob > 0.0 && rng.chance(self.corrupt_prob) {
-            return Some(FaultKind::Corrupted);
-        }
-        None
-    }
-}
-
-impl Default for FaultModel {
-    fn default() -> Self {
-        FaultModel::NONE
     }
 }
 
@@ -237,16 +168,16 @@ pub enum FaultOutcome {
 
 /// The complete fault configuration of one channel.
 ///
-/// Composes the stochastic processes (coin-flip loss/corruption, burst
-/// loss, duplication, jitter) with the deterministic outage schedule. The
-/// draw order is fixed — burst, drop, corrupt, duplicate, jitter — so a
-/// plan's random stream is a pure function of the packet sequence, and
-/// every guard skips the RNG when its process is disabled: an outage-only
-/// plan consumes no randomness at all.
+/// Composes the stochastic processes (coin-flip loss, burst loss,
+/// duplication, jitter) with the deterministic outage schedule. The draw
+/// order is fixed — burst, drop, duplicate, jitter — so a plan's random
+/// stream is a pure function of the packet sequence, and every guard skips
+/// the RNG when its process is disabled: an outage-only plan consumes no
+/// randomness at all.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Independent per-packet drop/corrupt probabilities.
-    pub model: FaultModel,
+    /// Independent per-packet drop probability.
+    pub drop_prob: f64,
     /// Optional Gilbert–Elliott burst-loss process.
     pub burst: Option<GilbertElliott>,
     /// Per-packet duplication probability.
@@ -260,7 +191,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A perfect channel (the paper's setting).
     pub const NONE: FaultPlan = FaultPlan {
-        model: FaultModel::NONE,
+        drop_prob: 0.0,
         burst: None,
         dup_prob: 0.0,
         jitter: None,
@@ -289,6 +220,19 @@ impl FaultPlan {
         plan
     }
 
+    /// A plan that loses each packet independently with probability `p`.
+    ///
+    /// Panics, naming `drop_prob`, if `p` is NaN or outside `[0, 1]`.
+    pub fn lossy(p: f64) -> Self {
+        if let Err(e) = check_prob("drop_prob", p) {
+            panic!("{e}");
+        }
+        FaultPlan {
+            drop_prob: p,
+            ..FaultPlan::NONE
+        }
+    }
+
     /// A plan with only a burst-loss process set.
     pub fn with_burst(burst: GilbertElliott) -> Self {
         FaultPlan {
@@ -300,7 +244,7 @@ impl FaultPlan {
     /// True if this plan can never affect a packet (fast path: the
     /// channel's RNG stream is never touched).
     pub fn is_none(&self) -> bool {
-        self.model.is_none()
+        self.drop_prob == 0.0
             && self.burst.is_none()
             && self.dup_prob == 0.0
             && self.jitter.is_none()
@@ -309,8 +253,7 @@ impl FaultPlan {
 
     /// Validate every probability and the outage schedule.
     pub fn validate(&self) -> Result<(), FaultError> {
-        check_prob("drop_prob", self.model.drop_prob)?;
-        check_prob("corrupt_prob", self.model.corrupt_prob)?;
+        check_prob("drop_prob", self.drop_prob)?;
         check_prob("dup_prob", self.dup_prob)?;
         if let Some(ge) = &self.burst {
             check_prob("p_enter", ge.p_enter)?;
@@ -373,8 +316,8 @@ impl FaultPlan {
                 return FaultOutcome::Dropped(FaultKind::Dropped);
             }
         }
-        if let Some(kind) = self.model.apply(rng) {
-            return FaultOutcome::Dropped(kind);
+        if self.drop_prob > 0.0 && rng.chance(self.drop_prob) {
+            return FaultOutcome::Dropped(FaultKind::Dropped);
         }
         let duplicate = self.dup_prob > 0.0 && rng.chance(self.dup_prob);
         let extra_delay = match &self.jitter {
@@ -394,83 +337,51 @@ impl FaultPlan {
     }
 }
 
-impl From<FaultModel> for FaultPlan {
-    fn from(model: FaultModel) -> Self {
-        FaultPlan {
-            model,
-            ..FaultPlan::NONE
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn none_never_faults_and_never_touches_rng() {
-        let mut rng = SimRng::new(1);
-        let before = rng.clone().next_u64();
-        for _ in 0..100 {
-            assert_eq!(FaultModel::NONE.apply(&mut rng), None);
-        }
-        assert_eq!(rng.next_u64(), before, "RNG stream was consumed");
+    /// One packet through `plan` at an arbitrary instant, outage-free.
+    fn decide_one(plan: &mut FaultPlan, rng: &mut SimRng) -> FaultOutcome {
+        plan.decide(SimTime::from_secs(1), SimDuration::from_millis(10), rng)
     }
 
     #[test]
     fn certain_drop_always_drops() {
         let mut rng = SimRng::new(2);
-        let m = FaultModel::lossy(1.0);
+        let mut plan = FaultPlan::lossy(1.0);
         for _ in 0..100 {
-            assert_eq!(m.apply(&mut rng), Some(FaultKind::Dropped));
+            assert_eq!(
+                decide_one(&mut plan, &mut rng),
+                FaultOutcome::Dropped(FaultKind::Dropped)
+            );
         }
     }
 
     #[test]
     fn drop_rate_is_roughly_honoured() {
         let mut rng = SimRng::new(3);
-        let m = FaultModel::lossy(0.3);
+        let mut plan = FaultPlan::lossy(0.3);
         let n = 100_000;
-        let drops = (0..n).filter(|_| m.apply(&mut rng).is_some()).count();
+        let drops = (0..n)
+            .filter(|_| matches!(decide_one(&mut plan, &mut rng), FaultOutcome::Dropped(_)))
+            .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.01, "observed rate {rate}");
     }
 
     #[test]
-    fn corrupt_only_model() {
-        let mut rng = SimRng::new(4);
-        let m = FaultModel {
-            drop_prob: 0.0,
-            corrupt_prob: 1.0,
-        };
-        assert_eq!(m.apply(&mut rng), Some(FaultKind::Corrupted));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lossy_rejects_bad_probability() {
-        let _ = FaultModel::lossy(1.5);
-    }
-
-    #[test]
-    fn fallible_constructor_validates() {
-        assert!(FaultModel::new(0.1, 0.2).is_ok());
-        assert!(FaultModel::new(0.0, 0.0).is_ok());
-        assert!(FaultModel::new(1.0, 1.0).is_ok());
-        for (d, c) in [
-            (f64::NAN, 0.0),
-            (0.0, f64::NAN),
-            (-0.1, 0.0),
-            (0.0, 1.5),
-            (f64::INFINITY, 0.0),
-            (0.0, f64::NEG_INFINITY),
-        ] {
-            let err = FaultModel::new(d, c).unwrap_err();
-            assert!(
-                err.to_string().contains("not in [0, 1]"),
-                "unexpected error for ({d}, {c}): {err}"
-            );
+    fn lossy_validates_its_probability() {
+        for p in [f64::NAN, -0.1, 1.5] {
+            let msg = *std::panic::catch_unwind(|| FaultPlan::lossy(p))
+                .expect_err("out-of-range drop_prob was accepted")
+                .downcast::<String>()
+                .expect("panic message is a String");
+            assert!(msg.contains("drop_prob"), "p = {p}: {msg}");
         }
+        assert!(FaultPlan::lossy(0.0).is_none());
+        assert_eq!(FaultPlan::lossy(1.0).drop_prob, 1.0);
+        assert!(!FaultPlan::lossy(1.0).is_none());
     }
 
     #[test]
@@ -731,13 +642,5 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn plan_from_model_roundtrips() {
-        let plan = FaultPlan::from(FaultModel::lossy(0.25));
-        assert_eq!(plan.model.drop_prob, 0.25);
-        assert!(!plan.is_none());
-        assert!(FaultPlan::from(FaultModel::NONE).is_none());
     }
 }

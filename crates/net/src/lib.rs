@@ -71,7 +71,7 @@
 //! let b = w.add_host("B", SimDuration::from_micros(100));
 //! for (src, dst) in [(a, b), (b, a)] {
 //!     w.add_channel(src, dst, Rate::from_kbps(50), SimDuration::from_millis(10),
-//!                   Some(20), DisciplineKind::DropTail.build(), FaultModel::NONE);
+//!                   Some(20), DisciplineKind::DropTail.build());
 //! }
 //! let ping = w.attach(a, b, ConnId(0), Box::new(PingOnce { acked_at: None }));
 //! let _echo = w.attach(b, a, ConnId(0), Box::new(Echo));
@@ -120,8 +120,7 @@ mod world;
 
 pub use discipline::{Discipline, DisciplineKind, FairQueueing, Red, Victim};
 pub use fault::{
-    FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, GilbertElliott, Outage,
-    ReorderJitter,
+    FaultError, FaultKind, FaultOutcome, FaultPlan, GilbertElliott, Outage, ReorderJitter,
 };
 pub use packet::{ConnId, NodeId, Packet, PacketId, PacketKind};
 pub use pcap::{text_dump, to_pcap_bytes, write_pcap, CapturePoint};

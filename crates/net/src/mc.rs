@@ -544,7 +544,6 @@ pub fn replay(
 mod tests {
     use super::*;
     use crate::discipline::DisciplineKind;
-    use crate::fault::FaultModel;
     use crate::packet::{ConnId, Packet, PacketKind};
     use crate::trace::ProtoEvent;
     use crate::world::{Ctx, Endpoint};
@@ -605,7 +604,6 @@ mod tests {
             SimDuration::from_millis(10),
             Some(20),
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let c_ba = w.add_channel(
             b,
@@ -614,7 +612,6 @@ mod tests {
             SimDuration::from_millis(10),
             Some(20),
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let src = w.attach(
             a,

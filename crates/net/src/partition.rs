@@ -155,7 +155,7 @@ pub(crate) fn partition(world: &World, shards: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DisciplineKind, FaultModel};
+    use crate::DisciplineKind;
     use td_engine::{Rate, SimDuration};
 
     fn link(w: &mut World, a: crate::NodeId, b: crate::NodeId, delay_us: u64) {
@@ -167,7 +167,6 @@ mod tests {
                 SimDuration::from_micros(delay_us),
                 Some(20),
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
     }

@@ -699,8 +699,8 @@ mod tests {
     use super::*;
     use crate::world::Ctx;
     use crate::{
-        ConnId, Discipline, DisciplineKind, FaultModel, FaultPlan, GilbertElliott, Outage,
-        PacketKind, Red, ReorderJitter, TimerHandle,
+        ConnId, Discipline, DisciplineKind, FaultPlan, GilbertElliott, Outage, PacketKind, Red,
+        ReorderJitter, TimerHandle,
     };
     use std::any::Any;
     use td_engine::{Rate, SimDuration, SnapReader};
@@ -803,7 +803,6 @@ mod tests {
                         SimDuration::from_micros(100),
                         Some(20),
                         DisciplineKind::DropTail.build(),
-                        FaultModel::NONE,
                     );
                 }
             }
@@ -821,12 +820,11 @@ mod tests {
                     SimDuration::from_millis(5),
                     Some(10),
                     trunk_disc.build(),
-                    FaultModel::NONE,
                 ));
             }
             if faulty {
                 let plan = FaultPlan {
-                    model: FaultModel::lossy(0.05),
+                    drop_prob: 0.05,
                     burst: Some(GilbertElliott::new(0.02, 0.3, 0.5).expect("valid burst")),
                     dup_prob: 0.04,
                     jitter: Some(ReorderJitter {
@@ -902,7 +900,6 @@ mod tests {
                     SimDuration::from_micros(100),
                     Some(20),
                     DisciplineKind::DropTail.build(),
-                    FaultModel::NONE,
                 );
             }
         }
@@ -914,7 +911,6 @@ mod tests {
                 SimDuration::from_millis(ms),
                 Some(10),
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         w.compute_routes();
@@ -947,7 +943,6 @@ mod tests {
                     SimDuration::from_micros(100),
                     Some(20),
                     DisciplineKind::DropTail.build(),
-                    FaultModel::NONE,
                 );
             }
         }
@@ -959,7 +954,6 @@ mod tests {
             SimDuration::from_millis(5),
             Some(10),
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         w.compute_routes();
         let c0 = w.attach(a0, b0, ConnId(0), Chatter::boxed());
@@ -999,7 +993,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 Some(capacity),
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
             let src = w.attach(a0, b0, ConnId(0), Box::new(Burst { n: 7 }));
             w.attach(b0, a0, ConnId(0), Box::new(Sink { got: 0 }));
@@ -1117,7 +1110,6 @@ mod tests {
                     SimDuration::from_micros(100 + n),
                     Some(20),
                     DisciplineKind::DropTail.build(),
-                    FaultModel::NONE,
                 );
             }
         });
@@ -1143,7 +1135,6 @@ mod tests {
                     SimDuration::from_micros(100),
                     Some(20),
                     Discipline::Red(Box::new(Red::new(0.2, 5.0, 15.0, max_p))),
-                    FaultModel::NONE,
                 );
             }
         });

@@ -10,7 +10,6 @@
 //!   1..K−1 bottleneck hops.
 
 use crate::discipline::DisciplineKind;
-use crate::fault::FaultModel;
 use crate::packet::NodeId;
 use crate::world::{ChannelId, World};
 use td_engine::{Rate, SimDuration};
@@ -27,8 +26,6 @@ pub struct LinkSpec {
     pub capacity: Option<u32>,
     /// Queue discipline at each sending side.
     pub discipline: DisciplineKind,
-    /// Fault model for each direction.
-    pub fault: FaultModel,
 }
 
 impl LinkSpec {
@@ -40,7 +37,6 @@ impl LinkSpec {
             delay,
             capacity,
             discipline: DisciplineKind::DropTail,
-            fault: FaultModel::NONE,
         }
     }
 
@@ -52,7 +48,6 @@ impl LinkSpec {
             delay: SimDuration::from_micros(100),
             capacity: None,
             discipline: DisciplineKind::DropTail,
-            fault: FaultModel::NONE,
         }
     }
 
@@ -66,7 +61,6 @@ impl LinkSpec {
             self.delay,
             self.capacity,
             self.discipline.build(),
-            self.fault,
         );
         let ba = w.add_channel(
             b,
@@ -75,7 +69,6 @@ impl LinkSpec {
             self.delay,
             self.capacity,
             self.discipline.build(),
-            self.fault,
         );
         (ab, ba)
     }

@@ -80,7 +80,7 @@
 use crate::arena::{ChannelArena, ChannelRow, HostArena};
 use crate::audit::Audit;
 use crate::discipline::{Discipline, Victim};
-use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
+use crate::fault::{FaultError, FaultKind, FaultOutcome, FaultPlan, Outage};
 use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind, CONN_ID_CAP};
 use crate::route::RouteTable;
 use crate::trace::{DropReason, ProtoEvent, Trace, TraceEvent, TraceObserver};
@@ -393,8 +393,8 @@ impl World {
 
     /// Add one simplex channel `src → dst`. `capacity` bounds buffer
     /// occupancy in packets (`None` = unbounded, the infinite buffers of
-    /// the fixed-window runs).
-    #[allow(clippy::too_many_arguments)]
+    /// the fixed-window runs). The channel starts error-free
+    /// ([`FaultPlan::NONE`]); [`World::set_fault_plan`] installs faults.
     pub fn add_channel(
         &mut self,
         src: NodeId,
@@ -403,7 +403,6 @@ impl World {
         delay: SimDuration,
         capacity: Option<u32>,
         discipline: Discipline,
-        fault: FaultModel,
     ) -> ChannelId {
         assert!(
             capacity.is_none_or(|c| c >= 1),
@@ -412,7 +411,7 @@ impl World {
         let id = ChannelId(self.channels.len() as u32);
         let rng = SimRng::new(self.seed).derive(FAULT_STREAM ^ u64::from(id.0));
         let row = ChannelRow::new(src, dst, rate, delay, capacity, discipline);
-        self.channels.push(row, FaultPlan::from(fault), rng);
+        self.channels.push(row, FaultPlan::NONE, rng);
         if let NodeKind::Host { uplink } = &mut self.nodes[src.0 as usize].kind {
             assert!(
                 uplink.is_none(),
@@ -424,8 +423,8 @@ impl World {
         id
     }
 
-    /// Install a full fault plan on a channel, replacing whatever was
-    /// configured at [`World::add_channel`] time. Validates the plan and
+    /// Install a fault plan on a channel, replacing its current one (every
+    /// channel starts with [`FaultPlan::NONE`]). Validates the plan and
     /// schedules a `LinkUp` wake-up for each finite outage end, so queued
     /// packets resume transmission the instant the link heals (and a
     /// mid-outage world is never mistaken for a drained one). Call before
@@ -751,8 +750,7 @@ impl World {
                 h = fnv(h, p.to_bits());
             }
             let fp = self.channels.fault(ci);
-            h = fnv(h, fp.model.drop_prob.to_bits());
-            h = fnv(h, fp.model.corrupt_prob.to_bits());
+            h = fnv(h, fp.drop_prob.to_bits());
             h = fnv(h, fp.dup_prob.to_bits());
             h = match &fp.burst {
                 None => fnv(h, 0),
@@ -1020,7 +1018,7 @@ impl World {
                 self.audit.on_drop();
                 let reason = match kind {
                     FaultKind::LinkDown => DropReason::LinkDown,
-                    FaultKind::Dropped | FaultKind::Corrupted => DropReason::Fault,
+                    FaultKind::Dropped => DropReason::Fault,
                 };
                 self.record(
                     t,
@@ -1327,7 +1325,6 @@ mod tests {
             delay,
             capacity,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let c10 = w.add_channel(
             h1,
@@ -1336,7 +1333,6 @@ mod tests {
             delay,
             capacity,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         (w, h0, h1, c01, c10)
     }
@@ -1589,15 +1585,15 @@ mod tests {
         let mut w = World::new(3);
         let h0 = w.add_host("H0", SimDuration::from_micros(100));
         let h1 = w.add_host("H1", SimDuration::from_micros(100));
-        w.add_channel(
+        let c01 = w.add_channel(
             h0,
             h1,
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::lossy(1.0),
         );
+        w.set_fault_plan(c01, FaultPlan::lossy(1.0)).unwrap();
         w.add_channel(
             h1,
             h0,
@@ -1605,7 +1601,6 @@ mod tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let src = w.attach(
             h0,
@@ -1678,7 +1673,6 @@ mod tests {
             SimDuration::from_micros(100),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         // no route installed on s0, no channel to h1
         let src = w.attach(
@@ -1982,24 +1976,8 @@ mod fault_tests {
         let a1 = w.add_host("A1", proc);
         let b0 = w.add_host("B0", proc);
         let b1 = w.add_host("B1", proc);
-        let ca = w.add_channel(
-            a0,
-            a1,
-            rate,
-            delay,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
-        w.add_channel(
-            a1,
-            a0,
-            rate,
-            delay,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
+        let ca = w.add_channel(a0, a1, rate, delay, None, DisciplineKind::DropTail.build());
+        w.add_channel(a1, a0, rate, delay, None, DisciplineKind::DropTail.build());
         w.add_channel(
             b0,
             b1,
@@ -2007,17 +1985,8 @@ mod fault_tests {
             delay,
             Some(2),
             DisciplineKind::RandomDrop.build(),
-            FaultModel::NONE,
         );
-        w.add_channel(
-            b1,
-            b0,
-            rate,
-            delay,
-            None,
-            DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
-        );
+        w.add_channel(b1, b0, rate, delay, None, DisciplineKind::DropTail.build());
         w.set_fault_plan(ca, plan).unwrap();
         let sa = w.attach(
             a0,
@@ -2071,7 +2040,7 @@ mod fault_tests {
     #[test]
     fn faults_on_one_channel_leave_other_paths_byte_identical() {
         let (clean_b, clean_drops) = two_pair_trace(FaultPlan::NONE);
-        let lossy = FaultPlan::from(FaultModel::lossy(0.5));
+        let lossy = FaultPlan::lossy(0.5);
         let (faulty_b, faulty_drops) = two_pair_trace(lossy);
         assert_eq!(clean_drops, 0);
         assert!(faulty_drops > 0, "the lossy plan must actually drop");
@@ -2090,6 +2059,14 @@ mod fault_tests {
             ..FaultPlan::NONE
         };
         assert!(w.set_fault_plan(c01, bad).is_err());
+        for p in [1.5, f64::NAN, f64::INFINITY] {
+            let bad = FaultPlan {
+                drop_prob: p,
+                ..FaultPlan::NONE
+            };
+            let err = w.set_fault_plan(c01, bad).unwrap_err().to_string();
+            assert!(err.contains("drop_prob"), "drop_prob = {p}: {err}");
+        }
         // Built as a struct literal: `with_outages` itself panics on
         // malformed schedules, and here we want the fallible path.
         let overlapping = FaultPlan {

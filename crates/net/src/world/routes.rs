@@ -694,15 +694,7 @@ mod tests {
             (s1, h1, fast, us),
             (h1, s1, fast, us),
         ] {
-            w.add_channel(
-                a,
-                b,
-                r,
-                d,
-                None,
-                DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
-            );
+            w.add_channel(a, b, r, d, None, DisciplineKind::DropTail.build());
         }
         w.compute_routes();
         let src = w.attach(
@@ -758,7 +750,6 @@ mod tests {
                 spec.1,
                 spec.2,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         // Channel 2 leaves s1, not s0.
@@ -784,7 +775,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             )
         };
         link(&mut w, a, s);
@@ -820,7 +810,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             )
         };
         link(&mut w, h0, s0);
@@ -856,7 +845,6 @@ mod tests {
                     SimDuration::from_millis(10),
                     None,
                     DisciplineKind::DropTail.build(),
-                    FaultModel::NONE,
                 )
             };
             link(&mut w, h, s2);
@@ -910,7 +898,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             )
         };
         let sx = link(&mut w, s, x);
@@ -1038,7 +1025,6 @@ mod tests {
                 SimDuration::from_micros(100),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         w.compute_routes();
@@ -1129,7 +1115,6 @@ mod tests {
                 SimDuration::from_millis(10),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             )
         };
         let sb = link(&mut w, s, b);

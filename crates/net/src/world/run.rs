@@ -209,7 +209,6 @@ mod budget_tests {
             SimDuration::ZERO,
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let ep = w.attach(h0, h1, ConnId(0), Box::new(Spinner));
         w.start_at(ep, SimTime::ZERO);
@@ -240,7 +239,6 @@ mod budget_tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         w.add_channel(
             h1,
@@ -249,7 +247,6 @@ mod budget_tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         w.set_fault_plan(
             c01,
@@ -288,7 +285,6 @@ mod budget_tests {
             SimDuration::ZERO,
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         let cfg = WatchdogConfig {
             max_events: Some(10),
@@ -358,7 +354,6 @@ mod watchdog_tests {
                 SimDuration::from_millis(10),
                 None,
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
         (w, h0, h1)

@@ -821,7 +821,6 @@ mod tests {
             SimDuration::from_millis(10),
             Some(5),
             DisciplineKind::Red.build(),
-            FaultModel::NONE,
         );
         let rev = w.add_channel(
             h1,
@@ -830,7 +829,6 @@ mod tests {
             SimDuration::from_millis(10),
             None,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
         w.set_fault_plan(
             rev,

@@ -1,8 +1,8 @@
 //! TCP Tahoe on a faulty link — robustness beyond the paper.
 //!
 //! The paper's links are error-free; every loss is a buffer overflow.
-//! This example turns on the fault injector (smoltcp-style random drop)
-//! and shows the transport still delivers a contiguous, reliable stream —
+//! This example installs a [`FaultPlan::lossy`] plan (independent random
+//! drop) on the forward channel and shows the transport still delivers a contiguous, reliable stream —
 //! at a throughput cost that grows with the loss rate — exercising the
 //! timeout/backoff machinery that the congestion-driven runs rarely
 //! touch.
@@ -12,22 +12,23 @@
 //! ```
 
 use tahoe_dynamics::engine::{Rate, SimDuration, SimTime};
-use tahoe_dynamics::net::{ConnId, DisciplineKind, FaultModel, World};
+use tahoe_dynamics::net::{ConnId, DisciplineKind, FaultPlan, World};
 use tahoe_dynamics::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
 fn run(loss: f64) -> (u64, u64, u64) {
     let mut w = World::new(7);
     let h0 = w.add_host("src", SimDuration::from_micros(100));
     let h1 = w.add_host("dst", SimDuration::from_micros(100));
-    w.add_channel(
+    let fwd = w.add_channel(
         h0,
         h1,
         Rate::from_kbps(50),
         SimDuration::from_millis(10),
         Some(20),
         DisciplineKind::DropTail.build(),
-        FaultModel::lossy(loss),
     );
+    w.set_fault_plan(fwd, FaultPlan::lossy(loss))
+        .expect("loss rate is a probability");
     w.add_channel(
         h1,
         h0,
@@ -35,7 +36,6 @@ fn run(loss: f64) -> (u64, u64, u64) {
         SimDuration::from_millis(10),
         Some(20),
         DisciplineKind::DropTail.build(),
-        FaultModel::NONE,
     );
     let s = w.attach(h0, h1, ConnId(0), TcpSender::boxed(SenderConfig::paper()));
     let r = w.attach(

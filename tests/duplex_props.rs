@@ -7,7 +7,7 @@
 //! the retired property-test corpus are kept as explicit regressions.
 
 use tahoe_dynamics::engine::{Rate, SimDuration, SimRng, SimTime};
-use tahoe_dynamics::net::{ConnId, DisciplineKind, FaultModel, World};
+use tahoe_dynamics::net::{ConnId, DisciplineKind, World};
 use tahoe_dynamics::tcp::{DelayedAck, ReceiverConfig, SenderConfig, TcpDuplex};
 
 const CASES: u64 = 32;
@@ -55,7 +55,6 @@ fn run(
             SimDuration::from_millis(c.tau_ms),
             c.buffer,
             DisciplineKind::DropTail.build(),
-            FaultModel::NONE,
         );
     }
     let scfg = SenderConfig {

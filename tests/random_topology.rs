@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 use tahoe_dynamics::engine::{Rate, SimDuration, SimRng, SimTime};
-use tahoe_dynamics::net::{
-    ConnId, DisciplineKind, FaultModel, NodeId, PacketId, TraceEvent, World,
-};
+use tahoe_dynamics::net::{ConnId, DisciplineKind, NodeId, PacketId, TraceEvent, World};
 use tahoe_dynamics::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
 const CASES: u64 = 24;
@@ -83,7 +81,6 @@ fn build(t: &Topo) -> (World, Vec<(ConnId, tahoe_dynamics::net::EndpointId)>) {
                 SimDuration::from_millis(5),
                 Some(15),
                 DisciplineKind::DropTail.build(),
-                FaultModel::NONE,
             );
         }
     };

@@ -7,7 +7,7 @@
 
 use tahoe_dynamics::engine::{Rate, SimDuration, SimTime};
 use tahoe_dynamics::experiments::{ConnSpec, Scenario};
-use tahoe_dynamics::net::{ConnId, DisciplineKind, FaultModel, World};
+use tahoe_dynamics::net::{ConnId, DisciplineKind, FaultPlan, World};
 use tahoe_dynamics::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
 #[test]
@@ -39,15 +39,15 @@ fn heavy_fault_injection_never_wedges() {
     let a = w.add_host("a", SimDuration::from_micros(100));
     let b = w.add_host("b", SimDuration::from_micros(100));
     for (x, y) in [(a, b), (b, a)] {
-        w.add_channel(
+        let ch = w.add_channel(
             x,
             y,
             Rate::from_kbps(50),
             SimDuration::from_millis(10),
             Some(20),
             DisciplineKind::DropTail.build(),
-            FaultModel::lossy(0.15),
         );
+        w.set_fault_plan(ch, FaultPlan::lossy(0.15)).unwrap();
     }
     let s = w.attach(a, b, ConnId(0), TcpSender::boxed(SenderConfig::paper()));
     let r = w.attach(b, a, ConnId(0), TcpReceiver::boxed(ReceiverConfig::paper()));
