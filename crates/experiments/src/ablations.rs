@@ -17,21 +17,11 @@
 //!   precondition for ACK-compression; Random Drop does not.
 
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
+use crate::scenario::{ConnSpec, DATA_SERVICE};
+use crate::{fig2, fig45};
 use td_analysis::compression;
 use td_core::{CcKind, IncrementRule, ReceiverConfig, SenderConfig};
-use td_engine::SimDuration;
 use td_net::DisciplineKind;
-
-fn base_scenario(seed: u64, duration_s: u64) -> Scenario {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
-    sc
-}
 
 struct Measured {
     util_mean: f64,
@@ -58,9 +48,9 @@ pub fn report_pacing(seed: u64, duration_s: u64) -> Report {
         "Pacing ablation: the nonpaced conjecture's counterfactual (paper §1/§6)",
         &format!("seed {seed}, {duration_s} s per cell, 1+1 two-way, tau = 0.01 s, B = 20"),
     );
-    let nonpaced = measure(&base_scenario(seed, duration_s).trace_free().run());
+    let nonpaced = measure(&fig45::scenario(seed, duration_s, 20).trace_free().run());
 
-    let mut paced_sc = base_scenario(seed, duration_s);
+    let mut paced_sc = fig45::scenario(seed, duration_s, 20);
     let paced_spec = ConnSpec {
         sender: SenderConfig {
             pacing: Some(DATA_SERVICE),
@@ -116,9 +106,9 @@ pub fn report_increment(seed: u64, duration_s: u64) -> Report {
         "Avoidance-increment ablation: 1/floor(cwnd) vs 1/cwnd (paper §2.1)",
         &format!("seed {seed}, {duration_s} s per cell, 1+1 two-way, tau = 0.01 s, B = 20"),
     );
-    let modified = measure(&base_scenario(seed, duration_s).trace_free().run());
+    let modified = measure(&fig45::scenario(seed, duration_s, 20).trace_free().run());
 
-    let mut orig_sc = base_scenario(seed, duration_s);
+    let mut orig_sc = fig45::scenario(seed, duration_s, 20);
     let orig_spec = ConnSpec {
         sender: SenderConfig {
             cc: CcKind::Tahoe {
@@ -173,7 +163,7 @@ pub fn report_discipline(seed: u64, duration_s: u64) -> Report {
         DisciplineKind::RandomDrop,
         DisciplineKind::FairQueueing,
     ] {
-        let mut sc = base_scenario(seed, duration_s);
+        let mut sc = fig45::scenario(seed, duration_s, 20);
         sc.discipline = disc;
         let m = measure(&sc.trace_free().run());
         rep.info(
@@ -240,12 +230,8 @@ pub fn report_red(seed: u64, duration_s: u64) -> Report {
     );
 
     let build = |disc: DisciplineKind| {
-        let mut sc = Scenario::paper(td_engine::SimDuration::from_secs(1), Some(20))
-            .with_fwd(3, ConnSpec::paper());
+        let mut sc = fig2::scenario(seed, duration_s);
         sc.discipline = disc;
-        sc.seed = seed;
-        sc.duration = td_engine::SimDuration::from_secs(duration_s);
-        sc.warmup = td_engine::SimDuration::from_secs(duration_s / 5);
         sc
     };
 

@@ -61,10 +61,11 @@ use td_experiments::runner::{default_jobs, run_batch_resumable, BatchResult, Run
 /// Graceful-shutdown signal handling (SIGINT / SIGTERM).
 ///
 /// The handler only raises a flag — the runner's workers poll it between
-/// tasks and finish what they started. This module is the one place in
-/// the whole workspace that needs `unsafe`: a raw `signal(2)` binding, so
-/// the zero-dependency rule holds. The handler body is a single atomic
-/// store, well inside the async-signal-safe set.
+/// tasks and finish what they started. The raw `signal(2)` binding is
+/// `unsafe`, kept so the zero-dependency rule holds; `td-serve` carries
+/// the same binding, and the `alloc_ledger` test an `unsafe` counting
+/// allocator. The handler body is a single atomic store, well inside the
+/// async-signal-safe set.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,6 +115,17 @@ struct Args {
     resume: Option<PathBuf>,
 }
 
+/// Flags whose values a resumed sweep takes from its header instead;
+/// `--resume` refuses them.
+const HEADER_FLAGS: [&str; 6] = [
+    "--full",
+    "--quick",
+    "--profile",
+    "--seed",
+    "--seeds",
+    "--out",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut ids = Vec::new();
     let mut seed = 1;
@@ -124,8 +136,12 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut timings = None;
     let mut resume = None;
+    let mut header_flag = None;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
+        if HEADER_FLAGS.contains(&a.as_str()) {
+            header_flag.get_or_insert(a.clone());
+        }
         match a.as_str() {
             "--full" => profile = Profile::Full,
             "--quick" => profile = Profile::Quick,
@@ -191,6 +207,12 @@ fn parse_args() -> Result<Args, String> {
     if resume.is_some() && !ids.is_empty() {
         return Err("--resume reads the experiment list from DIR; don't pass ids with it".into());
     }
+    if let (Some(_), Some(flag)) = (&resume, header_flag) {
+        return Err(format!(
+            "--resume reads seed, profile, replicates and output directory from DIR; \
+             don't pass {flag} with it"
+        ));
+    }
     Ok(Args {
         ids,
         seed,
@@ -208,7 +230,7 @@ fn usage() {
     println!("td-repro — reproduce Zhang/Shenker/Clark (SIGCOMM '91)");
     println!();
     println!("usage: td-repro <id|all|list> [--full] [--seed N] [--jobs N] [--out DIR]");
-    println!("       td-repro --resume DIR [--jobs N]");
+    println!("       td-repro --resume DIR [--jobs N] [--shards N] [--timings FILE]");
     println!("       td-repro --list     (full registry, hidden entries flagged)");
     println!("       td-repro mc [--seed N] [--full] [--grid N] [--seed-violation]");
     println!("                   [--artifacts DIR] | --replay FILE.tdmc");
@@ -236,7 +258,8 @@ fn usage() {
     println!("                   and every finished cell, fsynced, in DIR/cells/");
     println!("  --timings FILE   write the timings/observability report to FILE");
     println!("  --resume DIR     continue an interrupted sweep from DIR/cells/:");
-    println!("                   stored cells replay, missing or damaged ones run");
+    println!("                   stored cells replay, missing or damaged ones run;");
+    println!("                   seed, profile, replicates and output come from DIR");
 }
 
 /// Print the full registry — public entries first, then the hidden
@@ -476,8 +499,9 @@ fn main() -> ExitCode {
     // Resolve what to run. A fresh sweep takes everything from the
     // command line and starts an empty store when it has an output
     // directory; a resumed one takes seed, profile, replicates, and the
-    // experiment list from the sweep's header (only --jobs and --timings
-    // still apply), so the two runs cannot diverge.
+    // experiment list from the sweep's header (parse_args refuses the
+    // flags that would set them; --jobs, --shards and --timings still
+    // apply), so the two runs cannot diverge.
     let (entries, cfg, out, journal) = if let Some(dir) = &args.resume {
         let (journal, header) = match Journal::open(dir) {
             Ok(x) => x,

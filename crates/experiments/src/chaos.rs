@@ -15,9 +15,10 @@
 //!   a deadlock, livelock, or conservation violation fails the
 //!   experiment with a structured report instead of a hang or panic.
 
+use crate::fig45;
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario};
-use crate::sweep::ReplicateSweep;
+use crate::runner::derive_seed;
+use crate::sweep::parallel_map;
 use td_engine::{SimDuration, SimTime};
 use td_net::{FaultPlan, GilbertElliott, Outage, WatchdogConfig};
 
@@ -62,21 +63,13 @@ struct CellResult {
     stall: Option<String>,
 }
 
-/// The base scenario every cell perturbs: the Figure 4–5 configuration.
-fn base(seed: u64, duration_s: u64) -> Scenario {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
+/// Run one cell and measure its recovery. Every cell perturbs the
+/// Figures 4–5 configuration, measured after the first sixth of the run
+/// and run under the watchdog.
+fn run_cell(seed: u64, cell: Cell, duration_s: u64) -> CellResult {
+    let mut sc = fig45::scenario(seed, duration_s, 20);
     sc.warmup = SimDuration::from_secs(duration_s / 6);
     sc.watchdog = Some(WatchdogConfig::default());
-    sc
-}
-
-/// Run one cell and measure its recovery.
-fn run_cell(seed: u64, cell: Cell, duration_s: u64) -> CellResult {
-    let mut sc = base(seed, duration_s);
     let down = SimTime::from_secs(duration_s / 3);
     let up = match cell {
         Cell::Outage(secs) => {
@@ -150,8 +143,10 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
 
     // One replicate per fault cell, fanned over idle job slots with
     // per-cell derived seeds so adding a cell never reshuffles the others.
-    let sweep = ReplicateSweep::derived("chaos", seed0, cells.len());
-    let results: Vec<CellResult> = sweep.run(|seed, i| run_cell(seed, cells[i], duration_s));
+    let seeds: Vec<u64> = (0..cells.len())
+        .map(|i| derive_seed(seed0, "chaos", i as u64 + 1))
+        .collect();
+    let results = parallel_map(&seeds, |i, &seed| run_cell(seed, cells[i], duration_s));
 
     let mut all_recover = true;
     let mut all_clean = true;

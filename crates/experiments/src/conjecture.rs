@@ -13,23 +13,18 @@
 //! the queue-phase half where the oscillation is strong enough to
 //! classify.
 
+use crate::fig89;
 use crate::report::Report;
-use crate::scenario::{ConnSpec, Scenario};
-use td_core::{ReceiverConfig, SenderConfig};
+use crate::scenario::Scenario;
+use td_core::ReceiverConfig;
 use td_engine::SimDuration;
 
-/// Scenario: fixed windows with zero-length ACKs, infinite buffers.
+/// Scenario: the Figures 8–9 fixed-window run with zero-length ACKs.
 pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, w1: u64, w2: u64) -> Scenario {
-    let spec = |w| ConnSpec {
-        sender: SenderConfig::fixed_window(w),
-        receiver: ReceiverConfig::zero_ack(),
-    };
-    let mut sc = Scenario::paper(tau, None)
-        .with_fwd(1, spec(w1))
-        .with_rev(1, spec(w2));
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 4);
+    let mut sc = fig89::scenario(seed, duration_s, tau, w1, w2);
+    for conn in sc.fwd.iter_mut().chain(&mut sc.rev) {
+        conn.receiver = ReceiverConfig::zero_ack();
+    }
     sc
 }
 

@@ -37,15 +37,12 @@ fn decbit_conn() -> ConnSpec {
 
 /// Scenario: DECbit connections over a marking bottleneck.
 pub fn scenario(seed: u64, duration_s: u64, fwd: usize, rev: usize) -> Scenario {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut sc = Scenario::paper(seed, duration_s, SimDuration::from_millis(10), Some(20))
         .with_fwd(fwd, decbit_conn())
         .with_rev(rev, decbit_conn());
     // Mark when the buffer holds more than 2 packets — the DECbit policy's
     // "average queue ≥ 1" operating point, approximated instantaneously.
     sc.mark_threshold = Some(2);
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
     sc
 }
 

@@ -12,14 +12,14 @@
 //! * delayed ACKs roughly halve the number of ACKs on the wire (their
 //!   original purpose: overhead reduction).
 
+use crate::fig45;
 use crate::report::Report;
 use crate::scenario::{ConnSpec, Scenario, DATA_SERVICE};
 use td_analysis::compression;
 use td_core::{DelayedAck, ReceiverConfig, SenderConfig};
-use td_engine::SimDuration;
 
-/// Scenario: 1+1 two-way, τ = 0.01 s, B = 20, delayed ACKs optional,
-/// window capped at `maxwnd`.
+/// Scenario: the Figures 4–5 run (1+1 two-way, τ = 0.01 s, B = 20) with
+/// delayed ACKs optional and the window capped at `maxwnd`.
 pub fn scenario(seed: u64, duration_s: u64, maxwnd: u64, delack: bool) -> Scenario {
     let spec = ConnSpec {
         sender: SenderConfig {
@@ -31,12 +31,9 @@ pub fn scenario(seed: u64, duration_s: u64, maxwnd: u64, delack: bool) -> Scenar
             ..ReceiverConfig::paper()
         },
     };
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, spec)
-        .with_rev(1, spec);
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
+    let mut sc = fig45::scenario(seed, duration_s, 20);
+    sc.fwd = vec![spec];
+    sc.rev = vec![spec];
     sc
 }
 

@@ -22,12 +22,8 @@ use td_engine::{SimDuration, SimTime};
 
 /// Scenario: 3 one-way connections, τ = 1 s, B = 20.
 pub fn scenario(seed: u64, duration_s: u64) -> Scenario {
-    let mut sc =
-        Scenario::paper(SimDuration::from_secs(1), Some(20)).with_fwd(3, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
-    sc
+    Scenario::paper(seed, duration_s, SimDuration::from_secs(1), Some(20))
+        .with_fwd(3, ConnSpec::paper())
 }
 
 /// Run and evaluate the Figure 2 reproduction. The metrics are computed

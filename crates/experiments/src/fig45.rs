@@ -28,13 +28,9 @@ use td_engine::{SimDuration, SimTime};
 
 /// Scenario: 1+1 connections, τ = 0.01 s, buffer as given (20 / 60 / 120).
 pub fn scenario(seed: u64, duration_s: u64, buffer: u32) -> Scenario {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(buffer))
+    Scenario::paper(seed, duration_s, SimDuration::from_millis(10), Some(buffer))
         .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
-    sc
+        .with_rev(1, ConnSpec::paper())
 }
 
 /// Run and evaluate the Figures 4–5 reproduction, including the buffer

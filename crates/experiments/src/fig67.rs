@@ -24,13 +24,9 @@ use td_engine::{SimDuration, SimTime};
 
 /// Scenario: 1+1 connections, τ = 1 s, B = 20.
 pub fn scenario(seed: u64, duration_s: u64) -> Scenario {
-    let mut sc = Scenario::paper(SimDuration::from_secs(1), Some(20))
+    Scenario::paper(seed, duration_s, SimDuration::from_secs(1), Some(20))
         .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
-    sc
+        .with_rev(1, ConnSpec::paper())
 }
 
 /// Fraction of the window during which *both* queues are empty and both

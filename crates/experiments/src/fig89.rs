@@ -24,11 +24,9 @@ use td_engine::SimDuration;
 
 /// Scenario: fixed windows `w1`/`w2`, infinite buffers, pipe delay `tau`.
 pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, w1: u64, w2: u64) -> Scenario {
-    let mut sc = Scenario::paper(tau, None)
+    let mut sc = Scenario::paper(seed, duration_s, tau, None)
         .with_fwd(1, ConnSpec::fixed(w1))
         .with_rev(1, ConnSpec::fixed(w2));
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
     sc.warmup = SimDuration::from_secs(duration_s / 4);
     sc
 }

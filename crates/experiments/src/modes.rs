@@ -17,7 +17,7 @@
 use crate::fig45;
 use crate::fig67;
 use crate::report::Report;
-use crate::sweep::ReplicateSweep;
+use crate::sweep::parallel_map;
 use td_analysis::sync::{classify_sync, SyncMode};
 
 /// Classify one run's mode.
@@ -62,12 +62,11 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
     );
 
     // Small pipe: out-of-phase should dominate. The ten start phases are
-    // independent runs — a ReplicateSweep fans them over idle job slots;
+    // independent runs — parallel_map fans them over idle job slots;
     // each worker classifies its own run and the census is folded in seed order, so the tallies are
     // identical to the old sequential loop at any job count. An in-phase
     // run also hands back its drop pattern, read below for the first one.
-    let census = ReplicateSweep::explicit("tbl-modes", seeds.clone());
-    let small = census.run(|seed, _| {
+    let small = parallel_map(&seeds, |_, &seed| {
         let run = fig45::scenario(seed, duration_s, 20).trace_free().run();
         let (m, _r, util) = mode_of(&run);
         (
@@ -142,13 +141,12 @@ pub fn report(seed0: u64, duration_s: u64) -> Report {
     }
 
     // Large pipe: in-phase across phases — same sweep discipline.
-    let in_phase: usize = census
-        .run(|seed, _| {
-            let run = fig67::scenario(seed, duration_s * 2).trace_free().run();
-            (mode_of(&run).0 == SyncMode::InPhase) as usize
-        })
-        .into_iter()
-        .sum();
+    let in_phase: usize = parallel_map(&seeds, |_, &seed| {
+        let run = fig67::scenario(seed, duration_s * 2).trace_free().run();
+        (mode_of(&run).0 == SyncMode::InPhase) as usize
+    })
+    .into_iter()
+    .sum();
     rep.check(
         "large pipe: in-phase fraction",
         "in-phase for large P (the paper's rule)",

@@ -16,11 +16,7 @@ use td_engine::SimDuration;
 
 /// Scenario: 3 one-way connections, parameterized pipe and buffer.
 pub fn scenario(seed: u64, duration_s: u64, tau: SimDuration, buffer: u32) -> Scenario {
-    let mut sc = Scenario::paper(tau, Some(buffer)).with_fwd(3, ConnSpec::paper());
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
-    sc
+    Scenario::paper(seed, duration_s, tau, Some(buffer)).with_fwd(3, ConnSpec::paper())
 }
 
 /// Run and evaluate the one-way utilization table. The metrics are

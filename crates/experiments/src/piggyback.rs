@@ -20,8 +20,9 @@
 //!   the queue-collapse rate drops to ~1 packet per service time, like
 //!   one-way traffic.
 
+use crate::fig45;
 use crate::report::Report;
-use crate::scenario::{run_observed, ConnSpec, Scenario, DATA_SERVICE};
+use crate::scenario::{run_observed, DATA_SERVICE};
 use td_analysis::{compression, StreamSpec};
 use td_core::{DelayedAck, ReceiverConfig, SenderConfig, TcpDuplex};
 use td_engine::{SimDuration, SimTime};
@@ -105,13 +106,7 @@ pub fn report(seed: u64, duration_s: u64) -> Report {
     );
 
     // Baseline: the paper's two separate connections.
-    let mut base_sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    base_sc.seed = seed;
-    base_sc.duration = SimDuration::from_secs(duration_s);
-    base_sc.warmup = SimDuration::from_secs(duration_s / 5);
-    let base = base_sc.trace_free().run();
+    let base = fig45::scenario(seed, duration_s, 20).trace_free().run();
     let base_acks: u64 = base
         .conns()
         .iter()

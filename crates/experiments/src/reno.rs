@@ -14,11 +14,12 @@
 //!   recovery halves the window instead of collapsing it, so the loser of
 //!   a congestion epoch recovers quickly and the bottleneck idles less.
 
+use crate::fig45;
 use crate::report::Report;
 use crate::scenario::{ConnSpec, Scenario};
 use td_core::{CcKind, ReceiverConfig, SenderConfig};
-use td_engine::SimDuration;
 
+/// The Figures 4–5 scenario with both connections running `cc`.
 fn scenario_with(seed: u64, duration_s: u64, cc: CcKind) -> Scenario {
     let spec = ConnSpec {
         sender: SenderConfig {
@@ -27,12 +28,9 @@ fn scenario_with(seed: u64, duration_s: u64, cc: CcKind) -> Scenario {
         },
         receiver: ReceiverConfig::paper(),
     };
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, spec)
-        .with_rev(1, spec);
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
+    let mut sc = fig45::scenario(seed, duration_s, 20);
+    sc.fwd = vec![spec];
+    sc.rev = vec![spec];
     sc
 }
 

@@ -68,8 +68,8 @@ use td_net::audit::Tally;
 /// seed-sensitive phenomena (e.g. the fig45 synchronization bands) that
 /// the paper demonstrates at the canonical seed. Derivation decorrelates
 /// the *additional* replicates, which would otherwise all rerun the same
-/// stream. In-experiment sweeps reuse the same discipline via
-/// [`crate::sweep::ReplicateSweep::derived`].
+/// stream. The chaos drill derives its per-cell seeds with the same
+/// function.
 pub fn derive_seed(master_seed: u64, experiment_id: &str, replicate: u64) -> u64 {
     let h = fnv1a_continue(fnv1a(experiment_id.as_bytes()), &replicate.to_le_bytes());
     // SplitMix64 finalizer over the combined words.

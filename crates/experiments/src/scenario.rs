@@ -104,18 +104,19 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A paper-default scenario: τ and buffer as given, drop-tail, no
-    /// connections yet, 1000 s run measured after 200 s.
-    pub fn paper(tau: SimDuration, buffer: Option<u32>) -> Self {
+    /// A paper-default scenario: seed, run length, τ and buffer as
+    /// given, drop-tail, no connections yet, measured after the first
+    /// fifth of the run (`warmup = duration_s / 5`, whole seconds).
+    pub fn paper(seed: u64, duration_s: u64, tau: SimDuration, buffer: Option<u32>) -> Self {
         Scenario {
-            seed: 1,
+            seed,
             tau,
             buffer,
             discipline: DisciplineKind::DropTail,
             fwd: Vec::new(),
             rev: Vec::new(),
-            duration: SimDuration::from_secs(1000),
-            warmup: SimDuration::from_secs(200),
+            duration: SimDuration::from_secs(duration_s),
+            warmup: SimDuration::from_secs(duration_s / 5),
             start_jitter: SimDuration::from_secs(1),
             mark_threshold: None,
             record_trace: true,
@@ -559,7 +560,7 @@ mod tests {
 
     #[test]
     fn builder_composes_connections() {
-        let sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+        let sc = Scenario::paper(1, 1000, SimDuration::from_millis(10), Some(20))
             .with_fwd(3, ConnSpec::paper())
             .with_rev(2, ConnSpec::paper());
         assert_eq!(sc.fwd.len(), 3);
@@ -568,10 +569,7 @@ mod tests {
 
     #[test]
     fn short_run_produces_consistent_ids() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(30);
+        let mut sc = crate::fig45::scenario(1, 30, 20);
         sc.warmup = SimDuration::from_secs(5);
         let run = sc.run();
         assert_eq!(run.conns().len(), 2);
@@ -592,10 +590,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_world() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(20);
+        let mut sc = crate::fig45::scenario(1, 20, 20);
         sc.warmup = SimDuration::from_secs(2);
         let a = sc.run();
         let b = sc.run();
@@ -606,10 +601,7 @@ mod tests {
 
     #[test]
     fn different_seed_different_start_times() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(20);
+        let mut sc = crate::fig45::scenario(1, 20, 20);
         sc.warmup = SimDuration::from_secs(2);
         let a = sc.run();
         sc.seed = 2;
@@ -620,7 +612,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "measurement window")]
     fn warmup_must_precede_end() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20));
+        let mut sc = Scenario::paper(1, 1000, SimDuration::from_millis(10), Some(20));
         sc.warmup = sc.duration;
         let _ = sc.run();
     }
@@ -631,10 +623,9 @@ mod tests {
     /// oversized.
     #[test]
     fn trace_reservation_covers_a_busy_run() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+        let mut sc = Scenario::paper(1, 60, SimDuration::from_millis(10), Some(20))
             .with_fwd(5, ConnSpec::paper())
             .with_rev(5, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(60);
         sc.warmup = SimDuration::from_secs(10);
         let estimate = sc.trace_records_estimate();
         let run = sc.run();
@@ -655,10 +646,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "recorded nothing")]
     fn metrics_of_a_run_that_recorded_nothing_panic() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(20);
+        let mut sc = crate::fig45::scenario(1, 20, 20);
         sc.warmup = SimDuration::from_secs(2);
         sc.record_trace = false;
         let run = sc.run();
@@ -667,10 +655,7 @@ mod tests {
 
     #[test]
     fn watchdog_run_reports_an_outcome() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(20);
+        let mut sc = crate::fig45::scenario(1, 20, 20);
         sc.warmup = SimDuration::from_secs(2);
         sc.watchdog = Some(WatchdogConfig::default());
         let run = sc.run();
@@ -684,10 +669,7 @@ mod tests {
 
     #[test]
     fn fault_plan_outage_silences_the_link_then_recovers() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(30);
+        let mut sc = crate::fig45::scenario(1, 30, 20);
         sc.warmup = SimDuration::from_secs(1);
         let (down, up) = (SimTime::from_secs(5), SimTime::from_secs(8));
         sc.fault_fwd = FaultPlan::with_outages(vec![td_net::Outage { down, up }]);
@@ -713,10 +695,7 @@ mod tests {
 
     #[test]
     fn record_trace_off_disables_recording() {
-        let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-            .with_fwd(1, ConnSpec::paper())
-            .with_rev(1, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(20);
+        let mut sc = crate::fig45::scenario(1, 20, 20);
         sc.warmup = SimDuration::from_secs(2);
         sc.record_trace = false;
         let run = sc.run();

@@ -150,14 +150,11 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
             ..ReceiverConfig::paper()
         },
     };
-    let mut sc = Scenario::paper(SimDuration::from_millis(tau_ms), buffer)
+    let mut sc = Scenario::paper(seed, duration_s, SimDuration::from_millis(tau_ms), buffer)
         .with_fwd(fwd, spec)
         .with_rev(rev, spec);
-    sc.seed = seed;
     sc.discipline = discipline;
     sc.mark_threshold = mark;
-    sc.duration = SimDuration::from_secs(duration_s);
-    sc.warmup = SimDuration::from_secs(duration_s / 5);
     Ok(SimArgs {
         scenario: sc,
         out,

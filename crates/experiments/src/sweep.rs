@@ -20,10 +20,9 @@
 //!   results **by item index**. Output is identical — byte for byte —
 //!   whether zero or N−1 helpers were granted, because item order, seeds,
 //!   and per-item work never depend on scheduling; only wall clock does.
-//! * [`ReplicateSweep`] — the (seed, replicate) fan-out abstraction on top
-//!   of `parallel_map`: explicit seed lists (the mode census) or seeds
-//!   derived with the runner's [`derive_seed`] discipline (decorrelated
-//!   replicates of a canonical run).
+//!   A replicate sweep maps over its seed list: explicit seeds (the mode
+//!   census) or seeds from the runner's [`crate::runner::derive_seed`]
+//!   (the chaos drill's decorrelated cells).
 //!
 //! Per-replicate results are reduced worker-side (workers return small
 //! stats, dropping multi-MB `Trace`s before they cross threads) and merged
@@ -36,7 +35,6 @@
 //! (and the same auditor notes, in the same order) whether its sweeps ran
 //! on one thread or eight.
 
-use crate::runner::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use td_engine::meter::{self, Meter};
@@ -242,58 +240,6 @@ where
         .collect()
 }
 
-/// A scenario fanned out over N seeded replicates.
-///
-/// The seeds are fixed at construction — either an explicit list (the
-/// §4.3.3 mode census enumerates start phases `seed0..seed0+10`) or
-/// derived from a master seed with the runner's [`derive_seed`]
-/// discipline (replicate `i` gets `derive_seed(master, id, i)`), so the
-/// fan-out is a pure function of `(id, master_seed, replicate)` and never
-/// of scheduling. [`ReplicateSweep::run`] executes the replicates via
-/// [`parallel_map`] and returns per-replicate results in replicate order,
-/// ready for a deterministic fold.
-pub struct ReplicateSweep {
-    id: &'static str,
-    seeds: Vec<u64>,
-}
-
-impl ReplicateSweep {
-    /// A sweep over an explicit seed list.
-    pub fn explicit(id: &'static str, seeds: Vec<u64>) -> Self {
-        ReplicateSweep { id, seeds }
-    }
-
-    /// A sweep over `n` decorrelated replicates of `master_seed`:
-    /// replicate `i` runs with `derive_seed(master_seed, id, i + 1)`
-    /// (replicate index 0 is reserved for the canonical run, which the
-    /// caller typically executes itself with `master_seed` verbatim).
-    pub fn derived(id: &'static str, master_seed: u64, n: usize) -> Self {
-        ReplicateSweep {
-            id,
-            seeds: (0..n)
-                .map(|i| derive_seed(master_seed, id, i as u64 + 1))
-                .collect(),
-        }
-    }
-
-    /// The replicate seeds, in replicate order.
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    /// Run `f(seed, replicate_idx)` for every replicate (in parallel when
-    /// the budget grants slots) and return the results in replicate
-    /// order.
-    pub fn run<R: Send + Sync>(&self, f: impl Fn(u64, usize) -> R + Sync) -> Vec<R> {
-        parallel_map(&self.seeds, |i, &seed| f(seed, i))
-    }
-
-    /// The experiment id the seeds were derived under.
-    pub fn id(&self) -> &'static str {
-        self.id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,26 +324,6 @@ mod tests {
         assert!(m_seq.notes()[0].ends_with("item 1"));
         assert_eq!(m_seq.gauge(Gauge::PeakQueueDepth), 40);
         assert_eq!(m_seq.gauge(Gauge::McMaxDepth), 6);
-    }
-
-    #[test]
-    fn replicate_sweep_seeds_are_pure_and_ordered() {
-        let a = ReplicateSweep::derived("fig67", 7, 4);
-        let b = ReplicateSweep::derived("fig67", 7, 4);
-        assert_eq!(a.seeds(), b.seeds());
-        assert_eq!(a.seeds().len(), 4);
-        // Replicates are decorrelated from each other and from the master.
-        let mut uniq: Vec<u64> = a.seeds().to_vec();
-        uniq.push(7);
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 5);
-        // And a different experiment id derives a different stream.
-        assert_ne!(a.seeds(), ReplicateSweep::derived("fig45", 7, 4).seeds());
-
-        let ex = ReplicateSweep::explicit("tbl-modes", vec![3, 1, 2]);
-        let got = ex.run(|seed, i| (i, seed));
-        assert_eq!(got, vec![(0, 3), (1, 1), (2, 2)], "replicate order kept");
     }
 
     #[test]

@@ -164,11 +164,9 @@ where
 fn world_snapshots_never_panic_under_damage() {
     // A real two-way paper scenario, un-run: start events scheduled,
     // every subsystem serialized.
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut sc = Scenario::paper(31, 40, SimDuration::from_millis(10), Some(20))
         .with_fwd(2, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    sc.seed = 31;
-    sc.duration = SimDuration::from_secs(40);
     sc.warmup = SimDuration::from_secs(10);
     let run = sc.build();
     let snap = run.world.snapshot();

@@ -279,6 +279,64 @@ fn resume_removes_stale_temp_files() {
     let _ = std::fs::remove_dir_all(&crash);
 }
 
+/// `--resume` takes seed, profile, replicates and output directory from
+/// the sweep's header, so a flag that would set one of them is refused
+/// by name (exit 2) before anything runs, instead of being ignored.
+/// `--jobs`, `--shards` and `--timings` still apply.
+#[test]
+fn resume_refuses_flags_the_header_sets() {
+    let dir = tmp_dir("flags");
+    clean_sweep(&dir);
+    let before = dir_contents(&dir);
+    let other = tmp_dir("flags-other");
+    let other = other.to_str().unwrap();
+    for flag in [
+        &["--seed", "9"][..],
+        &["--seeds", "2"],
+        &["--full"],
+        &["--quick"],
+        &["--profile", "full"],
+        &["--out", other],
+    ] {
+        let out = run_repro(&[&["--resume", dir.to_str().unwrap()], flag].concat(), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag:?} was accepted: {stderr}"
+        );
+        assert!(
+            stderr.contains(flag[0]),
+            "{flag:?}: error does not name it: {stderr}"
+        );
+    }
+    assert!(!Path::new(other).exists(), "a refused --out was written");
+    assert_same_outputs(&before, &dir_contents(&dir));
+
+    let timings = dir.join("resumed-timings.json");
+    let out = run_repro(
+        &[
+            "--resume",
+            dir.to_str().unwrap(),
+            "--jobs",
+            "1",
+            "--shards",
+            "2",
+            "--timings",
+            timings.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert!(
+        out.status.success(),
+        "--jobs/--shards/--timings with --resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(timings.exists(), "--timings ignored under --resume");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `bytes` as an older build sealed them: header version 1 and a
 /// byte-wise FNV-1a trailer.
 fn sealed_as_v1(bytes: &[u8]) -> Vec<u8> {

@@ -230,10 +230,9 @@ fn watchdog_instrumentation_is_byte_invisible() {
     use td_engine::SimDuration;
     use td_experiments::scenario::{ConnSpec, Scenario};
 
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut sc = Scenario::paper(1, 20, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(20);
     sc.warmup = SimDuration::from_secs(2);
     let plain = sc.run();
     sc.watchdog = Some(td_net::WatchdogConfig::default());

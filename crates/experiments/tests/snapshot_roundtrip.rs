@@ -33,40 +33,32 @@ fn configs() -> Vec<(&'static str, Scenario)> {
     let mut out = Vec::new();
 
     // Figure 4–5: 1+1 two-way paper Tahoe, the headline configuration.
-    let mut fig45 = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut fig45 = Scenario::paper(11, 60, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    fig45.seed = 11;
-    fig45.duration = SimDuration::from_secs(60);
     fig45.warmup = SimDuration::from_secs(10);
     out.push(("fig45", fig45));
 
     // Figure 8: fixed windows, no congestion control, 2+2.
-    let mut fig8 = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut fig8 = Scenario::paper(12, 60, SimDuration::from_millis(10), Some(20))
         .with_fwd(2, ConnSpec::fixed(8))
         .with_rev(2, ConnSpec::fixed(8));
-    fig8.seed = 12;
-    fig8.duration = SimDuration::from_secs(60);
     fig8.warmup = SimDuration::from_secs(10);
     out.push(("fig8", fig8));
 
     // Asymmetric load: 3 forward flows against 1 reverse.
-    let mut asym = Scenario::paper(SimDuration::from_millis(10), Some(15))
+    let mut asym = Scenario::paper(13, 60, SimDuration::from_millis(10), Some(15))
         .with_fwd(3, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    asym.seed = 13;
-    asym.duration = SimDuration::from_secs(60);
     asym.warmup = SimDuration::from_secs(10);
     out.push(("asym", asym));
 
     // Chaos, outage cell: the forward bottleneck goes dark mid-run, so
     // the snapshot point can land before, inside, or after the outage.
     // Runs under the watchdog like the real chaos experiment.
-    let mut outage = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut outage = Scenario::paper(14, 90, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    outage.seed = 14;
-    outage.duration = SimDuration::from_secs(90);
     outage.warmup = SimDuration::from_secs(15);
     outage.fault_fwd = FaultPlan::with_outages(vec![Outage {
         down: SimTime::from_secs(30),
@@ -77,11 +69,9 @@ fn configs() -> Vec<(&'static str, Scenario)> {
 
     // Chaos, burst cell: Gilbert–Elliott loss keeps the per-channel
     // fault RNG and the Markov state hot across the snapshot point.
-    let mut burst = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut burst = Scenario::paper(15, 60, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    burst.seed = 15;
-    burst.duration = SimDuration::from_secs(60);
     burst.warmup = SimDuration::from_secs(10);
     burst.fault_fwd =
         FaultPlan::with_burst(GilbertElliott::new(0.02, 0.2, 0.5).expect("valid burst"));

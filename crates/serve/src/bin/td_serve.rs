@@ -22,8 +22,9 @@ use td_serve::server::{run, ServeConfig};
 
 /// Graceful-shutdown signal handling (SIGINT / SIGTERM), the same raw
 /// `signal(2)` binding `td-repro` uses: the zero-dependency rule keeps
-/// `unsafe` confined to the binaries, and the handler body is a single
-/// atomic store, well inside the async-signal-safe set.
+/// `unsafe` confined to the two binaries (and the `alloc_ledger` test's
+/// counting allocator), and the handler body is a single atomic store,
+/// well inside the async-signal-safe set.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,6 +117,15 @@ fn parse_u64(flag: &str, value: Option<String>) -> Result<u64, String> {
         .map_err(|_| format!("{flag} needs an unsigned integer, got {v:?}"))
 }
 
+/// [`parse_u64`] that refuses zero: a zero worker count, queue or
+/// deadline is never what the caller meant.
+fn parse_positive(flag: &str, value: Option<String>) -> Result<u64, String> {
+    match parse_u64(flag, value)? {
+        0 => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    }
+}
+
 fn cmd_serve(args: &mut std::env::Args) -> Result<i32, String> {
     let mut store_dir: Option<PathBuf> = None;
     let mut socket: Option<PathBuf> = None;
@@ -128,16 +138,12 @@ fn cmd_serve(args: &mut std::env::Args) -> Result<i32, String> {
             "--socket" => {
                 socket = Some(PathBuf::from(args.next().ok_or("--socket needs a value")?))
             }
-            "--jobs" => cfg.jobs = parse_u64("--jobs", args.next())?.clamp(1, 512) as usize,
+            "--jobs" => cfg.jobs = parse_positive("--jobs", args.next())?.min(512) as usize,
             "--queue-cap" => {
-                cfg.queue_cap = parse_u64("--queue-cap", args.next())?.clamp(1, 1 << 20) as usize;
+                cfg.queue_cap = parse_positive("--queue-cap", args.next())?.min(1 << 20) as usize;
             }
             "--deadline-ms" => {
-                let ms = parse_u64("--deadline-ms", args.next())?;
-                if ms == 0 {
-                    return Err("--deadline-ms must be positive".to_owned());
-                }
-                cfg.default_deadline_ms = Some(ms);
+                cfg.default_deadline_ms = Some(parse_positive("--deadline-ms", args.next())?);
             }
             other => return Err(format!("unknown serve flag {other:?}\n\n{}", usage())),
         }

@@ -292,25 +292,60 @@ fn miss_hit_corrupt_quarantine_recompute_byte_identical() {
     );
 }
 
+/// `td-serve serve --store DIR` plus `flag value`, which must be refused
+/// with exit 2 before a daemon starts: the refusal's stderr. A daemon
+/// that did start would never exit, so it is stopped and the test fails
+/// instead of hanging.
+fn refused_serve_flag(store: &Path, flag: &str, value: &str) -> String {
+    let mut child = Command::new(EXE)
+        .arg("serve")
+        .arg("--store")
+        .arg(store)
+        .args([flag, value])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn td-serve serve");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll td-serve") {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(20) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{flag} {value} started a daemon");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut err = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut err).unwrap();
+    assert_eq!(status.code(), Some(2), "{flag} {value}: {err}");
+    err
+}
+
 /// A cell is a pure function of its key, so the daemon has nothing to
 /// retry: the retry, backoff and breaker flags are unknown flags.
 #[test]
 fn retry_flags_are_unknown() {
     let store = tmp_dir("no-retries");
     for flag in ["--retries", "--backoff-ms", "--breaker"] {
-        let out = Command::new(EXE)
-            .arg("serve")
-            .arg("--store")
-            .arg(&store)
-            .args([flag, "1"])
-            .output()
-            .expect("run td-serve serve");
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let err = refused_serve_flag(&store, flag, "1");
         assert!(
             err.contains(&format!("unknown serve flag \"{flag}\"")),
             "{err}"
         );
+    }
+}
+
+/// Zero workers, a zero-length queue or a zero deadline is refused by
+/// name, not clamped to 1.
+#[test]
+fn zero_counts_are_refused() {
+    let store = tmp_dir("zero-counts");
+    for flag in ["--jobs", "--queue-cap", "--deadline-ms"] {
+        let err = refused_serve_flag(&store, flag, "0");
+        assert!(err.contains(&format!("{flag} must be positive")), "{err}");
     }
 }
 
@@ -332,6 +367,23 @@ fn deadline_kills_an_oversized_cell() {
     let quick = request(
         &d.socket,
         "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":99,\"sim_secs\":1}",
+    );
+    assert!(quick.contains("\"status\":\"ok\""), "quick: {quick}");
+    drop(d);
+
+    // `--deadline-ms` is the deadline of every request that names none.
+    let d = spawn_daemon("deadline-default", &["--jobs", "1", "--deadline-ms", "300"]);
+    let reply = request(
+        &d.socket,
+        "{\"op\":\"simulate\",\"experiment\":\"multihop\",\"seed\":97,\"sim_secs\":100000}",
+    );
+    assert!(
+        reply.contains("\"status\":\"deadline_exceeded\""),
+        "default deadline not applied: {reply}"
+    );
+    let quick = request(
+        &d.socket,
+        "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":97,\"sim_secs\":1}",
     );
     assert!(quick.contains("\"status\":\"ok\""), "quick: {quick}");
 }

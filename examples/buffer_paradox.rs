@@ -22,17 +22,15 @@ fn run_cell(two_way: bool, buffer: u32) -> f64 {
     } else {
         SimDuration::from_secs(1)
     };
-    let mut sc = Scenario::paper(tau, Some(buffer));
-    sc = if two_way {
+    // Cycle length scales with the buffer; keep the cycle count constant.
+    let dur = 400u64 * buffer as u64 / 20 + 200;
+    let sc = Scenario::paper(1, dur, tau, Some(buffer));
+    let sc = if two_way {
         sc.with_fwd(1, ConnSpec::paper())
             .with_rev(1, ConnSpec::paper())
     } else {
         sc.with_fwd(3, ConnSpec::paper())
     };
-    // Cycle length scales with the buffer; keep the cycle count constant.
-    let dur = 400u64 * buffer as u64 / 20 + 200;
-    sc.duration = SimDuration::from_secs(dur);
-    sc.warmup = SimDuration::from_secs(dur / 5);
     let run = sc.run();
     if two_way {
         (run.util12() + run.util21()) / 2.0

@@ -11,14 +11,12 @@
 //! ```
 
 use tahoe_dynamics::engine::SimDuration;
-use tahoe_dynamics::experiments::{ConnSpec, Scenario};
+use tahoe_dynamics::experiments::fig45;
 use tahoe_dynamics::net::{text_dump, write_pcap, CapturePoint};
 
 fn main() {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
-        .with_fwd(1, ConnSpec::paper())
-        .with_rev(1, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(60);
+    // The Figures 4-5 run: seed 1, 60 s, B = 20, measured after 10 s.
+    let mut sc = fig45::scenario(1, 60, 20);
     sc.warmup = SimDuration::from_secs(10);
     let run = sc.run();
 

@@ -14,12 +14,10 @@ use tahoe_dynamics::experiments::{ConnSpec, Scenario, DATA_SERVICE};
 fn main() {
     // Figure 4-5 of the paper: one TCP Tahoe connection in each direction
     // across a 50 Kbit/s bottleneck (tau = 0.01 s) with a 20-packet
-    // drop-tail buffer.
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    // drop-tail buffer. Seed 1, 300 s, measured after the first 60 s.
+    let sc = Scenario::paper(1, 300, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(300);
-    sc.warmup = SimDuration::from_secs(60);
 
     println!("simulating 300 s of two-way TCP Tahoe over a 50 Kbit/s bottleneck ...\n");
     let run = sc.run();

@@ -37,14 +37,12 @@ fn main() {
         let pipe = 50_000.0 * (tau as f64 / 1000.0) / (500.0 * 8.0);
         print!("{:>10} |", format!("P = {pipe:.2}"));
         for &buffer in &buffers {
-            let mut sc = Scenario::paper(SimDuration::from_millis(tau), Some(buffer))
-                .with_fwd(1, ConnSpec::paper())
-                .with_rev(1, ConnSpec::paper());
             // Longer cycles at bigger buffers/pipes need longer windows.
             let dur = 400 + 4 * buffer as u64 + tau;
-            sc.duration = SimDuration::from_secs(dur);
-            sc.warmup = SimDuration::from_secs(dur / 5);
-            let run = sc.run();
+            let run = Scenario::paper(1, dur, SimDuration::from_millis(tau), Some(buffer))
+                .with_fwd(1, ConnSpec::paper())
+                .with_rev(1, ConnSpec::paper())
+                .run();
             let (mode, r) = classify_sync(
                 &run.cwnd(run.fwd[0]),
                 &run.cwnd(run.rev[0]),

@@ -30,12 +30,11 @@
 //!
 //! // The paper's Figure 4-5 setup: one TCP connection in each direction
 //! // over a 50 Kbit/s bottleneck with a 20-packet buffer.
-//! let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+//! // Seed 1, 60 s simulated, measured after the first fifth of the run.
+//! let run = Scenario::paper(1, 60, SimDuration::from_millis(10), Some(20))
 //!     .with_fwd(1, ConnSpec::paper())
-//!     .with_rev(1, ConnSpec::paper());
-//! sc.duration = SimDuration::from_secs(60);
-//! sc.warmup = SimDuration::from_secs(10);
-//! let run = sc.run();
+//!     .with_rev(1, ConnSpec::paper())
+//!     .run();
 //!
 //! // Two-way traffic keeps the bottleneck well below full utilization —
 //! // the paper's headline observation.

@@ -32,11 +32,9 @@ fn scenario(rng: &mut SimRng) -> Scenario {
     } else {
         ConnSpec::paper()
     };
-    let mut sc = Scenario::paper(SimDuration::from_millis(tau_ms), buffer)
+    let mut sc = Scenario::paper(seed, dur, SimDuration::from_millis(tau_ms), buffer)
         .with_fwd(nf, spec)
         .with_rev(nr, spec);
-    sc.seed = seed;
-    sc.duration = SimDuration::from_secs(dur);
     sc.warmup = SimDuration::from_secs(dur / 4);
     sc
 }
@@ -196,11 +194,9 @@ fn runs_are_deterministic() {
 /// path with a 29-packet buffer. Re-runs the full invariant battery.
 #[test]
 fn regression_three_against_one_long_path() {
-    let mut sc = Scenario::paper(SimDuration::from_millis(820), Some(29))
+    let mut sc = Scenario::paper(1, 20, SimDuration::from_millis(820), Some(29))
         .with_fwd(3, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    sc.seed = 1;
-    sc.duration = SimDuration::from_secs(20);
     sc.warmup = SimDuration::from_secs(5);
     let run = sc.run();
     let mut state: HashMap<PacketId, u8> = HashMap::new();
@@ -234,10 +230,9 @@ fn regression_three_against_one_long_path() {
 /// deterministic case with heavy loss).
 #[test]
 fn in_order_delivery_under_heavy_congestion() {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(3))
+    let mut sc = Scenario::paper(1, 200, SimDuration::from_millis(10), Some(3))
         .with_fwd(2, ConnSpec::paper())
         .with_rev(2, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(200);
     sc.warmup = SimDuration::from_secs(40);
     let run = sc.run();
     let drops = run.drops();
@@ -257,10 +252,9 @@ fn conservation_with_zero_size_acks() {
         sender: SenderConfig::fixed_window(20),
         receiver: ReceiverConfig::zero_ack(),
     };
-    let mut sc = Scenario::paper(SimDuration::from_secs(1), None)
+    let mut sc = Scenario::paper(1, 100, SimDuration::from_secs(1), None)
         .with_fwd(1, spec)
         .with_rev(1, spec);
-    sc.duration = SimDuration::from_secs(100);
     sc.warmup = SimDuration::from_secs(20);
     let run = sc.run();
     assert!(run.drops().is_empty(), "infinite buffers cannot drop");

@@ -50,9 +50,8 @@ fn ack_spacing_collapses_only_under_two_way_traffic() {
     );
 
     // One-way run: the ACK clock is intact.
-    let mut sc =
-        Scenario::paper(SimDuration::from_millis(10), Some(20)).with_fwd(1, ConnSpec::fixed(10));
-    sc.duration = SimDuration::from_secs(120);
+    let mut sc = Scenario::paper(1, 120, SimDuration::from_millis(10), Some(20))
+        .with_fwd(1, ConnSpec::fixed(10));
     sc.warmup = SimDuration::from_secs(30);
     let one = sc.run();
     let acks1: Vec<_> = deliveries(one.world.trace(), one.host1, one.fwd[0], true)
@@ -114,10 +113,9 @@ fn acks_are_never_dropped_at_a_single_bottleneck() {
         (1000, 20, 1, 1),
         (1000, 10, 1, 1),
     ] {
-        let mut sc = Scenario::paper(SimDuration::from_millis(tau_ms), Some(buffer))
+        let mut sc = Scenario::paper(1, 300, SimDuration::from_millis(tau_ms), Some(buffer))
             .with_fwd(nf, ConnSpec::paper())
             .with_rev(nr, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(300);
         sc.warmup = SimDuration::from_secs(0);
         let run = sc.run();
         let ack_drops = run.drops().iter().filter(|d| !d.is_data).count();
@@ -129,10 +127,9 @@ fn acks_are_never_dropped_at_a_single_bottleneck() {
     // Multi-connection configs: data packets dominate but retransmission
     // clumping allows rare ACK losses (the paper's 99.8 %).
     for (tau_ms, buffer, nf, nr) in [(10u64, 30u32, 5usize, 5usize), (10, 5, 2, 2)] {
-        let mut sc = Scenario::paper(SimDuration::from_millis(tau_ms), Some(buffer))
+        let mut sc = Scenario::paper(1, 300, SimDuration::from_millis(tau_ms), Some(buffer))
             .with_fwd(nf, ConnSpec::paper())
             .with_rev(nr, ConnSpec::paper());
-        sc.duration = SimDuration::from_secs(300);
         sc.warmup = SimDuration::from_secs(0);
         let run = sc.run();
         let drops = run.drops();
@@ -151,8 +148,7 @@ fn acks_are_never_dropped_at_a_single_bottleneck() {
 #[test]
 fn one_way_cwnd_saw_tooth_hits_capacity() {
     let mut sc =
-        Scenario::paper(SimDuration::from_secs(1), Some(20)).with_fwd(1, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(600);
+        Scenario::paper(1, 600, SimDuration::from_secs(1), Some(20)).with_fwd(1, ConnSpec::paper());
     sc.warmup = SimDuration::from_secs(120);
     let run = sc.run();
     let cw = run.cwnd(run.fwd[0]);
@@ -172,10 +168,9 @@ fn one_way_cwnd_saw_tooth_hits_capacity() {
 /// both paths must be exercised.
 #[test]
 fn both_loss_detectors_fire_in_two_way_traffic() {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(20))
+    let mut sc = Scenario::paper(1, 600, SimDuration::from_millis(10), Some(20))
         .with_fwd(1, ConnSpec::paper())
         .with_rev(1, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(600);
     sc.warmup = SimDuration::from_secs(0);
     let run = sc.run();
     let mut fast = 0;

@@ -13,10 +13,9 @@ use tahoe_dynamics::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 #[test]
 #[ignore = "long-haul stress; run with --ignored"]
 fn twenty_connections_for_an_hour() {
-    let mut sc = Scenario::paper(SimDuration::from_millis(10), Some(30))
+    let mut sc = Scenario::paper(1, 3600, SimDuration::from_millis(10), Some(30))
         .with_fwd(10, ConnSpec::paper())
         .with_rev(10, ConnSpec::paper());
-    sc.duration = SimDuration::from_secs(3600);
     sc.warmup = SimDuration::from_secs(600);
     let run = sc.run();
     for conn in run.conns() {
