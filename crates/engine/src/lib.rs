@@ -23,7 +23,7 @@
 //!   (an `xoshiro256**` implemented locally) so experiments are reproducible
 //!   from a single `u64` seed and independent of external crate versioning.
 //!
-//! and two pieces of plumbing every layer above shares:
+//! and three pieces of plumbing every layer above shares:
 //!
 //! * [`meter`] — the per-thread counter spine: events scheduled and
 //!   dispatched, snapshots, auditor violations, model-check coverage. Code
@@ -38,6 +38,8 @@
 //!   one atomic, fsync'd file writer, [`write_atomic`]. Byte-wise
 //!   [`fnv1a`] hashes (state hashes, seed tags, golden outputs) and
 //!   checksums no file.
+//! * [`json`] — the one JSON escaper and the one strict JSON parser, for
+//!   `timings.json` and `td-serve`'s request and reply lines.
 //!
 //! The engine deliberately has **no** notion of network, packet, or host —
 //! those live in `td-net`. It also deliberately avoids an async runtime:
@@ -65,6 +67,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod meter;
 mod queue;
 mod rate;

@@ -48,6 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 use td_analysis::RunningStats;
+use td_engine::json::escape;
 use td_engine::meter::{Counter, Gauge, Meter};
 use td_engine::{fnv1a, fnv1a_continue};
 use td_net::audit::Tally;
@@ -334,7 +335,7 @@ impl BatchResult {
         for (i, r) in self.results.iter().enumerate() {
             let t = &r.timing;
             let panic = match &r.panic {
-                Some(msg) => format!("\"{}\"", json_escape(msg)),
+                Some(msg) => format!("\"{}\"", escape(msg)),
                 None => "null".into(),
             };
             let audit = json_string_array(&r.audit.reports);
@@ -343,7 +344,7 @@ impl BatchResult {
                 .report
                 .metrics
                 .iter()
-                .map(|(name, value)| format!("\"{}\": {value}", json_escape(name)))
+                .map(|(name, value)| format!("\"{}\": {value}", escape(name)))
                 .collect::<Vec<_>>()
                 .join(", ");
             out.push_str(&format!(
@@ -410,28 +411,10 @@ fn mc_block(count: impl Fn(Counter) -> u64, max_depth: u64) -> String {
 fn json_string_array(items: &[String]) -> String {
     let body = items
         .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
+        .map(|s| format!("\"{}\"", escape(s)))
         .collect::<Vec<_>>()
         .join(", ");
     format!("[{body}]")
-}
-
-/// Escape a string for embedding in a JSON string literal (`timings.json`
-/// here, response lines in `td-serve`).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The synthetic report of a panicked task: one failing row carrying the
@@ -864,14 +847,5 @@ mod tests {
         }
         assert!(second.timings_json().contains("\"journal_replayed\": 4"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(
-            json_escape("say \"hi\"\\\n\tdone\u{1}"),
-            "say \\\"hi\\\"\\\\\\n\\tdone\\u0001"
-        );
     }
 }

@@ -13,6 +13,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
+use td_engine::json::{self, Json};
 use td_serve::server::{run, ServeConfig};
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-repro");
@@ -34,20 +35,6 @@ fn request(socket: &Path, line: &str) -> String {
     reply.trim_end().to_owned()
 }
 
-/// Pull `"name":N` out of a stats line.
-fn field(json: &str, name: &str) -> u64 {
-    let pat = format!("\"{name}\":");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {name} in {json}"));
-    json[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 /// Serve `store` on `socket` for one request; returns the reply and the
 /// daemon's `(hits, computed)`.
 fn serve_once(store: &Path, socket: &Path, req: &str) -> (String, u64, u64) {
@@ -67,10 +54,11 @@ fn serve_once(store: &Path, socket: &Path, req: &str) -> (String, u64, u64) {
         std::thread::sleep(Duration::from_millis(10));
     }
     let reply = request(socket, req);
-    let stats = request(socket, r#"{"op":"stats"}"#);
+    let stats = json::parse(&request(socket, r#"{"op":"stats"}"#)).expect("stats is JSON");
     request(socket, r#"{"op":"shutdown"}"#);
     assert_eq!(daemon.join().unwrap().unwrap(), 0, "shutdown drains to 0");
-    (reply, field(&stats, "hits"), field(&stats, "computed"))
+    let count = |name| stats.get(name).and_then(Json::as_u64).expect(name);
+    (reply, count("hits"), count("computed"))
 }
 
 #[test]

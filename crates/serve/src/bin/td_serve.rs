@@ -17,6 +17,7 @@
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use td_engine::json::{self, Json};
 use td_experiments::store::Store;
 use td_serve::server::{run, ServeConfig};
 
@@ -211,7 +212,7 @@ fn cmd_compact(args: &mut std::env::Args) -> Result<i32, String> {
 }
 
 /// Send each JSON line to the daemon and print each reply. Exit 0 iff
-/// every reply has `"status":"ok"` or `"status":"stats"`.
+/// every reply's `status` is `ok` or `stats`; exit 2 on an unreadable one.
 fn cmd_req(args: &mut std::env::Args, implicit: Option<&str>) -> Result<i32, String> {
     let mut socket: Option<PathBuf> = None;
     let mut lines: Vec<String> = Vec::new();
@@ -249,9 +250,9 @@ fn cmd_req(args: &mut std::env::Args, implicit: Option<&str>) -> Result<i32, Str
             }
             let reply = reply.trim_end();
             println!("{reply}");
-            if !(reply.contains("\"status\":\"ok\"") || reply.contains("\"status\":\"stats\"")) {
-                all_ok = false;
-            }
+            let doc = json::parse(reply).map_err(|e| format!("unreadable reply: {e}"))?;
+            let status = (doc.get("status").and_then(Json::as_str)).ok_or("reply has no status")?;
+            all_ok &= matches!(status, "ok" | "stats");
         }
         Ok(if all_ok { 0 } else { 1 })
     }

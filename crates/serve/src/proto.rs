@@ -1,12 +1,12 @@
 //! Wire protocol: line-delimited flat JSON requests and responses.
 //!
-//! One request per line, one response line per request. The request
-//! grammar is deliberately a *flat* JSON object — string, unsigned
-//! integer, and boolean values only; nesting is rejected — so the
-//! parser is a page of obvious code with structured errors instead of a
-//! JSON dependency (the workspace is zero-dep by charter). Responses
-//! are built with the same hand-rolled `format!` + escape style the
-//! experiment runner uses for `timings.json`.
+//! One request per line, one response line per request. A request is a
+//! *flat* JSON object (string, unsigned integer and boolean values
+//! only), read by the workspace's one strict parser,
+//! [`td_engine::json::parse`]; nesting, `null`, floats, negatives,
+//! duplicate keys and integers past `u64` are refused with an error
+//! naming the key. Replies are `format!` layouts whose strings go
+//! through [`td_engine::json::escape`].
 //!
 //! ```text
 //! {"op":"simulate","experiment":"fig8","seed":1,"profile":"quick",
@@ -30,10 +30,8 @@
 //! ([`td_experiments::store`]), the same for a hit, a miss and a
 //! recompute of one cell.
 
+use td_engine::json::{self, Json};
 use td_experiments::registry::{validate_override, Profile};
-
-/// Escape a string for inclusion in a JSON response line.
-pub use td_experiments::runner::json_escape;
 
 /// Longest request line the daemon reads, newline excluded: a fixed cap,
 /// so a client that never sends a newline cannot grow its memory.
@@ -75,186 +73,46 @@ pub enum Request {
     Shutdown,
 }
 
-/// A scalar value in a flat JSON object.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Str(String),
-    UInt(u64),
-    Bool(bool),
-}
-
-/// Parse one flat JSON object line into key/value pairs.
-///
-/// Accepts exactly: `{ "key" : value , ... }` where value is a string,
-/// a non-negative integer, `true`, or `false`. Rejects nesting, null,
-/// floats, negatives, and duplicate keys — all with a message naming
-/// the offense, because a `bad_request` the client can't act on is a
-/// robustness hole of its own.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.char_indices().peekable();
-    let mut pairs: Vec<(String, Value)> = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while chars.next_if(|&(_, c)| c.is_ascii_whitespace()).is_some() {}
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            Some((i, c)) => return Err(format!("expected '\"' at byte {i}, found {c:?}")),
-            None => return Err("unterminated input, expected string".into()),
-        }
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(s),
-                Some((i, '\\')) => match chars.next() {
-                    Some((_, '"')) => s.push('"'),
-                    Some((_, '\\')) => s.push('\\'),
-                    Some((_, '/')) => s.push('/'),
-                    Some((_, 'n')) => s.push('\n'),
-                    Some((_, 't')) => s.push('\t'),
-                    Some((_, 'r')) => s.push('\r'),
-                    Some((_, 'u')) => {
-                        let mut code = String::new();
-                        for _ in 0..4 {
-                            match chars.next() {
-                                Some((_, c)) if c.is_ascii_hexdigit() => code.push(c),
-                                _ => return Err(format!("bad \\u escape at byte {i}")),
-                            }
-                        }
-                        let n = u32::from_str_radix(&code, 16).expect("hex checked");
-                        match char::from_u32(n) {
-                            Some(c) => s.push(c),
-                            None => return Err(format!("bad \\u escape at byte {i}")),
-                        }
-                    }
-                    other => {
-                        return Err(format!(
-                            "unsupported escape at byte {i}: {:?}",
-                            other.map(|(_, c)| c)
-                        ))
-                    }
-                },
-                Some((_, c)) => s.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        other => {
-            return Err(format!(
-                "request must be a JSON object, found {:?}",
-                other.map(|(_, c)| c)
-            ))
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next_if(|&(_, c)| c == '}').is_some() {
-        skip_ws(&mut chars);
-        if let Some((i, c)) = chars.next() {
-            return Err(format!("trailing garbage at byte {i}: {c:?}"));
-        }
-        return Ok(pairs);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        if pairs.iter().any(|(k, _)| *k == key) {
+/// The members of a request: a JSON object whose values are strings,
+/// non-negative integers, `true` or `false`. Nesting, `null`, floats,
+/// negatives, duplicate keys and integers past `u64` are refused with a
+/// message naming the offense, because a `bad_request` the client can't
+/// act on is a robustness hole of its own.
+fn flat_members(line: &str) -> Result<Vec<(String, Json)>, String> {
+    let doc = json::parse(line).map_err(|e| format!("request must be a JSON object: {e}"))?;
+    let Json::Obj(members) = doc else {
+        return Err("request must be a JSON object".into());
+    };
+    for (i, (key, value)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(k, _)| k == key) {
             return Err(format!("duplicate key {key:?}"));
         }
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            other => {
-                return Err(format!(
-                    "expected ':' after key {key:?}, found {:?}",
-                    other.map(|(_, c)| c)
-                ))
-            }
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek().copied() {
-            Some((_, '"')) => Value::Str(parse_string(&mut chars)?),
-            Some((_, c)) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while let Some((_, d)) = chars.next_if(|&(_, c)| c.is_ascii_digit()) {
-                    digits.push(d);
-                }
-                if chars
-                    .peek()
-                    .is_some_and(|&(_, c)| c == '.' || c == 'e' || c == 'E')
-                {
-                    return Err(format!("key {key:?}: floats are not accepted"));
-                }
-                Value::UInt(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("key {key:?}: integer out of range"))?,
-                )
-            }
-            Some((_, 't')) | Some((_, 'f')) => {
-                let mut word = String::new();
-                while let Some((_, c)) = chars.next_if(|&(_, c)| c.is_ascii_alphabetic()) {
-                    word.push(c);
-                }
-                match word.as_str() {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    other => return Err(format!("key {key:?}: bad literal {other:?}")),
-                }
-            }
-            Some((_, '-')) => return Err(format!("key {key:?}: negative values not accepted")),
-            Some((_, '{')) | Some((_, '[')) => {
-                return Err(format!("key {key:?}: nested values not accepted"))
-            }
-            other => {
-                return Err(format!(
-                    "key {key:?}: expected a value, found {:?}",
-                    other.map(|(_, c)| c)
-                ))
-            }
+        let offense = match value {
+            Json::Str(_) | Json::Bool(_) => continue,
+            Json::Num(text) if text.starts_with('-') => "negative values not accepted",
+            Json::Num(text) if text.contains(['.', 'e', 'E']) => "floats are not accepted",
+            Json::Num(_) if value.as_u64().is_none() => "integer out of range",
+            Json::Num(_) => continue,
+            Json::Null => "null not accepted",
+            Json::Arr(_) | Json::Obj(_) => "nested values not accepted",
         };
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => {
-                return Err(format!(
-                    "expected ',' or '}}', found {:?}",
-                    other.map(|(_, c)| c)
-                ))
-            }
-        }
+        return Err(format!("key {key:?}: {offense}"));
     }
-    skip_ws(&mut chars);
-    if let Some((i, c)) = chars.next() {
-        return Err(format!("trailing garbage at byte {i}: {c:?}"));
-    }
-    Ok(pairs)
+    Ok(members)
 }
 
 /// Parse one request line. `Err` is a human-readable reason the caller
 /// wraps into a `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let pairs = parse_flat_object(line)?;
-    let op = pairs
+    let members = flat_members(line)?;
+    let op = members
         .iter()
         .find(|(k, _)| k == "op")
         .ok_or_else(|| "missing \"op\" field".to_owned())?;
-    let op = match &op.1 {
-        Value::Str(s) => s.as_str(),
-        _ => return Err("\"op\" must be a string".into()),
-    };
+    let op = op.1.as_str().ok_or("\"op\" must be a string")?;
     match op {
         "stats" | "ping" | "shutdown" => {
-            if pairs.len() != 1 {
+            if members.len() != 1 {
                 return Err(format!("op {op:?} takes no other fields"));
             }
             Ok(match op {
@@ -270,44 +128,44 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let mut deadline_ms = None;
             let mut priority = DEFAULT_PRIORITY;
             let mut overrides = Vec::new();
-            for (key, value) in &pairs {
-                match (key.as_str(), value) {
-                    ("op", _) => {}
-                    ("experiment", Value::Str(s)) => experiment = Some(s.clone()),
-                    ("experiment", _) => return Err("\"experiment\" must be a string".into()),
-                    ("seed", Value::UInt(n)) => seed = *n,
-                    ("seed", _) => return Err("\"seed\" must be an unsigned integer".into()),
-                    ("profile", Value::Str(s)) => {
-                        profile = match s.as_str() {
+            for (key, value) in &members {
+                match (key.as_str(), value.as_str(), value.as_u64()) {
+                    ("op", ..) => {}
+                    ("experiment", Some(s), _) => experiment = Some(s.to_owned()),
+                    ("experiment", ..) => return Err("\"experiment\" must be a string".into()),
+                    ("seed", _, Some(n)) => seed = n,
+                    ("seed", ..) => return Err("\"seed\" must be an unsigned integer".into()),
+                    ("profile", Some(s), _) => {
+                        profile = match s {
                             "quick" => Profile::Quick,
                             "full" => Profile::Full,
                             other => return Err(format!("bad profile {other:?} (quick|full)")),
                         }
                     }
-                    ("profile", _) => return Err("\"profile\" must be a string".into()),
-                    ("deadline_ms", Value::UInt(n)) => {
-                        if *n == 0 {
+                    ("profile", ..) => return Err("\"profile\" must be a string".into()),
+                    ("deadline_ms", _, Some(n)) => {
+                        if n == 0 {
                             return Err("\"deadline_ms\" must be positive".into());
                         }
-                        deadline_ms = Some(*n);
+                        deadline_ms = Some(n);
                     }
-                    ("deadline_ms", _) => {
+                    ("deadline_ms", ..) => {
                         return Err("\"deadline_ms\" must be an unsigned integer".into())
                     }
-                    ("priority", Value::UInt(n)) => {
-                        if *n > MAX_PRIORITY {
+                    ("priority", _, Some(n)) => {
+                        if n > MAX_PRIORITY {
                             return Err(format!("\"priority\" must be 0..={MAX_PRIORITY}"));
                         }
-                        priority = *n as u8;
+                        priority = n as u8;
                     }
-                    ("priority", _) => {
+                    ("priority", ..) => {
                         return Err("\"priority\" must be an unsigned integer".into())
                     }
-                    (other, Value::UInt(n)) => {
-                        validate_override(other, *n)?;
-                        overrides.push((other.to_owned(), *n));
+                    (other, _, Some(n)) => {
+                        validate_override(other, n)?;
+                        overrides.push((other.to_owned(), n));
                     }
-                    (other, _) => {
+                    (other, ..) => {
                         return Err(format!(
                             "key {other:?} is neither a request field nor an \
                              integer config override"
@@ -362,6 +220,12 @@ mod tests {
                 overrides: vec![("sim_secs".into(), 60)],
             })
         );
+        // Seeds are exact to u64::MAX; `\b` and `\f` are escapes.
+        let line = r#"{"op":"simulate","experiment":"x\b\fy","seed":18446744073709551615}"#;
+        let Ok(Request::Simulate(s)) = parse_request(line) else {
+            panic!("{line}")
+        };
+        assert_eq!((s.experiment.as_str(), s.seed), ("x\u{8}\u{c}y", u64::MAX));
     }
 
     #[test]
@@ -424,6 +288,16 @@ mod tests {
             ),
             (r#"{"op":"ping"} extra"#, "trailing garbage"),
             (r#"{"op":"ping","op":"ping"}"#, "duplicate key"),
+            (
+                r#"{"op":"ping","n":18446744073709551616}"#,
+                "integer out of range",
+            ),
+            (r#"{"op":"ping","n":null}"#, "null not accepted"),
+            // Strict RFC 8259: no leading zero, no raw control byte in a
+            // string, no form feed as whitespace.
+            (r#"{"op":"ping","n":007}"#, "leading zero"),
+            ("{\"op\":\"pi\tng\"}", "control byte in string"),
+            ("{\u{c}\"op\":\"ping\"}", "expected '\"' at byte 1"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line} -> {err}");
@@ -435,7 +309,7 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let line = format!(
             r#"{{"op":"simulate","experiment":"{}"}}"#,
-            json_escape(nasty)
+            json::escape(nasty)
         );
         match parse_request(&line).unwrap() {
             Request::Simulate(s) => assert_eq!(s.experiment, nasty),

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use td_engine::json;
 use td_experiments::cell::{self, Limits, Outcome};
 use td_experiments::registry::{config_hash, find, Entry};
 use td_experiments::store::{CellData, CellKey, Lookup, Store};
@@ -330,7 +331,7 @@ fn bad_request(shared: &Shared, why: &str) -> String {
     shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
     format!(
         "{{\"status\":\"bad_request\",\"reason\":\"{}\"}}",
-        proto::json_escape(why)
+        json::escape(why)
     )
 }
 
@@ -537,7 +538,7 @@ fn render_ok(key: CellKey, data: &CellData, payload_sum: u64) -> String {
         "{{\"status\":\"ok\",\"experiment\":\"{}\",\"seed\":{},\"profile\":\"{}\",\
          \"config_hash\":\"{:016x}\",\"all_ok\":{},\"rows\":{},\"failures\":{},\
          \"metrics\":{},\"payload_sum\":\"{:016x}\"}}",
-        proto::json_escape(&data.experiment),
+        json::escape(&data.experiment),
         key.seed,
         proto::profile_name(data.profile),
         key.config_hash,
@@ -557,10 +558,10 @@ fn render_deadline(req: &SimulateReq, key: CellKey, diagnostics: &str) -> String
     format!(
         "{{\"status\":\"deadline_exceeded\",\"experiment\":\"{}\",\"seed\":{},\
          \"config_hash\":\"{:016x}\",\"diagnostics\":\"{}\"}}",
-        proto::json_escape(&req.experiment),
+        json::escape(&req.experiment),
         req.seed,
         key.config_hash,
-        proto::json_escape(diagnostics),
+        json::escape(diagnostics),
     )
 }
 
@@ -570,10 +571,10 @@ fn failed(shared: &Shared, req: &SimulateReq, key: CellKey, reason: &str) -> Str
     format!(
         "{{\"status\":\"failed\",\"experiment\":\"{}\",\"seed\":{},\
          \"config_hash\":\"{:016x}\",\"reason\":\"{}\"}}",
-        proto::json_escape(&req.experiment),
+        json::escape(&req.experiment),
         req.seed,
         key.config_hash,
-        proto::json_escape(reason),
+        json::escape(reason),
     )
 }
 

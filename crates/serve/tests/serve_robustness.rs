@@ -20,9 +20,10 @@
 //!   before EOF in every one of 30 daemon lifetimes, fresh connections
 //!   answered without an accept poll, SIGTERM noticed by an idle daemon;
 //! * hostile request lines — over the 64 KiB cap, never terminated, not
-//!   UTF-8 — each answered `bad_request` while other connections are
-//!   served, and seeded random lines written in random-sized pieces,
-//!   each answered by exactly one `bad_request`;
+//!   UTF-8, nested 60 000 deep — each answered `bad_request` while other
+//!   connections are served, and seeded random lines written in
+//!   random-sized pieces, each answered by exactly one `bad_request`;
+//! * `td-serve req` exiting by the reply's parsed `status`;
 //! * a cell of an older format version refused by name, quarantined and
 //!   recomputed.
 #![cfg(unix)]
@@ -32,7 +33,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use td_engine::SimRng;
+use td_engine::{json, SimRng};
 use td_serve::proto::MAX_LINE_BYTES;
 
 const EXE: &str = env!("CARGO_BIN_EXE_td-serve");
@@ -149,18 +150,10 @@ fn stats(socket: &Path) -> String {
     request(socket, "{\"op\":\"stats\"}")
 }
 
-/// Pull `"name":N` out of a stats/response line.
-fn field(json: &str, name: &str) -> u64 {
-    let pat = format!("\"{name}\":");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no field {name} in {json}"));
-    json[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("field {name} not numeric in {json}"))
+/// The unsigned integer member `name` of a stats/response line.
+fn field(line: &str, name: &str) -> u64 {
+    (json::parse(line).ok().and_then(|v| v.get(name)?.as_u64()))
+        .unwrap_or_else(|| panic!("no integer {name} in {line}"))
 }
 
 /// Poll stats until `pred` holds (daemon-side state is asynchronous).
@@ -335,6 +328,19 @@ fn retry_flags_are_unknown() {
             err.contains(&format!("unknown serve flag \"{flag}\"")),
             "{err}"
         );
+    }
+}
+
+/// `td-serve req` exits by the reply's parsed `status`: 0 for `ok`, 1
+/// for `bad_request`.
+#[test]
+fn req_exits_by_the_reply_status() {
+    let d = spawn_daemon("req-exit", &["--jobs", "1"]);
+    for (line, code) in [(r#"{"op":"ping"}"#, 0), (r#"{"op":"nope"}"#, 1)] {
+        let args = ["req", "--socket", d.socket.to_str().unwrap(), line];
+        let out = Command::new(EXE).args(args).output().unwrap();
+        let reply = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{line} -> {reply}");
     }
 }
 
@@ -664,6 +670,20 @@ fn a_non_utf8_line_is_a_bad_request_not_a_hangup() {
     assert!(!closed, "the next line on the connection is served");
     let s = stats(&d.socket);
     assert_eq!(field(&s, "bad_requests"), 1, "stats: {s}");
+}
+
+/// 60 000 `[` fit under the line cap, so the parser sees them: its
+/// nesting cap answers `bad_request`, and the connection goes on.
+#[test]
+fn a_deeply_nested_line_is_a_bad_request_not_a_crash() {
+    let d = spawn_daemon("deep", &["--jobs", "1"]);
+    let (reply, closed) = hostile_line(&d, [&[b'['; 60_000][..], b"\n"].concat());
+    assert_eq!(
+        reply,
+        "{\"status\":\"bad_request\",\"reason\":\"request must be a JSON object: \
+         nesting deeper than 64 levels at byte 64\"}"
+    );
+    assert!(!closed, "the next line on the connection is served");
 }
 
 /// A cell an older build sealed — format version 1, byte-wise FNV-1a
